@@ -717,3 +717,22 @@ func BenchmarkExactReorderRetry(b *testing.B) {
 	}
 	b.ReportMetric(float64(degraded), "degraded")
 }
+
+// BenchmarkTruthTable times the exhaustive truth table behind
+// logic.Equivalent — what every verified flow pass pays — on the two
+// 16-input generators, at 64 rows per machine word.
+func BenchmarkTruthTable(b *testing.B) {
+	for _, name := range []string{"cmp8", "par16"} {
+		nw, err := circuits.Named(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := nw.TruthTable(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

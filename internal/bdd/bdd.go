@@ -11,9 +11,10 @@
 // constant functions. Variables are decoupled from levels through a
 // var2level/level2var permutation so the order can change at runtime:
 // Reorder applies Rudell-style sifting over in-place adjacent-level swaps,
-// which preserves every externally held Ref. Outside of reordering, nodes
-// are never freed; Reorder reclaims nodes unreachable from its root set
-// into a free list that mk reuses.
+// which preserves every externally held Ref. Nodes are freed only by GC
+// (and by Reorder, which starts with one): both reclaim the nodes
+// unreachable from a caller-supplied root set into a free list that mk
+// reuses.
 package bdd
 
 import (
@@ -41,7 +42,7 @@ type node struct {
 
 const (
 	maxLevel = int32(1<<30 - 1)
-	// freeLevel marks an arena slot reclaimed by Reorder and awaiting
+	// freeLevel marks an arena slot reclaimed by GC and awaiting
 	// reuse through the free list. Freed slots are unreachable from any
 	// live function, so no traversal ever observes this sentinel.
 	freeLevel = int32(-1)
@@ -106,7 +107,7 @@ type Manager struct {
 	// level2var is its inverse. Both start as the identity.
 	var2level []int32
 	level2var []int32
-	// free lists arena slots reclaimed by Reorder, reused LIFO by mk.
+	// free lists arena slots reclaimed by GC or Reorder, reused LIFO by mk.
 	// live counts arena slots in use (including the two terminals).
 	free []Ref
 	live int
@@ -371,6 +372,45 @@ func (m *Manager) Restrict(f Ref, i int, val bool) Ref {
 		return False
 	}
 	return r
+}
+
+// Leq reports whether f implies g (f <= g pointwise) — equivalently,
+// whether And(f, Not(g)) is False — by a joint walk that builds no nodes
+// and stops at the first counterexample branch. Like Restrict, the walk
+// accounts recursion steps against the manager's budget; on a poisoned
+// manager it returns false.
+func (m *Manager) Leq(f, g Ref) bool {
+	if m.checked && m.err != nil {
+		return false
+	}
+	// Levels strictly increase down the walk, so a pair revisited while
+	// the walk is still running was already proven.
+	seen := make(map[[2]Ref]bool)
+	var rec func(f, g Ref) bool
+	rec = func(f, g Ref) bool {
+		switch {
+		case f == False || g == True || f == g:
+			return true
+		case f == True || g == False:
+			return false
+		}
+		k := [2]Ref{f, g}
+		if seen[k] {
+			return true
+		}
+		if m.checked && !m.checkStep() {
+			return false
+		}
+		seen[k] = true
+		top := m.level(f)
+		if l := m.level(g); l < top {
+			top = l
+		}
+		f0, f1 := m.cofactors(f, top)
+		g0, g1 := m.cofactors(g, top)
+		return rec(f0, g0) && rec(f1, g1)
+	}
+	return rec(f, g) && !(m.checked && m.err != nil)
 }
 
 // Exists existentially quantifies out variable i: f[i=0] | f[i=1].

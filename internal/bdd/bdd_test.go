@@ -315,3 +315,30 @@ func TestCofactorAccessors(t *testing.T) {
 	}()
 	m.Low(True)
 }
+
+// Property: Leq(f, g) holds exactly when f AND NOT g is False, for random
+// functions and for pairs where the implication holds by construction.
+func TestLeqMatchesAnd(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		m := New(5)
+		f, g := randomFn(m, r), randomFn(m, r)
+		if trial%2 == 1 {
+			f = m.And(f, g) // f <= g by construction
+		}
+		want := m.And(f, m.Not(g)) == False
+		if got := m.Leq(f, g); got != want {
+			t.Fatalf("trial %d: Leq = %v, And(f, Not g) == False is %v", trial, got, want)
+		}
+	}
+	m := New(2)
+	x := m.Var(0)
+	for _, c := range []struct {
+		f, g Ref
+		want bool
+	}{{False, x, true}, {x, True, true}, {x, x, true}, {True, x, false}, {x, False, false}, {x, m.Var(1), false}} {
+		if got := m.Leq(c.f, c.g); got != c.want {
+			t.Errorf("Leq(%d, %d) = %v, want %v", c.f, c.g, got, c.want)
+		}
+	}
+}

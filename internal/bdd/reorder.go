@@ -28,8 +28,8 @@ type ReorderStats struct {
 //
 // roots must list every Ref the caller still holds; everything not
 // reachable from them is garbage-collected into the manager's free list
-// first (external Refs in roots remain valid across the call — swaps
-// rewrite nodes in place). The ITE cache is invalidated.
+// first, exactly as GC does (external Refs in roots remain valid across
+// the call — swaps rewrite nodes in place). The ITE cache is invalidated.
 //
 // Reorder is budget-aware: swap work is charged against MaxSteps, the
 // node high-water is checked against MaxNodes, and the context is polled
@@ -46,7 +46,7 @@ func (m *Manager) Reorder(roots []Ref, opt ReorderOptions) (ReorderStats, error)
 	}
 	s := &sifter{m: m, maxGrowth: growth}
 	s.init(roots)
-	st := ReorderStats{Before: s.size}
+	st := ReorderStats{Before: s.size()}
 
 	// Sift the most-populated levels first: moving a fat variable is
 	// where the big wins are, and doing it early keeps later sifts cheap.
@@ -75,7 +75,7 @@ func (m *Manager) Reorder(roots []Ref, opt ReorderOptions) (ReorderStats, error)
 		st.Vars++
 	}
 	st.Swaps = s.swaps
-	st.After = s.size
+	st.After = s.size()
 	m.met.reorderRuns.Inc()
 	m.met.reorderSwaps.Add(int64(s.swaps))
 	if saved := st.Before - st.After; saved > 0 {
@@ -86,58 +86,35 @@ func (m *Manager) Reorder(roots []Ref, opt ReorderOptions) (ReorderStats, error)
 }
 
 // sifter holds the per-Reorder bookkeeping: reference counts (parent
-// edges plus root pins), per-level node lists, and the live internal node
-// count that sifting minimizes.
+// edges plus root pins) and per-level node lists.
 type sifter struct {
 	m         *Manager
 	rc        []int32 // per-Ref: incoming edges from live nodes + root pins
 	buckets   [][]Ref // per-level live node lists; lazily filtered
 	stamp     []int32 // per-Ref dedup stamp for bucket filtering
 	stampGen  int32
-	size      int // live internal nodes
 	swaps     int
 	maxGrowth float64
 }
 
-// init builds reference counts from the arena, garbage-collects
-// everything unreachable from roots, populates the level buckets in Ref
-// order (deterministic), and invalidates the ITE cache, whose entries may
-// reference reclaimed nodes.
+// init garbage-collects everything unreachable from roots (GC's
+// mark-and-free), replaces the ITE cache, keeps the survivors' reference
+// counts, and populates the level buckets in Ref order (deterministic).
 func (s *sifter) init(roots []Ref) {
 	m := s.m
-	s.rc = make([]int32, len(m.nodes))
+	s.rc = m.collect(roots)
+	m.iteC = make(map[iteKey]Ref)
 	s.stamp = make([]int32, len(m.nodes))
-	for r := Ref(2); int(r) < len(m.nodes); r++ {
-		n := m.nodes[r]
-		if n.level == freeLevel {
-			continue
-		}
-		if n.lo > 1 {
-			s.rc[n.lo]++
-		}
-		if n.hi > 1 {
-			s.rc[n.hi]++
-		}
-	}
-	for _, r := range roots {
-		if r > 1 {
-			s.rc[r]++
-		}
-	}
-	s.size = m.live - 2
-	for r := Ref(2); int(r) < len(m.nodes); r++ {
-		if m.nodes[r].level != freeLevel && s.rc[r] == 0 {
-			s.freeNode(r)
-		}
-	}
 	s.buckets = make([][]Ref, m.nvars)
 	for r := Ref(2); int(r) < len(m.nodes); r++ {
 		if lv := m.nodes[r].level; lv != freeLevel {
 			s.buckets[lv] = append(s.buckets[lv], r)
 		}
 	}
-	m.iteC = make(map[iteKey]Ref)
 }
+
+// size returns the live internal node count that sifting minimizes.
+func (s *sifter) size() int { return s.m.live - 2 }
 
 // bucket returns the live nodes currently at level l, compacting stale
 // entries (freed or re-leveled slots) out of the stored slice. The stamp
@@ -183,7 +160,6 @@ func (s *sifter) mkAt(level int32, lo, hi Ref) Ref {
 	}
 	tab[k] = r
 	m.live++
-	s.size++
 	if lo > 1 {
 		s.rc[lo]++
 	}
@@ -192,32 +168,6 @@ func (s *sifter) mkAt(level int32, lo, hi Ref) Ref {
 	}
 	s.buckets[level] = append(s.buckets[level], r)
 	return r
-}
-
-// deref drops one reference to g, reclaiming it when none remain.
-func (s *sifter) deref(g Ref) {
-	if g <= 1 {
-		return
-	}
-	s.rc[g]--
-	if s.rc[g] == 0 {
-		s.freeNode(g)
-	}
-}
-
-// freeNode reclaims an unreferenced node: its unique entry is removed,
-// the slot is pushed on the free list with the freeLevel sentinel, and
-// its children are dereferenced in cascade.
-func (s *sifter) freeNode(g Ref) {
-	m := s.m
-	n := m.nodes[g]
-	delete(m.unique[n.level], pair{n.lo, n.hi})
-	m.nodes[g].level = freeLevel
-	m.free = append(m.free, g)
-	m.live--
-	s.size--
-	s.deref(n.lo)
-	s.deref(n.hi)
 }
 
 // swap exchanges levels l and l+1 in place. Nodes keep their Refs: a
@@ -307,8 +257,8 @@ func (s *sifter) swap(l int) {
 	// Old children are released only after every dependent node has been
 	// rewritten: the captured quads must stay alive until the last one.
 	for _, d := range deps {
-		s.deref(d.oldLo)
-		s.deref(d.oldHi)
+		m.deref(s.rc, d.oldLo)
+		m.deref(s.rc, d.oldHi)
 	}
 
 	xv, yv := m.level2var[l], m.level2var[l+1]
@@ -348,12 +298,12 @@ func (s *sifter) check() error {
 func (s *sifter) sift(v int) error {
 	m := s.m
 	n := m.nvars
-	best := s.size
+	best := s.size()
 	bestL := int(m.var2level[v])
 	limit := func() int { return int(float64(best)*s.maxGrowth) + 2 }
 	note := func() {
-		if s.size < best {
-			best, bestL = s.size, int(m.var2level[v])
+		if s.size() < best {
+			best, bestL = s.size(), int(m.var2level[v])
 		}
 	}
 	down := func() error {
@@ -363,7 +313,7 @@ func (s *sifter) sift(v int) error {
 			}
 			s.swap(int(m.var2level[v]))
 			note()
-			if s.size > limit() {
+			if s.size() > limit() {
 				return nil
 			}
 		}
@@ -376,7 +326,7 @@ func (s *sifter) sift(v int) error {
 			}
 			s.swap(int(m.var2level[v]) - 1)
 			note()
-			if s.size > limit() {
+			if s.size() > limit() {
 				return nil
 			}
 		}

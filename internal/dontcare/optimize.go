@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/power"
 	"repro/internal/sop"
@@ -61,6 +62,9 @@ type Result struct {
 // OptimizeNetwork rewrites gates of the network in place using their
 // don't-care sets, per the configured objective. The network's primary
 // output functions are preserved exactly.
+//
+// The pass shares one global BDD view across every gate it visits; the
+// package documentation gives its cost model.
 func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 	if opts.MaxFanin <= 0 {
 		opts.MaxFanin = 8
@@ -69,6 +73,7 @@ func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 		opts.Params = power.DefaultParams()
 	}
 	var res Result
+	var a *analyzer
 	// Snapshot gate list: rewrites add nodes we must not revisit.
 	gates := nw.Gates()
 	for _, id := range gates {
@@ -80,26 +85,34 @@ func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 			continue
 		}
 		res.NodesVisited++
-		changed, err := optimizeNode(nw, id, opts)
+		if a == nil {
+			var err error
+			if a, err = newAnalyzer(nw, opts.InputProb); err != nil {
+				return res, err
+			}
+		}
+		changed, err := a.optimizeNode(id, opts)
 		if err != nil {
 			return res, err
 		}
 		if changed {
 			res.NodesRewritten++
 		}
+		a.maybeCollect()
 	}
 	nw.SweepDead()
 	return res, nil
 }
 
-func optimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, error) {
-	dc, err := Analyze(nw, id, opts.InputProb, opts.UseODC)
+func (a *analyzer) optimizeNode(id logic.NodeID, opts Options) (bool, error) {
+	dc, err := a.analyze(id, opts.UseODC)
 	if err != nil {
 		return false, err
 	}
 	if dc.DC.IsEmpty() {
 		return false, nil
 	}
+	nw := a.nw
 	n := nw.Node(id)
 	k := len(n.Fanin)
 
@@ -134,7 +147,7 @@ func optimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, error
 		// Accept the area cover if it reduces literals vs the current gate.
 		cur := float64(dc.On.NumLiterals())
 		if float64(areaCover.NumLiterals()) < cur {
-			return applyCover(nw, id, areaCover, dc.Fanins)
+			return a.apply(id, areaCover, dc.Fanins)
 		}
 		return false, nil
 
@@ -152,35 +165,33 @@ func optimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, error
 		if bestDist <= curDist+1e-12 {
 			return false, nil
 		}
-		return applyCover(nw, id, cands[best].cover, dc.Fanins)
+		return a.apply(id, cands[best].cover, dc.Fanins)
 
 	case NetworkPower:
-		// Evaluate each candidate by full-network exact power.
-		base, err := power.EstimateExact(nw, opts.Params, nil, opts.InputProb)
-		if err != nil {
-			return false, err
-		}
-		bestPower := base.Total()
+		// Evaluate each candidate by full-network exact power, building
+		// only the rewritten clone's changed nodes in the shared manager.
+		bestPower := a.power(nw, nil, opts.Params)
 		var bestCover *sop.Cover
+		seed := consumers(nw, id)
 		for _, c := range cands {
 			trial := nw.Clone()
 			if _, err := applyCover(trial, id, c.cover, dc.Fanins); err != nil {
 				return false, err
 			}
 			trial.SweepDead()
-			rep, err := power.EstimateExact(trial, opts.Params, nil, opts.InputProb)
-			if err != nil {
+			over := make(map[logic.NodeID]bdd.Ref)
+			if err := a.rebuild(trial, over, seed); err != nil {
 				return false, err
 			}
-			if rep.Total() < bestPower-1e-9 {
-				bestPower = rep.Total()
+			if total := a.power(trial, over, opts.Params); total < bestPower-1e-9 {
+				bestPower = total
 				bestCover = c.cover
 			}
 		}
 		if bestCover == nil {
 			return false, nil
 		}
-		return applyCover(nw, id, bestCover, dc.Fanins)
+		return a.apply(id, bestCover, dc.Fanins)
 	}
 	return false, fmt.Errorf("dontcare: unknown objective %v", opts.Objective)
 }

@@ -23,6 +23,17 @@ func (e *UnsupportedGateError) Error() string {
 // Is makes errors.Is(err, ErrUnsupportedGate) true.
 func (e *UnsupportedGateError) Is(target error) bool { return target == ErrUnsupportedGate }
 
+// NoFaninError is the typed error returned when a gate is evaluated with
+// no fanin values. Construction rejects such gates (see GateType.MinFanin),
+// so only hand-built nodes reach it.
+type NoFaninError struct {
+	Type GateType
+}
+
+func (e *NoFaninError) Error() string {
+	return fmt.Sprintf("logic: %s gate evaluated with no fanin values", e.Type)
+}
+
 // TryEvalGate computes the output of a gate of type t given its fanin
 // values, returning an *UnsupportedGateError instead of panicking on
 // non-gate types. It is the entry point for code paths reachable from
@@ -35,7 +46,7 @@ func TryEvalGate(t GateType, in []bool) (bool, error) {
 	if len(in) == 0 {
 		// Gates have at least one fanin (see GateType.MinFanin); guard the
 		// in[0] accesses below against hand-built nodes.
-		return false, fmt.Errorf("logic: %s gate evaluated with no fanin values", t)
+		return false, &NoFaninError{Type: t}
 	}
 	return EvalGate(t, in), nil
 }
@@ -94,6 +105,65 @@ func EvalGate(t GateType, in []bool) bool {
 		return p
 	}
 	panic((&UnsupportedGateError{Type: t}).Error())
+}
+
+// EvalPacked computes 64 evaluations of a combinational node at once: bit
+// j of the result is the node's value in lane j, given the lane words of
+// its fanins in val (indexed by NodeID). Constants yield all-zero or
+// all-one words. It is the single word-level gate kernel shared by the
+// packed simulator, incremental cone re-evaluation and TruthTable, which is
+// what makes those paths agree bit for bit. Inputs, flip-flops, unknown
+// types and constants with fanins return an *UnsupportedGateError, and a
+// gate with no fanins a *NoFaninError; neither panics.
+func EvalPacked(n *Node, val []uint64) (uint64, error) {
+	f := n.Fanin
+	if len(f) == 0 {
+		switch {
+		case n.Type == Const0:
+			return 0, nil
+		case n.Type == Const1:
+			return ^uint64(0), nil
+		case n.Type.IsGate():
+			return 0, &NoFaninError{Type: n.Type}
+		}
+		return 0, &UnsupportedGateError{Type: n.Type}
+	}
+	w := val[f[0]]
+	switch n.Type {
+	case Buf:
+	case Not:
+		w = ^w
+	case And:
+		for _, x := range f[1:] {
+			w &= val[x]
+		}
+	case Nand:
+		for _, x := range f[1:] {
+			w &= val[x]
+		}
+		w = ^w
+	case Or:
+		for _, x := range f[1:] {
+			w |= val[x]
+		}
+	case Nor:
+		for _, x := range f[1:] {
+			w |= val[x]
+		}
+		w = ^w
+	case Xor:
+		for _, x := range f[1:] {
+			w ^= val[x]
+		}
+	case Xnor:
+		for _, x := range f[1:] {
+			w ^= val[x]
+		}
+		w = ^w
+	default:
+		return 0, &UnsupportedGateError{Type: n.Type}
+	}
+	return w, nil
 }
 
 // State holds the present values of every node in a network during
@@ -204,10 +274,27 @@ func (nw *Network) EvalComb(in []bool) ([]bool, error) {
 	return s.Step(in)
 }
 
+// laneMasks[j] holds, in lane b, bit j of b: the value of PI j < 6 across
+// the 64 minterms one truth-table word covers.
+var laneMasks = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
+
 // TruthTable enumerates all 2^n input vectors of a combinational network
 // with n <= 20 primary inputs and returns, for each primary output, a
 // bitset of minterms where the output is 1 (bit i corresponds to the input
 // vector whose bit j is PI j's value, PI 0 least significant).
+//
+// It evaluates 64 rows per machine word over the cached topological order
+// with the EvalPacked kernel: word w covers minterms 64w..64w+63, so PI
+// j < 6 takes the constant lane mask of bit j, PI j >= 6 is all-ones or
+// all-zeros by bit j-6 of w, and when n < 6 the lanes at or past 2^n are
+// masked off.
 func (nw *Network) TruthTable() ([][]uint64, error) {
 	n := len(nw.pis)
 	if n > 20 {
@@ -216,26 +303,41 @@ func (nw *Network) TruthTable() ([][]uint64, error) {
 	if len(nw.ffs) != 0 {
 		return nil, fmt.Errorf("logic: TruthTable on sequential network %q", nw.Name)
 	}
+	order, err := nw.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
 	rows := 1 << n
 	words := (rows + 63) / 64
+	mask := ^uint64(0)
+	if rows < 64 {
+		mask = 1<<uint(rows) - 1
+	}
 	tt := make([][]uint64, len(nw.pos))
 	for i := range tt {
 		tt[i] = make([]uint64, words)
 	}
-	st := NewState(nw)
-	in := make([]bool, n)
-	for m := 0; m < rows; m++ {
-		for j := 0; j < n; j++ {
-			in[j] = m&(1<<j) != 0
-		}
-		out, err := st.Step(in)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range out {
-			if v {
-				tt[i][m/64] |= 1 << (m % 64)
+	val := make([]uint64, len(nw.nodes))
+	for w := 0; w < words; w++ {
+		for j, pi := range nw.pis {
+			switch {
+			case j < 6:
+				val[pi] = laneMasks[j]
+			case w>>uint(j-6)&1 != 0:
+				val[pi] = ^uint64(0)
+			default:
+				val[pi] = 0
 			}
+		}
+		for _, id := range order {
+			v, err := EvalPacked(nw.nodes[id], val)
+			if err != nil {
+				return nil, err
+			}
+			val[id] = v
+		}
+		for i, po := range nw.pos {
+			tt[i][w] = val[po] & mask
 		}
 	}
 	return tt, nil

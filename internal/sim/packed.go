@@ -175,7 +175,7 @@ func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error
 		}
 		// One word-level settle pass evaluates all 64 lanes of every gate.
 		for _, n := range ps.order {
-			w, err := packedEval(n, ps.val)
+			w, err := logic.EvalPacked(n, ps.val)
 			if err != nil {
 				return tot, err
 			}
@@ -209,61 +209,6 @@ func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error
 	}
 	tot.Useful = tot.Transitions
 	return tot, nil
-}
-
-// packedEval computes one 64-lane word for a combinational node from the
-// packed values of its fanins. It is the single evaluation kernel shared
-// by the full run and incremental cone re-evaluation, which is what makes
-// the incremental path bit-identical by construction.
-func packedEval(n *logic.Node, val []uint64) (uint64, error) {
-	f := n.Fanin
-	var w uint64
-	switch n.Type {
-	case logic.Const0:
-		w = 0
-	case logic.Const1:
-		w = ^uint64(0)
-	case logic.Buf:
-		w = val[f[0]]
-	case logic.Not:
-		w = ^val[f[0]]
-	case logic.And:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w &= val[x]
-		}
-	case logic.Nand:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w &= val[x]
-		}
-		w = ^w
-	case logic.Nor:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w |= val[x]
-		}
-		w = ^w
-	case logic.Or:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w |= val[x]
-		}
-	case logic.Xor:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w ^= val[x]
-		}
-	case logic.Xnor:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w ^= val[x]
-		}
-		w = ^w
-	default:
-		return 0, fmt.Errorf("sim: packed simulator cannot evaluate node type %s", n.Type)
-	}
-	return w, nil
 }
 
 // Cycles returns the number of cycles simulated since the last Reset.

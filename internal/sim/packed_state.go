@@ -50,7 +50,7 @@ type PackedState struct {
 // Correctness relies on the cone invariant that every live node outside
 // the cone has only live, non-dirty fanins: its stored words are what a
 // full re-run would recompute, so reusing them and re-deriving only the
-// cone reproduces the full run bit for bit (the shared packedEval kernel
+// cone reproduces the full run bit for bit (the shared logic.EvalPacked kernel
 // and the same carry-chain popcount make this structural, not numeric).
 // The caller is responsible for the cone being current (derived from the
 // network's dirty set since the last capture or update) and for
@@ -107,7 +107,7 @@ func (st *PackedState) UpdateCone(nw *logic.Network, cone *logic.Cone) error {
 			mask = 1<<uint(k) - 1
 		}
 		for i, n := range members {
-			w, err := packedEval(n, vals)
+			w, err := logic.EvalPacked(n, vals)
 			if err != nil {
 				return err
 			}
