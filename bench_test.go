@@ -193,7 +193,7 @@ func BenchmarkExactProbabilities(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := power.ExactProbabilities(nw, nil); err != nil {
+		if _, err := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -385,26 +385,17 @@ func BenchmarkAblationEstimatorLadder(b *testing.B) {
 	p := power.DefaultParams()
 	r := rand.New(rand.NewSource(5))
 	vecs := sim.RandomVectors(r, 300, len(nw.PIs()), 0.5)
-	var zd, dens, simP float64
+	var totals [3]float64
 	for i := 0; i < b.N; i++ {
-		ze, err := power.EstimateExact(nw, p, nil, nil)
-		if err != nil {
-			b.Fatal(err)
+		for j, m := range []power.Method{power.MethodExact, power.MethodDensity, power.MethodSimulated} {
+			rep, err := power.Estimate(context.Background(), nw, power.Spec{Method: m, Params: p, Vectors: vecs})
+			if err != nil {
+				b.Fatal(err)
+			}
+			totals[j] = rep.Total()
 		}
-		inDens := map[logic.NodeID]float64{}
-		for _, pi := range nw.PIs() {
-			inDens[pi] = 0.5
-		}
-		de, err := power.EstimateDensity(nw, p, nil, inDens, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		se, _, err := power.EstimateSimulated(nw, p, nil, sim.UnitDelay, vecs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		zd, dens, simP = ze.Total(), de.Total(), se.Total()
 	}
+	zd, dens, simP := totals[0], totals[1], totals[2]
 	b.ReportMetric(zd/simP, "zerodelay_over_sim")
 	b.ReportMetric(dens/simP, "density_over_sim")
 }
@@ -703,11 +694,12 @@ func BenchmarkExactReorderRetry(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := power.DefaultParams()
-	opt := power.ExactOptions{Budget: bdd.Budget{MaxNodes: 20000}}
+	spec := power.Spec{Method: power.MethodExact, Params: p,
+		ExactOptions: power.ExactOptions{Budget: bdd.Budget{MaxNodes: 20000}}}
 	degraded := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := power.EstimateExactCtx(context.Background(), nw, p, nil, nil, opt)
+		rep, err := power.Estimate(context.Background(), nw, spec)
 		if err != nil {
 			b.Fatal(err)
 		}

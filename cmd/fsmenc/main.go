@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -76,7 +77,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rep, err := power.EstimateExact(nw, params, nil, probs)
+		rep, err := power.Estimate(context.Background(), nw, power.Spec{Method: power.MethodExact, Params: params, InputProb: probs})
 		if err != nil {
 			fatal(err)
 		}

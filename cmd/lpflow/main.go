@@ -33,7 +33,6 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/obsv/profile"
 	"repro/internal/power"
-	"repro/internal/sim"
 )
 
 // generators is the shared named-circuit registry (internal/circuits);
@@ -159,15 +158,17 @@ func main() {
 // the reported SimP.
 func writeProfiles(nw *logic.Network, ctx *core.Context, rep *core.FlowReport, dir string, topN int) error {
 	col := profile.NewCollector(nw.NumNodes())
-	simRep, _, err := power.EstimateSimulatedWith(nw, ctx.Params, ctx.CapModel, sim.UnitDelay, ctx.Vectors, col)
+	spec := power.Spec{Method: power.MethodSimulated, Params: ctx.Params, CapModel: ctx.CapModel,
+		InputProb: ctx.InputProb, Vectors: ctx.Vectors, Tracer: col,
+		ExactOptions: power.ExactOptions{Budget: ctx.ExactBudget}}
+	simRep, err := power.Estimate(context.Background(), nw, spec)
 	if err != nil {
 		return err
 	}
-	var estRep power.Report
-	if er, err := power.EstimateDensity(nw, ctx.Params, ctx.CapModel, nil, ctx.InputProb); err != nil {
+	spec.Method = power.MethodDensity
+	estRep, err := power.Estimate(context.Background(), nw, spec)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "lpflow: density estimate unavailable: %v\n", err)
-	} else {
-		estRep = er
 	}
 	prof := profile.FromReports(nw.Name, simRep, estRep, col)
 	fmt.Print(prof.FormatTop(topN))

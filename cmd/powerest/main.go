@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -49,7 +50,6 @@ func main() {
 	}
 	st := nw.Stats()
 	fmt.Printf("%s: %s\n", nw.Name, st)
-	params := power.DefaultParams()
 	inProb := power.Probabilities{}
 	for _, pi := range nw.PIs() {
 		inProb[pi] = *p1
@@ -62,33 +62,34 @@ func main() {
 		inProb = seq
 	}
 
-	exact, err := power.EstimateExactCtx(ctx, nw, params, nil, inProb,
-		power.ExactOptions{Budget: bdd.Budget{MaxNodes: *bddBudget}, MCVectors: *vectors, MCSeed: *seed})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("exact (BDD):        %s\n", exact)
-	approx, err := power.EstimatePropagated(nw, params, nil, inProb)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("propagated:         %s\n", approx)
-	inDens := map[logic.NodeID]float64{}
-	for src, pr := range inProb {
-		inDens[src] = 2 * pr * (1 - pr)
-	}
-	dense, err := power.EstimateDensity(nw, params, nil, inDens, inProb)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("transition density: %s\n", dense)
 	r := rand.New(rand.NewSource(*seed))
-	vecs := sim.RandomVectors(r, *vectors, len(nw.PIs()), *p1)
-	simRep, tot, err := power.EstimateSimulated(nw, params, nil, sim.UnitDelay, vecs)
-	if err != nil {
-		fatal(err)
+	spec := power.Spec{Params: power.DefaultParams(), InputProb: inProb,
+		Vectors:      sim.RandomVectors(r, *vectors, len(nw.PIs()), *p1),
+		ExactOptions: power.ExactOptions{Budget: bdd.Budget{MaxNodes: *bddBudget}, MCVectors: *vectors, MCSeed: *seed}}
+	var simRep power.Report
+	for _, est := range []struct {
+		method power.Method
+		label  string
+	}{
+		{power.MethodExact, "exact (BDD):       "},
+		{power.MethodPropagated, "propagated:        "},
+		{power.MethodDensity, "transition density:"},
+		{power.MethodSimulated, "simulated (timed): "},
+	} {
+		spec.Method = est.method
+		rep, err := power.Estimate(ctx, nw, spec)
+		if est.method == power.MethodDensity && errors.Is(err, bdd.ErrBudgetExceeded) {
+			// The density method has no Monte Carlo fallback.
+			fmt.Printf("%s unavailable: %v\n", est.label, err)
+			continue
+		}
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("%s %s\n", est.label, rep)
+		simRep = rep
 	}
-	fmt.Printf("simulated (timed):  %s\n", simRep)
+	tot := simRep.Totals
 	fmt.Printf("glitches: %.1f%% of %d transitions over %d cycles\n",
 		100*tot.SpuriousFraction(), tot.Transitions, tot.Cycles)
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := power.EstimateExact(nw, params, nil, probs)
+		rep, err := power.Estimate(context.Background(), nw, power.Spec{Method: power.MethodExact, Params: params, InputProb: probs})
 		if err != nil {
 			log.Fatal(err)
 		}

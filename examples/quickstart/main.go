@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -22,28 +23,28 @@ func main() {
 	}
 	fmt.Printf("circuit %s: %s\n\n", nw.Name, nw.Stats())
 
-	// 2. Estimate power (Eqn. 1 of the survey) three ways.
-	params := power.DefaultParams()
-	exact, err := power.EstimateExact(nw, params, nil, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("exact zero-delay (BDD):   ", exact)
-
-	approx, err := power.EstimatePropagated(nw, params, nil, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("propagated approximation: ", approx)
-
+	// 2. Estimate power (Eqn. 1 of the survey) three ways: one Spec, three
+	// activity sources.
 	r := rand.New(rand.NewSource(42))
-	vecs := sim.RandomVectors(r, 500, len(nw.PIs()), 0.5)
-	simRep, totals, err := power.EstimateSimulated(nw, params, nil, sim.UnitDelay, vecs)
-	if err != nil {
-		log.Fatal(err)
+	spec := power.Spec{Params: power.DefaultParams(), Vectors: sim.RandomVectors(r, 500, len(nw.PIs()), 0.5)}
+	var simRep power.Report
+	for _, est := range []struct {
+		method power.Method
+		label  string
+	}{
+		{power.MethodExact, "exact zero-delay (BDD):   "},
+		{power.MethodPropagated, "propagated approximation: "},
+		{power.MethodSimulated, "event-driven simulation:  "},
+	} {
+		spec.Method = est.method
+		rep, err := power.Estimate(context.Background(), nw, spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(est.label, rep)
+		simRep = rep
 	}
-	fmt.Println("event-driven simulation:  ", simRep)
-	fmt.Printf("glitch share of transitions: %.1f%%\n\n", 100*totals.SpuriousFraction())
+	fmt.Printf("glitch share of transitions: %.1f%%\n\n", 100*simRep.Totals.SpuriousFraction())
 
 	// 3. Run the low-power flow: don't-care optimization then path
 	// balancing, with power measured after every pass.

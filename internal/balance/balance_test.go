@@ -1,6 +1,7 @@
 package balance
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -197,11 +198,11 @@ func TestBalancePowerTradeoff(t *testing.T) {
 	fullCap := power.BufferWeightedCap(1.0)
 
 	before := mk()
-	repBmin, totB, err := power.EstimateSimulated(before, p, minCap, sim.UnitDelay, vecs)
+	repBmin, err := power.Estimate(context.Background(), before, power.Spec{Method: power.MethodSimulated, Params: p, CapModel: minCap, Vectors: vecs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repBfull, _, err := power.EstimateSimulated(before, p, fullCap, sim.UnitDelay, vecs)
+	repBfull, err := power.Estimate(context.Background(), before, power.Spec{Method: power.MethodSimulated, Params: p, CapModel: fullCap, Vectors: vecs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,18 +210,18 @@ func TestBalancePowerTradeoff(t *testing.T) {
 	if _, err := Balance(after, Options{MaxSkew: 0}); err != nil {
 		t.Fatal(err)
 	}
-	repAmin, totA, err := power.EstimateSimulated(after, p, minCap, sim.UnitDelay, vecs)
+	repAmin, err := power.Estimate(context.Background(), after, power.Spec{Method: power.MethodSimulated, Params: p, CapModel: minCap, Vectors: vecs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repAfull, _, err := power.EstimateSimulated(after, p, fullCap, sim.UnitDelay, vecs)
+	repAfull, err := power.Estimate(context.Background(), after, power.Spec{Method: power.MethodSimulated, Params: p, CapModel: fullCap, Vectors: vecs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if totA.Spurious != 0 {
-		t.Fatalf("balance left %d glitches", totA.Spurious)
+	if repAmin.Totals.Spurious != 0 {
+		t.Fatalf("balance left %d glitches", repAmin.Totals.Spurious)
 	}
-	if totB.Spurious == 0 {
+	if repBmin.Totals.Spurious == 0 {
 		t.Fatal("baseline should glitch")
 	}
 	if repAmin.Total() >= repBmin.Total() {

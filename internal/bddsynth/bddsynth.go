@@ -71,7 +71,8 @@ func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, e
 	if len(nw.POs()) == 0 || nw.NumGates() == 0 {
 		return &Result{Skipped: true, Reason: "nothing to synthesize"}, nil
 	}
-	before, err := power.EstimatePropagated(nw, opt.Params, opt.CapModel, opt.InputProb)
+	score := power.Spec{Method: power.MethodPropagated, Params: opt.Params, CapModel: opt.CapModel, InputProb: opt.InputProb}
+	before, err := power.Estimate(ctx, nw, score)
 	if err != nil {
 		return nil, fmt.Errorf("bddsynth: scoring input network: %w", err)
 	}
@@ -84,7 +85,7 @@ func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, e
 		}
 		return nil, err
 	}
-	after, err := power.EstimatePropagated(clone, opt.Params, opt.CapModel, opt.InputProb)
+	after, err := power.Estimate(ctx, clone, score)
 	if err != nil {
 		return nil, fmt.Errorf("bddsynth: scoring candidate: %w", err)
 	}

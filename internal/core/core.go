@@ -142,19 +142,21 @@ func MeasureCtx(ctx context.Context, nw *logic.Network, fctx *Context, label str
 		}
 		inProb = seq
 	}
-	exact, err := power.EstimateExactCtx(ctx, nw, fctx.Params, fctx.CapModel, inProb,
-		power.ExactOptions{Budget: fctx.ExactBudget})
+	spec := power.Spec{Method: power.MethodExact, Params: fctx.Params, CapModel: fctx.CapModel,
+		InputProb: inProb, ExactOptions: power.ExactOptions{Budget: fctx.ExactBudget}}
+	exact, err := power.Estimate(ctx, nw, spec)
 	if err != nil {
 		return snap, err
 	}
 	snap.ExactP = exact.Total()
 	snap.Degraded = exact.Degraded
-	rep, tot, err := power.EstimateSimulatedParallelCtx(ctx, nw, fctx.Params, fctx.CapModel, sim.UnitDelay, fctx.Vectors, 0)
+	spec.Method, spec.Vectors = power.MethodSimulated, fctx.Vectors
+	rep, err := power.Estimate(ctx, nw, spec)
 	if err != nil {
 		return snap, err
 	}
 	snap.SimP = rep.Total()
-	snap.Spurious = tot.SpuriousFraction()
+	snap.Spurious = rep.Totals.SpuriousFraction()
 	return snap, nil
 }
 

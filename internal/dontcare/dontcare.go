@@ -16,7 +16,7 @@
 // rebuilds only the gate's transitive fanout (with the gate cut to 0 and
 // to 1); the NetworkPower objective scores each candidate cover by
 // building only the rewritten clone's changed nodes in the shared manager
-// and summing Eqn. 1 exactly as power.EstimateExact would; an accepted
+// and summing Eqn. 1 exactly as the exact power.Estimate would; an accepted
 // rewrite refreshes only the new and rewired nodes and whatever fanout
 // their changed functions reach. Between gates the manager is
 // garbage-collected, pinning the view, whenever its live node count has
@@ -207,7 +207,7 @@ func (a *analyzer) probability(f bdd.Ref) float64 {
 
 // power returns the exact zero-delay Eqn. 1 total of nw (the analyzed
 // network or a rewritten clone whose differing functions are in over):
-// the summation power.EstimateExact performs, over the same per-node
+// the summation the exact power.Estimate performs, over the same per-node
 // probabilities, so the floats are identical.
 func (a *analyzer) power(nw *logic.Network, over map[logic.NodeID]bdd.Ref, p power.Params) float64 {
 	live := nw.Live()

@@ -1,9 +1,11 @@
 package dontcare
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/logic"
 	"repro/internal/power"
@@ -150,7 +152,7 @@ func TestOptimizeAreaPreservesFunction(t *testing.T) {
 func TestOptimizeNodeActivityReducesActivity(t *testing.T) {
 	nw, g := cdcExample(t)
 	orig := nw.Clone()
-	before, err := power.ExactProbabilities(nw, nil)
+	before, err := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestOptimizeNodeActivityReducesActivity(t *testing.T) {
 	}
 	// The g node may have been replaced; find its PO driver.
 	po := nw.POs()[0]
-	after, err := power.ExactProbabilities(nw, nil)
+	after, err := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestOptimizeNetworkPowerOnBenchmarks(t *testing.T) {
 			t.Fatal(err)
 		}
 		orig := nw.Clone()
-		baseline, err := power.EstimateExact(nw, power.DefaultParams(), nil, nil)
+		baseline, err := power.Estimate(context.Background(), nw, power.Spec{Method: power.MethodExact, Params: power.DefaultParams()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +210,7 @@ func TestOptimizeNetworkPowerOnBenchmarks(t *testing.T) {
 		if !eq {
 			t.Fatalf("%s: optimization changed the function", nw.Name)
 		}
-		after, err := power.EstimateExact(nw, power.DefaultParams(), nil, nil)
+		after, err := power.Estimate(context.Background(), nw, power.Spec{Method: power.MethodExact, Params: power.DefaultParams()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package dontcare
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -13,7 +14,7 @@ import (
 // This file keeps the straightforward per-gate-fresh don't-care algorithm
 // as a test oracle: every gate rebuilds the whole network's global BDDs for
 // its analysis, rebuilds them again with the gate cut for its ODC, and
-// scores NetworkPower candidates with full power.EstimateExact runs. The
+// scores NetworkPower candidates with full exact power.Estimate runs. The
 // production pass shares one BDD view per pass and must reproduce it bit
 // for bit.
 
@@ -246,7 +247,7 @@ func refOptimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, er
 		}
 		return applyCover(nw, id, cands[best], dc.Fanins)
 	case NetworkPower:
-		base, err := power.EstimateExact(nw, opts.Params, nil, opts.InputProb)
+		base, err := power.Estimate(context.Background(), nw, power.Spec{Method: power.MethodExact, Params: opts.Params, InputProb: opts.InputProb})
 		if err != nil {
 			return false, err
 		}
@@ -258,7 +259,7 @@ func refOptimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, er
 				return false, err
 			}
 			trial.SweepDead()
-			rep, err := power.EstimateExact(trial, opts.Params, nil, opts.InputProb)
+			rep, err := power.Estimate(context.Background(), trial, power.Spec{Method: power.MethodExact, Params: opts.Params, InputProb: opts.InputProb})
 			if err != nil {
 				return false, err
 			}

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -197,7 +198,7 @@ func TestSynthesizedPowerComparison(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := power.EstimateExact(nw, p, nil, probs)
+		rep, err := power.Estimate(context.Background(), nw, power.Spec{Method: power.MethodExact, Params: p, InputProb: probs})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -29,7 +31,7 @@ func E1PowerBreakdown() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := power.EstimateExact(nw, p, nil, nil)
+		rep, err := power.Estimate(context.TODO(), nw, power.Spec{Method: power.MethodExact, Params: p})
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +96,7 @@ func E3Sizing() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	probs, err := power.ExactProbabilities(nw, nil)
+	probs, err := power.ExactProbabilities(context.TODO(), nw, nil, bdd.Budget{})
 	if err != nil {
 		return nil, err
 	}
@@ -137,11 +139,11 @@ func E5PathBalance() (*Table, error) {
 		p := power.DefaultParams()
 		minCap := power.BufferWeightedCap(0.25)
 		fullCap := power.BufferWeightedCap(1.0)
-		repB, totB, err := power.EstimateSimulated(nw, p, minCap, sim.UnitDelay, vecs)
+		repB, err := power.Estimate(context.TODO(), nw, power.Spec{Method: power.MethodSimulated, Params: p, CapModel: minCap, Vectors: vecs})
 		if err != nil {
 			return nil, err
 		}
-		repBFull, _, err := power.EstimateSimulated(nw, p, fullCap, sim.UnitDelay, vecs)
+		repBFull, err := power.Estimate(context.TODO(), nw, power.Spec{Method: power.MethodSimulated, Params: p, CapModel: fullCap, Vectors: vecs})
 		if err != nil {
 			return nil, err
 		}
@@ -153,15 +155,15 @@ func E5PathBalance() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		repA, _, err := power.EstimateSimulated(bal, p, minCap, sim.UnitDelay, vecs)
+		repA, err := power.Estimate(context.TODO(), bal, power.Spec{Method: power.MethodSimulated, Params: p, CapModel: minCap, Vectors: vecs})
 		if err != nil {
 			return nil, err
 		}
-		repAFull, _, err := power.EstimateSimulated(bal, p, fullCap, sim.UnitDelay, vecs)
+		repAFull, err := power.Estimate(context.TODO(), bal, power.Spec{Method: power.MethodSimulated, Params: p, CapModel: fullCap, Vectors: vecs})
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name, pct(totB.SpuriousFraction()),
+		t.AddRow(name, pct(repB.Totals.SpuriousFraction()),
 			f2(repB.Total()), f2(repA.Total()), f3(repA.Total()/repB.Total()),
 			f2(repAFull.Total()), f3(repAFull.Total()/repBFull.Total()), d(res))
 	}

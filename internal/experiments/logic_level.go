@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+
+	"repro/internal/bdd"
 	"repro/internal/dontcare"
 	"repro/internal/logic"
 	"repro/internal/power"
@@ -34,7 +37,7 @@ func E4DontCare() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		before, err := power.EstimateExact(base, p, nil, nil)
+		before, err := power.Estimate(context.TODO(), base, power.Spec{Method: power.MethodExact, Params: p})
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +52,7 @@ func E4DontCare() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			after, err := power.EstimateExact(nw, p, nil, nil)
+			after, err := power.Estimate(context.TODO(), nw, power.Spec{Method: power.MethodExact, Params: p})
 			if err != nil {
 				return nil, err
 			}
@@ -225,7 +228,7 @@ func ProbabilityAblation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		exact, err := power.ExactProbabilities(nw, nil)
+		exact, err := power.ExactProbabilities(context.TODO(), nw, nil, bdd.Budget{})
 		if err != nil {
 			return nil, err
 		}

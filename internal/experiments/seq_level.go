@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -48,7 +49,7 @@ func E8Encoding() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := power.EstimateExact(nw, p, nil, probs)
+			rep, err := power.Estimate(context.TODO(), nw, power.Spec{Method: power.MethodExact, Params: p, InputProb: probs})
 			if err != nil {
 				return nil, err
 			}
@@ -218,7 +219,7 @@ func E11Retiming() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		repI, _, err := power.EstimateSimulated(identNet, pp, nil, sim.UnitDelay, vecs)
+		repI, err := power.Estimate(context.TODO(), identNet, power.Spec{Method: power.MethodSimulated, Params: pp, Vectors: vecs})
 		if err != nil {
 			return nil, err
 		}

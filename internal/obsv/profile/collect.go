@@ -8,7 +8,7 @@ import (
 // Collector is a sim.Tracer that accumulates per-node transition counts and
 // glitch shares from an event-driven run. Unlike the simulator's own
 // counters it sees *every* Change event — sources at t=0 included — so a
-// collector attached via power.EstimateSimulatedWith observes exactly the
+// collector attached as a simulated power.Spec Tracer observes exactly the
 // activity the report charges for.
 //
 // Within a cycle a net that toggles an even number of times ends where it

@@ -3,6 +3,7 @@ package profile_test
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"io"
 	"math"
 	"math/rand"
@@ -23,11 +24,13 @@ func buildProfile(t *testing.T, nw *logic.Network, vectors [][]bool) (*profile.P
 	p := power.DefaultParams()
 	cm := power.BufferWeightedCap(0.25)
 	col := profile.NewCollector(nw.NumNodes())
-	simRep, _, err := power.EstimateSimulatedWith(nw, p, cm, sim.UnitDelay, vectors, col)
+	spec := power.Spec{Method: power.MethodSimulated, Params: p, CapModel: cm, Vectors: vectors, Tracer: col}
+	simRep, err := power.Estimate(context.Background(), nw, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	estRep, err := power.EstimateDensity(nw, p, cm, nil, nil)
+	spec.Method = power.MethodDensity
+	estRep, err := power.Estimate(context.Background(), nw, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

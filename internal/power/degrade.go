@@ -42,59 +42,17 @@ func (o ExactOptions) seed() int64 {
 	return o.MCSeed
 }
 
-// ExactProbabilitiesCtx is ExactProbabilities under a context and a BDD
-// resource budget. On budget exhaustion or cancellation it returns a
-// *bdd.BudgetError (matching bdd.ErrBudgetExceeded); with a zero budget
-// and a background context it computes exactly what ExactProbabilities
-// does.
-//
-// When the fixed declaration order blows the budget, it retries once
-// with dynamic sifting reordering (the exact -> reorder -> retry rung of
-// the degradation ladder) before the caller falls back to Monte Carlo;
-// successful retries increment the power.exact.reordered counter. A
-// cancelled context is never retried — the caller asked to stop.
-func ExactProbabilitiesCtx(ctx context.Context, nw *logic.Network, inputProb Probabilities, b bdd.Budget) (Probabilities, error) {
-	nb, err := bdd.FromNetworkCtx(ctx, nw, b)
-	if err != nil {
-		if !errors.Is(err, bdd.ErrBudgetExceeded) || ctx.Err() != nil {
-			return nil, err
-		}
-		nb, err = bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
-			Budget:  b,
-			Reorder: bdd.ReorderPolicy{Enable: true},
-		})
-		if err != nil {
-			return nil, err
-		}
-		obsv.Default().Counter("power.exact.reordered").Inc()
-	}
-	pv := make([]float64, nb.M.NumVars())
-	for i, src := range nb.Vars {
-		p, ok := inputProb[src]
-		if !ok {
-			p = 0.5
-		}
-		pv[i] = p
-	}
-	out := make(Probabilities, len(nb.Fn))
-	for id, f := range nb.Fn {
-		out[id] = nb.M.Probability(f, pv)
-	}
-	obsv.Default().Counter("power.exact.nodes").Add(int64(len(nb.Fn)))
-	return out, nil
-}
-
 // EstimateExactCtx produces an Eqn. 1 report from exact (BDD) zero-delay
 // activity, under a context deadline and a BDD resource budget. When the
 // exact computation exceeds the budget — the exponential-size blowup risk
 // inherent to BDDs — it first retries with dynamic variable reordering
-// (via ExactProbabilitiesCtx); only if the sifted order still cannot fit
+// (via ExactProbabilities); only if the sifted order still cannot fit
 // the budget does it fail over. Even then it does not fail: it degrades to the
 // bit-parallel packed Monte Carlo estimator over opt.MCVectors vectors
 // drawn with each input's declared 1-probability, marks the report with
 // Degraded=true and the budget error as DegradeReason, and increments the
 // power.exact.degraded counter. Reports whose budget was never hit are
-// bit-identical to EstimateExact.
+// bit-identical to an unbudgeted run.
 //
 // Cancellation of ctx itself (an expired deadline or an explicit cancel)
 // is not degraded: it aborts with the context's error, because the caller
@@ -104,7 +62,7 @@ func ExactProbabilitiesCtx(ctx context.Context, nw *logic.Network, inputProb Pro
 func EstimateExactCtx(ctx context.Context, nw *logic.Network, p Params, cm CapModel, inputProb Probabilities, opt ExactOptions) (Report, error) {
 	ctx, sp := trace.Start(ctx, "power.exact")
 	defer sp.End()
-	ps, err := ExactProbabilitiesCtx(ctx, nw, inputProb, opt.Budget)
+	ps, err := ExactProbabilities(ctx, nw, inputProb, opt.Budget)
 	if err == nil {
 		sp.SetAttr("degraded", false)
 		return Evaluate(nw, p, cm, ps.Activity), nil
@@ -149,14 +107,7 @@ func monteCarloEstimate(ctx context.Context, nw *logic.Network, p Params, cm Cap
 	if err != nil {
 		return Report{}, err
 	}
-	piAct := piActivity(nw, vecs)
-	rep := Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
-		if a, ok := piAct[id]; ok {
-			return a
-		}
-		return act[id]
-	})
-	return rep, nil
+	return measured(nw, p, cm, vecs, func(id logic.NodeID) float64 { return act[id] }), nil
 }
 
 // biasedVectors draws n vectors where PI i is 1 with its declared

@@ -21,7 +21,7 @@ func TestEstimateExactCtxUnbudgetedIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
-	plain, err := EstimateExact(nw, p, nil, nil)
+	plain, err := Estimate(context.Background(), nw, Spec{Method: MethodExact, Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestEstimateExactCtxDegradesOnTinyBudget(t *testing.T) {
 	}
 	// The degraded estimate is still in the right ballpark: within 3x of
 	// the exact answer on this well-conditioned circuit.
-	exact, err := EstimateExact(nw, p, nil, nil)
+	exact, err := Estimate(context.Background(), nw, Spec{Method: MethodExact, Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestEstimateExactCtxHardCancellation(t *testing.T) {
 	}
 }
 
-func TestExactProbabilitiesCtxDeadline(t *testing.T) {
+func TestExactProbabilitiesDeadline(t *testing.T) {
 	nw, err := circuits.ArrayMultiplier(6)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestExactProbabilitiesCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if _, err := ExactProbabilitiesCtx(ctx, nw, nil, bdd.Budget{}); err == nil {
+	if _, err := ExactProbabilities(ctx, nw, nil, bdd.Budget{}); err == nil {
 		t.Fatal("expired deadline produced probabilities")
 	}
 }
@@ -178,7 +178,7 @@ func TestBudgetTripLeavesNoStickyState(t *testing.T) {
 	p := DefaultParams()
 
 	// Reference from a pristine path, before any budget trip.
-	want, err := EstimateExact(nw, p, nil, nil)
+	want, err := Estimate(context.Background(), nw, Spec{Method: MethodExact, Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}

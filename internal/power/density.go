@@ -1,6 +1,8 @@
 package power
 
 import (
+	"context"
+
 	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/obsv"
@@ -15,37 +17,37 @@ import (
 // where ∂y/∂x_i = y|x=1 ⊕ y|x=0 is the Boolean difference, its
 // probability computed exactly on the global BDDs. inputDensity maps
 // source nodes (PIs, FFs) to their transition density (average transitions
-// per cycle, e.g. 2·p·(1−p) for temporally independent sources or a
-// measured rate); inputProb gives their static probabilities (nil =
-// uniform). Unlike the zero-delay pair model, density propagation
-// accounts for a net transitioning more than once per cycle — it is the
-// standard upper-level estimate of glitch-inclusive activity.
-func TransitionDensities(nw *logic.Network, inputDensity map[logic.NodeID]float64, inputProb Probabilities) (map[logic.NodeID]float64, error) {
-	nb, err := bdd.FromNetwork(nw)
+// per cycle, e.g. a measured rate); inputProb gives their static
+// probabilities (missing = 0.5). Sources missing from inputDensity (all
+// of them when it is nil) are taken as temporally independent, with
+// density 2·p·(1−p). Unlike the zero-delay pair model, density
+// propagation accounts for a net transitioning more than once per cycle —
+// it is the standard upper-level estimate of glitch-inclusive activity.
+//
+// The BDDs are built and differenced under ctx and budget (the zero
+// Budget is unlimited). A trip returns the *bdd.BudgetError (matching
+// bdd.ErrBudgetExceeded). Unlike the exact estimator there is no Monte
+// Carlo fallback: a zero-delay sample sees at most one transition per
+// cycle, so it would estimate a different quantity.
+func TransitionDensities(ctx context.Context, nw *logic.Network, inputDensity map[logic.NodeID]float64, inputProb Probabilities, budget bdd.Budget) (map[logic.NodeID]float64, error) {
+	nb, err := bdd.FromNetworkCtx(ctx, nw, budget)
 	if err != nil {
 		return nil, err
 	}
 	m := nb.M
 	pv := make([]float64, m.NumVars())
-	for i, src := range nb.Vars {
-		p := 0.5
-		if inputProb != nil {
-			if q, ok := inputProb[src]; ok {
-				p = q
-			}
-		}
-		pv[i] = p
-	}
 	density := make(map[logic.NodeID]float64, len(nb.Fn))
 	for i, src := range nb.Vars {
-		d := 0.5
-		if inputDensity != nil {
-			if v, ok := inputDensity[src]; ok {
-				d = v
-			}
+		p, ok := inputProb[src]
+		if !ok {
+			p = 0.5
+		}
+		pv[i] = p
+		d, ok := inputDensity[src]
+		if !ok {
+			d = 2 * p * (1 - p)
 		}
 		density[src] = d
-		_ = i
 	}
 	order, err := nw.TopoOrder()
 	if err != nil {
@@ -68,17 +70,9 @@ func TransitionDensities(nw *logic.Network, inputDensity map[logic.NodeID]float6
 		}
 		density[id] = total
 	}
+	if err := m.Err(); err != nil {
+		return nil, err
+	}
 	obsv.Default().Counter("power.density.diffs").Add(int64(diffs))
 	return density, nil
-}
-
-// EstimateDensity produces an Eqn. 1 report from propagated transition
-// densities — the glitch-aware probabilistic estimator sitting between
-// the zero-delay exact estimate and full event-driven simulation.
-func EstimateDensity(nw *logic.Network, p Params, cm CapModel, inputDensity map[logic.NodeID]float64, inputProb Probabilities) (Report, error) {
-	dens, err := TransitionDensities(nw, inputDensity, inputProb)
-	if err != nil {
-		return Report{}, err
-	}
-	return Evaluate(nw, p, cm, func(id logic.NodeID) float64 { return dens[id] }), nil
 }

@@ -1,10 +1,12 @@
 package power
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/logic"
 	"repro/internal/sim"
@@ -19,7 +21,7 @@ func TestTransitionDensityXOR(t *testing.T) {
 	if err := nw.MarkOutput(y); err != nil {
 		t.Fatal(err)
 	}
-	dens, err := TransitionDensities(nw, map[logic.NodeID]float64{a: 0.3, b: 0.2}, nil)
+	dens, err := TransitionDensities(context.Background(), nw, map[logic.NodeID]float64{a: 0.3, b: 0.2}, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestTransitionDensityAND(t *testing.T) {
 	if err := nw.MarkOutput(y); err != nil {
 		t.Fatal(err)
 	}
-	dens, err := TransitionDensities(nw, map[logic.NodeID]float64{a: 0.4, b: 0.8}, nil)
+	dens, err := TransitionDensities(context.Background(), nw, map[logic.NodeID]float64{a: 0.4, b: 0.8}, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +47,9 @@ func TestTransitionDensityAND(t *testing.T) {
 		t.Errorf("D(and) = %v, want 0.6", dens[y])
 	}
 	// With biased probabilities: P(b)=0.9, P(a)=0.1.
-	dens, err = TransitionDensities(nw,
+	dens, err = TransitionDensities(context.Background(), nw,
 		map[logic.NodeID]float64{a: 0.4, b: 0.8},
-		Probabilities{a: 0.1, b: 0.9})
+		Probabilities{a: 0.1, b: 0.9}, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestDensityUpperBoundsZeroDelayOnTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := ExactProbabilities(nw, nil)
+	probs, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestDensityUpperBoundsZeroDelayOnTrees(t *testing.T) {
 	for _, pi := range nw.PIs() {
 		inputDens[pi] = 0.5
 	}
-	dens, err := TransitionDensities(nw, inputDens, nil)
+	dens, err := TransitionDensities(context.Background(), nw, inputDens, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +99,11 @@ func TestDensityTracksGlitchesOnChain(t *testing.T) {
 	for _, pi := range nw.PIs() {
 		inputDens[pi] = 0.5
 	}
-	dens, err := TransitionDensities(nw, inputDens, nil)
+	dens, err := TransitionDensities(context.Background(), nw, inputDens, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := ExactProbabilities(nw, nil)
+	probs, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,20 +135,16 @@ func TestDensityTracksGlitchesOnChain(t *testing.T) {
 	}
 }
 
-func TestEstimateDensityReport(t *testing.T) {
+func TestDensityMethodReport(t *testing.T) {
 	nw, err := circuits.RippleAdder(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputDens := map[logic.NodeID]float64{}
-	for _, pi := range nw.PIs() {
-		inputDens[pi] = 0.5
-	}
-	exact, err := EstimateExact(nw, DefaultParams(), nil, nil)
+	exact, err := Estimate(context.Background(), nw, Spec{Method: MethodExact, Params: DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	denseRep, err := EstimateDensity(nw, DefaultParams(), nil, inputDens, nil)
+	denseRep, err := Estimate(context.Background(), nw, Spec{Method: MethodDensity, Params: DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}

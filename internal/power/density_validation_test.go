@@ -1,10 +1,12 @@
 package power
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/logic"
 	"repro/internal/sim"
@@ -74,7 +76,7 @@ func TestDensityMatchesSimulatedActivityOnParityTree(t *testing.T) {
 	vectors := sparseFlipVectors(r, cycles, len(nw.PIs()), q)
 	inDens, inProb := measuredInputs(nw, vectors)
 
-	dens, err := TransitionDensities(nw, inDens, inProb)
+	dens, err := TransitionDensities(context.Background(), nw, inDens, inProb, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestDensityUpperBoundsUsefulActivityOnRippleAdder(t *testing.T) {
 	vectors := sim.RandomVectors(r, cycles, len(nw.PIs()), 0.5)
 	inDens, inProb := measuredInputs(nw, vectors)
 
-	dens, err := TransitionDensities(nw, inDens, inProb)
+	dens, err := TransitionDensities(context.Background(), nw, inDens, inProb, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,192 @@
+package power
+
+import (
+	"context"
+	"fmt"
+
+	"repro/internal/logic"
+	"repro/internal/sim"
+)
+
+// Method names the activity source behind an Eqn. 1 report. The values
+// are the estimator names the serving API accepts.
+type Method string
+
+const (
+	// MethodExact takes zero-delay activity from exact BDD signal
+	// probabilities; over its budget it retries with sifting, then
+	// degrades to packed Monte Carlo (see EstimateExactCtx).
+	MethodExact Method = "exact"
+	// MethodPropagated propagates signal probabilities forward under
+	// the spatial-independence assumption (see EstimatePropagated).
+	MethodPropagated Method = "propagated"
+	// MethodDensity propagates Najm transition densities over exact
+	// Boolean differences (see TransitionDensities). It has no Monte
+	// Carlo fallback: a tripped budget is returned as the error.
+	MethodDensity Method = "density"
+	// MethodPacked measures zero-delay activity with the 64-lane packed
+	// simulator; combinational networks only (see EstimateZeroDelayPacked).
+	MethodPacked Method = "packed"
+	// MethodSimulated measures unit-delay activity, glitches included,
+	// with the event-driven simulator (see EstimateSimulatedParallel).
+	MethodSimulated Method = "simulated"
+)
+
+// Spec selects an estimation method and its inputs.
+type Spec struct {
+	Method   Method
+	Params   Params
+	CapModel CapModel // nil = UnitLoadCap
+	// InputProb gives source nodes' 1-probabilities (missing = 0.5) for
+	// the exact, propagated and density methods. Density sources switch
+	// with the temporally independent density 2·p·(1−p).
+	InputProb Probabilities
+	// Vectors is the stimulus of the packed and simulated methods.
+	Vectors [][]bool
+	// Tracer, when set, observes every transition of a simulated run, so
+	// per-node attribution sums to the report by construction. A traced
+	// run stays on one sequential simulator.
+	Tracer sim.Tracer
+	// ExactOptions bounds the BDD work of the exact and density methods
+	// and configures the exact method's Monte Carlo fallback.
+	ExactOptions
+}
+
+// Estimate produces an Eqn. 1 report by the method spec names. Beyond the
+// method body's report it records the Method, the number of vectors
+// behind a sampled number (Samples; 0 when exact) and the simulation
+// Totals of the packed and simulated methods. ctx bounds the BDD methods
+// and the simulated run, and a trace it carries gains their spans.
+func Estimate(ctx context.Context, nw *logic.Network, spec Spec) (Report, error) {
+	var (
+		rep     Report
+		tot     sim.Totals
+		samples int
+		err     error
+	)
+	switch spec.Method {
+	case MethodExact:
+		rep, err = EstimateExactCtx(ctx, nw, spec.Params, spec.CapModel, spec.InputProb, spec.ExactOptions)
+		if rep.Degraded {
+			samples = spec.vectors()
+		}
+	case MethodPropagated:
+		rep, err = EstimatePropagated(nw, spec.Params, spec.CapModel, spec.InputProb)
+	case MethodDensity:
+		var dens map[logic.NodeID]float64
+		dens, err = TransitionDensities(ctx, nw, nil, spec.InputProb, spec.Budget)
+		if err == nil {
+			rep = Evaluate(nw, spec.Params, spec.CapModel, func(id logic.NodeID) float64 { return dens[id] })
+		}
+	case MethodPacked:
+		rep, tot, err = EstimateZeroDelayPacked(nw, spec.Params, spec.CapModel, spec.Vectors)
+		samples = len(spec.Vectors)
+	case MethodSimulated:
+		rep, tot, err = simulate(ctx, nw, spec.Params, spec.CapModel, sim.UnitDelay, spec.Vectors, 0, spec.Tracer)
+		samples = len(spec.Vectors)
+	default:
+		return Report{}, fmt.Errorf("power: unknown estimation method %q", spec.Method)
+	}
+	if err != nil {
+		return Report{}, err
+	}
+	rep.Method, rep.Samples, rep.Totals = spec.Method, samples, tot
+	return rep, nil
+}
+
+// EstimateSimulatedParallel produces an Eqn. 1 report from measured
+// event-driven activity over the supplied vectors, capturing glitch power
+// that the zero-delay estimators miss, and returns the simulation totals.
+// The run is sharded across workers (0 = GOMAXPROCS, 1 = sequential); any
+// worker count produces the same report bit for bit, because the vector
+// stream is chunked deterministically and each shard warm-starts from the
+// exact settled state at its boundary (see sim.MeasureRun).
+func EstimateSimulatedParallel(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
+	return simulate(context.Background(), nw, p, cm, dm, vectors, workers, nil)
+}
+
+// simulate is the event-driven method body. Without a tracer it runs the
+// sharded sim.MeasureRunCtx, which records a "sim.measure" span on a
+// traced ctx; a tracer observes every transition in stream order, so the
+// traced run stays on one sequential simulator.
+func simulate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int, tracer sim.Tracer) (Report, sim.Totals, error) {
+	var counts *sim.Counts
+	var tot sim.Totals
+	if tracer == nil {
+		m, err := sim.MeasureRunCtx(ctx, nw, dm, vectors, workers)
+		if err != nil {
+			return Report{}, sim.Totals{}, err
+		}
+		counts, tot = &m.Counts, m.Totals
+	} else {
+		s, err := sim.New(nw, dm)
+		if err != nil {
+			return Report{}, sim.Totals{}, err
+		}
+		s.SetTracer(tracer)
+		if tot, err = s.Run(vectors); err != nil {
+			return Report{}, sim.Totals{}, err
+		}
+		counts = &s.Counts
+	}
+	return measured(nw, p, cm, vectors, counts.Activity), tot, nil
+}
+
+// EstimateZeroDelayPacked produces an Eqn. 1 report from the bit-parallel
+// packed engine (sim.PackedSimulator): measured zero-delay activity at 64
+// vectors per machine word. It is the fast path for Monte Carlo power
+// estimation on combinational networks when glitch power is not needed —
+// its per-node activity equals the useful (zero-delay) component of the
+// event-driven estimate over the same vectors.
+func EstimateZeroDelayPacked(nw *logic.Network, p Params, cm CapModel, vectors [][]bool) (Report, sim.Totals, error) {
+	ps, err := sim.NewPacked(nw)
+	if err != nil {
+		return Report{}, sim.Totals{}, err
+	}
+	tot, err := ps.Run(vectors)
+	if err != nil {
+		return Report{}, sim.Totals{}, err
+	}
+	return measured(nw, p, cm, vectors, ps.Activity), tot, nil
+}
+
+// measured applies Eqn. 1 to an engine's measured activity. No engine
+// counts primary inputs, so their activity is taken from the vector
+// stream itself.
+func measured(nw *logic.Network, p Params, cm CapModel, vectors [][]bool, activity func(logic.NodeID) float64) Report {
+	piAct := piActivity(nw, vectors)
+	return Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
+		if a, ok := piAct[id]; ok {
+			return a
+		}
+		return activity(id)
+	})
+}
+
+// piActivity measures each primary input's activity from the vector
+// stream itself (the simulator does not charge source nets).
+func piActivity(nw *logic.Network, vectors [][]bool) map[logic.NodeID]float64 {
+	piAct := make(map[logic.NodeID]float64)
+	if len(vectors) == 0 {
+		return piAct
+	}
+	for i, pi := range nw.PIs() {
+		tr := 0
+		prev := false
+		for c, v := range vectors {
+			if c == 0 {
+				prev = v[i]
+				if prev { // initial settle from all-zero reset
+					tr++
+				}
+				continue
+			}
+			if v[i] != prev {
+				tr++
+				prev = v[i]
+			}
+		}
+		piAct[pi] = float64(tr) / float64(len(vectors))
+	}
+	return piAct
+}

@@ -47,7 +47,6 @@ type IncrementalEstimator struct {
 	valid bool
 	probs Probabilities
 	st    sim.PackedState
-	piAct map[logic.NodeID]float64
 	pis   []logic.NodeID
 }
 
@@ -130,7 +129,6 @@ func (e *IncrementalEstimator) fullMeasure() (IncrementalResult, error) {
 		return IncrementalResult{}, err
 	}
 	e.probs = probs
-	e.piAct = piActivity(e.nw, e.vectors)
 	e.pis = append(e.pis[:0], e.nw.PIs()...)
 	e.valid = true
 	res := IncrementalResult{Totals: tot}
@@ -187,17 +185,7 @@ func (e *IncrementalEstimator) coneMeasure(cone *logic.Cone) (IncrementalResult,
 // whose activity it does not.
 func (e *IncrementalEstimator) evaluate(res *IncrementalResult) {
 	res.Propagated = Evaluate(e.nw, e.params, e.cm, e.probs.Activity)
-	res.Packed = Evaluate(e.nw, e.params, e.cm, e.packedActivity)
-}
-
-// packedActivity mirrors EstimateZeroDelayPacked's activity source:
-// primary inputs from the vector stream, everything else from the packed
-// transition counts.
-func (e *IncrementalEstimator) packedActivity(id logic.NodeID) float64 {
-	if a, ok := e.piAct[id]; ok {
-		return a
-	}
-	return e.st.Activity(id)
+	res.Packed = measured(e.nw, e.params, e.cm, e.vectors, e.st.Activity)
 }
 
 func sameIDs(a, b []logic.NodeID) bool {

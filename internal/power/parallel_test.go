@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -74,14 +75,14 @@ func TestEstimateSimulatedParallelByteIdentical(t *testing.T) {
 			}
 		}
 
-		// The default entry point (EstimateSimulated, workers=GOMAXPROCS)
-		// must agree too — this is what E5/E11/E13 call.
-		rep, tot, err := EstimateSimulated(nw, p, nil, sim.UnitDelay, vecs)
+		// The default entry point (Estimate, workers=GOMAXPROCS) must
+		// agree too — this is what E5/E11/E13 call.
+		rep, err := Estimate(context.Background(), nw, Spec{Method: MethodSimulated, Params: p, Vectors: vecs})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := fmt.Sprintf("%+v %+v", rep, tot); got != refBytes {
-			t.Errorf("%s: EstimateSimulated differs from sequential EstimateSimulatedParallel", name)
+		if got := fmt.Sprintf("%+v %+v", methodBody(rep), rep.Totals); got != refBytes {
+			t.Errorf("%s: Estimate differs from sequential EstimateSimulatedParallel", name)
 		}
 	}
 }

@@ -2,12 +2,13 @@
 //
 //	P = 1/2 C Vdd^2 f N  +  Qsc Vdd f N  +  Ileak Vdd
 //
-// for gate-level networks. It provides three activity sources — exact
-// probabilistic (BDD signal probabilities), approximate probabilistic
-// (independence-assumption propagation), and measured (event-driven
-// simulation via internal/sim) — over a simple capacitance model, and
-// produces per-node and aggregate power reports used by every optimization
-// experiment.
+// for gate-level networks. Estimate is the one entry point: its Spec picks
+// the activity source — exact probabilistic (BDD signal probabilities),
+// approximate probabilistic (independence-assumption propagation),
+// transition densities, or measured (packed zero-delay or event-driven
+// simulation via internal/sim) — over a simple capacitance model, and it
+// produces the per-node and aggregate power reports used by every
+// optimization experiment.
 //
 // Units: capacitance is measured in unit gate-input loads, voltage in
 // volts, frequency in cycles per second. Reported power is in C·Vdd²·f
@@ -20,6 +21,7 @@ import (
 	"sort"
 
 	"repro/internal/logic"
+	"repro/internal/sim"
 )
 
 // Params holds the technology/environment parameters of Eqn. 1.
@@ -153,6 +155,14 @@ type Report struct {
 	// error that forced the downgrade.
 	Degraded      bool
 	DegradeReason string
+
+	// Method, Samples and Totals are filled by Estimate: the activity
+	// source, the number of vectors behind a sampled number (0 when
+	// exact), and the simulation totals of the packed and simulated
+	// methods (for the spurious fraction).
+	Method  Method
+	Samples int
+	Totals  sim.Totals
 }
 
 // Total returns total power.

@@ -1,11 +1,13 @@
 package power
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/logic"
 	"repro/internal/sim"
@@ -29,7 +31,7 @@ func mustMux(t *testing.T) *logic.Network {
 
 func TestExactProbabilitiesMux(t *testing.T) {
 	nw := mustMux(t)
-	ps, err := ExactProbabilities(nw, nil)
+	ps, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +54,7 @@ func TestExactProbabilitiesBiased(t *testing.T) {
 		nw.ByName("a"): 0.9,
 		nw.ByName("b"): 0.2,
 	}
-	ps, err := ExactProbabilities(nw, in)
+	ps, err := ExactProbabilities(context.Background(), nw, in, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestPropagatedMatchesExactOnTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ExactProbabilities(nw, nil)
+	exact, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestPropagatedDivergesOnReconvergence(t *testing.T) {
 	if err := nw.MarkOutput(y); err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ExactProbabilities(nw, nil)
+	exact, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestGateProbAllTypes(t *testing.T) {
 		}
 	}
 	// With no reconvergence the exact result must agree.
-	exact, err := ExactProbabilities(nw, in)
+	exact, err := ExactProbabilities(context.Background(), nw, in, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestActivityFormula(t *testing.T) {
 
 func TestEvaluateScaling(t *testing.T) {
 	nw := mustMux(t)
-	ps, err := ExactProbabilities(nw, nil)
+	ps, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestSwitchingShareOver90Percent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := EstimateExact(nw, DefaultParams(), nil, nil)
+	rep, err := Estimate(context.Background(), nw, Spec{Method: MethodExact, Params: DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestSwitchingShareOver90Percent(t *testing.T) {
 
 func TestTopConsumers(t *testing.T) {
 	nw := mustMux(t)
-	rep, err := EstimateExact(nw, DefaultParams(), nil, nil)
+	rep, err := Estimate(context.Background(), nw, Spec{Method: MethodExact, Params: DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +240,15 @@ func TestEstimateSimulatedCapturesGlitchPower(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	vecs := sim.RandomVectors(r, 600, 12, 0.5)
 	p := DefaultParams()
-	simRep, tot, err := EstimateSimulated(chain, p, nil, sim.UnitDelay, vecs)
+	simRep, err := Estimate(context.Background(), chain, Spec{Method: MethodSimulated, Params: p, Vectors: vecs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactRep, err := EstimateExact(chain, p, nil, nil)
+	exactRep, err := Estimate(context.Background(), chain, Spec{Method: MethodExact, Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tot.Spurious == 0 {
+	if simRep.Totals.Spurious == 0 {
 		t.Fatal("expected glitches on parity chain")
 	}
 	if simRep.Switching <= exactRep.Switching {
@@ -316,7 +318,7 @@ func TestSimulatedMatchesProbabilistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := ExactProbabilities(nw, nil)
+	ps, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,13 @@ package power
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/obsv"
-	"repro/internal/sim"
 )
 
 // Probabilities holds per-node static signal probabilities: the probability
@@ -24,12 +24,48 @@ func (ps Probabilities) Activity(id logic.NodeID) float64 {
 }
 
 // ExactProbabilities computes exact signal probabilities for every node
-// via global BDDs. inputProb maps circuit source nodes (PIs and FF
+// via global BDDs, under a context and a BDD resource budget (the zero
+// Budget is unlimited). inputProb maps circuit source nodes (PIs and FF
 // outputs) to their 1-probability; missing entries default to 0.5.
 // Reconvergent fanout is handled exactly — this is the reference against
-// which the propagation approximation is measured.
-func ExactProbabilities(nw *logic.Network, inputProb Probabilities) (Probabilities, error) {
-	return ExactProbabilitiesCtx(context.Background(), nw, inputProb, bdd.Budget{})
+// which the propagation approximation is measured. On budget exhaustion
+// or cancellation it returns a *bdd.BudgetError (matching
+// bdd.ErrBudgetExceeded).
+//
+// When the fixed declaration order blows the budget, it retries once
+// with dynamic sifting reordering (the exact -> reorder -> retry rung of
+// the degradation ladder) before the caller falls back to Monte Carlo;
+// successful retries increment the power.exact.reordered counter. A
+// cancelled context is never retried — the caller asked to stop.
+func ExactProbabilities(ctx context.Context, nw *logic.Network, inputProb Probabilities, b bdd.Budget) (Probabilities, error) {
+	nb, err := bdd.FromNetworkCtx(ctx, nw, b)
+	if err != nil {
+		if !errors.Is(err, bdd.ErrBudgetExceeded) || ctx.Err() != nil {
+			return nil, err
+		}
+		nb, err = bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
+			Budget:  b,
+			Reorder: bdd.ReorderPolicy{Enable: true},
+		})
+		if err != nil {
+			return nil, err
+		}
+		obsv.Default().Counter("power.exact.reordered").Inc()
+	}
+	pv := make([]float64, nb.M.NumVars())
+	for i, src := range nb.Vars {
+		p, ok := inputProb[src]
+		if !ok {
+			p = 0.5
+		}
+		pv[i] = p
+	}
+	out := make(Probabilities, len(nb.Fn))
+	for id, f := range nb.Fn {
+		out[id] = nb.M.Probability(f, pv)
+	}
+	obsv.Default().Counter("power.exact.nodes").Add(int64(len(nb.Fn)))
+	return out, nil
 }
 
 // PropagatedProbabilities computes approximate signal probabilities by
@@ -174,17 +210,6 @@ func SequentialProbabilities(nw *logic.Network, r *rand.Rand, cycles int, piProb
 	return out, nil
 }
 
-// EstimateExact produces an Eqn. 1 report from exact (BDD) zero-delay
-// activity. Sequential networks get FF probabilities from warm-up
-// simulation first when seqWarmup > 0.
-func EstimateExact(nw *logic.Network, p Params, cm CapModel, inputProb Probabilities) (Report, error) {
-	ps, err := ExactProbabilities(nw, inputProb)
-	if err != nil {
-		return Report{}, err
-	}
-	return Evaluate(nw, p, cm, ps.Activity), nil
-}
-
 // EstimatePropagated produces an Eqn. 1 report from propagated
 // (independence-assumption) zero-delay activity.
 func EstimatePropagated(nw *logic.Network, p Params, cm CapModel, inputProb Probabilities) (Report, error) {
@@ -193,124 +218,4 @@ func EstimatePropagated(nw *logic.Network, p Params, cm CapModel, inputProb Prob
 		return Report{}, err
 	}
 	return Evaluate(nw, p, cm, ps.Activity), nil
-}
-
-// EstimateSimulated produces an Eqn. 1 report from measured event-driven
-// activity over the supplied vectors, capturing glitch power that the
-// zero-delay estimators miss. It returns the report and the simulation
-// totals. The simulation is sharded across GOMAXPROCS workers; results
-// are bit-identical to a sequential run (see sim.MeasureRun).
-func EstimateSimulated(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool) (Report, sim.Totals, error) {
-	return EstimateSimulatedParallel(nw, p, cm, dm, vectors, 0)
-}
-
-// EstimateSimulatedParallel is EstimateSimulated with an explicit worker
-// count (0 = GOMAXPROCS, 1 = sequential). Any worker count produces the
-// same report bit for bit: the vector stream is chunked deterministically
-// and each shard warm-starts from the exact settled state at its boundary.
-func EstimateSimulatedParallel(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
-	return EstimateSimulatedParallelCtx(context.Background(), nw, p, cm, dm, vectors, workers)
-}
-
-// EstimateSimulatedParallelCtx is EstimateSimulatedParallel under a
-// context: cancellation stops the run before it starts, and a trace
-// carried by ctx (internal/obsv/trace) gains the simulation span. The
-// report is bit-identical to the context-free variant.
-func EstimateSimulatedParallelCtx(ctx context.Context, nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
-	m, err := sim.MeasureRunCtx(ctx, nw, dm, vectors, workers)
-	if err != nil {
-		return Report{}, sim.Totals{}, err
-	}
-	piAct := piActivity(nw, vectors)
-	rep := Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
-		if a, ok := piAct[id]; ok {
-			return a
-		}
-		return m.Activity(id)
-	})
-	return rep, m.Totals, nil
-}
-
-// piActivity measures each primary input's activity from the vector
-// stream itself (the simulator does not charge source nets).
-func piActivity(nw *logic.Network, vectors [][]bool) map[logic.NodeID]float64 {
-	piAct := make(map[logic.NodeID]float64)
-	if len(vectors) == 0 {
-		return piAct
-	}
-	for i, pi := range nw.PIs() {
-		tr := 0
-		prev := false
-		for c, v := range vectors {
-			if c == 0 {
-				prev = v[i]
-				if prev { // initial settle from all-zero reset
-					tr++
-				}
-				continue
-			}
-			if v[i] != prev {
-				tr++
-				prev = v[i]
-			}
-		}
-		piAct[pi] = float64(tr) / float64(len(vectors))
-	}
-	return piAct
-}
-
-// EstimateZeroDelayPacked produces an Eqn. 1 report from the bit-parallel
-// packed engine (sim.PackedSimulator): measured zero-delay activity at 64
-// vectors per machine word. It is the fast path for Monte Carlo power
-// estimation on combinational networks when glitch power is not needed —
-// its per-node activity equals the useful (zero-delay) component of
-// EstimateSimulated over the same vectors.
-func EstimateZeroDelayPacked(nw *logic.Network, p Params, cm CapModel, vectors [][]bool) (Report, sim.Totals, error) {
-	ps, err := sim.NewPacked(nw)
-	if err != nil {
-		return Report{}, sim.Totals{}, err
-	}
-	tot, err := ps.Run(vectors)
-	if err != nil {
-		return Report{}, sim.Totals{}, err
-	}
-	piAct := piActivity(nw, vectors)
-	rep := Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
-		if a, ok := piAct[id]; ok {
-			return a
-		}
-		return ps.Activity(id)
-	})
-	return rep, tot, nil
-}
-
-// EstimateSimulatedWith is EstimateSimulated with a sim.Tracer attached to
-// the internal simulator for the duration of the run. The power-attribution
-// profiler (internal/obsv/profile) uses this to observe every transition —
-// including the glitch pulses — of exactly the run whose total the report
-// states, so per-node attribution sums to the reported power by
-// construction.
-func EstimateSimulatedWith(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, tracer sim.Tracer) (Report, sim.Totals, error) {
-	if tracer == nil {
-		return EstimateSimulatedParallel(nw, p, cm, dm, vectors, 0)
-	}
-	// A tracer observes every transition in stream order, so the traced
-	// run stays on the single sequential simulator.
-	s, err := sim.New(nw, dm)
-	if err != nil {
-		return Report{}, sim.Totals{}, err
-	}
-	s.SetTracer(tracer)
-	tot, err := s.Run(vectors)
-	if err != nil {
-		return Report{}, sim.Totals{}, err
-	}
-	piAct := piActivity(nw, vectors)
-	rep := Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
-		if a, ok := piAct[id]; ok {
-			return a
-		}
-		return s.Activity(id)
-	})
-	return rep, tot, nil
 }

@@ -48,7 +48,7 @@ func TestEstimateExactCtxReorderRetry(t *testing.T) {
 
 	// The retried result is exact: it matches the unbudgeted estimator
 	// up to floating-point reassociation from the permuted order.
-	exact, err := EstimateExact(nw, p, nil, nil)
+	exact, err := Estimate(context.Background(), nw, Spec{Method: MethodExact, Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +67,14 @@ func TestEstimateExactCtxReorderRetry(t *testing.T) {
 	}
 }
 
-// TestExactProbabilitiesCtxReorderRetryValues checks the retried path
+// TestExactProbabilitiesReorderRetryValues checks the retried path
 // returns per-node probabilities matching the unbudgeted computation.
-func TestExactProbabilitiesCtxReorderRetryValues(t *testing.T) {
+func TestExactProbabilitiesReorderRetryValues(t *testing.T) {
 	nw, err := circuits.Comparator(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ExactProbabilities(nw, nil)
+	plain, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExactProbabilitiesCtxReorderRetryValues(t *testing.T) {
 	if _, err := bdd.FromNetworkCtx(context.Background(), nw, budget); !errors.Is(err, bdd.ErrBudgetExceeded) {
 		t.Fatalf("cmp12 unexpectedly fit %d nodes (err=%v)", budget.MaxNodes, err)
 	}
-	retried, err := ExactProbabilitiesCtx(context.Background(), nw, nil, budget)
+	retried, err := ExactProbabilities(context.Background(), nw, nil, budget)
 	if err != nil {
 		t.Fatalf("reorder-retry failed: %v", err)
 	}
@@ -96,16 +96,16 @@ func TestExactProbabilitiesCtxReorderRetryValues(t *testing.T) {
 	}
 }
 
-// TestExactProbabilitiesCtxNoRetryOnCancel checks a cancelled context is
+// TestExactProbabilitiesNoRetryOnCancel checks a cancelled context is
 // not retried: cancellation aborts the ladder outright.
-func TestExactProbabilitiesCtxNoRetryOnCancel(t *testing.T) {
+func TestExactProbabilitiesNoRetryOnCancel(t *testing.T) {
 	nw, err := circuits.Comparator(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = ExactProbabilitiesCtx(ctx, nw, nil, bdd.Budget{MaxNodes: 20000})
+	_, err = ExactProbabilities(ctx, nw, nil, bdd.Budget{MaxNodes: 20000})
 	if err == nil {
 		t.Fatal("cancelled context did not error")
 	}

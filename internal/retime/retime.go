@@ -9,6 +9,7 @@
 package retime
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -497,7 +498,7 @@ func LowPower(nw *logic.Network, targetPeriod float64, vectors [][]bool, p power
 		if err != nil {
 			return PowerResult{}, err
 		}
-		rep, tot, err := power.EstimateSimulated(net, p, nil, sim.UnitDelay, vectors)
+		rep, err := power.Estimate(context.TODO(), net, power.Spec{Method: power.MethodSimulated, Params: p, Vectors: vectors})
 		if err != nil {
 			return PowerResult{}, err
 		}
@@ -512,7 +513,7 @@ func LowPower(nw *logic.Network, targetPeriod float64, vectors [][]bool, p power
 			Period:   period,
 			FFs:      ffs,
 			Power:    total,
-			Glitches: tot.Spurious,
+			Glitches: rep.Totals.Spurious,
 		}, nil
 	}
 	best, err := eval(r0)

@@ -1,6 +1,7 @@
 package retime
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -268,7 +269,7 @@ func TestLowPowerRetiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := power.EstimateSimulated(identNet, p, nil, sim.UnitDelay, vecs)
+	rep, err := power.Estimate(context.Background(), identNet, power.Spec{Method: power.MethodSimulated, Params: p, Vectors: vecs})
 	if err != nil {
 		t.Fatal(err)
 	}

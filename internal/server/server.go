@@ -52,6 +52,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -603,6 +604,9 @@ type EstimateResponse struct {
 
 const maxVectors = 1 << 16
 
+// estimators are the power.Estimate methods the API serves.
+var estimators = []string{"exact", "propagated", "simulated", "packed"}
+
 // estimateSpec is a validated, default-filled EstimateRequest: everything
 // estimateResult needs, normalized so equal specs produce equal cache keys.
 type estimateSpec struct {
@@ -623,9 +627,7 @@ func (s *Server) validateEstimate(req EstimateRequest) (estimateSpec, error) {
 	if spec.estimator == "" {
 		spec.estimator = "exact"
 	}
-	switch spec.estimator {
-	case "exact", "propagated", "simulated", "packed":
-	default:
+	if !slices.Contains(estimators, spec.estimator) {
 		return spec, badRequest("unknown estimator %q (want exact, propagated, simulated or packed)", spec.estimator)
 	}
 	if spec.vectors <= 0 {
@@ -673,7 +675,7 @@ func (s *Server) estimateResult(ctx context.Context, ep string, ent *netEntry, s
 			csp.SetAttr("estimator", spec.estimator)
 			csp.SetAttr("circuit", ent.nw.Name)
 		}
-		resp, err := s.computeEstimate(cctx, ent, spec.estimator, spec.vectors, spec.seed, spec.p1, spec.budget)
+		resp, err := s.computeEstimate(cctx, ent, spec)
 		csp.End()
 		if err != nil {
 			return cachedResult{}, err
@@ -721,53 +723,41 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // streams are seeded, the parallel simulator is bit-identical for any
 // worker count, and the budget-degraded path uses a seeded Monte Carlo
 // fallback.
-func (s *Server) computeEstimate(ctx context.Context, ent *netEntry, estimator string, vectors int, seed int64, p1 float64, budget bdd.Budget) (*EstimateResponse, error) {
+func (s *Server) computeEstimate(ctx context.Context, ent *netEntry, spec estimateSpec) (*EstimateResponse, error) {
 	nw := ent.nw
-	params := power.DefaultParams()
-	inProb := power.Probabilities{}
+	method := power.Method(spec.estimator)
+	if method == power.MethodPacked && len(nw.FFs()) > 0 {
+		return nil, badRequest("packed estimator handles combinational networks only (circuit has %d flip-flops)", len(nw.FFs()))
+	}
+	est := power.Spec{Method: method, Params: power.DefaultParams(), InputProb: power.Probabilities{},
+		ExactOptions: power.ExactOptions{Budget: spec.budget, MCVectors: spec.vectors, MCSeed: spec.seed}}
 	for _, pi := range nw.PIs() {
-		inProb[pi] = p1
+		est.InputProb[pi] = spec.p1
 	}
 	if len(nw.FFs()) > 0 {
-		seq, err := power.SequentialProbabilities(nw, rand.New(rand.NewSource(seed)), 2000, p1)
+		seq, err := power.SequentialProbabilities(nw, rand.New(rand.NewSource(spec.seed)), 2000, spec.p1)
 		if err != nil {
 			return nil, err
 		}
-		inProb = seq
+		est.InputProb = seq
 	}
-
-	var rep power.Report
-	var spurious *float64
-	var err error
-	switch estimator {
-	case "exact":
-		rep, err = power.EstimateExactCtx(ctx, nw, params, nil, inProb,
-			power.ExactOptions{Budget: budget, MCVectors: vectors, MCSeed: seed})
-	case "propagated":
-		rep, err = power.EstimatePropagated(nw, params, nil, inProb)
-	case "simulated":
-		vecs := sim.RandomVectors(rand.New(rand.NewSource(seed)), vectors, len(nw.PIs()), p1)
-		var tot sim.Totals
-		rep, tot, err = power.EstimateSimulatedParallelCtx(ctx, nw, params, nil, sim.UnitDelay, vecs, 0)
-		if err == nil {
-			f := tot.SpuriousFraction()
-			spurious = &f
-		}
-	case "packed":
-		if len(nw.FFs()) > 0 {
-			return nil, badRequest("packed estimator handles combinational networks only (circuit has %d flip-flops)", len(nw.FFs()))
-		}
-		vecs := sim.RandomVectors(rand.New(rand.NewSource(seed)), vectors, len(nw.PIs()), p1)
-		rep, _, err = power.EstimateZeroDelayPacked(nw, params, nil, vecs)
+	if method == power.MethodSimulated || method == power.MethodPacked {
+		est.Vectors = sim.RandomVectors(rand.New(rand.NewSource(spec.seed)), spec.vectors, len(nw.PIs()), spec.p1)
 	}
+	rep, err := power.Estimate(ctx, nw, est)
 	if err != nil {
 		return nil, err
+	}
+	var spurious *float64
+	if method == power.MethodSimulated {
+		f := rep.Totals.SpuriousFraction()
+		spurious = &f
 	}
 	st := nw.Stats()
 	resp := &EstimateResponse{
 		Circuit:          nw.Name,
 		Hash:             ent.hash,
-		Estimator:        estimator,
+		Estimator:        spec.estimator,
 		Gates:            st.Gates,
 		Depth:            st.Levels,
 		FlipFlops:        st.FFs,
@@ -1047,7 +1037,7 @@ func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]any{
 		"circuits":    circuits.GeneratorNames(),
 		"flows":       flowNames,
-		"estimators":  []string{"exact", "propagated", "simulated", "packed"},
+		"estimators":  estimators,
 		"experiments": expIDs,
 	})
 }

@@ -11,40 +11,11 @@ import (
 
 // Measure is the merged result of a (possibly parallel) event-driven
 // simulation run: per-node cumulative transition counts plus the
-// aggregate Totals. It exposes the same Activity/Transitions accessor
-// surface as Simulator, so power estimators accept either.
+// aggregate Totals. It embeds the same Counts as Simulator, so power
+// estimators read either through one accessor surface.
 type Measure struct {
 	Totals Totals
-
-	nodeTransitions []int64
-	nodeUseful      []int64
-	cycles          int
-}
-
-// Cycles returns the number of simulated cycles.
-func (m *Measure) Cycles() int { return m.cycles }
-
-// Transitions returns the raw transition count on a node's output net
-// (glitches included).
-func (m *Measure) Transitions(id logic.NodeID) int64 { return m.nodeTransitions[id] }
-
-// UsefulTransitions returns the zero-delay (functional) transition count.
-func (m *Measure) UsefulTransitions(id logic.NodeID) int64 { return m.nodeUseful[id] }
-
-// Activity returns transitions per cycle — the N factor of Eqn. 1.
-func (m *Measure) Activity(id logic.NodeID) float64 {
-	if m.cycles == 0 {
-		return 0
-	}
-	return float64(m.nodeTransitions[id]) / float64(m.cycles)
-}
-
-// UsefulActivity returns the zero-delay component of the activity.
-func (m *Measure) UsefulActivity(id logic.NodeID) float64 {
-	if m.cycles == 0 {
-		return 0
-	}
-	return float64(m.nodeUseful[id]) / float64(m.cycles)
+	Counts
 }
 
 // minChunk is the smallest vector chunk worth a goroutine: below this the
@@ -109,12 +80,7 @@ func measureRun(nw *logic.Network, dm DelayModel, vectors [][]bool, workers int)
 		if err != nil {
 			return nil, err
 		}
-		return &Measure{
-			Totals:          tot,
-			nodeTransitions: s.nodeTransitions,
-			nodeUseful:      s.nodeUseful,
-			cycles:          s.cycles,
-		}, nil
+		return &Measure{Totals: tot, Counts: s.Counts}, nil
 	}
 
 	starts := chunkStarts(len(vectors), workers)
@@ -156,16 +122,9 @@ func measureRun(nw *logic.Network, dm DelayModel, vectors [][]bool, workers int)
 		}
 	}
 
-	m := &Measure{
-		nodeTransitions: make([]int64, nw.NumNodes()),
-		nodeUseful:      make([]int64, nw.NumNodes()),
-	}
+	m := &Measure{Counts: newCounts(nw.NumNodes(), false)}
 	for i, s := range sims {
-		for id := range m.nodeTransitions {
-			m.nodeTransitions[id] += s.nodeTransitions[id]
-			m.nodeUseful[id] += s.nodeUseful[id]
-		}
-		m.cycles += s.cycles
+		m.add(&s.Counts)
 		m.Totals.Cycles += tots[i].Cycles
 		m.Totals.Transitions += tots[i].Transitions
 		m.Totals.Useful += tots[i].Useful

@@ -34,8 +34,9 @@ type PackedSimulator struct {
 	carry []uint64 // previous cycle's value (bit 0) per node
 	reset []bool   // settled state under the all-zero input vector
 
-	nodeTransitions []int64
-	cycles          int
+	// Counts holds the zero-delay transition counts since the last Reset;
+	// its useful counts are the transitions themselves.
+	Counts
 }
 
 // NewPacked creates a packed zero-delay simulator for a combinational
@@ -51,13 +52,13 @@ func NewPacked(nw *logic.Network) (*PackedSimulator, error) {
 		return nil, err
 	}
 	ps := &PackedSimulator{
-		nw:              nw,
-		order:           make([]*logic.Node, len(order)),
-		pis:             nw.PIs(),
-		val:             make([]uint64, nw.NumNodes()),
-		carry:           make([]uint64, nw.NumNodes()),
-		reset:           make([]bool, nw.NumNodes()),
-		nodeTransitions: make([]int64, nw.NumNodes()),
+		nw:     nw,
+		order:  make([]*logic.Node, len(order)),
+		pis:    nw.PIs(),
+		val:    make([]uint64, nw.NumNodes()),
+		carry:  make([]uint64, nw.NumNodes()),
+		reset:  make([]bool, nw.NumNodes()),
+		Counts: newCounts(nw.NumNodes(), true),
 	}
 	for i, id := range order {
 		ps.order[i] = nw.Node(id)
@@ -94,9 +95,7 @@ func NewPacked(nw *logic.Network) (*PackedSimulator, error) {
 // the previous call, not the reset state, is the comparison reference for
 // the first lane of the next (see Run).
 func (ps *PackedSimulator) Reset() {
-	for i := range ps.nodeTransitions {
-		ps.nodeTransitions[i] = 0
-	}
+	ps.Counts.clear()
 	for id, v := range ps.reset {
 		if v {
 			ps.carry[id] = 1
@@ -104,7 +103,6 @@ func (ps *PackedSimulator) Reset() {
 			ps.carry[id] = 0
 		}
 	}
-	ps.cycles = 0
 }
 
 // Run simulates the vector stream in blocks of 64 lanes and returns the
@@ -209,38 +207,4 @@ func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error
 	}
 	tot.Useful = tot.Transitions
 	return tot, nil
-}
-
-// Cycles returns the number of cycles simulated since the last Reset.
-func (ps *PackedSimulator) Cycles() int { return ps.cycles }
-
-// Transitions returns the zero-delay transition count recorded on a
-// node's output net since the last Reset. Primary inputs report 0, like
-// the event-driven simulator — their activity is a property of the vector
-// stream, not the circuit.
-func (ps *PackedSimulator) Transitions(id logic.NodeID) int64 { return ps.nodeTransitions[id] }
-
-// UsefulTransitions equals Transitions: every zero-delay transition is
-// useful by definition.
-func (ps *PackedSimulator) UsefulTransitions(id logic.NodeID) int64 { return ps.nodeTransitions[id] }
-
-// Activity returns the node's measured switching activity in transitions
-// per cycle — the N factor of Eqn. 1 under the zero-delay model.
-func (ps *PackedSimulator) Activity(id logic.NodeID) float64 {
-	if ps.cycles == 0 {
-		return 0
-	}
-	return float64(ps.nodeTransitions[id]) / float64(ps.cycles)
-}
-
-// UsefulActivity equals Activity under zero delay.
-func (ps *PackedSimulator) UsefulActivity(id logic.NodeID) float64 { return ps.Activity(id) }
-
-// ActivityProfile returns the per-node activity for every live node.
-func (ps *PackedSimulator) ActivityProfile() map[logic.NodeID]float64 {
-	out := make(map[logic.NodeID]float64)
-	for _, id := range ps.nw.Live() {
-		out[id] = ps.Activity(id)
-	}
-	return out
 }

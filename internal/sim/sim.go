@@ -87,10 +87,9 @@ type Simulator struct {
 	val   []bool
 	gates []logic.NodeID // cached live gate IDs (stable while simulating)
 
-	// Per-node cumulative transition counts across all simulated cycles.
-	nodeTransitions []int64
-	nodeUseful      []int64
-	cycles          int
+	// Counts holds the per-node cumulative transition counts across all
+	// simulated cycles since the last Reset.
+	Counts
 	// cycleBase offsets tracer cycle numbers and lets a warm-started
 	// shard report cycle indices relative to the whole run.
 	cycleBase int
@@ -124,17 +123,16 @@ func New(nw *logic.Network, dm DelayModel) (*Simulator, error) {
 		dm = UnitDelay
 	}
 	s := &Simulator{
-		nw:              nw,
-		delay:           make([]int, nw.NumNodes()),
-		val:             make([]bool, nw.NumNodes()),
-		nodeTransitions: make([]int64, nw.NumNodes()),
-		nodeUseful:      make([]int64, nw.NumNodes()),
-		met:             newMetrics(),
-		gates:           nw.Gates(),
-		buckets:         make(map[int][]logic.NodeID),
-		inQ:             make(map[uint64]bool),
-		initialBuf:      make([]bool, nw.NumNodes()),
-		newFFBuf:        make([]bool, len(nw.FFs())),
+		nw:         nw,
+		delay:      make([]int, nw.NumNodes()),
+		val:        make([]bool, nw.NumNodes()),
+		Counts:     newCounts(nw.NumNodes(), false),
+		met:        newMetrics(),
+		gates:      nw.Gates(),
+		buckets:    make(map[int][]logic.NodeID),
+		inQ:        make(map[uint64]bool),
+		initialBuf: make([]bool, nw.NumNodes()),
+		newFFBuf:   make([]bool, len(nw.FFs())),
 	}
 	for _, id := range nw.Live() {
 		n := nw.Node(id)
@@ -181,17 +179,9 @@ func (s *Simulator) Reset() error {
 			s.val[id] = logic.EvalGate(n.Type, buf)
 		}
 	}
-	s.clearCounters()
-	return nil
-}
-
-func (s *Simulator) clearCounters() {
-	for i := range s.nodeTransitions {
-		s.nodeTransitions[i] = 0
-		s.nodeUseful[i] = 0
-	}
-	s.cycles = 0
+	s.Counts.clear()
 	s.cycleBase = 0
+	return nil
 }
 
 // loadState seeds the simulator's node values from a full per-node value
@@ -202,7 +192,7 @@ func (s *Simulator) clearCounters() {
 // one sequential pass.
 func (s *Simulator) loadState(vals []bool, cycleBase int) {
 	copy(s.val, vals)
-	s.clearCounters()
+	s.Counts.clear()
 	s.cycleBase = cycleBase
 }
 
@@ -438,51 +428,4 @@ func (t Totals) SpuriousFraction() float64 {
 		return 0
 	}
 	return float64(t.Spurious) / float64(t.Transitions)
-}
-
-// Cycles returns the number of cycles simulated since the last Reset.
-func (s *Simulator) Cycles() int { return s.cycles }
-
-// Activity returns the measured switching activity of a node: total
-// transitions per simulated cycle. This is the N factor of Eqn. 1 for the
-// node's output net.
-func (s *Simulator) Activity(id logic.NodeID) float64 {
-	if s.cycles == 0 {
-		return 0
-	}
-	return float64(s.nodeTransitions[id]) / float64(s.cycles)
-}
-
-// UsefulActivity returns only the zero-delay (functional) component of the
-// node's activity.
-func (s *Simulator) UsefulActivity(id logic.NodeID) float64 {
-	if s.cycles == 0 {
-		return 0
-	}
-	return float64(s.nodeUseful[id]) / float64(s.cycles)
-}
-
-// Transitions returns the raw transition count recorded on a node's output
-// net since the last Reset (glitches included).
-func (s *Simulator) Transitions(id logic.NodeID) int64 { return s.nodeTransitions[id] }
-
-// UsefulTransitions returns the zero-delay (functional) transition count of
-// a node since the last Reset.
-func (s *Simulator) UsefulTransitions(id logic.NodeID) int64 { return s.nodeUseful[id] }
-
-// SpuriousActivity returns the glitch component of a node's activity:
-// transitions per cycle beyond the zero-delay requirement.
-func (s *Simulator) SpuriousActivity(id logic.NodeID) float64 {
-	return s.Activity(id) - s.UsefulActivity(id)
-}
-
-// ActivityProfile returns the per-node activity for every live node, in a
-// map. Source nodes (PIs, FFs) have zero recorded activity; their toggles
-// are driven externally.
-func (s *Simulator) ActivityProfile() map[logic.NodeID]float64 {
-	out := make(map[logic.NodeID]float64)
-	for _, id := range s.nw.Live() {
-		out[id] = s.Activity(id)
-	}
-	return out
 }

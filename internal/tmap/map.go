@@ -1,10 +1,12 @@
 package tmap
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/power"
 )
@@ -88,7 +90,7 @@ func Map(nw *logic.Network, opts Options) (*Mapping, error) {
 			}
 		}
 	}
-	probs, err := power.ExactProbabilities(sn, inProb)
+	probs, err := power.ExactProbabilities(context.TODO(), sn, inProb, bdd.Budget{})
 	if err != nil {
 		return nil, err
 	}

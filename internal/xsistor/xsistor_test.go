@@ -1,10 +1,12 @@
 package xsistor
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/power"
 )
@@ -163,7 +165,7 @@ func TestSizingReducesPowerAsTargetRelaxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := power.ExactProbabilities(nw, nil)
+	probs, err := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestSizingInfeasibleTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, _ := power.ExactProbabilities(nw, nil)
+	probs, _ := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	_, err = SizeForPower(nw, probs.Activity, SizingOptions{DelayTarget: 0.001})
 	if err == nil {
 		t.Error("impossible delay target should fail")
@@ -214,7 +216,7 @@ func TestSizingInfeasibleTarget(t *testing.T) {
 
 func TestSizingValidation(t *testing.T) {
 	nw, _ := circuits.RippleAdder(2)
-	probs, _ := power.ExactProbabilities(nw, nil)
+	probs, _ := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if _, err := SizeForPower(nw, probs.Activity, SizingOptions{MinSize: 4, MaxSize: 2}); err == nil {
 		t.Error("MaxSize < MinSize should fail")
 	}
@@ -225,7 +227,7 @@ func TestSizingRespectsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, _ := power.ExactProbabilities(nw, nil)
+	probs, _ := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	res, err := SizeForPower(nw, probs.Activity, SizingOptions{
 		MaxSize: 4, MinSize: 1, DelayTarget: -1,
 	})
