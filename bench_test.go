@@ -710,6 +710,24 @@ func BenchmarkExactReorderRetry(b *testing.B) {
 	b.ReportMetric(float64(degraded), "degraded")
 }
 
+// BenchmarkExactUnbudgetedWide times the exact estimate of the 16-bit
+// comparator with a zero budget: the fixed declaration order builds about
+// 459k BDD nodes, so the run is dominated by the unique and computed
+// tables and the probability walk.
+func BenchmarkExactUnbudgetedWide(b *testing.B) {
+	nw, err := circuits.Comparator(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := power.Spec{Method: power.MethodExact, Params: power.DefaultParams()}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := power.Estimate(context.Background(), nw, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTruthTable times the exhaustive truth table behind
 // logic.Equivalent — what every verified flow pass pays — on the two
 // 16-input generators, at 64 rows per machine word.

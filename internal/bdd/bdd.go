@@ -1,5 +1,5 @@
 // Package bdd implements reduced ordered binary decision diagrams (ROBDDs)
-// with a shared unique table and an ITE computed cache.
+// with per-level unique tables and an ITE computed table.
 //
 // The manager supports the operations the toolkit needs for exact power
 // analysis and logic optimization: Boolean connectives, cofactoring,
@@ -15,6 +15,16 @@
 // (and by Reorder, which starts with one): both reclaim the nodes
 // unreachable from a caller-supplied root set into a free list that mk
 // reuses.
+//
+// No table is a Go map. A node is a 16-byte arena slot: level, lo, hi and
+// a chain link. Each level's unique table is a power-of-two array of
+// bucket heads whose chains run through the slots, 4 to 8 bytes per node
+// once a level outgrows its first 8 heads. The computed table is
+// non-lossy: 20-byte entries in 4096-entry pages, chained from a head
+// array of 4 to 8 bytes per entry; growing it adds a page and relinks the
+// chains, never copying a full page. Graph walks reuse generation-stamped
+// memos owned by the manager, so a Manager is not safe for concurrent
+// use, reads included.
 package bdd
 
 import (
@@ -38,6 +48,9 @@ const (
 type node struct {
 	level  int32 // position in the variable order; terminals use maxLevel
 	lo, hi Ref
+	// next chains the node into its level's unique-table bucket, or a
+	// freed slot into the free list; 0 ends either chain.
+	next Ref
 }
 
 const (
@@ -47,15 +60,6 @@ const (
 	// live function, so no traversal ever observes this sentinel.
 	freeLevel = int32(-1)
 )
-
-// pair is the per-level unique-table key. Keeping one table per level —
-// rather than one global table keyed by (level, lo, hi) — lets an
-// adjacent-level swap move an entire level wholesale by exchanging table
-// pointers, so reordering cost scales with the nodes that actually test
-// the moving variable.
-type pair struct{ lo, hi Ref }
-
-type iteKey struct{ f, g, h Ref }
 
 // metrics holds the manager's registry handles, captured at New. All
 // handles are nil (no-op) when observability is disabled.
@@ -86,6 +90,43 @@ func newMetrics() metrics {
 	}
 }
 
+// tally counts the table events of one manager. The hot paths bump these
+// plain fields; flush adds them to the shared registry counters when a
+// public operation returns, so concurrent managers do not contend on the
+// counters' cache lines.
+type tally struct {
+	uniqueHits, uniqueMisses, iteHits, iteMisses int64
+	// peak is the highest live count reached; published is the last
+	// value given to the bdd.nodes gauge.
+	peak, published int
+}
+
+// flush publishes the tally to the registry.
+func (m *Manager) flush() {
+	t := &m.tally
+	if t.uniqueHits|t.uniqueMisses|t.iteHits|t.iteMisses != 0 || t.peak > t.published {
+		m.publish()
+	}
+}
+
+func (m *Manager) publish() {
+	t := &m.tally
+	add := func(c *obsv.Counter, n *int64) {
+		if *n != 0 {
+			c.Add(*n)
+			*n = 0
+		}
+	}
+	add(m.met.uniqueHits, &t.uniqueHits)
+	add(m.met.uniqueMisses, &t.uniqueMisses)
+	add(m.met.iteHits, &t.iteHits)
+	add(m.met.iteMisses, &t.iteMisses)
+	if t.peak > t.published {
+		m.met.nodes.Max(float64(t.peak))
+		t.published = t.peak
+	}
+}
+
 // Manager owns a set of BDD nodes over a fixed number of variables.
 // Variable i starts at level i (lower levels nearer the root); Reorder may
 // permute the order afterwards, tracked by var2level/level2var.
@@ -96,20 +137,31 @@ func newMetrics() metrics {
 // the manager and all results computed on it must then be discarded. A
 // manager whose budget never trips builds exactly the same node graph as
 // an unbudgeted one.
+//
+// A Manager is not safe for concurrent use, reads included: every graph
+// walk (Probability, Restrict, NodeCount, Support, Leq) reuses memos the
+// manager owns.
 type Manager struct {
-	nodes  []node
-	unique []map[pair]Ref // per-level unique tables, allocated lazily
-	iteC   map[iteKey]Ref
+	nodes []node
+	// unique holds one table per level rather than one global table
+	// keyed by (level, lo, hi), so an adjacent-level swap moves a whole
+	// level by exchanging two tables, and reordering cost scales with the
+	// nodes that actually test the moving variable.
+	unique []uniqueTable
+	iteC   iteTable
+	memo   scratch
 	nvars  int
 	met    metrics
+	tally  tally
 
 	// var2level[i] is the level variable i currently occupies;
 	// level2var is its inverse. Both start as the identity.
 	var2level []int32
 	level2var []int32
-	// free lists arena slots reclaimed by GC or Reorder, reused LIFO by mk.
-	// live counts arena slots in use (including the two terminals).
-	free []Ref
+	// free heads the list of arena slots reclaimed by GC or Reorder,
+	// chained through node.next and reused LIFO by mk (0 = empty). live
+	// counts arena slots in use (including the two terminals).
+	free Ref
 	live int
 
 	budget  Budget
@@ -122,8 +174,7 @@ type Manager struct {
 // New creates a manager with nvars variables.
 func New(nvars int) *Manager {
 	m := &Manager{
-		unique:    make([]map[pair]Ref, nvars),
-		iteC:      make(map[iteKey]Ref),
+		unique:    make([]uniqueTable, nvars),
 		nvars:     nvars,
 		met:       newMetrics(),
 		var2level: make([]int32, nvars),
@@ -152,17 +203,9 @@ func (m *Manager) Size() int { return m.live }
 func (m *Manager) AddVar() int {
 	m.var2level = append(m.var2level, int32(len(m.level2var)))
 	m.level2var = append(m.level2var, int32(m.nvars))
-	m.unique = append(m.unique, nil)
+	m.unique = append(m.unique, uniqueTable{})
 	m.nvars++
 	return m.nvars - 1
-}
-
-// uniq returns the unique table of a level, allocating it on first use.
-func (m *Manager) uniq(level int32) map[pair]Ref {
-	if m.unique[level] == nil {
-		m.unique[level] = make(map[pair]Ref)
-	}
-	return m.unique[level]
 }
 
 // Order returns the current variable order: element l is the index of the
@@ -188,7 +231,9 @@ func (m *Manager) Var(i int) Ref {
 	if i < 0 || i >= m.nvars {
 		panic(fmt.Sprintf("bdd: Var(%d) out of range [0,%d)", i, m.nvars))
 	}
-	return m.mk(m.var2level[i], False, True)
+	r := m.mk(m.var2level[i], False, True)
+	m.flush()
+	return r
 }
 
 // NVar returns the complement of variable i.
@@ -196,7 +241,9 @@ func (m *Manager) NVar(i int) Ref {
 	if i < 0 || i >= m.nvars {
 		panic(fmt.Sprintf("bdd: NVar(%d) out of range [0,%d)", i, m.nvars))
 	}
-	return m.mk(m.var2level[i], True, False)
+	r := m.mk(m.var2level[i], True, False)
+	m.flush()
+	return r
 }
 
 // mk finds or creates the node (level, lo, hi), applying the reduction
@@ -208,28 +255,33 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if m.checked && m.err != nil {
 		return False
 	}
-	tab := m.uniq(level)
-	k := pair{lo, hi}
-	if r, ok := tab[k]; ok {
-		m.met.uniqueHits.Inc()
+	tab := &m.unique[level]
+	if r := m.lookup(tab, lo, hi); r != 0 {
+		m.tally.uniqueHits++
 		return r
 	}
-	m.met.uniqueMisses.Inc()
-	var r Ref
-	if n := len(m.free); n > 0 {
-		r = m.free[n-1]
-		m.free = m.free[:n-1]
+	m.tally.uniqueMisses++
+	r := m.alloc(tab, level, lo, hi)
+	if m.checked {
+		m.checkNodes()
+	}
+	return r
+}
+
+// alloc interns a node known to be absent from tab, the unique table of
+// its level, reusing the most recently freed slot first.
+func (m *Manager) alloc(tab *uniqueTable, level int32, lo, hi Ref) Ref {
+	r := m.free
+	if r != 0 {
+		m.free = m.nodes[r].next
 		m.nodes[r] = node{level: level, lo: lo, hi: hi}
 	} else {
 		r = Ref(len(m.nodes))
 		m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
 	}
-	tab[k] = r
+	m.insert(tab, r)
 	m.live++
-	m.met.nodes.Max(float64(m.live))
-	if m.checked {
-		m.checkNodes()
-	}
+	m.tally.peak = max(m.tally.peak, m.live)
 	return r
 }
 
@@ -238,6 +290,12 @@ func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
 // ITE computes if-then-else: f ? g : h. All Boolean connectives reduce to
 // it.
 func (m *Manager) ITE(f, g, h Ref) Ref {
+	r := m.ite(f, g, h)
+	m.flush()
+	return r
+}
+
+func (m *Manager) ite(f, g, h Ref) Ref {
 	// Terminal cases.
 	switch {
 	case f == True:
@@ -252,12 +310,11 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	if m.checked && !m.checkStep() {
 		return False
 	}
-	k := iteKey{f, g, h}
-	if r, ok := m.iteC[k]; ok {
-		m.met.iteHits.Inc()
+	if r, ok := m.iteC.get(f, g, h); ok {
+		m.tally.iteHits++
 		return r
 	}
-	m.met.iteMisses.Inc()
+	m.tally.iteMisses++
 	top := m.level(f)
 	if l := m.level(g); l < top {
 		top = l
@@ -268,15 +325,15 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	f0, f1 := m.cofactors(f, top)
 	g0, g1 := m.cofactors(g, top)
 	h0, h1 := m.cofactors(h, top)
-	lo := m.ITE(f0, g0, h0)
-	hi := m.ITE(f1, g1, h1)
+	lo := m.ite(f0, g0, h0)
+	hi := m.ite(f1, g1, h1)
 	if m.checked && m.err != nil {
 		// The budget tripped somewhere below: lo/hi are placeholder False
 		// refs, so neither build a node from them nor poison the cache.
 		return False
 	}
 	r := m.mk(top, lo, hi)
-	m.iteC[k] = r
+	m.iteC.put(f, g, h, r)
 	return r
 }
 
@@ -340,37 +397,38 @@ func (m *Manager) Restrict(f Ref, i int, val bool) Ref {
 	if m.checked && m.err != nil {
 		return False
 	}
-	memo := make(map[Ref]Ref)
-	lvl := m.var2level[i]
-	var rec func(Ref) Ref
-	rec = func(g Ref) Ref {
-		n := m.nodes[g]
-		if n.level > lvl {
-			return g
-		}
-		if r, ok := memo[g]; ok {
-			return r
-		}
-		if m.checked && !m.checkStep() {
-			return False
-		}
-		var r Ref
-		if n.level == lvl {
-			if val {
-				r = n.hi
-			} else {
-				r = n.lo
-			}
-		} else {
-			r = m.mk(n.level, rec(n.lo), rec(n.hi))
-		}
-		memo[g] = r
-		return r
-	}
-	r := rec(f)
+	m.begin()
+	m.memo.ref = grown(m, m.memo.ref)
+	r := m.restrict(f, m.var2level[i], val)
+	m.flush()
 	if m.checked && m.err != nil {
 		return False
 	}
+	return r
+}
+
+func (m *Manager) restrict(g Ref, lvl int32, val bool) Ref {
+	n := m.nodes[g]
+	if n.level > lvl {
+		return g
+	}
+	s := &m.memo
+	if s.stamp[g] == s.gen {
+		return s.ref[g]
+	}
+	if m.checked && !m.checkStep() {
+		return False
+	}
+	var r Ref
+	switch {
+	case n.level < lvl:
+		r = m.mk(n.level, m.restrict(n.lo, lvl, val), m.restrict(n.hi, lvl, val))
+	case val:
+		r = n.hi
+	default:
+		r = n.lo
+	}
+	s.stamp[g], s.ref[g] = s.gen, r
 	return r
 }
 
@@ -383,34 +441,32 @@ func (m *Manager) Leq(f, g Ref) bool {
 	if m.checked && m.err != nil {
 		return false
 	}
+	m.memo.pairs.reset()
+	return m.leq(f, g) && !(m.checked && m.err != nil)
+}
+
+func (m *Manager) leq(f, g Ref) bool {
+	switch {
+	case f == False || g == True || f == g:
+		return true
+	case f == True || g == False:
+		return false
+	}
 	// Levels strictly increase down the walk, so a pair revisited while
 	// the walk is still running was already proven.
-	seen := make(map[[2]Ref]bool)
-	var rec func(f, g Ref) bool
-	rec = func(f, g Ref) bool {
-		switch {
-		case f == False || g == True || f == g:
-			return true
-		case f == True || g == False:
-			return false
-		}
-		k := [2]Ref{f, g}
-		if seen[k] {
-			return true
-		}
-		if m.checked && !m.checkStep() {
-			return false
-		}
-		seen[k] = true
-		top := m.level(f)
-		if l := m.level(g); l < top {
-			top = l
-		}
-		f0, f1 := m.cofactors(f, top)
-		g0, g1 := m.cofactors(g, top)
-		return rec(f0, g0) && rec(f1, g1)
+	if !m.memo.pairs.add(f, g) {
+		return true
 	}
-	return rec(f, g) && !(m.checked && m.err != nil)
+	if m.checked && !m.checkStep() {
+		return false
+	}
+	top := m.level(f)
+	if l := m.level(g); l < top {
+		top = l
+	}
+	f0, f1 := m.cofactors(f, top)
+	g0, g1 := m.cofactors(g, top)
+	return m.leq(f0, g0) && m.leq(f1, g1)
 }
 
 // Exists existentially quantifies out variable i: f[i=0] | f[i=1].
@@ -469,27 +525,29 @@ func (m *Manager) Support(f Ref) []int {
 	if m.checked && m.err != nil {
 		return nil
 	}
-	seen := make(map[Ref]bool)
-	vars := make(map[int32]bool)
-	var rec func(Ref)
-	rec = func(g Ref) {
-		if g == True || g == False || seen[g] {
-			return
-		}
-		seen[g] = true
-		n := m.nodes[g]
-		vars[m.level2var[n.level]] = true
-		rec(n.lo)
-		rec(n.hi)
-	}
-	rec(f)
-	out := make([]int, 0, len(vars))
-	for v := int32(0); v < int32(m.nvars); v++ {
-		if vars[v] {
-			out = append(out, int(v))
+	levels := make([]bool, m.nvars)
+	m.begin()
+	m.visit(f, func(n node) { levels[n.level] = true })
+	out := []int{}
+	for v := 0; v < m.nvars; v++ {
+		if levels[m.var2level[v]] {
+			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// visit calls fn once for every internal node reachable from g that the
+// current walk (begun by the caller) has not stamped yet.
+func (m *Manager) visit(g Ref, fn func(node)) {
+	s := &m.memo
+	for g > True && s.stamp[g] != s.gen {
+		s.stamp[g] = s.gen
+		n := m.nodes[g]
+		fn(n)
+		m.visit(n.lo, fn)
+		g = n.hi
+	}
 }
 
 // NodeCount returns the number of distinct internal nodes in f (a standard
@@ -499,18 +557,10 @@ func (m *Manager) NodeCount(f Ref) int {
 	if m.checked && m.err != nil {
 		return 0
 	}
-	seen := make(map[Ref]bool)
-	var rec func(Ref)
-	rec = func(g Ref) {
-		if g == True || g == False || seen[g] {
-			return
-		}
-		seen[g] = true
-		rec(m.nodes[g].lo)
-		rec(m.nodes[g].hi)
-	}
-	rec(f)
-	return len(seen)
+	count := 0
+	m.begin()
+	m.visit(f, func(node) { count++ })
+	return count
 }
 
 // SatCount returns the number of satisfying assignments of f over all
@@ -532,28 +582,47 @@ func (m *Manager) Probability(f Ref, p []float64) float64 {
 	if m.checked && m.err != nil {
 		return 0
 	}
-	memo := make(map[Ref]float64)
-	var rec func(Ref) float64
-	rec = func(g Ref) float64 {
-		switch g {
-		case False:
-			return 0
-		case True:
-			return 1
-		}
-		if v, ok := memo[g]; ok {
-			return v
-		}
-		n := m.nodes[g]
-		pv := 0.5
-		if p != nil {
-			pv = p[m.level2var[n.level]]
-		}
-		v := pv*rec(n.hi) + (1-pv)*rec(n.lo)
-		memo[g] = v
-		return v
+	m.begin()
+	m.memo.prob = grown(m, m.memo.prob)
+	return m.probability(f, p)
+}
+
+// Probabilities returns Probability(f, p) for every f in roots, in one
+// walk whose memo the roots share. Each node's value depends only on the
+// node and p, so every result is bit-identical to its own Probability
+// call. On a poisoned manager every result is 0.
+func (m *Manager) Probabilities(roots []Ref, p []float64) []float64 {
+	out := make([]float64, len(roots))
+	if m.checked && m.err != nil {
+		return out
 	}
-	return rec(f)
+	m.begin()
+	m.memo.prob = grown(m, m.memo.prob)
+	for i, f := range roots {
+		out[i] = m.probability(f, p)
+	}
+	return out
+}
+
+func (m *Manager) probability(g Ref, p []float64) float64 {
+	switch g {
+	case False:
+		return 0
+	case True:
+		return 1
+	}
+	s := &m.memo
+	if s.stamp[g] == s.gen {
+		return s.prob[g]
+	}
+	n := m.nodes[g]
+	pv := 0.5
+	if p != nil {
+		pv = p[m.level2var[n.level]]
+	}
+	v := pv*m.probability(n.hi, p) + (1-pv)*m.probability(n.lo, p)
+	s.stamp[g], s.prob[g] = s.gen, v
+	return v
 }
 
 // AnySat returns one satisfying assignment of f (indexed by variable), or

@@ -19,7 +19,7 @@ func (m *Manager) GC(roots []Ref) int {
 	m.collect(roots)
 	// Cleared in place: a long-lived manager refills the cache at about
 	// its previous size, so keeping the capacity saves the regrowth.
-	clear(m.iteC)
+	m.iteC.clear()
 	return before - m.live
 }
 
@@ -68,14 +68,14 @@ func (m *Manager) deref(rc []int32, g Ref) {
 	}
 }
 
-// release reclaims an unreferenced node: its unique entry is removed, the
-// slot is pushed on the free list with the freeLevel sentinel, and its
-// children are dereferenced in cascade.
+// release reclaims an unreferenced node: it is unlinked from its unique
+// table, the slot is pushed on the free list with the freeLevel sentinel
+// (keeping its lo and hi), and its children are dereferenced in cascade.
 func (m *Manager) release(rc []int32, g Ref) {
 	n := m.nodes[g]
-	delete(m.unique[n.level], pair{n.lo, n.hi})
-	m.nodes[g].level = freeLevel
-	m.free = append(m.free, g)
+	m.unlink(&m.unique[n.level], g)
+	m.nodes[g].level, m.nodes[g].next = freeLevel, m.free
+	m.free = g
 	m.live--
 	m.deref(rc, n.lo)
 	m.deref(rc, n.hi)

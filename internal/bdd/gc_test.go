@@ -96,7 +96,7 @@ func TestGCReusesSlotsAndClearsCache(t *testing.T) {
 	for i := 2; i < 8; i++ {
 		_ = m.Xor(m.Var(i), m.Var(i-1), keep)
 	}
-	if len(m.iteC) == 0 {
+	if m.iteC.n == 0 {
 		t.Fatal("setup built no cached ITE results")
 	}
 	arena := len(m.nodes)
@@ -104,11 +104,11 @@ func TestGCReusesSlotsAndClearsCache(t *testing.T) {
 	if freed == 0 {
 		t.Fatal("nothing freed")
 	}
-	if len(m.iteC) != 0 {
-		t.Fatalf("ITE cache holds %d entries after GC", len(m.iteC))
+	if m.iteC.n != 0 {
+		t.Fatalf("ITE cache holds %d entries after GC", m.iteC.n)
 	}
-	if len(m.free) != freed {
-		t.Fatalf("free list has %d slots, freed %d", len(m.free), freed)
+	if n := freeLen(m); n != freed {
+		t.Fatalf("free list has %d slots, freed %d", n, freed)
 	}
 	for i := 2; i < 8; i++ {
 		_ = m.Or(m.Var(i), keep)
@@ -120,9 +120,18 @@ func TestGCReusesSlotsAndClearsCache(t *testing.T) {
 		t.Fatalf("kept root changed: P=%v", m.Probability(keep, nil))
 	}
 	// Live nodes are always the arena minus the free list.
-	if d := m.Size() - (len(m.nodes) - len(m.free)); d != 0 {
+	if d := m.Size() - (len(m.nodes) - freeLen(m)); d != 0 {
 		t.Fatalf("Size disagrees with arena minus free list by %d", d)
 	}
+}
+
+// freeLen walks the free list.
+func freeLen(m *Manager) int {
+	n := 0
+	for r := m.free; r != 0; r = m.nodes[r].next {
+		n++
+	}
+	return n
 }
 
 // TestGCPoisonedManagerIsNoop checks that a tripped manager is left alone.

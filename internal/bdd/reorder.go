@@ -81,7 +81,7 @@ func (m *Manager) Reorder(roots []Ref, opt ReorderOptions) (ReorderStats, error)
 	if saved := st.Before - st.After; saved > 0 {
 		m.met.reorderSaved.Add(int64(saved))
 	}
-	m.met.nodes.Max(float64(m.live))
+	m.flush()
 	return st, err
 }
 
@@ -95,15 +95,27 @@ type sifter struct {
 	stampGen  int32
 	swaps     int
 	maxGrowth float64
+	// deps and indep are swap's scratch lists, reused across swaps.
+	deps  []depNode
+	indep []Ref
+}
+
+// depNode is a level-l node that swap rewrites: its Ref, the four
+// cofactors over the two swapped variables, and its old children.
+type depNode struct {
+	r                  Ref
+	f00, f01, f10, f11 Ref
+	oldLo, oldHi       Ref
 }
 
 // init garbage-collects everything unreachable from roots (GC's
-// mark-and-free), replaces the ITE cache, keeps the survivors' reference
-// counts, and populates the level buckets in Ref order (deterministic).
+// mark-and-free), drops the ITE cache with its pages (sifting leaves far
+// fewer nodes to cache), keeps the survivors' reference counts, and
+// populates the level buckets in Ref order (deterministic).
 func (s *sifter) init(roots []Ref) {
 	m := s.m
 	s.rc = m.collect(roots)
-	m.iteC = make(map[iteKey]Ref)
+	m.iteC = iteTable{}
 	s.stamp = make([]int32, len(m.nodes))
 	s.buckets = make([][]Ref, m.nvars)
 	for r := Ref(2); int(r) < len(m.nodes); r++ {
@@ -142,24 +154,15 @@ func (s *sifter) mkAt(level int32, lo, hi Ref) Ref {
 		return lo
 	}
 	m := s.m
-	tab := m.uniq(level)
-	k := pair{lo, hi}
-	if r, ok := tab[k]; ok {
+	tab := &m.unique[level]
+	if r := m.lookup(tab, lo, hi); r != 0 {
 		return r
 	}
-	var r Ref
-	if n := len(m.free); n > 0 {
-		r = m.free[n-1]
-		m.free = m.free[:n-1]
-		m.nodes[r] = node{level: level, lo: lo, hi: hi}
-	} else {
-		r = Ref(len(m.nodes))
-		m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	r := m.alloc(tab, level, lo, hi)
+	if len(s.rc) < len(m.nodes) {
 		s.rc = append(s.rc, 0)
 		s.stamp = append(s.stamp, 0)
 	}
-	tab[k] = r
-	m.live++
 	if lo > 1 {
 		s.rc[lo]++
 	}
@@ -174,23 +177,17 @@ func (s *sifter) mkAt(level int32, lo, hi Ref) Ref {
 // level-l node independent of the lower variable just moves down a
 // level; a dependent one is rewritten as (y ? (x?f11:f01) : (x?f10:f00))
 // with freshly interned level-(l+1) cofactor nodes. The phase order —
-// capture cofactor quads, unhook both levels from the unique table,
-// re-intern the risers, re-intern the independent sinkers, rewrite the
-// dependent nodes, then release their old children — makes unique-table
-// collisions impossible mid-swap.
+// capture cofactor quads, unlink the dependent nodes, exchange the two
+// levels' tables (the risers and the independent sinkers keep their
+// chains), rewrite the dependent nodes, then release their old children
+// — makes unique-table collisions impossible mid-swap.
 func (s *sifter) swap(l int) {
 	m := s.m
 	ll, lh := int32(l), int32(l+1)
 	xs := s.bucket(l)
 	ys := s.bucket(l + 1)
 
-	type depNode struct {
-		r                  Ref
-		f00, f01, f10, f11 Ref
-		oldLo, oldHi       Ref
-	}
-	var deps []depNode
-	var indep []Ref
+	deps, indep := s.deps[:0], s.indep[:0]
 	for _, x := range xs {
 		n := m.nodes[x]
 		loDep := m.nodes[n.lo].level == lh
@@ -213,34 +210,29 @@ func (s *sifter) swap(l int) {
 		deps = append(deps, d)
 	}
 
-	// Unhook every level-l node from its table, then move the whole
-	// level-(l+1) table up by a pointer exchange: the rising ys never pay
-	// a per-node rehash, so a swap costs O(|level l| + re-leveling).
-	tabX := m.uniq(ll)
-	for _, x := range xs {
-		n := m.nodes[x]
-		delete(tabX, pair{n.lo, n.hi})
+	// Unlink the dependent nodes, whose children are about to change,
+	// then exchange the two levels' tables: the rising ys and the sinking
+	// independent xs keep their chains (the hash ignores the level), so a
+	// swap costs O(|level l| + re-leveling).
+	for _, d := range deps {
+		m.unlink(&m.unique[ll], d.r)
 	}
 	m.unique[ll], m.unique[lh] = m.unique[lh], m.unique[ll]
 	for _, y := range ys {
 		m.nodes[y].level = ll
 	}
-	tabH := m.uniq(lh)
 	for _, x := range indep {
 		m.nodes[x].level = lh
-		n := m.nodes[x]
-		tabH[pair{n.lo, n.hi}] = x
 	}
 
 	// Rebuild the two buckets: level l holds the risen ys plus the
 	// rewritten dependents (the ys slice moves wholesale); level l+1
-	// holds the independent sinkers plus whatever mkAt interns below.
+	// holds the independent sinkers plus whatever mkAt interns below, in
+	// the storage of xs, whose nodes now live in deps and indep.
 	s.buckets[l] = ys
-	newHi := make([]Ref, 0, len(indep))
-	newHi = append(newHi, indep...)
-	s.buckets[l+1] = newHi
+	s.buckets[l+1] = append(xs[:0], indep...)
 
-	tabL := m.uniq(ll)
+	tabL := &m.unique[ll]
 	for _, d := range deps {
 		a0 := s.mkAt(lh, d.f00, d.f10)
 		a1 := s.mkAt(lh, d.f01, d.f11)
@@ -251,7 +243,7 @@ func (s *sifter) swap(l int) {
 			s.rc[a1]++
 		}
 		m.nodes[d.r] = node{level: ll, lo: a0, hi: a1}
-		tabL[pair{a0, a1}] = d.r
+		m.insert(tabL, d.r)
 		s.buckets[l] = append(s.buckets[l], d.r)
 	}
 	// Old children are released only after every dependent node has been
@@ -260,6 +252,7 @@ func (s *sifter) swap(l int) {
 		m.deref(s.rc, d.oldLo)
 		m.deref(s.rc, d.oldHi)
 	}
+	s.deps, s.indep = deps, indep
 
 	xv, yv := m.level2var[l], m.level2var[l+1]
 	m.level2var[l], m.level2var[l+1] = yv, xv

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/circuits"
 	"repro/internal/logic"
+	"repro/internal/obsv"
 )
 
 // randomDAG builds a seeded random combinational network covering every
@@ -464,5 +465,35 @@ func TestSatCountWideManagers(t *testing.T) {
 	f := m3.Or(m3.Var(0), m3.And(m3.Var(1), m3.Var(2)))
 	if got := m3.SatCount(f); got != 5 {
 		t.Fatalf("SatCount = %v, want 5", got)
+	}
+}
+
+// TestReorderGaugeSeesSwapPeak checks that the bdd.nodes high-water mark
+// covers the peaks reached inside sifting. A slot is appended to the
+// arena only when the free list is empty, so every slot was live at once
+// when the last one was appended: the gauge must reach the arena length,
+// even though sifting ends far smaller.
+func TestReorderGaugeSeesSwapPeak(t *testing.T) {
+	obsv.Disable()
+	reg := obsv.Enable()
+	defer obsv.Disable()
+	nw, err := circuits.Comparator(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := FromNetwork(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := nb.M
+	built := len(m.nodes)
+	if _, err := nb.Reorder(ReorderOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.nodes) <= built {
+		t.Fatalf("sifting never grew the arena past its %d built slots", built)
+	}
+	if g := reg.Gauge("bdd.nodes").Value(); g < float64(len(m.nodes)) {
+		t.Fatalf("bdd.nodes = %v, below the %d slots live at the swap peak (final size %d)", g, len(m.nodes), m.Size())
 	}
 }

@@ -60,9 +60,15 @@ func ExactProbabilities(ctx context.Context, nw *logic.Network, inputProb Probab
 		}
 		pv[i] = p
 	}
-	out := make(Probabilities, len(nb.Fn))
+	ids := make([]logic.NodeID, 0, len(nb.Fn))
+	fs := make([]bdd.Ref, 0, len(nb.Fn))
 	for id, f := range nb.Fn {
-		out[id] = nb.M.Probability(f, pv)
+		ids = append(ids, id)
+		fs = append(fs, f)
+	}
+	out := make(Probabilities, len(ids))
+	for i, p := range nb.M.Probabilities(fs, pv) {
+		out[ids[i]] = p
 	}
 	obsv.Default().Counter("power.exact.nodes").Add(int64(len(nb.Fn)))
 	return out, nil
