@@ -219,10 +219,9 @@ func BenchmarkEventDrivenSim(b *testing.B) {
 }
 
 // BenchmarkEventDrivenSimInstrumented runs the identical workload to
-// BenchmarkEventDrivenSim with the obsv registry enabled — compare the two
-// to verify the instrumentation overhead budget (metrics are updated once
-// per cycle, so enabled-vs-disabled should be within noise, and disabled
-// is required to be within 2% of the seed simulator).
+// BenchmarkEventDrivenSim with the obsv registry enabled. Metrics are
+// updated once per cycle, never per event, so the two should agree within
+// noise; compare them by hand, as no gate checks the difference.
 func BenchmarkEventDrivenSimInstrumented(b *testing.B) {
 	obsv.Enable()
 	defer obsv.Disable()

@@ -124,7 +124,7 @@ func simulate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, dm 
 			return Report{}, sim.Totals{}, err
 		}
 		s.SetTracer(tracer)
-		if tot, err = s.Run(vectors); err != nil {
+		if tot, err = s.RunCtx(ctx, vectors); err != nil {
 			return Report{}, sim.Totals{}, err
 		}
 		counts = &s.Counts

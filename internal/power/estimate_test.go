@@ -231,3 +231,41 @@ func TestDensityBudget(t *testing.T) {
 		}
 	}
 }
+
+// cancelAfter is a context whose Err turns to context.Canceled after its
+// first k calls.
+type cancelAfter struct {
+	context.Context
+	k, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls > c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEstimateSimulatedCancel: a traced simulated run whose context is
+// cancelled after it starts stops early with the context's error.
+func TestEstimateSimulatedCancel(t *testing.T) {
+	nw, err := circuits.ArrayMultiplier(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	tr := &countingTracer{}
+	spec := Spec{Method: MethodSimulated, Params: DefaultParams(), Vectors: sim.RandomVectors(r, 1000, len(nw.PIs()), 0.5), Tracer: tr}
+	full, err := Estimate(context.Background(), nw, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := tr.changes
+	tr.changes = 0
+	if _, err := Estimate(&cancelAfter{Context: context.Background(), k: 2}, nw, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if tr.changes == 0 || tr.changes >= total {
+		t.Errorf("cancelled run traced %d changes, full run %d (%d transitions): want a partial run", tr.changes, total, full.Totals.Transitions)
+	}
+}

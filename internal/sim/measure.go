@@ -41,17 +41,19 @@ func MeasureRun(nw *logic.Network, dm DelayModel, vectors [][]bool, workers int)
 }
 
 // MeasureRunCtx is MeasureRun under a context: it refuses to start after
-// cancellation and, when the context carries a trace (see
-// internal/obsv/trace), records the whole run as a "sim.measure" span
-// annotated with cycle/worker/transition counts. The numeric results are
-// bit-identical to MeasureRun — the context influences only whether the
-// run starts and what gets observed, never what is computed.
+// cancellation, every shard stops with ctx.Err() within ctxCheckCycles
+// cycles of it, and, when the context carries a trace (see
+// internal/obsv/trace), it records the whole run as a "sim.measure" span
+// annotated with cycle/worker/transition counts. The numeric results of
+// a run that is not cancelled are bit-identical to MeasureRun — the
+// context influences only whether the run finishes and what gets
+// observed, never what is computed.
 func MeasureRunCtx(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	_, sp := trace.Start(ctx, "sim.measure")
-	m, err := measureRun(nw, dm, vectors, workers)
+	m, err := measureRun(ctx, nw, dm, vectors, workers)
 	if sp != nil {
 		sp.SetAttr("cycles", len(vectors))
 		sp.SetAttr("workers", workers)
@@ -64,7 +66,7 @@ func MeasureRunCtx(ctx context.Context, nw *logic.Network, dm DelayModel, vector
 	return m, err
 }
 
-func measureRun(nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {
+func measureRun(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -76,7 +78,7 @@ func measureRun(nw *logic.Network, dm DelayModel, vectors [][]bool, workers int)
 		if err != nil {
 			return nil, err
 		}
-		tot, err := s.Run(vectors)
+		tot, err := s.RunCtx(ctx, vectors)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +109,7 @@ func measureRun(nw *logic.Network, dm DelayModel, vectors [][]bool, workers int)
 				return
 			}
 			s.loadState(states[i], starts[i])
-			tot, err := s.Run(vectors[starts[i]:end])
+			tot, err := s.RunCtx(ctx, vectors[starts[i]:end])
 			if err != nil {
 				errs[i] = err
 				return

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/circuits"
@@ -169,6 +172,59 @@ func TestChunkStarts(t *testing.T) {
 					t.Fatalf("chunkStarts(%d,%d) = %v not contiguous", n, w, starts)
 				}
 			}
+		}
+	}
+}
+
+// flipCtx is a context whose Err turns to context.Canceled after its
+// first k calls, so a test can cancel a run partway through.
+type flipCtx struct {
+	context.Context
+	k     int32
+	calls atomic.Int32
+}
+
+func (c *flipCtx) Err() error {
+	if c.calls.Add(1) > c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// cycleTracer counts the cycles a traced run begins.
+type cycleTracer struct{ cycles int }
+
+func (c *cycleTracer) BeginCycle(int)                 { c.cycles++ }
+func (c *cycleTracer) Change(int, logic.NodeID, bool) {}
+func (c *cycleTracer) EndCycle(int)                   {}
+
+// A run whose context is cancelled after it starts stops within
+// ctxCheckCycles cycles with ctx.Err(), traced or sharded.
+func TestRunStopsOnCancel(t *testing.T) {
+	nw, err := circuits.ArrayMultiplier(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := RandomVectors(rand.New(rand.NewSource(5)), 1024, len(nw.PIs()), 0.5)
+
+	s, err := New(nw, UnitDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &cycleTracer{}
+	s.SetTracer(tr)
+	tot, err := s.RunCtx(&flipCtx{Context: context.Background(), k: 3}, vecs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("traced RunCtx: err = %v, want context.Canceled", err)
+	}
+	if want := 3 * ctxCheckCycles; tot.Cycles != want || tr.cycles != want {
+		t.Errorf("traced RunCtx ran %d cycles (tracer saw %d), want %d", tot.Cycles, tr.cycles, want)
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		ctx := &flipCtx{Context: context.Background(), k: 2}
+		if _, err := MeasureRunCtx(ctx, nw, UnitDelay, vecs, workers); !errors.Is(err, context.Canceled) {
+			t.Errorf("MeasureRunCtx with %d workers: err = %v, want context.Canceled", workers, err)
 		}
 	}
 }

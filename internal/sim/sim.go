@@ -7,9 +7,16 @@
 // timed activity, where unequal path delays create spurious transitions
 // that account for 10–40% of switching power in typical combinational
 // circuits (Ghosh et al. [16]). This package measures both.
+//
+// The event-driven Simulator queues gate evaluations on a timing wheel: a
+// ring of per-time FIFO slots indexed by cycle time, deduplicated by a
+// per-node time stamp, fed from consumer lists compiled once in New. Same-
+// time events are evaluated in the order they were scheduled, which fixes
+// every count and every tracer event.
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/logic"
@@ -18,6 +25,8 @@ import (
 
 // DelayModel assigns an integer propagation delay to each node. Gate delays
 // must be >= 1; sources (inputs, constants, flip-flop outputs) are ignored.
+// The Simulator's event wheel has a slot per time unit of the largest
+// delay, so delays are meant to be small.
 type DelayModel func(n *logic.Node) int
 
 // UnitDelay gives every gate a delay of 1 — the classic unit-delay model
@@ -80,7 +89,16 @@ func newMetrics() metrics {
 	}
 }
 
-// Simulator performs cycle-by-cycle event-driven simulation.
+// Simulator performs cycle-by-cycle event-driven simulation. New compiles
+// the network's delays, gate list and consumer lists, so the network must
+// not change while the simulator is in use.
+//
+// The event queue is a timing wheel of per-time FIFO slots, a power of two
+// longer than the largest gate delay, so every pending event (at most that
+// delay ahead of the time being drained) has a slot of its own. It costs
+// 12 bytes per node (a dedup stamp and a consumer offset) plus 8 per
+// fanout edge, and the slots keep their capacity across cycles, so the
+// steady-state hot loop does not allocate.
 type Simulator struct {
 	nw    *logic.Network
 	delay []int
@@ -97,14 +115,22 @@ type Simulator struct {
 	met    metrics
 	tracer Tracer
 
-	// Event-queue scratch, reused across cycles so the steady-state hot
-	// loop performs no allocation: a binary min-heap of pending event
-	// times, per-time node buckets recycled through a free pool, and a
-	// packed (time, node) set for deduplication.
-	timeHeap    []int
-	buckets     map[int][]logic.NodeID
-	bucketPool  [][]logic.NodeID
-	inQ         map[uint64]bool
+	// Consumer lists in CSR form: the gates that read node id are
+	// cons[consStart[id]:consStart[id+1]], in fanout order, DFFs left
+	// out (they only load at the clock edge).
+	consStart []int32
+	cons      []logic.NodeID
+
+	// wheel[t&(len(wheel)-1)] holds the nodes to evaluate at cycle time
+	// t, in scheduling order. schedAt[id] is the absolute time (epoch+t)
+	// of id's latest scheduled evaluation: with a fixed delay per node
+	// and times drained in increasing order, a node's schedule times
+	// never decrease, so an event is already queued exactly when its
+	// time equals the stamp. epoch advances past every cycle's last time
+	// so stale stamps never match.
+	wheel       [][]logic.NodeID
+	schedAt     []int
+	epoch       int
 	outstanding int // events scheduled but not yet evaluated
 	cycleHWM    int // high-water mark of outstanding within the cycle
 
@@ -122,28 +148,46 @@ func New(nw *logic.Network, dm DelayModel) (*Simulator, error) {
 	if dm == nil {
 		dm = UnitDelay
 	}
+	n := nw.NumNodes()
 	s := &Simulator{
 		nw:         nw,
-		delay:      make([]int, nw.NumNodes()),
-		val:        make([]bool, nw.NumNodes()),
-		Counts:     newCounts(nw.NumNodes(), false),
+		delay:      make([]int, n),
+		val:        make([]bool, n),
+		Counts:     newCounts(n, false),
 		met:        newMetrics(),
 		gates:      nw.Gates(),
-		buckets:    make(map[int][]logic.NodeID),
-		inQ:        make(map[uint64]bool),
-		initialBuf: make([]bool, nw.NumNodes()),
+		consStart:  make([]int32, n+1),
+		schedAt:    make([]int, n),
+		initialBuf: make([]bool, n),
 		newFFBuf:   make([]bool, len(nw.FFs())),
 	}
-	for _, id := range nw.Live() {
-		n := nw.Node(id)
-		if n.Type.IsGate() {
-			d := dm(n)
+	maxDelay := 1
+	for id := range s.delay {
+		s.consStart[id] = int32(len(s.cons))
+		nd := nw.Node(logic.NodeID(id))
+		if nd == nil {
+			continue
+		}
+		for _, c := range nd.Fanout() {
+			if cn := nw.Node(c); cn != nil && cn.Type.IsGate() {
+				s.cons = append(s.cons, c)
+			}
+		}
+		if nd.Type.IsGate() {
+			d := dm(nd)
 			if d < 1 {
-				return nil, fmt.Errorf("sim: delay model gave %d for gate %q (must be >= 1)", d, n.Name)
+				return nil, fmt.Errorf("sim: delay model gave %d for gate %q (must be >= 1)", d, nd.Name)
 			}
 			s.delay[id] = d
+			maxDelay = max(maxDelay, d)
 		}
 	}
+	s.consStart[n] = int32(len(s.cons))
+	slots := 2
+	for slots <= maxDelay {
+		slots *= 2
+	}
+	s.wheel = make([][]logic.NodeID, slots)
 	if err := s.Reset(); err != nil {
 		return nil, err
 	}
@@ -204,72 +248,22 @@ func (s *Simulator) Value(id logic.NodeID) bool { return s.val[id] }
 // Reset. Attach obsv.NetTrace here to dump VCD waveforms.
 func (s *Simulator) SetTracer(tr Tracer) { s.tracer = tr }
 
-// qkey packs a (time, node) pair into one dedup map key.
-func qkey(t int, id logic.NodeID) uint64 {
-	return uint64(t)<<32 | uint64(uint32(id))
-}
-
-func (s *Simulator) schedule(t int, id logic.NodeID) {
-	k := qkey(t, id)
-	if s.inQ[k] {
-		return
-	}
-	s.inQ[k] = true
-	b, ok := s.buckets[t]
-	if !ok {
-		if n := len(s.bucketPool); n > 0 {
-			b = s.bucketPool[n-1][:0]
-			s.bucketPool = s.bucketPool[:n-1]
+// fanout schedules every consumer of id, each after its own delay from
+// cycle time t, skipping events already queued.
+func (s *Simulator) fanout(t int, id logic.NodeID) {
+	mask := len(s.wheel) - 1
+	for _, c := range s.cons[s.consStart[id]:s.consStart[id+1]] {
+		tc := t + s.delay[c]
+		if s.schedAt[c] == s.epoch+tc {
+			continue
 		}
-		s.heapPush(t)
-	}
-	s.buckets[t] = append(b, id)
-	s.outstanding++
-	if s.outstanding > s.cycleHWM {
-		s.cycleHWM = s.outstanding
-	}
-}
-
-// heapPush adds a time to the binary min-heap of pending event times.
-func (s *Simulator) heapPush(t int) {
-	h := append(s.timeHeap, t)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
+		s.schedAt[c] = s.epoch + tc
+		s.wheel[tc&mask] = append(s.wheel[tc&mask], c)
+		s.outstanding++
+		if s.outstanding > s.cycleHWM {
+			s.cycleHWM = s.outstanding
 		}
-		h[p], h[i] = h[i], h[p]
-		i = p
 	}
-	s.timeHeap = h
-}
-
-// heapPop removes and returns the earliest pending event time.
-func (s *Simulator) heapPop() int {
-	h := s.timeHeap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	s.timeHeap = h
-	return top
 }
 
 // Cycle applies one clock cycle: flip-flops load the currently settled D
@@ -316,33 +310,24 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 	}
 
 	// Seed events: every consumer of a changed source evaluates after its
-	// own delay.
-	s.timeHeap = s.timeHeap[:0]
+	// own delay. Then drain the wheel one time step at a time; a delay
+	// of at least 1 means nothing lands in the slot being drained.
 	s.outstanding, s.cycleHWM = 0, 0
 	for _, id := range changed {
-		for _, c := range s.nw.Node(id).Fanout() {
-			cn := s.nw.Node(c)
-			if cn == nil || cn.Type == logic.DFF {
-				continue
-			}
-			s.schedule(s.delay[c], c)
-		}
+		s.fanout(0, id)
 	}
 	s.changedBuf = changed
 
 	stats := CycleStats{}
 	buf := s.evalBuf[:0]
-	for len(s.timeHeap) > 0 {
-		t := s.heapPop()
-		ids := s.buckets[t]
-		delete(s.buckets, t)
+	t := 0
+	for s.outstanding > 0 {
+		t++
+		slot := &s.wheel[t&(len(s.wheel)-1)]
+		ids := *slot
 		s.outstanding -= len(ids)
 		for _, id := range ids {
-			delete(s.inQ, qkey(t, id))
 			n := s.nw.Node(id)
-			if n == nil || !n.Type.IsGate() {
-				continue
-			}
 			buf = buf[:0]
 			for _, f := range n.Fanin {
 				buf = append(buf, s.val[f])
@@ -357,19 +342,12 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 			if s.tracer != nil {
 				s.tracer.Change(t, id, nv)
 			}
-			if t > stats.SettleTime {
-				stats.SettleTime = t
-			}
-			for _, c := range n.Fanout() {
-				cn := s.nw.Node(c)
-				if cn == nil || cn.Type == logic.DFF {
-					continue
-				}
-				s.schedule(t+s.delay[c], c)
-			}
+			stats.SettleTime = t
+			s.fanout(t, id)
 		}
-		s.bucketPool = append(s.bucketPool, ids[:0])
+		*slot = ids[:0]
 	}
+	s.epoch += t
 	s.evalBuf = buf
 
 	for _, id := range s.gates {
@@ -384,7 +362,7 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 		s.tracer.EndCycle(stats.SettleTime)
 	}
 	// Registry updates happen once per cycle, never per event, so the
-	// instrumented simulator stays within noise of the seed throughput.
+	// instrumented simulator stays within noise of the uninstrumented one.
 	s.met.events.Add(int64(stats.Transitions))
 	s.met.spurious.Add(int64(stats.Spurious))
 	s.met.cycles.Inc()
@@ -396,8 +374,24 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 // Run simulates a sequence of input vectors and returns the aggregate
 // statistics.
 func (s *Simulator) Run(vectors [][]bool) (Totals, error) {
+	return s.RunCtx(context.Background(), vectors)
+}
+
+// ctxCheckCycles is how many cycles a run simulates between checks of
+// its context.
+const ctxCheckCycles = 64
+
+// RunCtx is Run under a context: it checks ctx before every
+// ctxCheckCycles-th cycle and stops with ctx.Err() once the context is
+// done. Uncancelled, the results are those of Run.
+func (s *Simulator) RunCtx(ctx context.Context, vectors [][]bool) (Totals, error) {
 	var tot Totals
-	for _, v := range vectors {
+	for i, v := range vectors {
+		if i%ctxCheckCycles == 0 {
+			if err := ctx.Err(); err != nil {
+				return tot, err
+			}
+		}
 		cs, err := s.Cycle(v)
 		if err != nil {
 			return tot, err
