@@ -647,46 +647,45 @@ func BenchmarkMonteCarloParallel(b *testing.B) {
 }
 
 // BenchmarkBddSiftVsFixed builds the 12-bit comparator's global BDDs
-// under the fixed declaration order vs with dynamic sifting reordering.
-// The node-count metric is the point: the fixed order needs tens of
-// thousands of nodes where the sifted order finds an interleaved one a
-// couple orders of magnitude smaller, which is exactly the gap the
-// reorder-retry rung of the estimation ladder exploits.
+// under the fixed declaration order, with dynamic sifting from that
+// order, and under the default depth-first order. The
+// node-count metric is the point: the declaration order needs tens of
+// thousands of nodes, sifting finds an interleaved order a couple of
+// orders of magnitude smaller, and the depth-first order starts
+// interleaved without sifting at all.
 func BenchmarkBddSiftVsFixed(b *testing.B) {
 	nw, err := circuits.Comparator(12)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("fixed", func(b *testing.B) {
-		nodes := 0
-		for i := 0; i < b.N; i++ {
-			nb, err := bdd.FromNetwork(nw)
-			if err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		opt  bdd.BuildOptions
+	}{
+		{"fixed", bdd.BuildOptions{DeclarationOrder: true}},
+		{"sifted", bdd.BuildOptions{DeclarationOrder: true, Reorder: bdd.ReorderPolicy{Enable: true}}},
+		{"dfs", bdd.BuildOptions{}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				nb, err := bdd.FromNetworkOpts(context.Background(), nw, bc.opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes = nb.M.Size() - 2
 			}
-			nodes = nb.M.Size() - 2
-		}
-		b.ReportMetric(float64(nodes), "nodes")
-	})
-	b.Run("sifted", func(b *testing.B) {
-		nodes := 0
-		for i := 0; i < b.N; i++ {
-			nb, err := bdd.FromNetworkOpts(context.Background(), nw, bdd.BuildOptions{
-				Reorder: bdd.ReorderPolicy{Enable: true},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			nodes = nb.M.Size() - 2
-		}
-		b.ReportMetric(float64(nodes), "nodes")
-	})
+			b.ReportMetric(float64(nodes), "nodes")
+		})
+	}
 }
 
-// BenchmarkExactReorderRetry times the full reorder-retry rung on a
-// budget the fixed order cannot fit: trip at 20000 nodes, rebuild under
-// sifting, finish exactly. The degraded metric must stay 0 — the run
-// that previously fell to Monte Carlo now completes exactly.
+// BenchmarkExactReorderRetry times the exact estimate of the 16-bit
+// comparator under a 20000-node budget, which the declaration order
+// trips and the default depth-first order fits on the first build, so
+// the reorder-retry rung does not run here; the power package's reorder
+// tests cover it on a circuit whose depth-first order still trips. The
+// degraded metric must stay 0.
 func BenchmarkExactReorderRetry(b *testing.B) {
 	nw, err := circuits.Comparator(16)
 	if err != nil {
@@ -710,9 +709,10 @@ func BenchmarkExactReorderRetry(b *testing.B) {
 }
 
 // BenchmarkExactUnbudgetedWide times the exact estimate of the 16-bit
-// comparator with a zero budget: the fixed declaration order builds about
-// 459k BDD nodes, so the run is dominated by the unique and computed
-// tables and the probability walk.
+// comparator with a zero budget. The default depth-first order holds
+// it in 186 BDD nodes (the declaration order needed about 459k), so the
+// run measures the per-estimate fixed costs: the build, the probability
+// walk and the power sum.
 func BenchmarkExactUnbudgetedWide(b *testing.B) {
 	nw, err := circuits.Comparator(16)
 	if err != nil {

@@ -218,6 +218,16 @@ func (m *Manager) Order() []int {
 	return out
 }
 
+// setOrder places variable level2var[l] at level l. It must run before
+// the manager holds any internal node: existing nodes would keep their
+// levels.
+func (m *Manager) setOrder(level2var []int32) {
+	copy(m.level2var, level2var)
+	for l, v := range m.level2var {
+		m.var2level[v] = int32(l)
+	}
+}
+
 // LevelOf returns the level variable i currently occupies.
 func (m *Manager) LevelOf(i int) int {
 	if i < 0 || i >= m.nvars {

@@ -105,13 +105,14 @@ func identityNetworks(t *testing.T) ([]string, map[string]*logic.Network) {
 	return names, nets
 }
 
-// wantKernelIDs pins every build of TestKernelIdentity. The values were
-// recorded with the map-based tables the kernel had before its tables
-// moved onto the node arena; the arena tables must reproduce them
-// exactly. "/fixed" builds use the declaration order, "/sift" builds
-// ReorderPolicy{Enable: true} and "/sift64" the same with a 64-node
-// first trigger, so even the narrow circuits sift. All run under an
-// untrippable step budget so Steps() counts the work.
+// wantKernelIDs pins every declaration-order build of TestKernelIdentity
+// (BuildOptions.DeclarationOrder). The values were recorded with the
+// map-based tables the kernel had before its tables moved onto the node
+// arena; the arena tables must reproduce them exactly. "/fixed" builds
+// keep the declaration order, "/sift" builds ReorderPolicy{Enable: true}
+// and "/sift64" the same with a 64-node first trigger, so even the
+// narrow circuits sift. All run under an untrippable step budget so
+// Steps() counts the work.
 var wantKernelIDs = map[string]kernelID{
 	"alu4/fixed":    {0xc8cf2497ad4149e3, 380, 584, 4, 378, 207, 377, ""},
 	"alu4/sift":     {0xc8cf2497ad4149e3, 380, 584, 4, 378, 207, 377, "[0 1 2 3 4 5 6 7 8 9]"},
@@ -145,8 +146,44 @@ var wantKernelIDs = map[string]kernelID{
 	"radd16/sift64": {0xa919f2b9f8429d54, 1243, 373983, 38, 2704, 2282, 2724, "[32 0 16 1 17 2 18 19 3 20 4 21 5 22 6 23 7 8 24 9 25 10 26 11 27 12 28 13 29 14 30 15 31]"},
 }
 
+// wantDFSKernelIDs pins the same builds from the default depth-first
+// order, keyed "/dfs", "/dfs+sift" and "/dfs+sift64". They were recorded
+// when network builds took that order by default.
+var wantDFSKernelIDs = map[string]kernelID{
+	"alu4/dfs":          {0xd22c6f00cfe678b7, 152, 193, 7, 150, 42, 151, ""},
+	"alu4/dfs+sift":     {0xd22c6f00cfe678b7, 152, 193, 7, 150, 42, 151, "[9 8 0 4 1 5 2 6 3 7]"},
+	"alu4/dfs+sift64":   {0xa6e1357824d14ff0, 129, 5911, 11, 151, 38, 155, "[8 9 0 4 1 5 2 6 3 7]"},
+	"cmp8/dfs":          {0x7ea5b8b002cac8b7, 90, 93, 7, 88, 14, 79, ""},
+	"cmp8/dfs+sift":     {0x7ea5b8b002cac8b7, 90, 93, 7, 88, 14, 79, "[7 15 6 14 5 13 4 12 3 11 2 10 1 9 0 8]"},
+	"cmp8/dfs+sift64":   {0xb5ae4c8fcd1de3f5, 76, 3913, 7, 88, 14, 79, "[7 15 6 14 5 13 4 12 3 11 2 10 1 9 0 8]"},
+	"dec5/dfs":          {0x7a47d13f627bc5ad, 116, 221, 0, 114, 112, 109, ""},
+	"dec5/dfs+sift":     {0x7a47d13f627bc5ad, 116, 221, 0, 114, 112, 109, "[0 1 2 3 4]"},
+	"dec5/dfs+sift64":   {0xc021dc8d159f3b7f, 106, 2264, 8, 191, 79, 194, "[0 1 2 3 4]"},
+	"mult4/dfs":         {0xef98861476a02bf0, 693, 1442, 224, 691, 429, 1013, ""},
+	"mult4/dfs+sift":    {0xef98861476a02bf0, 693, 1442, 224, 691, 429, 1013, "[0 4 1 5 2 6 3 7]"},
+	"mult4/dfs+sift64":  {0x800c097acacd423c, 441, 26643, 340, 675, 381, 1143, "[0 7 4 3 1 2 6 5]"},
+	"mult5/dfs":         {0xe3f0eedd6c309d5e, 3346, 7627, 1196, 3344, 2716, 4911, ""},
+	"mult5/dfs+sift":    {0xe3f0eedd6c309d5e, 3346, 7627, 1196, 3344, 2716, 4911, "[0 5 1 6 2 7 3 8 9 4]"},
+	"mult5/dfs+sift64":  {0x77ace659c29d3245, 1887, 187049, 1702, 3025, 2545, 5373, "[9 0 1 8 4 5 6 3 2 7]"},
+	"mult6/dfs":         {0xf222fa2441e48af6, 13795, 33648, 5528, 13793, 13093, 20555, ""},
+	"mult6/dfs+sift":    {0xc9628e2f9a44385f, 7441, 651747, 6252, 12467, 11732, 20181, "[0 1 2 11 10 9 3 8 4 6 5 7]"},
+	"mult6/dfs+sift64":  {0xa502736c1ead221d, 8114, 577880, 6235, 10333, 9920, 18086, "[0 1 2 11 10 9 3 8 4 5 7 6]"},
+	"par16/dfs":         {0x8f2960d1d7a4541c, 97, 179, 34, 95, 66, 113, ""},
+	"par16/dfs+sift":    {0x8f2960d1d7a4541c, 97, 179, 34, 95, 66, 113, "[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15]"},
+	"par16/dfs+sift64":  {0x69029061c30cab52, 84, 3857, 47, 95, 67, 126, "[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15]"},
+	"cmp12/dfs":         {0x2450aecf546591eb, 138, 145, 11, 136, 22, 123, ""},
+	"cmp12/dfs+sift":    {0x2450aecf546591eb, 138, 145, 11, 136, 22, 123, "[11 23 10 22 9 21 8 20 7 19 6 18 5 17 4 16 3 15 2 14 1 13 0 12]"},
+	"cmp12/dfs+sift64":  {0x7a438152e64ba7ca, 116, 14013, 12, 136, 21, 124, "[11 23 10 22 9 21 8 20 7 19 6 18 5 17 4 16 3 15 2 14 1 13 0 12]"},
+	"cmp16/dfs":         {0x7b94e7a49ddcb45f, 186, 197, 15, 184, 30, 167, ""},
+	"cmp16/dfs+sift":    {0x7b94e7a49ddcb45f, 186, 197, 15, 184, 30, 167, "[15 31 14 30 13 29 12 28 11 27 10 26 9 25 8 24 7 23 6 22 5 21 4 20 3 19 2 18 1 17 0 16]"},
+	"cmp16/dfs+sift64":  {0xbd3ca5c122a09633, 156, 21131, 16, 184, 29, 168, "[15 31 14 30 13 29 12 28 11 27 10 26 9 25 8 24 7 23 6 22 5 21 4 20 3 19 2 18 1 17 0 16]"},
+	"radd16/dfs":        {0x67eca94949905b52, 1624, 3016, 16, 1622, 1396, 1620, ""},
+	"radd16/dfs+sift":   {0x67eca94949905b52, 1624, 3016, 16, 1622, 1396, 1620, "[0 16 32 1 17 2 18 3 19 4 20 5 21 6 22 7 23 8 24 9 25 10 26 11 27 12 28 13 29 14 30 15 31]"},
+	"radd16/dfs+sift64": {0xb3771651ca6ac878, 1288, 214795, 37, 1622, 1375, 1641, "[32 0 16 1 17 2 18 3 19 4 20 5 21 6 22 7 23 8 24 9 25 10 26 11 27 12 28 13 29 14 30 15 31]"},
+}
+
 // wantGCSequence pins the explicit GC -> Reorder -> rebuild sequence of
-// TestKernelIdentity, one entry per stage.
+// TestKernelIdentity from the declaration order, one entry per stage.
 var wantGCSequence = []kernelID{
 	{0xf078e33f5f7f8391, 512, 3129, 0, 0, 0, 0, "[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15]"},
 	{0xbd2f9cf9bb911f58, 25, 6669, 0, 0, 0, 0, "[0 8 1 9 2 10 3 11 4 12 5 13 6 14 7 15]"},
@@ -167,9 +204,41 @@ var wantTrips = map[string]string{
 	"radd16/nodes/sift":  "ok",
 }
 
+// wantDFSGCSequence pins the same sequence from the depth-first order.
+var wantDFSGCSequence = []kernelID{
+	{0xfef125f8cb5084dd, 25, 93, 0, 0, 0, 0, "[7 15 6 14 5 13 4 12 3 11 2 10 1 9 0 8]"},
+	{0x1a0d73a11c32a1fa, 25, 1339, 0, 0, 0, 0, "[7 15 6 14 5 13 4 12 3 11 2 10 1 9 0 8]"},
+	{0x3c33236d06395c9f, 90, 1432, 30, 65, 14, 79, "[7 15 6 14 5 13 4 12 3 11 2 10 1 9 0 8]"},
+	{0x54bbffbdaf024e4d, 25, 1432, 0, 0, 0, 0, "[7 15 6 14 5 13 4 12 3 11 2 10 1 9 0 8]"},
+}
+
+// wantDFSTrips pins the budget errors of the depth-first builds, keyed
+// circuit/limit/policy. Both circuits fit the budgets that trip the
+// declaration order; the "tight" limits sit below their built size.
+var wantDFSTrips = map[string]string{
+	"cmp16/steps/dfs":             "ok",
+	"cmp16/steps/dfs+sift":        "ok",
+	"cmp16/nodes/dfs":             "ok",
+	"cmp16/nodes/dfs+sift":        "ok",
+	"cmp16/tight-steps/dfs":       "steps/139/151",
+	"cmp16/tight-steps/dfs+sift":  "steps/139/151",
+	"cmp16/tight-nodes/dfs":       "nodes/129/140",
+	"cmp16/tight-nodes/dfs+sift":  "nodes/129/21104",
+	"radd16/steps/dfs":            "ok",
+	"radd16/steps/dfs+sift":       "ok",
+	"radd16/nodes/dfs":            "ok",
+	"radd16/nodes/dfs+sift":       "ok",
+	"radd16/tight-steps/dfs":      "steps/150/151",
+	"radd16/tight-steps/dfs+sift": "steps/150/151",
+	"radd16/tight-nodes/dfs":      "nodes/129/115",
+	"radd16/tight-nodes/dfs+sift": "nodes/129/23185",
+}
+
 // TestKernelIdentity checks that the kernel builds the same node graph,
 // with the same Ref numbers, sizes, step counts and table counters, as
 // the map-based kernel it replaced, and trips budgets at the same point.
+// Every check runs from the declaration order against the original pins
+// and from the default depth-first order against pins of its own.
 func TestKernelIdentity(t *testing.T) {
 	reg := obsv.Enable()
 	ctx := context.Background()
@@ -182,6 +251,40 @@ func TestKernelIdentity(t *testing.T) {
 			fmt.Fprintf(&report, "\t%q: %v,\n", key, got)
 		}
 	}
+	type limit struct {
+		name string
+		b    Budget
+	}
+	limits := []limit{
+		{"steps", Budget{MaxSteps: 200000}},
+		{"nodes", Budget{MaxNodes: 20000}},
+	}
+	// The depth-first order fits both limits above, so its trips are
+	// also pinned below its built size.
+	tight := append(limits[:2:2],
+		limit{"tight-steps", Budget{MaxSteps: 150}},
+		limit{"tight-nodes", Budget{MaxNodes: 128}},
+	)
+	orders := []struct {
+		decl   bool
+		prefix string // "" keeps the declaration order's original keys
+		ids    map[string]kernelID
+		gc     []kernelID
+		limits []limit
+		trips  map[string]string
+	}{
+		{true, "", wantKernelIDs, wantGCSequence, limits, wantTrips},
+		{false, "dfs", wantDFSKernelIDs, wantDFSGCSequence, tight, wantDFSTrips},
+	}
+	policyName := func(prefix, name string) string {
+		switch {
+		case prefix == "":
+			return name
+		case name == "fixed":
+			return prefix
+		}
+		return prefix + "+" + name
+	}
 
 	names, nets := identityNetworks(t)
 	policies := []struct {
@@ -192,92 +295,92 @@ func TestKernelIdentity(t *testing.T) {
 		{"sift", ReorderPolicy{Enable: true}},
 		{"sift64", ReorderPolicy{Enable: true, Threshold: 64}},
 	}
-	for _, name := range names {
-		nw := nets[name]
-		for _, pol := range policies {
-			key := name + "/" + pol.name
-			before := readKernelCounters(reg)
-			nb, err := FromNetworkOpts(ctx, nw, BuildOptions{Budget: untrippable, Reorder: pol.p})
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
+	for _, o := range orders {
+		for _, name := range names {
+			nw := nets[name]
+			for _, pol := range policies {
+				key := name + "/" + policyName(o.prefix, pol.name)
+				before := readKernelCounters(reg)
+				nb, err := FromNetworkOpts(ctx, nw, BuildOptions{Budget: untrippable, Reorder: pol.p, DeclarationOrder: o.decl})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				want, ok := o.ids[key]
+				check(key, identify(nb.M, reg, before, pol.p.Enable), want, ok)
 			}
-			want, ok := wantKernelIDs[key]
-			check(key, identify(nb.M, reg, before, pol.p.Enable), want, ok)
+			// The unbudgeted build takes the unchecked path through mk
+			// and ITE: the same graph and counters, with no steps
+			// counted.
+			before := readKernelCounters(reg)
+			nb, err := FromNetworkOpts(ctx, nw, BuildOptions{DeclarationOrder: o.decl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := name + "/" + policyName(o.prefix, "fixed")
+			want, ok := o.ids[key]
+			want.Steps = 0
+			check(name+"/"+policyName(o.prefix, "unbudgeted"), identify(nb.M, reg, before, false), want, ok)
 		}
-		// The unbudgeted build takes the unchecked path through mk and
-		// ITE: the same graph and counters, with no steps counted.
-		before := readKernelCounters(reg)
-		nb, err := FromNetwork(nw)
+
+		// GC, then Reorder, then rebuild every node function over the
+		// new order in the same manager.
+		nb, err := FromNetworkOpts(ctx, nets["cmp8"], BuildOptions{Budget: untrippable, DeclarationOrder: o.decl})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, ok := wantKernelIDs[name+"/fixed"]
-		want.Steps = 0
-		check(name+"/unbudgeted", identify(nb.M, reg, before, false), want, ok)
-	}
-
-	// GC, then Reorder, then rebuild every node function over the new
-	// order in the same manager.
-	nb, err := FromNetworkCtx(ctx, nets["cmp8"], untrippable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := nb.M
-	var outs []Ref
-	for _, o := range nets["cmp8"].POs() {
-		outs = append(outs, nb.Fn[o])
-	}
-	stages := []func(){
-		func() { m.GC(outs) },
-		func() {
-			if _, err := m.Reorder(outs, ReorderOptions{}); err != nil {
-				t.Fatal(err)
-			}
-		},
-		func() {
-			rebuildInto(t, m, nets["cmp8"])
-		},
-		func() { m.GC(outs[:1]) },
-	}
-	for i, stage := range stages {
-		before := readKernelCounters(reg)
-		stage()
-		got := identify(m, reg, before, true)
-		var want kernelID
-		ok := i < len(wantGCSequence)
-		if ok {
-			want = wantGCSequence[i]
+		m := nb.M
+		var outs []Ref
+		for _, po := range nets["cmp8"].POs() {
+			outs = append(outs, nb.Fn[po])
 		}
-		check(fmt.Sprintf("gc-sequence[%d]", i), got, want, ok)
-	}
+		stages := []func(){
+			func() { m.GC(outs) },
+			func() {
+				if _, err := m.Reorder(outs, ReorderOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			func() {
+				rebuildInto(t, m, nets["cmp8"])
+			},
+			func() { m.GC(outs[:1]) },
+		}
+		for i, stage := range stages {
+			before := readKernelCounters(reg)
+			stage()
+			got := identify(m, reg, before, true)
+			key := fmt.Sprintf("gc-sequence[%d]", i)
+			if o.prefix != "" {
+				key = fmt.Sprintf("%s-gc-sequence[%d]", o.prefix, i)
+			}
+			var want kernelID
+			ok := i < len(o.gc)
+			if ok {
+				want = o.gc[i]
+			}
+			check(key, got, want, ok)
+		}
 
-	for _, name := range []string{"cmp16", "radd16"} {
-		for _, b := range []struct {
-			limit string
-			b     Budget
-		}{
-			{"steps", Budget{MaxSteps: 200000}},
-			{"nodes", Budget{MaxNodes: 20000}},
-		} {
-			for _, sift := range []bool{false, true} {
-				key := fmt.Sprintf("%s/%s/fixed", name, b.limit)
-				if sift {
-					key = fmt.Sprintf("%s/%s/sift", name, b.limit)
-				}
-				_, err := FromNetworkOpts(ctx, nets[name], BuildOptions{
-					Budget:  b.b,
-					Reorder: ReorderPolicy{Enable: sift},
-				})
-				got := "ok"
-				var be *BudgetError
-				if errors.As(err, &be) {
-					got = fmt.Sprintf("%s/%d/%d", be.Reason, be.Nodes, be.Steps)
-				} else if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				if want, ok := wantTrips[key]; !ok || got != want {
-					t.Errorf("%s: got trip %s, want %s (pinned: %v)", key, got, want, ok)
-					fmt.Fprintf(&report, "\t%q: %q,\n", key, got)
+		for _, name := range []string{"cmp16", "radd16"} {
+			for _, b := range o.limits {
+				for _, pol := range policies[:2] {
+					key := fmt.Sprintf("%s/%s/%s", name, b.name, policyName(o.prefix, pol.name))
+					_, err := FromNetworkOpts(ctx, nets[name], BuildOptions{
+						Budget:           b.b,
+						Reorder:          pol.p,
+						DeclarationOrder: o.decl,
+					})
+					got := "ok"
+					var be *BudgetError
+					if errors.As(err, &be) {
+						got = fmt.Sprintf("%s/%d/%d", be.Reason, be.Nodes, be.Steps)
+					} else if err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+					if want, ok := o.trips[key]; !ok || got != want {
+						t.Errorf("%s: got trip %s, want %s (pinned: %v)", key, got, want, ok)
+						fmt.Fprintf(&report, "\t%q: %q,\n", key, got)
+					}
 				}
 			}
 		}
@@ -333,8 +436,8 @@ func TestProbabilitiesMatchesProbability(t *testing.T) {
 	names, nets := identityNetworks(t)
 	for _, name := range names {
 		nw := nets[name]
-		// The wide circuits take the sifted build: the fixed order of
-		// radd16 alone holds 1.4M nodes.
+		// The wide circuits also sift, so the check covers a manager
+		// whose order sifting has moved.
 		sift := len(nw.PIs()) > 16
 		nb, err := FromNetworkOpts(context.Background(), nw, BuildOptions{Reorder: ReorderPolicy{Enable: sift}})
 		if err != nil {

@@ -10,15 +10,18 @@ import (
 )
 
 // NetworkBDDs holds the global BDDs of a combinational network: one
-// function per node, expressed over the circuit inputs (primary inputs
-// followed by flip-flop outputs, in declaration order).
+// function per node, expressed over the circuit inputs. Variable indices
+// follow declaration order (primary inputs, then flip-flop outputs);
+// the levels those variables occupy follow the build's order (see
+// FromNetworkOpts), which M.Order reports.
 type NetworkBDDs struct {
 	M *Manager
 	// VarOf maps a PI or FF node to its BDD variable index.
 	VarOf map[logic.NodeID]int
 	// Fn maps every live node to its global function.
 	Fn map[logic.NodeID]Ref
-	// Vars lists the source nodes in variable order.
+	// Vars lists the source nodes by variable index: Vars[i] is the
+	// source of variable i.
 	Vars []logic.NodeID
 
 	// roots lists every Fn value in build order, so reordering can pin
@@ -61,12 +64,17 @@ func (p ReorderPolicy) threshold(b Budget) int {
 type BuildOptions struct {
 	Budget  Budget
 	Reorder ReorderPolicy
+	// DeclarationOrder places variable i at level i instead of using the
+	// depth-first order. Only measurements defined over the declaration
+	// order want it.
+	DeclarationOrder bool
 }
 
 // FromNetwork builds global BDDs for every node of the network. Primary
 // inputs take variables 0..|PI|-1 in declaration order, then flip-flop
 // outputs. Sequential networks are handled by treating FF outputs as free
-// inputs (the standard combinational abstraction).
+// inputs (the standard combinational abstraction). The variables are
+// levelled in depth-first order from the outputs (see FromNetworkOpts).
 func FromNetwork(nw *logic.Network) (*NetworkBDDs, error) {
 	return FromNetworkCtx(context.Background(), nw, Budget{})
 }
@@ -80,12 +88,21 @@ func FromNetworkCtx(ctx context.Context, nw *logic.Network, b Budget) (*NetworkB
 	return FromNetworkOpts(ctx, nw, BuildOptions{Budget: b})
 }
 
-// FromNetworkOpts is FromNetworkCtx with an explicit options bundle,
-// notably dynamic variable reordering: with Reorder.Enable the build
-// sifts the variable order whenever the live node count crosses the
-// policy threshold, which lets circuits whose declaration order is
-// pathological (e.g. wide comparators) fit budgets the fixed order
-// cannot.
+// FromNetworkOpts is FromNetworkCtx with an explicit options bundle.
+//
+// Before any node exists, the build levels the variables by a
+// depth-first walk: sources take levels in the order a walk from the
+// primary outputs, then from the flip-flop D inputs, first reaches them,
+// following fanins in order; sources it never reaches go last, in
+// declaration order. This is the ordering heuristic of Malik, Wang,
+// Brayton and Sangiovanni-Vincentelli (ICCAD 1988): inputs that meet
+// in the same cone sit at adjacent levels, which keeps the declaration
+// order's blow-ups (a wide comparator declares one operand's bits before
+// the other's) out of the graph. DeclarationOrder turns it off.
+//
+// With Reorder.Enable the build also sifts the variable order whenever
+// the live node count crosses the policy threshold, the fallback for
+// circuits whose depth-first order still does not fit the budget.
 func FromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (*NetworkBDDs, error) {
 	ctx, sp := trace.Start(ctx, "bdd.build")
 	nb, err := fromNetworkOpts(ctx, nw, opt)
@@ -108,6 +125,9 @@ func FromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (
 func fromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (*NetworkBDDs, error) {
 	srcs := append(append([]logic.NodeID(nil), nw.PIs()...), nw.FFs()...)
 	m := New(len(srcs))
+	if !opt.DeclarationOrder {
+		m.setOrder(dfsOrder(nw, srcs))
+	}
 	m.SetBudget(opt.Budget)
 	m.SetContext(ctx)
 	nb := &NetworkBDDs{
@@ -174,6 +194,56 @@ func fromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (
 		}
 	}
 	return nb, nil
+}
+
+// dfsOrder returns the depth-first level order of srcs (element l is the
+// variable index placed at level l), as FromNetworkOpts describes. The
+// walk is iterative, marking a node when it is popped, so it visits
+// nodes in the same preorder as the recursive walk without its depth.
+func dfsOrder(nw *logic.Network, srcs []logic.NodeID) []int32 {
+	// varOf holds a source's variable index plus one; 0 marks a gate.
+	varOf := make([]int32, nw.NumNodes())
+	for i, s := range srcs {
+		varOf[s] = int32(i) + 1
+	}
+	seen := make([]bool, nw.NumNodes())
+	order := make([]int32, 0, len(srcs))
+	var stack []logic.NodeID
+	walk := func(root logic.NodeID) {
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			if v := varOf[id]; v > 0 {
+				order = append(order, v-1)
+				continue
+			}
+			fanin := nw.Node(id).Fanin
+			for i := len(fanin) - 1; i >= 0; i-- {
+				if !seen[fanin[i]] {
+					stack = append(stack, fanin[i])
+				}
+			}
+		}
+	}
+	for _, po := range nw.POs() {
+		walk(po)
+	}
+	for _, ff := range nw.FFs() {
+		for _, d := range nw.Node(ff).Fanin {
+			walk(d)
+		}
+	}
+	for i, s := range srcs {
+		if !seen[s] {
+			order = append(order, int32(i))
+		}
+	}
+	return order
 }
 
 // Reorder sifts the manager's variable order, pinning every node

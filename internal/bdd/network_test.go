@@ -1,6 +1,8 @@
 package bdd
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -140,6 +142,75 @@ func TestFromNetworkAgainstTruthTable(t *testing.T) {
 		}
 		if got := nb.M.Eval(nb.Fn[o], in); got != out[0] {
 			t.Errorf("minterm %d: BDD=%v sim=%v", mt, got, out[0])
+		}
+	}
+}
+
+// TestFromNetworkDFSOrder checks the default levelling on a hand-built
+// net: sources take levels in first-visit order of a depth-first walk
+// from the POs in order, then from the FF D inputs, and sources the walk
+// never reaches go last in declaration order. Variable indices, Vars,
+// VarOf and Support stay in declaration order either way.
+func TestFromNetworkDFSOrder(t *testing.T) {
+	nw := logic.New("levels")
+	a := nw.MustInput("a")
+	b := nw.MustInput("b")
+	c := nw.MustInput("c")
+	d := nw.MustInput("d")
+	u := nw.MustInput("u") // read by nothing
+	x := nw.MustGate("x", logic.Xor, d, b)
+	q1, err := nw.AddDFF("q1", x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nq1 := nw.MustGate("nq1", logic.Not, q1)
+	q2, err := nw.AddDFF("q2", nq1, false) // read by nothing
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1 := nw.MustGate("g1", logic.And, c, a)
+	g2 := nw.MustGate("g2", logic.Or, b, q1)
+	for _, po := range []logic.NodeID{g1, g2} {
+		if err := nw.MarkOutput(po); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		decl bool
+		want string
+	}{
+		// g1 reaches c then a; g2 reaches b then q1; q1's D input
+		// reaches d (b is seen); q2's D input reaches nothing new; u
+		// and q2 follow in declaration order.
+		{false, "[2 0 1 5 3 4 6]"},
+		{true, "[0 1 2 3 4 5 6]"},
+	} {
+		nb, err := FromNetworkOpts(context.Background(), nw, BuildOptions{DeclarationOrder: tc.decl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := nb.M
+		if got := fmt.Sprint(m.Order()); got != tc.want {
+			t.Errorf("decl=%v: order %s, want %s", tc.decl, got, tc.want)
+		}
+		srcs := []logic.NodeID{a, b, c, d, u, q1, q2}
+		if got, want := fmt.Sprint(nb.Vars), fmt.Sprint(srcs); got != want {
+			t.Errorf("decl=%v: Vars %s, want %s", tc.decl, got, want)
+		}
+		for i, s := range srcs {
+			if nb.VarOf[s] != i {
+				t.Errorf("decl=%v: VarOf[%d] = %d, want %d", tc.decl, s, nb.VarOf[s], i)
+			}
+			if nb.Fn[s] != m.Var(i) {
+				t.Errorf("decl=%v: source %d is not variable %d", tc.decl, s, i)
+			}
+		}
+		if nb.Fn[g1] != m.And(m.Var(2), m.Var(0)) || nb.Fn[x] != m.Xor(m.Var(3), m.Var(1)) {
+			t.Errorf("decl=%v: gate functions wrong", tc.decl)
+		}
+		if got := fmt.Sprint(m.Support(nb.Fn[g2])); got != "[1 5]" {
+			t.Errorf("decl=%v: Support(g2) = %s, want [1 5]", tc.decl, got)
 		}
 	}
 }

@@ -187,13 +187,14 @@ func equalBools(a, b []bool) bool {
 // TestReorderShrinksComparator checks sifting pays off where the fixed
 // order is pathological: the magnitude comparator declares all c bits
 // before all d bits, which is exponential, while the interleaved order
-// sifting finds is linear.
+// sifting finds is linear. The build keeps the declaration order, since
+// the default depth-first order already interleaves the bits.
 func TestReorderShrinksComparator(t *testing.T) {
 	nw, err := circuits.Comparator(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := FromNetwork(nw)
+	nb, err := FromNetworkOpts(context.Background(), nw, BuildOptions{DeclarationOrder: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,11 +116,14 @@ type emitStats struct {
 
 // emitMux builds the network's BDDs and splices the MUX mapping in
 // place: fresh gates are emitted bottom-up, each primary-output driver
-// is redirected to its MUX root, and the displaced logic is swept.
+// is redirected to its MUX root, and the displaced logic is swept. The
+// build starts from the declaration order, which fixes the MUX netlist
+// (and E18's sifted and MUX columns) whatever the default order.
 func emitMux(ctx context.Context, nw *logic.Network, opt Options) (*emitStats, error) {
 	nb, err := bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
-		Budget:  opt.Budget,
-		Reorder: bdd.ReorderPolicy{Enable: !opt.NoReorder},
+		Budget:           opt.Budget,
+		Reorder:          bdd.ReorderPolicy{Enable: !opt.NoReorder},
+		DeclarationOrder: true,
 	})
 	if err != nil {
 		return nil, err

@@ -340,13 +340,14 @@ func (a *analyzer) patterns(fanins []logic.NodeID) []bdd.Ref {
 }
 
 // GlobalODC computes the observability don't-care function of a node over
-// the circuit's source variables (PIs then FFs, in declaration order): the
-// set of input vectors under which the node's value cannot influence any
-// primary output or flip-flop input. Used by guarded evaluation [44],
-// which synthesizes this condition into shut-off logic. The returned
-// manager carries one more variable than vars, at the bottom of the order:
-// the cut variable of the free-variable ODC construction, on which the ODC
-// never depends.
+// the circuit's source variables (variable i is vars[i]: PIs then FFs, in
+// declaration order; their levels follow bdd.FromNetwork's depth-first
+// order): the set of input vectors under which the node's value cannot
+// influence any primary output or flip-flop input. Used by guarded
+// evaluation [44], which synthesizes this condition into shut-off logic.
+// The returned manager carries one more variable than vars, at the bottom
+// of the order: the cut variable of the free-variable ODC construction,
+// on which the ODC never depends.
 func GlobalODC(nw *logic.Network, id logic.NodeID) (m *bdd.Manager, odc bdd.Ref, vars []logic.NodeID, err error) {
 	n := nw.Node(id)
 	if n == nil || !n.Type.IsGate() {

@@ -73,7 +73,9 @@ func e18Build(name string) (*logic.Network, error) {
 // e18FixedNodes reports the live BDD node count under the fixed
 // declaration order, or "trip" when it cannot fit the budget.
 func e18FixedNodes(nw *logic.Network, budget bdd.Budget) (string, error) {
-	nb, err := bdd.FromNetworkCtx(context.Background(), nw, budget)
+	nb, err := bdd.FromNetworkOpts(context.Background(), nw, bdd.BuildOptions{
+		Budget: budget, DeclarationOrder: true,
+	})
 	if err != nil {
 		if errors.Is(err, bdd.ErrBudgetExceeded) {
 			return "trip", nil

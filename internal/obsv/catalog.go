@@ -40,11 +40,11 @@ var catalog = map[string]MetricInfo{
 	"bdd.reorder.swaps":   {Type: "counter", Help: "Adjacent-level swaps performed while sifting."},
 	"bdd.reorder.saved":   {Type: "counter", Help: "Live BDD nodes eliminated by sifting reorder passes."},
 
-	"power.exact.nodes":    {Type: "counter", Help: "Nodes evaluated by the exact (BDD) estimator."},
-	"power.exact.degraded": {Type: "counter", Help: "Exact estimates degraded to seeded Monte Carlo on budget trip."},
+	"power.exact.nodes":     {Type: "counter", Help: "Nodes evaluated by the exact (BDD) estimator."},
+	"power.exact.degraded":  {Type: "counter", Help: "Exact estimates degraded to seeded Monte Carlo on budget trip."},
 	"power.exact.reordered": {Type: "counter", Help: "Exact estimates rescued by the reorder-retry rung before Monte Carlo."},
-	"power.prop.nodes":     {Type: "counter", Help: "Nodes propagated by the independence-assumption estimator."},
-	"power.density.diffs":  {Type: "counter", Help: "Boolean differences computed by the density estimator."},
+	"power.prop.nodes":      {Type: "counter", Help: "Nodes propagated by the independence-assumption estimator."},
+	"power.density.diffs":   {Type: "counter", Help: "Boolean differences computed by the density estimator."},
 
 	"flow.incr.measures":        {Type: "counter", Help: "Measurements taken by incremental flow estimators (cone splices and full recomputes)."},
 	"flow.incr.full_recomputes": {Type: "counter", Help: "Incremental measurements that fell back to a from-scratch recompute."},

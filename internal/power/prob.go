@@ -32,11 +32,13 @@ func (ps Probabilities) Activity(id logic.NodeID) float64 {
 // or cancellation it returns a *bdd.BudgetError (matching
 // bdd.ErrBudgetExceeded).
 //
-// When the fixed declaration order blows the budget, it retries once
-// with dynamic sifting reordering (the exact -> reorder -> retry rung of
-// the degradation ladder) before the caller falls back to Monte Carlo;
-// successful retries increment the power.exact.reordered counter. A
-// cancelled context is never retried — the caller asked to stop.
+// The first build uses the default depth-first variable order (see
+// bdd.FromNetworkOpts). When that order blows the budget, it retries
+// once with dynamic sifting reordering (the exact -> reorder -> retry
+// rung of the degradation ladder) before the caller falls back to Monte
+// Carlo; successful retries increment the power.exact.reordered
+// counter. A cancelled context is never retried — the caller asked to
+// stop.
 func ExactProbabilities(ctx context.Context, nw *logic.Network, inputProb Probabilities, b bdd.Budget) (Probabilities, error) {
 	nb, err := bdd.FromNetworkCtx(ctx, nw, b)
 	if err != nil {

@@ -3,27 +3,59 @@ package power
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/bdd"
 	"repro/internal/circuits"
+	"repro/internal/logic"
 	"repro/internal/obsv"
 )
 
-// TestEstimateExactCtxReorderRetry pins the new rung of the degradation
-// ladder: a wide comparator whose fixed declaration order blows a node
-// budget (and previously fell straight to Monte Carlo) must now complete
+// splitEquality builds a network whose depth-first variable order is
+// pathological: the first output ORs every a_i, so the walk levels all
+// the a_i before the equality output reaches any b_i, and a-before-b is
+// exponential for equality. The inputs are declared interleaved (a0, b0,
+// a1, b1, ...), which makes the declaration order the linear one.
+func splitEquality(t *testing.T, n int) *logic.Network {
+	t.Helper()
+	nw := logic.New(fmt.Sprintf("spliteq%d", n))
+	as := make([]logic.NodeID, n)
+	xs := make([]logic.NodeID, n)
+	for i := range as {
+		as[i] = nw.MustInput(fmt.Sprintf("a%d", i))
+		b := nw.MustInput(fmt.Sprintf("b%d", i))
+		xs[i] = nw.MustGate(fmt.Sprintf("x%d", i), logic.Xnor, as[i], b)
+	}
+	anyA := nw.MustGate("any", logic.Or, as...)
+	// A chain of two-input ANDs, so sifting can run between its gates.
+	eq := xs[0]
+	for i, x := range xs[1:] {
+		eq = nw.MustGate(fmt.Sprintf("eq%d", i+1), logic.And, eq, x)
+	}
+	for _, o := range []logic.NodeID{anyA, eq} {
+		if err := nw.MarkOutput(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nw
+}
+
+// TestEstimateExactCtxReorderRetry pins the sift rung of the degradation
+// ladder: a wide circuit whose depth-first order blows a node budget
+// (and would otherwise fall straight to Monte Carlo) must complete
 // exactly after the reorder-retry, with Degraded=false.
 func TestEstimateExactCtxReorderRetry(t *testing.T) {
-	nw, err := circuits.Comparator(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := splitEquality(t, 16)
 	b := bdd.Budget{MaxNodes: 20000}
-	// The premise: the fixed order cannot fit this budget.
+	// The premise: the default order cannot fit this budget.
 	if _, err := bdd.FromNetworkCtx(context.Background(), nw, b); err == nil || !errors.Is(err, bdd.ErrBudgetExceeded) {
-		t.Fatalf("fixed-order cmp16 unexpectedly fit a %d-node budget (err=%v)", b.MaxNodes, err)
+		t.Fatalf("spliteq16 unexpectedly fit a %d-node budget (err=%v)", b.MaxNodes, err)
+	}
+	// ... while the declaration order fits it: the order is at fault.
+	if _, err := bdd.FromNetworkOpts(context.Background(), nw, bdd.BuildOptions{Budget: b, DeclarationOrder: true}); err != nil {
+		t.Fatalf("declaration-order spliteq16 did not fit a %d-node budget: %v", b.MaxNodes, err)
 	}
 
 	reg := obsv.Enable()
@@ -70,17 +102,14 @@ func TestEstimateExactCtxReorderRetry(t *testing.T) {
 // TestExactProbabilitiesReorderRetryValues checks the retried path
 // returns per-node probabilities matching the unbudgeted computation.
 func TestExactProbabilitiesReorderRetryValues(t *testing.T) {
-	nw, err := circuits.Comparator(12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := splitEquality(t, 12)
 	plain, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := bdd.Budget{MaxNodes: 2000}
 	if _, err := bdd.FromNetworkCtx(context.Background(), nw, budget); !errors.Is(err, bdd.ErrBudgetExceeded) {
-		t.Fatalf("cmp12 unexpectedly fit %d nodes (err=%v)", budget.MaxNodes, err)
+		t.Fatalf("spliteq12 unexpectedly fit %d nodes (err=%v)", budget.MaxNodes, err)
 	}
 	retried, err := ExactProbabilities(context.Background(), nw, nil, budget)
 	if err != nil {

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -65,10 +67,37 @@ func awaitJob(t *testing.T, tsURL, id string) JobResponse {
 // that 504s under the sync default deadline completes through the job
 // API, and its result is byte-identical to an unconstrained sync run.
 func TestAsyncFlowOutlivesSyncDeadline(t *testing.T) {
-	// 1ms sync deadline: the lowpower flow over mult5 cannot finish.
-	ts := newTestServer(t, Config{DefaultTimeout: time.Millisecond, MaxTimeout: time.Minute})
+	// 1ms sync deadline. A channel-gated leader holds this flow's
+	// computation in flight, so the sync request joins it, outlives its
+	// deadline while waiting, and must get 504 however fast the flow
+	// itself is. It never queues for a worker, so the deadline cannot
+	// expire there instead (503).
+	s := New(Config{DefaultTimeout: time.Millisecond, MaxTimeout: time.Minute})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 	req := FlowRequest{circuitRef: circuitRef{Circuit: "mult5"}, Flow: "lowpower"}
+	spec, err := s.validateFlow(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent, err := s.resolveNetwork(context.Background(), spec.ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release, leaderDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		s.resultFor(context.Background(), flowKey(ent.hash, spec), func(context.Context) (cachedResult, error) {
+			close(started)
+			<-release
+			// Failing caches nothing: the async job below computes.
+			return cachedResult{}, errors.New("gated leader abandoned")
+		})
+	}()
+	<-started
 	status, body, _ := post(t, ts, "/v1/flow", req)
+	close(release)
+	<-leaderDone
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("sync flow under a 1ms deadline: status %d body %s, want 504", status, body)
 	}
