@@ -243,6 +243,71 @@ func BenchmarkEventDrivenSimInstrumented(b *testing.B) {
 	}
 }
 
+// uploadShapedDAG builds a seeded random combinational network shaped
+// like the netlists clients upload for simulated estimates: 100 two-input
+// gates (AND, OR, NAND, NOR, XOR, XNOR) over 8-16 inputs on 6-12 levels,
+// each gate taking its fanins mostly from the level below, and every gate
+// without fanout driving an output.
+func uploadShapedDAG(r *rand.Rand) *logic.Network {
+	const gates = 100
+	pis, levels := 8+r.Intn(9), 6+r.Intn(7)
+	types := []logic.GateType{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor}
+	nw := logic.New("upload")
+	var sig []logic.NodeID
+	for i := 0; i < pis; i++ {
+		sig = append(sig, nw.MustInput(fmt.Sprintf("i%d", i)))
+	}
+	// lo[l] is the first signal of level l; the inputs are level 0.
+	lo := []int{0, len(sig)}
+	pick := func() int {
+		l := len(lo) - 2 // the level below the one being built
+		if l > 0 && r.Intn(4) == 0 {
+			l = r.Intn(l)
+		}
+		return lo[l] + r.Intn(lo[l+1]-lo[l])
+	}
+	for g := 0; g < gates; g++ {
+		if g > 0 && g%((gates+levels-1)/levels) == 0 {
+			lo = append(lo, len(sig))
+		}
+		a, c := pick(), pick()
+		for c == a {
+			c = r.Intn(len(sig))
+		}
+		sig = append(sig, nw.MustGate(fmt.Sprintf("g%d", g), types[r.Intn(len(types))], sig[a], sig[c]))
+	}
+	for _, id := range sig[pis:] {
+		if len(nw.Node(id).Fanout()) == 0 {
+			if err := nw.MarkOutput(id); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return nw
+}
+
+// BenchmarkEventDrivenSimRandom times sequential unit-delay runs of 1024
+// random vectors over eight upload-shaped random networks per op: the
+// simulated estimates of uploaded netlists, whose cycles touch a few
+// dozen gates each.
+func BenchmarkEventDrivenSimRandom(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	nets := make([]*logic.Network, 8)
+	vecs := make([][][]bool, len(nets))
+	for i := range nets {
+		nets[i] = uploadShapedDAG(r)
+		vecs[i] = sim.RandomVectors(r, 1024, len(nets[i].PIs()), 0.5)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, nw := range nets {
+			if _, err := sim.MeasureRun(nw, sim.UnitDelay, vecs[j], 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkZeroDelayStep(b *testing.B) {
 	nw, err := circuits.ALU(8)
 	if err != nil {
@@ -250,6 +315,10 @@ func BenchmarkZeroDelayStep(b *testing.B) {
 	}
 	st := logic.NewState(nw)
 	in := make([]bool, len(nw.PIs()))
+	// The first Step compiles the network's view; time the steady state.
+	if _, err := st.Step(in); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in[0] = i%2 == 0

@@ -34,29 +34,11 @@ func (e *NoFaninError) Error() string {
 	return fmt.Sprintf("logic: %s gate evaluated with no fanin values", e.Type)
 }
 
-// TryEvalGate computes the output of a gate of type t given its fanin
-// values, returning an *UnsupportedGateError instead of panicking on
-// non-gate types. It is the entry point for code paths reachable from
-// external input (parsers, whole-network evaluation); validated hot loops
-// may keep using EvalGate.
-func TryEvalGate(t GateType, in []bool) (bool, error) {
-	if !t.IsGate() {
-		return false, &UnsupportedGateError{Type: t}
-	}
-	if len(in) == 0 {
-		// Gates have at least one fanin (see GateType.MinFanin); guard the
-		// in[0] accesses below against hand-built nodes.
-		return false, &NoFaninError{Type: t}
-	}
-	return EvalGate(t, in), nil
-}
-
 // EvalGate computes the output of a gate of type t given its fanin values.
 // It panics on non-gate types: it is the Must-style helper for validated
-// paths (simulator inner loops, generators) where the network has already
-// passed construction-time checks. Untrusted callers should use
-// TryEvalGate, and whole-network evaluation should go through
-// Network.EvalComb or State.Step, which return typed errors.
+// paths where the network has already passed construction-time checks.
+// Whole-network evaluation goes through Network.Compile (and so
+// Network.EvalComb and State.Step), which returns typed errors.
 func EvalGate(t GateType, in []bool) bool {
 	switch t {
 	case Buf:
@@ -167,16 +149,19 @@ func EvalPacked(n *Node, val []uint64) (uint64, error) {
 }
 
 // State holds the present values of every node in a network during
-// cycle-by-cycle zero-delay evaluation.
+// cycle-by-cycle zero-delay evaluation. It settles through the network's
+// compiled view (see Network.Compile), so a Step allocates only the
+// output slice it returns.
 type State struct {
-	nw  *Network
-	val []bool
+	nw   *Network
+	val  []bool
+	next []bool // flip-flop D values latched by Step
 }
 
 // NewState allocates an evaluation state with all flip-flops at their
 // initial values.
 func NewState(nw *Network) *State {
-	s := &State{nw: nw, val: make([]bool, len(nw.nodes))}
+	s := &State{nw: nw, val: make([]bool, len(nw.nodes)), next: make([]bool, len(nw.ffs))}
 	s.Reset()
 	return s
 }
@@ -214,53 +199,37 @@ func (s *State) Step(in []bool) ([]bool, error) {
 	for i, pi := range s.nw.pis {
 		s.val[pi] = in[i]
 	}
-	if err := s.settle(); err != nil {
+	c, err := s.settle()
+	if err != nil {
 		return nil, err
 	}
 	out := make([]bool, len(s.nw.pos))
 	for i, po := range s.nw.pos {
 		out[i] = s.val[po]
 	}
-	next := make([]bool, len(s.nw.ffs))
-	for i, f := range s.nw.ffs {
-		next[i] = s.val[s.nw.nodes[f].Fanin[0]]
+	for i, d := range c.FFD {
+		s.next[i] = s.val[d]
 	}
-	for i, f := range s.nw.ffs {
-		s.val[f] = next[i]
+	for i, f := range c.FFs {
+		s.val[f] = s.next[i]
 	}
 	return out, nil
 }
 
 // Settle evaluates the combinational logic under the current input and
 // flip-flop values without clocking the flip-flops.
-func (s *State) Settle() error { return s.settle() }
+func (s *State) Settle() error {
+	_, err := s.settle()
+	return err
+}
 
-func (s *State) settle() error {
-	order, err := s.nw.TopoOrder()
+func (s *State) settle() (*Compiled, error) {
+	c, err := s.nw.Compile()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var buf []bool
-	for _, id := range order {
-		n := s.nw.nodes[id]
-		switch n.Type {
-		case Const0:
-			s.val[id] = false
-		case Const1:
-			s.val[id] = true
-		default:
-			buf = buf[:0]
-			for _, f := range n.Fanin {
-				buf = append(buf, s.val[f])
-			}
-			v, err := TryEvalGate(n.Type, buf)
-			if err != nil {
-				return err
-			}
-			s.val[id] = v
-		}
-	}
-	return nil
+	c.Settle(s.val)
+	return c, nil
 }
 
 // EvalComb evaluates a purely combinational network for one input vector

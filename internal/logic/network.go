@@ -138,6 +138,10 @@ type Network struct {
 	topoCache []NodeID
 	topoErr   error
 	topoValid bool
+	// compiled caches Compile's view (or compileErr its failure) under
+	// the same lock and invalidation as the topological order.
+	compiled   *Compiled
+	compileErr error
 
 	// Dirty set: every mutation records the NodeIDs whose computed value
 	// may have changed — the seed of the incremental re-estimation cone
@@ -497,6 +501,8 @@ func (nw *Network) invalidateTopo() {
 	nw.topoValid = false
 	nw.topoCache = nil
 	nw.topoErr = nil
+	nw.compiled = nil
+	nw.compileErr = nil
 	nw.topoMu.Unlock()
 }
 
@@ -511,12 +517,16 @@ func (nw *Network) invalidateTopo() {
 func (nw *Network) TopoOrder() ([]NodeID, error) {
 	nw.topoMu.Lock()
 	defer nw.topoMu.Unlock()
-	if nw.topoValid {
-		return nw.topoCache, nw.topoErr
+	return nw.topoLocked()
+}
+
+// topoLocked is TopoOrder with topoMu held.
+func (nw *Network) topoLocked() ([]NodeID, error) {
+	if !nw.topoValid {
+		nw.topoCache, nw.topoErr = nw.topoOrder()
+		nw.topoValid = true
 	}
-	order, err := nw.topoOrder()
-	nw.topoCache, nw.topoErr, nw.topoValid = order, err, true
-	return order, err
+	return nw.topoCache, nw.topoErr
 }
 
 // topoOrder derives the order from scratch (Kahn's algorithm).

@@ -150,9 +150,6 @@ func TestEvalPackedErrors(t *testing.T) {
 		if !errors.As(err, &ne) || ne.Type != typ {
 			t.Errorf("%s with no fanins: got %v, want *NoFaninError", typ, err)
 		}
-		if _, err := logic.TryEvalGate(typ, nil); !errors.As(err, &ne) {
-			t.Errorf("TryEvalGate(%s, nil): got %v, want *NoFaninError", typ, err)
-		}
 	}
 	for typ, want := range map[logic.GateType]uint64{logic.Const0: 0, logic.Const1: ^uint64(0)} {
 		if w, err := logic.EvalPacked(&logic.Node{Type: typ}, val); err != nil || w != want {

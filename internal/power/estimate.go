@@ -156,37 +156,35 @@ func EstimateZeroDelayPacked(nw *logic.Network, p Params, cm CapModel, vectors [
 func measured(nw *logic.Network, p Params, cm CapModel, vectors [][]bool, activity func(logic.NodeID) float64) Report {
 	piAct := piActivity(nw, vectors)
 	return Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
-		if a, ok := piAct[id]; ok {
-			return a
+		if nw.Node(id).Type == logic.Input {
+			return piAct[id]
 		}
 		return activity(id)
 	})
 }
 
 // piActivity measures each primary input's activity from the vector
-// stream itself (the simulator does not charge source nets).
-func piActivity(nw *logic.Network, vectors [][]bool) map[logic.NodeID]float64 {
-	piAct := make(map[logic.NodeID]float64)
+// stream itself (the simulator does not charge source nets), indexed by
+// NodeID; other slots are 0. It walks the stream one vector at a time,
+// counting each input's toggles against the previous vector (the first
+// against the all-zero reset) without a branch.
+func piActivity(nw *logic.Network, vectors [][]bool) []float64 {
+	pis := nw.PIs()
+	act := make([]float64, nw.NumNodes())
 	if len(vectors) == 0 {
-		return piAct
+		return act
 	}
-	for i, pi := range nw.PIs() {
-		tr := 0
-		prev := false
-		for c, v := range vectors {
-			if c == 0 {
-				prev = v[i]
-				if prev { // initial settle from all-zero reset
-					tr++
-				}
-				continue
-			}
-			if v[i] != prev {
-				tr++
-				prev = v[i]
-			}
+	toggles := make([]int, len(pis))
+	prev := make([]bool, len(pis))
+	for _, v := range vectors {
+		v = v[:len(pis)]
+		for i, b := range v {
+			toggles[i] += logic.Bit(b != prev[i])
 		}
-		piAct[pi] = float64(tr) / float64(len(vectors))
+		prev = v
 	}
-	return piAct
+	for i, pi := range pis {
+		act[pi] = float64(toggles[i]) / float64(len(vectors))
+	}
+	return act
 }

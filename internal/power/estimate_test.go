@@ -3,6 +3,7 @@ package power
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -267,5 +268,63 @@ func TestEstimateSimulatedCancel(t *testing.T) {
 	}
 	if tr.changes == 0 || tr.changes >= total {
 		t.Errorf("cancelled run traced %d changes, full run %d (%d transitions): want a partial run", tr.changes, total, full.Totals.Transitions)
+	}
+}
+
+// piActivityPerInput is the column-major primary-input activity count
+// piActivity had before it walked the stream vector by vector, kept as
+// its oracle: one pass over the stream per input, branching per bit.
+func piActivityPerInput(nw *logic.Network, vectors [][]bool) map[logic.NodeID]float64 {
+	piAct := make(map[logic.NodeID]float64)
+	if len(vectors) == 0 {
+		return piAct
+	}
+	for i, pi := range nw.PIs() {
+		tr := 0
+		prev := false
+		for c, v := range vectors {
+			if c == 0 {
+				prev = v[i]
+				if prev { // initial settle from all-zero reset
+					tr++
+				}
+				continue
+			}
+			if v[i] != prev {
+				tr++
+				prev = v[i]
+			}
+		}
+		piAct[pi] = float64(tr) / float64(len(vectors))
+	}
+	return piAct
+}
+
+// TestPIActivityMatchesPerInputOracle compares the row-major count with
+// the oracle, bit for bit, at widths and stream lengths on both sides of
+// a 64-bit word; every slot that is not an input stays 0.
+func TestPIActivityMatchesPerInputOracle(t *testing.T) {
+	sizes := []int{0, 1, 63, 64, 65}
+	for _, width := range sizes {
+		nw := logic.New("pis")
+		k, err := nw.AddConst("k", true) // a non-input slot before the inputs
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < width; i++ {
+			nw.MustInput(fmt.Sprintf("i%d", i))
+		}
+		for _, n := range sizes {
+			vecs := sim.RandomVectors(rand.New(rand.NewSource(int64(width*100+n))), n, width, 0.3)
+			got, want := piActivity(nw, vecs), piActivityPerInput(nw, vecs)
+			if len(got) != nw.NumNodes() || got[k] != 0 {
+				t.Fatalf("width %d, %d vectors: %d slots, constant slot %v", width, n, len(got), got[k])
+			}
+			for _, pi := range nw.PIs() {
+				if got[pi] != want[pi] {
+					t.Errorf("width %d, %d vectors, input %d: %v, oracle %v", width, n, pi, got[pi], want[pi])
+				}
+			}
+		}
 	}
 }

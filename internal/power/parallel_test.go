@@ -114,8 +114,8 @@ func TestEstimateZeroDelayPackedMatchesScalar(t *testing.T) {
 	}
 	piAct := piActivity(nw, vecs)
 	want := Evaluate(nw, p, nil, func(id logic.NodeID) float64 {
-		if a, ok := piAct[id]; ok {
-			return a
+		if nw.Node(id).Type == logic.Input {
+			return piAct[id]
 		}
 		return s.UsefulActivity(id)
 	})

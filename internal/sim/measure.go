@@ -163,42 +163,19 @@ func chunkStarts(n, chunks int) []int {
 // whole prefix to carry the flip-flop state chain (still far cheaper than
 // the event-driven run, which also simulates every glitch).
 func boundaryStates(nw *logic.Network, vectors [][]bool, starts []int) ([][]bool, error) {
-	order, err := nw.TopoOrder()
+	cv, err := nw.Compile()
 	if err != nil {
 		return nil, err
 	}
 	pis := nw.PIs()
-	ffs := nw.FFs()
-
-	settle := func(val []bool) {
-		var buf []bool
-		for _, id := range order {
-			n := nw.Node(id)
-			switch n.Type {
-			case logic.Const0:
-				val[id] = false
-			case logic.Const1:
-				val[id] = true
-			default:
-				buf = buf[:0]
-				for _, f := range n.Fanin {
-					buf = append(buf, val[f])
-				}
-				val[id] = logic.EvalGate(n.Type, buf)
-			}
-		}
-	}
 	resetState := func() []bool {
 		val := make([]bool, nw.NumNodes())
-		for _, f := range ffs {
-			val[f] = nw.Node(f).InitVal
-		}
-		settle(val)
+		cv.Reset(val)
 		return val
 	}
 
 	states := make([][]bool, len(starts))
-	if len(ffs) == 0 {
+	if len(cv.FFs) == 0 {
 		for i, start := range starts {
 			if start == 0 {
 				states[i] = resetState()
@@ -209,7 +186,7 @@ func boundaryStates(nw *logic.Network, vectors [][]bool, starts []int) ([][]bool
 			for j, pi := range pis {
 				val[pi] = v[j]
 			}
-			settle(val)
+			cv.Settle(val)
 			states[i] = val
 		}
 		return states, nil
@@ -219,7 +196,7 @@ func boundaryStates(nw *logic.Network, vectors [][]bool, starts []int) ([][]bool
 	// (FFs load D from the settled state, then the inputs change) under
 	// zero delay, snapshotting the state entering each chunk.
 	val := resetState()
-	newFF := make([]bool, len(ffs))
+	newFF := make([]bool, len(cv.FFs))
 	next := 0
 	for t, v := range vectors {
 		for next < len(starts) && starts[next] == t {
@@ -229,16 +206,16 @@ func boundaryStates(nw *logic.Network, vectors [][]bool, starts []int) ([][]bool
 		if next == len(starts) {
 			break
 		}
-		for i, f := range ffs {
-			newFF[i] = val[nw.Node(f).Fanin[0]]
+		for i, d := range cv.FFD {
+			newFF[i] = val[d]
 		}
-		for i, f := range ffs {
+		for i, f := range cv.FFs {
 			val[f] = newFF[i]
 		}
 		for j, pi := range pis {
 			val[pi] = v[j]
 		}
-		settle(val)
+		cv.Settle(val)
 	}
 	return states, nil
 }

@@ -29,6 +29,7 @@ type PackedSimulator struct {
 	nw    *logic.Network
 	order []*logic.Node // levelized schedule (cached topo order, resolved)
 	pis   []logic.NodeID
+	lanes []uint64 // per-PI lane words of the block being packed
 
 	val   []uint64 // packed lane values per node
 	carry []uint64 // previous cycle's value (bit 0) per node
@@ -47,40 +48,27 @@ func NewPacked(nw *logic.Network) (*PackedSimulator, error) {
 	if n := len(nw.FFs()); n > 0 {
 		return nil, fmt.Errorf("sim: packed simulator requires a combinational network (%q has %d flip-flops)", nw.Name, n)
 	}
-	order, err := nw.TopoOrder()
+	cv, err := nw.Compile()
 	if err != nil {
 		return nil, err
 	}
 	ps := &PackedSimulator{
 		nw:     nw,
-		order:  make([]*logic.Node, len(order)),
+		order:  make([]*logic.Node, len(cv.Order)),
 		pis:    nw.PIs(),
+		lanes:  make([]uint64, len(nw.PIs())),
 		val:    make([]uint64, nw.NumNodes()),
 		carry:  make([]uint64, nw.NumNodes()),
 		reset:  make([]bool, nw.NumNodes()),
 		Counts: newCounts(nw.NumNodes(), true),
 	}
-	for i, id := range order {
-		ps.order[i] = nw.Node(id)
+	for i, id := range cv.Order {
+		ps.order[i] = nw.Node(logic.NodeID(id))
 	}
 	// Settle the all-zero input vector once: this is the baseline every
 	// node transitions away from on the first cycle, matching
 	// Simulator.Reset exactly.
-	var buf []bool
-	for _, n := range ps.order {
-		switch n.Type {
-		case logic.Const0:
-			ps.reset[n.ID] = false
-		case logic.Const1:
-			ps.reset[n.ID] = true
-		default:
-			buf = buf[:0]
-			for _, f := range n.Fanin {
-				buf = append(buf, ps.reset[f])
-			}
-			ps.reset[n.ID] = logic.EvalGate(n.Type, buf)
-		}
-	}
+	cv.Reset(ps.reset)
 	ps.Reset()
 	return ps, nil
 }
@@ -151,25 +139,13 @@ func (ps *PackedSimulator) RunCapture(vectors [][]bool, st *PackedState) (Totals
 
 func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error) {
 	var tot Totals
-	width := len(ps.pis)
 	for base := 0; base < len(vectors); base += 64 {
 		k := len(vectors) - base
 		if k > 64 {
 			k = 64
 		}
-		// Pack lane j of each input word from vector base+j.
-		for i, pi := range ps.pis {
-			var w uint64
-			for j := 0; j < k; j++ {
-				v := vectors[base+j]
-				if len(v) != width {
-					return tot, fmt.Errorf("sim: packed Run got %d-bit vector, network has %d inputs", len(v), width)
-				}
-				if v[i] {
-					w |= 1 << j
-				}
-			}
-			ps.val[pi] = w
+		if err := ps.pack(vectors[base : base+k]); err != nil {
+			return tot, err
 		}
 		// One word-level settle pass evaluates all 64 lanes of every gate.
 		for _, n := range ps.order {
@@ -207,4 +183,26 @@ func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error
 	}
 	tot.Useful = tot.Transitions
 	return tot, nil
+}
+
+// pack loads a block of at most 64 vectors into the primary inputs' lane
+// words: lane j of input i is bit i of vector j. It walks the block one
+// vector at a time and shifts each bit into its lane without a branch.
+func (ps *PackedSimulator) pack(block [][]bool) error {
+	width := len(ps.pis)
+	for _, v := range block {
+		if len(v) != width {
+			return fmt.Errorf("sim: packed Run got %d-bit vector, network has %d inputs", len(v), width)
+		}
+	}
+	clear(ps.lanes)
+	for j, v := range block {
+		for i, b := range v {
+			ps.lanes[i] |= uint64(logic.Bit(b)) << j
+		}
+	}
+	for i, pi := range ps.pis {
+		ps.val[pi] = ps.lanes[i]
+	}
+	return nil
 }

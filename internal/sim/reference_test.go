@@ -170,7 +170,7 @@ func refCycle(s *Simulator, q *refQueue, in []bool) CycleStats {
 		}
 	}
 
-	for _, id := range s.gates {
+	for _, id := range nw.Gates() {
 		if s.val[id] != initial[id] {
 			stats.Useful++
 			s.nodeUseful[id]++

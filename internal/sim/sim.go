@@ -8,11 +8,15 @@
 // that account for 10–40% of switching power in typical combinational
 // circuits (Ghosh et al. [16]). This package measures both.
 //
-// The event-driven Simulator queues gate evaluations on a timing wheel: a
-// ring of per-time FIFO slots indexed by cycle time, deduplicated by a
-// per-node time stamp, fed from consumer lists compiled once in New. Same-
-// time events are evaluated in the order they were scheduled, which fixes
-// every count and every tracer event.
+// The event-driven Simulator runs on the network's compiled view
+// (logic.Network.Compile): gate opcodes, CSR fanin lists and consumer
+// lists, shared with every other scalar evaluator. It queues gate
+// evaluations on a timing wheel: a ring of per-time FIFO slots indexed by
+// cycle time, deduplicated by a per-node time stamp. Same-time events are
+// evaluated in the order they were scheduled, which fixes every count and
+// every tracer event. A cycle's useful transitions are counted over the
+// gates that changed in it, recorded at their first change, so a cycle
+// costs time in proportion to its activity rather than to the circuit.
 package sim
 
 import (
@@ -89,21 +93,26 @@ func newMetrics() metrics {
 	}
 }
 
-// Simulator performs cycle-by-cycle event-driven simulation. New compiles
-// the network's delays, gate list and consumer lists, so the network must
-// not change while the simulator is in use.
+// Simulator performs cycle-by-cycle event-driven simulation over the
+// network's compiled view (logic.Network.Compile): opcodes, CSR fanin
+// lists and consumer lists, so an event costs neither a node lookup nor a
+// fanin copy. The network must not change while the simulator is in use.
 //
 // The event queue is a timing wheel of per-time FIFO slots, a power of two
 // longer than the largest gate delay, so every pending event (at most that
-// delay ahead of the time being drained) has a slot of its own. It costs
-// 12 bytes per node (a dedup stamp and a consumer offset) plus 8 per
-// fanout edge, and the slots keep their capacity across cycles, so the
-// steady-state hot loop does not allocate.
+// delay ahead of the time being drained) has a slot of its own. A cycle
+// costs time in proportion to its activity, not to the circuit: each gate
+// is recorded with its value at its first change in the cycle, and only
+// those gates are checked for a useful (net) transition. On top of the
+// shared compiled view (9 bytes per node, 8 per fanin edge) the simulator
+// holds 42 bytes per node: its value, a first-change flag and record, its
+// delay, its dedup stamp and its two counters. The slots keep their
+// capacity across cycles, so the steady-state hot loop does not allocate.
 type Simulator struct {
 	nw    *logic.Network
+	cv    *logic.Compiled
 	delay []int
 	val   []bool
-	gates []logic.NodeID // cached live gate IDs (stable while simulating)
 
 	// Counts holds the per-node cumulative transition counts across all
 	// simulated cycles since the last Reset.
@@ -115,12 +124,6 @@ type Simulator struct {
 	met    metrics
 	tracer Tracer
 
-	// Consumer lists in CSR form: the gates that read node id are
-	// cons[consStart[id]:consStart[id+1]], in fanout order, DFFs left
-	// out (they only load at the clock edge).
-	consStart []int32
-	cons      []logic.NodeID
-
 	// wheel[t&(len(wheel)-1)] holds the nodes to evaluate at cycle time
 	// t, in scheduling order. schedAt[id] is the absolute time (epoch+t)
 	// of id's latest scheduled evaluation: with a fixed delay per node
@@ -128,17 +131,28 @@ type Simulator struct {
 	// never decrease, so an event is already queued exactly when its
 	// time equals the stamp. epoch advances past every cycle's last time
 	// so stale stamps never match.
-	wheel       [][]logic.NodeID
+	wheel       [][]int32
 	schedAt     []int
 	epoch       int
 	outstanding int // events scheduled but not yet evaluated
 	cycleHWM    int // high-water mark of outstanding within the cycle
 
+	// touched[:n] lists the n gates that changed in the current cycle,
+	// each with its value before its first change; inTouched marks them.
+	// It has a slot per node, so recording never grows it.
+	touched   []firstChange
+	inTouched []bool
+
 	// Per-cycle scratch buffers.
-	initialBuf []bool
 	newFFBuf   []bool
-	changedBuf []logic.NodeID
-	evalBuf    []bool
+	changedBuf []int32
+}
+
+// firstChange is a gate that changed in the current cycle and the value
+// it held when the cycle began.
+type firstChange struct {
+	id      int32
+	initial bool
 }
 
 // New creates a simulator for the network under the given delay model.
@@ -148,81 +162,47 @@ func New(nw *logic.Network, dm DelayModel) (*Simulator, error) {
 	if dm == nil {
 		dm = UnitDelay
 	}
+	cv, err := nw.Compile()
+	if err != nil {
+		return nil, err
+	}
 	n := nw.NumNodes()
 	s := &Simulator{
-		nw:         nw,
-		delay:      make([]int, n),
-		val:        make([]bool, n),
-		Counts:     newCounts(n, false),
-		met:        newMetrics(),
-		gates:      nw.Gates(),
-		consStart:  make([]int32, n+1),
-		schedAt:    make([]int, n),
-		initialBuf: make([]bool, n),
-		newFFBuf:   make([]bool, len(nw.FFs())),
+		nw:        nw,
+		cv:        cv,
+		delay:     make([]int, n),
+		val:       make([]bool, n),
+		Counts:    newCounts(n, false),
+		met:       newMetrics(),
+		schedAt:   make([]int, n),
+		inTouched: make([]bool, n),
+		touched:   make([]firstChange, n),
+		newFFBuf:  make([]bool, len(cv.FFs)),
 	}
 	maxDelay := 1
-	for id := range s.delay {
-		s.consStart[id] = int32(len(s.cons))
-		nd := nw.Node(logic.NodeID(id))
-		if nd == nil {
-			continue
+	for _, id := range nw.Gates() {
+		nd := nw.Node(id)
+		d := dm(nd)
+		if d < 1 {
+			return nil, fmt.Errorf("sim: delay model gave %d for gate %q (must be >= 1)", d, nd.Name)
 		}
-		for _, c := range nd.Fanout() {
-			if cn := nw.Node(c); cn != nil && cn.Type.IsGate() {
-				s.cons = append(s.cons, c)
-			}
-		}
-		if nd.Type.IsGate() {
-			d := dm(nd)
-			if d < 1 {
-				return nil, fmt.Errorf("sim: delay model gave %d for gate %q (must be >= 1)", d, nd.Name)
-			}
-			s.delay[id] = d
-			maxDelay = max(maxDelay, d)
-		}
+		s.delay[id] = d
+		maxDelay = max(maxDelay, d)
 	}
-	s.consStart[n] = int32(len(s.cons))
 	slots := 2
 	for slots <= maxDelay {
 		slots *= 2
 	}
-	s.wheel = make([][]logic.NodeID, slots)
-	if err := s.Reset(); err != nil {
-		return nil, err
-	}
+	s.wheel = make([][]int32, slots)
+	s.Reset()
 	return s, nil
 }
 
 // Reset restores flip-flops to initial values and settles the network under
-// the all-false input vector without recording activity.
+// the all-false input vector without recording activity. The error is
+// always nil: New has already compiled the network.
 func (s *Simulator) Reset() error {
-	for i := range s.val {
-		s.val[i] = false
-	}
-	for _, f := range s.nw.FFs() {
-		s.val[f] = s.nw.Node(f).InitVal
-	}
-	order, err := s.nw.TopoOrder()
-	if err != nil {
-		return err
-	}
-	var buf []bool
-	for _, id := range order {
-		n := s.nw.Node(id)
-		switch n.Type {
-		case logic.Const0:
-			s.val[id] = false
-		case logic.Const1:
-			s.val[id] = true
-		default:
-			buf = buf[:0]
-			for _, f := range n.Fanin {
-				buf = append(buf, s.val[f])
-			}
-			s.val[id] = logic.EvalGate(n.Type, buf)
-		}
-	}
+	s.cv.Reset(s.val)
 	s.Counts.clear()
 	s.cycleBase = 0
 	return nil
@@ -250,9 +230,10 @@ func (s *Simulator) SetTracer(tr Tracer) { s.tracer = tr }
 
 // fanout schedules every consumer of id, each after its own delay from
 // cycle time t, skipping events already queued.
-func (s *Simulator) fanout(t int, id logic.NodeID) {
+func (s *Simulator) fanout(t int, id int32) {
 	mask := len(s.wheel) - 1
-	for _, c := range s.cons[s.consStart[id]:s.consStart[id+1]] {
+	cv := s.cv
+	for _, c := range cv.Cons[cv.ConsStart[id]:cv.ConsStart[id+1]] {
 		tc := t + s.delay[c]
 		if s.schedAt[c] == s.epoch+tc {
 			continue
@@ -260,9 +241,6 @@ func (s *Simulator) fanout(t int, id logic.NodeID) {
 		s.schedAt[c] = s.epoch + tc
 		s.wheel[tc&mask] = append(s.wheel[tc&mask], c)
 		s.outstanding++
-		if s.outstanding > s.cycleHWM {
-			s.cycleHWM = s.outstanding
-		}
 	}
 }
 
@@ -272,22 +250,22 @@ func (s *Simulator) fanout(t int, id logic.NodeID) {
 // 0 count as useful transitions of those source nets but are not included
 // in gate-output statistics.
 func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
-	if len(in) != len(s.nw.PIs()) {
-		return CycleStats{}, fmt.Errorf("sim: Cycle got %d inputs, network has %d", len(in), len(s.nw.PIs()))
+	pis := s.nw.PIs()
+	if len(in) != len(pis) {
+		return CycleStats{}, fmt.Errorf("sim: Cycle got %d inputs, network has %d", len(in), len(pis))
 	}
-	initial := s.initialBuf
-	copy(initial, s.val)
 	if s.tracer != nil {
 		s.tracer.BeginCycle(s.cycleBase + s.cycles)
 	}
 
 	// Clock edge: FFs adopt D values; then PIs change.
+	cv := s.cv
 	changed := s.changedBuf[:0]
 	newFF := s.newFFBuf
-	for i, f := range s.nw.FFs() {
-		newFF[i] = s.val[s.nw.Node(f).Fanin[0]]
+	for i, d := range cv.FFD {
+		newFF[i] = s.val[d]
 	}
-	for i, f := range s.nw.FFs() {
+	for i, f := range cv.FFs {
 		if s.val[f] != newFF[i] {
 			s.val[f] = newFF[i]
 			changed = append(changed, f)
@@ -297,29 +275,33 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 			s.nodeUseful[f]++
 		}
 	}
-	for i, pi := range s.nw.PIs() {
+	for i, pi := range pis {
 		if s.val[pi] != in[i] {
 			s.val[pi] = in[i]
-			changed = append(changed, pi)
+			changed = append(changed, int32(pi))
 		}
 	}
 	if s.tracer != nil {
 		for _, id := range changed {
-			s.tracer.Change(0, id, s.val[id])
+			s.tracer.Change(0, logic.NodeID(id), s.val[id])
 		}
 	}
 
 	// Seed events: every consumer of a changed source evaluates after its
 	// own delay. Then drain the wheel one time step at a time; a delay
-	// of at least 1 means nothing lands in the slot being drained.
-	s.outstanding, s.cycleHWM = 0, 0
+	// of at least 1 means nothing lands in the slot being drained, so the
+	// count of outstanding events only grows while a slot drains and its
+	// high-water mark is read once per slot.
+	s.outstanding = 0
 	for _, id := range changed {
 		s.fanout(0, id)
 	}
+	s.cycleHWM = s.outstanding
 	s.changedBuf = changed
 
 	stats := CycleStats{}
-	buf := s.evalBuf[:0]
+	touched := s.touched
+	nt := 0
 	t := 0
 	for s.outstanding > 0 {
 		t++
@@ -327,33 +309,35 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 		ids := *slot
 		s.outstanding -= len(ids)
 		for _, id := range ids {
-			n := s.nw.Node(id)
-			buf = buf[:0]
-			for _, f := range n.Fanin {
-				buf = append(buf, s.val[f])
-			}
-			nv := logic.EvalGate(n.Type, buf)
+			nv := cv.Eval(id, s.val)
 			if nv == s.val[id] {
 				continue
+			}
+			if !s.inTouched[id] {
+				s.inTouched[id] = true
+				touched[nt] = firstChange{id, !nv}
+				nt++
 			}
 			s.val[id] = nv
 			stats.Transitions++
 			s.nodeTransitions[id]++
 			if s.tracer != nil {
-				s.tracer.Change(t, id, nv)
+				s.tracer.Change(t, logic.NodeID(id), nv)
 			}
 			stats.SettleTime = t
 			s.fanout(t, id)
 		}
 		*slot = ids[:0]
+		s.cycleHWM = max(s.cycleHWM, s.outstanding)
 	}
 	s.epoch += t
-	s.evalBuf = buf
 
-	for _, id := range s.gates {
-		if s.val[id] != initial[id] {
+	// Only a gate that changed can end the cycle on a new value.
+	for _, fc := range touched[:nt] {
+		s.inTouched[fc.id] = false
+		if s.val[fc.id] != fc.initial {
 			stats.Useful++
-			s.nodeUseful[id]++
+			s.nodeUseful[fc.id]++
 		}
 	}
 	stats.Spurious = stats.Transitions - stats.Useful

@@ -3,15 +3,16 @@ package sim
 import "math/rand"
 
 // RandomVectors generates n input vectors of the given width where each bit
-// is independently 1 with probability p.
+// is independently 1 with probability p. The vectors share one backing
+// array, each capped at its own width so an append cannot reach the next.
 func RandomVectors(r *rand.Rand, n, width int, p float64) [][]bool {
 	out := make([][]bool, n)
+	bits := make([]bool, n*width)
+	for j := range bits {
+		bits[j] = r.Float64() < p
+	}
 	for i := range out {
-		v := make([]bool, width)
-		for j := range v {
-			v[j] = r.Float64() < p
-		}
-		out[i] = v
+		out[i] = bits[i*width : (i+1)*width : (i+1)*width]
 	}
 	return out
 }
