@@ -23,6 +23,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/core"
+	"repro/internal/dontcare"
 	"repro/internal/encode"
 	"repro/internal/experiments"
 	"repro/internal/gating"
@@ -749,17 +750,40 @@ func BenchmarkBddSiftVsFixed(b *testing.B) {
 	}
 }
 
-// BenchmarkExactReorderRetry times the exact estimate of the 16-bit
-// comparator under a 20000-node budget, which the declaration order
-// trips and the default depth-first order fits on the first build, so
-// the reorder-retry rung does not run here; the power package's reorder
-// tests cover it on a circuit whose depth-first order still trips. The
-// degraded metric must stay 0.
-func BenchmarkExactReorderRetry(b *testing.B) {
-	nw, err := circuits.Comparator(16)
-	if err != nil {
-		b.Fatal(err)
+// splitEquality builds the 16-bit split-equality net of the power
+// package's reorder tests: the first output ORs every a_i, so the
+// depth-first walk levels all the a_i before any b_i, which is
+// exponential for the equality output behind it.
+func splitEquality(b *testing.B, n int) *logic.Network {
+	b.Helper()
+	nw := logic.New(fmt.Sprintf("spliteq%d", n))
+	as := make([]logic.NodeID, n)
+	xs := make([]logic.NodeID, n)
+	for i := range as {
+		as[i] = nw.MustInput(fmt.Sprintf("a%d", i))
+		bi := nw.MustInput(fmt.Sprintf("b%d", i))
+		xs[i] = nw.MustGate(fmt.Sprintf("x%d", i), logic.Xnor, as[i], bi)
 	}
+	anyA := nw.MustGate("any", logic.Or, as...)
+	eq := xs[0]
+	for i, x := range xs[1:] {
+		eq = nw.MustGate(fmt.Sprintf("eq%d", i+1), logic.And, eq, x)
+	}
+	for _, o := range []logic.NodeID{anyA, eq} {
+		if err := nw.MarkOutput(o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return nw
+}
+
+// BenchmarkExactReorderRetry times the exact estimate of the 16-bit
+// split-equality net under a 20000-node budget. Its depth-first order
+// trips the budget, so every estimate climbs the ladder's reorder-retry
+// rung: a sifted rebuild that fits. The degraded metric (estimates that
+// fell through to Monte Carlo) must stay 0.
+func BenchmarkExactReorderRetry(b *testing.B) {
+	nw := splitEquality(b, 16)
 	p := power.DefaultParams()
 	spec := power.Spec{Method: power.MethodExact, Params: p,
 		ExactOptions: power.ExactOptions{Budget: bdd.Budget{MaxNodes: 20000}}}
@@ -812,5 +836,34 @@ func BenchmarkTruthTable(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDontCarePass times one don't-care pass, with observability
+// don't-cares as the flows run it, on the strashed multiplier and
+// carry-lookahead adder under the Area and NetworkPower objectives. Each
+// iteration rewrites a fresh clone; the clone is not timed.
+func BenchmarkDontCarePass(b *testing.B) {
+	for _, name := range []string{"mult5", "cla8"} {
+		base, err := circuits.Named(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := logic.Strash(base); err != nil {
+			b.Fatal(err)
+		}
+		for _, obj := range []dontcare.Objective{dontcare.Area, dontcare.NetworkPower} {
+			b.Run(name+"/"+obj.String(), func(b *testing.B) {
+				opts := dontcare.Options{Objective: obj, UseODC: true}
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					nw := base.Clone()
+					b.StartTimer()
+					if _, err := dontcare.OptimizeNetwork(nw, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

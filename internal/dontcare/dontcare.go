@@ -23,6 +23,26 @@
 // doubled since the last collection. Every decision, and so every
 // rewritten network, is bit-identical to rebuilding the global BDDs from
 // scratch for each gate.
+//
+// In front of the exact analysis sits a simulation witness filter. The
+// pass simulates every live node, 64 rows per word with logic.EvalPacked,
+// over R rows of the sources: all 2^n when n <= 11, otherwise 2048 from a
+// fixed-seed generator. A row that puts gate g's fanins at pattern p and
+// under which flipping g changes some PO or FF D input (g's transitive
+// fanout re-simulated with g inverted; without UseODC every row counts)
+// lies in cons_p ∧ ¬ODC, so p is neither a controllability nor an
+// observability don't-care. When all 2^k patterns have such a witness the
+// don't-care set is provably empty and the gate is skipped without
+// touching the BDDs. Otherwise the exact analysis runs, told which
+// patterns are witnessed: it needs g's ODC only for a producible pattern
+// without a witness, and when there is none (the don't-care set is then
+// exactly the unproducible patterns) the two fanout rebuilds are skipped.
+// An accepted rewrite re-simulates the whole network. Skipping changes
+// only which Refs the manager holds and when it collects, and every
+// decision depends on canonical functions (Ref equality within one
+// manager, Leq, probabilities over a fixed order), so the rewritten
+// networks stay bit-identical. The dontcare.gates.visited and
+// dontcare.gates.witnessed counters record each pass's totals.
 package dontcare
 
 import (
@@ -266,7 +286,7 @@ func Analyze(nw *logic.Network, id logic.NodeID, inputProb power.Probabilities, 
 	if err != nil {
 		return nil, err
 	}
-	return a.analyze(id, useODC)
+	return a.analyze(id, useODC, nil)
 }
 
 // checkGate validates an Analyze target.
@@ -281,19 +301,31 @@ func checkGate(nw *logic.Network, id logic.NodeID) error {
 	return nil
 }
 
-// analyze is Analyze over the shared view.
-func (a *analyzer) analyze(id logic.NodeID, useODC bool) (*NodeDC, error) {
+// analyze is Analyze over the shared view. observed, when not nil, marks
+// local patterns known to occur on an input under which the gate is
+// observable (the witness filter's rows): such a pattern is no don't-care,
+// so its ODC test is skipped, and when it covers every producible pattern
+// the gate's ODC is not built at all. The result is the same either way.
+func (a *analyzer) analyze(id logic.NodeID, useODC bool, observed []bool) (*NodeDC, error) {
 	if err := checkGate(a.nw, id); err != nil {
 		return nil, err
 	}
 	n := a.nw.Node(id)
 	k := len(n.Fanin)
 	m := a.m
+	cons := a.patterns(n.Fanin)
+	// open marks the patterns whose observability is still in question.
+	open := func(pat int) bool {
+		return useODC && cons[pat] != bdd.False && (observed == nil || !observed[pat])
+	}
 	odcRef := bdd.False
-	if useODC {
-		var err error
-		if odcRef, err = a.odc(id); err != nil {
-			return nil, err
+	for pat := range cons {
+		if open(pat) {
+			var err error
+			if odcRef, err = a.odc(id); err != nil {
+				return nil, err
+			}
+			break
 		}
 	}
 	res := &NodeDC{
@@ -303,11 +335,11 @@ func (a *analyzer) analyze(id logic.NodeID, useODC bool) (*NodeDC, error) {
 		DC:          sop.NewCover(k),
 		PatternProb: make([]float64, 1<<k),
 	}
-	for pat, cons := range a.patterns(n.Fanin) {
-		res.PatternProb[pat] = a.probability(cons)
+	for pat, c := range cons {
+		res.PatternProb[pat] = a.probability(c)
 		// CDC: the pattern is not producible. ODC: every producing input
 		// is unobservable.
-		if cons == bdd.False || (useODC && m.Leq(cons, odcRef)) {
+		if c == bdd.False || (open(pat) && m.Leq(c, odcRef)) {
 			res.DC.Cubes = append(res.DC.Cubes, mintermCube(pat, k))
 		}
 	}

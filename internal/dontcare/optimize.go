@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/logic"
+	"repro/internal/obsv"
 	"repro/internal/power"
 	"repro/internal/sop"
 )
@@ -74,6 +75,13 @@ func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 	}
 	var res Result
 	var a *analyzer
+	var wit *witness
+	witnessed := 0
+	defer func() {
+		reg := obsv.Default()
+		reg.Counter("dontcare.gates.visited").Add(int64(res.NodesVisited))
+		reg.Counter("dontcare.gates.witnessed").Add(int64(witnessed))
+	}()
 	// Snapshot gate list: rewrites add nodes we must not revisit.
 	gates := nw.Gates()
 	for _, id := range gates {
@@ -90,13 +98,29 @@ func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 			if a, err = newAnalyzer(nw, opts.InputProb); err != nil {
 				return res, err
 			}
+			if wit, err = newWitness(nw, a.nb.Vars); err != nil {
+				return res, err
+			}
 		}
-		changed, err := a.optimizeNode(id, opts)
+		// A gate whose don't-care set simulation proves empty would come
+		// back unchanged from the exact analysis.
+		observed, all, err := wit.witnessed(id, opts.UseODC)
+		if err != nil {
+			return res, err
+		}
+		if all {
+			witnessed++
+			continue
+		}
+		changed, err := a.optimizeNode(id, opts, observed)
 		if err != nil {
 			return res, err
 		}
 		if changed {
 			res.NodesRewritten++
+			if err := wit.refresh(); err != nil {
+				return res, err
+			}
 		}
 		a.maybeCollect()
 	}
@@ -104,8 +128,10 @@ func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 	return res, nil
 }
 
-func (a *analyzer) optimizeNode(id logic.NodeID, opts Options) (bool, error) {
-	dc, err := a.analyze(id, opts.UseODC)
+// optimizeNode rewrites gate id if its don't-care set allows a better
+// cover; observed is passed on to analyze.
+func (a *analyzer) optimizeNode(id logic.NodeID, opts Options, observed []bool) (bool, error) {
+	dc, err := a.analyze(id, opts.UseODC, observed)
 	if err != nil {
 		return false, err
 	}

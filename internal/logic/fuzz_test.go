@@ -87,3 +87,72 @@ func FuzzEvalNetwork(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBLIFRoundTrip asserts that every netlist ReadBLIF accepts survives
+// WriteBLIF and a second ReadBLIF: the write succeeds, the re-read
+// succeeds with the same numbers of primary inputs and outputs, and a
+// small combinational network (at most 16 inputs, no flip-flops) keeps
+// every output's truth table. Seeds are small generator netlists, which
+// keep the fuzzer's minimization of interesting inputs short, and the
+// sequential toggler of FuzzEvalNetwork.
+func FuzzBLIFRoundTrip(f *testing.F) {
+	seeds := []func() (*logic.Network, error){
+		func() (*logic.Network, error) { return circuits.RippleAdder(3) },
+		func() (*logic.Network, error) { return circuits.CLAAdder(2) },
+		func() (*logic.Network, error) { return circuits.ArrayMultiplier(2) },
+		func() (*logic.Network, error) { return circuits.Comparator(2) },
+		func() (*logic.Network, error) { return circuits.Decoder(2) },
+		func() (*logic.Network, error) { return circuits.MuxTree(2) },
+	}
+	for _, gen := range seeds {
+		nw, err := gen()
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := logic.WriteBLIF(&buf, nw); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(".model toggler\n.inputs en\n.outputs q\n.latch d q 0\n.names en q d\n01 1\n10 1\n.end\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := logic.ReadBLIF(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if a.NumNodes() > 20000 {
+			return // keep fuzz iterations fast; size is input-proportional
+		}
+		var buf bytes.Buffer
+		if err := logic.WriteBLIF(&buf, a); err != nil {
+			t.Fatalf("WriteBLIF of a parsed network: %v", err)
+		}
+		b, err := logic.ReadBLIF(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading WriteBLIF output: %v\n%s", err, buf.Bytes())
+		}
+		if len(a.PIs()) != len(b.PIs()) || len(a.POs()) != len(b.POs()) {
+			t.Fatalf("round trip changed the interface: %d/%d inputs, %d/%d outputs",
+				len(a.PIs()), len(b.PIs()), len(a.POs()), len(b.POs()))
+		}
+		if len(a.PIs()) > 16 || len(a.FFs()) != 0 {
+			return
+		}
+		ta, err := a.TruthTable()
+		if err != nil {
+			return // e.g. a combinational cycle, which TruthTable reports
+		}
+		tb, err := b.TruthTable()
+		if err != nil {
+			t.Fatalf("truth table of the re-read network: %v", err)
+		}
+		for i := range ta {
+			for w := range ta[i] {
+				if ta[i][w] != tb[i][w] {
+					t.Fatalf("output %d, word %d: %x before the round trip, %x after", i, w, ta[i][w], tb[i][w])
+				}
+			}
+		}
+	})
+}

@@ -46,6 +46,9 @@ var catalog = map[string]MetricInfo{
 	"power.prop.nodes":      {Type: "counter", Help: "Nodes propagated by the independence-assumption estimator."},
 	"power.density.diffs":   {Type: "counter", Help: "Boolean differences computed by the density estimator."},
 
+	"dontcare.gates.visited":   {Type: "counter", Help: "Gates the don't-care pass visited (recorded once per pass)."},
+	"dontcare.gates.witnessed": {Type: "counter", Help: "Visited gates whose empty don't-care set simulation witnessed, skipping the exact BDD analysis."},
+
 	"flow.incr.measures":        {Type: "counter", Help: "Measurements taken by incremental flow estimators (cone splices and full recomputes)."},
 	"flow.incr.full_recomputes": {Type: "counter", Help: "Incremental measurements that fell back to a from-scratch recompute."},
 	"flow.incr.cone_nodes":      {Type: "counter", Help: "Dirty-cone nodes re-derived by incremental measurements."},
