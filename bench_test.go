@@ -867,3 +867,31 @@ func BenchmarkDontCarePass(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFlowStandard times whole standard flows as a client runs
+// them: mult5 and cla8 under bddmux and lowpower, full (non-incremental)
+// measurement after every pass, per-pass verification on,
+// NewContext(nw, 1). Each iteration runs on a fresh clone with a fresh
+// context; neither is timed.
+func BenchmarkFlowStandard(b *testing.B) {
+	for _, name := range []string{"mult5", "cla8"} {
+		base, err := circuits.Named(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, flowName := range []string{"bddmux", "lowpower"} {
+			flow := core.StandardFlows()[flowName]
+			b.Run(name+"/"+flowName, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					nw := base.Clone()
+					fctx := core.NewContext(nw, 1)
+					b.StartTimer()
+					if _, err := core.RunFlow(nw, flow, fctx); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -6,7 +6,8 @@
 // switching activity improves. The variable order found by sifting is
 // what makes the mapping competitive: it simultaneously minimizes node
 // count and, through it, the amount of multiplexer hardware that can
-// toggle.
+// toggle. Each call does one build, emitted twice: into a clone for
+// scoring and, when the rewrite is accepted, into the live network.
 package bddsynth
 
 import (
@@ -55,9 +56,10 @@ type Result struct {
 // Synthesize rewrites the combinational network as a BDD-derived MUX
 // netlist when that lowers the propagated-probability power estimate.
 // Sequential networks and budget-tripping builds are skipped, not
-// failed, so the transform is safe inside any flow. The candidate is
-// evaluated on a clone first; the live network is only mutated when the
-// rewrite is accepted.
+// failed, so the transform is safe inside any flow. One build, emitted
+// twice: the BDDs are built once from nw, emitted into a clone to score
+// the candidate, and emitted again into nw only when the rewrite is
+// accepted.
 func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, error) {
 	if opt.Budget == (bdd.Budget{}) {
 		opt.Budget = bdd.Budget{MaxNodes: 1 << 20}
@@ -77,12 +79,22 @@ func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, e
 		return nil, fmt.Errorf("bddsynth: scoring input network: %w", err)
 	}
 
-	clone := nw.Clone()
-	stats, err := emitMux(ctx, clone, opt)
+	// One build serves both emissions below: the clone keeps nw's NodeIDs,
+	// so nb's functions and select variables name the same nodes in both.
+	nb, err := bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
+		Budget:           opt.Budget,
+		Reorder:          bdd.ReorderPolicy{Enable: !opt.NoReorder},
+		DeclarationOrder: true,
+	})
 	if err != nil {
 		if errors.Is(err, bdd.ErrBudgetExceeded) {
 			return &Result{Skipped: true, Reason: "BDD budget exceeded: " + err.Error(), Before: before.Total()}, nil
 		}
+		return nil, err
+	}
+	clone := nw.Clone()
+	muxGates, err := emitMux(clone, nb)
+	if err != nil {
 		return nil, err
 	}
 	after, err := power.Estimate(ctx, clone, score)
@@ -90,45 +102,33 @@ func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, e
 		return nil, fmt.Errorf("bddsynth: scoring candidate: %w", err)
 	}
 	res := &Result{
-		BDDNodes: stats.bddNodes,
-		MuxGates: stats.muxGates,
+		BDDNodes: nb.M.Size() - 2,
+		MuxGates: muxGates,
 		Before:   before.Total(),
 		After:    after.Total(),
-		Order:    stats.order,
+		Order:    nb.M.Order(),
 	}
 	if !opt.KeepWorse && res.After >= res.Before {
 		return res, nil
 	}
-	// Accepted: replay the identical deterministic transform on the live
-	// network through the mutation APIs, keeping dirty tracking honest.
-	if _, err := emitMux(ctx, nw, opt); err != nil {
-		return nil, fmt.Errorf("bddsynth: replaying accepted rewrite: %w", err)
+	// Accepted: emit the same BDD into the live network through the
+	// mutation APIs, keeping dirty tracking honest. Emission reads only
+	// the BDD's structure, so nw ends up identical to the scored clone.
+	if _, err := emitMux(nw, nb); err != nil {
+		return nil, fmt.Errorf("bddsynth: applying accepted rewrite: %w", err)
 	}
 	res.Applied = true
 	return res, nil
 }
 
-type emitStats struct {
-	bddNodes int
-	muxGates int
-	order    []int
-}
-
-// emitMux builds the network's BDDs and splices the MUX mapping in
-// place: fresh gates are emitted bottom-up, each primary-output driver
-// is redirected to its MUX root, and the displaced logic is swept. The
-// build starts from the declaration order, which fixes the MUX netlist
-// (and E18's sifted and MUX columns) whatever the default order.
-func emitMux(ctx context.Context, nw *logic.Network, opt Options) (*emitStats, error) {
-	nb, err := bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
-		Budget:           opt.Budget,
-		Reorder:          bdd.ReorderPolicy{Enable: !opt.NoReorder},
-		DeclarationOrder: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	m := nb.M
+// emitMux splices the MUX mapping of nb into nw in place and returns the
+// number of gates it added: fresh gates are emitted bottom-up, each
+// primary-output driver is redirected to its MUX root, and the displaced
+// logic is swept. nb must be built from nw, or from a network nw was
+// cloned from, starting at the declaration order, which fixes the MUX
+// netlist (and E18's sifted and MUX columns) whatever the default order.
+// Emission only reads nb, so one build can be emitted more than once.
+func emitMux(nw *logic.Network, nb *bdd.NetworkBDDs) (int, error) {
 	e := &emitter{
 		nw: nw, nb: nb,
 		memo:   make(map[bdd.Ref]logic.NodeID),
@@ -146,11 +146,11 @@ func emitMux(ctx context.Context, nw *logic.Network, opt Options) (*emitStats, e
 		}
 		f, ok := nb.Fn[old]
 		if !ok {
-			return nil, fmt.Errorf("bddsynth: no BDD for PO driver %d", old)
+			return 0, fmt.Errorf("bddsynth: no BDD for PO driver %d", old)
 		}
 		nd, err := e.emit(f)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		newDriver[old] = nd
 	}
@@ -164,15 +164,11 @@ func emitMux(ctx context.Context, nw *logic.Network, opt Options) (*emitStats, e
 		}
 		redirected[old] = true
 		if err := nw.ReplaceNode(old, nd); err != nil {
-			return nil, fmt.Errorf("bddsynth: redirecting PO driver %d: %w", old, err)
+			return 0, fmt.Errorf("bddsynth: redirecting PO driver %d: %w", old, err)
 		}
 	}
 	nw.SweepDead()
-	return &emitStats{
-		bddNodes: m.Size() - 2,
-		muxGates: e.emitted,
-		order:    m.Order(),
-	}, nil
+	return e.emitted, nil
 }
 
 // emitter maps BDD nodes to MUX gates, sharing subgraphs through the

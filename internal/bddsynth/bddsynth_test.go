@@ -8,6 +8,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/logic"
+	"repro/internal/obsv"
 )
 
 // smallNetworks returns every combinational generator circuit small
@@ -189,5 +190,53 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	}
 	if n1.NumGates() != n2.NumGates() {
 		t.Fatalf("gate counts differ: %d vs %d", n1.NumGates(), n2.NumGates())
+	}
+}
+
+// TestSynthesizeBuildsOnce pins one build per call: an applied rewrite
+// runs exactly the sifting of one lone declaration-order build, and the
+// applied network is that build emitted into a fresh clone.
+func TestSynthesizeBuildsOnce(t *testing.T) {
+	runs := obsv.Enable().Counter("bdd.reorder.runs")
+	for name, gen := range map[string]func() (*logic.Network, error){
+		"cla8":  func() (*logic.Network, error) { return circuits.CLAAdder(8) },
+		"cmp12": func() (*logic.Network, error) { return circuits.Comparator(12) },
+	} {
+		nw, err := gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := runs.Value()
+		nb, err := bdd.FromNetworkOpts(context.Background(), nw, bdd.BuildOptions{
+			Budget:           bdd.Budget{MaxNodes: 1 << 20},
+			Reorder:          bdd.ReorderPolicy{Enable: true},
+			DeclarationOrder: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lone := runs.Value() - start
+		if lone == 0 {
+			t.Fatalf("%s: the lone build never sifted", name)
+		}
+		want := nw.Clone()
+		if _, err := emitMux(want, nb); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+
+		start = runs.Value()
+		res, err := Synthesize(context.Background(), nw, Options{KeepWorse: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Applied {
+			t.Fatalf("%s: KeepWorse rewrite not applied: %+v", name, res)
+		}
+		if got := runs.Value() - start; got != lone {
+			t.Fatalf("%s: Synthesize ran %d reorders, one build runs %d", name, got, lone)
+		}
+		if got, w := logic.StructuralHash(nw), logic.StructuralHash(want); got != w {
+			t.Fatalf("%s: applied network differs from one build emitted into a clone", name)
+		}
 	}
 }

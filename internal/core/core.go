@@ -367,6 +367,15 @@ func RunFlow(nw *logic.Network, flow Flow, fctx *Context) (*FlowReport, error) {
 // FlowReport accumulated so far is returned ALONGSIDE the error — the
 // steps already measured stay valid even though the flow did not finish.
 // All other errors return a nil report, as before.
+//
+// Each piece of work is done once. Verification tabulates the input
+// network's truth table once at flow start (logic.NewReference) and
+// compares every pass's result against it. A measurement is a pure
+// function of the network and fctx, so a pass that leaves the network
+// byte-identical to the one last measured (same logic.StructuralHash)
+// carries the previous snapshot forward under its own label instead of
+// measuring again (counted by lpflow.measure.reused); in incremental
+// mode the dirty set then waits for the next measurement.
 func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context) (*FlowReport, error) {
 	reg := Registry()
 	for name, p := range fctx.ExtraPasses {
@@ -398,12 +407,15 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 		return nil, err
 	}
 	rep.Steps = append(rep.Steps, snap)
-	var golden *logic.Network
-	verify := fctx.Verify && len(nw.PIs()) <= 16 && len(nw.FFs()) == 0
-	if verify {
-		golden = nw.Clone()
+	measured := logic.StructuralHash(nw)
+	var golden *logic.Reference
+	if fctx.Verify && len(nw.PIs()) <= 16 && len(nw.FFs()) == 0 {
+		if golden, err = logic.NewReference(nw); err != nil {
+			return nil, err
+		}
 	}
 	obs := obsv.Default()
+	reused := obs.Counter("lpflow.measure.reused")
 	flowStart := time.Now()
 	for _, name := range flow.Passes {
 		if cerr := ctx.Err(); cerr != nil {
@@ -442,8 +454,8 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 				nw.ClearDirty()
 			}
 		}
-		if verify {
-			eq, err := logic.Equivalent(golden, nw)
+		if golden != nil {
+			eq, err := golden.Equivalent(nw)
 			if err != nil {
 				return nil, err
 			}
@@ -452,7 +464,18 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 			}
 		}
 		prev := rep.Steps[len(rep.Steps)-1]
-		snap, err := measure(name)
+		snap := prev
+		snap.Label = name
+		if h := logic.StructuralHash(nw); h != measured {
+			measured = h
+			snap, err = measure(name)
+		} else if err = ctx.Err(); err == nil {
+			// Byte-identical to the network last measured, and a
+			// measurement is a pure function of the network and fctx:
+			// measuring again would return prev. In incremental mode the
+			// dirty set stays for the next measurement to consume.
+			reused.Inc()
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return rep, fmt.Errorf("core: flow %q stopped measuring after pass %q: %w", flow.Name, name, err)

@@ -316,24 +316,59 @@ func (nw *Network) TruthTable() ([][]uint64, error) {
 // number of inputs and outputs compute the same functions, by exhaustive
 // simulation (inputs are matched by position). Both must have <= 20 inputs.
 func Equivalent(a, b *Network) (bool, error) {
-	if len(a.PIs()) != len(b.PIs()) || len(a.POs()) != len(b.POs()) {
-		return false, fmt.Errorf("logic: Equivalent on mismatched interfaces (%d/%d inputs, %d/%d outputs)",
-			len(a.PIs()), len(b.PIs()), len(a.POs()), len(b.POs()))
+	if err := sameInterface(len(a.pis), len(a.pos), b); err != nil {
+		return false, err
 	}
-	ta, err := a.TruthTable()
+	ref, err := NewReference(a)
 	if err != nil {
 		return false, err
 	}
-	tb, err := b.TruthTable()
+	return ref.Equivalent(b)
+}
+
+// Reference is a combinational network's function frozen as its truth
+// table, so that many later versions of the network can be checked
+// against it without evaluating the original again.
+type Reference struct {
+	pis int
+	tt  [][]uint64
+}
+
+// NewReference tabulates nw (at most 20 inputs, no flip-flops).
+func NewReference(nw *Network) (*Reference, error) {
+	tt, err := nw.TruthTable()
+	if err != nil {
+		return nil, err
+	}
+	return &Reference{pis: len(nw.pis), tt: tt}, nil
+}
+
+// Equivalent reports whether nw computes the reference's functions,
+// matching inputs and outputs by position, under the same rules and
+// errors as the package-level Equivalent.
+func (r *Reference) Equivalent(nw *Network) (bool, error) {
+	if err := sameInterface(r.pis, len(r.tt), nw); err != nil {
+		return false, err
+	}
+	tt, err := nw.TruthTable()
 	if err != nil {
 		return false, err
 	}
-	for i := range ta {
-		for w := range ta[i] {
-			if ta[i][w] != tb[i][w] {
+	for i := range r.tt {
+		for w := range r.tt[i] {
+			if r.tt[i][w] != tt[i][w] {
 				return false, nil
 			}
 		}
 	}
 	return true, nil
+}
+
+// sameInterface fails unless b has pis inputs and pos outputs.
+func sameInterface(pis, pos int, b *Network) error {
+	if pis != len(b.pis) || pos != len(b.pos) {
+		return fmt.Errorf("logic: Equivalent on mismatched interfaces (%d/%d inputs, %d/%d outputs)",
+			pis, len(b.pis), pos, len(b.pos))
+	}
+	return nil
 }

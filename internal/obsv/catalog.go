@@ -55,9 +55,10 @@ var catalog = map[string]MetricInfo{
 	"flow.incr.clean_nodes":     {Type: "counter", Help: "Live combinational nodes reused from the carried baseline."},
 	"flow.incr.reuse_frac":      {Type: "gauge", Help: "Reused fraction of the last incremental measurement: clean / (cone + clean)."},
 
-	"lpflow.pass.*.ns":     {Type: "timer", Help: "Wall time of one optimization flow pass."},
-	"lpflow.pass.*.dpower": {Type: "gauge", Help: "Simulated-power delta of the pass (negative = saved)."},
-	"lpflow.pass.*.dgates": {Type: "gauge", Help: "Gate-count delta of the pass."},
+	"lpflow.pass.*.ns":      {Type: "timer", Help: "Wall time of one optimization flow pass."},
+	"lpflow.pass.*.dpower":  {Type: "gauge", Help: "Simulated-power delta of the pass (negative = saved)."},
+	"lpflow.pass.*.dgates":  {Type: "gauge", Help: "Gate-count delta of the pass."},
+	"lpflow.measure.reused": {Type: "counter", Help: "Flow steps that reused the previous snapshot because the pass left the network byte-identical."},
 
 	"server.requests":            {Type: "counter", Help: "HTTP API requests accepted."},
 	"server.requests.estimate":   {Type: "counter", Help: "POST /v1/estimate requests."},

@@ -540,7 +540,8 @@ type EstimateRequest struct {
 	// Vectors drives the simulated/packed estimators and the exact
 	// estimator's Monte Carlo fallback (default 1000, max 65536).
 	Vectors int `json:"vectors,omitempty"`
-	// Seed makes every stochastic path reproducible (default 1).
+	// Seed makes every stochastic path reproducible (default 1; a
+	// negative seed is rejected).
 	Seed int64 `json:"seed,omitempty"`
 	// P1 is the one-probability applied to every primary input
 	// (default 0.5).
@@ -636,8 +637,9 @@ func (s *Server) validateEstimate(req EstimateRequest) (estimateSpec, error) {
 	if spec.vectors > maxVectors {
 		return spec, badRequest("vectors %d exceeds the maximum %d", spec.vectors, maxVectors)
 	}
-	if spec.seed == 0 {
-		spec.seed = 1
+	var err error
+	if spec.seed, err = seedFor(spec.seed); err != nil {
+		return spec, err
 	}
 	spec.p1 = 0.5
 	if req.P1 != nil {
@@ -649,6 +651,18 @@ func (s *Server) validateEstimate(req EstimateRequest) (estimateSpec, error) {
 	spec.budget = s.budgetFor(req.BDDMaxNodes, req.BDDMaxSteps)
 	spec.timeout = s.timeoutFor(req.TimeoutMS)
 	return spec, nil
+}
+
+// seedFor applies the default seed 1 to a request's seed and rejects a
+// negative one.
+func seedFor(seed int64) (int64, error) {
+	switch {
+	case seed < 0:
+		return seed, badRequest("seed %d is negative (want a positive seed, or 0 for the default 1)", seed)
+	case seed == 0:
+		return 1, nil
+	}
+	return seed, nil
 }
 
 // estimateKey is the result-cache (and coalescing) key for an estimate.
@@ -780,7 +794,8 @@ type FlowRequest struct {
 	// Flow is a core.StandardFlows name: area, lowpower, glitch or
 	// bddmux.
 	Flow string `json:"flow"`
-	// Seed drives the flow context's vector generation (default 1).
+	// Seed drives the flow context's vector generation (default 1; a
+	// negative seed is rejected).
 	Seed int64 `json:"seed,omitempty"`
 	// Verify enables per-pass equivalence checking (default true; only
 	// effective for combinational networks with <= 16 inputs).
@@ -855,8 +870,9 @@ func (s *Server) validateFlow(req FlowRequest) (flowSpec, error) {
 		return spec, badRequest("unknown flow %q (want one of %s)", req.Flow, strings.Join(names, ", "))
 	}
 	spec.flow = flow
-	if spec.seed == 0 {
-		spec.seed = 1
+	var err error
+	if spec.seed, err = seedFor(spec.seed); err != nil {
+		return spec, err
 	}
 	spec.verify = true
 	if req.Verify != nil {
