@@ -8,9 +8,11 @@ import (
 // MetricInfo is one metric family's exposition metadata: the
 // Prometheus type its registered kind maps to and a one-line help
 // text. The catalog below is the single source of truth — DESIGN.md's
-// metric-name table mirrors it, WritePrometheus emits it as
-// `# HELP`/`# TYPE` lines, and TestCatalogTypesMatchKinds pins the
-// declared types to the kinds the code actually registers.
+// metric-name table mirrors it (TestDesignTableMatchesCatalog),
+// WritePrometheus emits it as `# HELP`/`# TYPE` lines,
+// TestCatalogTypesMatchRegisteredKinds pins the declared types to the
+// kinds the code actually registers, and internal/server's
+// TestServedMetricsAreCatalogued fails on any served name without a row.
 type MetricInfo struct {
 	// Type is the Prometheus family type: "counter", "gauge" or
 	// "histogram". Timers expose as two counters (<name>_count,
@@ -60,16 +62,10 @@ var catalog = map[string]MetricInfo{
 	"lpflow.pass.*.dgates":  {Type: "gauge", Help: "Gate-count delta of the pass."},
 	"lpflow.measure.reused": {Type: "counter", Help: "Flow steps that reused the previous snapshot because the pass left the network byte-identical."},
 
-	"server.requests":            {Type: "counter", Help: "HTTP API requests accepted."},
-	"server.requests.estimate":   {Type: "counter", Help: "POST /v1/estimate requests."},
-	"server.requests.flow":       {Type: "counter", Help: "POST /v1/flow requests."},
-	"server.requests.experiment": {Type: "counter", Help: "GET /v1/experiments/{id} requests."},
-	"server.requests.batch":      {Type: "counter", Help: "POST /v1/estimate:batch requests."},
-	"server.requests.jobs":       {Type: "counter", Help: "GET /v1/jobs/{id} polling requests."},
-	"server.errors":              {Type: "counter", Help: "Requests answered with a server error response (499 client aborts excluded)."},
+	"server.requests":            {Type: "counter", Help: "HTTP requests served, every endpoint."},
+	"server.errors":              {Type: "counter", Help: "Requests answered with a server error, status >= 500 (client errors and 499 aborts excluded)."},
 	"server.client_aborts":       {Type: "counter", Help: "Requests abandoned by the client (ctx cancelled, answered 499); not an availability SLO bad event."},
 	"server.inflight":            {Type: "gauge", Help: "Heavy computations currently holding a worker slot."},
-	"server.request.ns":          {Type: "timer", Help: "End-to-end handler time of API requests."},
 	"server.cache.net.hits":      {Type: "counter", Help: "Parsed-network cache hits."},
 	"server.cache.net.misses":    {Type: "counter", Help: "Parsed-network cache misses."},
 	"server.cache.result.hits":   {Type: "counter", Help: "Response-body cache hits."},

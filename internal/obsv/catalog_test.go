@@ -1,6 +1,9 @@
 package obsv
 
 import (
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,7 +66,6 @@ func TestCatalogTypesMatchRegisteredKinds(t *testing.T) {
 	samples := map[string]string{
 		"server.requests":                 "counter",
 		"server.inflight":                 "gauge",
-		"server.request.ns":               "timer",
 		"sim.settle":                      "histogram",
 		"server.http.estimate.latency_us": "histogram",
 		"lpflow.pass.remap.ns":            "timer",
@@ -135,5 +137,50 @@ func TestUncataloguedMetricStillExposes(t *testing.T) {
 	}
 	if strings.Contains(out, "# HELP totally_unknown_metric") {
 		t.Fatalf("uncatalogued metric must not get a HELP line: %s", out)
+	}
+}
+
+// TestDesignTableMatchesCatalog keeps DESIGN.md's metric-name table and
+// the catalog in lockstep: every name the table lists (a `<name>`
+// segment standing for the catalog's "*") is a catalog row, and every
+// catalog row is listed.
+func TestDesignTableMatchesCatalog(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	start := strings.Index(doc, "### Metric name catalog")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no metric name catalog section")
+	}
+	section := doc[start:]
+	if end := strings.Index(section[1:], "\n#"); end >= 0 {
+		section = section[:end+1]
+	}
+	name := regexp.MustCompile("`([^`]+)`")
+	placeholder := regexp.MustCompile(`<[a-z]+>`)
+	var listed []string
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.Contains(cells[1], "`") {
+			continue
+		}
+		for _, m := range name.FindAllStringSubmatch(cells[1], -1) {
+			listed = append(listed, placeholder.ReplaceAllString(m[1], "*"))
+		}
+	}
+	slices.Sort(listed)
+	if want := CatalogNames(); !slices.Equal(listed, want) {
+		for _, n := range want {
+			if !slices.Contains(listed, n) {
+				t.Errorf("catalog row %q missing from DESIGN.md's table", n)
+			}
+		}
+		for _, n := range listed {
+			if !slices.Contains(want, n) {
+				t.Errorf("DESIGN.md's table lists %q, which has no catalog row", n)
+			}
+		}
 	}
 }

@@ -85,7 +85,7 @@ func TestWritePrometheusFamilies(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("server.requests").Add(7)
 	r.Gauge("server.inflight").Set(2)
-	tm := r.Timer("server.request.ns")
+	tm := r.Timer("lpflow.pass.strash.ns")
 	tm.Observe(1000)
 	tm.Observe(3000)
 	h := r.Histogram("server.http.estimate.latency_us")
@@ -102,8 +102,8 @@ func TestWritePrometheusFamilies(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE server_requests counter\nserver_requests 7\n",
 		"# TYPE server_inflight gauge\nserver_inflight 2\n",
-		"server_request_ns_count 2\n",
-		"server_request_ns_ns_total 4000\n",
+		"lpflow_pass_strash_ns_count 2\n",
+		"lpflow_pass_strash_ns_ns_total 4000\n",
 		"# TYPE server_http_estimate_latency_us histogram\n",
 		"server_http_estimate_latency_us_bucket{le=\"0\"} 1\n",
 		"server_http_estimate_latency_us_bucket{le=\"1\"} 2\n",

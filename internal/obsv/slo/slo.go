@@ -31,10 +31,21 @@ type State int
 const (
 	// OK: every horizon burns below the warn threshold.
 	OK State = iota
-	// Warn: every horizon burns at or past WarnBurn.
+	// Warn: every horizon burns at or past warnBurn.
 	Warn
-	// Breach: every horizon burns at or past BreachBurn.
+	// Breach: every horizon burns at or past breachBurn.
 	Breach
+)
+
+// warnBurn and breachBurn are the burn-rate thresholds: warn when the
+// budget is being consumed at its sustained limit, breach when it burns
+// an order of magnitude faster. minEvents is the fewest in-window
+// events a horizon needs before its burn counts; emptier horizons read
+// burn 0, so a fresh process is ok, not breached.
+const (
+	warnBurn   = 1
+	breachBurn = 10
+	minEvents  = 1
 )
 
 // String renders the state as its JSON form: "ok", "warn", "breach".
@@ -49,17 +60,6 @@ func (s State) String() string {
 	}
 }
 
-// Worst returns the most severe of the given states (OK when empty).
-func Worst(states ...State) State {
-	w := OK
-	for _, s := range states {
-		if s > w {
-			w = s
-		}
-	}
-	return w
-}
-
 // Objective declares one service-level objective as an error budget.
 type Objective struct {
 	// Name labels the objective in verdicts ("availability",
@@ -68,28 +68,6 @@ type Objective struct {
 	// Budget is the allowed bad-event fraction, e.g. 0.001 for 99.9%
 	// availability. Must be > 0.
 	Budget float64
-	// WarnBurn / BreachBurn are the burn-rate thresholds (defaults 1
-	// and 10): warn when the budget is being consumed at its sustained
-	// limit, breach when it burns an order of magnitude faster.
-	WarnBurn   float64
-	BreachBurn float64
-	// MinEvents is the fewest in-window events a horizon needs before
-	// its burn counts (default 1); emptier horizons read burn 0, so a
-	// fresh process is ok, not breached.
-	MinEvents int64
-}
-
-func (o Objective) withDefaults() Objective {
-	if o.WarnBurn <= 0 {
-		o.WarnBurn = 1
-	}
-	if o.BreachBurn <= 0 {
-		o.BreachBurn = 10
-	}
-	if o.MinEvents <= 0 {
-		o.MinEvents = 1
-	}
-	return o
 }
 
 // Horizon is one rolling evaluation window.
@@ -98,17 +76,8 @@ type Horizon struct {
 	Label string
 	// Span is the window length.
 	Span time.Duration
-	// Buckets is the ring resolution (default 30).
+	// Buckets is the ring resolution (minimum 2).
 	Buckets int
-}
-
-// DefaultHorizons is the standard fast/slow pair: 5 minutes at 10s
-// resolution and 1 hour at 1m resolution.
-func DefaultHorizons() []Horizon {
-	return []Horizon{
-		{Label: "5m", Span: 5 * time.Minute, Buckets: 30},
-		{Label: "1h", Span: time.Hour, Buckets: 60},
-	}
 }
 
 // trackedHorizon pairs a horizon with its rolling tallies.
@@ -119,31 +88,21 @@ type trackedHorizon struct {
 }
 
 // Tracker accumulates good/bad events for one objective across its
-// horizons. All methods are safe for concurrent use and valid on a
-// nil receiver (observations no-op, evaluation returns an ok verdict
-// for an empty objective).
+// horizons. All methods are safe for concurrent use.
 type Tracker struct {
 	obj Objective
 	hs  []trackedHorizon
 }
 
-// NewTracker builds a tracker for obj over the given horizons (nil
-// means DefaultHorizons) using clock (nil means window.Monotonic).
+// NewTracker builds a tracker for obj over the given horizons using
+// clock (nil means window.Monotonic).
 func NewTracker(obj Objective, clock window.Clock, horizons []Horizon) *Tracker {
-	obj = obj.withDefaults()
-	if len(horizons) == 0 {
-		horizons = DefaultHorizons()
-	}
 	t := &Tracker{obj: obj}
 	for _, h := range horizons {
-		buckets := h.Buckets
-		if buckets <= 0 {
-			buckets = 30
-		}
 		t.hs = append(t.hs, trackedHorizon{
 			label: h.Label,
-			total: window.NewCounter(h.Span, buckets, clock),
-			bad:   window.NewCounter(h.Span, buckets, clock),
+			total: window.NewCounter(h.Span, h.Buckets, clock),
+			bad:   window.NewCounter(h.Span, h.Buckets, clock),
 		})
 	}
 	return t
@@ -151,21 +110,11 @@ func NewTracker(obj Objective, clock window.Clock, horizons []Horizon) *Tracker 
 
 // Observe records one event, bad or good, into every horizon.
 func (t *Tracker) Observe(bad bool) {
-	if bad {
-		t.ObserveN(1, 1)
-	} else {
-		t.ObserveN(1, 0)
-	}
-}
-
-// ObserveN records total events of which bad were bad.
-func (t *Tracker) ObserveN(total, bad int64) {
-	if t == nil {
-		return
-	}
 	for i := range t.hs {
-		t.hs[i].total.Add(total)
-		t.hs[i].bad.Add(bad)
+		t.hs[i].total.Inc()
+		if bad {
+			t.hs[i].bad.Inc()
+		}
 	}
 }
 
@@ -187,18 +136,14 @@ type Verdict struct {
 }
 
 // Evaluate computes the burn rate of every horizon and folds them
-// into a state. A nil tracker evaluates to an ok verdict with no
-// burn points.
+// into a state.
 func (t *Tracker) Evaluate() Verdict {
-	if t == nil {
-		return Verdict{State: OK.String(), Burn: []BurnPoint{}}
-	}
 	v := Verdict{Objective: t.obj.Name, Budget: t.obj.Budget, Burn: make([]BurnPoint, 0, len(t.hs))}
 	minBurn := -1.0
 	for i := range t.hs {
 		h := &t.hs[i]
 		pt := BurnPoint{Horizon: h.label, Events: h.total.Total(), Bad: h.bad.Total()}
-		if pt.Events >= t.obj.MinEvents && pt.Events > 0 {
+		if pt.Events >= minEvents {
 			pt.BadFraction = float64(pt.Bad) / float64(pt.Events)
 			if t.obj.Budget > 0 {
 				pt.Burn = pt.BadFraction / t.obj.Budget
@@ -211,25 +156,11 @@ func (t *Tracker) Evaluate() Verdict {
 	}
 	state := OK
 	switch {
-	case minBurn >= t.obj.BreachBurn && minBurn > 0:
+	case minBurn >= breachBurn:
 		state = Breach
-	case minBurn >= t.obj.WarnBurn && minBurn > 0:
+	case minBurn >= warnBurn:
 		state = Warn
 	}
 	v.State = state.String()
 	return v
-}
-
-// EvaluateState is Evaluate reduced to the state alone.
-func (t *Tracker) EvaluateState() State {
-	if t == nil {
-		return OK
-	}
-	switch t.Evaluate().State {
-	case "breach":
-		return Breach
-	case "warn":
-		return Warn
-	}
-	return OK
 }

@@ -22,25 +22,9 @@ func testHorizons() []Horizon {
 	}
 }
 
-func TestStateStringAndWorst(t *testing.T) {
+func TestStateString(t *testing.T) {
 	if OK.String() != "ok" || Warn.String() != "warn" || Breach.String() != "breach" {
 		t.Fatal("State strings wrong")
-	}
-	if Worst() != OK || Worst(OK, Warn, OK) != Warn || Worst(Warn, Breach) != Breach {
-		t.Fatal("Worst wrong")
-	}
-}
-
-func TestNilTrackerIsNoop(t *testing.T) {
-	var tr *Tracker
-	tr.Observe(true)
-	tr.ObserveN(10, 10)
-	v := tr.Evaluate()
-	if v.State != "ok" || len(v.Burn) != 0 {
-		t.Fatalf("nil tracker verdict = %+v, want ok/empty", v)
-	}
-	if tr.EvaluateState() != OK {
-		t.Fatal("nil tracker state must be OK")
 	}
 }
 
@@ -120,14 +104,14 @@ func TestVerdictFlipsOnLatencyBurst(t *testing.T) {
 		tr.Observe(true)
 		fc.Advance(time.Second)
 	}
-	if got := tr.EvaluateState(); got != Breach {
-		t.Fatalf("full burst state = %v, want Breach", got)
+	if got := tr.Evaluate().State; got != "breach" {
+		t.Fatalf("full burst state = %q, want breach", got)
 	}
 
 	// Idle windows fully drain -> ok (no events, burn 0).
 	fc.Advance(2 * time.Minute)
-	if got := tr.EvaluateState(); got != OK {
-		t.Fatalf("drained state = %v, want OK", got)
+	if got := tr.Evaluate().State; got != "ok" {
+		t.Fatalf("drained state = %q, want ok", got)
 	}
 }
 
@@ -158,21 +142,31 @@ func TestShortBlipDoesNotBreach(t *testing.T) {
 	}
 }
 
+// TestMinEventsSuppressesEmptyHorizons: a horizon with no in-window
+// events abstains with burn 0, so it holds the multi-window verdict at
+// ok however hot the other horizon burns.
 func TestMinEventsSuppressesEmptyHorizons(t *testing.T) {
 	fc := &fakeClock{}
-	tr := NewTracker(Objective{Name: "availability", Budget: 0.001, MinEvents: 5}, fc.Now, testHorizons())
-	// A single error with MinEvents 5: burn must stay 0.
-	tr.Observe(true)
-	v := tr.Evaluate()
-	if v.State != "ok" || v.Burn[0].Burn != 0 {
-		t.Fatalf("below MinEvents: %+v, want ok/zero burn", v)
-	}
-	// Past MinEvents the same fraction counts.
+	tr := NewTracker(Objective{Name: "availability", Budget: 0.001}, fc.Now, []Horizon{
+		{Label: "10s", Span: 10 * time.Second, Buckets: 10},
+		{Label: "1s", Span: time.Second, Buckets: 2},
+	})
+	// An error burst, then 2s of silence: the short horizon empties.
 	for i := 0; i < 5; i++ {
 		tr.Observe(true)
 	}
-	if got := tr.EvaluateState(); got != Breach {
-		t.Fatalf("past MinEvents state = %v, want Breach", got)
+	fc.Advance(2 * time.Second)
+	v := tr.Evaluate()
+	if v.State != "ok" || v.Burn[1].Events != 0 || v.Burn[1].Burn != 0 {
+		t.Fatalf("empty short horizon: %+v, want ok/zero burn", v)
+	}
+	if v.Burn[0].Burn < breachBurn {
+		t.Fatalf("long horizon burn = %g, want past the breach threshold", v.Burn[0].Burn)
+	}
+	// One error lands in the short horizon too: both burn, breach.
+	tr.Observe(true)
+	if got := tr.Evaluate().State; got != "breach" {
+		t.Fatalf("both horizons burning: state %q, want breach", got)
 	}
 }
 
@@ -180,7 +174,9 @@ func TestMinEventsSuppressesEmptyHorizons(t *testing.T) {
 func TestVerdictJSONStable(t *testing.T) {
 	fc := &fakeClock{}
 	tr := NewTracker(Objective{Name: "availability", Budget: 0.001}, fc.Now, testHorizons())
-	tr.ObserveN(4, 0)
+	for i := 0; i < 4; i++ {
+		tr.Observe(false)
+	}
 	b1, err := json.Marshal(tr.Evaluate())
 	if err != nil {
 		t.Fatal(err)

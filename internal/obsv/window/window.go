@@ -1,6 +1,5 @@
 // Package window provides lock-cheap rolling time windows for the
-// continuous-telemetry layer: counters, cumulative-value deltas and
-// log2 histograms that report over the last span of wall time instead
+// continuous-telemetry layer: counters and log2 histograms that report over the last span of wall time instead
 // of accumulating forever like the internal/obsv registry does.
 //
 // Each instrument is a ring of fixed-width buckets over a monotonic
@@ -18,10 +17,6 @@
 // recycling at an epoch boundary can be attributed to the fresh epoch
 // or (rarely) dropped — bounded, bucket-boundary-only imprecision,
 // the standard trade for a lock-free ring.
-//
-// The package follows the obsv nil-safety contract: every method is
-// valid on a nil receiver (writes no-op, reads return zero), so
-// telemetry can be compiled out by simply not constructing it.
 package window
 
 import (
@@ -63,9 +58,6 @@ func newGeometry(span time.Duration, buckets int, clock Clock) geometry {
 	}
 	return geometry{clock: clock, width: width, n: int64(buckets)}
 }
-
-// Span returns the total time the window covers.
-func (g geometry) span() time.Duration { return time.Duration(g.width * g.n) }
 
 // epoch of a clock reading.
 func (g geometry) epoch(now int64) int64 { return now / g.width }
@@ -112,11 +104,8 @@ func (c *Counter) slot(e int64) *cslot {
 	return s
 }
 
-// Add records n events now. No-op on a nil counter.
+// Add records n events now.
 func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
 	c.slot(c.geo.epoch(c.geo.clock())).count.Add(n)
 }
 
@@ -124,11 +113,8 @@ func (c *Counter) Add(n int64) {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Total returns the number of events recorded inside the window
-// (including the current partial bucket). Zero on a nil counter.
+// (including the current partial bucket).
 func (c *Counter) Total() int64 {
-	if c == nil {
-		return 0
-	}
 	cur := c.geo.epoch(c.geo.clock())
 	var total int64
 	for i := range c.slots {
@@ -145,99 +131,11 @@ func (c *Counter) Total() int64 {
 // reads slightly low until the window fills — steady-state rates are
 // exact.
 func (c *Counter) Rate() float64 {
-	if c == nil {
-		return 0
-	}
 	return float64(c.Total()) / c.Span().Seconds()
 }
 
-// Span returns the window length (0 for nil).
-func (c *Counter) Span() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.geo.span()
-}
-
-// ---------------------------------------------------------------------------
-// Delta
-
-// dslot is one ring bucket of a Delta: the first and last cumulative
-// values sampled during its epoch.
-type dslot struct {
-	epoch atomic.Int64
-	first atomic.Int64
-	last  atomic.Int64
-}
-
-// Delta turns a monotonically accumulating value (an obsv.Counter
-// total, a cache-hit count) into its change over the rolling window:
-// feed it absolute samples and read how much the value moved.
-type Delta struct {
-	geo   geometry
-	slots []dslot
-}
-
-// NewDelta builds a rolling delta tracker covering span in buckets
-// ring slots. A nil clock means Monotonic.
-func NewDelta(span time.Duration, buckets int, clock Clock) *Delta {
-	geo := newGeometry(span, buckets, clock)
-	d := &Delta{geo: geo, slots: make([]dslot, geo.n)}
-	for i := range d.slots {
-		d.slots[i].epoch.Store(-1)
-	}
-	return d
-}
-
-// Sample records the current absolute value. No-op on a nil tracker.
-func (d *Delta) Sample(v int64) {
-	if d == nil {
-		return
-	}
-	e := d.geo.epoch(d.geo.clock())
-	s := &d.slots[e%d.geo.n]
-	if old := s.epoch.Load(); old != e && s.epoch.CompareAndSwap(old, e) {
-		s.first.Store(v)
-	}
-	s.last.Store(v)
-}
-
-// Over returns the change of the sampled value across the window: the
-// newest in-window sample minus the earliest one. Zero when fewer than
-// one in-window sample exists (or on nil).
-func (d *Delta) Over() int64 {
-	if d == nil {
-		return 0
-	}
-	cur := d.geo.epoch(d.geo.clock())
-	var oldestE, newestE int64 = -1, -1
-	var first, last int64
-	for i := range d.slots {
-		s := &d.slots[i]
-		e := s.epoch.Load()
-		if !d.geo.live(e, cur) {
-			continue
-		}
-		if oldestE == -1 || e < oldestE {
-			oldestE, first = e, s.first.Load()
-		}
-		if e > newestE {
-			newestE, last = e, s.last.Load()
-		}
-	}
-	if oldestE == -1 {
-		return 0
-	}
-	return last - first
-}
-
-// Span returns the window length (0 for nil).
-func (d *Delta) Span() time.Duration {
-	if d == nil {
-		return 0
-	}
-	return d.geo.span()
-}
+// Span returns the window length.
+func (c *Counter) Span() time.Duration { return time.Duration(c.geo.width * c.geo.n) }
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -275,11 +173,8 @@ func NewHistogram(span time.Duration, buckets int, clock Clock) *Histogram {
 	return h
 }
 
-// Observe records v (clamped to >= 0) now. No-op on a nil histogram.
+// Observe records v (clamped to >= 0) now.
 func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
 	if v < 0 {
 		v = 0
 	}
@@ -373,23 +268,8 @@ func percentileOf(vals [histBuckets]int64, count int64, q float64) int64 {
 	return BucketUpper(histBuckets - 1)
 }
 
-// Percentile returns the nearest-rank q-quantile (0 < q <= 1) of the
-// observations in the window, quantized up to the containing log2
-// bucket's upper bound (the same bound a Prometheus le-bucket query
-// would report). Zero when the window is empty or the histogram nil.
-func (h *Histogram) Percentile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	vals, count, _, _ := h.merged()
-	return percentileOf(vals, count, q)
-}
-
-// Snapshot merges the window into one Summary. Zero-valued on nil.
+// Snapshot merges the window into one Summary.
 func (h *Histogram) Snapshot() Summary {
-	if h == nil {
-		return Summary{}
-	}
 	vals, count, sum, max := h.merged()
 	s := Summary{Count: count, Sum: sum, Max: max}
 	if count > 0 {
@@ -399,21 +279,4 @@ func (h *Histogram) Snapshot() Summary {
 		s.P99 = percentileOf(vals, count, 0.99)
 	}
 	return s
-}
-
-// Count returns the number of in-window observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	_, count, _, _ := h.merged()
-	return count
-}
-
-// Span returns the window length (0 for nil).
-func (h *Histogram) Span() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.geo.span()
 }

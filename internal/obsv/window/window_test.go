@@ -16,25 +16,6 @@ type fakeClock struct{ now atomic.Int64 }
 func (f *fakeClock) Now() int64              { return f.now.Load() }
 func (f *fakeClock) Advance(d time.Duration) { f.now.Add(int64(d)) }
 
-func TestNilInstrumentsAreNoops(t *testing.T) {
-	var c *Counter
-	c.Add(5)
-	c.Inc()
-	if c.Total() != 0 || c.Rate() != 0 || c.Span() != 0 {
-		t.Error("nil Counter must read zero")
-	}
-	var d *Delta
-	d.Sample(7)
-	if d.Over() != 0 || d.Span() != 0 {
-		t.Error("nil Delta must read zero")
-	}
-	var h *Histogram
-	h.Observe(3)
-	if h.Count() != 0 || h.Percentile(0.5) != 0 || (h.Snapshot() != Summary{}) {
-		t.Error("nil Histogram must read zero")
-	}
-}
-
 // TestCounterAdvanceExpiryExact pins the window semantics bucket by
 // bucket: a sample recorded at epoch e is visible exactly while the
 // reader's epoch is < e+n, with no wall-clock sleeps anywhere.
@@ -94,39 +75,6 @@ func TestCounterRate(t *testing.T) {
 	// denominator is the full span, deterministically.
 	if got := c.Rate(); got != 4.5 {
 		t.Fatalf("Rate = %g, want 4.5", got)
-	}
-}
-
-func TestDeltaOverWindow(t *testing.T) {
-	fc := &fakeClock{}
-	d := NewDelta(10*time.Second, 10, fc.Now)
-	if d.Over() != 0 {
-		t.Fatal("empty Delta must read 0")
-	}
-	// A cumulative value climbing 3 per second.
-	v := int64(100)
-	for i := 0; i < 30; i++ {
-		d.Sample(v)
-		v += 3
-		fc.Advance(time.Second)
-	}
-	// Window holds the last 9 full epochs' samples: first=v-27*... the
-	// oldest in-window sample is v-3*9, the newest v-3.
-	if got := d.Over(); got != 24 {
-		t.Fatalf("steady climb Over = %d, want 24", got)
-	}
-	// Multiple samples within one epoch: first and last both count.
-	fc.Advance(time.Hour) // clear
-	d.Sample(1000)
-	d.Sample(1500)
-	d.Sample(1700)
-	if got := d.Over(); got != 700 {
-		t.Fatalf("single-bucket Over = %d, want 700", got)
-	}
-	// Expiry: once the only samples leave the window, Over reads 0.
-	fc.Advance(10 * time.Second)
-	if got := d.Over(); got != 0 {
-		t.Fatalf("expired Over = %d, want 0", got)
 	}
 }
 
@@ -195,9 +143,10 @@ func TestHistogramPercentilesMatchBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: snapshot {count %d sum %d max %d}, brute force {%d %d %d}",
 				trial, snap.Count, snap.Sum, snap.Max, len(live), sum, max)
 		}
+		vals, count, _, _ := h.merged()
 		for _, q := range []float64{0.01, 0.25, 0.50, 0.90, 0.95, 0.99, 1.0} {
 			want := bruteForcePercentile(live, q)
-			if got := h.Percentile(q); got != want {
+			if got := percentileOf(vals, count, q); got != want {
 				t.Fatalf("trial %d: P%.0f = %d, brute force %d (live %v)",
 					trial, q*100, got, want, live)
 			}
@@ -205,7 +154,7 @@ func TestHistogramPercentilesMatchBruteForce(t *testing.T) {
 		if snap.P50 != bruteForcePercentile(live, 0.50) ||
 			snap.P95 != bruteForcePercentile(live, 0.95) ||
 			snap.P99 != bruteForcePercentile(live, 0.99) {
-			t.Fatalf("trial %d: Snapshot percentiles disagree with Percentile", trial)
+			t.Fatalf("trial %d: Snapshot percentiles disagree with brute force", trial)
 		}
 	}
 }
@@ -217,7 +166,7 @@ func TestHistogramExpiry(t *testing.T) {
 	h.Observe(200)
 	fc.Advance(3 * time.Second)
 	h.Observe(1000)
-	if got := h.Count(); got != 3 {
+	if got := h.Snapshot().Count; got != 3 {
 		t.Fatalf("Count = %d, want 3", got)
 	}
 	fc.Advance(3 * time.Second) // first bucket expires
@@ -236,7 +185,6 @@ func TestHistogramExpiry(t *testing.T) {
 func TestRecordingDoesNotAllocate(t *testing.T) {
 	fc := &fakeClock{}
 	c := NewCounter(time.Minute, 30, fc.Now)
-	d := NewDelta(time.Minute, 30, fc.Now)
 	h := NewHistogram(time.Minute, 30, fc.Now)
 	var v int64
 	if got := testing.AllocsPerRun(1000, func() {
@@ -244,14 +192,13 @@ func TestRecordingDoesNotAllocate(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		v += 5
-		d.Sample(v)
 		h.Observe(v % 4096)
 	}); got != 0 {
 		t.Fatalf("recording allocates %.1f objects per op, want 0", got)
 	}
 }
 
-// TestConcurrentRecording hammers all three instruments from many
+// TestConcurrentRecording hammers both instruments from many
 // goroutines under the race detector. Boundary races may drop a
 // bucket-recycle-adjacent sample, so the assertion is sanity bounds,
 // not exact counts.
@@ -259,7 +206,6 @@ func TestConcurrentRecording(t *testing.T) {
 	fc := &fakeClock{}
 	c := NewCounter(time.Second, 10, fc.Now)
 	h := NewHistogram(time.Second, 10, fc.Now)
-	d := NewDelta(time.Second, 10, fc.Now)
 	const workers, per = 8, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -269,12 +215,10 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				h.Observe(int64(i % 1000))
-				d.Sample(int64(i))
 				if i%100 == 0 {
 					fc.Advance(time.Millisecond)
 					c.Total()
 					h.Snapshot()
-					d.Over()
 				}
 			}
 		}(w)
@@ -285,7 +229,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := c.Total(); got <= 0 || got > workers*per {
 		t.Fatalf("concurrent Total = %d, want (0, %d]", got, workers*per)
 	}
-	if got := h.Count(); got <= 0 || got > workers*per {
+	if got := h.Snapshot().Count; got <= 0 || got > workers*per {
 		t.Fatalf("concurrent histogram Count = %d, want (0, %d]", got, workers*per)
 	}
 }

@@ -53,21 +53,17 @@ type BatchResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Inc()
-	s.reg.Counter("server.requests.batch").Inc()
-	defer s.reqTimer.Start()()
-
 	var req BatchRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	if len(req.Items) == 0 {
-		s.writeError(w, badRequest("batch has no items"))
+		writeError(w, badRequest("batch has no items"))
 		return
 	}
 	if len(req.Items) > s.cfg.MaxBatchItems {
-		s.writeError(w, badRequest("batch has %d items, maximum is %d", len(req.Items), s.cfg.MaxBatchItems))
+		writeError(w, badRequest("batch has %d items, maximum is %d", len(req.Items), s.cfg.MaxBatchItems))
 		return
 	}
 	s.reg.Counter("server.batch.items").Add(int64(len(req.Items)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -21,36 +22,68 @@ func jsonBody(t *testing.T, v any) io.Reader {
 	return bytes.NewReader(b)
 }
 
-// TestWriteErrorClassifiesClientAbort pins the 499-vs-5xx accounting:
-// a client-cancelled context maps to 499 and counts as a client abort,
-// not a server error; a deadline expiry stays a 504 server error.
+// TestWriteErrorClassifiesClientAbort pins the error accounting through
+// the full handler: only a server error (status >= 500) raises
+// server.errors; client errors (400, 404) raise nothing, and a client
+// abort (499) raises server.client_aborts alone.
 func TestWriteErrorClassifiesClientAbort(t *testing.T) {
-	s := New(Config{})
-	abortsBase := s.clientAborts.Value()
-	errorsBase := s.reqErrors.Value()
+	s := New(Config{DefaultTimeout: time.Millisecond})
+	h := s.Handler()
 
-	rec := httptest.NewRecorder()
-	s.writeError(rec, context.Canceled)
-	if rec.Code != statusClientClosedRequest {
-		t.Fatalf("context.Canceled → %d, want 499", rec.Code)
+	// Hold one estimate's computation in flight: requests for it wait
+	// as coalesced followers until their own context ends, so the 504
+	// and the 499 below do not depend on how fast the estimate is.
+	gated := EstimateRequest{circuitRef: circuitRef{Circuit: "mult4"}, Estimator: "propagated"}
+	spec, err := s.validateEstimate(gated)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.clientAborts.Value() - abortsBase; got != 1 {
-		t.Errorf("client_aborts delta = %d, want 1", got)
+	ent, err := s.resolveNetwork(context.Background(), spec.ref)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.reqErrors.Value() - errorsBase; got != 0 {
-		t.Errorf("server.errors delta = %d, want 0: a client abort is not a server error", got)
-	}
+	started, release, leaderDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		s.resultFor(context.Background(), estimateKey(ent.hash, spec), func(context.Context) (cachedResult, error) {
+			close(started)
+			<-release
+			return cachedResult{}, errors.New("gated leader abandoned")
+		})
+	}()
+	<-started
+	defer func() {
+		close(release)
+		<-leaderDone
+	}()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 
-	rec = httptest.NewRecorder()
-	s.writeError(rec, context.DeadlineExceeded)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("context.DeadlineExceeded → %d, want 504", rec.Code)
-	}
-	if got := s.reqErrors.Value() - errorsBase; got != 1 {
-		t.Errorf("server.errors delta after 504 = %d, want 1", got)
-	}
-	if got := s.clientAborts.Value() - abortsBase; got != 1 {
-		t.Errorf("client_aborts delta after 504 = %d, want still 1", got)
+	for _, c := range []struct {
+		name           string
+		req            *http.Request
+		status         int
+		errors, aborts int64
+	}{
+		{"unknown circuit", httptest.NewRequest(http.MethodPost, "/v1/estimate",
+			jsonBody(t, EstimateRequest{circuitRef: circuitRef{Circuit: "no-such-circuit"}})), http.StatusBadRequest, 0, 0},
+		{"unknown job", httptest.NewRequest(http.MethodGet, "/v1/jobs/no-such-job", nil), http.StatusNotFound, 0, 0},
+		{"deadline", httptest.NewRequest(http.MethodPost, "/v1/estimate", jsonBody(t, gated)), http.StatusGatewayTimeout, 1, 0},
+		{"client abort", httptest.NewRequest(http.MethodPost, "/v1/estimate", jsonBody(t, gated)).WithContext(cancelled),
+			statusClientClosedRequest, 0, 1},
+	} {
+		errorsBase, abortsBase := s.tel.errors.Value(), s.tel.clientAborts.Value()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, c.req)
+		if rec.Code != c.status {
+			t.Fatalf("%s: status %d, want %d (body %s)", c.name, rec.Code, c.status, rec.Body.Bytes())
+		}
+		if got := s.tel.errors.Value() - errorsBase; got != c.errors {
+			t.Errorf("%s: server.errors delta = %d, want %d", c.name, got, c.errors)
+		}
+		if got := s.tel.clientAborts.Value() - abortsBase; got != c.aborts {
+			t.Errorf("%s: server.client_aborts delta = %d, want %d", c.name, got, c.aborts)
+		}
 	}
 }
 
@@ -62,8 +95,8 @@ func TestWriteErrorClassifiesClientAbort(t *testing.T) {
 func TestClientDisconnectMidCompute(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
-	abortsBase := s.clientAborts.Value()
-	errorsBase := s.reqErrors.Value()
+	abortsBase := s.tel.clientAborts.Value()
+	errorsBase := s.tel.errors.Value()
 	leadersBase := s.coalLeaders.Value()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -86,10 +119,10 @@ func TestClientDisconnectMidCompute(t *testing.T) {
 	if rec.Code != statusClientClosedRequest {
 		t.Fatalf("mid-compute disconnect → %d, want 499", rec.Code)
 	}
-	if got := s.clientAborts.Value() - abortsBase; got != 1 {
+	if got := s.tel.clientAborts.Value() - abortsBase; got != 1 {
 		t.Errorf("client_aborts delta = %d, want 1", got)
 	}
-	if got := s.reqErrors.Value() - errorsBase; got != 0 {
+	if got := s.tel.errors.Value() - errorsBase; got != 0 {
 		t.Errorf("server.errors delta = %d, want 0", got)
 	}
 	// Windowed telemetry recorded the request but no error, and the

@@ -81,14 +81,10 @@ type jobStore struct {
 }
 
 func newJobStore(cfg Config, reg *obsv.Registry) *jobStore {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = window.Monotonic
-	}
 	return &jobStore{
 		max:       cfg.MaxJobs,
 		ttl:       cfg.JobTTL,
-		clock:     clock,
+		clock:     cfg.Clock,
 		m:         make(map[string]*job),
 		submitted: reg.Counter("server.jobs.submitted"),
 		completed: reg.Counter("server.jobs.completed"),
@@ -204,12 +200,12 @@ type JobResponse struct {
 func (s *Server) submitFlowJob(w http.ResponseWriter, r *http.Request, spec flowSpec) {
 	ent, err := s.resolveNetwork(r.Context(), spec.ref)
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	id := trace.NewTraceID()
 	if err := s.jobs.submit(id); err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	// Async exists to outlive the sync deadline: when the request named
@@ -237,12 +233,10 @@ func (s *Server) submitFlowJob(w http.ResponseWriter, r *http.Request, spec flow
 
 // handleJobGet serves GET /v1/jobs/{id} polling.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Inc()
-	s.reg.Counter("server.requests.jobs").Inc()
 	id := r.PathValue("id")
 	j, ok := s.jobs.get(id)
 	if !ok {
-		s.writeError(w, &apiError{status: http.StatusNotFound,
+		writeError(w, &apiError{status: http.StatusNotFound,
 			msg: "unknown or expired job " + id})
 		return
 	}

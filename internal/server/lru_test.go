@@ -82,7 +82,7 @@ func TestLRUPutUpdatesInPlace(t *testing.T) {
 }
 
 func TestLRUCounters(t *testing.T) {
-	reg := obsv.Enable()
+	reg := obsv.NewRegistry()
 	hits := reg.Counter("test.lru.hits")
 	misses := reg.Counter("test.lru.misses")
 	h0, m0 := hits.Value(), misses.Value()

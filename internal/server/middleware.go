@@ -1,16 +1,15 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/obsv"
 	"repro/internal/obsv/profile"
 	"repro/internal/obsv/trace"
 )
@@ -47,32 +46,6 @@ func endpointOf(path string) string {
 	return "other"
 }
 
-// endpointStats is the per-endpoint cumulative serving telemetry:
-// latency and queue-wait histograms (microseconds, log2 buckets) plus
-// an in-flight gauge. The rolling-window half lives alongside in
-// telemetry.eps, keyed by the same labels. Every handle is created by
-// newEndpointStats — called exactly once, from initTelemetry, before
-// the server serves anything — so the per-request cost is atomic adds:
-// no registry lookups, no map writes, no first-request allocations.
-type endpointStats struct {
-	latency  *obsv.Histogram // server.http.<ep>.latency_us
-	queue    *obsv.Histogram // server.http.<ep>.queue_us
-	inflight *obsv.Gauge     // server.http.<ep>.inflight
-	n        atomic.Int64    // backs the inflight gauge
-}
-
-func newEndpointStats(reg *obsv.Registry) map[string]*endpointStats {
-	out := make(map[string]*endpointStats, len(endpoints))
-	for _, ep := range endpoints {
-		out[ep] = &endpointStats{
-			latency:  reg.Histogram("server.http." + ep + ".latency_us"),
-			queue:    reg.Histogram("server.http." + ep + ".queue_us"),
-			inflight: reg.Gauge("server.http." + ep + ".inflight"),
-		}
-	}
-	return out
-}
-
 // statusWriter captures the response status for the access log. The
 // cache and degraded dispositions travel in the X-Cache / X-Degraded
 // response headers, so no body inspection is ever needed.
@@ -103,7 +76,8 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 //   - when Config.TraceRequests is on, a trace.Tracer is installed in the
 //     request context, so handler/engine spans (queue.wait, resolve,
 //     power.exact, bdd.build, sim.measure, pass.*) build a span tree;
-//   - per-endpoint latency histograms and in-flight gauges update;
+//   - the per-endpoint in-flight gauge tracks the request, and
+//     telemetry.record writes every series of the finished request;
 //   - when Config.AccessLog is set, one key-sorted JSON line per request
 //     is emitted via cliutil.LogJSON;
 //   - requests slower than Config.SlowTraceThreshold dump their full span
@@ -113,30 +87,30 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // -selfcheck) are unaffected.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := s.clock()
+		start := s.cfg.Clock()
 		ep := endpointOf(r.URL.Path)
-		em := s.stats[ep]
-		em.inflight.Set(float64(em.n.Add(1)))
-		defer func() { em.inflight.Set(float64(em.n.Add(-1))) }()
+		et := s.tel.eps[ep]
+		et.inflight.Set(float64(et.n.Add(1)))
+		defer func() { et.inflight.Set(float64(et.n.Add(-1))) }()
 
-		ctx := r.Context()
 		var root *trace.Span
 		traceID := ""
 		if s.cfg.TraceRequests {
-			ctx, root = trace.New(ctx, "http "+ep)
+			var ctx context.Context
+			ctx, root = trace.New(r.Context(), "http "+ep)
 			root.SetAttr("method", r.Method)
 			root.SetAttr("path", r.URL.Path)
 			traceID = root.TraceID()
+			r = r.WithContext(ctx)
 		} else {
 			traceID = trace.NewTraceID()
 		}
 		w.Header().Set("X-Trace-Id", traceID)
 
 		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		next.ServeHTTP(sw, r)
 
-		elapsed := time.Duration(s.clock() - start)
-		em.latency.Observe(elapsed.Microseconds())
+		elapsed := time.Duration(s.cfg.Clock() - start)
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
@@ -145,7 +119,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			cache = "-"
 		}
 		degraded := sw.Header().Get("X-Degraded") == "true"
-		s.tel.record(ep, sw.status, elapsed, cache, degraded)
+		s.tel.record(et, sw.status, elapsed, cache, degraded)
 		if root != nil {
 			root.SetAttr("status", sw.status)
 			root.SetAttr("cache", cache)

@@ -55,7 +55,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -118,9 +117,10 @@ type Config struct {
 	SlowTraceThreshold time.Duration
 	SlowTraceDir       string
 
-	// Clock is the monotonic clock behind all rolling-window telemetry
-	// and request timing (default window.Monotonic). Tests inject a
-	// stepped fake clock to make GET /v1/status byte-deterministic.
+	// Clock is the monotonic clock behind all rolling-window telemetry,
+	// request timing and job expiry (default window.Monotonic). Tests
+	// inject a stepped fake clock to make GET /v1/status
+	// byte-deterministic.
 	Clock window.Clock
 	// ShortWindow is the rolling span /v1/status reports over and the
 	// fast SLO horizon (default 5m). LongWindow is the slow, sustained
@@ -130,11 +130,6 @@ type Config struct {
 	// SLOLatencyThreshold marks a request "slow" for the latency
 	// objective (default 2s).
 	SLOLatencyThreshold time.Duration
-	// DisableWindowTelemetry skips constructing the rolling-window
-	// layer entirely: recording becomes nil-receiver no-ops and
-	// /v1/status reports zeros. Exists so the middleware overhead
-	// benchmark has an honest baseline.
-	DisableWindowTelemetry bool
 }
 
 func (c Config) withDefaults() Config {
@@ -174,6 +169,9 @@ func (c Config) withDefaults() Config {
 	if c.SLOLatencyThreshold <= 0 {
 		c.SLOLatencyThreshold = 2 * time.Second
 	}
+	if c.Clock == nil {
+		c.Clock = window.Monotonic
+	}
 	return c
 }
 
@@ -187,27 +185,14 @@ type Server struct {
 	flights *flightGroup  // in-flight computation per result key
 	jobs    *jobStore     // async flow jobs
 
-	reg          *obsv.Registry
-	reqTotal     *obsv.Counter
-	reqErrors    *obsv.Counter
-	clientAborts *obsv.Counter
-	inflight     *obsv.Gauge
-	inflightN    atomic.Int64 // backs the inflight gauge (Gauge has Set, not Add)
-	reqTimer     *obsv.Timer
+	reg       *obsv.Registry
+	tel       *telemetry
+	inflight  *obsv.Gauge
+	inflightN atomic.Int64 // backs the inflight gauge (Gauge has Set, not Add)
 
 	coalLeaders  *obsv.Counter // computations led on behalf of a herd
 	coalHits     *obsv.Counter // requests served by attaching to a leader
 	coalDetached *obsv.Counter // followers that gave up on their own deadline
-
-	// Per-endpoint and rolling-window telemetry. Both maps are built
-	// exactly once (initTelemetry, sync.Once) before the server is
-	// returned and are never mutated afterwards, so the request path
-	// reads them without locks and the first request allocates nothing
-	// the thousandth doesn't.
-	telOnce sync.Once
-	clock   window.Clock
-	stats   map[string]*endpointStats
-	tel     *telemetry
 }
 
 // netEntry pairs a parsed network with its structural hash, computed once
@@ -229,33 +214,14 @@ func New(cfg Config) *Server {
 		results:      newLRU(cfg.ResultCacheSize, reg.Counter("server.cache.result.hits"), reg.Counter("server.cache.result.misses")),
 		flights:      newFlightGroup(),
 		reg:          reg,
-		reqTotal:     reg.Counter("server.requests"),
-		reqErrors:    reg.Counter("server.errors"),
-		clientAborts: reg.Counter("server.client_aborts"),
+		tel:          newTelemetry(cfg, reg),
 		inflight:     reg.Gauge("server.inflight"),
-		reqTimer:     reg.Timer("server.request.ns"),
 		coalLeaders:  reg.Counter("server.coalesce.leaders"),
 		coalHits:     reg.Counter("server.coalesce.hits"),
 		coalDetached: reg.Counter("server.coalesce.detached"),
 	}
 	s.jobs = newJobStore(cfg, reg)
-	s.initTelemetry()
 	return s
-}
-
-// initTelemetry builds every per-endpoint metric handle and rolling
-// window behind one sync.Once: a single construction path, fully done
-// before the first request, so concurrent first requests race on
-// nothing and the hot path never consults the registry.
-func (s *Server) initTelemetry() {
-	s.telOnce.Do(func() {
-		s.clock = s.cfg.Clock
-		if s.clock == nil {
-			s.clock = window.Monotonic
-		}
-		s.stats = newEndpointStats(s.reg)
-		s.tel = newTelemetry(s.cfg)
-	})
 }
 
 // Handler returns the routed HTTP handler for the service.
@@ -292,9 +258,9 @@ func badRequest(format string, args ...any) error {
 
 // statusClientClosedRequest is nginx's 499: the client cancelled the
 // request (closed the connection) before the server finished. It is a
-// client disposition, not a server failure — writeError keeps it out of
-// server.errors and, being < 500, it never counts against the
-// availability SLO (telemetry.record's bad-event rule is status >= 500).
+// client disposition, not a server failure: telemetry.record counts it
+// as a client abort, and being < 500 it stays out of server.errors and
+// the availability SLO.
 const statusClientClosedRequest = 499
 
 // errorStatus maps an error to its HTTP status: explicit apiError
@@ -314,18 +280,11 @@ func errorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// writeError maps an error to a JSON error response. Client aborts
-// (499) are counted separately from server errors: a disconnecting
-// client must not burn the availability error budget.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status := errorStatus(err)
-	if status == statusClientClosedRequest {
-		s.clientAborts.Inc()
-	} else {
-		s.reqErrors.Inc()
-	}
+// writeError maps an error to a JSON error response. It only writes:
+// telemetry.record accounts the status once the request finishes.
+func writeError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(errorStatus(err))
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
@@ -414,25 +373,34 @@ func (s *Server) resultFor(ctx context.Context, key string, compute func(context
 // on, as a queue.wait span.
 func (s *Server) acquire(ctx context.Context, ep string) error {
 	_, sp := trace.Start(ctx, "queue.wait")
-	start := s.clock()
+	start := s.cfg.Clock()
 	err := s.acquireSlot(ctx)
-	s.stats[ep].queue.Observe(time.Duration(s.clock() - start).Microseconds())
+	s.tel.eps[ep].queue.Observe(time.Duration(s.cfg.Clock() - start).Microseconds())
 	sp.End()
 	return err
 }
 
+// acquireSlot takes a free slot even when ctx has already ended: 503
+// means the request gave up queued behind a full pool, so a request
+// that never queued reports its expired deadline from the computation
+// (504) instead of from a select that picks between two ready cases at
+// random.
 func (s *Server) acquireSlot(ctx context.Context) error {
 	select {
 	case s.sem <- struct{}{}:
-		s.inflight.Set(float64(s.inflightN.Add(1)))
-		return nil
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return &apiError{status: http.StatusServiceUnavailable,
-				msg: "server busy: deadline expired while queued for a worker"}
+	default:
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				return &apiError{status: http.StatusServiceUnavailable,
+					msg: "server busy: deadline expired while queued for a worker"}
+			}
+			return ctx.Err()
 		}
-		return ctx.Err()
 	}
+	s.inflight.Set(float64(s.inflightN.Add(1)))
+	return nil
 }
 
 func (s *Server) release() {
@@ -703,30 +671,26 @@ func (s *Server) estimateResult(ctx context.Context, ep string, ent *netEntry, s
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Inc()
-	s.reg.Counter("server.requests.estimate").Inc()
-	defer s.reqTimer.Start()()
-
 	var req EstimateRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	spec, err := s.validateEstimate(req)
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), spec.timeout)
 	defer cancel()
 	ent, err := s.resolveNetwork(ctx, spec.ref)
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	res, disp, err := s.estimateResult(ctx, "estimate", ent, spec)
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeCached(w, res, disp)
@@ -951,18 +915,14 @@ func (s *Server) flowResult(ctx context.Context, ent *netEntry, spec flowSpec) (
 }
 
 func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Inc()
-	s.reg.Counter("server.requests.flow").Inc()
-	defer s.reqTimer.Start()()
-
 	var req FlowRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	spec, err := s.validateFlow(req)
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	if r.URL.Query().Get("async") == "1" {
@@ -973,12 +933,12 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ent, err := s.resolveNetwork(ctx, spec.ref)
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	res, disp, err := s.flowResult(ctx, ent, spec)
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeCached(w, res, disp)
@@ -988,10 +948,6 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 // GET /v1/experiments/{id}
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Inc()
-	s.reg.Counter("server.requests.experiment").Inc()
-	defer s.reqTimer.Start()()
-
 	id := r.PathValue("id")
 	var ex *experiments.Experiment
 	for _, e := range experiments.All() {
@@ -1002,7 +958,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if ex == nil {
-		s.writeError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown experiment %q", id)})
+		writeError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown experiment %q", id)})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
@@ -1028,7 +984,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return cachedResult{body: body}, nil
 	})
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeCached(w, cr, disp)
@@ -1038,7 +994,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // Introspection endpoints
 
 func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
-	s.reqTotal.Inc()
 	flows := core.StandardFlows()
 	flowNames := make([]string, 0, len(flows))
 	for n := range flows {
@@ -1073,8 +1028,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := obsv.Default().WritePrometheus(w); err != nil {
-			s.reqErrors.Inc()
-			return
+			return // the write to the client failed: nothing more can reach it
 		}
 		// Fold the rolling-window/SLO series in after the registry so
 		// one scrape sees both the cumulative and the windowed picture.
@@ -1083,7 +1037,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.MarshalIndent(obsv.Default().Export(), "", "  ")
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

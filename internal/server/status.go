@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obsv"
@@ -12,65 +13,70 @@ import (
 	"repro/internal/obsv/window"
 )
 
-// telemetry is the continuous (rolling-window) half of the serving
-// instrumentation: per-endpoint windowed counters and latency
-// histograms plus the SLO trackers, all driven by the server's
-// injectable monotonic clock. A nil *telemetry (Config.
-// DisableWindowTelemetry) makes every record call a no-op and the
-// status report read zeros — that is the baseline the middleware
-// overhead benchmark compares against.
+// telemetry is the serving instrumentation: the request counters, one
+// endpointTelemetry per endpoint label and the SLO trackers. New builds
+// all of it before the server serves anything, so the request path
+// reads it without locks, registry lookups or first-request
+// allocations.
 type telemetry struct {
-	clock     window.Clock
-	shortSpan time.Duration
-	eps       map[string]*endpointWindows
+	eps map[string]*endpointTelemetry
 
-	// SLO trackers, fed only by the computation endpoints
-	// (estimate/flow/experiment) so that metrics/healthz polling can
-	// never dilute an error burst out of the budget math.
+	requests     *obsv.Counter // server.requests
+	errors       *obsv.Counter // server.errors: status >= 500
+	clientAborts *obsv.Counter // server.client_aborts: status 499
+
+	// SLO trackers, fed only by the computation endpoints (sloEndpoint)
+	// so that metrics/healthz polling can never dilute an error burst
+	// out of the budget math.
 	availability *slo.Tracker
 	latency      *slo.Tracker
 	degraded     *slo.Tracker
 	latencyBad   time.Duration
 }
 
-// endpointWindows is one endpoint's rolling-window instruments.
-type endpointWindows struct {
-	requests  *window.Counter
-	errors    *window.Counter
-	degraded  *window.Counter
-	cacheHits *window.Counter
-	cacheMiss *window.Counter
-	latency   *window.Histogram
+// endpointTelemetry is one endpoint's instruments: the cumulative
+// registry series behind /metrics and the rolling windows behind
+// /v1/status, keyed by the same label.
+type endpointTelemetry struct {
+	latency  *obsv.Histogram // server.http.<ep>.latency_us
+	queue    *obsv.Histogram // server.http.<ep>.queue_us
+	inflight *obsv.Gauge     // server.http.<ep>.inflight
+	n        atomic.Int64    // backs the inflight gauge
+	slo      bool            // requests feed the SLO trackers
+
+	requests      *window.Counter
+	errors        *window.Counter
+	degraded      *window.Counter
+	cacheHits     *window.Counter
+	cacheMiss     *window.Counter
+	recentLatency *window.Histogram
 }
 
 // statusBuckets is the ring resolution of the short status window: a
 // 5m window advances in 10s steps.
 const statusBuckets = 30
 
-// newTelemetry builds the rolling-window layer for a config, or nil
-// when window telemetry is disabled.
-func newTelemetry(cfg Config) *telemetry {
-	if cfg.DisableWindowTelemetry {
-		return nil
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = window.Monotonic
-	}
+func newTelemetry(cfg Config, reg *obsv.Registry) *telemetry {
 	t := &telemetry{
-		clock:      clock,
-		shortSpan:  cfg.ShortWindow,
-		eps:        make(map[string]*endpointWindows, len(endpoints)),
-		latencyBad: cfg.SLOLatencyThreshold,
+		eps:          make(map[string]*endpointTelemetry, len(endpoints)),
+		requests:     reg.Counter("server.requests"),
+		errors:       reg.Counter("server.errors"),
+		clientAborts: reg.Counter("server.client_aborts"),
+		latencyBad:   cfg.SLOLatencyThreshold,
 	}
+	span, clock := cfg.ShortWindow, cfg.Clock
 	for _, ep := range endpoints {
-		t.eps[ep] = &endpointWindows{
-			requests:  window.NewCounter(cfg.ShortWindow, statusBuckets, clock),
-			errors:    window.NewCounter(cfg.ShortWindow, statusBuckets, clock),
-			degraded:  window.NewCounter(cfg.ShortWindow, statusBuckets, clock),
-			cacheHits: window.NewCounter(cfg.ShortWindow, statusBuckets, clock),
-			cacheMiss: window.NewCounter(cfg.ShortWindow, statusBuckets, clock),
-			latency:   window.NewHistogram(cfg.ShortWindow, statusBuckets, clock),
+		t.eps[ep] = &endpointTelemetry{
+			latency:       reg.Histogram("server.http." + ep + ".latency_us"),
+			queue:         reg.Histogram("server.http." + ep + ".queue_us"),
+			inflight:      reg.Gauge("server.http." + ep + ".inflight"),
+			slo:           sloEndpoint(ep),
+			requests:      window.NewCounter(span, statusBuckets, clock),
+			errors:        window.NewCounter(span, statusBuckets, clock),
+			degraded:      window.NewCounter(span, statusBuckets, clock),
+			cacheHits:     window.NewCounter(span, statusBuckets, clock),
+			cacheMiss:     window.NewCounter(span, statusBuckets, clock),
+			recentLatency: window.NewHistogram(span, statusBuckets, clock),
 		}
 	}
 	horizons := []slo.Horizon{
@@ -86,41 +92,44 @@ func newTelemetry(cfg Config) *telemetry {
 	return t
 }
 
-// sloEndpoints are the endpoint labels whose requests feed the SLO
+// sloEndpoint reports whether an endpoint label's requests feed the SLO
 // trackers: the ones that run real computations.
 func sloEndpoint(ep string) bool {
 	return ep == "estimate" || ep == "batch" || ep == "flow" || ep == "experiment"
 }
 
-// record feeds one finished request into the rolling windows. Safe on
-// a nil receiver (telemetry disabled) and allocation-free on the hot
-// path.
-func (t *telemetry) record(ep string, status int, elapsed time.Duration, cache string, degraded bool) {
-	if t == nil {
-		return
-	}
-	ew := t.eps[ep]
-	if ew == nil {
-		return
-	}
-	ew.requests.Inc()
-	if status >= 500 {
-		ew.errors.Inc()
+// record is the one record path for a finished request: every
+// cumulative and windowed series a request touches is written here,
+// without allocating. A server error is status >= 500 everywhere —
+// server.errors, the windowed errors and the availability SLO — and a
+// client abort (499) is counted apart from it.
+func (t *telemetry) record(et *endpointTelemetry, status int, elapsed time.Duration, cache string, degraded bool) {
+	us := elapsed.Microseconds()
+	serverError := status >= 500
+	t.requests.Inc()
+	et.requests.Inc()
+	et.latency.Observe(us)
+	et.recentLatency.Observe(us)
+	switch {
+	case serverError:
+		t.errors.Inc()
+		et.errors.Inc()
+	case status == statusClientClosedRequest:
+		t.clientAborts.Inc()
 	}
 	if degraded {
-		ew.degraded.Inc()
+		et.degraded.Inc()
 	}
 	switch cache {
 	case "hit", "coalesced":
 		// Coalesced followers count as hits: from the capacity planner's
 		// seat both mean "served without a computation of its own".
-		ew.cacheHits.Inc()
+		et.cacheHits.Inc()
 	case "miss":
-		ew.cacheMiss.Inc()
+		et.cacheMiss.Inc()
 	}
-	ew.latency.Observe(elapsed.Microseconds())
-	if sloEndpoint(ep) {
-		t.availability.Observe(status >= 500)
+	if et.slo {
+		t.availability.Observe(serverError)
 		t.latency.Observe(elapsed >= t.latencyBad)
 		t.degraded.Observe(degraded)
 	}
@@ -171,50 +180,39 @@ type StatusResponse struct {
 }
 
 // statusSnapshot assembles the status report from the rolling
-// windows. With telemetry disabled it reports zeros and an ok SLO.
+// windows.
 func (s *Server) statusSnapshot() StatusResponse {
+	t := s.tel
 	st := StatusResponse{
 		Window:     durLabel(s.cfg.ShortWindow),
-		NowNS:      s.clock(),
+		NowNS:      s.cfg.Clock(),
 		SLO:        slo.OK.String(),
-		Objectives: []slo.Verdict{},
-		Endpoints:  []EndpointStatus{},
+		Objectives: []slo.Verdict{t.availability.Evaluate(), t.latency.Evaluate(), t.degraded.Evaluate()},
+		Endpoints:  make([]EndpointStatus, 0, len(endpoints)),
 	}
-	t := s.tel
-	if t != nil {
-		st.Objectives = []slo.Verdict{
-			t.availability.Evaluate(),
-			t.latency.Evaluate(),
-			t.degraded.Evaluate(),
-		}
-	}
-	worst := "ok"
 	for _, v := range st.Objectives {
-		switch {
-		case v.State == "breach":
-			worst = "breach"
-		case v.State == "warn" && worst == "ok":
-			worst = "warn"
+		if v.State == "breach" || v.State == "warn" && st.SLO == "ok" {
+			st.SLO = v.State
 		}
 	}
-	st.SLO = worst
 	for _, ep := range endpoints {
-		es := s.stats[ep]
-		e := EndpointStatus{Endpoint: ep, Inflight: es.n.Load()}
-		if t != nil {
-			w := t.eps[ep]
-			e.Requests = w.requests.Total()
-			e.RateRPS = w.requests.Rate()
-			e.Errors = w.errors.Total()
-			snap := w.latency.Snapshot()
-			e.P50US, e.P95US, e.P99US, e.MaxUS = snap.P50, snap.P95, snap.P99, snap.Max
-			if e.Requests > 0 {
-				e.ErrorFraction = float64(e.Errors) / float64(e.Requests)
-				e.DegradedFraction = float64(w.degraded.Total()) / float64(e.Requests)
-			}
-			if lookups := w.cacheHits.Total() + w.cacheMiss.Total(); lookups > 0 {
-				e.CacheHitRatio = float64(w.cacheHits.Total()) / float64(lookups)
-			}
+		et := t.eps[ep]
+		e := EndpointStatus{
+			Endpoint: ep,
+			Requests: et.requests.Total(),
+			RateRPS:  et.requests.Rate(),
+			Errors:   et.errors.Total(),
+			Inflight: et.n.Load(),
+		}
+		snap := et.recentLatency.Snapshot()
+		e.P50US, e.P95US, e.P99US, e.MaxUS = snap.P50, snap.P95, snap.P99, snap.Max
+		if e.Requests > 0 {
+			e.ErrorFraction = float64(e.Errors) / float64(e.Requests)
+			e.DegradedFraction = float64(et.degraded.Total()) / float64(e.Requests)
+		}
+		hits := et.cacheHits.Total()
+		if lookups := hits + et.cacheMiss.Total(); lookups > 0 {
+			e.CacheHitRatio = float64(hits) / float64(lookups)
 		}
 		st.Endpoints = append(st.Endpoints, e)
 	}
@@ -233,7 +231,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.Marshal(st)
 	if err != nil {
-		s.writeError(w, err)
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -128,7 +128,7 @@ func TestStatusSLOFlipsOnSyntheticBursts(t *testing.T) {
 
 	// A minute of healthy traffic.
 	for i := 0; i < 60; i++ {
-		s.tel.record("estimate", http.StatusOK, time.Millisecond, "miss", false)
+		s.tel.record(s.tel.eps["estimate"], http.StatusOK, time.Millisecond, "miss", false)
 		mc.Advance(time.Second)
 	}
 	st := s.statusSnapshot()
@@ -141,7 +141,7 @@ func TestStatusSLOFlipsOnSyntheticBursts(t *testing.T) {
 
 	// 30s of hard 500s: availability breaches on every horizon.
 	for i := 0; i < 30; i++ {
-		s.tel.record("estimate", http.StatusInternalServerError, time.Millisecond, "-", false)
+		s.tel.record(s.tel.eps["estimate"], http.StatusInternalServerError, time.Millisecond, "-", false)
 		mc.Advance(time.Second)
 	}
 	st = s.statusSnapshot()
@@ -153,7 +153,7 @@ func TestStatusSLOFlipsOnSyntheticBursts(t *testing.T) {
 	// Recovery: the short horizon drains after 10s of good traffic and
 	// the multi-window rule de-escalates.
 	for i := 0; i < 11; i++ {
-		s.tel.record("estimate", http.StatusOK, time.Millisecond, "hit", false)
+		s.tel.record(s.tel.eps["estimate"], http.StatusOK, time.Millisecond, "hit", false)
 		mc.Advance(time.Second)
 	}
 	if st = s.statusSnapshot(); st.SLO != "ok" {
@@ -163,7 +163,7 @@ func TestStatusSLOFlipsOnSyntheticBursts(t *testing.T) {
 	// A latency burst (everything slower than the 2s default threshold)
 	// breaches the latency objective without touching availability.
 	for i := 0; i < 70; i++ {
-		s.tel.record("flow", http.StatusOK, 3*time.Second, "miss", false)
+		s.tel.record(s.tel.eps["flow"], http.StatusOK, 3*time.Second, "miss", false)
 		mc.Advance(time.Second)
 	}
 	st = s.statusSnapshot()
@@ -178,7 +178,7 @@ func TestStatusSLOFlipsOnSyntheticBursts(t *testing.T) {
 	// (however implausible) cannot move the objectives.
 	mc.Advance(2 * time.Minute) // drain everything
 	for i := 0; i < 50; i++ {
-		s.tel.record("healthz", http.StatusInternalServerError, time.Millisecond, "-", false)
+		s.tel.record(s.tel.eps["healthz"], http.StatusInternalServerError, time.Millisecond, "-", false)
 		mc.Advance(100 * time.Millisecond)
 	}
 	if st = s.statusSnapshot(); st.SLO != "ok" {
@@ -218,31 +218,21 @@ func TestStatusPromFold(t *testing.T) {
 	if !strings.Contains(out, `server_window_requests{endpoint="estimate"} `) {
 		t.Fatalf("metrics prom did not fold the status rows in:\n%s", out)
 	}
-	if !strings.Contains(out, "# HELP server_requests HTTP API requests accepted.\n# TYPE server_requests counter\n") {
+	if !strings.Contains(out, "# HELP server_requests HTTP requests served, every endpoint.\n# TYPE server_requests counter\n") {
 		t.Fatalf("metrics prom missing catalog HELP line:\n%s", out)
 	}
 }
 
-// TestStatusWithTelemetryDisabled pins the benchmark baseline path:
-// recording no-ops and the status report serves zeros without panics.
-func TestStatusWithTelemetryDisabled(t *testing.T) {
-	h := New(Config{DisableWindowTelemetry: true}).Handler()
-	doJSON(t, h, http.MethodPost, "/v1/estimate", map[string]any{"circuit": "cla8", "estimator": "propagated"})
-	rec := doJSON(t, h, http.MethodGet, "/v1/status", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status code %d", rec.Code)
-	}
-	var st StatusResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.SLO != "ok" || len(st.Objectives) != 0 {
-		t.Fatalf("disabled telemetry should read ok/empty: %+v", st)
-	}
-	for _, e := range st.Endpoints {
-		if e.Requests != 0 {
-			t.Fatalf("disabled telemetry counted requests: %+v", e)
-		}
+// TestRecordDoesNotAllocate pins the per-request recording cost: the
+// one record path writes every cumulative and windowed series without
+// allocating.
+func TestRecordDoesNotAllocate(t *testing.T) {
+	s := New(Config{})
+	et := s.tel.eps["estimate"]
+	if got := testing.AllocsPerRun(1000, func() {
+		s.tel.record(et, http.StatusOK, time.Millisecond, "hit", false)
+	}); got != 0 {
+		t.Fatalf("record allocates %.1f objects per request, want 0", got)
 	}
 }
 
@@ -301,10 +291,11 @@ func TestConcurrentFirstRequests(t *testing.T) {
 	}
 }
 
-// benchmarkMiddleware measures the full instrument+handler round trip
-// on the cheapest endpoint, isolating the windowed-recording delta.
-func benchmarkMiddleware(b *testing.B, disable bool) {
-	h := New(Config{DisableWindowTelemetry: disable}).Handler()
+// BenchmarkMiddleware measures the full instrument+handler round trip
+// on the cheapest endpoint: the serving-telemetry overhead every
+// request pays.
+func BenchmarkMiddleware(b *testing.B) {
+	h := New(Config{}).Handler()
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -313,9 +304,3 @@ func benchmarkMiddleware(b *testing.B, disable bool) {
 		h.ServeHTTP(rec, req)
 	}
 }
-
-// BenchmarkMiddlewareWindowed vs BenchmarkMiddlewareNoWindows is the
-// committed evidence that windowed recording adds no steady-state
-// allocations: compare allocs/op between the two.
-func BenchmarkMiddlewareWindowed(b *testing.B)  { benchmarkMiddleware(b, false) }
-func BenchmarkMiddlewareNoWindows(b *testing.B) { benchmarkMiddleware(b, true) }
