@@ -416,11 +416,11 @@ func BenchmarkAblationGatingBreakEven(b *testing.B) {
 	}
 	p := power.DefaultParams()
 	saving := func(clockCap float64) float64 {
-		rb, err := gating.MeasureClockPower(base, logic.InvalidNode, nil, rand.New(rand.NewSource(9)), 1500, p, clockCap)
+		rb, err := gating.MeasureClockPower(base, logic.InvalidNode, nil, rand.New(rand.NewSource(9)), 1500, p, clockCap, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rg, err := gating.MeasureClockPower(gated.Network, gated.Enable, gated.HoldMuxes, rand.New(rand.NewSource(9)), 1500, p, clockCap)
+		rg, err := gating.MeasureClockPower(gated.Network, gated.Enable, gated.HoldMuxes, rand.New(rand.NewSource(9)), 1500, p, clockCap, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,12 +63,12 @@ func main() {
 	}
 	for _, clockCap := range []float64{1, 4, 8} {
 		rb, err := gating.MeasureClockPower(base, logic.InvalidNode, nil,
-			rand.New(rand.NewSource(5)), 4000, params, clockCap)
+			rand.New(rand.NewSource(5)), 4000, params, clockCap, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		rg, err := gating.MeasureClockPower(gated.Network, gated.Enable, gated.HoldMuxes,
-			rand.New(rand.NewSource(5)), 4000, params, clockCap)
+			rand.New(rand.NewSource(5)), 4000, params, clockCap, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -86,12 +86,12 @@ func main() {
 		prob[i] = 0.5
 	}
 	prob[0] = 0.1
-	ru, err := gating.MeasureClockPowerBiased(bank.Network, logic.InvalidNode, nil,
+	ru, err := gating.MeasureClockPower(bank.Network, logic.InvalidNode, nil,
 		rand.New(rand.NewSource(8)), 4000, params, 2.0, prob)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rg, err := gating.MeasureClockPowerBiased(bank.Network, bank.Load, bank.HoldMuxes,
+	rg, err := gating.MeasureClockPower(bank.Network, bank.Load, bank.HoldMuxes,
 		rand.New(rand.NewSource(8)), 4000, params, 2.0, prob)
 	if err != nil {
 		log.Fatal(err)

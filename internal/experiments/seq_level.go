@@ -275,12 +275,12 @@ func E12GatedClock() (*Table, error) {
 		}
 		const clockCap = 4.0
 		rb, err := gating.MeasureClockPower(base, logic.InvalidNode, nil,
-			rand.New(rand.NewSource(7)), 3000, p, clockCap)
+			rand.New(rand.NewSource(7)), 3000, p, clockCap, nil)
 		if err != nil {
 			return nil, err
 		}
 		rg, err := gating.MeasureClockPower(gated.Network, gated.Enable, gated.HoldMuxes,
-			rand.New(rand.NewSource(7)), 3000, p, clockCap)
+			rand.New(rand.NewSource(7)), 3000, p, clockCap, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -297,12 +297,12 @@ func E12GatedClock() (*Table, error) {
 		prob[i] = 0.5
 	}
 	prob[0] = 0.1
-	ru, err := gating.MeasureClockPowerBiased(bank.Network, logic.InvalidNode, nil,
+	ru, err := gating.MeasureClockPower(bank.Network, logic.InvalidNode, nil,
 		rand.New(rand.NewSource(17)), 3000, p, 2.0, prob)
 	if err != nil {
 		return nil, err
 	}
-	rg, err := gating.MeasureClockPowerBiased(bank.Network, bank.Load, bank.HoldMuxes,
+	rg, err := gating.MeasureClockPower(bank.Network, bank.Load, bank.HoldMuxes,
 		rand.New(rand.NewSource(17)), 3000, p, 2.0, prob)
 	if err != nil {
 		return nil, err

@@ -16,6 +16,7 @@ import (
 	"repro/internal/encode"
 	"repro/internal/logic"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/sop"
 	"repro/internal/stg"
 )
@@ -163,58 +164,36 @@ type ClockReport struct {
 func (c ClockReport) Total() float64 { return c.ClockPower + c.LogicPower }
 
 // MeasureClockPower simulates the network over random input vectors and
-// returns combined logic + clock power. If enable is a valid node, the
-// clock to all flip-flops ticks only on cycles where it evaluates true
-// (self-loop gating), one always-clocked gating cell is charged, and the
-// nodes in excluded (the functional hold muxes) are omitted from logic
+// returns combined logic + clock power. Input i is 1 with probability
+// piProb[i], or 0.5 for every input when piProb is nil (a rarely-asserted
+// load line is a biased input). If enable is a valid node, the clock to
+// all flip-flops ticks only on cycles where it evaluates true before the
+// edge (self-loop gating), one always-clocked gating cell is charged, and
+// the nodes in excluded (the functional hold muxes) are omitted from logic
 // power since real gating stops the clock instead of recirculating data.
 // clockCapPerFF is the clock-node capacitance per register.
-func MeasureClockPower(nw *logic.Network, enable logic.NodeID, excluded map[logic.NodeID]bool, r *rand.Rand, cycles int, p power.Params, clockCapPerFF float64) (ClockReport, error) {
-	return MeasureClockPowerBiased(nw, enable, excluded, r, cycles, p, clockCapPerFF, nil)
-}
-
-// MeasureClockPowerBiased is MeasureClockPower with per-input one
-// probabilities (nil = uniform 0.5), for workloads like a rarely-asserted
-// load line.
-func MeasureClockPowerBiased(nw *logic.Network, enable logic.NodeID, excluded map[logic.NodeID]bool, r *rand.Rand, cycles int, p power.Params, clockCapPerFF float64, piProb []float64) (ClockReport, error) {
-	st := logic.NewState(nw)
-	nIn := len(nw.PIs())
+func MeasureClockPower(nw *logic.Network, enable logic.NodeID, excluded map[logic.NodeID]bool, r *rand.Rand, cycles int, p power.Params, clockCapPerFF float64, piProb []float64) (ClockReport, error) {
+	if piProb == nil {
+		piProb = make([]float64, len(nw.PIs()))
+		for i := range piProb {
+			piProb[i] = 0.5
+		}
+	}
 	rep := ClockReport{Cycles: cycles, FFs: len(nw.FFs())}
-
-	// Track logic transitions per node for power (zero-delay).
-	prev := make(map[logic.NodeID]bool)
-	toggles := make(map[logic.NodeID]int)
-	in := make([]bool, nIn)
-	for c := 0; c < cycles; c++ {
-		for i := range in {
-			pr := 0.5
-			if piProb != nil {
-				pr = piProb[i]
-			}
-			in[i] = r.Float64() < pr
-		}
-		if _, err := st.Step(in); err != nil {
-			return rep, err
-		}
-		if enable == logic.InvalidNode || st.Value(enable) {
+	s, err := sim.MeasureSequential(nw, sim.BiasedVectors(r, cycles, piProb), func(val []bool) {
+		if enable == logic.InvalidNode || val[enable] {
 			rep.ActiveCycles++
 		}
-		for _, id := range nw.Live() {
-			v := st.Value(id)
-			if c > 0 && v != prev[id] {
-				toggles[id]++
-			}
-			prev[id] = v
-		}
+	})
+	if err != nil {
+		return rep, err
 	}
-	if cycles > 0 {
-		rep.EnableFraction = float64(rep.ActiveCycles) / float64(cycles)
-	}
+	rep.EnableFraction = sim.Fraction(rep.ActiveCycles, cycles)
 	act := func(id logic.NodeID) float64 {
-		if cycles <= 1 || excluded[id] {
+		if excluded[id] {
 			return 0
 		}
-		return float64(toggles[id]) / float64(cycles-1)
+		return s.Activity(id)
 	}
 	logicRep := power.Evaluate(nw, p, nil, act)
 	rep.LogicPower = logicRep.Total()
@@ -226,44 +205,4 @@ func MeasureClockPowerBiased(nw *logic.Network, enable logic.NodeID, excluded ma
 		rep.ClockPower += 1.0 * p.Vdd * p.Vdd * p.Freq
 	}
 	return rep, nil
-}
-
-// HoldProbability measures, per flip-flop, the fraction of cycles in which
-// the register reloads its own value (D == Q) — the idleness statistic
-// that makes a register a gating candidate ([9]).
-func HoldProbability(nw *logic.Network, r *rand.Rand, cycles int) (map[logic.NodeID]float64, error) {
-	st := logic.NewState(nw)
-	hold := make(map[logic.NodeID]int)
-	in := make([]bool, len(nw.PIs()))
-	for c := 0; c < cycles; c++ {
-		for i := range in {
-			in[i] = r.Intn(2) == 1
-		}
-		if err := stepObservingHold(st, nw, in, hold); err != nil {
-			return nil, err
-		}
-	}
-	out := make(map[logic.NodeID]float64, len(nw.FFs()))
-	for _, ff := range nw.FFs() {
-		out[ff] = float64(hold[ff]) / float64(cycles)
-	}
-	return out, nil
-}
-
-func stepObservingHold(st *logic.State, nw *logic.Network, in []bool, hold map[logic.NodeID]int) error {
-	// Apply inputs and settle without clocking to compare D against Q.
-	for i, pi := range nw.PIs() {
-		st.SetValue(pi, in[i])
-	}
-	if err := st.Settle(); err != nil {
-		return err
-	}
-	for _, ff := range nw.FFs() {
-		d := nw.Node(ff).Fanin[0]
-		if st.Value(d) == st.Value(ff) {
-			hold[ff]++
-		}
-	}
-	_, err := st.Step(in)
-	return err
 }

@@ -1,12 +1,14 @@
 package gating
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/encode"
 	"repro/internal/logic"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/stg"
 )
 
@@ -59,33 +61,33 @@ func TestEnableTracksSelfLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	vecs := make([][]bool, 400)
 	r := rand.New(rand.NewSource(5))
-	st := logic.NewState(gated.Network)
-	state := g.Reset
-	for c := 0; c < 400; c++ {
-		in := make([]bool, g.NumInputs)
-		for i := range in {
-			in[i] = r.Intn(2) == 1
+	for c := range vecs {
+		vecs[c] = make([]bool, g.NumInputs)
+		for i := range vecs[c] {
+			vecs[c][i] = r.Intn(2) == 1
 		}
-		next, _, ok := g.Next(state, in)
+	}
+	s, err := sim.NewStream(gated.Network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream shows EN settled before the clock edge.
+	state, c := g.Reset, 0
+	err = s.Run(vecs, func(val []bool) {
+		next, _, ok := g.Next(state, vecs[c])
 		if !ok {
 			t.Fatal("missing transition")
 		}
-		// Settle to observe EN before clocking.
-		for i, pi := range gated.Network.PIs() {
-			st.SetValue(pi, in[i])
-		}
-		if err := st.Settle(); err != nil {
-			t.Fatal(err)
-		}
-		en := st.Value(gated.Enable)
-		if (next == state) == en {
+		if en := val[gated.Enable]; (next == state) == en {
 			t.Fatalf("cycle %d: state %s -> %s but EN=%v", c, state, next, en)
 		}
-		if _, err := st.Step(in); err != nil {
-			t.Fatal(err)
-		}
 		state = next
+		c++
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -104,11 +106,11 @@ func TestGatingSavesClockPowerOnIdleMachine(t *testing.T) {
 	}
 	p := power.DefaultParams()
 	const clockCap = 4.0
-	repBase, err := MeasureClockPower(base, logic.InvalidNode, nil, rand.New(rand.NewSource(7)), 4000, p, clockCap)
+	repBase, err := MeasureClockPower(base, logic.InvalidNode, nil, rand.New(rand.NewSource(7)), 4000, p, clockCap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repGated, err := MeasureClockPower(gated.Network, gated.Enable, gated.HoldMuxes, rand.New(rand.NewSource(7)), 4000, p, clockCap)
+	repGated, err := MeasureClockPower(gated.Network, gated.Enable, gated.HoldMuxes, rand.New(rand.NewSource(7)), 4000, p, clockCap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +145,12 @@ func TestRegisterBankGatingWins(t *testing.T) {
 		prob[i] = 0.5
 	}
 	prob[0] = 0.1 // load line is PI 0
-	ungated, err := MeasureClockPowerBiased(rb.Network, logic.InvalidNode, nil,
+	ungated, err := MeasureClockPower(rb.Network, logic.InvalidNode, nil,
 		rand.New(rand.NewSource(17)), 4000, p, clockCap, prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := MeasureClockPowerBiased(rb.Network, rb.Load, rb.HoldMuxes,
+	gated, err := MeasureClockPower(rb.Network, rb.Load, rb.HoldMuxes,
 		rand.New(rand.NewSource(17)), 4000, p, clockCap, prob)
 	if err != nil {
 		t.Fatal(err)
@@ -215,11 +217,11 @@ func TestGatingBreakEven(t *testing.T) {
 	}
 	p := power.DefaultParams()
 	saving := func(clockCap float64) float64 {
-		rb, err := MeasureClockPower(base, logic.InvalidNode, nil, rand.New(rand.NewSource(9)), 3000, p, clockCap)
+		rb, err := MeasureClockPower(base, logic.InvalidNode, nil, rand.New(rand.NewSource(9)), 3000, p, clockCap, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rg, err := MeasureClockPower(gated.Network, gated.Enable, gated.HoldMuxes, rand.New(rand.NewSource(9)), 3000, p, clockCap)
+		rg, err := MeasureClockPower(gated.Network, gated.Enable, gated.HoldMuxes, rand.New(rand.NewSource(9)), 3000, p, clockCap, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,44 +237,28 @@ func TestGatingBreakEven(t *testing.T) {
 	}
 }
 
-func TestHoldProbability(t *testing.T) {
-	// A register that reloads a constant holds forever; a toggle register
-	// never holds.
-	nw := logic.New("h")
-	one, err := nw.AddConst("one", true)
+// TestMeasureClockPowerShortRuns: with fewer than two cycles no transition
+// is counted, so logic power is leakage alone, and with no cycles the
+// enable fraction is 0 — never NaN.
+func TestMeasureClockPowerShortRuns(t *testing.T) {
+	bank, err := BuildRegisterBank(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc, err := nw.AddDFF("qc", one, true) // loads 1, starts 1: always holds
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0, _ := nw.AddConst("c0", false)
-	qt, err := nw.AddDFF("qt", c0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv := nw.MustGate("inv", logic.Not, qt)
-	if err := nw.ReplaceFanin(qt, c0, inv); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.DeleteNode(c0); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.MarkOutput(qc); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.MarkOutput(qt); err != nil {
-		t.Fatal(err)
-	}
-	hold, err := HoldProbability(nw, rand.New(rand.NewSource(1)), 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hold[qc] != 1.0 {
-		t.Errorf("constant register hold = %v, want 1", hold[qc])
-	}
-	if hold[qt] != 0.0 {
-		t.Errorf("toggle register hold = %v, want 0", hold[qt])
+	nw := bank.Network
+	p := power.DefaultParams()
+	idle := power.Evaluate(nw, p, nil, func(logic.NodeID) float64 { return 0 }).Total()
+	for _, cycles := range []int{0, 1, 2} {
+		rep, err := MeasureClockPower(nw, bank.Load, bank.HoldMuxes, rand.New(rand.NewSource(1)), cycles, p, 2.0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := rep.EnableFraction
+		if math.IsNaN(f) || f < 0 || f > 1 || (cycles == 0 && f != 0) {
+			t.Errorf("%d cycles: enable fraction %v", cycles, f)
+		}
+		if math.IsNaN(rep.Total()) || (cycles < 2 && rep.LogicPower != idle) {
+			t.Errorf("%d cycles: logic power %v, total %v", cycles, rep.LogicPower, rep.Total())
+		}
 	}
 }

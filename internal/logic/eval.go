@@ -183,11 +183,6 @@ func (s *State) Value(id NodeID) bool { return s.val[id] }
 // SetFF forces a flip-flop output value; used to seed particular states.
 func (s *State) SetFF(id NodeID, v bool) { s.val[id] = v }
 
-// SetValue forces any node's present value without clocking; used by
-// analyses that probe combinational settling (e.g. register hold
-// detection) before applying a real Step.
-func (s *State) SetValue(id NodeID, v bool) { s.val[id] = v }
-
 // Step applies one clock cycle: primary inputs are set from in (indexed by
 // PI position), the combinational logic settles under the zero-delay model,
 // primary output values are returned in PO order, and then all flip-flops

@@ -10,6 +10,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obsv"
 	"repro/internal/obsv/trace"
+	"repro/internal/sim"
 )
 
 // ExactOptions configures budgeted exact estimation and its Monte Carlo
@@ -103,11 +104,21 @@ func monteCarloEstimate(ctx context.Context, nw *logic.Network, p Params, cm Cap
 		rep, _, err := EstimateZeroDelayPacked(nw, p, cm, vecs)
 		return rep, err
 	}
-	act, err := sequentialZeroDelayActivity(ctx, nw, vecs)
+	s, err := sim.NewStream(nw)
 	if err != nil {
 		return Report{}, err
 	}
-	return measured(nw, p, cm, vecs, func(id logic.NodeID) float64 { return act[id] }), nil
+	// Count from the settled reset state, polling the context every 64
+	// cycles.
+	for base := 0; base < len(vecs); base += 64 {
+		if err := ctx.Err(); err != nil {
+			return Report{}, err
+		}
+		if err := s.Run(vecs[base:min(base+64, len(vecs))], nil); err != nil {
+			return Report{}, err
+		}
+	}
+	return measured(nw, p, cm, vecs, s.Activity), nil
 }
 
 // biasedVectors draws n vectors where PI i is 1 with its declared
@@ -122,57 +133,16 @@ func biasedVectors(nw *logic.Network, inputProb Probabilities, n int, seed int64
 			probs[i] = 0.5
 		}
 	}
-	r := rand.New(rand.NewSource(ShardSeed(seed, 0)))
-	vecs := make([][]bool, n)
-	for c := range vecs {
-		v := make([]bool, len(pis))
-		for i := range v {
-			v[i] = r.Float64() < probs[i]
-		}
-		vecs[c] = v
-	}
-	return vecs
+	return sim.BiasedVectors(rand.New(rand.NewSource(ShardSeed(seed, 0))), n, probs)
 }
 
-// sequentialZeroDelayActivity steps a sequential network through the
-// vector stream under the zero-delay model and returns per-node toggle
-// rates. The baseline is the settled reset state, matching the packed
-// engine's convention for combinational networks. The context is polled
-// every 64 cycles.
-func sequentialZeroDelayActivity(ctx context.Context, nw *logic.Network, vectors [][]bool) (map[logic.NodeID]float64, error) {
-	st := logic.NewState(nw)
-	if err := st.Settle(); err != nil {
-		return nil, err
-	}
-	live := nw.Live()
-	prev := make(map[logic.NodeID]bool, len(live))
-	for _, id := range live {
-		prev[id] = st.Value(id)
-	}
-	toggles := make(map[logic.NodeID]int64, len(live))
-	for c, in := range vectors {
-		if c&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := st.Step(in); err != nil {
-			return nil, err
-		}
-		for _, id := range live {
-			v := st.Value(id)
-			if v != prev[id] {
-				toggles[id]++
-				prev[id] = v
-			}
-		}
-	}
-	act := make(map[logic.NodeID]float64, len(live))
-	if len(vectors) == 0 {
-		return act, nil
-	}
-	for _, id := range live {
-		act[id] = float64(toggles[id]) / float64(len(vectors))
-	}
-	return act, nil
+// ShardSeed derives the PRNG seed of shard i from a caller seed with a
+// splitmix64 step, so shard streams are decorrelated but fully determined
+// by (seed, i). The Monte Carlo fallback draws its vectors from shard 0;
+// it is exported so tools that redraw that stream can reproduce a report.
+func ShardSeed(seed int64, i int) int64 {
+	z := uint64(seed) + uint64(i+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
 }

@@ -150,54 +150,3 @@ func TestShardSeedDecorrelation(t *testing.T) {
 		}
 	}
 }
-
-// TestSequentialProbabilitiesShardedDeterminism: for a fixed (seed,
-// cycles, shards) the sharded estimator is exactly reproducible, shards=1
-// reproduces the single-stream estimator on ShardSeed(seed, 0), and the
-// estimate stays statistically sane as shards vary.
-func TestSequentialProbabilitiesShardedDeterminism(t *testing.T) {
-	nw := fsmNetwork(t)
-	const seed, cycles = 41, 400
-
-	for _, shards := range []int{1, 2, 8} {
-		a, err := SequentialProbabilitiesSharded(nw, seed, cycles, shards, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := SequentialProbabilitiesSharded(nw, seed, cycles, shards, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("shards=%d: repeated runs differ", shards)
-		}
-		for _, pi := range nw.PIs() {
-			if a[pi] != 0.5 {
-				t.Errorf("shards=%d: PI probability %v, want 0.5", shards, a[pi])
-			}
-		}
-		for _, f := range nw.FFs() {
-			if a[f] < 0 || a[f] > 1 {
-				t.Errorf("shards=%d: FF probability %v out of range", shards, a[f])
-			}
-		}
-	}
-
-	single, err := SequentialProbabilities(nw, rand.New(rand.NewSource(ShardSeed(seed, 0))), cycles, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded1, err := SequentialProbabilitiesSharded(nw, seed, cycles, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(single, sharded1) {
-		t.Error("shards=1 does not reproduce SequentialProbabilities")
-	}
-
-	// Shard count above the cycle budget clamps instead of spawning empty
-	// streams.
-	if _, err := SequentialProbabilitiesSharded(nw, seed, 3, 100, 0.5); err != nil {
-		t.Errorf("over-sharded call failed: %v", err)
-	}
-}

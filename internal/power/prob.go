@@ -9,6 +9,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/obsv"
+	"repro/internal/sim"
 )
 
 // Probabilities holds per-node static signal probabilities: the probability
@@ -188,31 +189,21 @@ func gateProb(t logic.GateType, ps []float64) (float64, error) {
 // Devadas [28]: the combinational estimators can then treat FF outputs as
 // independent sources.
 func SequentialProbabilities(nw *logic.Network, r *rand.Rand, cycles int, piProb float64) (Probabilities, error) {
-	st := logic.NewState(nw)
-	ones := make(map[logic.NodeID]int)
-	in := make([]bool, len(nw.PIs()))
-	for c := 0; c < cycles; c++ {
-		for i := range in {
-			in[i] = r.Float64() < piProb
-		}
-		if _, err := st.Step(in); err != nil {
-			return nil, err
-		}
-		for _, f := range nw.FFs() {
-			if st.Value(f) {
-				ones[f]++
-			}
-		}
+	s, err := sim.NewStream(nw)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Run(sim.RandomVectors(r, cycles, len(nw.PIs()), piProb), nil); err != nil {
+		return nil, err
 	}
 	out := make(Probabilities)
 	for _, pi := range nw.PIs() {
 		out[pi] = piProb
 	}
-	for _, f := range nw.FFs() {
+	for i, f := range nw.FFs() {
+		out[f] = 0.5
 		if cycles > 0 {
-			out[f] = float64(ones[f]) / float64(cycles)
-		} else {
-			out[f] = 0.5
+			out[f] = float64(s.FFOnes(i)) / float64(cycles)
 		}
 	}
 	return out, nil

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dontcare"
 	"repro/internal/logic"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/sop"
 )
 
@@ -202,84 +203,74 @@ func GuardEvaluation(nw *logic.Network, target logic.NodeID) (*GuardedCircuit, e
 }
 
 // GuardReport compares switching inside the guarded region against the
-// unguarded original, by lock-step simulation over random vectors.
+// unguarded original, both simulated over the same random vectors.
 type GuardReport struct {
 	Cycles          int
 	GuardedFraction float64 // cycles with the guard asserted
 	RegionToggles   int64   // region gate toggles in the guarded circuit
 	BaselineToggles int64   // same gates' toggles in the original
-	Mismatches      int     // output disagreements (must be 0)
+	Mismatches      int     // output disagreements, per cycle and output (must be 0)
 	GuardPower      float64 // total power of the guarded circuit
 	BaselinePower   float64
 }
 
-// MeasureGuard drives the original and guarded networks with the same
-// random vectors and reports region switching, output equivalence and
-// power (hold muxes excluded; the latch-state DFFs are charged like the
-// latches they model).
+// MeasureGuard runs the original and the guarded network, one after the
+// other, over the same random vectors and reports region switching,
+// output equivalence (every output of every cycle is compared) and power
+// (hold muxes excluded; the latch-state DFFs are charged like the latches
+// they model).
 func MeasureGuard(orig *logic.Network, gc *GuardedCircuit, origRegion []logic.NodeID, r *rand.Rand, cycles int, p power.Params) (GuardReport, error) {
-	so := logic.NewState(orig)
-	sg := logic.NewState(gc.Network)
 	rep := GuardReport{Cycles: cycles}
 	nIn := len(orig.PIs())
 	if nIn != len(gc.Network.PIs()) {
 		return rep, fmt.Errorf("precomp: input counts differ")
 	}
-	prevO := map[logic.NodeID]bool{}
-	prevG := map[logic.NodeID]bool{}
-	togglesO := map[logic.NodeID]int{}
-	togglesG := map[logic.NodeID]int{}
-	in := make([]bool, nIn)
-	for c := 0; c < cycles; c++ {
-		for i := range in {
-			in[i] = r.Intn(2) == 1
+	vecs := make([][]bool, cycles)
+	for c := range vecs {
+		vecs[c] = make([]bool, nIn)
+		for i := range vecs[c] {
+			vecs[c][i] = r.Intn(2) == 1
 		}
-		oo, err := so.Step(in)
-		if err != nil {
-			return rep, err
+	}
+	pos, gpos := orig.POs(), gc.Network.POs()
+	var want []bool
+	so, err := sim.MeasureSequential(orig, vecs, func(val []bool) {
+		for _, po := range pos {
+			want = append(want, val[po])
 		}
-		og, err := sg.Step(in)
-		if err != nil {
-			return rep, err
-		}
-		for i := range oo {
-			if oo[i] != og[i] {
+	})
+	if err != nil {
+		return rep, err
+	}
+	guarded := 0
+	sg, err := sim.MeasureSequential(gc.Network, vecs, func(val []bool) {
+		for i := range pos {
+			if val[gpos[i]] != want[i] {
 				rep.Mismatches++
 			}
 		}
-		if sg.Value(gc.Guard) {
-			rep.GuardedFraction++
+		want = want[len(pos):]
+		if val[gc.Guard] {
+			guarded++
 		}
-		for _, id := range orig.Live() {
-			v := so.Value(id)
-			if c > 0 && v != prevO[id] {
-				togglesO[id]++
-			}
-			prevO[id] = v
-		}
-		for _, id := range gc.Network.Live() {
-			v := sg.Value(id)
-			if c > 0 && v != prevG[id] {
-				togglesG[id]++
-			}
-			prevG[id] = v
-		}
+	})
+	if err != nil {
+		return rep, err
 	}
-	rep.GuardedFraction /= float64(cycles)
+	rep.GuardedFraction = sim.Fraction(guarded, cycles)
 	for _, id := range origRegion {
-		rep.BaselineToggles += int64(togglesO[id])
+		rep.BaselineToggles += so.Transitions(id)
 	}
 	for _, id := range gc.Region {
-		rep.RegionToggles += int64(togglesG[id])
+		rep.RegionToggles += sg.Transitions(id)
 	}
-	actO := func(id logic.NodeID) float64 { return float64(togglesO[id]) / float64(cycles-1) }
 	actG := func(id logic.NodeID) float64 {
 		if gc.HoldMuxes[id] {
 			return 0
 		}
-		return float64(togglesG[id]) / float64(cycles-1)
+		return sg.Activity(id)
 	}
-	rep.BaselinePower = power.Evaluate(orig, p, nil, actO).Total()
+	rep.BaselinePower = power.Evaluate(orig, p, nil, so.Activity).Total()
 	rep.GuardPower = power.Evaluate(gc.Network, p, nil, actG).Total()
 	return rep, nil
 }

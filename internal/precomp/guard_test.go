@@ -2,6 +2,7 @@ package precomp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -138,5 +139,96 @@ func TestGuardEvaluationValidation(t *testing.T) {
 	nw2, _ := guardedExample(t)
 	if _, err := GuardEvaluation(nw2, nw2.ByName("out")); err == nil {
 		t.Error("always-observable node should be rejected")
+	}
+}
+
+// TestShortRunsAreFinite: with fewer than two cycles no transition is
+// counted, so logic power is leakage alone, and with no cycles every
+// fraction is 0 — never NaN.
+func TestShortRunsAreFinite(t *testing.T) {
+	p := power.DefaultParams()
+	pc, err := BuildComparator(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, f := guardedExample(t)
+	orig := nw.Clone()
+	var origRegion []logic.NodeID
+	for id := range Region(orig, f) {
+		origRegion = append(origRegion, id)
+	}
+	gc, err := GuardEvaluation(nw, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := func(nw *logic.Network) float64 {
+		return power.Evaluate(nw, p, nil, func(logic.NodeID) float64 { return 0 }).Total()
+	}
+	for _, tc := range []struct {
+		name string
+		// run returns the measured fraction, then each logic power with
+		// the network it was measured on.
+		run func(cycles int) (float64, []float64, []*logic.Network)
+	}{
+		{"Comparator.Measure", func(cycles int) (float64, []float64, []*logic.Network) {
+			rep, err := pc.Measure(rand.New(rand.NewSource(1)), cycles, p, 2.0, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.IsNaN(rep.ClockPower) || math.IsNaN(rep.Total()) {
+				t.Errorf("%d cycles: clock power %v, total %v", cycles, rep.ClockPower, rep.Total())
+			}
+			return rep.LoadFraction, []float64{rep.LogicPower}, []*logic.Network{pc.Network}
+		}},
+		{"MeasureGuard", func(cycles int) (float64, []float64, []*logic.Network) {
+			rep, err := MeasureGuard(orig, gc, origRegion, rand.New(rand.NewSource(1)), cycles, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Mismatches != 0 {
+				t.Errorf("%d cycles: %d mismatches", cycles, rep.Mismatches)
+			}
+			return rep.GuardedFraction, []float64{rep.BaselinePower, rep.GuardPower}, []*logic.Network{orig, gc.Network}
+		}},
+	} {
+		for _, cycles := range []int{0, 1, 2} {
+			frac, powers, nets := tc.run(cycles)
+			if math.IsNaN(frac) || frac < 0 || frac > 1 || (cycles == 0 && frac != 0) {
+				t.Errorf("%s, %d cycles: fraction %v", tc.name, cycles, frac)
+			}
+			for i, pw := range powers {
+				if math.IsNaN(pw) || (cycles < 2 && pw != idle(nets[i])) {
+					t.Errorf("%s, %d cycles: logic power %v, want finite and leakage-only below two cycles", tc.name, cycles, pw)
+				}
+			}
+		}
+	}
+}
+
+// TestMeasureGuardCountsEveryOutput: a "guarded" network that inverts
+// both outputs of the original disagrees on every output of every cycle.
+func TestMeasureGuardCountsEveryOutput(t *testing.T) {
+	build := func(invert bool) *logic.Network {
+		nw := logic.New("two")
+		a, b := nw.MustInput("a"), nw.MustInput("b")
+		x, y := nw.MustGate("x", logic.And, a, b), nw.MustGate("y", logic.Xor, a, b)
+		if invert {
+			x, y = nw.MustGate("nx", logic.Not, x), nw.MustGate("ny", logic.Not, y)
+		}
+		for _, po := range []logic.NodeID{x, y} {
+			if err := nw.MarkOutput(po); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return nw
+	}
+	inv := build(true)
+	gc := &GuardedCircuit{Network: inv, Guard: inv.ByName("x"), HoldMuxes: map[logic.NodeID]bool{}}
+	rep, err := MeasureGuard(build(false), gc, nil, rand.New(rand.NewSource(2)), 50, power.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Mismatches != 100 {
+		t.Errorf("mismatches = %d, want 2 outputs x 50 cycles", rep.Mismatches)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/power"
+	"repro/internal/sim"
 )
 
 // Comparator is the Figure 1 precomputed comparator.
@@ -213,72 +214,34 @@ func (r Report) Total() float64 { return r.LogicPower + r.ClockPower }
 // cycles; hold muxes are excluded from logic power.
 func (pc *Comparator) Measure(r *rand.Rand, cycles int, p power.Params, clockCap, pOne float64) (Report, error) {
 	nw := pc.Network
-	st := logic.NewState(nw)
 	n := pc.Bits
 	rep := Report{Cycles: cycles}
-
-	prev := make(map[logic.NodeID]bool)
-	toggles := make(map[logic.NodeID]int)
-	loads := 0
+	vecs := sim.RandomVectors(r, cycles, 2*n, pOne)
+	po := nw.POs()[0]
+	loads, cyc := 0, 0
 	// Golden model: registered comparator — output at cycle t reflects the
-	// inputs of cycle t-1.
-	var prevC, prevD uint
-	havePrev := false
-	in := make([]bool, 2*n)
-	for cyc := 0; cyc < cycles; cyc++ {
-		var cv, dv uint
-		for i := 0; i < n; i++ {
-			if r.Float64() < pOne {
-				in[i] = true
-				cv |= 1 << uint(i)
-			} else {
-				in[i] = false
-			}
-		}
-		for i := 0; i < n; i++ {
-			if r.Float64() < pOne {
-				in[n+i] = true
-				dv |= 1 << uint(i)
-			} else {
-				in[n+i] = false
-			}
-		}
-		// Observe LE before the clock edge.
-		for i, pi := range nw.PIs() {
-			st.SetValue(pi, in[i])
-		}
-		if err := st.Settle(); err != nil {
-			return rep, err
-		}
-		if pc.LE == logic.InvalidNode || st.Value(pc.LE) {
+	// inputs of cycle t-1. LE is observed before the clock edge.
+	s, err := sim.MeasureSequential(nw, vecs, func(val []bool) {
+		if pc.LE == logic.InvalidNode || val[pc.LE] {
 			loads++
 		}
-		out, err := st.Step(in)
-		if err != nil {
-			return rep, err
-		}
-		if havePrev {
-			want := prevC > prevD
-			if out[0] != want {
+		if cyc > 0 {
+			prev := vecs[cyc-1]
+			if val[po] != (sim.BitsToUint(prev[:n]) > sim.BitsToUint(prev[n:])) {
 				rep.OutputMismatch++
 			}
 		}
-		prevC, prevD = cv, dv
-		havePrev = true
-		for _, id := range nw.Live() {
-			v := st.Value(id)
-			if cyc > 0 && v != prev[id] {
-				toggles[id]++
-			}
-			prev[id] = v
-		}
+		cyc++
+	})
+	if err != nil {
+		return rep, err
 	}
-	rep.LoadFraction = float64(loads) / float64(cycles)
+	rep.LoadFraction = sim.Fraction(loads, cycles)
 	act := func(id logic.NodeID) float64 {
-		if cycles <= 1 || pc.HoldMuxes[id] {
+		if pc.HoldMuxes[id] {
 			return 0
 		}
-		return float64(toggles[id]) / float64(cycles-1)
+		return s.Activity(id)
 	}
 	logicRep := power.Evaluate(nw, p, nil, act)
 	rep.LogicPower = logicRep.Total()

@@ -3,10 +3,12 @@ package sim
 import "repro/internal/logic"
 
 // Counts is the per-node transition record shared by every engine in this
-// package: Simulator, PackedSimulator and the merged Measure all embed it,
-// so its accessors are the one activity surface power estimators read.
-// Primary inputs record no transitions — their activity is a property of
-// the vector stream, not the circuit.
+// package: Simulator, PackedSimulator, the merged Measure and Stream all
+// embed it, so its accessors are the one activity surface power
+// estimators read. Simulator, PackedSimulator and Measure record no
+// transitions on primary inputs — their activity is a property of the
+// vector stream, not the circuit — while Stream counts every node, inputs
+// and flip-flops included.
 type Counts struct {
 	nodeTransitions []int64
 	// nodeUseful aliases nodeTransitions in zero-delay engines, where every

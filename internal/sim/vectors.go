@@ -3,16 +3,29 @@ package sim
 import "math/rand"
 
 // RandomVectors generates n input vectors of the given width where each bit
-// is independently 1 with probability p. The vectors share one backing
-// array, each capped at its own width so an append cannot reach the next.
+// is independently 1 with probability p.
 func RandomVectors(r *rand.Rand, n, width int, p float64) [][]bool {
+	probs := make([]float64, width)
+	for i := range probs {
+		probs[i] = p
+	}
+	return BiasedVectors(r, n, probs)
+}
+
+// BiasedVectors generates n input vectors where bit i is 1 with
+// probability probs[i], drawing one r.Float64 per bit in vector order.
+// The vectors share one backing array, each capped at its own width so an
+// append cannot reach the next.
+func BiasedVectors(r *rand.Rand, n int, probs []float64) [][]bool {
+	width := len(probs)
 	out := make([][]bool, n)
 	bits := make([]bool, n*width)
-	for j := range bits {
-		bits[j] = r.Float64() < p
-	}
 	for i := range out {
-		out[i] = bits[i*width : (i+1)*width : (i+1)*width]
+		v := bits[i*width : (i+1)*width : (i+1)*width]
+		for j, p := range probs {
+			v[j] = r.Float64() < p
+		}
+		out[i] = v
 	}
 	return out
 }
