@@ -155,11 +155,10 @@ func main() {
 // (pprof), power.folded / power_est.folded (flamegraph stacks) and
 // trace.json (Chrome trace of the pass pipeline). The simulated attribution
 // reuses the flow's own vectors and delay model, so module subtotals sum to
-// the reported SimP.
+// the reported SimP; its glitch shares come from that run's counts.
 func writeProfiles(nw *logic.Network, ctx *core.Context, rep *core.FlowReport, dir string, topN int) error {
-	col := profile.NewCollector(nw.NumNodes())
 	spec := power.Spec{Method: power.MethodSimulated, Params: ctx.Params, CapModel: ctx.CapModel,
-		InputProb: ctx.InputProb, Vectors: ctx.Vectors, Tracer: col,
+		InputProb: ctx.InputProb, Vectors: ctx.Vectors,
 		ExactOptions: power.ExactOptions{Budget: ctx.ExactBudget}}
 	simRep, err := power.Estimate(context.Background(), nw, spec)
 	if err != nil {
@@ -170,7 +169,7 @@ func writeProfiles(nw *logic.Network, ctx *core.Context, rep *core.FlowReport, d
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lpflow: density estimate unavailable: %v\n", err)
 	}
-	prof := profile.FromReports(nw.Name, simRep, estRep, col)
+	prof := profile.FromReports(nw.Name, simRep, estRep)
 	fmt.Print(prof.FormatTop(topN))
 
 	if dir == "" {

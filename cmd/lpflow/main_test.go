@@ -1,0 +1,75 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the test binary stand in for lpflow: with LPFLOW_RUN_MAIN
+// set it runs main on its command line, so the tests below drive the real
+// flag parsing and output paths.
+func TestMain(m *testing.M) {
+	if os.Getenv("LPFLOW_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestProfileOutputsPinned runs `lpflow -profile` on fixed circuits and
+// flows and requires the hottest-nodes table (with its glitch% column)
+// and both folded-stack files to match testdata byte for byte. The
+// mult4/area and cnt3 (sequential) cases list every node, so every
+// glitch share is pinned.
+func TestProfileOutputsPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"mult4-lowpower", []string{"-circuit", "mult4", "-flow", "lowpower", "-top", "10"}},
+		{"radd8-glitch", []string{"-circuit", "radd8", "-flow", "glitch", "-top", "10"}},
+		{"mult4-area", []string{"-circuit", "mult4", "-flow", "area", "-top", "100"}},
+		{"cnt3-area", []string{"-blif", filepath.Join("testdata", "cnt3.blif"), "-flow", "area", "-top", "100"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cmd := exec.Command(os.Args[0], append(c.args, "-profile", dir)...)
+			cmd.Env = append(os.Environ(), "LPFLOW_RUN_MAIN=1")
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("lpflow %v: %v", c.args, err)
+			}
+			stdout := string(out)
+			start := strings.Index(stdout, "hottest nodes")
+			end := strings.Index(stdout, "profiles written to ")
+			if start < 0 || end < start {
+				t.Fatalf("lpflow output has no hottest-nodes table:\n%s", stdout)
+			}
+			want := filepath.Join("testdata", c.name)
+			compare(t, "top.txt", stdout[start:end], want)
+			for _, f := range []string{"power.folded", "power_est.folded"} {
+				got, err := os.ReadFile(filepath.Join(dir, f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				compare(t, f, string(got), want)
+			}
+		})
+	}
+}
+
+// compare fails unless got equals the file name in dir.
+func compare(t *testing.T, name, got, dir string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s:\n--- got ---\n%s--- want ---\n%s", name, filepath.Join(dir, name), got, want)
+	}
+}

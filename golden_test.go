@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/obsv"
 )
 
 // goldenPath holds `go run ./cmd/experiments` as the benchmark defined
@@ -42,6 +43,28 @@ func TestExperimentsMatchGolden(t *testing.T) {
 		}
 		if got := r.Table.Format(); got != want {
 			t.Errorf("%s differs from the golden:\n--- got ---\n%s--- want ---\n%s", r.ID, got, want)
+		}
+	}
+}
+
+// TestSuiteMetricsAreCatalogued runs every experiment with the registry
+// enabled and fails on any metric name without a catalog row, as
+// `cmd/experiments -json` would export it.
+func TestSuiteMetricsAreCatalogued(t *testing.T) {
+	reg := obsv.Enable()
+	t.Cleanup(obsv.Disable)
+	for _, r := range experiments.RunAll(experiments.All(), 0) {
+		if r.Err != nil {
+			t.Errorf("%s: %v", r.ID, r.Err)
+		}
+	}
+	exported := reg.Export()
+	if len(exported) == 0 {
+		t.Fatal("the suite registered no metrics")
+	}
+	for name := range exported {
+		if _, ok := obsv.LookupMetricInfo(name); !ok {
+			t.Errorf("the experiment suite emits %q, which has no catalog row", name)
 		}
 	}
 }

@@ -11,8 +11,11 @@ import (
 // metric-name table mirrors it (TestDesignTableMatchesCatalog),
 // WritePrometheus emits it as `# HELP`/`# TYPE` lines,
 // TestCatalogTypesMatchRegisteredKinds pins the declared types to the
-// kinds the code actually registers, and internal/server's
-// TestServedMetricsAreCatalogued fails on any served name without a row.
+// kinds the code actually registers, internal/server's
+// TestServedMetricsAreCatalogued and the root TestSuiteMetricsAreCatalogued
+// fail on any served or experiment-suite name without a row, and
+// internal/server's TestCatalogRowsAreEmitted fails on a row that
+// neither emits.
 type MetricInfo struct {
 	// Type is the Prometheus family type: "counter", "gauge" or
 	// "histogram". Timers expose as two counters (<name>_count,
@@ -46,7 +49,6 @@ var catalog = map[string]MetricInfo{
 	"power.exact.degraded":  {Type: "counter", Help: "Exact estimates degraded to seeded Monte Carlo on budget trip."},
 	"power.exact.reordered": {Type: "counter", Help: "Exact estimates rescued by the reorder-retry rung before Monte Carlo."},
 	"power.prop.nodes":      {Type: "counter", Help: "Nodes propagated by the independence-assumption estimator."},
-	"power.density.diffs":   {Type: "counter", Help: "Boolean differences computed by the density estimator."},
 
 	"dontcare.gates.visited":   {Type: "counter", Help: "Gates the don't-care pass visited (recorded once per pass)."},
 	"dontcare.gates.witnessed": {Type: "counter", Help: "Visited gates whose empty don't-care set simulation witnessed, skipping the exact BDD analysis."},

@@ -1,8 +1,8 @@
 // Package obsv is the toolkit's zero-dependency observability layer: a
 // metrics registry of cheap atomic counters, gauges, monotonic timers and
 // log-scale histograms with hierarchical dotted names (`sim.events`,
-// `bdd.unique.hits`, `lpflow.pass.balance.ns`), plus a VCD waveform writer
-// (vcd.go) for auditing event-driven simulations signal by signal.
+// `bdd.unique.hits`, `lpflow.pass.balance.ns`). Per-net transition records
+// are not telemetry: they live in sim.Counts.
 //
 // Instrumentation is opt-in and near-free when off. The process-wide
 // registry is nil until Enable is called; every handle obtained from a nil

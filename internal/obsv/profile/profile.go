@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/power"
+	"repro/internal/sim"
 )
 
 // Entry is the attribution record of one node: its load capacitance and its
@@ -45,8 +46,8 @@ type Entry struct {
 	SimActivity float64
 	EstActivity float64
 
-	// SimGlitch is the spurious share of SimActivity in [0,1], when a
-	// Collector observed the run; 0 otherwise.
+	// SimGlitch is the spurious share of SimActivity in [0,1], read from
+	// the simulated report's counts; 0 without them.
 	SimGlitch float64
 
 	// SimPower and EstPower are the node's Eqn. 1 power under each activity
@@ -106,9 +107,9 @@ func modulePath(module string) []string {
 // estimated power report of the same network. The entries mirror
 // simRep.Nodes one-to-one, so the profile's totals equal the reports'
 // totals exactly — no re-simulation, no drift. estRep may be a zero Report
-// when no estimate is available; col (optional) supplies per-node glitch
-// shares from the simulated run.
-func FromReports(circuit string, simRep, estRep power.Report, col *Collector) *Profile {
+// when no estimate is available. Per-node glitch shares and the cycle
+// count come from simRep.Counts, when the report carries them.
+func FromReports(circuit string, simRep, estRep power.Report) *Profile {
 	est := make(map[logic.NodeID]power.NodePower, len(estRep.Nodes))
 	for _, np := range estRep.Nodes {
 		est[np.Node] = np
@@ -118,8 +119,9 @@ func FromReports(circuit string, simRep, estRep power.Report, col *Collector) *P
 		SimTotal: simRep.Total(),
 		EstTotal: estRep.Total(),
 	}
-	if col != nil {
-		p.Cycles = col.Cycles()
+	counts := simRep.Counts
+	if counts != nil {
+		p.Cycles = counts.Cycles()
 	}
 	for _, np := range simRep.Nodes {
 		e := Entry{
@@ -134,12 +136,22 @@ func FromReports(circuit string, simRep, estRep power.Report, col *Collector) *P
 			e.EstActivity = en.Activity
 			e.EstPower = en.Total()
 		}
-		if col != nil {
-			e.SimGlitch = col.GlitchShare(np.Node)
+		if counts != nil {
+			e.SimGlitch = glitchShare(counts, np.Node)
 		}
 		p.Entries = append(p.Entries, e)
 	}
 	return p
+}
+
+// glitchShare is the spurious fraction of a node's transitions, in [0,1]
+// (0 for a node that never toggled).
+func glitchShare(c *sim.Counts, id logic.NodeID) float64 {
+	n := c.Transitions(id)
+	if n == 0 {
+		return 0
+	}
+	return float64(n-c.UsefulTransitions(id)) / float64(n)
 }
 
 // Top returns the n hottest entries by measured switched capacitance,

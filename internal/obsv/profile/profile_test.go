@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,8 +24,7 @@ func buildProfile(t *testing.T, nw *logic.Network, vectors [][]bool) (*profile.P
 	t.Helper()
 	p := power.DefaultParams()
 	cm := power.BufferWeightedCap(0.25)
-	col := profile.NewCollector(nw.NumNodes())
-	spec := power.Spec{Method: power.MethodSimulated, Params: p, CapModel: cm, Vectors: vectors, Tracer: col}
+	spec := power.Spec{Method: power.MethodSimulated, Params: p, CapModel: cm, Vectors: vectors}
 	simRep, err := power.Estimate(context.Background(), nw, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func buildProfile(t *testing.T, nw *logic.Network, vectors [][]bool) (*profile.P
 	if err != nil {
 		t.Fatal(err)
 	}
-	return profile.FromReports(nw.Name, simRep, estRep, col), simRep
+	return profile.FromReports(nw.Name, simRep, estRep), simRep
 }
 
 func TestModuleSubtotalsSumToSimulatedPower(t *testing.T) {
@@ -101,39 +101,96 @@ func TestTopRanksBySwitchedCapDeterministically(t *testing.T) {
 	}
 }
 
-// The collector must agree with the simulator's own per-node counters on
-// gate outputs — it observes the same run through the Tracer hook.
+// cnt3 is a sequential FSM: a 3-bit counter with enable whose state bits
+// feed an XOR chain, so gates glitch while flip-flops toggle once a cycle.
+const cnt3 = `.model cnt3
+.inputs en x
+.outputs p
+.latch d0 q0 0
+.latch d1 q1 0
+.latch d2 q2 0
+.names en q0 d0
+01 1
+10 1
+.names en q0 c0
+11 1
+.names c0 q1 d1
+01 1
+10 1
+.names c0 q1 c1
+11 1
+.names c1 q2 d2
+01 1
+10 1
+.names q0 q1 t0
+01 1
+10 1
+.names t0 q2 t1
+01 1
+10 1
+.names t1 x p
+01 1
+10 1
+.end
+`
+
+// TestCollectorMatchesSimulatorCounts: the profile's per-node glitch
+// shares and cycle count are those of a sequential event-driven run over
+// the same vectors — (Transitions−UsefulTransitions)/Transitions for gates,
+// 0 for flip-flops (every toggle is useful) and primary inputs (not
+// counted) — whether the simulated report came from one worker or two.
 func TestCollectorMatchesSimulatorCounts(t *testing.T) {
-	nw, err := circuits.ArrayMultiplier(4)
+	mult4, err := circuits.ArrayMultiplier(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(nw, sim.UnitDelay)
+	fsm, err := logic.ReadBLIF(strings.NewReader(cnt3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := profile.NewCollector(nw.NumNodes())
-	s.SetTracer(col)
-	r := rand.New(rand.NewSource(11))
-	if _, err := s.Run(sim.RandomVectors(r, 100, len(nw.PIs()), 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	if col.Cycles() != s.Cycles() {
-		t.Fatalf("collector cycles %d != simulator cycles %d", col.Cycles(), s.Cycles())
-	}
-	for _, id := range nw.Gates() {
-		if got, want := col.Transitions(id), s.Transitions(id); got != want {
-			t.Errorf("node %s: collector transitions %d != simulator %d", nw.Node(id).Name, got, want)
+	for _, nw := range []*logic.Network{mult4, fsm} {
+		vecs := sim.RandomVectors(rand.New(rand.NewSource(11)), 300, len(nw.PIs()), 0.5)
+		s, err := sim.New(nw, sim.UnitDelay)
+		if err != nil {
+			t.Fatal(err)
 		}
-		gs := col.GlitchShare(id)
-		if gs < 0 || gs > 1 {
-			t.Errorf("node %s: glitch share %v out of [0,1]", nw.Node(id).Name, gs)
+		if _, err := s.Run(vecs); err != nil {
+			t.Fatal(err)
 		}
-		if s.Transitions(id) > 0 {
-			want := float64(s.Transitions(id)-s.UsefulTransitions(id)) / float64(s.Transitions(id))
-			if math.Abs(gs-want) > 1e-12 {
-				t.Errorf("node %s: glitch share %v, want %v", nw.Node(id).Name, gs, want)
+		var profs []*profile.Profile
+		for _, workers := range []int{1, 2} {
+			rep, _, err := power.EstimateSimulatedParallel(nw, power.DefaultParams(), nil, sim.UnitDelay, vecs, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
+			profs = append(profs, profile.FromReports(nw.Name, rep, power.Report{}))
+		}
+		if !reflect.DeepEqual(profs[0], profs[1]) {
+			t.Errorf("%s: profile at 2 workers differs from 1 worker", nw.Name)
+		}
+		prof := profs[0]
+		if prof.Cycles != s.Cycles() || prof.Cycles != len(vecs) {
+			t.Errorf("%s: profile cycles %d, simulator %d, vectors %d", nw.Name, prof.Cycles, s.Cycles(), len(vecs))
+		}
+		glitchy := 0
+		for _, e := range prof.Entries {
+			want := 0.0
+			if n := s.Transitions(e.Node); n > 0 {
+				want = float64(n-s.UsefulTransitions(e.Node)) / float64(n)
+			}
+			if e.SimGlitch != want {
+				t.Errorf("%s: node %s glitch share %v, simulator counts give %v", nw.Name, e.Name, e.SimGlitch, want)
+			}
+			typ := nw.Node(e.Node).Type
+			if (typ == logic.DFF || typ == logic.Input) && e.SimGlitch != 0 {
+				t.Errorf("%s: source %s has glitch share %v, want 0", nw.Name, e.Name, e.SimGlitch)
+			}
+			if e.SimGlitch > 0 {
+				glitchy++
+			}
+		}
+		if glitchy == 0 {
+			t.Errorf("%s: no node glitched; the check is vacuous", nw.Name)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/logic"
-	"repro/internal/obsv"
 )
 
 // TransitionDensities computes per-node transition densities by Najm's
@@ -53,7 +52,6 @@ func TransitionDensities(ctx context.Context, nw *logic.Network, inputDensity ma
 	if err != nil {
 		return nil, err
 	}
-	diffs := 0
 	for _, id := range order {
 		n := nw.Node(id)
 		f := nb.Fn[id]
@@ -66,13 +64,11 @@ func TransitionDensities(ctx context.Context, nw *logic.Network, inputDensity ma
 			diff := m.Xor(m.Restrict(f, vi, true), m.Restrict(f, vi, false))
 			src := nb.Vars[vi]
 			total += m.Probability(diff, pv) * density[src]
-			diffs++
 		}
 		density[id] = total
 	}
 	if err := m.Err(); err != nil {
 		return nil, err
 	}
-	obsv.Default().Counter("power.density.diffs").Add(int64(diffs))
 	return density, nil
 }

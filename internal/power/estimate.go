@@ -43,10 +43,6 @@ type Spec struct {
 	InputProb Probabilities
 	// Vectors is the stimulus of the packed and simulated methods.
 	Vectors [][]bool
-	// Tracer, when set, observes every transition of a simulated run, so
-	// per-node attribution sums to the report by construction. A traced
-	// run stays on one sequential simulator.
-	Tracer sim.Tracer
 	// ExactOptions bounds the BDD work of the exact and density methods
 	// and configures the exact method's Monte Carlo fallback.
 	ExactOptions
@@ -82,7 +78,7 @@ func Estimate(ctx context.Context, nw *logic.Network, spec Spec) (Report, error)
 		rep, tot, err = EstimateZeroDelayPacked(nw, spec.Params, spec.CapModel, spec.Vectors)
 		samples = len(spec.Vectors)
 	case MethodSimulated:
-		rep, tot, err = simulate(ctx, nw, spec.Params, spec.CapModel, sim.UnitDelay, spec.Vectors, 0, spec.Tracer)
+		rep, tot, err = simulate(ctx, nw, spec.Params, spec.CapModel, sim.UnitDelay, spec.Vectors, 0)
 		samples = len(spec.Vectors)
 	default:
 		return Report{}, fmt.Errorf("power: unknown estimation method %q", spec.Method)
@@ -102,34 +98,20 @@ func Estimate(ctx context.Context, nw *logic.Network, spec Spec) (Report, error)
 // stream is chunked deterministically and each shard warm-starts from the
 // exact settled state at its boundary (see sim.MeasureRun).
 func EstimateSimulatedParallel(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
-	return simulate(context.Background(), nw, p, cm, dm, vectors, workers, nil)
+	return simulate(context.Background(), nw, p, cm, dm, vectors, workers)
 }
 
-// simulate is the event-driven method body. Without a tracer it runs the
-// sharded sim.MeasureRunCtx, which records a "sim.measure" span on a
-// traced ctx; a tracer observes every transition in stream order, so the
-// traced run stays on one sequential simulator.
-func simulate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int, tracer sim.Tracer) (Report, sim.Totals, error) {
-	var counts *sim.Counts
-	var tot sim.Totals
-	if tracer == nil {
-		m, err := sim.MeasureRunCtx(ctx, nw, dm, vectors, workers)
-		if err != nil {
-			return Report{}, sim.Totals{}, err
-		}
-		counts, tot = &m.Counts, m.Totals
-	} else {
-		s, err := sim.New(nw, dm)
-		if err != nil {
-			return Report{}, sim.Totals{}, err
-		}
-		s.SetTracer(tracer)
-		if tot, err = s.RunCtx(ctx, vectors); err != nil {
-			return Report{}, sim.Totals{}, err
-		}
-		counts = &s.Counts
+// simulate is the event-driven method body: one sharded
+// sim.MeasureRunCtx, which records a "sim.measure" span on a traced ctx.
+// The report carries the run's per-node counts.
+func simulate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
+	m, err := sim.MeasureRunCtx(ctx, nw, dm, vectors, workers)
+	if err != nil {
+		return Report{}, sim.Totals{}, err
 	}
-	return measured(nw, p, cm, vectors, counts.Activity), tot, nil
+	rep := measured(nw, p, cm, vectors, m.Activity)
+	rep.Counts = &m.Counts
+	return rep, m.Totals, nil
 }
 
 // EstimateZeroDelayPacked produces an Eqn. 1 report from the bit-parallel

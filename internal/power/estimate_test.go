@@ -7,11 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/logic"
+	"repro/internal/obsv"
 	"repro/internal/sim"
 )
 
@@ -148,15 +150,12 @@ func TestEstimateDispatchEquivalence(t *testing.T) {
 	}
 }
 
-// countingTracer counts every transition it observes.
-type countingTracer struct{ changes int }
-
-func (c *countingTracer) BeginCycle(int)                 {}
-func (c *countingTracer) Change(int, logic.NodeID, bool) { c.changes++ }
-func (c *countingTracer) EndCycle(int)                   {}
-
-// TestEstimateTracedEqualsUntraced: attaching a Tracer moves the simulated
-// run onto one sequential simulator without changing any reported number.
+// TestEstimateTracedEqualsUntraced: a simulated report carries the
+// per-node transition record it was evaluated from, and that record is a
+// sequential event-driven run's — cycles, transitions and useful
+// transitions on every node, gate transitions summing to Totals — whether
+// Estimate sharded the run or one worker simulated it; the two reports are
+// equal bit for bit. An analytic report carries no record.
 func TestEstimateTracedEqualsUntraced(t *testing.T) {
 	comb, err := circuits.ArrayMultiplier(4)
 	if err != nil {
@@ -165,21 +164,51 @@ func TestEstimateTracedEqualsUntraced(t *testing.T) {
 	for name, nw := range map[string]*logic.Network{"mult4": comb, "fsm": fsmNetwork(t)} {
 		r := rand.New(rand.NewSource(3))
 		spec := Spec{Method: MethodSimulated, Params: DefaultParams(), Vectors: sim.RandomVectors(r, 300, len(nw.PIs()), 0.5)}
-		plain, err := Estimate(context.Background(), nw, spec)
+		sharded, err := Estimate(context.Background(), nw, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := &countingTracer{}
-		spec.Tracer = tr
-		traced, err := Estimate(context.Background(), nw, spec)
+		one, tot, err := EstimateSimulatedParallel(nw, spec.Params, nil, sim.UnitDelay, spec.Vectors, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(plain, traced) {
-			t.Errorf("%s: traced report differs from untraced", name)
+		if !reflect.DeepEqual(methodBody(sharded), one) || sharded.Totals != tot {
+			t.Errorf("%s: sharded report differs from the one-worker report", name)
 		}
-		if int64(tr.changes) < traced.Totals.Transitions {
-			t.Errorf("%s: tracer saw %d changes, run had %d gate transitions", name, tr.changes, traced.Totals.Transitions)
+		s, err := sim.New(nw, sim.UnitDelay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(spec.Vectors); err != nil {
+			t.Fatal(err)
+		}
+		c := sharded.Counts
+		if c == nil {
+			t.Fatalf("%s: simulated report carries no transition record", name)
+		}
+		if c.Cycles() != s.Cycles() || c.Cycles() != len(spec.Vectors) {
+			t.Errorf("%s: record has %d cycles, simulator %d, vectors %d", name, c.Cycles(), s.Cycles(), len(spec.Vectors))
+		}
+		var gateTransitions int64
+		for _, id := range nw.Live() {
+			if c.Transitions(id) != s.Transitions(id) || c.UsefulTransitions(id) != s.UsefulTransitions(id) {
+				t.Errorf("%s: node %s record %d/%d, simulator %d/%d", name, nw.Node(id).Name,
+					c.Transitions(id), c.UsefulTransitions(id), s.Transitions(id), s.UsefulTransitions(id))
+			}
+			if typ := nw.Node(id).Type; typ != logic.Input && typ != logic.DFF {
+				gateTransitions += c.Transitions(id)
+			}
+		}
+		if gateTransitions != sharded.Totals.Transitions || gateTransitions == 0 {
+			t.Errorf("%s: record has %d gate transitions, totals %d", name, gateTransitions, sharded.Totals.Transitions)
+		}
+		spec.Method = MethodDensity
+		analytic, err := Estimate(context.Background(), nw, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if analytic.Counts != nil {
+			t.Errorf("%s: density report carries a transition record", name)
 		}
 	}
 }
@@ -234,40 +263,45 @@ func TestDensityBudget(t *testing.T) {
 }
 
 // cancelAfter is a context whose Err turns to context.Canceled after its
-// first k calls.
+// first k calls, safe to poll from every shard of a sharded run.
 type cancelAfter struct {
 	context.Context
-	k, calls int
+	k     int32
+	calls atomic.Int32
 }
 
 func (c *cancelAfter) Err() error {
-	if c.calls++; c.calls > c.k {
+	if c.calls.Add(1) > c.k {
 		return context.Canceled
 	}
 	return nil
 }
 
-// TestEstimateSimulatedCancel: a traced simulated run whose context is
-// cancelled after it starts stops early with the context's error.
+// TestEstimateSimulatedCancel: a simulated run whose context is cancelled
+// after it starts stops early with the context's error; the sim.cycles
+// counter proves the run was partial.
 func TestEstimateSimulatedCancel(t *testing.T) {
 	nw, err := circuits.ArrayMultiplier(4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obsv.Enable()
+	defer obsv.Disable()
+	cycles := reg.Counter("sim.cycles")
 	r := rand.New(rand.NewSource(3))
-	tr := &countingTracer{}
-	spec := Spec{Method: MethodSimulated, Params: DefaultParams(), Vectors: sim.RandomVectors(r, 1000, len(nw.PIs()), 0.5), Tracer: tr}
-	full, err := Estimate(context.Background(), nw, spec)
-	if err != nil {
+	spec := Spec{Method: MethodSimulated, Params: DefaultParams(), Vectors: sim.RandomVectors(r, 1000, len(nw.PIs()), 0.5)}
+	if _, err := Estimate(context.Background(), nw, spec); err != nil {
 		t.Fatal(err)
 	}
-	total := tr.changes
-	tr.changes = 0
+	total := cycles.Value()
+	if total != int64(len(spec.Vectors)) {
+		t.Fatalf("full run counted %d cycles, want %d", total, len(spec.Vectors))
+	}
 	if _, err := Estimate(&cancelAfter{Context: context.Background(), k: 2}, nw, spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if tr.changes == 0 || tr.changes >= total {
-		t.Errorf("cancelled run traced %d changes, full run %d (%d transitions): want a partial run", tr.changes, total, full.Totals.Transitions)
+	if partial := cycles.Value() - total; partial == 0 || partial >= total {
+		t.Errorf("cancelled run simulated %d cycles, full run %d: want a partial run", partial, total)
 	}
 }
 

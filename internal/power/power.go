@@ -163,6 +163,10 @@ type Report struct {
 	Method  Method
 	Samples int
 	Totals  sim.Totals
+	// Counts is the per-node transition record a simulated report was
+	// evaluated from, glitches included (nil for every other method): the
+	// profiler reads per-node glitch shares from it.
+	Counts *sim.Counts
 }
 
 // Total returns total power.

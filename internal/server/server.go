@@ -122,14 +122,6 @@ type Config struct {
 	// inject a stepped fake clock to make GET /v1/status
 	// byte-deterministic.
 	Clock window.Clock
-	// ShortWindow is the rolling span /v1/status reports over and the
-	// fast SLO horizon (default 5m). LongWindow is the slow, sustained
-	// SLO horizon (default 1h).
-	ShortWindow time.Duration
-	LongWindow  time.Duration
-	// SLOLatencyThreshold marks a request "slow" for the latency
-	// objective (default 2s).
-	SLOLatencyThreshold time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -159,15 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobTTL <= 0 {
 		c.JobTTL = 10 * time.Minute
-	}
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = 5 * time.Minute
-	}
-	if c.LongWindow <= 0 {
-		c.LongWindow = time.Hour
-	}
-	if c.SLOLatencyThreshold <= 0 {
-		c.SLOLatencyThreshold = 2 * time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = window.Monotonic

@@ -31,7 +31,6 @@ type telemetry struct {
 	availability *slo.Tracker
 	latency      *slo.Tracker
 	degraded     *slo.Tracker
-	latencyBad   time.Duration
 }
 
 // endpointTelemetry is one endpoint's instruments: the cumulative
@@ -52,9 +51,17 @@ type endpointTelemetry struct {
 	recentLatency *window.Histogram
 }
 
-// statusBuckets is the ring resolution of the short status window: a
-// 5m window advances in 10s steps.
-const statusBuckets = 30
+// The rolling horizons: /v1/status reports over the short window, which
+// is also the fast SLO horizon; the long window is the slow, sustained
+// one. statusBuckets is the short window's ring resolution (a 5m window
+// advances in 10s steps). A request at least latencyThreshold slow is bad
+// for the latency objective.
+const (
+	shortWindow, shortLabel = 5 * time.Minute, "5m"
+	longWindow, longLabel   = time.Hour, "1h"
+	statusBuckets           = 30
+	latencyThreshold        = 2 * time.Second
+)
 
 func newTelemetry(cfg Config, reg *obsv.Registry) *telemetry {
 	t := &telemetry{
@@ -62,9 +69,8 @@ func newTelemetry(cfg Config, reg *obsv.Registry) *telemetry {
 		requests:     reg.Counter("server.requests"),
 		errors:       reg.Counter("server.errors"),
 		clientAborts: reg.Counter("server.client_aborts"),
-		latencyBad:   cfg.SLOLatencyThreshold,
 	}
-	span, clock := cfg.ShortWindow, cfg.Clock
+	span, clock := shortWindow, cfg.Clock
 	for _, ep := range endpoints {
 		t.eps[ep] = &endpointTelemetry{
 			latency:       reg.Histogram("server.http." + ep + ".latency_us"),
@@ -80,8 +86,8 @@ func newTelemetry(cfg Config, reg *obsv.Registry) *telemetry {
 		}
 	}
 	horizons := []slo.Horizon{
-		{Label: durLabel(cfg.ShortWindow), Span: cfg.ShortWindow, Buckets: statusBuckets},
-		{Label: durLabel(cfg.LongWindow), Span: cfg.LongWindow, Buckets: statusBuckets * 2},
+		{Label: shortLabel, Span: shortWindow, Buckets: statusBuckets},
+		{Label: longLabel, Span: longWindow, Buckets: statusBuckets * 2},
 	}
 	t.availability = slo.NewTracker(slo.Objective{Name: "availability", Budget: 0.001}, clock, horizons)
 	t.latency = slo.NewTracker(slo.Objective{Name: "latency", Budget: 0.05}, clock, horizons)
@@ -130,22 +136,9 @@ func (t *telemetry) record(et *endpointTelemetry, status int, elapsed time.Durat
 	}
 	if et.slo {
 		t.availability.Observe(serverError)
-		t.latency.Observe(elapsed >= t.latencyBad)
+		t.latency.Observe(elapsed >= latencyThreshold)
 		t.degraded.Observe(degraded)
 	}
-}
-
-// durLabel renders a horizon span compactly: 5m, 1h, 10s.
-func durLabel(d time.Duration) string {
-	switch {
-	case d >= time.Hour && d%time.Hour == 0:
-		return fmt.Sprintf("%dh", d/time.Hour)
-	case d >= time.Minute && d%time.Minute == 0:
-		return fmt.Sprintf("%dm", d/time.Minute)
-	case d%time.Second == 0:
-		return fmt.Sprintf("%ds", d/time.Second)
-	}
-	return d.String()
 }
 
 // EndpointStatus is one endpoint's rolling-window view in the status
@@ -184,7 +177,7 @@ type StatusResponse struct {
 func (s *Server) statusSnapshot() StatusResponse {
 	t := s.tel
 	st := StatusResponse{
-		Window:     durLabel(s.cfg.ShortWindow),
+		Window:     shortLabel,
 		NowNS:      s.cfg.Clock(),
 		SLO:        slo.OK.String(),
 		Objectives: []slo.Verdict{t.availability.Evaluate(), t.latency.Evaluate(), t.degraded.Evaluate()},

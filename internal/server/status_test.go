@@ -56,10 +56,8 @@ func driveStatusSequence(t *testing.T, h http.Handler) {
 func TestStatusByteDeterministicUnderFakeClock(t *testing.T) {
 	body := func() []byte {
 		cfg := Config{
-			Workers:     2,
-			Clock:       (&stepClock{step: int64(700 * time.Microsecond)}).Now,
-			ShortWindow: 10 * time.Second,
-			LongWindow:  time.Minute,
+			Workers: 2,
+			Clock:   (&stepClock{step: int64(700 * time.Microsecond)}).Now,
 		}
 		h := New(cfg).Handler()
 		driveStatusSequence(t, h)
@@ -80,7 +78,7 @@ func TestStatusByteDeterministicUnderFakeClock(t *testing.T) {
 	if st.SLO != "ok" {
 		t.Fatalf("slo = %q, want ok (%s)", st.SLO, b1)
 	}
-	if st.Window != "10s" || st.NowNS == 0 {
+	if st.Window != "5m" || st.NowNS == 0 {
 		t.Fatalf("window/now wrong: %+v", st)
 	}
 	var est *EndpointStatus
@@ -92,10 +90,9 @@ func TestStatusByteDeterministicUnderFakeClock(t *testing.T) {
 	if est == nil || est.Requests != 3 || est.Errors != 0 {
 		t.Fatalf("estimate endpoint stats wrong: %+v", est)
 	}
-	// 3 requests over the ~10s window (the ring rounds the span to a
-	// bucket multiple, so allow the sliver of rounding).
-	if est.RateRPS < 0.29 || est.RateRPS > 0.31 {
-		t.Fatalf("estimate rate = %g, want ~0.3", est.RateRPS)
+	// 3 requests over the 5m window.
+	if est.RateRPS != 0.01 {
+		t.Fatalf("estimate rate = %g, want 0.01", est.RateRPS)
 	}
 	// Percentiles quantize up to their log2 bucket bound, so they can
 	// exceed the exact max; just require a sane ordering.
@@ -117,14 +114,11 @@ func TestStatusByteDeterministicUnderFakeClock(t *testing.T) {
 
 // TestStatusSLOFlipsOnSyntheticBursts injects synthetic error and
 // latency bursts straight into the telemetry layer under a manual
-// clock and watches the verdicts flip ok -> breach -> ok.
+// clock, stepped across the 5m and 1h horizons, and watches the
+// verdicts flip ok -> breach -> ok.
 func TestStatusSLOFlipsOnSyntheticBursts(t *testing.T) {
 	mc := &manualClock{}
-	s := New(Config{
-		Clock:       mc.Now,
-		ShortWindow: 10 * time.Second,
-		LongWindow:  time.Minute,
-	})
+	s := New(Config{Clock: mc.Now})
 
 	// A minute of healthy traffic.
 	for i := 0; i < 60; i++ {
@@ -150,9 +144,10 @@ func TestStatusSLOFlipsOnSyntheticBursts(t *testing.T) {
 			st.SLO, st.Objectives[0].State, st.Objectives)
 	}
 
-	// Recovery: the short horizon drains after 10s of good traffic and
-	// the multi-window rule de-escalates.
-	for i := 0; i < 11; i++ {
+	// Recovery: the short horizon drains after 5m of good traffic (plus
+	// its partial newest bucket) and the multi-window rule de-escalates,
+	// though the 1h horizon still holds the errors.
+	for i := 0; i < 320; i++ {
 		s.tel.record(s.tel.eps["estimate"], http.StatusOK, time.Millisecond, "hit", false)
 		mc.Advance(time.Second)
 	}
@@ -160,9 +155,11 @@ func TestStatusSLOFlipsOnSyntheticBursts(t *testing.T) {
 		t.Fatalf("post-recovery SLO = %q, want ok: %+v", st.SLO, st.Objectives)
 	}
 
-	// A latency burst (everything slower than the 2s default threshold)
-	// breaches the latency objective without touching availability.
-	for i := 0; i < 70; i++ {
+	// A latency burst (everything slower than the 2s threshold) breaches
+	// the latency objective without touching availability. It lasts 7m,
+	// so slow requests are also over half of the 830 events in the 1h
+	// horizon.
+	for i := 0; i < 420; i++ {
 		s.tel.record(s.tel.eps["flow"], http.StatusOK, 3*time.Second, "miss", false)
 		mc.Advance(time.Second)
 	}
@@ -176,7 +173,7 @@ func TestStatusSLOFlipsOnSyntheticBursts(t *testing.T) {
 
 	// Non-API endpoints never feed the SLO: a storm of healthz 500s
 	// (however implausible) cannot move the objectives.
-	mc.Advance(2 * time.Minute) // drain everything
+	mc.Advance(2 * time.Hour) // drain everything
 	for i := 0; i < 50; i++ {
 		s.tel.record(s.tel.eps["healthz"], http.StatusInternalServerError, time.Millisecond, "-", false)
 		mc.Advance(100 * time.Millisecond)
@@ -190,7 +187,7 @@ func TestStatusSLOFlipsOnSyntheticBursts(t *testing.T) {
 // /v1/status?format=prom serves just the windowed/SLO rows, and
 // /metrics?format=prom appends them after the registry exposition.
 func TestStatusPromFold(t *testing.T) {
-	h := New(Config{ShortWindow: 10 * time.Second}).Handler()
+	h := New(Config{}).Handler()
 	doJSON(t, h, http.MethodPost, "/v1/estimate", map[string]any{"circuit": "cla8", "estimator": "propagated"})
 
 	rec := doJSON(t, h, http.MethodGet, "/v1/status?format=prom", nil)
@@ -200,7 +197,7 @@ func TestStatusPromFold(t *testing.T) {
 		"# TYPE server_window_requests gauge\n",
 		`server_window_requests{endpoint="estimate"} 1`,
 		`server_window_latency_us{endpoint="estimate",quantile="0.95"} `,
-		`server_slo_burn{objective="availability",horizon="10s"} 0`,
+		`server_slo_burn{objective="availability",horizon="5m"} 0`,
 		`server_slo_state{objective="availability"} 0`,
 		`server_slo_state{objective="latency"} 0`,
 		`server_slo_state{objective="degraded"} 0`,
@@ -241,7 +238,7 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 // single-construction contract of the telemetry maps (no lazy
 // registration racing on first requests).
 func TestConcurrentFirstRequests(t *testing.T) {
-	h := New(Config{Workers: 4, ShortWindow: 10 * time.Second}).Handler()
+	h := New(Config{Workers: 4}).Handler()
 	paths := []struct {
 		method, path string
 		body         any

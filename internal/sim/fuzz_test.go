@@ -4,30 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/circuits"
 	"repro/internal/logic"
 )
-
-// traceEvent is one tracer call; kind is 'B'egin, 'C'hange or 'E'nd.
-type traceEvent struct {
-	kind byte
-	t    int
-	id   logic.NodeID
-	val  bool
-}
-
-// recordTracer keeps the whole tracer stream.
-type recordTracer struct{ events []traceEvent }
-
-func (r *recordTracer) BeginCycle(c int) { r.events = append(r.events, traceEvent{kind: 'B', t: c}) }
-func (r *recordTracer) Change(t int, id logic.NodeID, val bool) {
-	r.events = append(r.events, traceEvent{'C', t, id, val})
-}
-func (r *recordTracer) EndCycle(settle int) {
-	r.events = append(r.events, traceEvent{kind: 'E', t: settle})
-}
 
 // seededDelay gives every gate a delay in 1..5 derived from seed and the
 // gate's ID.
@@ -44,7 +26,7 @@ func seededDelay(seed int64) DelayModel {
 // FuzzEventSim parses fuzzed BLIF the way the server reads uploads,
 // simulates it under seeded per-gate delays, and checks the timing-wheel
 // simulator against the heap-and-map reference queue: per-cycle stats,
-// queue high-water marks, the tracer stream and per-node counts. It also
+// queue high-water marks, settled node values and per-node counts. It also
 // checks that sharded MeasureRun equals the sequential run.
 func FuzzEventSim(f *testing.F) {
 	for i, gen := range []func() (*logic.Network, error){
@@ -78,9 +60,6 @@ func FuzzEventSim(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second New failed: %v", err)
 		}
-		got, want := &recordTracer{}, &recordTracer{}
-		s.SetTracer(got)
-		ref.SetTracer(want)
 		q := newRefQueue()
 		vecs := RandomVectors(rand.New(rand.NewSource(seed)), 192, len(nw.PIs()), 0.5)
 		for c, v := range vecs {
@@ -91,9 +70,9 @@ func FuzzEventSim(f *testing.F) {
 			if rcs := refCycle(ref, q, v); cs != rcs || s.cycleHWM != q.cycleHWM {
 				t.Fatalf("cycle %d: stats %+v hwm %d, reference %+v hwm %d", c, cs, s.cycleHWM, rcs, q.cycleHWM)
 			}
-		}
-		if !reflect.DeepEqual(got.events, want.events) {
-			t.Fatalf("tracer streams differ: %d events, reference %d", len(got.events), len(want.events))
+			if !slices.Equal(s.val, ref.val) {
+				t.Fatalf("cycle %d: settled node values differ from the reference", c)
+			}
 		}
 		if !reflect.DeepEqual(s.Counts, ref.Counts) {
 			t.Fatal("per-node counts differ from the reference")

@@ -108,7 +108,7 @@ func measureRun(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [
 				errs[i] = err
 				return
 			}
-			s.loadState(states[i], starts[i])
+			s.loadState(states[i])
 			tot, err := s.RunCtx(ctx, vectors[starts[i]:end])
 			if err != nil {
 				errs[i] = err

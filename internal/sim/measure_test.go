@@ -191,15 +191,8 @@ func (c *flipCtx) Err() error {
 	return nil
 }
 
-// cycleTracer counts the cycles a traced run begins.
-type cycleTracer struct{ cycles int }
-
-func (c *cycleTracer) BeginCycle(int)                 { c.cycles++ }
-func (c *cycleTracer) Change(int, logic.NodeID, bool) {}
-func (c *cycleTracer) EndCycle(int)                   {}
-
 // A run whose context is cancelled after it starts stops within
-// ctxCheckCycles cycles with ctx.Err(), traced or sharded.
+// ctxCheckCycles cycles with ctx.Err(), sequential or sharded.
 func TestRunStopsOnCancel(t *testing.T) {
 	nw, err := circuits.ArrayMultiplier(4)
 	if err != nil {
@@ -211,14 +204,12 @@ func TestRunStopsOnCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &cycleTracer{}
-	s.SetTracer(tr)
 	tot, err := s.RunCtx(&flipCtx{Context: context.Background(), k: 3}, vecs)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("traced RunCtx: err = %v, want context.Canceled", err)
+		t.Fatalf("RunCtx: err = %v, want context.Canceled", err)
 	}
-	if want := 3 * ctxCheckCycles; tot.Cycles != want || tr.cycles != want {
-		t.Errorf("traced RunCtx ran %d cycles (tracer saw %d), want %d", tot.Cycles, tr.cycles, want)
+	if want := 3 * ctxCheckCycles; tot.Cycles != want || s.Cycles() != want {
+		t.Errorf("RunCtx ran %d cycles (counts hold %d), want %d", tot.Cycles, s.Cycles(), want)
 	}
 
 	for _, workers := range []int{1, 2, 4} {

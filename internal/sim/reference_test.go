@@ -85,14 +85,11 @@ func (q *refQueue) heapPop() int {
 }
 
 // refCycle simulates one clock cycle of s through q. It updates s's
-// values, counts and tracer exactly as Cycle does, but records no
+// values and counts exactly as Cycle does, but records no
 // metrics; q.cycleHWM holds the cycle's queue high-water mark.
 func refCycle(s *Simulator, q *refQueue, in []bool) CycleStats {
 	nw := s.nw
 	initial := append([]bool(nil), s.val...)
-	if s.tracer != nil {
-		s.tracer.BeginCycle(s.cycleBase + s.cycles)
-	}
 	var changed []logic.NodeID
 	newFF := make([]bool, len(nw.FFs()))
 	for i, f := range nw.FFs() {
@@ -112,12 +109,6 @@ func refCycle(s *Simulator, q *refQueue, in []bool) CycleStats {
 			changed = append(changed, pi)
 		}
 	}
-	if s.tracer != nil {
-		for _, id := range changed {
-			s.tracer.Change(0, id, s.val[id])
-		}
-	}
-
 	q.timeHeap = q.timeHeap[:0]
 	q.outstanding, q.cycleHWM = 0, 0
 	for _, id := range changed {
@@ -154,9 +145,6 @@ func refCycle(s *Simulator, q *refQueue, in []bool) CycleStats {
 			s.val[id] = nv
 			stats.Transitions++
 			s.nodeTransitions[id]++
-			if s.tracer != nil {
-				s.tracer.Change(t, id, nv)
-			}
 			if t > stats.SettleTime {
 				stats.SettleTime = t
 			}
@@ -178,8 +166,5 @@ func refCycle(s *Simulator, q *refQueue, in []bool) CycleStats {
 	}
 	stats.Spurious = stats.Transitions - stats.Useful
 	s.cycles++
-	if s.tracer != nil {
-		s.tracer.EndCycle(stats.SettleTime)
-	}
 	return stats
 }

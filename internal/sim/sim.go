@@ -13,8 +13,9 @@
 // lists, shared with every other scalar evaluator. It queues gate
 // evaluations on a timing wheel: a ring of per-time FIFO slots indexed by
 // cycle time, deduplicated by a per-node time stamp. Same-time events are
-// evaluated in the order they were scheduled, which fixes every count and
-// every tracer event. A cycle's useful transitions are counted over the
+// evaluated in the order they were scheduled, which fixes every count. The
+// per-node Counts are the package's one transition record: the power
+// estimators and the profiler's glitch shares read them. A cycle's useful transitions are counted over the
 // gates that changed in it, recorded at their first change, so a cycle
 // costs time in proportion to its activity rather than to the circuit.
 package sim
@@ -59,17 +60,6 @@ type CycleStats struct {
 	Spurious int
 	// SettleTime is the time at which the last event occurred.
 	SettleTime int
-}
-
-// Tracer observes signal transitions during simulation — the hook behind
-// VCD waveform dumps (obsv.NetTrace). BeginCycle is called at the start of
-// every Cycle, Change once per net transition with its cycle-relative event
-// time (source nets — FFs and PIs — change at t=0), and EndCycle with the
-// cycle's settle time after quiescence.
-type Tracer interface {
-	BeginCycle(cycle int)
-	Change(t int, id logic.NodeID, val bool)
-	EndCycle(settle int)
 }
 
 // metrics holds the simulator's registry handles, captured once at
@@ -117,12 +107,8 @@ type Simulator struct {
 	// Counts holds the per-node cumulative transition counts across all
 	// simulated cycles since the last Reset.
 	Counts
-	// cycleBase offsets tracer cycle numbers and lets a warm-started
-	// shard report cycle indices relative to the whole run.
-	cycleBase int
 
-	met    metrics
-	tracer Tracer
+	met metrics
 
 	// wheel[t&(len(wheel)-1)] holds the nodes to evaluate at cycle time
 	// t, in scheduling order. schedAt[id] is the absolute time (epoch+t)
@@ -204,7 +190,6 @@ func New(nw *logic.Network, dm DelayModel) (*Simulator, error) {
 func (s *Simulator) Reset() error {
 	s.cv.Reset(s.val)
 	s.Counts.clear()
-	s.cycleBase = 0
 	return nil
 }
 
@@ -214,19 +199,13 @@ func (s *Simulator) Reset() error {
 // partitioned Monte Carlo run start exactly where the previous shard's
 // last vector left the network, so chunked simulation is bit-identical to
 // one sequential pass.
-func (s *Simulator) loadState(vals []bool, cycleBase int) {
+func (s *Simulator) loadState(vals []bool) {
 	copy(s.val, vals)
 	s.Counts.clear()
-	s.cycleBase = cycleBase
 }
 
 // Value returns the present value of a node.
 func (s *Simulator) Value(id logic.NodeID) bool { return s.val[id] }
-
-// SetTracer installs (or, with nil, removes) a transition observer. The
-// tracer sees every net change of every subsequent Cycle; it does not see
-// Reset. Attach obsv.NetTrace here to dump VCD waveforms.
-func (s *Simulator) SetTracer(tr Tracer) { s.tracer = tr }
 
 // fanout schedules every consumer of id, each after its own delay from
 // cycle time t, skipping events already queued.
@@ -246,16 +225,13 @@ func (s *Simulator) fanout(t int, id int32) {
 
 // Cycle applies one clock cycle: flip-flops load the currently settled D
 // values, then the primary inputs change to in, and the resulting transient
-// is simulated event-by-event until quiescence. Initial FF/PI edges at time
-// 0 count as useful transitions of those source nets but are not included
-// in gate-output statistics.
+// is simulated event-by-event until quiescence. A flip-flop's edge at time
+// 0 counts as a useful transition of its output net; primary-input edges
+// are not counted. Neither enters the gate-output CycleStats.
 func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 	pis := s.nw.PIs()
 	if len(in) != len(pis) {
 		return CycleStats{}, fmt.Errorf("sim: Cycle got %d inputs, network has %d", len(in), len(pis))
-	}
-	if s.tracer != nil {
-		s.tracer.BeginCycle(s.cycleBase + s.cycles)
 	}
 
 	// Clock edge: FFs adopt D values; then PIs change.
@@ -279,11 +255,6 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 		if s.val[pi] != in[i] {
 			s.val[pi] = in[i]
 			changed = append(changed, int32(pi))
-		}
-	}
-	if s.tracer != nil {
-		for _, id := range changed {
-			s.tracer.Change(0, logic.NodeID(id), s.val[id])
 		}
 	}
 
@@ -321,9 +292,6 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 			s.val[id] = nv
 			stats.Transitions++
 			s.nodeTransitions[id]++
-			if s.tracer != nil {
-				s.tracer.Change(t, logic.NodeID(id), nv)
-			}
 			stats.SettleTime = t
 			s.fanout(t, id)
 		}
@@ -342,9 +310,6 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 	}
 	stats.Spurious = stats.Transitions - stats.Useful
 	s.cycles++
-	if s.tracer != nil {
-		s.tracer.EndCycle(stats.SettleTime)
-	}
 	// Registry updates happen once per cycle, never per event, so the
 	// instrumented simulator stays within noise of the uninstrumented one.
 	s.met.events.Add(int64(stats.Transitions))
