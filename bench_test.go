@@ -801,12 +801,12 @@ func BenchmarkExactReorderRetry(b *testing.B) {
 	b.ReportMetric(float64(degraded), "degraded")
 }
 
-// BenchmarkExactUnbudgetedWide times the exact estimate of the 16-bit
+// BenchmarkExactWideDFS times the exact estimate of the 16-bit
 // comparator with a zero budget. The default depth-first order holds
 // it in 186 BDD nodes (the declaration order needed about 459k), so the
 // run measures the per-estimate fixed costs: the build, the probability
 // walk and the power sum.
-func BenchmarkExactUnbudgetedWide(b *testing.B) {
+func BenchmarkExactWideDFS(b *testing.B) {
 	nw, err := circuits.Comparator(16)
 	if err != nil {
 		b.Fatal(err)
@@ -894,4 +894,25 @@ func BenchmarkFlowStandard(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkBDDBuildCmp16Declaration times E18's largest build: the 16-bit
+// comparator's global BDDs under the declaration order, about 459k
+// nodes. Its bytes per op follow the node arena's growth policy.
+func BenchmarkBDDBuildCmp16Declaration(b *testing.B) {
+	nw, err := circuits.Comparator(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := bdd.BuildOptions{DeclarationOrder: true}
+	nodes := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nb, err := bdd.FromNetworkOpts(context.Background(), nw, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes = nb.M.Size() - 2
+	}
+	b.ReportMetric(float64(nodes), "nodes")
 }

@@ -17,14 +17,17 @@
 // reuses.
 //
 // No table is a Go map. A node is a 16-byte arena slot: level, lo, hi and
-// a chain link. Each level's unique table is a power-of-two array of
-// bucket heads whose chains run through the slots, 4 to 8 bytes per node
-// once a level outgrows its first 8 heads. The computed table is
-// non-lossy: 20-byte entries in 4096-entry pages, chained from a head
-// array of 4 to 8 bytes per entry; growing it adds a page and relinks the
-// chains, never copying a full page. Graph walks reuse generation-stamped
-// memos owned by the manager, so a Manager is not safe for concurrent
-// use, reads included.
+// a chain link. The arena doubles when it is full, so its capacity is at
+// most twice the slots in use (live or on the free list) and a build of n
+// nodes copies fewer than n slots in all. Each level's unique table is a
+// power-of-two array of bucket heads whose chains run through the slots,
+// 4 to 16 bytes per node once a level outgrows its first 8 heads. The
+// computed table is non-lossy: 20-byte entries in 4096-entry pages,
+// chained from a head array of 4 to 16 bytes per entry; growing it adds a
+// page and relinks the chains, never copying a full page. Both head
+// arrays grow 4x at a time. Graph walks reuse generation-stamped memos
+// owned by the manager, so a Manager is not safe for concurrent use,
+// reads included.
 package bdd
 
 import (
@@ -286,6 +289,9 @@ func (m *Manager) alloc(tab *uniqueTable, level int32, lo, hi Ref) Ref {
 		m.free = m.nodes[r].next
 		m.nodes[r] = node{level: level, lo: lo, hi: hi}
 	} else {
+		if len(m.nodes) == cap(m.nodes) {
+			m.growArena()
+		}
 		r = Ref(len(m.nodes))
 		m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
 	}
@@ -293,6 +299,14 @@ func (m *Manager) alloc(tab *uniqueTable, level int32, lo, hi Ref) Ref {
 	m.live++
 	m.tally.peak = max(m.tally.peak, m.live)
 	return r
+}
+
+// growArena doubles the arena's capacity. append alone would grow a
+// large arena by about 1.25x a step, recopying it several times as often.
+func (m *Manager) growArena() {
+	grown := make([]node, len(m.nodes), 2*cap(m.nodes))
+	copy(grown, m.nodes)
+	m.nodes = grown
 }
 
 func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }

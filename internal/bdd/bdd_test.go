@@ -342,3 +342,23 @@ func TestLeqMatchesAnd(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaGrowsByDoubling builds an equality of two 10-bit words with
+// every a_i above every b_i (thousands of nodes) and checks the arena's
+// growth policy after every operation: the capacity stays a power of two
+// (the two terminals' slots, doubled) and never exceeds twice the slots
+// in use.
+func TestArenaGrowsByDoubling(t *testing.T) {
+	const n = 10
+	m := New(2 * n)
+	eq := True
+	for i := 0; i < n; i++ {
+		eq = m.And(eq, m.Xnor(m.Var(i), m.Var(n+i)))
+		if c, l := cap(m.nodes), len(m.nodes); c&(c-1) != 0 || c > 2*l {
+			t.Fatalf("arena capacity %d for %d slots: want a power of two at most twice the slots", c, l)
+		}
+	}
+	if m.Size() < 2000 {
+		t.Fatalf("built %d nodes; the test needs a large arena", m.Size())
+	}
+}

@@ -4,24 +4,38 @@
 // number coding of Chren [11]. A common harness counts bus-line
 // transitions — the quantity proportional to I/O power — over arbitrary
 // word streams.
+//
+// A bus state is a line word: bit j of a uint64 is the value of line j,
+// so a bus has at most 64 lines and the transitions between two states
+// are the popcount of their XOR.
 package buscode
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
+
+// maxLines is the widest bus a line word carries.
+const maxLines = 64
 
 // Encoder maps a stream of data words to bus line values. Encoders are
 // stateful: several codes depend on the previously transmitted lines.
 type Encoder interface {
 	Name() string
-	// Lines is the number of physical bus lines used.
+	// Lines is the number of physical bus lines used, at most 64.
 	Lines() int
-	// Encode returns the line values transmitted for the next word.
-	Encode(word uint) []bool
-	// Decode recovers the word from received line values (stateful,
+	// Encode returns the line word transmitted for the next word; bits
+	// at or above Lines() are zero.
+	Encode(word uint) uint64
+	// Decode recovers the word from a received line word (stateful,
 	// mirrors Encode).
-	Decode(lines []bool) uint
+	Decode(lines uint64) uint
 	// Reset returns the encoder and decoder to the initial bus state.
 	Reset()
 }
+
+// lineMask returns the line word with lines 0..n-1 high (n <= 64).
+func lineMask(n int) uint64 { return 1<<uint(n) - 1 }
 
 // Binary is the unencoded baseline: word bits drive the lines directly.
 type Binary struct {
@@ -35,30 +49,27 @@ func (b *Binary) Name() string { return fmt.Sprintf("binary%d", b.W) }
 func (b *Binary) Lines() int { return b.W }
 
 // Encode implements Encoder.
-func (b *Binary) Encode(word uint) []bool { return toBits(word, b.W) }
+func (b *Binary) Encode(word uint) uint64 { return uint64(word) & lineMask(b.W) }
 
 // Decode implements Encoder.
-func (b *Binary) Decode(lines []bool) uint { return fromBits(lines) }
+func (b *Binary) Decode(lines uint64) uint { return uint(lines) }
 
 // Reset implements Encoder.
 func (b *Binary) Reset() {}
 
 // BusInvert implements the survey's worked example: an extra line E
-// signals that the transmitted word is bitwise complemented. Before each
-// transfer the sender counts how many lines would toggle; if more than
-// half, it sends the complement with E=1. The survey's example: previous
-// 0000, current 1011 → transmit 0100 with E asserted.
+// (line W) signals that the transmitted word is bitwise complemented.
+// Before each transfer the sender counts how many lines would toggle; if
+// more than half, it sends the complement with E=1. The survey's example:
+// previous 0000, current 1011 → transmit 0100 with E asserted.
 type BusInvert struct {
-	W     int
-	prev  []bool // previous line values (data lines only)
-	prevE bool
+	W    int
+	prev uint64 // previous data lines (E excluded)
 }
 
 // NewBusInvert returns a bus-invert coder for w data bits (w+1 lines).
 func NewBusInvert(w int) *BusInvert {
-	b := &BusInvert{W: w}
-	b.Reset()
-	return b
+	return &BusInvert{W: w}
 }
 
 // Name implements Encoder.
@@ -68,48 +79,30 @@ func (b *BusInvert) Name() string { return fmt.Sprintf("businvert%d", b.W) }
 func (b *BusInvert) Lines() int { return b.W + 1 }
 
 // Encode implements Encoder.
-func (b *BusInvert) Encode(word uint) []bool {
-	cur := toBits(word, b.W)
-	toggles := 0
-	for i, v := range cur {
-		if v != b.prev[i] {
-			toggles++
-		}
-	}
+func (b *BusInvert) Encode(word uint) uint64 {
+	mask := lineMask(b.W)
+	data := uint64(word) & mask
 	// The decision in [39]: invert when more than half the data lines
 	// would toggle (ties favour no inversion).
-	invert := toggles > b.W/2
-	out := make([]bool, b.W+1)
-	for i, v := range cur {
-		if invert {
-			out[i] = !v
-		} else {
-			out[i] = v
-		}
+	if bits.OnesCount64(data^b.prev) > b.W/2 {
+		b.prev = ^data & mask
+		return b.prev | 1<<uint(b.W)
 	}
-	out[b.W] = invert
-	copy(b.prev, out[:b.W])
-	b.prevE = invert
-	return out
+	b.prev = data
+	return data
 }
 
 // Decode implements Encoder.
-func (b *BusInvert) Decode(lines []bool) uint {
-	data := make([]bool, b.W)
-	copy(data, lines[:b.W])
-	if lines[b.W] {
-		for i := range data {
-			data[i] = !data[i]
-		}
+func (b *BusInvert) Decode(lines uint64) uint {
+	mask := lineMask(b.W)
+	if lines>>uint(b.W)&1 != 0 {
+		return uint(^lines & mask)
 	}
-	return fromBits(data)
+	return uint(lines & mask)
 }
 
 // Reset implements Encoder.
-func (b *BusInvert) Reset() {
-	b.prev = make([]bool, b.W)
-	b.prevE = false
-}
+func (b *BusInvert) Reset() { b.prev = 0 }
 
 // GrayCode transmits the Gray encoding of each word — one line toggle per
 // unit step, ideal for instruction-address buses.
@@ -124,15 +117,15 @@ func (g *GrayCode) Name() string { return fmt.Sprintf("gray%d", g.W) }
 func (g *GrayCode) Lines() int { return g.W }
 
 // Encode implements Encoder.
-func (g *GrayCode) Encode(word uint) []bool { return toBits(word^(word>>1), g.W) }
+func (g *GrayCode) Encode(word uint) uint64 { return uint64(word^(word>>1)) & lineMask(g.W) }
 
 // Decode implements Encoder.
-func (g *GrayCode) Decode(lines []bool) uint {
-	v := fromBits(lines)
+func (g *GrayCode) Decode(lines uint64) uint {
+	v := uint(lines)
 	for shift := uint(1); shift < uint(g.W); shift <<= 1 {
 		v ^= v >> shift
 	}
-	return v & ((1 << uint(g.W)) - 1)
+	return v & uint(lineMask(g.W))
 }
 
 // Reset implements Encoder.
@@ -145,15 +138,13 @@ func (g *GrayCode) Reset() {}
 // are sparse (few 1 bits).
 type TransitionSignal struct {
 	W       int
-	state   []bool
-	rxState []bool
+	state   uint64 // lines last driven
+	rxState uint64 // lines last received
 }
 
 // NewTransitionSignal returns a transition-signaling coder.
 func NewTransitionSignal(w int) *TransitionSignal {
-	t := &TransitionSignal{W: w}
-	t.Reset()
-	return t
+	return &TransitionSignal{W: w}
 }
 
 // Name implements Encoder.
@@ -162,56 +153,23 @@ func (t *TransitionSignal) Name() string { return fmt.Sprintf("transition%d", t.
 // Lines implements Encoder.
 func (t *TransitionSignal) Lines() int { return t.W }
 
-// Encode implements Encoder.
-func (t *TransitionSignal) Encode(word uint) []bool {
-	bits := toBits(word, t.W)
-	out := make([]bool, t.W)
-	for i := range out {
-		out[i] = t.state[i] != bits[i] // toggle line i iff bit i set... (XOR accumulate)
-		t.state[i] = out[i]
-	}
-	return out
+// Encode implements Encoder: line i toggles iff bit i of the word is set.
+func (t *TransitionSignal) Encode(word uint) uint64 {
+	t.state ^= uint64(word) & lineMask(t.W)
+	return t.state
 }
 
 // Decode implements Encoder.
-func (t *TransitionSignal) Decode(lines []bool) uint {
-	bits := make([]bool, t.W)
-	for i := range bits {
-		bits[i] = lines[i] != t.rxState[i]
-		t.rxState[i] = lines[i]
-	}
-	return fromBits(bits)
+func (t *TransitionSignal) Decode(lines uint64) uint {
+	word := lines ^ t.rxState
+	t.rxState = lines
+	return uint(word)
 }
 
 // Reset implements Encoder.
 func (t *TransitionSignal) Reset() {
-	t.state = make([]bool, t.W)
-	t.rxState = make([]bool, t.W)
-}
-
-func toBits(v uint, w int) []bool {
-	out := make([]bool, w)
-	for i := 0; i < w; i++ {
-		out[i] = v&(1<<uint(i)) != 0
-	}
-	return out
-}
-
-func fromBits(bits []bool) uint {
-	var v uint
-	for i, b := range bits {
-		if b {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	t.state = 0
+	t.rxState = 0
 }
 
 // Stats aggregates a transition-count run.
@@ -220,6 +178,9 @@ type Stats struct {
 	Lines       int
 	Words       int
 	Transitions int64
+	// Worst is the most lines any word toggled after the first; the
+	// first word's toggles from the all-zero reset state are left out.
+	Worst int
 }
 
 // PerWord is the average line transitions per transferred word.
@@ -235,23 +196,27 @@ func (s Stats) PerWord() float64 {
 // verifies the decode path and returns an error on any mismatch.
 func CountTransitions(e Encoder, words []uint) (Stats, error) {
 	e.Reset()
-	st := Stats{Encoder: e.Name(), Lines: e.Lines(), Words: len(words)}
-	prev := make([]bool, e.Lines())
+	n := e.Lines()
+	st := Stats{Encoder: e.Name(), Lines: n, Words: len(words)}
+	if n < 0 || n > maxLines {
+		return st, fmt.Errorf("buscode: %s declares %d lines, want 0..%d", e.Name(), n, maxLines)
+	}
+	var prev uint64
 	for i, w := range words {
 		lines := e.Encode(w)
-		if len(lines) != e.Lines() {
-			return st, fmt.Errorf("buscode: %s emitted %d lines, declared %d", e.Name(), len(lines), e.Lines())
+		if lines&^lineMask(n) != 0 {
+			return st, fmt.Errorf("buscode: %s drove line word %#x, wider than its %d declared lines", e.Name(), lines, n)
 		}
 		got := e.Decode(lines)
 		if got != w {
 			return st, fmt.Errorf("buscode: %s decode mismatch at word %d: sent %#x got %#x", e.Name(), i, w, got)
 		}
-		for j, v := range lines {
-			if v != prev[j] {
-				st.Transitions++
-			}
+		toggles := bits.OnesCount64(lines ^ prev)
+		st.Transitions += int64(toggles)
+		if i > 0 && toggles > st.Worst {
+			st.Worst = toggles
 		}
-		copy(prev, lines)
+		prev = lines
 	}
 	return st, nil
 }

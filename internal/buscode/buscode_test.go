@@ -1,6 +1,7 @@
 package buscode
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -10,17 +11,16 @@ import (
 func TestBusInvertPaperExample(t *testing.T) {
 	// Survey example: previous value 0000, current 1011 → transmit 0100
 	// with E asserted (the complement of 1011), then complement at the
-	// receiver.
+	// receiver. Line 4 is E.
 	b := NewBusInvert(4)
-	first := b.Encode(0x0)
-	if fromBits(first[:4]) != 0 || first[4] {
-		t.Fatalf("first transfer should be 0000/E=0, got %v", first)
+	if first := b.Encode(0x0); first != 0 {
+		t.Fatalf("first transfer should be 0000/E=0, got %05b", first)
 	}
 	second := b.Encode(0xB) // 1011
-	if !second[4] {
+	if second>>4 != 1 {
 		t.Error("E line should be asserted for 0000 -> 1011")
 	}
-	if got := fromBits(second[:4]); got != 0x4 { // 0100
+	if got := second & 0xF; got != 0x4 { // 0100
 		t.Errorf("transmitted %04b, want 0100", got)
 	}
 	if b.Decode(second) != 0xB {
@@ -33,23 +33,17 @@ func TestBusInvertBoundsToggles(t *testing.T) {
 	// counting the E line.
 	b := NewBusInvert(8)
 	r := rand.New(rand.NewSource(2))
-	prev := make([]bool, b.Lines())
+	var prev uint64
 	for i := 0; i < 2000; i++ {
 		w := uint(r.Intn(256))
 		lines := b.Encode(w)
 		if b.Decode(lines) != w {
 			t.Fatal("decode mismatch")
 		}
-		toggles := 0
-		for j := range lines {
-			if lines[j] != prev[j] {
-				toggles++
-			}
-		}
-		if toggles > (8+1)/2+1 {
+		if toggles := bits.OnesCount64(lines ^ prev); toggles > (8+1)/2+1 {
 			t.Fatalf("word %d: %d toggles exceeds bus-invert bound", i, toggles)
 		}
-		copy(prev, lines)
+		prev = lines
 	}
 }
 
@@ -183,24 +177,8 @@ func TestOneHotResidueCountingToggles(t *testing.T) {
 	// toggles/word on counting, but the residue coder's toggles are
 	// CONSTANT (worst case = average), whereas binary's worst case is 7.
 	// Verify the constancy claim.
-	prev := make([]bool, ohr.Lines())
-	ohr.Reset()
-	worst := 0
-	for i, w := range words {
-		lines := ohr.Encode(w)
-		tg := 0
-		for j := range lines {
-			if lines[j] != prev[j] {
-				tg++
-			}
-		}
-		copy(prev, lines)
-		if i > 0 && tg > worst {
-			worst = tg
-		}
-	}
-	if worst != 6 {
-		t.Errorf("worst-case toggles = %d, want constant 6", worst)
+	if st.Worst != 6 {
+		t.Errorf("worst-case toggles = %d, want constant 6", st.Worst)
 	}
 }
 
@@ -250,5 +228,74 @@ func TestCorrelatedTrafficAblatesBusInvert(t *testing.T) {
 	if corrSaving > randSaving {
 		t.Errorf("correlated saving %.3f should be below random-traffic saving %.3f",
 			corrSaving, randSaving)
+	}
+}
+
+func TestOneHotResidueRejectsMoreThan64Lines(t *testing.T) {
+	// 2+3+5+7+11+13+17 = 58 lines fit a line word; adding 19 needs 77.
+	if _, err := NewOneHotResidue([]int{2, 3, 5, 7, 11, 13, 17}); err != nil {
+		t.Errorf("58 lines should fit: %v", err)
+	}
+	if _, err := NewOneHotResidue([]int{2, 3, 5, 7, 11, 13, 17, 19}); err == nil {
+		t.Error("77 lines should be rejected")
+	}
+	if _, err := NewOneHotResidue([]int{65}); err == nil {
+		t.Error("a 65-line digit should be rejected")
+	}
+}
+
+func TestStatsWorstSkipsResetTransfer(t *testing.T) {
+	// Binary lines: 0xFF from reset toggles 8 (not counted), then 1, 8, 2.
+	st, err := CountTransitions(&Binary{W: 8}, []uint{0xFF, 0xFE, 0x01, 0x02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Transitions != 8+1+8+2 || st.Worst != 8 {
+		t.Errorf("transitions %d worst %d, want 19 and 8", st.Transitions, st.Worst)
+	}
+	st, _ = CountTransitions(&Binary{W: 8}, []uint{0xFF, 0xFE})
+	if st.Worst != 1 {
+		t.Errorf("worst %d, want 1: the reset transfer must not count", st.Worst)
+	}
+	if st, _ = CountTransitions(&Binary{W: 8}, nil); st.Worst != 0 || st.Transitions != 0 {
+		t.Errorf("empty stream stats %+v", st)
+	}
+}
+
+// wideCoder declares fewer lines than it drives.
+type wideCoder struct{ Binary }
+
+func (w *wideCoder) Encode(word uint) uint64 { return uint64(word) }
+
+func TestCountTransitionsRejectsUndeclaredLines(t *testing.T) {
+	if _, err := CountTransitions(&wideCoder{Binary{W: 4}}, []uint{1, 0x1F}); err == nil {
+		t.Error("a line word above the declared lines should be an error")
+	}
+	if _, err := CountTransitions(&Binary{W: 65}, []uint{1}); err == nil {
+		t.Error("more than 64 declared lines should be an error")
+	}
+}
+
+func TestFullWidthLineWords(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	words := make([]uint, 500)
+	for i := range words {
+		words[i] = uint(r.Uint64())
+	}
+	for _, e := range []Encoder{&Binary{W: 64}, &GrayCode{W: 64}, NewTransitionSignal(64)} {
+		if _, err := CountTransitions(e, words); err != nil {
+			t.Errorf("%s: %v", e.Name(), err)
+		}
+	}
+	narrow := make([]uint, len(words))
+	for i, w := range words {
+		narrow[i] = w >> 1
+	}
+	st, err := CountTransitions(NewBusInvert(63), narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Lines != 64 || st.Worst > 32 {
+		t.Errorf("businvert63 stats %+v: want 64 lines and at most 32 toggles a word", st)
 	}
 }

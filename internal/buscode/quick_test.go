@@ -1,6 +1,7 @@
 package buscode
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -36,16 +37,11 @@ func TestCodersRoundTripProperty(t *testing.T) {
 func TestBusInvertBoundProperty(t *testing.T) {
 	f := func(words []byte) bool {
 		e := NewBusInvert(8)
-		prev := make([]bool, e.Lines())
+		var prev uint64
 		for _, w := range words {
 			lines := e.Encode(uint(w))
-			toggles := 0
-			for i := range lines {
-				if lines[i] != prev[i] {
-					toggles++
-				}
-			}
-			copy(prev, lines)
+			toggles := bits.OnesCount64(lines ^ prev)
+			prev = lines
 			if toggles > 5 { // ceil(9/2)
 				return false
 			}

@@ -1,6 +1,9 @@
 package buscode
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // OneHotResidue implements Chren's one-hot residue coding [11]: a value is
 // represented in a residue number system with pairwise-coprime moduli,
@@ -10,14 +13,13 @@ import "fmt"
 // itself reduces to rotation — the source of the low delay-power product.
 type OneHotResidue struct {
 	Moduli []int
-	state  []bool
-	rx     []bool
 	lines  int
 	rng    uint
 }
 
 // NewOneHotResidue builds a coder over the given moduli. The coder can
-// represent values in [0, Π moduli).
+// represent values in [0, Π moduli); its digits take Σ moduli lines, at
+// most 64.
 func NewOneHotResidue(moduli []int) (*OneHotResidue, error) {
 	if len(moduli) == 0 {
 		return nil, fmt.Errorf("buscode: residue coder needs moduli")
@@ -36,9 +38,10 @@ func NewOneHotResidue(moduli []int) (*OneHotResidue, error) {
 		prod *= uint(m)
 		lines += m
 	}
-	o := &OneHotResidue{Moduli: append([]int(nil), moduli...), lines: lines, rng: prod}
-	o.Reset()
-	return o, nil
+	if lines > maxLines {
+		return nil, fmt.Errorf("buscode: moduli %v need %d lines, more than %d", moduli, lines, maxLines)
+	}
+	return &OneHotResidue{Moduli: append([]int(nil), moduli...), lines: lines, rng: prod}, nil
 }
 
 func gcd(a, b int) int {
@@ -57,42 +60,36 @@ func (o *OneHotResidue) Name() string { return fmt.Sprintf("onehot-rns%v", o.Mod
 // Lines implements Encoder.
 func (o *OneHotResidue) Lines() int { return o.lines }
 
-// Encode implements Encoder.
-func (o *OneHotResidue) Encode(word uint) []bool {
+// Encode implements Encoder: digit d of the word drives line r_d of its
+// m_d-line group, where r_d = word mod m_d.
+func (o *OneHotResidue) Encode(word uint) uint64 {
 	word %= o.rng
-	out := make([]bool, o.lines)
+	var out uint64
 	base := 0
 	for _, m := range o.Moduli {
-		out[base+int(word)%m] = true
+		out |= 1 << uint(base+int(word%uint(m)))
 		base += m
 	}
-	copy(o.state, out)
 	return out
 }
 
-// Decode implements Encoder (Chinese Remainder reconstruction).
-func (o *OneHotResidue) Decode(lines []bool) uint {
+// Decode implements Encoder (Chinese Remainder reconstruction). A digit
+// group with no line high reads as residue 0; with several, the lowest
+// wins.
+func (o *OneHotResidue) Decode(lines uint64) uint {
+	residues := make([]int, len(o.Moduli))
 	base := 0
-	var residues []int
-	for _, m := range o.Moduli {
-		r := -1
-		for i := 0; i < m; i++ {
-			if lines[base+i] {
-				r = i
-				break
-			}
+	for i, m := range o.Moduli {
+		if digit := lines >> uint(base) & lineMask(m); digit != 0 {
+			residues[i] = bits.TrailingZeros64(digit)
 		}
-		if r < 0 {
-			r = 0
-		}
-		residues = append(residues, r)
 		base += m
 	}
 	// CRT by search is fine for the small ranges used here.
 	for v := uint(0); v < o.rng; v++ {
 		ok := true
 		for i, m := range o.Moduli {
-			if int(v)%m != residues[i] {
+			if int(v%uint(m)) != residues[i] {
 				ok = false
 				break
 			}
@@ -104,24 +101,21 @@ func (o *OneHotResidue) Decode(lines []bool) uint {
 	return 0
 }
 
-// Reset implements Encoder.
-func (o *OneHotResidue) Reset() {
-	o.state = make([]bool, o.lines)
-	o.rx = make([]bool, o.lines)
-}
+// Reset implements Encoder; the code is stateless.
+func (o *OneHotResidue) Reset() {}
 
 // AddConstRotation models RNS addition of a constant as per-digit
-// rotation: it returns the line vector of value+delta given the line
-// vector of value, touching each digit with exactly one rotate — the
+// rotation: it returns the line word of value+delta given the line word
+// of value, touching each digit with exactly one rotate — the
 // constant-time arithmetic structure of [11].
-func (o *OneHotResidue) AddConstRotation(lines []bool, delta uint) []bool {
-	out := make([]bool, o.lines)
+func (o *OneHotResidue) AddConstRotation(lines uint64, delta uint) uint64 {
+	var out uint64
 	base := 0
 	for _, m := range o.Moduli {
-		shift := int(delta) % m
-		for i := 0; i < m; i++ {
-			out[base+(i+shift)%m] = lines[base+i]
-		}
+		mask := lineMask(m)
+		shift := uint(delta % uint(m))
+		digit := lines >> uint(base) & mask
+		out |= ((digit<<shift | digit>>(uint(m)-shift)) & mask) << uint(base)
 		base += m
 	}
 	return out

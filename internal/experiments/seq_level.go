@@ -157,33 +157,11 @@ func E10Residue() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			worst := worstToggles(e, words)
-			t.AddRow(kind, e.Name(), d(st.Lines), f2(st.PerWord()), d(worst))
+			t.AddRow(kind, e.Name(), d(st.Lines), f2(st.PerWord()), d(st.Worst))
 		}
 	}
 	t.Note("paper: one-hot residue coding minimizes switching activity of arithmetic logic [11]; toggles are constant (2 per digit) on counting")
 	return t, nil
-}
-
-func worstToggles(e buscode.Encoder, words []uint) int {
-	e.Reset()
-	prev := make([]bool, e.Lines())
-	worst := 0
-	for i, w := range words {
-		lines := e.Encode(w)
-		e.Decode(lines)
-		tg := 0
-		for j := range lines {
-			if lines[j] != prev[j] {
-				tg++
-			}
-		}
-		copy(prev, lines)
-		if i > 0 && tg > worst {
-			worst = tg
-		}
-	}
-	return worst
 }
 
 // E11Retiming reproduces §III.C.2: flip-flop outputs switch far less than

@@ -65,48 +65,39 @@ func (s *SeriesStack) NewState() *StackState {
 // every transistor below it conducts; it is connected to the output node
 // when every transistor above it conducts; otherwise it floats and holds
 // its charge.
+//
+// Both conditions follow from the first and last non-conducting
+// positions, found in one pass: internal node i (between positions i and
+// i+1) is grounded when i >= last, tied to the output when i < first, and
+// floats in between, so a step is O(k).
 func (s *SeriesStack) Step(st *StackState, inputs []bool) float64 {
 	k := len(s.Order)
-	on := make([]bool, k)
-	allOn := true
-	for pos := 0; pos < k; pos++ {
-		on[pos] = inputs[s.Order[pos]]
-		if !on[pos] {
-			allOn = false
+	first, last := k, -1
+	for pos, in := range s.Order {
+		if !inputs[in] {
+			if first == k {
+				first = pos
+			}
+			last = pos
 		}
 	}
 	switched := 0.0
-	newOut := !allOn
+	newOut := last >= 0
 	if newOut != st.out {
 		switched += s.COut
 		st.out = newOut
 	}
-	for i := 0; i < k-1; i++ {
-		// Below: transistors i+1..k-1; above: 0..i.
-		below := true
-		for j := i + 1; j < k; j++ {
-			if !on[j] {
-				below = false
-				break
-			}
-		}
-		above := true
-		for j := 0; j <= i; j++ {
-			if !on[j] {
-				above = false
-				break
-			}
-		}
+	for i, v := range st.internal {
 		var newV bool
 		switch {
-		case below:
+		case i >= last:
 			newV = false // tied to ground
-		case above:
+		case i < first:
 			newV = st.out // tied to output
 		default:
-			newV = st.internal[i] // floating: hold
+			newV = v // floating: hold
 		}
-		if newV != st.internal[i] {
+		if newV != v {
 			switched += s.CInternal
 			st.internal[i] = newV
 		}
@@ -169,6 +160,10 @@ type ReorderResult struct {
 // Reorder searches input permutations of the stack exhaustively (k <= 7)
 // for the best objective value under the given workload and arrival
 // times. It returns the best result without mutating s.
+//
+// The workload is simulated only where the objective reads it: every
+// permutation under ReorderPower, delay ties under ReorderPowerDelay, and
+// otherwise just the winning order, once, for its reported Power.
 func (s *SeriesStack) Reorder(obj ReorderObjective, vectors [][]bool, arrival []float64) (ReorderResult, error) {
 	k := len(s.Order)
 	if k > 7 {
@@ -178,28 +173,43 @@ func (s *SeriesStack) Reorder(obj ReorderObjective, vectors [][]bool, arrival []
 		arrival = make([]float64, k)
 	}
 	best := ReorderResult{Power: math.Inf(1), Delay: math.Inf(1)}
+	// bestSimulated is false while best.Power is still owed for best.Order.
+	bestSimulated := true
 	perm := make([]int, k)
 	for i := range perm {
 		perm[i] = i
 	}
 	trial := &SeriesStack{CInternal: s.CInternal, COut: s.COut}
+	power := func(order []int) float64 {
+		trial.Order = order
+		return trial.SimulatePower(vectors)
+	}
+	bestPower := func() float64 {
+		if !bestSimulated {
+			best.Power = power(best.Order)
+			bestSimulated = true
+		}
+		return best.Power
+	}
 	var visit func(int)
 	visit = func(i int) {
 		if i == k {
 			trial.Order = perm
-			p := trial.SimulatePower(vectors)
 			d := trial.Delay(arrival)
-			better := false
 			switch obj {
 			case ReorderPower:
-				better = p < best.Power-1e-15
-			case ReorderDelay:
-				better = d < best.Delay-1e-15
-			case ReorderPowerDelay:
-				better = d < best.Delay-1e-15 || (math.Abs(d-best.Delay) < 1e-12 && p < best.Power-1e-15)
-			}
-			if better {
-				best = ReorderResult{Order: append([]int(nil), perm...), Power: p, Delay: d}
+				if p := power(perm); p < best.Power-1e-15 {
+					best = ReorderResult{Order: append([]int(nil), perm...), Power: p, Delay: d}
+				}
+			case ReorderDelay, ReorderPowerDelay:
+				if d < best.Delay-1e-15 {
+					best = ReorderResult{Order: append([]int(nil), perm...), Delay: d}
+					bestSimulated = false
+				} else if obj == ReorderPowerDelay && math.Abs(d-best.Delay) < 1e-12 {
+					if p := power(perm); p < bestPower()-1e-15 {
+						best = ReorderResult{Order: append([]int(nil), perm...), Power: p, Delay: d}
+					}
+				}
 			}
 			return
 		}
@@ -210,6 +220,7 @@ func (s *SeriesStack) Reorder(obj ReorderObjective, vectors [][]bool, arrival []
 		}
 	}
 	visit(0)
+	bestPower()
 	return best, nil
 }
 

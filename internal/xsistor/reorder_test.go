@@ -1,0 +1,236 @@
+package xsistor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// refStep is the quadratic series-stack step the O(k) Step replaced: it
+// materializes the conduction vector and rescans the transistors below
+// and above every internal node. It is the oracle for Step.
+func refStep(s *SeriesStack, st *StackState, inputs []bool) float64 {
+	k := len(s.Order)
+	on := make([]bool, k)
+	allOn := true
+	for pos := 0; pos < k; pos++ {
+		on[pos] = inputs[s.Order[pos]]
+		if !on[pos] {
+			allOn = false
+		}
+	}
+	switched := 0.0
+	newOut := !allOn
+	if newOut != st.out {
+		switched += s.COut
+		st.out = newOut
+	}
+	for i := 0; i < k-1; i++ {
+		below := true
+		for j := i + 1; j < k; j++ {
+			if !on[j] {
+				below = false
+				break
+			}
+		}
+		above := true
+		for j := 0; j <= i; j++ {
+			if !on[j] {
+				above = false
+				break
+			}
+		}
+		var newV bool
+		switch {
+		case below:
+			newV = false
+		case above:
+			newV = st.out
+		default:
+			newV = st.internal[i]
+		}
+		if newV != st.internal[i] {
+			switched += s.CInternal
+			st.internal[i] = newV
+		}
+	}
+	return switched
+}
+
+func refSimulatePower(s *SeriesStack, vectors [][]bool) float64 {
+	st := s.NewState()
+	total := 0.0
+	for _, v := range vectors {
+		total += refStep(s, st, v)
+	}
+	if len(vectors) == 0 {
+		return 0
+	}
+	return total / float64(len(vectors))
+}
+
+// refReorder is the search Reorder replaced: it simulates every
+// permutation whatever the objective reads.
+func refReorder(s *SeriesStack, obj ReorderObjective, vectors [][]bool, arrival []float64) ReorderResult {
+	k := len(s.Order)
+	if arrival == nil {
+		arrival = make([]float64, k)
+	}
+	best := ReorderResult{Power: math.Inf(1), Delay: math.Inf(1)}
+	perm := make([]int, k)
+	for i := range perm {
+		perm[i] = i
+	}
+	trial := &SeriesStack{CInternal: s.CInternal, COut: s.COut}
+	var visit func(int)
+	visit = func(i int) {
+		if i == k {
+			trial.Order = perm
+			p := refSimulatePower(trial, vectors)
+			d := trial.Delay(arrival)
+			better := false
+			switch obj {
+			case ReorderPower:
+				better = p < best.Power-1e-15
+			case ReorderDelay:
+				better = d < best.Delay-1e-15
+			case ReorderPowerDelay:
+				better = d < best.Delay-1e-15 || (math.Abs(d-best.Delay) < 1e-12 && p < best.Power-1e-15)
+			}
+			if better {
+				best = ReorderResult{Order: append([]int(nil), perm...), Power: p, Delay: d}
+			}
+			return
+		}
+		for j := i; j < k; j++ {
+			perm[i], perm[j] = perm[j], perm[i]
+			visit(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+	}
+	visit(0)
+	return best
+}
+
+// oracleStack returns a k-input stack in a random order with
+// non-integral capacitances, so a changed summation order would show.
+func oracleStack(r *rand.Rand, k int) *SeriesStack {
+	return &SeriesStack{Order: r.Perm(k), CInternal: 0.1 + r.Float64(), COut: float64(k) + r.Float64()}
+}
+
+func oracleProbs(r *rand.Rand, k int) []float64 {
+	p := make([]float64, k)
+	for i := range p {
+		switch r.Intn(3) {
+		case 0:
+			p[i] = 0.02 + 0.08*r.Float64() // rarely high
+		case 1:
+			p[i] = 0.9 + 0.08*r.Float64() // mostly high
+		default:
+			p[i] = r.Float64()
+		}
+	}
+	return p
+}
+
+func TestStepMatchesQuadraticOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for k := 2; k <= 7; k++ {
+		for trial := 0; trial < 20; trial++ {
+			s := oracleStack(r, k)
+			vecs := BiasedVectors(r, 300, oracleProbs(r, k))
+			st, ref := s.NewState(), s.NewState()
+			for c, v := range vecs {
+				got, want := s.Step(st, v), refStep(s, ref, v)
+				if got != want || !reflect.DeepEqual(st, ref) {
+					t.Fatalf("k=%d order %v cycle %d: Step %v state %+v, oracle %v state %+v",
+						k, s.Order, c, got, st, want, ref)
+				}
+			}
+			if got, want := s.SimulatePower(vecs), refSimulatePower(s, vecs); got != want {
+				t.Fatalf("k=%d order %v: SimulatePower %v, oracle %v", k, s.Order, got, want)
+			}
+		}
+	}
+}
+
+func TestReorderMatchesSimulateEverythingOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	objectives := []ReorderObjective{ReorderPower, ReorderDelay, ReorderPowerDelay}
+	for k := 2; k <= 7; k++ {
+		n := 400
+		if k == 7 {
+			n = 60 // 5040 permutations per search
+		}
+		for trial := 0; trial < 3; trial++ {
+			s := oracleStack(r, k)
+			vecs := BiasedVectors(r, n, oracleProbs(r, k))
+			// nil arrivals tie every permutation on delay; arrivals drawn
+			// from {0, 1, 2} tie some; continuous ones tie only orders
+			// that agree on the critical input. The first two drive
+			// ReorderPowerDelay's tie branch.
+			coarse := make([]float64, k)
+			fine := make([]float64, k)
+			for i := range coarse {
+				coarse[i] = float64(r.Intn(3))
+				fine[i] = 4 * r.Float64()
+			}
+			for ai, arrival := range [][]float64{nil, coarse, fine} {
+				for _, obj := range objectives {
+					got, err := s.Reorder(obj, vecs, arrival)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := refReorder(s, obj, vecs, arrival)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("k=%d arrival#%d objective %d: Reorder %+v, oracle %+v", k, ai, obj, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReorderPowerDelayBreaksTiesOnPower pins the tie branch on a case
+// where it decides: with every arrival equal, all orders tie on delay, so
+// the result must be the minimum-power order.
+func TestReorderPowerDelayBreaksTiesOnPower(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	s, _ := NewSeriesStack(4)
+	vecs := BiasedVectors(r, 2000, []float64{0.95, 0.05, 0.5, 0.3})
+	pd, err := s.Reorder(ReorderPowerDelay, vecs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Reorder(ReorderPower, vecs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pd, p) {
+		t.Errorf("all-tied power-delay search %+v, power search %+v", pd, p)
+	}
+	d, err := s.Reorder(ReorderDelay, vecs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(d.Order) != "[0 1 2 3]" || d.Power != s.SimulatePower(vecs) {
+		t.Errorf("all-tied delay search should keep the first order and report its power, got %+v", d)
+	}
+}
+
+// TestReorderEmptyWorkload covers the degenerate stream: zero power for
+// every order, and the delay objective still reports it.
+func TestReorderEmptyWorkload(t *testing.T) {
+	s, _ := NewSeriesStack(3)
+	for _, obj := range []ReorderObjective{ReorderPower, ReorderDelay, ReorderPowerDelay} {
+		got, err := s.Reorder(obj, nil, []float64{0, 2, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refReorder(s, obj, nil, []float64{0, 2, 1}); !reflect.DeepEqual(got, want) {
+			t.Errorf("objective %d: %+v, oracle %+v", obj, got, want)
+		}
+	}
+}
