@@ -13,9 +13,13 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,6 +35,7 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/power"
 	"repro/internal/precomp"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/sop"
 	"repro/internal/stg"
@@ -915,4 +920,34 @@ func BenchmarkBDDBuildCmp16Declaration(b *testing.B) {
 		nodes = nb.M.Size() - 2
 	}
 	b.ReportMetric(float64(nodes), "nodes")
+}
+
+// BenchmarkServerEstimateHit is one /v1/estimate answered from the result
+// cache, through the routed handler with its middleware and with the
+// access log on, as lpserverd (stderr) and lpbench (io.Discard) both run
+// it. The key is a warm simulated cla8 estimate: the engines do no work,
+// so ns/op and allocs/op are the serving layer's own cost per repeat
+// query. It sits last in the file because server.New enables the process
+// metrics registry, which the benchmarks above run without.
+func BenchmarkServerEstimateHit(b *testing.B) {
+	h := server.New(server.Config{AccessLog: io.Discard}).Handler()
+	body := []byte(`{"circuit":"cla8","estimator":"simulated","vectors":256,"seed":7,"p1":0.3}`)
+	serve := func() *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/estimate", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		return rec
+	}
+	serve() // the miss that fills the result cache
+	if got := serve().Header().Get("X-Cache"); got != "hit" {
+		b.Fatalf("warm request: X-Cache %q, want hit", got)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
 }

@@ -1,4 +1,5 @@
-// Package cliutil holds small helpers shared by the command-line tools.
+// Package cliutil holds small helpers shared by the command-line tools:
+// the wall-clock watchdog and lpserverd's typed JSON access-log line.
 package cliutil
 
 import (

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
+	"time"
 )
 
 // POST /v1/estimate:batch — many estimates, one round trip.
@@ -111,7 +112,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(u *workUnit) {
 			defer wg.Done()
-			res, disp, err := s.estimateResult(ctx, "batch", u.ent, u.spec)
+			res, disp, err := s.estimateResult(ctx, time.Time{}, "batch", u.ent, u.spec)
 			var item BatchItemResponse
 			if err != nil {
 				item = BatchItemResponse{OK: false, Status: errorStatus(err), Error: err.Error()}

@@ -51,7 +51,7 @@ func TestResultForExactlyOneComputePerKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, disp, err := s.resultFor(context.Background(), "coalesce-test-key", compute)
+			res, disp, err := s.resultFor(context.Background(), "coalesce-test-key", time.Time{}, compute)
 			bodies[i], disps[i], errs[i] = res.body, disp, err
 		}(i)
 	}
@@ -89,7 +89,7 @@ func TestResultForExactlyOneComputePerKey(t *testing.T) {
 	}
 
 	// The result was cached by the leader: a later request is a plain hit.
-	res, disp, err := s.resultFor(context.Background(), "coalesce-test-key", compute)
+	res, disp, err := s.resultFor(context.Background(), "coalesce-test-key", time.Time{}, compute)
 	if err != nil || disp != "hit" || !bytes.Equal(res.body, []byte("payload")) {
 		t.Fatalf("after flight: disp %q err %v body %q, want a cache hit", disp, err, res.body)
 	}
@@ -113,7 +113,7 @@ func TestResultForDistinctKeysComputeIndependently(t *testing.T) {
 		wg.Add(1)
 		go func(key string) {
 			defer wg.Done()
-			res, disp, err := s.resultFor(context.Background(), key, func(ctx context.Context) (cachedResult, error) {
+			res, disp, err := s.resultFor(context.Background(), key, time.Time{}, func(ctx context.Context) (cachedResult, error) {
 				computes.Add(1)
 				started <- key
 				<-release
@@ -152,7 +152,7 @@ func TestFollowerDetachesOnOwnDeadlineLeaderSurvives(t *testing.T) {
 	var leaderErr error
 	go func() {
 		defer close(leaderDone)
-		leaderRes, _, leaderErr = s.resultFor(context.Background(), "detach-key", func(ctx context.Context) (cachedResult, error) {
+		leaderRes, _, leaderErr = s.resultFor(context.Background(), "detach-key", time.Time{}, func(ctx context.Context) (cachedResult, error) {
 			close(computeStarted)
 			<-block
 			return cachedResult{body: []byte("survived")}, nil
@@ -162,7 +162,7 @@ func TestFollowerDetachesOnOwnDeadlineLeaderSurvives(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, _, err := s.resultFor(ctx, "detach-key", nil)
+	_, _, err := s.resultFor(ctx, "detach-key", time.Time{}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower error = %v, want its own DeadlineExceeded", err)
 	}
@@ -200,7 +200,7 @@ func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 
 	leaderErrCh := make(chan error, 1)
 	go func() {
-		_, _, err := s.resultFor(context.Background(), "retry-key", compute)
+		_, _, err := s.resultFor(context.Background(), "retry-key", time.Time{}, compute)
 		leaderErrCh <- err
 	}()
 	// Join as a follower once the first flight exists.
@@ -210,7 +210,7 @@ func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 		s.flights.mu.Unlock()
 		return ok
 	})
-	res, disp, err := s.resultFor(context.Background(), "retry-key", compute)
+	res, disp, err := s.resultFor(context.Background(), "retry-key", time.Time{}, compute)
 	if err != nil {
 		t.Fatalf("follower after leader failure: %v", err)
 	}
@@ -276,6 +276,30 @@ func TestHerdOverHTTPComputesOnceByteIdentical(t *testing.T) {
 	computed := metricValue(t, ts, "server.coalesce.leaders") - leadersBefore
 	if computed < 1 || computed >= n {
 		t.Fatalf("herd of %d computed %.0f times, want >= 1 and well under the herd size", n, computed)
+	}
+}
+
+// TestHitPathBuildsNoDeadline: a result-cache hit answers without ever
+// creating the request's deadline context, and a miss still runs its
+// computation under the request deadline.
+func TestHitPathBuildsNoDeadline(t *testing.T) {
+	s := New(Config{})
+	var sawDeadline bool
+	compute := func(ctx context.Context) (cachedResult, error) {
+		_, sawDeadline = ctx.Deadline()
+		return cachedResult{body: []byte("x")}, nil
+	}
+	deadline := time.Now().Add(time.Minute)
+	if _, disp, err := s.resultFor(context.Background(), "deadline-key", deadline, compute); err != nil || disp != "miss" || !sawDeadline {
+		t.Fatalf("miss: disp %q err %v deadline %v, want a miss computed under the deadline", disp, err, sawDeadline)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, disp, _ := s.resultFor(context.Background(), "deadline-key", deadline, compute); disp != "hit" {
+			t.Fatalf("disp %q, want hit", disp)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a result-cache hit allocates %v times, want 0", allocs)
 	}
 }
 

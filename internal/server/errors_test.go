@@ -45,7 +45,7 @@ func TestWriteErrorClassifiesClientAbort(t *testing.T) {
 	started, release, leaderDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		s.resultFor(context.Background(), estimateKey(ent.hash, spec), func(context.Context) (cachedResult, error) {
+		s.resultFor(context.Background(), estimateKey(ent.hash, spec), time.Time{}, func(context.Context) (cachedResult, error) {
 			close(started)
 			<-release
 			return cachedResult{}, errors.New("gated leader abandoned")

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -72,6 +75,40 @@ func FuzzRequestDecode(f *testing.F) {
 			if spec.seed <= 0 {
 				t.Fatalf("accepted seed %d", spec.seed)
 			}
+		}
+	})
+}
+
+// FuzzEstimateUpload sends arbitrary BLIF text through the whole
+// /v1/estimate handler as {"blif":…,"estimator":"propagated"}: decode,
+// resolve (parse, check, structural hash), estimate and encode. Nothing
+// may panic, and a malformed upload is the client's fault: no input may
+// be answered with a server error other than 504 (deadline).
+func FuzzEstimateUpload(f *testing.F) {
+	for _, seed := range []string{
+		".model t\n.inputs a\n.outputs b\n.names a b\n1 1\n.end\n",
+		".model c\n.inputs a b c\n.outputs y z\n.names a b n\n11 1\n.names n c y\n1- 1\n-1 1\n.names z\n1\n.end\n",
+		".model cnt\n.inputs en\n.outputs q\n.latch d q 0\n.names en q d\n01 1\n10 1\n.end\n",
+		".model loop\n.inputs a\n.outputs b\n.names a c b\n11 1\n.names b c\n0 1\n.end\n",
+		".model w\n.inputs a \\\n b\n.outputs o\n.names a b o\n00 0\n.end\n",
+		".model u\n.inputs a\n.outputs a\n.end\n",
+		".model x\n.outputs o\n.latch o o 2\n.end\n",
+		".names a b\n1 1\n",
+		".model",
+		"",
+	} {
+		f.Add(seed)
+	}
+	h := New(Config{DefaultTimeout: 10 * time.Second}).Handler()
+	f.Fuzz(func(t *testing.T, blif string) {
+		body, err := json.Marshal(EstimateRequest{circuitRef: circuitRef{BLIF: blif}, Estimator: "propagated"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", bytes.NewReader(body)))
+		if rec.Code >= 500 && rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("upload answered %d: %s\nblif: %q", rec.Code, rec.Body.Bytes(), blif)
 		}
 	})
 }

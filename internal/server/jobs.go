@@ -218,7 +218,7 @@ func (s *Server) submitFlowJob(w http.ResponseWriter, r *http.Request, spec flow
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
 		s.jobs.setRunning(id)
-		res, _, err := s.flowResult(ctx, ent, spec)
+		res, _, err := s.flowResult(ctx, time.Time{}, ent, spec)
 		if err != nil {
 			s.jobs.fail(id, errorStatus(err), err.Error())
 			return

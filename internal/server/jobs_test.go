@@ -87,7 +87,7 @@ func TestAsyncFlowOutlivesSyncDeadline(t *testing.T) {
 	started, release, leaderDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		s.resultFor(context.Background(), flowKey(ent.hash, spec), func(context.Context) (cachedResult, error) {
+		s.resultFor(context.Background(), flowKey(ent.hash, spec), time.Time{}, func(context.Context) (cachedResult, error) {
 			close(started)
 			<-release
 			// Failing caches nothing: the async job below computes.

@@ -46,13 +46,16 @@ func endpointOf(path string) string {
 	return "other"
 }
 
-// statusWriter captures the response status for the access log. The
-// cache and degraded dispositions travel in the X-Cache / X-Degraded
-// response headers, so no body inspection is ever needed.
+// statusWriter captures what the access log and telemetry report about
+// a response: its status, its body size, and the cache and degraded
+// dispositions writeCached also sends as X-Cache / X-Degraded, so no
+// header or body is ever read back.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int64
+	status   int
+	bytes    int64
+	cache    string // X-Cache value; empty when the response has none
+	degraded bool
 }
 
 func (w *statusWriter) WriteHeader(status int) {
@@ -79,7 +82,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 //   - the per-endpoint in-flight gauge tracks the request, and
 //     telemetry.record writes every series of the finished request;
 //   - when Config.AccessLog is set, one key-sorted JSON line per request
-//     is emitted via cliutil.LogJSON;
+//     is emitted via cliutil.LogAccess;
 //   - requests slower than Config.SlowTraceThreshold dump their full span
 //     tree as Chrome trace_event JSON into Config.SlowTraceDir.
 //
@@ -105,7 +108,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		} else {
 			traceID = trace.NewTraceID()
 		}
-		w.Header().Set("X-Trace-Id", traceID)
+		w.Header()["X-Trace-Id"] = []string{traceID}
 
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
@@ -114,28 +117,27 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		cache := sw.Header().Get("X-Cache")
+		cache := sw.cache
 		if cache == "" {
 			cache = "-"
 		}
-		degraded := sw.Header().Get("X-Degraded") == "true"
-		s.tel.record(et, sw.status, elapsed, cache, degraded)
+		s.tel.record(et, sw.status, elapsed, cache, sw.degraded)
 		if root != nil {
 			root.SetAttr("status", sw.status)
 			root.SetAttr("cache", cache)
 			root.End()
 		}
 		if s.cfg.AccessLog != nil {
-			cliutil.LogJSON(s.cfg.AccessLog, "access", map[string]any{
-				"method":     r.Method,
-				"endpoint":   ep,
-				"path":       r.URL.Path,
-				"status":     sw.status,
-				"latency_us": elapsed.Microseconds(),
-				"bytes":      sw.bytes,
-				"cache":      cache,
-				"degraded":   degraded,
-				"trace":      traceID,
+			cliutil.LogAccess(s.cfg.AccessLog, cliutil.AccessRecord{
+				Method:    r.Method,
+				Endpoint:  ep,
+				Path:      r.URL.Path,
+				Status:    sw.status,
+				LatencyUS: elapsed.Microseconds(),
+				Bytes:     sw.bytes,
+				Cache:     cache,
+				Degraded:  sw.degraded,
+				Trace:     traceID,
 			})
 		}
 		if root != nil && s.cfg.SlowTraceThreshold > 0 && elapsed >= s.cfg.SlowTraceThreshold && s.cfg.SlowTraceDir != "" {

@@ -54,6 +54,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -108,8 +109,8 @@ type Config struct {
 	// disabled path paying only an ID generation and nil span checks.
 	TraceRequests bool
 	// AccessLog, when non-nil, receives one key-sorted JSON line per
-	// request (cliutil.LogJSON: method, endpoint, status, latency, cache
-	// and degraded dispositions, trace ID).
+	// request (cliutil.LogAccess: method, endpoint, path, status, latency,
+	// bytes, cache and degraded dispositions, trace ID).
 	AccessLog io.Writer
 	// SlowTraceThreshold dumps the span tree of any request at least this
 	// slow as Chrome trace_event JSON into SlowTraceDir (requires
@@ -266,7 +267,7 @@ func errorStatus(err error) int {
 // writeError maps an error to a JSON error response. It only writes:
 // telemetry.record accounts the status once the request finishes.
 func writeError(w http.ResponseWriter, err error) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(errorStatus(err))
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
@@ -288,15 +289,32 @@ type cachedResult struct {
 // Cached bodies are stored compact (no framing newline) so they embed
 // verbatim as json.RawMessage in batch and job envelopes; the trailing
 // newline is wire framing, added here.
+//
+// The headers are assigned by canonical key from shared, never-mutated
+// value slices, skipping Header.Set's canonicalization and allocation.
+// Behind the middleware the dispositions also go to the statusWriter,
+// which the access log and telemetry read instead of the headers.
 func writeCached(w http.ResponseWriter, res cachedResult, disposition string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", disposition)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["X-Cache"] = cacheHeader[disposition]
 	if res.degraded {
-		w.Header().Set("X-Degraded", "true")
+		h["X-Degraded"] = trueHeader
+	}
+	if sw, ok := w.(*statusWriter); ok {
+		sw.cache, sw.degraded = disposition, res.degraded
 	}
 	w.Write(res.body)
-	w.Write([]byte("\n"))
+	w.Write(newline)
 }
+
+// Shared header values and the body's framing newline; never written to.
+var (
+	jsonContentType = []string{"application/json"}
+	trueHeader      = []string{"true"}
+	cacheHeader     = map[string][]string{"hit": {"hit"}, "miss": {"miss"}, "coalesced": {"coalesced"}}
+	newline         = []byte("\n")
+)
 
 // resultFor is the shared serve-one-cacheable-result pipeline: result
 // cache first, then the coalescing flight group, with compute run only
@@ -306,11 +324,21 @@ func writeCached(w http.ResponseWriter, res cachedResult, disposition string) {
 // whose ctx dies detaches with its own ctx error and the leader keeps
 // running; a follower whose leader fails retries the pipeline under its
 // own still-live ctx (becoming the next leader if nobody beat it in).
-func (s *Server) resultFor(ctx context.Context, key string, compute func(context.Context) (cachedResult, error)) (cachedResult, string, error) {
+//
+// A non-zero deadline is the request's: it bounds the leader's compute
+// and a follower's wait. It is applied only after the cache misses, so a
+// hit never builds the context and its timer; a zero deadline adds none
+// beyond ctx's own.
+func (s *Server) resultFor(ctx context.Context, key string, deadline time.Time, compute func(context.Context) (cachedResult, error)) (cachedResult, string, error) {
+	if res, ok := s.results.Get(key); ok {
+		return res.(cachedResult), "hit", nil
+	}
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	for {
-		if res, ok := s.results.Get(key); ok {
-			return res.(cachedResult), "hit", nil
-		}
 		f, leader := s.flights.join(key)
 		if !leader {
 			s.coalHits.Inc()
@@ -324,6 +352,9 @@ func (s *Server) resultFor(ctx context.Context, key string, compute func(context
 				// our own ctx — unless ours is dead too.
 				if err := ctx.Err(); err != nil {
 					return cachedResult{}, "", err
+				}
+				if res, ok := s.results.Get(key); ok {
+					return res.(cachedResult), "hit", nil
 				}
 				continue
 			case <-ctx.Done():
@@ -619,18 +650,39 @@ func seedFor(seed int64) (int64, error) {
 // estimateKey is the result-cache (and coalescing) key for an estimate.
 // The deadline (timeout_ms) is deliberately NOT part of the key: it only
 // decides whether the computation finishes, never what it computes, and
-// aborted computations are not cached.
+// aborted computations are not cached. The key reads
+// "estimate|<hash>|est=…;v=…;seed=…;p1=…;bn=…;bs=…", with p1 in %g's
+// shortest form ('g', -1).
 func estimateKey(hash string, spec estimateSpec) string {
-	return fmt.Sprintf("estimate|%s|est=%s;v=%d;seed=%d;p1=%g;bn=%d;bs=%d",
-		hash, spec.estimator, spec.vectors, spec.seed, spec.p1, spec.budget.MaxNodes, spec.budget.MaxSteps)
+	var buf [160]byte
+	b := append(buf[:0], "estimate|"...)
+	b = append(b, hash...)
+	b = append(b, "|est="...)
+	b = append(b, spec.estimator...)
+	b = append(b, ";v="...)
+	b = strconv.AppendInt(b, int64(spec.vectors), 10)
+	b = append(b, ";seed="...)
+	b = strconv.AppendInt(b, spec.seed, 10)
+	b = append(b, ";p1="...)
+	b = strconv.AppendFloat(b, spec.p1, 'g', -1, 64)
+	b = appendBudget(b, spec.budget)
+	return string(b)
+}
+
+// appendBudget appends a key's ";bn=<nodes>;bs=<steps>" component.
+func appendBudget(b []byte, budget bdd.Budget) []byte {
+	b = append(b, ";bn="...)
+	b = strconv.AppendInt(b, int64(budget.MaxNodes), 10)
+	b = append(b, ";bs="...)
+	return strconv.AppendInt(b, budget.MaxSteps, 10)
 }
 
 // estimateResult serves one resolved estimate through the shared
 // cache/coalesce/compute pipeline. The worker-pool slot is acquired
 // inside the compute closure, so cache hits and coalesced followers
 // never occupy (or queue for) a worker.
-func (s *Server) estimateResult(ctx context.Context, ep string, ent *netEntry, spec estimateSpec) (cachedResult, string, error) {
-	return s.resultFor(ctx, estimateKey(ent.hash, spec), func(ctx context.Context) (cachedResult, error) {
+func (s *Server) estimateResult(ctx context.Context, deadline time.Time, ep string, ent *netEntry, spec estimateSpec) (cachedResult, string, error) {
+	return s.resultFor(ctx, estimateKey(ent.hash, spec), deadline, func(ctx context.Context) (cachedResult, error) {
 		if err := s.acquire(ctx, ep); err != nil {
 			return cachedResult{}, err
 		}
@@ -664,14 +716,15 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), spec.timeout)
-	defer cancel()
-	ent, err := s.resolveNetwork(ctx, spec.ref)
+	// The deadline runs from here, but its context is built only on a
+	// result-cache miss (resultFor); resolving never blocks on it.
+	deadline := time.Now().Add(spec.timeout)
+	ent, err := s.resolveNetwork(r.Context(), spec.ref)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	res, disp, err := s.estimateResult(ctx, "estimate", ent, spec)
+	res, disp, err := s.estimateResult(r.Context(), deadline, "estimate", ent, spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -832,17 +885,29 @@ func (s *Server) validateFlow(req FlowRequest) (flowSpec, error) {
 }
 
 // flowKey is the result-cache (and coalescing) key for a flow run.
+// It reads "flow|<hash>|flow=…;seed=…;verify=…;bn=…;bs=…;incr=…".
 func flowKey(hash string, spec flowSpec) string {
-	return fmt.Sprintf("flow|%s|flow=%s;seed=%d;verify=%t;bn=%d;bs=%d;incr=%t",
-		hash, spec.flow.Name, spec.seed, spec.verify, spec.budget.MaxNodes, spec.budget.MaxSteps, spec.incremental)
+	var buf [160]byte
+	b := append(buf[:0], "flow|"...)
+	b = append(b, hash...)
+	b = append(b, "|flow="...)
+	b = append(b, spec.flow.Name...)
+	b = append(b, ";seed="...)
+	b = strconv.AppendInt(b, spec.seed, 10)
+	b = append(b, ";verify="...)
+	b = strconv.AppendBool(b, spec.verify)
+	b = appendBudget(b, spec.budget)
+	b = append(b, ";incr="...)
+	b = strconv.AppendBool(b, spec.incremental)
+	return string(b)
 }
 
 // flowResult serves one resolved flow run through the shared
 // cache/coalesce/compute pipeline; sync requests and async jobs both
 // land here, so a poll-completed job seeds the cache for later sync
-// requests (and vice versa).
-func (s *Server) flowResult(ctx context.Context, ent *netEntry, spec flowSpec) (cachedResult, string, error) {
-	return s.resultFor(ctx, flowKey(ent.hash, spec), func(ctx context.Context) (cachedResult, error) {
+// requests (and vice versa). deadline is resultFor's.
+func (s *Server) flowResult(ctx context.Context, deadline time.Time, ent *netEntry, spec flowSpec) (cachedResult, string, error) {
+	return s.resultFor(ctx, flowKey(ent.hash, spec), deadline, func(ctx context.Context) (cachedResult, error) {
 		if err := s.acquire(ctx, "flow"); err != nil {
 			return cachedResult{}, err
 		}
@@ -912,14 +977,13 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		s.submitFlowJob(w, r, spec)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), spec.timeout)
-	defer cancel()
-	ent, err := s.resolveNetwork(ctx, spec.ref)
+	deadline := time.Now().Add(spec.timeout)
+	ent, err := s.resolveNetwork(r.Context(), spec.ref)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	res, disp, err := s.flowResult(ctx, ent, spec)
+	res, disp, err := s.flowResult(r.Context(), deadline, ent, spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -944,9 +1008,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown experiment %q", id)})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
-	defer cancel()
-	cr, disp, err := s.resultFor(ctx, "experiment|"+id, func(ctx context.Context) (cachedResult, error) {
+	deadline := time.Now().Add(s.cfg.MaxTimeout)
+	cr, disp, err := s.resultFor(r.Context(), "experiment|"+id, deadline, func(ctx context.Context) (cachedResult, error) {
 		if err := s.acquire(ctx, "experiment"); err != nil {
 			return cachedResult{}, err
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -290,14 +291,25 @@ func TestConcurrentFirstRequests(t *testing.T) {
 
 // BenchmarkMiddleware measures the full instrument+handler round trip
 // on the cheapest endpoint: the serving-telemetry overhead every
-// request pays.
+// request pays, without and with the access log lpserverd and lpbench
+// both write.
 func BenchmarkMiddleware(b *testing.B) {
-	h := New(Config{}).Handler()
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"no-log", Config{}},
+		{"access-log", Config{AccessLog: io.Discard}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := New(bc.cfg).Handler()
+			req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+			}
+		})
 	}
 }
