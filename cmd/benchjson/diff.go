@@ -1,15 +1,26 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
-
-	"repro/internal/benchfmt"
 )
 
 // loadReport reads an archived benchjson report.
-func loadReport(path string) (*Report, error) { return benchfmt.Load(path) }
+func loadReport(path string) (*Report, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var rep Report
+	if err := json.NewDecoder(f).Decode(&rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &rep, nil
+}
 
 // benchDelta is the comparison of one benchmark between two reports.
 type benchDelta struct {
@@ -120,8 +131,12 @@ func diffReports(oldRep, newRep *Report, threshold, allocThreshold float64) (del
 	return deltas, onlyOld, onlyNew
 }
 
+// indexByName maps each benchmark name to its median ns/op and
+// allocs/op. `go test -count N` writes N lines per name; comparing only
+// one of them would let a single sample stand for all N.
 func indexByName(rep *Report) map[string]Benchmark {
-	out := make(map[string]Benchmark, len(rep.Benchmarks))
+	ns := make(map[string][]float64, len(rep.Benchmarks))
+	allocs := make(map[string][]float64, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		// ns_per_op was introduced after the first archives; fall back to
 		// the metrics map for reports written by older benchjson builds.
@@ -131,7 +146,23 @@ func indexByName(rep *Report) map[string]Benchmark {
 		if b.AllocsPerOp == 0 {
 			b.AllocsPerOp = b.Metrics["allocs/op"]
 		}
-		out[b.Name] = b
+		ns[b.Name] = append(ns[b.Name], b.NsPerOp)
+		allocs[b.Name] = append(allocs[b.Name], b.AllocsPerOp)
+	}
+	out := make(map[string]Benchmark, len(ns))
+	for name := range ns {
+		out[name] = Benchmark{Name: name, NsPerOp: median(ns[name]), AllocsPerOp: median(allocs[name])}
 	}
 	return out
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count); xs is sorted in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

@@ -17,12 +17,14 @@
 //
 //	benchjson -diff -threshold 0.15 old.json new.json
 //
-// exits non-zero when any benchmark's ns/op grew by more than the
-// threshold fraction (and, with -alloc-threshold, when allocs/op did).
+// exits non-zero when any benchmark's median ns/op over its repeated
+// samples (go test -count N) grew by more than the threshold fraction
+// (and, with -alloc-threshold, when its median allocs/op did).
 package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,17 +33,37 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/benchfmt"
 )
 
-// The report schema lives in internal/benchfmt so other producers
-// (cmd/lploadgen) and consumers share it; these aliases keep the local
-// code readable.
-type (
-	Benchmark = benchfmt.Benchmark
-	Report    = benchfmt.Report
-)
+// Benchmark is one benchmark result line: a named operation with its
+// metric pairs.
+type Benchmark struct {
+	// Name is the benchmark name without the "Benchmark" prefix and
+	// without the -GOMAXPROCS suffix; FullName keeps both.
+	Name       string `json:"name"`
+	FullName   string `json:"full_name"`
+	Iterations int64  `json:"iterations"`
+
+	// The standard go-test metrics, lifted out of Metrics (0 when the
+	// bench run did not report them; B/op and allocs/op need -benchmem).
+	NsPerOp     float64 `json:"ns_per_op,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	MBPerS      float64 `json:"mb_per_s,omitempty"`
+
+	Metrics map[string]float64 `json:"metrics"`
+}
+
+// Report is the top-level JSON document of one BENCH_*.json entry.
+type Report struct {
+	Date       string      `json:"date"`
+	GoVersion  string      `json:"go_version"`
+	GOOS       string      `json:"goos,omitempty"`
+	GOARCH     string      `json:"goarch,omitempty"`
+	CPU        string      `json:"cpu,omitempty"`
+	Pkg        string      `json:"pkg,omitempty"`
+	Benchmarks []Benchmark `json:"benchmarks"`
+}
 
 func main() {
 	in := flag.String("in", "-", "bench output to read (- = stdin)")
@@ -100,7 +122,9 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := rep.Write(w); err != nil {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
 		fatal(err)
 	}
 	if *out != "-" {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -247,5 +248,34 @@ func TestRunDiffReportsOneSidedBenchmarks(t *testing.T) {
 	}
 	if !strings.Contains(text, "Fresh") || !strings.Contains(text, "added") {
 		t.Errorf("new-only benchmark not reported as added:\n%s", text)
+	}
+}
+
+// `go test -count N` writes N lines per benchmark. The diff compares the
+// median ns/op and allocs/op of the repeats, so two slow samples out of
+// three are not hidden behind a fast last one.
+func TestRunDiffComparesMedianOfRepeats(t *testing.T) {
+	report := func(ns, allocs [3]int) string {
+		var items []string
+		for i := range ns {
+			items = append(items,
+				fmt.Sprintf(`{"name": "Slow", "ns_per_op": %d}`, ns[i]),
+				fmt.Sprintf(`{"name": "Allocs", "ns_per_op": 100, "allocs_per_op": %d}`, allocs[i]))
+		}
+		return `{"date": "2026-08-01", "benchmarks": [` + strings.Join(items, ",") + `]}`
+	}
+	dir := t.TempDir()
+	old := writeReport(t, dir, "old.json", report([3]int{100, 100, 100}, [3]int{10, 10, 10}))
+	neu := writeReport(t, dir, "new.json", report([3]int{500, 500, 100}, [3]int{30, 30, 10}))
+	var out strings.Builder
+	regressions, err := runDiff(old, neu, 1.0, 1.0, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regressions != 2 {
+		t.Fatalf("regressions = %d, want 2 (median ns/op 100 -> 500, median allocs/op 10 -> 30)\n%s", regressions, out.String())
+	}
+	if !strings.Contains(out.String(), "+400.0%") || !strings.Contains(out.String(), "+200.0%") {
+		t.Errorf("diff output does not show the median deltas:\n%s", out.String())
 	}
 }

@@ -91,9 +91,10 @@ func newTelemetry(cfg Config, reg *obsv.Registry) *telemetry {
 	}
 	t.availability = slo.NewTracker(slo.Objective{Name: "availability", Budget: 0.001}, clock, horizons)
 	t.latency = slo.NewTracker(slo.Objective{Name: "latency", Budget: 0.05}, clock, horizons)
-	// lploadgen intentionally degrades a slice of its traffic via tiny
-	// BDD budgets, so the degraded objective's budget is generous: it
-	// exists to catch "everything suddenly degrades", not normal load.
+	// An exact request whose BDD budget trips degrades to Monte Carlo by
+	// design, and budgeted exact requests are normal traffic, so the
+	// degraded objective's budget is generous: it exists to catch
+	// "everything suddenly degrades", not normal load.
 	t.degraded = slo.NewTracker(slo.Objective{Name: "degraded", Budget: 0.5}, clock, horizons)
 	return t
 }
