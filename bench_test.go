@@ -307,7 +307,7 @@ func BenchmarkEventDrivenSimRandom(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, nw := range nets {
-			if _, err := sim.MeasureRun(nw, sim.UnitDelay, vecs[j], 1); err != nil {
+			if _, err := sim.MeasureRunCtx(context.Background(), nw, sim.UnitDelay, vecs[j], 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -33,6 +33,14 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole estimation (0 = no limit)")
 	bddBudget := flag.Int("bdd-budget", 0, "max BDD nodes for the exact estimate; over budget it degrades to Monte Carlo (0 = unlimited)")
 	flag.Parse()
+	switch {
+	case !(*p1 >= 0 && *p1 <= 1):
+		fatal(fmt.Errorf("-p1 %g outside [0,1]", *p1))
+	case *vectors < 1:
+		fatal(fmt.Errorf("-vectors %d: need at least 1", *vectors))
+	case *top < 0:
+		fatal(fmt.Errorf("-top %d is negative", *top))
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {

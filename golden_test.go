@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func TestExperimentsMatchGolden(t *testing.T) {
 	if len(golden) != len(list) {
 		t.Errorf("golden holds %d tables, experiments.All lists %d", len(golden), len(list))
 	}
-	for _, r := range experiments.RunAll(list, 0) {
+	for _, r := range experiments.RunAllCtx(context.Background(), list, 0, 0) {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.ID, r.Err)
 			continue
@@ -53,7 +54,7 @@ func TestExperimentsMatchGolden(t *testing.T) {
 func TestSuiteMetricsAreCatalogued(t *testing.T) {
 	reg := obsv.Enable()
 	t.Cleanup(obsv.Disable)
-	for _, r := range experiments.RunAll(experiments.All(), 0) {
+	for _, r := range experiments.RunAllCtx(context.Background(), experiments.All(), 0, 0) {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.ID, r.Err)
 		}

@@ -231,14 +231,6 @@ func (m *Manager) setOrder(level2var []int32) {
 	}
 }
 
-// LevelOf returns the level variable i currently occupies.
-func (m *Manager) LevelOf(i int) int {
-	if i < 0 || i >= m.nvars {
-		panic(fmt.Sprintf("bdd: LevelOf(%d) out of range [0,%d)", i, m.nvars))
-	}
-	return int(m.var2level[i])
-}
-
 // Var returns the function of the single variable i.
 func (m *Manager) Var(i int) Ref {
 	if i < 0 || i >= m.nvars {

@@ -33,14 +33,6 @@ type MemoryStats struct {
 	EnergyPJ               float64
 }
 
-// HitRate is the fraction of accesses served on-chip.
-func (m MemoryStats) HitRate() float64 {
-	if m.Accesses == 0 {
-		return 0
-	}
-	return float64(m.Hits) / float64(m.Accesses)
-}
-
 // SimulateTrace runs a word-address trace through a direct-mapped cache of
 // the given configuration and returns access counts and energy: every
 // access costs OnChipEnergy; every miss additionally transfers LineWords

@@ -111,15 +111,10 @@ func (s Snapshot) String() string {
 		s.Label, s.Gates, s.Depth, s.FlipFlops, s.ExactP, mark, s.SimP, 100*s.Spurious)
 }
 
-// Measure evaluates a network under the context.
-func Measure(nw *logic.Network, fctx *Context, label string) (Snapshot, error) {
-	return MeasureCtx(context.Background(), nw, fctx, label)
-}
-
-// MeasureCtx is Measure with a cancellation boundary. The exact power
-// estimate runs under fctx.ExactBudget and degrades to Monte Carlo when
-// the budget trips; cancellation of ctx aborts the measurement with the
-// context's error.
+// MeasureCtx evaluates a network under the flow context. The exact
+// power estimate runs under fctx.ExactBudget and degrades to Monte Carlo
+// when the budget trips; cancellation of ctx aborts the measurement with
+// the context's error.
 func MeasureCtx(ctx context.Context, nw *logic.Network, fctx *Context, label string) (Snapshot, error) {
 	if fctx.Incremental && len(nw.FFs()) == 0 {
 		// Standalone incremental-mode measurement: a one-shot estimator

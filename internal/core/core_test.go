@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -131,7 +132,7 @@ func TestMeasureSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewContext(nw, 5)
-	snap, err := Measure(nw, ctx, "seq")
+	snap, err := MeasureCtx(context.Background(), nw, ctx, "seq")
 	if err != nil {
 		t.Fatal(err)
 	}

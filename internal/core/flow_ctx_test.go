@@ -66,7 +66,7 @@ func TestMeasureCtxMatchesMeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 	fctx := NewContext(nw, 3)
-	a, err := Measure(nw, fctx, "x")
+	a, err := MeasureCtx(context.Background(), nw, fctx, "x")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -214,13 +215,13 @@ func TestMeasureIncrementalSequentialFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	classic := NewContext(nw, 3)
-	sc, err := Measure(nw, classic, "x")
+	sc, err := MeasureCtx(context.Background(), nw, classic, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	incr := NewContext(nw, 3)
 	incr.Incremental = true
-	si, err := Measure(nw, incr, "x")
+	si, err := MeasureCtx(context.Background(), nw, incr, "x")
 	if err != nil {
 		t.Fatal(err)
 	}

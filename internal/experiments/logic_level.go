@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bdd"
 	"repro/internal/dontcare"
-	"repro/internal/logic"
 	"repro/internal/power"
 	"repro/internal/sop"
 	"repro/internal/tmap"
@@ -198,21 +197,6 @@ func E7TechMap() (*Table, error) {
 		mLeft.Area, mLeft.Delay, mLeft.Power, mBal.Area, mBal.Delay, mBal.Power)
 	t.Note("paper: DAGON-style covering extended to the power cost function; power mapping hides high-activity nets inside cells [43,48]")
 	return t, nil
-}
-
-// biasedInputProb builds an input probability map giving the first
-// half of the PIs probability pA and the rest pB.
-func biasedInputProb(nw *logic.Network, pA, pB float64) power.Probabilities {
-	out := power.Probabilities{}
-	pis := nw.PIs()
-	for i, pi := range pis {
-		if i < len(pis)/2 {
-			out[pi] = pA
-		} else {
-			out[pi] = pB
-		}
-	}
-	return out
 }
 
 // E4b (exposed for the ablation bench): exact vs propagated probability

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// Result is one experiment's outcome from a RunAll pass: the table (or
+// Result is one experiment's outcome from a RunAllCtx pass: the table (or
 // error) plus wall-clock span timings relative to the run start, ready
 // for the Chrome trace export.
 type Result struct {
@@ -35,27 +35,23 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("experiment %s panicked: %v", e.ID, e.Value)
 }
 
-// RunAll executes the experiments on a bounded worker pool and returns
-// one Result per experiment, in input order. parallel <= 0 uses
+// RunAllCtx executes the experiments on a bounded worker pool and
+// returns one Result per experiment, in input order. parallel <= 0 uses
 // GOMAXPROCS; parallel == 1 is fully sequential.
 //
 // Tables are identical for every worker count: each experiment generator
 // seeds its own rand sources and shares no mutable state with the others,
 // and the obsv registry (the only cross-experiment sink) uses atomic
 // counters, so the aggregate metrics are also scheduling-independent.
-func RunAll(list []Experiment, parallel int) []Result {
-	return RunAllCtx(context.Background(), list, parallel, 0)
-}
-
-// RunAllCtx is RunAll with a cancellation boundary and an optional
-// per-experiment deadline. Experiments that have not started when ctx is
-// cancelled are marked Skipped with Err = ctx.Err(); experiments already
-// running are allowed to finish (the generators are not individually
-// context-aware), so the returned slice is always complete and in input
-// order — partial in content, never in shape. perTimeout > 0 stamps an
-// experiment whose run exceeds it with a deadline error but does not
-// abandon the table it produced. A panicking experiment is recovered into
-// a *PanicError on its Result instead of crashing the process.
+//
+// Experiments that have not started when ctx is cancelled are marked
+// Skipped with Err = ctx.Err(); experiments already running are allowed
+// to finish (the generators are not individually context-aware), so the
+// returned slice is always complete and in input order — partial in
+// content, never in shape. perTimeout > 0 stamps an experiment whose run
+// exceeds it with a deadline error but does not abandon the table it
+// produced. A panicking experiment is recovered into a *PanicError on its
+// Result instead of crashing the process.
 func RunAllCtx(ctx context.Context, list []Experiment, parallel int, perTimeout time.Duration) []Result {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)

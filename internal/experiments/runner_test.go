@@ -1,19 +1,20 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
 // TestRunAllParallelIdenticalTables: the tables coming out of a parallel
-// RunAll are identical, row for row, to a sequential pass — experiment
+// RunAllCtx are identical, row for row, to a sequential pass — experiment
 // generators are self-seeded and share no mutable state.
 func TestRunAllParallelIdenticalTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every experiment table twice")
 	}
 	list := All()
-	seq := RunAll(list, 1)
-	par := RunAll(list, 4)
+	seq := RunAllCtx(context.Background(), list, 1, 0)
+	par := RunAllCtx(context.Background(), list, 4, 0)
 	if len(seq) != len(par) {
 		t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
 	}
@@ -39,7 +40,7 @@ func TestRunAllParallelIdenticalTables(t *testing.T) {
 func TestRunAllClampsWorkers(t *testing.T) {
 	list := All()[:1]
 	for _, par := range []int{-1, 0, 1, 100} {
-		res := RunAll(list, par)
+		res := RunAllCtx(context.Background(), list, par, 0)
 		if len(res) != 1 || res[0].ID != list[0].ID {
 			t.Fatalf("parallel=%d: unexpected results %+v", par, res)
 		}

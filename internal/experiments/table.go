@@ -81,17 +81,6 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON parses the form produced by MarshalJSON, so downstream
-// tooling can round-trip report files.
-func (t *Table) UnmarshalJSON(data []byte) error {
-	var tj tableJSON
-	if err := json.Unmarshal(data, &tj); err != nil {
-		return err
-	}
-	*t = Table{ID: tj.ID, Title: tj.Title, Header: tj.Header, Rows: tj.Rows, Notes: tj.Notes}
-	return nil
-}
-
 // Experiment pairs an ID with its generator.
 type Experiment struct {
 	ID  string

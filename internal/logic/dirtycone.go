@@ -16,8 +16,7 @@ type Cone struct {
 	// in the transitive fanout of the dirty set, dirty roots included, in
 	// topological order — recompute them front to back and every fanin
 	// read is either an already-recomputed member or clean reusable
-	// state. Fanout traversal stops at DFF boundaries, mirroring
-	// TransitiveFanout.
+	// state. Fanout traversal stops at DFF boundaries.
 	Members []NodeID
 	// In is a by-NodeID membership mask over Members (len == NumNodes).
 	In []bool

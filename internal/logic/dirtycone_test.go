@@ -29,8 +29,8 @@ func TestDirtyTracking(t *testing.T) {
 			t.Errorf("node %d not dirty after construction", id)
 		}
 	}
-	if nw.DirtyCount() != 0 {
-		t.Fatalf("TakeDirty left %d entries", nw.DirtyCount())
+	if d := nw.Dirty(); len(d) != 0 {
+		t.Fatalf("TakeDirty left %d entries", len(d))
 	}
 
 	// ReplaceFanin dirties the rewired consumer.
@@ -41,7 +41,7 @@ func TestDirtyTracking(t *testing.T) {
 		t.Errorf("ReplaceFanin dirty = %v, want [%d]", d, g1)
 	}
 	// Dirty (without Take) must not consume.
-	if nw.DirtyCount() != 1 {
+	if len(nw.Dirty()) != 1 {
 		t.Error("Dirty() consumed the set")
 	}
 	nw.ClearDirty()

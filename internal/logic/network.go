@@ -111,10 +111,6 @@ type Node struct {
 // returned slice is owned by the network; callers must not mutate it.
 func (n *Node) Fanout() []NodeID { return n.fanout }
 
-// Dead reports whether the node has been deleted. Dead slots keep their
-// ID but are skipped by traversals.
-func (n *Node) Dead() bool { return n.dead }
-
 // Network is a gate-level sequential circuit: a DAG of combinational gates
 // cut by D flip-flops, with named primary inputs and outputs.
 type Network struct {
@@ -489,9 +485,6 @@ func (nw *Network) TakeDirty() []NodeID {
 // just rebuilt everything from scratch.
 func (nw *Network) ClearDirty() { nw.dirty = nil }
 
-// DirtyCount returns the number of recorded dirty nodes.
-func (nw *Network) DirtyCount() int { return len(nw.dirty) }
-
 // invalidateTopo drops the cached topological order. Called by every
 // structural mutation; mutations must not race with readers (the Network
 // is not concurrency-safe for writes), so no lock is needed here beyond
@@ -629,30 +622,6 @@ func (nw *Network) TransitiveFanin(roots ...NodeID) map[NodeID]bool {
 			continue
 		}
 		stack = append(stack, n.Fanin...)
-	}
-	return seen
-}
-
-// TransitiveFanout returns the set of live node IDs in the transitive
-// fanout of roots, including the roots. Traversal stops at DFF inputs.
-func (nw *Network) TransitiveFanout(roots ...NodeID) map[NodeID]bool {
-	seen := make(map[NodeID]bool)
-	stack := append([]NodeID(nil), roots...)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := nw.Node(id)
-		if n == nil || seen[id] {
-			continue
-		}
-		seen[id] = true
-		for _, c := range n.fanout {
-			if nw.nodes[c].Type != DFF {
-				stack = append(stack, c)
-			} else {
-				seen[c] = true
-			}
-		}
 	}
 	return seen
 }

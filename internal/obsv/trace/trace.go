@@ -114,12 +114,6 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, ctxKey{}, sp), sp
 }
 
-// FromContext returns the context's active span, or nil.
-func FromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(ctxKey{}).(*Span)
-	return sp
-}
-
 func (t *Tracer) newSpan(name string, parent uint64) *Span {
 	sp := &Span{
 		tr:       t,

@@ -92,7 +92,7 @@ func TestDensityMatchesSimulatedActivityOnParityTree(t *testing.T) {
 	checked := 0
 	for id := logic.NodeID(0); id < logic.NodeID(nw.NumNodes()); id++ {
 		n := nw.Node(id)
-		if n == nil || !n.Type.IsGate() || n.Dead() {
+		if n == nil || !n.Type.IsGate() {
 			continue
 		}
 		want := dens[id]
@@ -142,11 +142,11 @@ func TestDensityUpperBoundsUsefulActivityOnRippleAdder(t *testing.T) {
 	violations, checked := 0, 0
 	for id := logic.NodeID(0); id < logic.NodeID(nw.NumNodes()); id++ {
 		n := nw.Node(id)
-		if n == nil || !n.Type.IsGate() || n.Dead() {
+		if n == nil || !n.Type.IsGate() {
 			continue
 		}
 		checked++
-		useful := s.UsefulActivity(id)
+		useful := float64(s.UsefulTransitions(id)) / float64(s.Cycles())
 		if useful > dens[id]+margin {
 			violations++
 			t.Errorf("%s: useful activity %.4f exceeds predicted density %.4f",
@@ -162,9 +162,7 @@ func TestDensityUpperBoundsUsefulActivityOnRippleAdder(t *testing.T) {
 }
 
 // The simulator accessors feeding the profiler must agree with the
-// normalized activity values: Transitions/cycles == Activity and
-// UsefulTransitions/cycles == UsefulActivity, with SpuriousActivity the
-// difference.
+// normalized activity value: Transitions/cycles == Activity.
 func TestSimulatorTransitionAccessorsConsistent(t *testing.T) {
 	nw, err := circuits.RippleAdder(4)
 	if err != nil {
@@ -186,12 +184,6 @@ func TestSimulatorTransitionAccessorsConsistent(t *testing.T) {
 		}
 		if got, want := s.Activity(id), float64(s.Transitions(id))/cycles; math.Abs(got-want) > 1e-12 {
 			t.Errorf("node %d: Activity %.6f != Transitions/cycles %.6f", id, got, want)
-		}
-		if got, want := s.UsefulActivity(id), float64(s.UsefulTransitions(id))/cycles; math.Abs(got-want) > 1e-12 {
-			t.Errorf("node %d: UsefulActivity %.6f != UsefulTransitions/cycles %.6f", id, got, want)
-		}
-		if got, want := s.SpuriousActivity(id), s.Activity(id)-s.UsefulActivity(id); math.Abs(got-want) > 1e-12 {
-			t.Errorf("node %d: SpuriousActivity %.6f != %.6f", id, got, want)
 		}
 	}
 }

@@ -96,7 +96,7 @@ func Estimate(ctx context.Context, nw *logic.Network, spec Spec) (Report, error)
 // The run is sharded across workers (0 = GOMAXPROCS, 1 = sequential); any
 // worker count produces the same report bit for bit, because the vector
 // stream is chunked deterministically and each shard warm-starts from the
-// exact settled state at its boundary (see sim.MeasureRun).
+// exact settled state at its boundary (see sim.MeasureRunCtx).
 func EstimateSimulatedParallel(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
 	return simulate(context.Background(), nw, p, cm, dm, vectors, workers)
 }

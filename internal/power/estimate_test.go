@@ -36,6 +36,11 @@ type dispatchCase struct {
 // Inputs are biased so the density method's 2·p·(1−p) sources differ
 // from the uniform default.
 func dispatchCases(t *testing.T) []dispatchCase {
+	// A capacitance model other than the default, so a dispatch that
+	// dropped Spec.CapModel would show.
+	fanInCap := func(nw *logic.Network, n *logic.Node) float64 {
+		return UnitLoadCap(nw, n) + float64(len(n.Fanin))
+	}
 	t.Helper()
 	var cases []dispatchCase
 	add := func(name string, nw *logic.Network, opt ExactOptions) {
@@ -46,7 +51,7 @@ func dispatchCases(t *testing.T) []dispatchCase {
 		r := rand.New(rand.NewSource(11))
 		cases = append(cases, dispatchCase{name, nw, Spec{
 			Params:       DefaultParams(),
-			CapModel:     WeightedGateCap,
+			CapModel:     fanInCap,
 			InputProb:    probs,
 			Vectors:      sim.RandomVectors(r, 200, len(nw.PIs()), 0.3),
 			ExactOptions: opt,

@@ -117,7 +117,7 @@ func TestEstimateZeroDelayPackedMatchesScalar(t *testing.T) {
 		if nw.Node(id).Type == logic.Input {
 			return piAct[id]
 		}
-		return s.UsefulActivity(id)
+		return float64(s.UsefulTransitions(id)) / float64(s.Cycles())
 	})
 	if !reflect.DeepEqual(prep, want) {
 		t.Error("packed report differs from scalar useful-activity report")

@@ -115,18 +115,6 @@ func BufferWeightedCap(bufWeight float64) CapModel {
 	}
 }
 
-// WeightedGateCap is a capacitance model that additionally charges each
-// gate for its own complexity: a k-input gate's output carries k units of
-// internal (source/drain) parasitics. Used by the sizing and mapping
-// passes, where gate size matters.
-func WeightedGateCap(nw *logic.Network, n *logic.Node) float64 {
-	c := UnitLoadCap(nw, n)
-	if n.Type.IsGate() {
-		c += float64(len(n.Fanin)) * 0.5
-	}
-	return c
-}
-
 // NodePower is the power breakdown at one node.
 type NodePower struct {
 	Node      logic.NodeID

@@ -302,13 +302,6 @@ func TestCapModels(t *testing.T) {
 	if got := UnitLoadCap(nw, o); got != 2.0 {
 		t.Errorf("UnitLoadCap(o) = %v, want 2", got)
 	}
-	// WeightedGateCap adds 0.5 per fanin for gates.
-	if got := WeightedGateCap(nw, o); got != 3.0 {
-		t.Errorf("WeightedGateCap(o) = %v, want 3", got)
-	}
-	if got := WeightedGateCap(nw, s); got != 3.0 {
-		t.Errorf("WeightedGateCap(s) = %v, want 3 (inputs are not gates)", got)
-	}
 }
 
 // Property: for any combinational circuit, zero-delay useful activity
@@ -332,7 +325,7 @@ func TestSimulatedMatchesProbabilistic(t *testing.T) {
 	}
 	for _, id := range nw.Gates() {
 		want := ps.Activity(id)
-		got := s.UsefulActivity(id)
+		got := float64(s.UsefulTransitions(id)) / float64(s.Cycles())
 		if math.Abs(got-want) > 0.03 {
 			t.Errorf("node %s: measured useful activity %v, probabilistic %v",
 				nw.Node(id).Name, got, want)

@@ -440,24 +440,6 @@ func uniqueName(nw *logic.Network, base string) string {
 	}
 }
 
-// FFCount returns the number of flip-flops implied by the retiming, with
-// sharing of FF chains at fanout points (max weight per driving node, as
-// Apply builds them).
-func (g *Graph) FFCount(r []int) int {
-	maxW := make(map[logic.NodeID]int)
-	for _, e := range g.Edges {
-		w := g.weightR(e, r)
-		if w > maxW[e.srcNode] {
-			maxW[e.srcNode] = w
-		}
-	}
-	total := 0
-	for _, w := range maxW {
-		total += w
-	}
-	return total
-}
-
 // PowerResult reports a retiming candidate's measured cost.
 type PowerResult struct {
 	Retiming []int

@@ -286,15 +286,3 @@ func TestLowPowerTargetValidation(t *testing.T) {
 		t.Error("target below minimum should fail")
 	}
 }
-
-func TestFFCount(t *testing.T) {
-	nw := parityPipe(t, 4)
-	g, err := BuildGraph(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ident := make([]int, len(g.Verts))
-	if got := g.FFCount(ident); got != 2 {
-		t.Errorf("identity FF count = %d, want 2", got)
-	}
-}

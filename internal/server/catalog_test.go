@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -170,7 +171,7 @@ func TestServedMetricsAreCatalogued(t *testing.T) {
 func TestCatalogRowsAreEmitted(t *testing.T) {
 	obsv.Disable()
 	ts := driveEveryEndpoint(t)
-	for _, r := range experiments.RunAll(experiments.All(), 0) {
+	for _, r := range experiments.RunAllCtx(context.Background(), experiments.All(), 0, 0) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.ID, r.Err)
 		}

@@ -64,17 +64,3 @@ func (c *Counts) Activity(id logic.NodeID) float64 {
 	}
 	return float64(c.nodeTransitions[id]) / float64(c.cycles)
 }
-
-// UsefulActivity returns only the zero-delay component of the activity.
-func (c *Counts) UsefulActivity(id logic.NodeID) float64 {
-	if c.cycles == 0 {
-		return 0
-	}
-	return float64(c.nodeUseful[id]) / float64(c.cycles)
-}
-
-// SpuriousActivity returns the glitch component of a node's activity:
-// transitions per cycle beyond the zero-delay requirement.
-func (c *Counts) SpuriousActivity(id logic.NodeID) float64 {
-	return c.Activity(id) - c.UsefulActivity(id)
-}

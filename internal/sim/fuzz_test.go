@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -27,7 +28,7 @@ func seededDelay(seed int64) DelayModel {
 // simulates it under seeded per-gate delays, and checks the timing-wheel
 // simulator against the heap-and-map reference queue: per-cycle stats,
 // queue high-water marks, settled node values and per-node counts. It also
-// checks that sharded MeasureRun equals the sequential run.
+// checks that sharded MeasureRunCtx equals the sequential run.
 func FuzzEventSim(f *testing.F) {
 	for i, gen := range []func() (*logic.Network, error){
 		func() (*logic.Network, error) { return circuits.RippleAdder(3) },
@@ -77,20 +78,20 @@ func FuzzEventSim(f *testing.F) {
 		if !reflect.DeepEqual(s.Counts, ref.Counts) {
 			t.Fatal("per-node counts differ from the reference")
 		}
-		seq, err := MeasureRun(nw, dm, vecs, 1)
+		seq, err := MeasureRunCtx(context.Background(), nw, dm, vecs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(seq.Counts, s.Counts) {
-			t.Fatal("sequential MeasureRun counts differ from cycle-by-cycle simulation")
+			t.Fatal("sequential MeasureRunCtx counts differ from cycle-by-cycle simulation")
 		}
 		for _, workers := range []int{2, 3} {
-			m, err := MeasureRun(nw, dm, vecs, workers)
+			m, err := MeasureRunCtx(context.Background(), nw, dm, vecs, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if m.Totals != seq.Totals || !reflect.DeepEqual(m.Counts, seq.Counts) {
-				t.Fatalf("MeasureRun with %d workers differs from the sequential run: %+v vs %+v", workers, m.Totals, seq.Totals)
+				t.Fatalf("MeasureRunCtx with %d workers differs from the sequential run: %+v vs %+v", workers, m.Totals, seq.Totals)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -78,7 +79,7 @@ func identityNetworks(t *testing.T) ([]string, map[string]*logic.Network) {
 }
 
 // identityVectors is the stimulus of every identity run: 256 vectors, so
-// MeasureRun can split it into four 64-cycle shards.
+// MeasureRunCtx can split it into four 64-cycle shards.
 func identityVectors(nw *logic.Network) [][]bool {
 	return RandomVectors(rand.New(rand.NewSource(15)), 256, len(nw.PIs()), 0.5)
 }
@@ -134,7 +135,7 @@ var wantSimIDs = map[string]simID{
 	"fsm/fanout":       {0x0f4b5dd4981705e3, 0xa568c1a0f7f38719, 704, 3},
 }
 
-// wantMeasureIDs pins MeasureRun, keyed network/delay; every worker count
+// wantMeasureIDs pins MeasureRunCtx, keyed network/delay; every worker count
 // must reproduce the same entry. Stats is a hash of the merged Totals.
 var wantMeasureIDs = map[string]simID{
 	"alu4/unit":        {0xc2274de7f740858a, 0xe709106cc85787ea, 5728, 32},
@@ -178,7 +179,7 @@ var wantMeasureIDs = map[string]simID{
 // TestEventSimIdentity checks that the event-driven simulator produces the
 // same per-cycle statistics, per-node counts and queue high-water mark as the queue it replaced, on every generator, the BLIF
 // corpus and a sequential FSM, under both delay models, and that
-// MeasureRun does at 1, 2 and 4 workers.
+// MeasureRunCtx does at 1, 2 and 4 workers.
 func TestEventSimIdentity(t *testing.T) {
 	reg := obsv.Enable()
 	t.Cleanup(obsv.Disable)
@@ -220,7 +221,7 @@ func TestEventSimIdentity(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				mkey := fmt.Sprintf("%s/%d", key, workers)
 				hwm.Set(0)
-				m, err := MeasureRun(nw, d.dm, vecs, workers)
+				m, err := MeasureRunCtx(context.Background(), nw, d.dm, vecs, workers)
 				if err != nil {
 					t.Fatalf("%s: %v", mkey, err)
 				}

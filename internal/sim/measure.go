@@ -22,7 +22,7 @@ type Measure struct {
 // per-shard simulator construction dominates the simulation itself.
 const minChunk = 64
 
-// MeasureRun simulates the vector stream under the delay model and
+// MeasureRunCtx simulates the vector stream under the delay model and
 // returns merged per-node counts, splitting the work across workers
 // goroutines (workers <= 0 means GOMAXPROCS).
 //
@@ -36,16 +36,11 @@ const minChunk = 64
 // within a cycle depend only on the previous settled state and the new
 // vector, so every chunk reproduces exactly the events of the sequential
 // run over its cycles.
-func MeasureRun(nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {
-	return MeasureRunCtx(context.Background(), nw, dm, vectors, workers)
-}
-
-// MeasureRunCtx is MeasureRun under a context: it refuses to start after
-// cancellation, every shard stops with ctx.Err() within ctxCheckCycles
-// cycles of it, and, when the context carries a trace (see
-// internal/obsv/trace), it records the whole run as a "sim.measure" span
-// annotated with cycle/worker/transition counts. The numeric results of
-// a run that is not cancelled are bit-identical to MeasureRun — the
+//
+// It refuses to start after cancellation, every shard stops with
+// ctx.Err() within ctxCheckCycles cycles of it, and, when the context
+// carries a trace (see internal/obsv/trace), it records the whole run as
+// a "sim.measure" span annotated with cycle/worker/transition counts. The
 // context influences only whether the run finishes and what gets
 // observed, never what is computed.
 func MeasureRunCtx(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {

@@ -75,7 +75,7 @@ func referenceRun(t *testing.T, nw *logic.Network, dm DelayModel, vectors [][]bo
 
 func checkMeasureMatches(t *testing.T, name string, nw *logic.Network, dm DelayModel, vectors [][]bool, workers int, ref refCounts) {
 	t.Helper()
-	m, err := MeasureRun(nw, dm, vectors, workers)
+	m, err := MeasureRunCtx(context.Background(), nw, dm, vectors, workers)
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", name, workers, err)
 	}
@@ -160,7 +160,7 @@ func TestChunkStarts(t *testing.T) {
 		}
 	}
 	// Chunks must cover [0,n) contiguously for arbitrary shapes
-	// (MeasureRun never asks for more chunks than items).
+	// (MeasureRunCtx never asks for more chunks than items).
 	for n := 1; n < 40; n++ {
 		for w := 1; w <= n && w <= 8; w++ {
 			starts := chunkStarts(n, w)

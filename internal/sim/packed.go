@@ -19,7 +19,7 @@ import (
 // (zero-delay) counts over the same vector stream, including the initial
 // transition away from the all-zero reset settle. It deliberately has no
 // notion of time inside a cycle, so it cannot see glitches — use
-// Simulator (or MeasureRun) when spurious transitions matter.
+// Simulator (or MeasureRunCtx) when spurious transitions matter.
 //
 // PackedSimulator requires a purely combinational network: lanes are
 // evaluated simultaneously, and a flip-flop chain would impose a serial

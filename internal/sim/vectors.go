@@ -53,38 +53,6 @@ func WalkVectors(r *rand.Rand, n, width, maxStep int) [][]bool {
 	return out
 }
 
-// CounterVectors generates n vectors counting up from start, wrapping at
-// 2^width. Sequential addresses on an address bus follow this pattern.
-func CounterVectors(start, n, width int) [][]bool {
-	out := make([][]bool, n)
-	mask := 1<<width - 1
-	for i := range out {
-		out[i] = uintToBits(uint((start+i)&mask), width)
-	}
-	return out
-}
-
-// BurstyVectors generates vectors that alternate between long idle runs of
-// a fixed resting vector and short active bursts of random data. The idle
-// fraction is the probability of being in an idle cycle. This is the
-// workload under which clock gating and precomputation show their value.
-func BurstyVectors(r *rand.Rand, n, width int, idleFraction float64) [][]bool {
-	out := make([][]bool, n)
-	rest := make([]bool, width)
-	for i := range out {
-		if r.Float64() < idleFraction {
-			out[i] = rest
-		} else {
-			v := make([]bool, width)
-			for j := range v {
-				v[j] = r.Intn(2) == 1
-			}
-			out[i] = v
-		}
-	}
-	return out
-}
-
 // uintToBits converts v to a little-endian bit slice of the given width.
 func uintToBits(v uint, width int) []bool {
 	out := make([]bool, width)

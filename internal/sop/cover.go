@@ -52,15 +52,6 @@ func (cv *Cover) String() string {
 	return strings.Join(rows, "\n")
 }
 
-// AddCube appends a cube (must match NumVars).
-func (cv *Cover) AddCube(c Cube) error {
-	if len(c) != cv.NumVars {
-		return fmt.Errorf("sop: cube arity %d != cover arity %d", len(c), cv.NumVars)
-	}
-	cv.Cubes = append(cv.Cubes, c)
-	return nil
-}
-
 // NumLiterals is the total literal count — the classic area metric.
 func (cv *Cover) NumLiterals() int {
 	n := 0
@@ -283,40 +274,4 @@ func (cv *Cover) Intersect(other *Cover) *Cover {
 		}
 	}
 	return out.SingleCubeContainment()
-}
-
-// Minterms enumerates the ON-set minterm indices for covers with up to 20
-// variables; bit i of a minterm index is variable i's value.
-func (cv *Cover) Minterms() ([]int, error) {
-	if cv.NumVars > 20 {
-		return nil, fmt.Errorf("sop: Minterms on %d variables", cv.NumVars)
-	}
-	var out []int
-	m := make([]bool, cv.NumVars)
-	for idx := 0; idx < 1<<cv.NumVars; idx++ {
-		for i := range m {
-			m[i] = idx&(1<<i) != 0
-		}
-		if cv.Eval(m) {
-			out = append(out, idx)
-		}
-	}
-	return out, nil
-}
-
-// FromMinterms builds a minterm-canonical cover from ON-set indices.
-func FromMinterms(n int, ms []int) *Cover {
-	cv := NewCover(n)
-	for _, idx := range ms {
-		c := make(Cube, n)
-		for i := 0; i < n; i++ {
-			if idx&(1<<i) != 0 {
-				c[i] = One
-			} else {
-				c[i] = Zero
-			}
-		}
-		cv.Cubes = append(cv.Cubes, c)
-	}
-	return cv
 }

@@ -159,16 +159,3 @@ func (c Cube) Cofactor(v int, val Lit) (Cube, bool) {
 	out[v] = Dash
 	return out, true
 }
-
-// Equal reports cube equality.
-func (c Cube) Equal(d Cube) bool {
-	if len(c) != len(d) {
-		return false
-	}
-	for i := range c {
-		if c[i] != d[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -23,8 +23,8 @@ func TestMinimizeClassic(t *testing.T) {
 func TestMinimizeWithDontCares(t *testing.T) {
 	// 7-segment style: f on {1,3}, dc on {5,7} over 3 vars -> f = x0 (bit0
 	// set in all of them).
-	f := FromMinterms(3, []int{1, 3})
-	dc := FromMinterms(3, []int{5, 7})
+	f := mustCover(t, 3, "100", "110")
+	dc := mustCover(t, 3, "101", "111")
 	min, err := Minimize(f, MinimizeOptions{DontCare: dc})
 	if err != nil {
 		t.Fatal(err)

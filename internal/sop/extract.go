@@ -1,9 +1,6 @@
 package sop
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // ExtractOptions configures multi-function kernel extraction.
 type ExtractOptions struct {
@@ -153,156 +150,6 @@ func Extract(fns []*Expr, nextLit int, opts ExtractOptions) ([]*Expr, []Extracti
 	return cur, extractions
 }
 
-// FactorTree is a node of a factored-form expression tree.
-type FactorTree struct {
-	// Leaf literal when Lit >= 0 and both children are nil.
-	Lit         int
-	IsAnd       bool
-	Left, Right *FactorTree
-}
-
-// Factor produces a factored form of the expression by recursive division
-// by its best kernel (quick-factor). Literal IDs appear as leaves.
-func Factor(e *Expr) *FactorTree {
-	if len(e.Products) == 0 {
-		return nil
-	}
-	if len(e.Products) == 1 {
-		return productTree(e.Products[0])
-	}
-	// Choose the kernel with the most products (deepest sharing), ties by
-	// literal count.
-	kernels := e.Kernels()
-	var best *Expr
-	for _, kr := range kernels {
-		if exprKey(kr.K) == exprKey(e) {
-			continue // dividing by self: no progress
-		}
-		if best == nil || len(kr.K.Products) > len(best.Products) ||
-			(len(kr.K.Products) == len(best.Products) && kr.K.NumLiterals() > best.NumLiterals()) {
-			best = kr.K
-		}
-	}
-	if best == nil {
-		// No nontrivial kernel: factor out the most common literal if any,
-		// else emit the flat OR.
-		l, cnt := mostCommonLiteral(e)
-		if cnt >= 2 {
-			q, r := e.DivideByProduct(Product{l})
-			lt := &FactorTree{IsAnd: true, Left: &FactorTree{Lit: l}, Right: Factor(q)}
-			if len(r.Products) == 0 {
-				return lt
-			}
-			return &FactorTree{Left: lt, Right: Factor(r)}
-		}
-		return flatOr(e)
-	}
-	q, r := e.Divide(best)
-	if len(q.Products) == 0 {
-		return flatOr(e)
-	}
-	qt := Factor(q)
-	kt := Factor(best)
-	at := &FactorTree{IsAnd: true, Left: qt, Right: kt}
-	if len(r.Products) == 0 {
-		return at
-	}
-	return &FactorTree{Left: at, Right: Factor(r)}
-}
-
-func mostCommonLiteral(e *Expr) (lit, count int) {
-	counts := make(map[int]int)
-	for _, p := range e.Products {
-		for _, l := range p {
-			counts[l]++
-		}
-	}
-	lit, count = -1, 0
-	for l, c := range counts {
-		if c > count || (c == count && l < lit) {
-			lit, count = l, c
-		}
-	}
-	return lit, count
-}
-
-func productTree(p Product) *FactorTree {
-	if len(p) == 0 {
-		return &FactorTree{Lit: -1} // constant true leaf
-	}
-	t := &FactorTree{Lit: p[0]}
-	for _, l := range p[1:] {
-		t = &FactorTree{IsAnd: true, Left: t, Right: &FactorTree{Lit: l}}
-	}
-	return t
-}
-
-func flatOr(e *Expr) *FactorTree {
-	t := productTree(e.Products[0])
-	for _, p := range e.Products[1:] {
-		t = &FactorTree{Left: t, Right: productTree(p)}
-	}
-	return t
-}
-
-// Literals returns the literal IDs appearing in the tree.
-func (t *FactorTree) Literals() []int {
-	set := make(map[int]bool)
-	var rec func(*FactorTree)
-	rec = func(n *FactorTree) {
-		if n == nil {
-			return
-		}
-		if n.Left == nil && n.Right == nil {
-			if n.Lit >= 0 {
-				set[n.Lit] = true
-			}
-			return
-		}
-		rec(n.Left)
-		rec(n.Right)
-	}
-	rec(t)
-	out := make([]int, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// NumLiterals counts leaf occurrences in the tree — the factored-form
-// literal count, the standard quality metric for factoring.
-func (t *FactorTree) NumLiterals() int {
-	if t == nil {
-		return 0
-	}
-	if t.Left == nil && t.Right == nil {
-		if t.Lit >= 0 {
-			return 1
-		}
-		return 0
-	}
-	return t.Left.NumLiterals() + t.Right.NumLiterals()
-}
-
-// String renders the factored form.
-func (t *FactorTree) String() string {
-	if t == nil {
-		return "0"
-	}
-	if t.Left == nil && t.Right == nil {
-		if t.Lit < 0 {
-			return "1"
-		}
-		return fmt.Sprintf("L%d", t.Lit)
-	}
-	if t.IsAnd {
-		return fmt.Sprintf("(%s %s)", t.Left.String(), t.Right.String())
-	}
-	return fmt.Sprintf("(%s + %s)", t.Left.String(), t.Right.String())
-}
-
 // EvalExpr evaluates an algebraic expression given literal truth values.
 func EvalExpr(e *Expr, val map[int]bool) bool {
 	for _, p := range e.Products {
@@ -318,21 +165,4 @@ func EvalExpr(e *Expr, val map[int]bool) bool {
 		}
 	}
 	return false
-}
-
-// EvalTree evaluates a factored form given literal truth values.
-func EvalTree(t *FactorTree, val map[int]bool) bool {
-	if t == nil {
-		return false
-	}
-	if t.Left == nil && t.Right == nil {
-		if t.Lit < 0 {
-			return true
-		}
-		return val[t.Lit]
-	}
-	if t.IsAnd {
-		return EvalTree(t.Left, val) && EvalTree(t.Right, val)
-	}
-	return EvalTree(t.Left, val) || EvalTree(t.Right, val)
 }

@@ -93,50 +93,6 @@ func TestKernelsNone(t *testing.T) {
 	}
 }
 
-func TestFactorPreservesFunction(t *testing.T) {
-	r := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 50; trial++ {
-		nl := 4 + r.Intn(4)
-		var prods [][]int
-		for i := 0; i < 2+r.Intn(5); i++ {
-			var p []int
-			for l := 0; l < nl; l++ {
-				if r.Intn(3) == 0 {
-					p = append(p, l)
-				}
-			}
-			if len(p) == 0 {
-				p = append(p, r.Intn(nl))
-			}
-			prods = append(prods, p)
-		}
-		e := NewExpr(prods...)
-		ft := Factor(e)
-		for k := 0; k < 64; k++ {
-			val := make(map[int]bool)
-			for l := 0; l < nl; l++ {
-				val[l] = r.Intn(2) == 1
-			}
-			if EvalExpr(e, val) != EvalTree(ft, val) {
-				t.Fatalf("trial %d: factored form differs\nexpr: %s\ntree: %s", trial, e, ft)
-			}
-		}
-		if ft.NumLiterals() > e.NumLiterals() {
-			t.Errorf("trial %d: factoring increased literals (%d > %d)\n%s -> %s",
-				trial, ft.NumLiterals(), e.NumLiterals(), e, ft)
-		}
-	}
-}
-
-func TestFactorClassic(t *testing.T) {
-	// ac + ad + bc + bd → (a+b)(c+d): 8 literals down to 4.
-	e := NewExpr([]int{0, 2}, []int{0, 3}, []int{1, 2}, []int{1, 3})
-	ft := Factor(e)
-	if got := ft.NumLiterals(); got != 4 {
-		t.Errorf("factored literals = %d, want 4 (%s)", got, ft)
-	}
-}
-
 func TestExtractSharedKernel(t *testing.T) {
 	// f1 = ae + be, f2 = ag + bg share kernel (a+b).
 	f1 := NewExpr([]int{0, 4}, []int{1, 4})
@@ -227,54 +183,12 @@ func TestSynthesizeCoverAndExpr(t *testing.T) {
 	}
 }
 
-func TestSynthesizeTreeMatchesExpr(t *testing.T) {
-	nw := logic.New("t")
-	litNode := map[int]logic.NodeID{
-		0: nw.MustInput("a"),
-		1: nw.MustInput("b"),
-		2: nw.MustInput("c"),
-		3: nw.MustInput("d"),
-	}
-	e := NewExpr([]int{0, 2}, []int{0, 3}, []int{1, 2}, []int{1, 3})
-	ft := Factor(e)
-	id, err := SynthesizeTree(nw, "f", ft, litNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.MarkOutput(id); err != nil {
-		t.Fatal(err)
-	}
-	m := make([]bool, 4)
-	for idx := 0; idx < 16; idx++ {
-		val := make(map[int]bool)
-		for i := range m {
-			m[i] = idx&(1<<i) != 0
-			val[i] = m[i]
-		}
-		out, err := nw.EvalComb(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[0] != EvalExpr(e, val) {
-			t.Errorf("minterm %d mismatch", idx)
-		}
-	}
-}
-
 func TestSynthesizeErrors(t *testing.T) {
 	nw := logic.New("e")
 	a := nw.MustInput("a")
 	cv := mustCover(t, 2, "11")
 	if _, err := SynthesizeCover(nw, "f", cv, []logic.NodeID{a}); err == nil {
 		t.Error("var count mismatch should fail")
-	}
-	e := NewExpr([]int{0, 9})
-	if _, err := SynthesizeExpr(nw, "g", e, map[int]logic.NodeID{0: a}); err == nil {
-		t.Error("missing literal mapping should fail")
-	}
-	ft := &FactorTree{Lit: 9}
-	if _, err := SynthesizeTree(nw, "h", ft, map[int]logic.NodeID{}); err == nil {
-		t.Error("missing literal in tree should fail")
 	}
 }
 
@@ -287,20 +201,6 @@ func TestSynthesizeConstants(t *testing.T) {
 	}
 	if nw.Node(id).Type != logic.Const0 {
 		t.Error("empty cover should synthesize constant 0")
-	}
-	id2, err := SynthesizeExpr(nw, "zero2", &Expr{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw.Node(id2).Type != logic.Const0 {
-		t.Error("empty expr should synthesize constant 0")
-	}
-	id3, err := SynthesizeTree(nw, "zero3", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw.Node(id3).Type != logic.Const0 {
-		t.Error("nil tree should synthesize constant 0")
 	}
 }
 

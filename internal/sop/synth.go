@@ -51,77 +51,6 @@ func SynthesizeCover(nw *logic.Network, name string, cv *Cover, vars []logic.Nod
 	return nw.AddGate(freshName(nw, name), logic.Or, terms...)
 }
 
-// SynthesizeExpr adds a two-level realization of an algebraic expression,
-// with litNode supplying the node for each literal ID.
-func SynthesizeExpr(nw *logic.Network, name string, e *Expr, litNode map[int]logic.NodeID) (logic.NodeID, error) {
-	if len(e.Products) == 0 {
-		return nw.AddConst(freshName(nw, name), false)
-	}
-	var terms []logic.NodeID
-	for _, p := range e.Products {
-		var lits []logic.NodeID
-		for _, l := range p {
-			id, ok := litNode[l]
-			if !ok {
-				return logic.InvalidNode, fmt.Errorf("sop: no node for literal %d", l)
-			}
-			lits = append(lits, id)
-		}
-		switch len(lits) {
-		case 0:
-			return nw.AddConst(freshName(nw, name), true)
-		case 1:
-			terms = append(terms, lits[0])
-		default:
-			t, err := nw.AddGate(freshName(nw, name+"_and"), logic.And, lits...)
-			if err != nil {
-				return logic.InvalidNode, err
-			}
-			terms = append(terms, t)
-		}
-	}
-	if len(terms) == 1 {
-		return nw.AddGate(freshName(nw, name), logic.Buf, terms[0])
-	}
-	return nw.AddGate(freshName(nw, name), logic.Or, terms...)
-}
-
-// SynthesizeTree adds a factored-form realization (2-input AND/OR tree).
-func SynthesizeTree(nw *logic.Network, name string, t *FactorTree, litNode map[int]logic.NodeID) (logic.NodeID, error) {
-	if t == nil {
-		return nw.AddConst(freshName(nw, name), false)
-	}
-	seq := 0
-	var rec func(n *FactorTree) (logic.NodeID, error)
-	rec = func(n *FactorTree) (logic.NodeID, error) {
-		if n.Left == nil && n.Right == nil {
-			if n.Lit < 0 {
-				return nw.AddConst(freshName(nw, name+"_one"), true)
-			}
-			id, ok := litNode[n.Lit]
-			if !ok {
-				return logic.InvalidNode, fmt.Errorf("sop: no node for literal %d", n.Lit)
-			}
-			return id, nil
-		}
-		l, err := rec(n.Left)
-		if err != nil {
-			return logic.InvalidNode, err
-		}
-		r, err := rec(n.Right)
-		if err != nil {
-			return logic.InvalidNode, err
-		}
-		gt := logic.Or
-		if n.IsAnd {
-			gt = logic.And
-		}
-		seq++
-		return nw.AddGate(freshName(nw, fmt.Sprintf("%s_f%d", name, seq)), gt, l, r)
-	}
-	return rec(t)
-}
-
 // invOf returns an inverter of node id, reusing an existing one.
 func invOf(nw *logic.Network, id logic.NodeID) (logic.NodeID, error) {
 	for _, c := range nw.Node(id).Fanout() {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -391,12 +390,5 @@ func (g *STG) SelfLoopFraction() map[string]float64 {
 	for i, s := range g.States {
 		out[s] = p[i][i]
 	}
-	return out
-}
-
-// SortedStates returns state names sorted for deterministic iteration.
-func (g *STG) SortedStates() []string {
-	out := append([]string(nil), g.States...)
-	sort.Strings(out)
 	return out
 }

@@ -174,15 +174,6 @@ func TestReadKISSErrors(t *testing.T) {
 	}
 }
 
-func TestSortedStates(t *testing.T) {
-	g := New("s", 1, 1)
-	g.AddEdge("1", "zeta", "alpha", "0")
-	ss := g.SortedStates()
-	if ss[0] != "alpha" || ss[1] != "zeta" {
-		t.Errorf("sorted = %v", ss)
-	}
-}
-
 func TestCorpusComplete(t *testing.T) {
 	// Every corpus machine: all states reachable, and every (state, input)
 	// pair has a successor.

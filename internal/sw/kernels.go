@@ -188,24 +188,6 @@ func DotProductBlock(k int) ([]Instr, error) {
 	return block, nil
 }
 
-// MulByConstShift multiplies r1 by 2^s+1 using shift and add (strength
-// reduction); MulByConstMul uses the multiplier. Instruction selection for
-// power [45]: the cheap sequence wins when the multiplier is expensive.
-func MulByConstShift(s int) []Instr {
-	return []Instr{
-		{Op: SHL, Rd: 2, Rs: 1, Imm: int32(s)},
-		{Op: ADD, Rd: 2, Rs: 2, Rt: 1},
-	}
-}
-
-// MulByConstMul is the multiplier-based equivalent of MulByConstShift.
-func MulByConstMul(s int) []Instr {
-	return []Instr{
-		{Op: LI, Rd: 3, Imm: int32(1<<uint(s)) + 1},
-		{Op: MUL, Rd: 2, Rs: 1, Rt: 3},
-	}
-}
-
 // RunBlock executes a branch-free block (appending HALT) on a CPU with
 // preloaded registers, returning the final register file — used to verify
 // that scheduling and pairing preserve semantics.

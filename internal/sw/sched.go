@@ -134,16 +134,6 @@ func ColdSchedule(block []Instr, m *PowerModel) ([]Instr, error) {
 	return out, nil
 }
 
-// OverheadOf sums the model's inter-instruction overhead along a straight-
-// line block (the quantity cold scheduling minimizes).
-func OverheadOf(block []Instr, m *PowerModel) float64 {
-	total := 0.0
-	for i := 1; i < len(block); i++ {
-		total += m.Overhead[ClassOf(block[i-1].Op)][ClassOf(block[i].Op)]
-	}
-	return total
-}
-
 // PairMAC performs the DSP instruction-pairing peephole of [23]: a MUL
 // writing a temp register immediately followed by ADD rd, rd, temp (or
 // ADD rd, temp, rd) where the temp dies is fused into one MAC rd, rs, rt,

@@ -190,8 +190,9 @@ func TestColdSchedulingDSPvsCPU(t *testing.T) {
 		t.Fatalf("cold scheduling changed the dot product: %d vs %d", r1[14], r2[14])
 	}
 	// DSP: big relative saving; CPU: small.
-	ovDSPBefore := OverheadOf(block, dsp)
-	ovDSPAfter := OverheadOf(schedDSP, dsp)
+	overhead := func(block []Instr, m *PowerModel) float64 { return m.Energy(traceOf(block)).OverheadNJ }
+	ovDSPBefore := overhead(block, dsp)
+	ovDSPAfter := overhead(schedDSP, dsp)
 	if ovDSPAfter >= ovDSPBefore {
 		t.Errorf("DSP overhead %v should drop below %v", ovDSPAfter, ovDSPBefore)
 	}
@@ -200,7 +201,7 @@ func TestColdSchedulingDSPvsCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpuSaving := (OverheadOf(block, cpuM) - OverheadOf(schedCPU, cpuM)) / cpuM.Energy(traceOf(block)).Total()
+	cpuSaving := (overhead(block, cpuM) - overhead(schedCPU, cpuM)) / cpuM.Energy(traceOf(block)).Total()
 	if dspSaving <= cpuSaving {
 		t.Errorf("DSP saving %.4f should exceed CPU saving %.4f", dspSaving, cpuSaving)
 	}
@@ -278,15 +279,18 @@ func TestPairMACKeepsLiveTemp(t *testing.T) {
 }
 
 func TestInstructionSelection(t *testing.T) {
-	// Strength reduction: shift+add vs multiplier, same result, less
-	// energy on both models (multiplier is multi-cycle and power-hungry).
+	// Strength reduction [45]: r2 = 9*r1 by shift+add vs multiplier, same
+	// result, less energy on both models (multiplier is multi-cycle and
+	// power-hungry).
 	var regs [NumRegs]int32
 	regs[1] = 13
-	rs, stS, err := RunBlock(MulByConstShift(3), regs, 1)
+	shift := []Instr{{Op: SHL, Rd: 2, Rs: 1, Imm: 3}, {Op: ADD, Rd: 2, Rs: 2, Rt: 1}}
+	mul := []Instr{{Op: LI, Rd: 3, Imm: 9}, {Op: MUL, Rd: 2, Rs: 1, Rt: 3}}
+	rs, stS, err := RunBlock(shift, regs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, stM, err := RunBlock(MulByConstMul(3), regs, 1)
+	rm, stM, err := RunBlock(mul, regs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,7 @@
 // technology-mapping passes all consume it.
 package timing
 
-import (
-	"fmt"
-
-	"repro/internal/logic"
-)
+import "repro/internal/logic"
 
 // DelayFn returns the propagation delay of a node's gate. Sources (inputs,
 // constants, flip-flop outputs) should return 0.
@@ -113,51 +109,4 @@ func Analyze(nw *logic.Network, delay DelayFn, target float64) (*Analysis, error
 		a.Slack[id] = a.Required[id] - a.Arrival[id]
 	}
 	return a, nil
-}
-
-// CriticalPath returns one maximal-arrival path from a source to an
-// endpoint as a slice of node IDs, endpoint last.
-func CriticalPath(nw *logic.Network, delay DelayFn) ([]logic.NodeID, error) {
-	a, err := Analyze(nw, delay, -1)
-	if err != nil {
-		return nil, err
-	}
-	// Find the endpoint with the critical arrival.
-	var end logic.NodeID = logic.InvalidNode
-	check := func(id logic.NodeID) {
-		if end == logic.InvalidNode && a.Arrival[id] == a.Critical {
-			end = id
-		}
-	}
-	for _, po := range nw.POs() {
-		check(po)
-	}
-	for _, ff := range nw.FFs() {
-		check(nw.Node(ff).Fanin[0])
-	}
-	if end == logic.InvalidNode {
-		return nil, fmt.Errorf("timing: no endpoint found")
-	}
-	// Walk backwards along the latest fanin.
-	var rev []logic.NodeID
-	cur := end
-	for {
-		rev = append(rev, cur)
-		nd := nw.Node(cur)
-		if len(nd.Fanin) == 0 {
-			break
-		}
-		best := nd.Fanin[0]
-		for _, f := range nd.Fanin[1:] {
-			if a.Arrival[f] > a.Arrival[best] {
-				best = f
-			}
-		}
-		cur = best
-	}
-	// Reverse.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, nil
 }

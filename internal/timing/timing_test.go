@@ -74,38 +74,6 @@ func TestArrivalMonotonic(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	nw, err := circuits.RippleAdder(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := CriticalPath(nw, Unit(nw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) < 2 {
-		t.Fatalf("path too short: %d", len(path))
-	}
-	// Path must be connected: each element is a fanin of the next.
-	for i := 0; i+1 < len(path); i++ {
-		found := false
-		for _, f := range nw.Node(path[i+1]).Fanin {
-			if f == path[i] {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("path edge %d is not a fanin link", i)
-		}
-	}
-	// Path length equals critical delay + 1 under unit delay (source + one
-	// node per level).
-	a, _ := Analyze(nw, Unit(nw), -1)
-	if float64(len(path)-1) != a.Critical {
-		t.Errorf("path length %d, critical %v", len(path)-1, a.Critical)
-	}
-}
-
 func TestSequentialEndpoints(t *testing.T) {
 	// FF D-inputs are timing endpoints.
 	nw := logic.New("seq")
