@@ -56,6 +56,13 @@ func main() {
 	incremental := flag.Bool("incremental", false, "measure with the fast incremental engines (propagated probabilities + packed zero-delay MC), re-deriving only each pass's dirty cone; combinational circuits only (sequential fall back to classic measurement)")
 	fullReestimate := flag.Bool("full-reestimate", false, "with -incremental: discard the baseline before every measurement (full-recompute escape hatch; trajectories are bit-identical either way)")
 	flag.Parse()
+	// Zero means "no limit"; a negative value would silently mean the same.
+	if *bddBudget < 0 {
+		fatal(fmt.Errorf("-bdd-budget %d is negative (0 = unlimited)", *bddBudget))
+	}
+	if *timeout < 0 {
+		fatal(fmt.Errorf("-timeout %v is negative (0 = no limit)", *timeout))
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

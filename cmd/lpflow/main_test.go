@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -59,6 +60,29 @@ func TestProfileOutputsPinned(t *testing.T) {
 				compare(t, f, string(got), want)
 			}
 		})
+	}
+}
+
+// TestRejectsNegativeLimits: a negative -bdd-budget or -timeout is a
+// one-line "lpflow: …" error and exit status 1, not an unbudgeted run.
+func TestRejectsNegativeLimits(t *testing.T) {
+	for _, args := range [][]string{
+		{"-circuit", "mult4", "-bdd-budget", "-5"},
+		{"-circuit", "mult4", "-timeout", "-1s"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "LPFLOW_RUN_MAIN=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("lpflow %v: %v, want exit status 1", args, err)
+		}
+		msg := stderr.String()
+		if len(out) != 0 || !strings.HasPrefix(msg, "lpflow: ") || !strings.Contains(msg, "negative") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("lpflow %v: stdout %q, stderr %q, want one \"lpflow: …negative…\" line", args, out, msg)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func Bit(b bool) int {
 // val (indexed by NodeID). It counts the ones among the fanins and looks
 // the output up in the opcode, so no gate type costs a branch. It is
 // written to stay within the compiler's inlining budget (uint(k-1)>>63 is
-// k == 0 for a count), so Settle and the event-driven simulator inline it.
+// k == 0 for a count), so Settle inlines it.
 func (c *Compiled) Eval(id int32, val []bool) bool {
 	fan := c.Fanin[c.FaninStart[id]:c.FaninStart[id+1]]
 	k := 0
@@ -70,6 +70,14 @@ func (c *Compiled) Eval(id int32, val []bool) bool {
 		k += Bit(val[f])
 	}
 	return c.Op[id]>>(uint(k-1)>>63|uint(Bit(k == len(fan)))<<1|uint(k&1)<<2)&1 != 0
+}
+
+// OnesEval is Eval's opcode lookup without the fanin scan: node id's
+// output when k of its fanin pins are 1 (a net read on two pins counts
+// twice). The event-driven simulator keeps k per gate and inlines it.
+func (c *Compiled) OnesEval(id, k int32) bool {
+	n := c.FaninStart[id+1] - c.FaninStart[id]
+	return c.Op[id]>>(uint(k-1)>>63|uint(Bit(k == n))<<1|uint(k&1)<<2)&1 != 0
 }
 
 // Settle evaluates every gate and constant in topological order from the

@@ -22,9 +22,9 @@ import (
 //
 // The envelope itself is never cached (its composition is arbitrary);
 // each item body is bit-identical to what /v1/estimate returns for the
-// same request. Item-level timeout_ms is ignored: the envelope
-// timeout_ms (clamped to MaxTimeout, DefaultTimeout when absent)
-// governs the whole batch.
+// same request. Item-level timeout_ms is ignored, though a negative one
+// fails its item as on /v1/estimate: the envelope timeout_ms (clamped to
+// MaxTimeout, DefaultTimeout when absent) governs the whole batch.
 
 // BatchRequest is the /v1/estimate:batch envelope.
 type BatchRequest struct {
@@ -65,6 +65,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Items) > s.cfg.MaxBatchItems {
 		writeError(w, badRequest("batch has %d items, maximum is %d", len(req.Items), s.cfg.MaxBatchItems))
+		return
+	}
+	if err := checkLimits(0, 0, req.TimeoutMS); err != nil {
+		writeError(w, err)
 		return
 	}
 	s.reg.Counter("server.batch.items").Add(int64(len(req.Items)))

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bdd"
 	"repro/internal/core"
 )
 
@@ -16,7 +17,8 @@ import (
 // and validation of /v1/estimate, each /v1/estimate:batch item and
 // /v1/flow, without running the request. Nothing may panic, and every
 // spec a validator accepts must be runnable: at most maxVectors
-// vectors, a known estimator or flow, and a positive seed.
+// vectors, a known estimator or flow, a positive seed and no negative
+// budget or timeout.
 func FuzzRequestDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"circuit":"cmp8"}`,
@@ -26,6 +28,7 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"circuit":"cla8","flow":"lowpower","incremental":true,"verify":false,"bdd_max_nodes":20000}`,
 		`{"circuit":"cmp8","vectors":70000,"seed":-1}`,
 		`{"flow":"area","seed":-9}`,
+		`{"circuit":"mult5","estimator":"exact","bdd_max_nodes":-1,"bdd_max_steps":-1,"timeout_ms":-1}`,
 		`{"unknown":1}`,
 		`[1,2]`,
 		``,
@@ -51,6 +54,7 @@ func FuzzRequestDecode(f *testing.F) {
 		if spec.seed <= 0 {
 			t.Fatalf("accepted seed %d", spec.seed)
 		}
+		checkLimitsHeld(t, spec.budget, spec.timeout)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var est EstimateRequest
@@ -75,8 +79,18 @@ func FuzzRequestDecode(f *testing.F) {
 			if spec.seed <= 0 {
 				t.Fatalf("accepted seed %d", spec.seed)
 			}
+			checkLimitsHeld(t, spec.budget, spec.timeout)
 		}
 	})
+}
+
+// checkLimitsHeld fails on an accepted spec whose budget or timeout is
+// negative: bdd.Budget reads a negative limit as none.
+func checkLimitsHeld(t *testing.T, b bdd.Budget, timeout time.Duration) {
+	t.Helper()
+	if b.MaxNodes < 0 || b.MaxSteps < 0 || timeout <= 0 {
+		t.Fatalf("accepted budget %+v, timeout %v", b, timeout)
+	}
 }
 
 // FuzzEstimateUpload sends arbitrary BLIF text through the whole

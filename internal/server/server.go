@@ -630,9 +630,27 @@ func (s *Server) validateEstimate(req EstimateRequest) (estimateSpec, error) {
 	if spec.p1 < 0 || spec.p1 > 1 {
 		return spec, badRequest("p1 %g outside [0,1]", spec.p1)
 	}
+	if err := checkLimits(req.BDDMaxNodes, req.BDDMaxSteps, req.TimeoutMS); err != nil {
+		return spec, err
+	}
 	spec.budget = s.budgetFor(req.BDDMaxNodes, req.BDDMaxSteps)
 	spec.timeout = s.timeoutFor(req.TimeoutMS)
 	return spec, nil
+}
+
+// checkLimits rejects a negative bdd_max_nodes, bdd_max_steps or
+// timeout_ms. Zero asks for the server default; bdd.Budget would read a
+// negative limit as none, bypassing the operator's default budget.
+func checkLimits(maxNodes int, maxSteps int64, timeoutMS int) error {
+	switch {
+	case maxNodes < 0:
+		return badRequest("bdd_max_nodes %d is negative (want a positive limit, or 0 for the server default)", maxNodes)
+	case maxSteps < 0:
+		return badRequest("bdd_max_steps %d is negative (want a positive limit, or 0 for the server default)", maxSteps)
+	case timeoutMS < 0:
+		return badRequest("timeout_ms %d is negative (want a positive timeout, or 0 for the server default)", timeoutMS)
+	}
+	return nil
 }
 
 // seedFor applies the default seed 1 to a request's seed and rejects a
@@ -877,6 +895,9 @@ func (s *Server) validateFlow(req FlowRequest) (flowSpec, error) {
 	spec.verify = true
 	if req.Verify != nil {
 		spec.verify = *req.Verify
+	}
+	if err := checkLimits(req.BDDMaxNodes, req.BDDMaxSteps, req.TimeoutMS); err != nil {
+		return spec, err
 	}
 	spec.budget = s.budgetFor(req.BDDMaxNodes, req.BDDMaxSteps)
 	spec.timeout = s.timeoutFor(req.TimeoutMS)

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/bdd"
 )
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
@@ -285,6 +287,46 @@ func TestBudgetTripDoesNotPoisonLaterRequests(t *testing.T) {
 	_, wantBody, _ := post(t, fresh, "/v1/estimate", clean)
 	if !bytes.Equal(gotBody, wantBody) {
 		t.Errorf("post-trip clean estimate differs from a never-tripped server:\ngot:  %s\nwant: %s", gotBody, wantBody)
+	}
+}
+
+// TestNegativeLimitsRejected: a negative bdd_max_nodes, bdd_max_steps or
+// timeout_ms is a 400 on every surface, instead of reading as "no limit"
+// and bypassing the operator's default budget.
+func TestNegativeLimitsRejected(t *testing.T) {
+	ts := newTestServer(t, Config{DefaultBudget: bdd.Budget{MaxNodes: 16}})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/estimate", `{"circuit":"mult5","estimator":"exact","bdd_max_nodes":-1}`},
+		{"/v1/estimate", `{"circuit":"mult5","estimator":"exact","bdd_max_steps":-1}`},
+		{"/v1/estimate", `{"circuit":"mult5","estimator":"exact","timeout_ms":-1}`},
+		{"/v1/flow", `{"circuit":"mult4","flow":"area","bdd_max_nodes":-1}`},
+		{"/v1/flow", `{"circuit":"mult4","flow":"area","bdd_max_steps":-1}`},
+		{"/v1/flow", `{"circuit":"mult4","flow":"area","timeout_ms":-1}`},
+		{"/v1/estimate:batch", `{"items":[{"circuit":"mult5"}],"timeout_ms":-1}`},
+	} {
+		status, body, _ := post(t, ts, tc.path, json.RawMessage(tc.body))
+		if status != http.StatusBadRequest || !bytes.Contains(body, []byte("negative")) {
+			t.Errorf("%s %s: status %d body %s, want 400 naming the negative field", tc.path, tc.body, status, body)
+		}
+	}
+
+	status, body, _ := post(t, ts, "/v1/estimate:batch", json.RawMessage(
+		`{"items":[{"circuit":"mult5","bdd_max_nodes":-1},{"circuit":"mult5","bdd_max_steps":-1},{"circuit":"mult5","timeout_ms":-1}]}`))
+	var batch BatchResponse
+	if err := json.Unmarshal(body, &batch); status != http.StatusOK || err != nil {
+		t.Fatalf("batch: status %d body %s (%v)", status, body, err)
+	}
+	for i, item := range batch.Items {
+		if item.OK || item.Status != http.StatusBadRequest {
+			t.Errorf("batch item %d: %+v, want a 400 item", i, item)
+		}
+	}
+
+	// Without the fields the operator's 16-node budget applies.
+	status, body, _ = post(t, ts, "/v1/estimate", json.RawMessage(`{"circuit":"mult5","estimator":"exact"}`))
+	var est EstimateResponse
+	if err := json.Unmarshal(body, &est); status != http.StatusOK || err != nil || !est.Power.Degraded {
+		t.Errorf("default-budget estimate: status %d, degraded %v, want 200 degraded (%v)", status, est.Power.Degraded, err)
 	}
 }
 

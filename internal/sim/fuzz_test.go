@@ -12,23 +12,13 @@ import (
 	"repro/internal/logic"
 )
 
-// seededDelay gives every gate a delay in 1..5 derived from seed and the
-// gate's ID.
-func seededDelay(seed int64) DelayModel {
-	return func(n *logic.Node) int {
-		x := uint64(seed) ^ uint64(n.ID)*0x9e3779b97f4a7c15
-		x ^= x >> 31
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 29
-		return 1 + int(x%5)
-	}
-}
-
 // FuzzEventSim parses fuzzed BLIF the way the server reads uploads,
-// simulates it under seeded per-gate delays, and checks the timing-wheel
-// simulator against the heap-and-map reference queue: per-cycle stats,
-// queue high-water marks, settled node values and per-node counts. It also
-// checks that sharded MeasureRunCtx equals the sequential run.
+// simulates it at unit delay over seeded random vectors, and checks the
+// two-queue simulator against the heap-and-map reference queue: per-cycle
+// stats, queue high-water marks, settled node values and per-node counts.
+// After every cycle each gate's ones count must equal a recount of its
+// fanin values. It also checks that sharded MeasureRunCtx equals the
+// sequential run.
 func FuzzEventSim(f *testing.F) {
 	for i, gen := range []func() (*logic.Network, error){
 		func() (*logic.Network, error) { return circuits.RippleAdder(3) },
@@ -52,12 +42,11 @@ func FuzzEventSim(f *testing.F) {
 		if err != nil || nw.NumNodes() > 2000 {
 			return
 		}
-		dm := seededDelay(seed)
-		s, err := New(nw, dm)
+		s, err := New(nw, UnitDelay)
 		if err != nil {
 			return // e.g. a combinational cycle
 		}
-		ref, err := New(nw, dm)
+		ref, err := New(nw, UnitDelay)
 		if err != nil {
 			t.Fatalf("second New failed: %v", err)
 		}
@@ -74,11 +63,12 @@ func FuzzEventSim(f *testing.F) {
 			if !slices.Equal(s.val, ref.val) {
 				t.Fatalf("cycle %d: settled node values differ from the reference", c)
 			}
+			checkOnes(t, s)
 		}
 		if !reflect.DeepEqual(s.Counts, ref.Counts) {
 			t.Fatal("per-node counts differ from the reference")
 		}
-		seq, err := MeasureRunCtx(context.Background(), nw, dm, vecs, 1)
+		seq, err := MeasureRunCtx(context.Background(), nw, UnitDelay, vecs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +76,7 @@ func FuzzEventSim(f *testing.F) {
 			t.Fatal("sequential MeasureRunCtx counts differ from cycle-by-cycle simulation")
 		}
 		for _, workers := range []int{2, 3} {
-			m, err := MeasureRunCtx(context.Background(), nw, dm, vecs, workers)
+			m, err := MeasureRunCtx(context.Background(), nw, UnitDelay, vecs, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,4 +85,21 @@ func FuzzEventSim(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkOnes fails unless every gate's ones count equals the number of ones
+// among its fanin pins, recounted through the network's own fanin lists.
+func checkOnes(t *testing.T, s *Simulator) {
+	t.Helper()
+	for _, id := range s.nw.Gates() {
+		var k int32
+		for _, f := range s.nw.Node(id).Fanin {
+			if s.val[f] {
+				k++
+			}
+		}
+		if s.ones[id] != k {
+			t.Fatalf("gate %d: ones count %d, recount %d", id, s.ones[id], k)
+		}
+	}
 }

@@ -84,102 +84,59 @@ func identityVectors(nw *logic.Network) [][]bool {
 	return RandomVectors(rand.New(rand.NewSource(15)), 256, len(nw.PIs()), 0.5)
 }
 
-var identityDelays = []struct {
-	name string
-	dm   DelayModel
-}{
-	{"unit", UnitDelay},
-	{"fanout", FanoutDelay},
-}
-
 // wantSimIDs pins every cycle-by-cycle run of TestEventSimIdentity, keyed
-// network/delay. The values were recorded with the binary-heap and map
-// event queue the simulator had before its timing wheel; the wheel must
-// reproduce them exactly.
+// network/unit. The values were recorded with the binary-heap and map
+// event queue the simulator had before its timing wheel; the two-queue
+// kernel must reproduce them exactly.
 var wantSimIDs = map[string]simID{
-	"alu4/unit":        {0xedc0b95bb689f637, 0xe709106cc85787ea, 5728, 32},
-	"alu4/fanout":      {0x7753b4d41c5ce646, 0x4ccdb8856382537c, 5638, 25},
-	"cla8/unit":        {0xb58e63d312a45b65, 0x1cac46f57e04fd6e, 5452, 51},
-	"cla8/fanout":      {0x3d59375c857c535c, 0x6214b29b3e53a675, 7584, 31},
-	"cmp16/unit":       {0x667af9cd99c8e122, 0x62ce5273a68bcc36, 11371, 38},
-	"cmp16/fanout":     {0x667af9cd99c8e122, 0x62ce5273a68bcc36, 11371, 38},
-	"cmp8/unit":        {0xeb6c4937a1f85b26, 0x16b893c717094642, 5371, 21},
-	"cmp8/fanout":      {0xeb6c4937a1f85b26, 0x16b893c717094642, 5371, 21},
-	"dec5/unit":        {0x04b9c8c7ff3e4e21, 0xf4016e18aa990aa4, 1380, 36},
-	"dec5/fanout":      {0x80bd2067dac0ba05, 0xa1ef2804bfec0e62, 1518, 36},
-	"mult4/unit":       {0xa0b79f994938afc4, 0x1801c0f05308971e, 6620, 20},
-	"mult4/fanout":     {0xd89ab3be9968978b, 0x2a639cb1891856e8, 6750, 20},
-	"mult5/unit":       {0xd513cb74807ae135, 0xd6fdef7ac32ebac1, 12752, 30},
-	"mult5/fanout":     {0x367d617925ddfac6, 0xbb98ce2a371bdd04, 13778, 30},
-	"mult6/unit":       {0x3192faa53d40185e, 0xa20fa311ad4b6608, 21945, 42},
-	"mult6/fanout":     {0x85b0c65801e70ad9, 0x4c3b4bc39eb54b8e, 24055, 42},
-	"mux16/unit":       {0x7d73f029aabee0e9, 0x8c137f4a3d6a4aaf, 7021, 28},
-	"mux16/fanout":     {0x9791d2f48e530a07, 0x8f07f67ebe589e99, 7835, 24},
-	"par16/unit":       {0x3de3400f65d48163, 0xf96312e887e34a6a, 1868, 8},
-	"par16/fanout":     {0x3de3400f65d48163, 0xf96312e887e34a6a, 1868, 8},
-	"radd16/unit":      {0xd32ad2b9138a5a18, 0x631ce557772869d3, 12183, 36},
-	"radd16/fanout":    {0x27f2172ac82c8d7c, 0x87cfc23013c7d099, 13425, 35},
-	"radd8/unit":       {0xdd310c9aaf758cd6, 0x7d5cf0277d669a90, 5778, 21},
-	"radd8/fanout":     {0x0b54aaaff60261b4, 0x80cf607dc0023437, 6382, 20},
-	"blif:c17/unit":    {0x8bb2fa3dc4f9c7f1, 0x5a6feae50d6f426a, 1602, 4},
-	"blif:c17/fanout":  {0xe4ea48d4de27d29e, 0x5a6feae50d6f426a, 1602, 6},
-	"blif:cmp2/unit":   {0xb19098138f485569, 0x2cfab51974c2d5be, 694, 6},
-	"blif:cmp2/fanout": {0x8cb289bbbce1baaf, 0xb3728679eb6acb6c, 696, 6},
-	"blif:cnt2/unit":   {0xc77ba96952651da8, 0x4dd7c38b99c9ece0, 961, 8},
-	"blif:cnt2/fanout": {0xb57e8df5b56d880b, 0x78b72e7169b864a0, 1025, 8},
-	"blif:fadd/unit":   {0x262f785e1ec34fc1, 0x01f5d04578148938, 1313, 10},
-	"blif:fadd/fanout": {0x79e0a88b413fa88b, 0xc79689e2dd48424c, 1405, 10},
-	"blif:maj3/unit":   {0xb93dbaf1569970c4, 0x53076f57b41f8eea, 434, 3},
-	"blif:maj3/fanout": {0xb93dbaf1569970c4, 0x53076f57b41f8eea, 434, 3},
-	"fsm/unit":         {0x4f603932670c3142, 0xa568c1a0f7f38719, 704, 3},
-	"fsm/fanout":       {0x0f4b5dd4981705e3, 0xa568c1a0f7f38719, 704, 3},
+	"alu4/unit":      {0xedc0b95bb689f637, 0xe709106cc85787ea, 5728, 32},
+	"cla8/unit":      {0xb58e63d312a45b65, 0x1cac46f57e04fd6e, 5452, 51},
+	"cmp16/unit":     {0x667af9cd99c8e122, 0x62ce5273a68bcc36, 11371, 38},
+	"cmp8/unit":      {0xeb6c4937a1f85b26, 0x16b893c717094642, 5371, 21},
+	"dec5/unit":      {0x04b9c8c7ff3e4e21, 0xf4016e18aa990aa4, 1380, 36},
+	"mult4/unit":     {0xa0b79f994938afc4, 0x1801c0f05308971e, 6620, 20},
+	"mult5/unit":     {0xd513cb74807ae135, 0xd6fdef7ac32ebac1, 12752, 30},
+	"mult6/unit":     {0x3192faa53d40185e, 0xa20fa311ad4b6608, 21945, 42},
+	"mux16/unit":     {0x7d73f029aabee0e9, 0x8c137f4a3d6a4aaf, 7021, 28},
+	"par16/unit":     {0x3de3400f65d48163, 0xf96312e887e34a6a, 1868, 8},
+	"radd16/unit":    {0xd32ad2b9138a5a18, 0x631ce557772869d3, 12183, 36},
+	"radd8/unit":     {0xdd310c9aaf758cd6, 0x7d5cf0277d669a90, 5778, 21},
+	"blif:c17/unit":  {0x8bb2fa3dc4f9c7f1, 0x5a6feae50d6f426a, 1602, 4},
+	"blif:cmp2/unit": {0xb19098138f485569, 0x2cfab51974c2d5be, 694, 6},
+	"blif:cnt2/unit": {0xc77ba96952651da8, 0x4dd7c38b99c9ece0, 961, 8},
+	"blif:fadd/unit": {0x262f785e1ec34fc1, 0x01f5d04578148938, 1313, 10},
+	"blif:maj3/unit": {0xb93dbaf1569970c4, 0x53076f57b41f8eea, 434, 3},
+	"fsm/unit":       {0x4f603932670c3142, 0xa568c1a0f7f38719, 704, 3},
 }
 
-// wantMeasureIDs pins MeasureRunCtx, keyed network/delay; every worker count
+// wantMeasureIDs pins MeasureRunCtx, keyed network/unit; every worker count
 // must reproduce the same entry. Stats is a hash of the merged Totals.
 var wantMeasureIDs = map[string]simID{
-	"alu4/unit":        {0xc2274de7f740858a, 0xe709106cc85787ea, 5728, 32},
-	"alu4/fanout":      {0x09e00dae90fb9f4e, 0x4ccdb8856382537c, 5638, 25},
-	"cla8/unit":        {0x58db80e5625bf815, 0x1cac46f57e04fd6e, 5452, 51},
-	"cla8/fanout":      {0x616faa5d2b365821, 0x6214b29b3e53a675, 7584, 31},
-	"cmp16/unit":       {0x200b7c6d91395185, 0x62ce5273a68bcc36, 11371, 38},
-	"cmp16/fanout":     {0x200b7c6d91395185, 0x62ce5273a68bcc36, 11371, 38},
-	"cmp8/unit":        {0xa490bd3ed7794702, 0x16b893c717094642, 5371, 21},
-	"cmp8/fanout":      {0xa490bd3ed7794702, 0x16b893c717094642, 5371, 21},
-	"dec5/unit":        {0xa3bb7d7bccc779d3, 0xf4016e18aa990aa4, 1380, 36},
-	"dec5/fanout":      {0x4ddb0b98870b2dc7, 0xa1ef2804bfec0e62, 1518, 36},
-	"mult4/unit":       {0xa5dff4fd3e7b5180, 0x1801c0f05308971e, 6620, 20},
-	"mult4/fanout":     {0xc25be22be192ed04, 0x2a639cb1891856e8, 6750, 20},
-	"mult5/unit":       {0xeec2173fda607c85, 0xd6fdef7ac32ebac1, 12752, 30},
-	"mult5/fanout":     {0x74a2ab25a3d08ea3, 0xbb98ce2a371bdd04, 13778, 30},
-	"mult6/unit":       {0x9759233450ffa430, 0xa20fa311ad4b6608, 21945, 42},
-	"mult6/fanout":     {0x5922e91b17b9abee, 0x4c3b4bc39eb54b8e, 24055, 42},
-	"mux16/unit":       {0x80a5c030ea0433a0, 0x8c137f4a3d6a4aaf, 7021, 28},
-	"mux16/fanout":     {0xba2273cc1aa364ab, 0x8f07f67ebe589e99, 7835, 24},
-	"par16/unit":       {0xe03db946579c0466, 0xf96312e887e34a6a, 1868, 8},
-	"par16/fanout":     {0xe03db946579c0466, 0xf96312e887e34a6a, 1868, 8},
-	"radd16/unit":      {0x0a0aeca8f2395740, 0x631ce557772869d3, 12183, 36},
-	"radd16/fanout":    {0x2f0a7f9b14c13f93, 0x87cfc23013c7d099, 13425, 35},
-	"radd8/unit":       {0x846d799bab0d10ed, 0x7d5cf0277d669a90, 5778, 21},
-	"radd8/fanout":     {0x7a387b2c2079ec6e, 0x80cf607dc0023437, 6382, 20},
-	"blif:c17/unit":    {0xa0718e6a1af26e09, 0x5a6feae50d6f426a, 1602, 4},
-	"blif:c17/fanout":  {0x627c00580513d9c7, 0x5a6feae50d6f426a, 1602, 6},
-	"blif:cmp2/unit":   {0x9312dcc78a7503b9, 0x2cfab51974c2d5be, 694, 6},
-	"blif:cmp2/fanout": {0xa0f9369f964d3a52, 0xb3728679eb6acb6c, 696, 6},
-	"blif:cnt2/unit":   {0xc9f87d59fdc21b29, 0x4dd7c38b99c9ece0, 961, 8},
-	"blif:cnt2/fanout": {0x44e396766892637f, 0x78b72e7169b864a0, 1025, 8},
-	"blif:fadd/unit":   {0x727e41d98f5cbd0e, 0x01f5d04578148938, 1313, 10},
-	"blif:fadd/fanout": {0x81913ffafdf33d79, 0xc79689e2dd48424c, 1405, 10},
-	"blif:maj3/unit":   {0x1d364511d7546904, 0x53076f57b41f8eea, 434, 3},
-	"blif:maj3/fanout": {0x1d364511d7546904, 0x53076f57b41f8eea, 434, 3},
-	"fsm/unit":         {0x4db03eed14467059, 0xa568c1a0f7f38719, 704, 3},
-	"fsm/fanout":       {0x0790e92355e22d1f, 0xa568c1a0f7f38719, 704, 3},
+	"alu4/unit":      {0xc2274de7f740858a, 0xe709106cc85787ea, 5728, 32},
+	"cla8/unit":      {0x58db80e5625bf815, 0x1cac46f57e04fd6e, 5452, 51},
+	"cmp16/unit":     {0x200b7c6d91395185, 0x62ce5273a68bcc36, 11371, 38},
+	"cmp8/unit":      {0xa490bd3ed7794702, 0x16b893c717094642, 5371, 21},
+	"dec5/unit":      {0xa3bb7d7bccc779d3, 0xf4016e18aa990aa4, 1380, 36},
+	"mult4/unit":     {0xa5dff4fd3e7b5180, 0x1801c0f05308971e, 6620, 20},
+	"mult5/unit":     {0xeec2173fda607c85, 0xd6fdef7ac32ebac1, 12752, 30},
+	"mult6/unit":     {0x9759233450ffa430, 0xa20fa311ad4b6608, 21945, 42},
+	"mux16/unit":     {0x80a5c030ea0433a0, 0x8c137f4a3d6a4aaf, 7021, 28},
+	"par16/unit":     {0xe03db946579c0466, 0xf96312e887e34a6a, 1868, 8},
+	"radd16/unit":    {0x0a0aeca8f2395740, 0x631ce557772869d3, 12183, 36},
+	"radd8/unit":     {0x846d799bab0d10ed, 0x7d5cf0277d669a90, 5778, 21},
+	"blif:c17/unit":  {0xa0718e6a1af26e09, 0x5a6feae50d6f426a, 1602, 4},
+	"blif:cmp2/unit": {0x9312dcc78a7503b9, 0x2cfab51974c2d5be, 694, 6},
+	"blif:cnt2/unit": {0xc9f87d59fdc21b29, 0x4dd7c38b99c9ece0, 961, 8},
+	"blif:fadd/unit": {0x727e41d98f5cbd0e, 0x01f5d04578148938, 1313, 10},
+	"blif:maj3/unit": {0x1d364511d7546904, 0x53076f57b41f8eea, 434, 3},
+	"fsm/unit":       {0x4db03eed14467059, 0xa568c1a0f7f38719, 704, 3},
 }
 
 // TestEventSimIdentity checks that the event-driven simulator produces the
-// same per-cycle statistics, per-node counts and queue high-water mark as the queue it replaced, on every generator, the BLIF
-// corpus and a sequential FSM, under both delay models, and that
-// MeasureRunCtx does at 1, 2 and 4 workers.
+// same per-cycle statistics, per-node counts and queue high-water mark as
+// the queue it replaced, on every generator, the BLIF corpus and a
+// sequential FSM at unit delay, and that MeasureRunCtx does at 1, 2 and 4
+// workers.
 func TestEventSimIdentity(t *testing.T) {
 	reg := obsv.Enable()
 	t.Cleanup(obsv.Disable)
@@ -197,40 +154,38 @@ func TestEventSimIdentity(t *testing.T) {
 	for _, name := range names {
 		nw := nets[name]
 		vecs := identityVectors(nw)
-		for _, d := range identityDelays {
-			key := name + "/" + d.name
-			hwm.Set(0)
-			s, err := New(nw, d.dm)
+		key := name + "/unit"
+		hwm.Set(0)
+		s, err := New(nw, UnitDelay)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		stats := fnv.New64a()
+		var events int64
+		for _, v := range vecs {
+			cs, err := s.Cycle(v)
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			stats := fnv.New64a()
-			var events int64
-			for _, v := range vecs {
-				cs, err := s.Cycle(v)
-				if err != nil {
-					t.Fatalf("%s: %v", key, err)
-				}
-				hashInts(stats, int64(cs.Transitions), int64(cs.Useful), int64(cs.Spurious), int64(cs.SettleTime))
-				events += int64(cs.Transitions)
-			}
-			got := simID{stats.Sum64(), countsHash(nw, &s.Counts), events, int(hwm.Value())}
-			want, ok := wantSimIDs[key]
-			check(key, got, want, ok)
+			hashInts(stats, int64(cs.Transitions), int64(cs.Useful), int64(cs.Spurious), int64(cs.SettleTime))
+			events += int64(cs.Transitions)
+		}
+		got := simID{stats.Sum64(), countsHash(nw, &s.Counts), events, int(hwm.Value())}
+		want, ok := wantSimIDs[key]
+		check(key, got, want, ok)
 
-			for _, workers := range []int{1, 2, 4} {
-				mkey := fmt.Sprintf("%s/%d", key, workers)
-				hwm.Set(0)
-				m, err := MeasureRunCtx(context.Background(), nw, d.dm, vecs, workers)
-				if err != nil {
-					t.Fatalf("%s: %v", mkey, err)
-				}
-				tot := fnv.New64a()
-				hashInts(tot, int64(m.Totals.Cycles), m.Totals.Transitions, m.Totals.Useful, m.Totals.Spurious, int64(m.Totals.MaxSettle))
-				got := simID{tot.Sum64(), countsHash(nw, &m.Counts), m.Totals.Transitions, int(hwm.Value())}
-				want, ok := wantMeasureIDs[key]
-				check(mkey, got, want, ok)
+		for _, workers := range []int{1, 2, 4} {
+			mkey := fmt.Sprintf("%s/%d", key, workers)
+			hwm.Set(0)
+			m, err := MeasureRunCtx(context.Background(), nw, UnitDelay, vecs, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", mkey, err)
 			}
+			tot := fnv.New64a()
+			hashInts(tot, int64(m.Totals.Cycles), m.Totals.Transitions, m.Totals.Useful, m.Totals.Spurious, int64(m.Totals.MaxSettle))
+			got := simID{tot.Sum64(), countsHash(nw, &m.Counts), m.Totals.Transitions, int(hwm.Value())}
+			want, ok := wantMeasureIDs[key]
+			check(mkey, got, want, ok)
 		}
 	}
 	if report.Len() > 0 {

@@ -55,9 +55,9 @@ type refCounts struct {
 	useful map[logic.NodeID]int64
 }
 
-func referenceRun(t *testing.T, nw *logic.Network, dm DelayModel, vectors [][]bool) refCounts {
+func referenceRun(t *testing.T, nw *logic.Network, vectors [][]bool) refCounts {
 	t.Helper()
-	s, err := New(nw, dm)
+	s, err := New(nw, UnitDelay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +73,9 @@ func referenceRun(t *testing.T, nw *logic.Network, dm DelayModel, vectors [][]bo
 	return rc
 }
 
-func checkMeasureMatches(t *testing.T, name string, nw *logic.Network, dm DelayModel, vectors [][]bool, workers int, ref refCounts) {
+func checkMeasureMatches(t *testing.T, name string, nw *logic.Network, vectors [][]bool, workers int, ref refCounts) {
 	t.Helper()
-	m, err := MeasureRunCtx(context.Background(), nw, dm, vectors, workers)
+	m, err := MeasureRunCtx(context.Background(), nw, UnitDelay, vectors, workers)
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", name, workers, err)
 	}
@@ -105,14 +105,12 @@ func TestMeasureRunCombinationalDeterminism(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(7))
 	vecs := RandomVectors(r, 300, len(nw.PIs()), 0.5)
-	for _, dm := range []DelayModel{UnitDelay, FanoutDelay} {
-		ref := referenceRun(t, nw, dm, vecs)
-		if ref.totals.Spurious == 0 {
-			t.Fatal("test circuit should glitch; spurious count is 0")
-		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			checkMeasureMatches(t, "mult5", nw, dm, vecs, workers, ref)
-		}
+	ref := referenceRun(t, nw, vecs)
+	if ref.totals.Spurious == 0 {
+		t.Fatal("test circuit should glitch; spurious count is 0")
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		checkMeasureMatches(t, "mult5", nw, vecs, workers, ref)
 	}
 }
 
@@ -122,9 +120,9 @@ func TestMeasureRunSequentialDeterminism(t *testing.T) {
 	nw := seqFeedbackNetwork(t)
 	r := rand.New(rand.NewSource(19))
 	vecs := RandomVectors(r, 257, len(nw.PIs()), 0.5)
-	ref := referenceRun(t, nw, UnitDelay, vecs)
+	ref := referenceRun(t, nw, vecs)
 	for _, workers := range []int{1, 2, 3, 8} {
-		checkMeasureMatches(t, "fsm", nw, UnitDelay, vecs, workers, ref)
+		checkMeasureMatches(t, "fsm", nw, vecs, workers, ref)
 	}
 }
 
@@ -139,8 +137,8 @@ func TestMeasureRunSmallStreams(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		vecs := RandomVectors(r, n, len(nw.PIs()), 0.5)
-		ref := referenceRun(t, nw, UnitDelay, vecs)
-		checkMeasureMatches(t, "cla4-small", nw, UnitDelay, vecs, 16, ref)
+		ref := referenceRun(t, nw, vecs)
+		checkMeasureMatches(t, "cla4-small", nw, vecs, 16, ref)
 	}
 }
 

@@ -5,9 +5,11 @@ import "repro/internal/logic"
 // This file keeps the event queue the simulator had before its timing
 // wheel as a test oracle: a binary min-heap of pending event times,
 // per-time node buckets in a Go map and a map of queued (time, node)
-// pairs for deduplication. refCycle is Cycle over that queue, walking
-// the network's own fanout lists instead of the compiled consumer lists.
-// FuzzEventSim checks the wheel against it event for event.
+// pairs for deduplication. refCycle is Cycle over that queue at unit
+// delay, walking the network's own fanout lists instead of the compiled
+// consumer lists and rescanning every fanin instead of reading a ones
+// count. FuzzEventSim checks the two-queue kernel against it event for
+// event.
 
 // refQueue is the heap-and-map event queue.
 type refQueue struct {
@@ -117,7 +119,7 @@ func refCycle(s *Simulator, q *refQueue, in []bool) CycleStats {
 			if cn == nil || cn.Type == logic.DFF {
 				continue
 			}
-			q.schedule(s.delay[c], c)
+			q.schedule(1, c)
 		}
 	}
 
@@ -153,7 +155,7 @@ func refCycle(s *Simulator, q *refQueue, in []bool) CycleStats {
 				if cn == nil || cn.Type == logic.DFF {
 					continue
 				}
-				q.schedule(t+s.delay[c], c)
+				q.schedule(t+1, c)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
-// Package sim provides event-driven gate-level simulation of logic
-// networks under assignable delay models, with per-net switching-activity
-// and glitch (spurious transition) accounting.
+// Package sim provides event-driven unit-delay gate-level simulation of
+// logic networks, with per-net switching-activity and glitch (spurious
+// transition) accounting.
 //
 // The survey's logic-level power claims hinge on the distinction between
 // zero-delay activity (each net toggles at most once per cycle) and real
@@ -9,15 +9,14 @@
 // circuits (Ghosh et al. [16]). This package measures both.
 //
 // The event-driven Simulator runs on the network's compiled view
-// (logic.Network.Compile): gate opcodes, CSR fanin lists and consumer
-// lists, shared with every other scalar evaluator. It queues gate
-// evaluations on a timing wheel: a ring of per-time FIFO slots indexed by
-// cycle time, deduplicated by a per-node time stamp. Same-time events are
+// (logic.Network.Compile), shared with every other scalar evaluator. Every
+// gate has a delay of one time unit, so it queues gate evaluations on two
+// flat FIFO lists, the time being drained and the next, deduplicated by a
+// per-node time stamp, and keeps each gate's count of ones over its fanin
+// pins so an evaluation is one opcode lookup. Same-time events are
 // evaluated in the order they were scheduled, which fixes every count. The
 // per-node Counts are the package's one transition record: the power
-// estimators and the profiler's glitch shares read them. A cycle's useful transitions are counted over the
-// gates that changed in it, recorded at their first change, so a cycle
-// costs time in proportion to its activity rather than to the circuit.
+// estimators and the profiler's glitch shares read them.
 package sim
 
 import (
@@ -28,25 +27,14 @@ import (
 	"repro/internal/obsv"
 )
 
-// DelayModel assigns an integer propagation delay to each node. Gate delays
-// must be >= 1; sources (inputs, constants, flip-flop outputs) are ignored.
-// The Simulator's event wheel has a slot per time unit of the largest
-// delay, so delays are meant to be small.
+// DelayModel assigns an integer propagation delay to each node. The
+// Simulator accepts only models that give every gate a delay of 1;
+// sources (inputs, constants, flip-flop outputs) are ignored.
 type DelayModel func(n *logic.Node) int
 
 // UnitDelay gives every gate a delay of 1 — the classic unit-delay model
 // used for glitch analysis.
 func UnitDelay(*logic.Node) int { return 1 }
-
-// FanoutDelay gives every gate a delay of 1 plus one unit per fanout beyond
-// the first, a crude load-dependent model.
-func FanoutDelay(n *logic.Node) int {
-	d := 1 + len(n.Fanout()) - 1
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
 
 // CycleStats reports what happened during one simulated clock cycle.
 type CycleStats struct {
@@ -83,26 +71,30 @@ func newMetrics() metrics {
 	}
 }
 
-// Simulator performs cycle-by-cycle event-driven simulation over the
-// network's compiled view (logic.Network.Compile): opcodes, CSR fanin
-// lists and consumer lists, so an event costs neither a node lookup nor a
-// fanin copy. The network must not change while the simulator is in use.
+// Simulator performs cycle-by-cycle event-driven unit-delay simulation
+// over the network's compiled view (logic.Network.Compile): opcodes, CSR
+// fanin lists and consumer lists, so an event costs neither a node lookup
+// nor a fanin copy. The network must not change while the simulator is in
+// use.
 //
-// The event queue is a timing wheel of per-time FIFO slots, a power of two
-// longer than the largest gate delay, so every pending event (at most that
-// delay ahead of the time being drained) has a slot of its own. A cycle
-// costs time in proportion to its activity, not to the circuit: each gate
-// is recorded with its value at its first change in the cycle, and only
+// An event scheduled while time t drains is due at t+1, so the queue is
+// two flat lists: the slot being drained and the next one. A cycle costs
+// time in proportion to its activity, not to the circuit: each gate is
+// recorded with its value at its first change in the cycle, and only
 // those gates are checked for a useful (net) transition. On top of the
 // shared compiled view (9 bytes per node, 8 per fanin edge) the simulator
-// holds 42 bytes per node: its value, a first-change flag and record, its
-// delay, its dedup stamp and its two counters. The slots keep their
-// capacity across cycles, so the steady-state hot loop does not allocate.
+// holds 46 bytes per node: its value, a first-change flag and record, its
+// ones count, its dedup stamp, its two counters and a slot in each queue.
+// Every list is allocated at its largest size, so the hot loop does not
+// allocate, and an append writes before deciding whether to keep the
+// entry, so it does not branch on the data.
 type Simulator struct {
-	nw    *logic.Network
-	cv    *logic.Compiled
-	delay []int
-	val   []bool
+	nw  *logic.Network
+	cv  *logic.Compiled
+	val []bool
+	// ones[id] is the number of gate id's fanin pins whose value is 1; a
+	// net read on two pins counts twice.
+	ones []int32
 
 	// Counts holds the per-node cumulative transition counts across all
 	// simulated cycles since the last Reset.
@@ -110,26 +102,25 @@ type Simulator struct {
 
 	met metrics
 
-	// wheel[t&(len(wheel)-1)] holds the nodes to evaluate at cycle time
-	// t, in scheduling order. schedAt[id] is the absolute time (epoch+t)
-	// of id's latest scheduled evaluation: with a fixed delay per node
-	// and times drained in increasing order, a node's schedule times
-	// never decrease, so an event is already queued exactly when its
+	// cur and next hold the two queues; a slot holds each gate at most
+	// once, plus one spare entry. schedAt[id] is the absolute time
+	// (epoch+t) of id's latest scheduled evaluation: times drain in
+	// increasing order, so an event is already queued exactly when its
 	// time equals the stamp. epoch advances past every cycle's last time
 	// so stale stamps never match.
-	wheel       [][]int32
-	schedAt     []int
-	epoch       int
-	outstanding int // events scheduled but not yet evaluated
-	cycleHWM    int // high-water mark of outstanding within the cycle
+	cur, next []int32
+	schedAt   []int
+	epoch     int
+	cycleHWM  int // the cycle's largest queue length
 
 	// touched[:n] lists the n gates that changed in the current cycle,
 	// each with its value before its first change; inTouched marks them.
-	// It has a slot per node, so recording never grows it.
+	// Like the queues, it has a slot per node plus a spare.
 	touched   []firstChange
 	inTouched []bool
 
-	// Per-cycle scratch buffers.
+	// Per-cycle scratch buffers; changedBuf has a slot per flip-flop and
+	// input.
 	newFFBuf   []bool
 	changedBuf []int32
 }
@@ -141,7 +132,8 @@ type firstChange struct {
 	initial bool
 }
 
-// New creates a simulator for the network under the given delay model.
+// New creates a simulator for the network under the given delay model,
+// which must give every gate a delay of 1 (nil means UnitDelay).
 // Flip-flops start at their initial values; all other nets start at the
 // value they settle to under the all-zero input vector.
 func New(nw *logic.Network, dm DelayModel) (*Simulator, error) {
@@ -152,34 +144,28 @@ func New(nw *logic.Network, dm DelayModel) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := nw.NumNodes()
-	s := &Simulator{
-		nw:        nw,
-		cv:        cv,
-		delay:     make([]int, n),
-		val:       make([]bool, n),
-		Counts:    newCounts(n, false),
-		met:       newMetrics(),
-		schedAt:   make([]int, n),
-		inTouched: make([]bool, n),
-		touched:   make([]firstChange, n),
-		newFFBuf:  make([]bool, len(cv.FFs)),
-	}
-	maxDelay := 1
 	for _, id := range nw.Gates() {
 		nd := nw.Node(id)
-		d := dm(nd)
-		if d < 1 {
-			return nil, fmt.Errorf("sim: delay model gave %d for gate %q (must be >= 1)", d, nd.Name)
+		if d := dm(nd); d != 1 {
+			return nil, fmt.Errorf("sim: delay model gave %d for gate %q (the simulator is unit-delay: must be 1)", d, nd.Name)
 		}
-		s.delay[id] = d
-		maxDelay = max(maxDelay, d)
 	}
-	slots := 2
-	for slots <= maxDelay {
-		slots *= 2
+	n := nw.NumNodes()
+	s := &Simulator{
+		nw:         nw,
+		cv:         cv,
+		val:        make([]bool, n),
+		ones:       make([]int32, n),
+		Counts:     newCounts(n, false),
+		met:        newMetrics(),
+		schedAt:    make([]int, n),
+		cur:        make([]int32, n+1),
+		next:       make([]int32, n+1),
+		inTouched:  make([]bool, n),
+		touched:    make([]firstChange, n+1),
+		newFFBuf:   make([]bool, len(cv.FFs)),
+		changedBuf: make([]int32, len(cv.FFs)+len(nw.PIs())),
 	}
-	s.wheel = make([][]int32, slots)
 	s.Reset()
 	return s, nil
 }
@@ -189,6 +175,7 @@ func New(nw *logic.Network, dm DelayModel) (*Simulator, error) {
 // always nil: New has already compiled the network.
 func (s *Simulator) Reset() error {
 	s.cv.Reset(s.val)
+	s.recount()
 	s.Counts.clear()
 	return nil
 }
@@ -201,26 +188,39 @@ func (s *Simulator) Reset() error {
 // one sequential pass.
 func (s *Simulator) loadState(vals []bool) {
 	copy(s.val, vals)
+	s.recount()
 	s.Counts.clear()
+}
+
+// recount sets every gate's ones count from the present values, in time
+// proportional to the fanin edges.
+func (s *Simulator) recount() {
+	cv := s.cv
+	for id := range s.ones {
+		k := 0
+		for _, f := range cv.Fanin[cv.FaninStart[id]:cv.FaninStart[id+1]] {
+			k += logic.Bit(s.val[f])
+		}
+		s.ones[id] = int32(k)
+	}
 }
 
 // Value returns the present value of a node.
 func (s *Simulator) Value(id logic.NodeID) bool { return s.val[id] }
 
-// fanout schedules every consumer of id, each after its own delay from
-// cycle time t, skipping events already queued.
-func (s *Simulator) fanout(t int, id int32) {
-	mask := len(s.wheel) - 1
+// fanout records that id has just changed to v: it moves the ones count
+// of each consuming pin and queues every consumer not yet queued at time
+// stamp in q[n:], returning the queue's new length.
+func (s *Simulator) fanout(q []int32, n, stamp int, id int32, v bool) int {
+	d := int32(2*logic.Bit(v) - 1)
 	cv := s.cv
 	for _, c := range cv.Cons[cv.ConsStart[id]:cv.ConsStart[id+1]] {
-		tc := t + s.delay[c]
-		if s.schedAt[c] == s.epoch+tc {
-			continue
-		}
-		s.schedAt[c] = s.epoch + tc
-		s.wheel[tc&mask] = append(s.wheel[tc&mask], c)
-		s.outstanding++
+		s.ones[c] += d
+		q[n] = c
+		n += logic.Bit(s.schedAt[c] != stamp)
+		s.schedAt[c] = stamp
 	}
+	return n
 }
 
 // Cycle applies one clock cycle: flip-flops load the currently settled D
@@ -236,7 +236,8 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 
 	// Clock edge: FFs adopt D values; then PIs change.
 	cv := s.cv
-	changed := s.changedBuf[:0]
+	changed := s.changedBuf
+	nch := 0
 	newFF := s.newFFBuf
 	for i, d := range cv.FFD {
 		newFF[i] = s.val[d]
@@ -244,7 +245,8 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 	for i, f := range cv.FFs {
 		if s.val[f] != newFF[i] {
 			s.val[f] = newFF[i]
-			changed = append(changed, f)
+			changed[nch] = f
+			nch++
 			// Register-output toggles are tracked per node (they drive real
 			// capacitance) but excluded from the combinational CycleStats.
 			s.nodeTransitions[f]++
@@ -252,61 +254,54 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 		}
 	}
 	for i, pi := range pis {
-		if s.val[pi] != in[i] {
-			s.val[pi] = in[i]
-			changed = append(changed, int32(pi))
-		}
+		changed[nch] = int32(pi)
+		nch += logic.Bit(s.val[pi] != in[i])
+		s.val[pi] = in[i]
 	}
 
-	// Seed events: every consumer of a changed source evaluates after its
-	// own delay. Then drain the wheel one time step at a time; a delay
-	// of at least 1 means nothing lands in the slot being drained, so the
-	// count of outstanding events only grows while a slot drains and its
-	// high-water mark is read once per slot.
-	s.outstanding = 0
-	for _, id := range changed {
-		s.fanout(0, id)
+	// Seed events: every consumer of a changed source evaluates at time
+	// 1. Then drain one time step at a time: a gate that changes at t
+	// queues its consumers for t+1, so the next queue only grows while a
+	// slot drains and the high-water mark is read once per slot.
+	cur, next := s.cur, s.next
+	nc := 0
+	for _, id := range changed[:nch] {
+		nc = s.fanout(cur, nc, s.epoch+1, id, s.val[id])
 	}
-	s.cycleHWM = s.outstanding
-	s.changedBuf = changed
+	s.cycleHWM = nc
 
 	stats := CycleStats{}
 	touched := s.touched
 	nt := 0
 	t := 0
-	for s.outstanding > 0 {
+	for nc > 0 {
 		t++
-		slot := &s.wheel[t&(len(s.wheel)-1)]
-		ids := *slot
-		s.outstanding -= len(ids)
-		for _, id := range ids {
-			nv := cv.Eval(id, s.val)
+		nn := 0
+		for _, id := range cur[:nc] {
+			nv := cv.OnesEval(id, s.ones[id])
 			if nv == s.val[id] {
 				continue
 			}
-			if !s.inTouched[id] {
-				s.inTouched[id] = true
-				touched[nt] = firstChange{id, !nv}
-				nt++
-			}
+			touched[nt] = firstChange{id, !nv}
+			nt += 1 - logic.Bit(s.inTouched[id])
+			s.inTouched[id] = true
 			s.val[id] = nv
 			stats.Transitions++
 			s.nodeTransitions[id]++
 			stats.SettleTime = t
-			s.fanout(t, id)
+			nn = s.fanout(next, nn, s.epoch+t+1, id, nv)
 		}
-		*slot = ids[:0]
-		s.cycleHWM = max(s.cycleHWM, s.outstanding)
+		s.cycleHWM = max(s.cycleHWM, nn)
+		cur, next, nc = next, cur, nn
 	}
 	s.epoch += t
 
 	// Only a gate that changed can end the cycle on a new value.
 	for _, fc := range touched[:nt] {
 		s.inTouched[fc.id] = false
-		if s.val[fc.id] != fc.initial {
-			stats.Useful++
-			s.nodeUseful[fc.id]++
-		}
+		u := logic.Bit(s.val[fc.id] != fc.initial)
+		stats.Useful += u
+		s.nodeUseful[fc.id] += int64(u)
 	}
 	stats.Spurious = stats.Transitions - stats.Useful
 	s.cycles++

@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -235,11 +237,58 @@ func TestRunTotalsAndSpuriousFraction(t *testing.T) {
 
 func TestDelayModelValidation(t *testing.T) {
 	nw := chainXOR(t)
-	if _, err := New(nw, func(*logic.Node) int { return 0 }); err == nil {
-		t.Error("zero gate delay must be rejected")
+	for _, d := range []int{0, 2} {
+		if _, err := New(nw, func(*logic.Node) int { return d }); err == nil {
+			t.Errorf("gate delay %d must be rejected: the simulator is unit-delay", d)
+		}
 	}
 	if _, err := New(nw, nil); err != nil {
 		t.Errorf("nil delay model should default to unit delay: %v", err)
+	}
+}
+
+// TestDuplicatePinCountsTwice: a gate that reads one net on two pins
+// (BLIF ".names a a y") sees that net's changes twice in its ones count,
+// so AND(a, a) follows a, and the kernel matches the reference queue.
+func TestDuplicatePinCountsTwice(t *testing.T) {
+	src := ".model dup\n.inputs a b\n.outputs y z\n.names a a y\n11 1\n.names a b a z\n01- 1\n1-0 1\n.end\n"
+	nw, err := logic.ReadBLIF(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := false
+	for _, id := range nw.Gates() {
+		f := nw.Node(id).Fanin
+		dup = dup || len(f) == 2 && f[0] == f[1]
+	}
+	if !dup {
+		t.Fatal("no gate reads one net on two pins")
+	}
+	s, err := New(nw, UnitDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(nw, UnitDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := newRefQueue()
+	a, y := nw.ByName("a"), nw.ByName("y")
+	for c, v := range RandomVectors(rand.New(rand.NewSource(9)), 64, 2, 0.5) {
+		cs, err := s.Cycle(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rcs := refCycle(ref, q, v); cs != rcs || !slices.Equal(s.val, ref.val) {
+			t.Fatalf("cycle %d: stats %+v, reference %+v", c, cs, rcs)
+		}
+		if s.Value(y) != s.Value(a) {
+			t.Fatalf("cycle %d: y = %v, want a = %v", c, s.Value(y), s.Value(a))
+		}
+		checkOnes(t, s)
+	}
+	if s.Transitions(y) == 0 {
+		t.Error("y never toggled")
 	}
 }
 
@@ -248,24 +297,6 @@ func TestInputWidthValidation(t *testing.T) {
 	s, _ := New(nw, UnitDelay)
 	if _, err := s.Cycle([]bool{true, false}); err == nil {
 		t.Error("wrong input width must be rejected")
-	}
-}
-
-func TestFanoutDelayModel(t *testing.T) {
-	nw := logic.New("f")
-	a := nw.MustInput("a")
-	g := nw.MustGate("g", logic.Not, a)
-	nw.MustGate("c1", logic.Buf, g)
-	c2 := nw.MustGate("c2", logic.Not, g)
-	if err := nw.MarkOutput(c2); err != nil {
-		t.Fatal(err)
-	}
-	nw.MarkOutput(nw.ByName("c1"))
-	if d := FanoutDelay(nw.Node(g)); d != 2 {
-		t.Errorf("fanout-2 gate delay = %d, want 2", d)
-	}
-	if d := FanoutDelay(nw.Node(c2)); d != 1 {
-		t.Errorf("fanout-0 gate delay = %d, want 1", d)
 	}
 }
 

@@ -150,7 +150,7 @@ func TestRandomVectorsOneBacking(t *testing.T) {
 	}
 }
 
-// TestCycleSteadyStateAllocs: once its wheel slots and lists have grown, a
+// TestCycleSteadyStateAllocs: once its queues and lists have grown, a
 // Simulator cycles without allocating, with the metrics registry off and
 // on.
 func TestCycleSteadyStateAllocs(t *testing.T) {
@@ -168,7 +168,7 @@ func TestCycleSteadyStateAllocs(t *testing.T) {
 			t.Cleanup(obsv.Disable)
 		}
 		for name, nw := range map[string]*logic.Network{"mult6": mult, "cnt2": corpus["cnt2"]} {
-			s, err := New(nw, FanoutDelay)
+			s, err := New(nw, UnitDelay)
 			if err != nil {
 				t.Fatal(err)
 			}

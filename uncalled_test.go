@@ -42,7 +42,6 @@ var uncalledAllowlist = map[string]string{
 	"repro/internal/bdd.Manager.ExistsSet": "ROADMAP items 6 and 7",
 	"repro/internal/bdd.Manager.Compose":   "ROADMAP items 6 and 7",
 	"repro/internal/bdd.Manager.AnySat":    "ROADMAP items 6 and 7",
-	"repro/internal/sim.FanoutDelay":       "ROADMAP item 1 deletes it with the multi-slot wheel",
 	// Cited as verified by EXPERIMENTS.md; running them in E8 or E10 would
 	// change the tables.
 	"repro/internal/encode.ReEncode":                        "EXPERIMENTS.md E8 cites re-encoding as verified",
