@@ -386,6 +386,47 @@ func BenchmarkBLIFRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkReadBLIFUpload parses an upload-sized netlist (the 4-bit ALU as
+// BLIF text), the parse behind every /v1/estimate upload.
+func BenchmarkReadBLIFUpload(b *testing.B) {
+	nw, err := circuits.ALU(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := logic.WriteBLIF(&buf, nw); err != nil {
+		b.Fatal(err)
+	}
+	src := buf.String()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := logic.ReadBLIF(strings.NewReader(src)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEstimatePackedStimulus is a packed estimate as the server runs
+// one: draw 8,704 vectors (the mean of the estimate workload's packed
+// requests) as a packed stimulus, then power.Estimate on the 6x6 array
+// multiplier.
+func BenchmarkEstimatePackedStimulus(b *testing.B) {
+	nw, err := circuits.ArrayMultiplier(6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec := power.Spec{Method: power.MethodPacked, Params: power.DefaultParams(),
+			Vectors: sim.RandomStimulus(rand.New(rand.NewSource(int64(i))), 8704, len(nw.PIs()), 0.5)}
+		if _, err := power.Estimate(context.Background(), nw, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---- ablation benchmarks (the design-choice knobs DESIGN.md calls out) ----
 
 // BenchmarkAblationEncoderQuality compares the annealed encoder against
@@ -458,7 +499,7 @@ func BenchmarkAblationEstimatorLadder(b *testing.B) {
 	}
 	p := power.DefaultParams()
 	r := rand.New(rand.NewSource(5))
-	vecs := sim.RandomVectors(r, 300, len(nw.PIs()), 0.5)
+	vecs := sim.RandomStimulus(r, 300, len(nw.PIs()), 0.5)
 	var totals [3]float64
 	for i := 0; i < b.N; i++ {
 		for j, m := range []power.Method{power.MethodExact, power.MethodDensity, power.MethodSimulated} {

@@ -138,7 +138,7 @@ func main() {
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{Benchmarks: []Benchmark{}}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // grows as lines need it, up to 1 MiB
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {

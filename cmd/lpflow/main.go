@@ -33,6 +33,7 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/obsv/profile"
 	"repro/internal/power"
+	"repro/internal/sim"
 )
 
 // generators is the shared named-circuit registry (internal/circuits);
@@ -164,8 +165,12 @@ func main() {
 // reuses the flow's own vectors and delay model, so module subtotals sum to
 // the reported SimP; its glitch shares come from that run's counts.
 func writeProfiles(nw *logic.Network, ctx *core.Context, rep *core.FlowReport, dir string, topN int) error {
+	vecs, err := sim.PackVectors(ctx.Vectors)
+	if err != nil {
+		return err
+	}
 	spec := power.Spec{Method: power.MethodSimulated, Params: ctx.Params, CapModel: ctx.CapModel,
-		InputProb: ctx.InputProb, Vectors: ctx.Vectors,
+		InputProb: ctx.InputProb, Vectors: vecs,
 		ExactOptions: power.ExactOptions{Budget: ctx.ExactBudget}}
 	simRep, err := power.Estimate(context.Background(), nw, spec)
 	if err != nil {

@@ -72,7 +72,7 @@ func main() {
 
 	r := rand.New(rand.NewSource(*seed))
 	spec := power.Spec{Params: power.DefaultParams(), InputProb: inProb,
-		Vectors:      sim.RandomVectors(r, *vectors, len(nw.PIs()), *p1),
+		Vectors:      sim.RandomStimulus(r, *vectors, len(nw.PIs()), *p1),
 		ExactOptions: power.ExactOptions{Budget: bdd.Budget{MaxNodes: *bddBudget}, MCVectors: *vectors, MCSeed: *seed}}
 	var simRep power.Report
 	for _, est := range []struct {

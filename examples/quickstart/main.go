@@ -26,7 +26,7 @@ func main() {
 	// 2. Estimate power (Eqn. 1 of the survey) three ways: one Spec, three
 	// activity sources.
 	r := rand.New(rand.NewSource(42))
-	spec := power.Spec{Params: power.DefaultParams(), Vectors: sim.RandomVectors(r, 500, len(nw.PIs()), 0.5)}
+	spec := power.Spec{Params: power.DefaultParams(), Vectors: sim.RandomStimulus(r, 500, len(nw.PIs()), 0.5)}
 	var simRep power.Report
 	for _, est := range []struct {
 		method power.Method

@@ -189,7 +189,7 @@ func TestBalancePowerTradeoff(t *testing.T) {
 	}
 	p := power.DefaultParams()
 	r := rand.New(rand.NewSource(29))
-	vecs := sim.RandomVectors(r, 500, 10, 0.5)
+	vecs := sim.RandomStimulus(r, 500, 10, 0.5)
 
 	// With minimum-size delay buffers (cap weight 0.25) balancing wins;
 	// with full-size buffers (weight 1.0) the added capacitance offsets

@@ -145,7 +145,10 @@ func MeasureCtx(ctx context.Context, nw *logic.Network, fctx *Context, label str
 	}
 	snap.ExactP = exact.Total()
 	snap.Degraded = exact.Degraded
-	spec.Method, spec.Vectors = power.MethodSimulated, fctx.Vectors
+	spec.Method = power.MethodSimulated
+	if spec.Vectors, err = sim.PackVectors(fctx.Vectors); err != nil {
+		return snap, err
+	}
 	rep, err := power.Estimate(ctx, nw, spec)
 	if err != nil {
 		return snap, err

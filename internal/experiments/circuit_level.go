@@ -135,7 +135,7 @@ func E5PathBalance() (*Table, error) {
 			return nil, err
 		}
 		r := rand.New(rand.NewSource(29))
-		vecs := sim.RandomVectors(r, 300, len(nw.PIs()), 0.5)
+		vecs := sim.RandomStimulus(r, 300, len(nw.PIs()), 0.5)
 		p := power.DefaultParams()
 		minCap := power.BufferWeightedCap(0.25)
 		fullCap := power.BufferWeightedCap(1.0)

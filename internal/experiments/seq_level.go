@@ -190,7 +190,7 @@ func E11Retiming() (*Table, error) {
 			return nil, err
 		}
 		r := rand.New(rand.NewSource(17))
-		vecs := sim.RandomVectors(r, 150, len(nw.PIs()), 0.5)
+		vecs := sim.RandomStimulus(r, 150, len(nw.PIs()), 0.5)
 		pp := power.DefaultParams()
 		ident := make([]int, len(g.Verts))
 		identNet, err := g.Apply(ident)

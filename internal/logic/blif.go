@@ -23,7 +23,8 @@ import (
 // the whole file is read.
 func ReadBLIF(r io.Reader) (*Network, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// The buffer grows as lines need it, up to the 1 MiB line limit.
+	sc.Buffer(nil, 1<<20)
 
 	var (
 		name     string

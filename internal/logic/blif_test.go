@@ -1,7 +1,10 @@
 package logic
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -245,5 +248,44 @@ func TestBLIFSequentialRoundTrip(t *testing.T) {
 		if o1[0] != o2[0] {
 			t.Fatalf("cycle %d: behaviour diverged", i)
 		}
+	}
+}
+
+// TestReadBLIFLineLimit: a line of 1 MiB less one byte (newline
+// included, 1 MiB) parses; a line one byte longer fails with
+// bufio.ErrTooLong, wherever in the file it falls.
+func TestReadBLIFLineLimit(t *testing.T) {
+	const limit = 1 << 20
+	for _, tc := range []struct {
+		n       int
+		tooLong bool
+	}{{limit - 1, false}, {limit, true}} {
+		comment := "#" + strings.Repeat("x", tc.n-1)
+		for _, src := range []string{
+			comment + "\n" + muxBLIF,
+			muxBLIF[:len(muxBLIF)-len(".end\n")] + comment + "\n.end\n",
+		} {
+			_, err := ReadBLIF(strings.NewReader(src))
+			if tc.tooLong != errors.Is(err, bufio.ErrTooLong) || !tc.tooLong && err != nil {
+				t.Errorf("%d-byte line: err = %v, want too long %v", tc.n, err, tc.tooLong)
+			}
+		}
+	}
+}
+
+// TestReadBLIFSmallAllocation: parsing a small netlist allocates what the
+// netlist needs, not a 1 MiB line buffer up front.
+func TestReadBLIFSmallAllocation(t *testing.T) {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ReadBLIF(strings.NewReader(muxBLIF)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Errorf("ReadBLIF allocates %d bytes per small netlist, want under 64 KiB", per)
 	}
 }

@@ -24,7 +24,11 @@ func buildProfile(t *testing.T, nw *logic.Network, vectors [][]bool) (*profile.P
 	t.Helper()
 	p := power.DefaultParams()
 	cm := power.BufferWeightedCap(0.25)
-	spec := power.Spec{Method: power.MethodSimulated, Params: p, CapModel: cm, Vectors: vectors}
+	st, err := sim.PackVectors(vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := power.Spec{Method: power.MethodSimulated, Params: p, CapModel: cm, Vectors: st}
 	simRep, err := power.Estimate(context.Background(), nw, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -99,11 +99,12 @@ func EstimateExactCtx(ctx context.Context, nw *logic.Network, p Params, cm CapMo
 // biased random vector stream: the packed 64-lane engine for combinational
 // networks, scalar cycle simulation for sequential ones.
 func monteCarloEstimate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, inputProb Probabilities, opt ExactOptions) (Report, error) {
-	vecs := biasedVectors(nw, inputProb, opt.vectors(), opt.seed())
+	st := biasedStimulus(nw, inputProb, opt.vectors(), opt.seed())
 	if len(nw.FFs()) == 0 {
-		rep, _, err := EstimateZeroDelayPacked(nw, p, cm, vecs)
+		rep, _, err := estimatePacked(nw, p, cm, st)
 		return rep, err
 	}
+	vecs := st.Unpack()
 	s, err := sim.NewStream(nw)
 	if err != nil {
 		return Report{}, err
@@ -118,12 +119,12 @@ func monteCarloEstimate(ctx context.Context, nw *logic.Network, p Params, cm Cap
 			return Report{}, err
 		}
 	}
-	return measured(nw, p, cm, vecs, s.Activity), nil
+	return measured(nw, p, cm, st, s.Activity), nil
 }
 
-// biasedVectors draws n vectors where PI i is 1 with its declared
+// biasedStimulus draws n vectors where PI i is 1 with its declared
 // probability (0.5 when absent), deterministically from seed.
-func biasedVectors(nw *logic.Network, inputProb Probabilities, n int, seed int64) [][]bool {
+func biasedStimulus(nw *logic.Network, inputProb Probabilities, n int, seed int64) sim.Stimulus {
 	pis := nw.PIs()
 	probs := make([]float64, len(pis))
 	for i, pi := range pis {
@@ -133,7 +134,7 @@ func biasedVectors(nw *logic.Network, inputProb Probabilities, n int, seed int64
 			probs[i] = 0.5
 		}
 	}
-	return sim.BiasedVectors(rand.New(rand.NewSource(ShardSeed(seed, 0))), n, probs)
+	return sim.BiasedStimulus(rand.New(rand.NewSource(ShardSeed(seed, 0))), n, probs)
 }
 
 // ShardSeed derives the PRNG seed of shard i from a caller seed with a

@@ -41,8 +41,9 @@ type Spec struct {
 	// the exact, propagated and density methods. Density sources switch
 	// with the temporally independent density 2·p·(1−p).
 	InputProb Probabilities
-	// Vectors is the stimulus of the packed and simulated methods.
-	Vectors [][]bool
+	// Vectors is the stimulus of the packed and simulated methods; its
+	// width must be the network's input count.
+	Vectors sim.Stimulus
 	// ExactOptions bounds the BDD work of the exact and density methods
 	// and configures the exact method's Monte Carlo fallback.
 	ExactOptions
@@ -75,11 +76,11 @@ func Estimate(ctx context.Context, nw *logic.Network, spec Spec) (Report, error)
 			rep = Evaluate(nw, spec.Params, spec.CapModel, func(id logic.NodeID) float64 { return dens[id] })
 		}
 	case MethodPacked:
-		rep, tot, err = EstimateZeroDelayPacked(nw, spec.Params, spec.CapModel, spec.Vectors)
-		samples = len(spec.Vectors)
+		rep, tot, err = estimatePacked(nw, spec.Params, spec.CapModel, spec.Vectors)
+		samples = spec.Vectors.Len()
 	case MethodSimulated:
 		rep, tot, err = simulate(ctx, nw, spec.Params, spec.CapModel, sim.UnitDelay, spec.Vectors, 0)
-		samples = len(spec.Vectors)
+		samples = spec.Vectors.Len()
 	default:
 		return Report{}, fmt.Errorf("power: unknown estimation method %q", spec.Method)
 	}
@@ -96,20 +97,25 @@ func Estimate(ctx context.Context, nw *logic.Network, spec Spec) (Report, error)
 // The run is sharded across workers (0 = GOMAXPROCS, 1 = sequential); any
 // worker count produces the same report bit for bit, because the vector
 // stream is chunked deterministically and each shard warm-starts from the
-// exact settled state at its boundary (see sim.MeasureRunCtx).
+// exact settled state at its boundary (see sim.MeasureStimulusCtx). It
+// packs the vectors and runs the simulated method's body.
 func EstimateSimulatedParallel(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
-	return simulate(context.Background(), nw, p, cm, dm, vectors, workers)
-}
-
-// simulate is the event-driven method body: one sharded
-// sim.MeasureRunCtx, which records a "sim.measure" span on a traced ctx.
-// The report carries the run's per-node counts.
-func simulate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
-	m, err := sim.MeasureRunCtx(ctx, nw, dm, vectors, workers)
+	st, err := sim.PackVectors(vectors)
 	if err != nil {
 		return Report{}, sim.Totals{}, err
 	}
-	rep := measured(nw, p, cm, vectors, m.Activity)
+	return simulate(context.Background(), nw, p, cm, dm, st, workers)
+}
+
+// simulate is the event-driven method body: one sharded
+// sim.MeasureStimulusCtx, which records a "sim.measure" span on a traced
+// ctx. The report carries the run's per-node counts.
+func simulate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, st sim.Stimulus, workers int) (Report, sim.Totals, error) {
+	m, err := sim.MeasureStimulusCtx(ctx, nw, dm, st, workers)
+	if err != nil {
+		return Report{}, sim.Totals{}, err
+	}
+	rep := measured(nw, p, cm, st, m.Activity)
 	rep.Counts = &m.Counts
 	return rep, m.Totals, nil
 }
@@ -119,24 +125,34 @@ func simulate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, dm 
 // vectors per machine word. It is the fast path for Monte Carlo power
 // estimation on combinational networks when glitch power is not needed —
 // its per-node activity equals the useful (zero-delay) component of the
-// event-driven estimate over the same vectors.
+// event-driven estimate over the same vectors. It packs the vectors and
+// runs the packed method's body.
 func EstimateZeroDelayPacked(nw *logic.Network, p Params, cm CapModel, vectors [][]bool) (Report, sim.Totals, error) {
+	st, err := sim.PackVectors(vectors)
+	if err != nil {
+		return Report{}, sim.Totals{}, err
+	}
+	return estimatePacked(nw, p, cm, st)
+}
+
+// estimatePacked is the packed method body.
+func estimatePacked(nw *logic.Network, p Params, cm CapModel, st sim.Stimulus) (Report, sim.Totals, error) {
 	ps, err := sim.NewPacked(nw)
 	if err != nil {
 		return Report{}, sim.Totals{}, err
 	}
-	tot, err := ps.Run(vectors)
+	tot, err := ps.RunStimulus(st)
 	if err != nil {
 		return Report{}, sim.Totals{}, err
 	}
-	return measured(nw, p, cm, vectors, ps.Activity), tot, nil
+	return measured(nw, p, cm, st, ps.Activity), tot, nil
 }
 
 // measured applies Eqn. 1 to an engine's measured activity. No engine
 // counts primary inputs, so their activity is taken from the vector
 // stream itself.
-func measured(nw *logic.Network, p Params, cm CapModel, vectors [][]bool, activity func(logic.NodeID) float64) Report {
-	piAct := piActivity(nw, vectors)
+func measured(nw *logic.Network, p Params, cm CapModel, st sim.Stimulus, activity func(logic.NodeID) float64) Report {
+	piAct := piActivity(nw, st)
 	return Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
 		if nw.Node(id).Type == logic.Input {
 			return piAct[id]
@@ -145,28 +161,19 @@ func measured(nw *logic.Network, p Params, cm CapModel, vectors [][]bool, activi
 	})
 }
 
-// piActivity measures each primary input's activity from the vector
-// stream itself (the simulator does not charge source nets), indexed by
-// NodeID; other slots are 0. It walks the stream one vector at a time,
-// counting each input's toggles against the previous vector (the first
-// against the all-zero reset) without a branch.
-func piActivity(nw *logic.Network, vectors [][]bool) []float64 {
-	pis := nw.PIs()
+// piActivity measures each primary input's activity from the stream
+// itself (the simulator does not charge source nets), indexed by NodeID;
+// other slots are 0. The toggle counts are popcounts over the packed
+// input words (sim.Stimulus.Toggles), the first vector counted against
+// the all-zero reset.
+func piActivity(nw *logic.Network, st sim.Stimulus) []float64 {
 	act := make([]float64, nw.NumNodes())
-	if len(vectors) == 0 {
+	if st.Len() == 0 {
 		return act
 	}
-	toggles := make([]int, len(pis))
-	prev := make([]bool, len(pis))
-	for _, v := range vectors {
-		v = v[:len(pis)]
-		for i, b := range v {
-			toggles[i] += logic.Bit(b != prev[i])
-		}
-		prev = v
-	}
-	for i, pi := range pis {
-		act[pi] = float64(toggles[i]) / float64(len(vectors))
+	toggles := st.Toggles()
+	for i, pi := range nw.PIs() {
+		act[pi] = float64(toggles[i]) / float64(st.Len())
 	}
 	return act
 }

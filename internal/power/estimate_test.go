@@ -53,7 +53,7 @@ func dispatchCases(t *testing.T) []dispatchCase {
 			Params:       DefaultParams(),
 			CapModel:     fanInCap,
 			InputProb:    probs,
-			Vectors:      sim.RandomVectors(r, 200, len(nw.PIs()), 0.3),
+			Vectors:      sim.RandomStimulus(r, 200, len(nw.PIs()), 0.3),
 			ExactOptions: opt,
 		}})
 	}
@@ -107,10 +107,10 @@ func TestEstimateDispatchEquivalence(t *testing.T) {
 				return Evaluate(nw, s.Params, s.CapModel, func(id logic.NodeID) float64 { return dens[id] }), sim.Totals{}, nil
 			},
 			MethodPacked: func() (Report, sim.Totals, error) {
-				return EstimateZeroDelayPacked(nw, s.Params, s.CapModel, s.Vectors)
+				return EstimateZeroDelayPacked(nw, s.Params, s.CapModel, s.Vectors.Unpack())
 			},
 			MethodSimulated: func() (Report, sim.Totals, error) {
-				return EstimateSimulatedParallel(nw, s.Params, s.CapModel, sim.UnitDelay, s.Vectors, 0)
+				return EstimateSimulatedParallel(nw, s.Params, s.CapModel, sim.UnitDelay, s.Vectors.Unpack(), 0)
 			},
 		}
 		for m, body := range bodies {
@@ -134,7 +134,7 @@ func TestEstimateDispatchEquivalence(t *testing.T) {
 			samples := 0
 			switch {
 			case m == MethodPacked || m == MethodSimulated:
-				samples = len(s.Vectors)
+				samples = s.Vectors.Len()
 			case got.Degraded:
 				samples = s.vectors()
 			}
@@ -168,12 +168,12 @@ func TestEstimateTracedEqualsUntraced(t *testing.T) {
 	}
 	for name, nw := range map[string]*logic.Network{"mult4": comb, "fsm": fsmNetwork(t)} {
 		r := rand.New(rand.NewSource(3))
-		spec := Spec{Method: MethodSimulated, Params: DefaultParams(), Vectors: sim.RandomVectors(r, 300, len(nw.PIs()), 0.5)}
+		spec := Spec{Method: MethodSimulated, Params: DefaultParams(), Vectors: sim.RandomStimulus(r, 300, len(nw.PIs()), 0.5)}
 		sharded, err := Estimate(context.Background(), nw, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, tot, err := EstimateSimulatedParallel(nw, spec.Params, nil, sim.UnitDelay, spec.Vectors, 1)
+		one, tot, err := EstimateSimulatedParallel(nw, spec.Params, nil, sim.UnitDelay, spec.Vectors.Unpack(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,15 +184,15 @@ func TestEstimateTracedEqualsUntraced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Run(spec.Vectors); err != nil {
+		if _, err := s.Run(spec.Vectors.Unpack()); err != nil {
 			t.Fatal(err)
 		}
 		c := sharded.Counts
 		if c == nil {
 			t.Fatalf("%s: simulated report carries no transition record", name)
 		}
-		if c.Cycles() != s.Cycles() || c.Cycles() != len(spec.Vectors) {
-			t.Errorf("%s: record has %d cycles, simulator %d, vectors %d", name, c.Cycles(), s.Cycles(), len(spec.Vectors))
+		if c.Cycles() != s.Cycles() || c.Cycles() != spec.Vectors.Len() {
+			t.Errorf("%s: record has %d cycles, simulator %d, vectors %d", name, c.Cycles(), s.Cycles(), spec.Vectors.Len())
 		}
 		var gateTransitions int64
 		for _, id := range nw.Live() {
@@ -294,13 +294,13 @@ func TestEstimateSimulatedCancel(t *testing.T) {
 	defer obsv.Disable()
 	cycles := reg.Counter("sim.cycles")
 	r := rand.New(rand.NewSource(3))
-	spec := Spec{Method: MethodSimulated, Params: DefaultParams(), Vectors: sim.RandomVectors(r, 1000, len(nw.PIs()), 0.5)}
+	spec := Spec{Method: MethodSimulated, Params: DefaultParams(), Vectors: sim.RandomStimulus(r, 1000, len(nw.PIs()), 0.5)}
 	if _, err := Estimate(context.Background(), nw, spec); err != nil {
 		t.Fatal(err)
 	}
 	total := cycles.Value()
-	if total != int64(len(spec.Vectors)) {
-		t.Fatalf("full run counted %d cycles, want %d", total, len(spec.Vectors))
+	if total != int64(spec.Vectors.Len()) {
+		t.Fatalf("full run counted %d cycles, want %d", total, spec.Vectors.Len())
 	}
 	if _, err := Estimate(&cancelAfter{Context: context.Background(), k: 2}, nw, spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -308,6 +308,41 @@ func TestEstimateSimulatedCancel(t *testing.T) {
 	if partial := cycles.Value() - total; partial == 0 || partial >= total {
 		t.Errorf("cancelled run simulated %d cycles, full run %d: want a partial run", partial, total)
 	}
+}
+
+// piActivityRows is the row-major count piActivity had before it read
+// packed stimulus words, kept as its oracle: it walks the stream one
+// vector at a time, counting each input's toggles against the previous
+// vector (the first against the all-zero reset) without a branch.
+func piActivityRows(nw *logic.Network, vectors [][]bool) []float64 {
+	pis := nw.PIs()
+	act := make([]float64, nw.NumNodes())
+	if len(vectors) == 0 {
+		return act
+	}
+	toggles := make([]int, len(pis))
+	prev := make([]bool, len(pis))
+	for _, v := range vectors {
+		v = v[:len(pis)]
+		for i, b := range v {
+			toggles[i] += logic.Bit(b != prev[i])
+		}
+		prev = v
+	}
+	for i, pi := range pis {
+		act[pi] = float64(toggles[i]) / float64(len(vectors))
+	}
+	return act
+}
+
+// mustPack packs a test's vector stream.
+func mustPack(t testing.TB, vectors [][]bool) sim.Stimulus {
+	t.Helper()
+	st, err := sim.PackVectors(vectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // piActivityPerInput is the column-major primary-input activity count
@@ -339,9 +374,10 @@ func piActivityPerInput(nw *logic.Network, vectors [][]bool) map[logic.NodeID]fl
 	return piAct
 }
 
-// TestPIActivityMatchesPerInputOracle compares the row-major count with
-// the oracle, bit for bit, at widths and stream lengths on both sides of
-// a 64-bit word; every slot that is not an input stays 0.
+// TestPIActivityMatchesPerInputOracle compares the packed-word count with
+// the per-input and row-major oracles, bit for bit, at widths and stream
+// lengths on both sides of a 64-bit word; every slot that is not an input
+// stays 0.
 func TestPIActivityMatchesPerInputOracle(t *testing.T) {
 	sizes := []int{0, 1, 63, 64, 65}
 	for _, width := range sizes {
@@ -355,14 +391,48 @@ func TestPIActivityMatchesPerInputOracle(t *testing.T) {
 		}
 		for _, n := range sizes {
 			vecs := sim.RandomVectors(rand.New(rand.NewSource(int64(width*100+n))), n, width, 0.3)
-			got, want := piActivity(nw, vecs), piActivityPerInput(nw, vecs)
+			got, want := piActivity(nw, mustPack(t, vecs)), piActivityPerInput(nw, vecs)
 			if len(got) != nw.NumNodes() || got[k] != 0 {
 				t.Fatalf("width %d, %d vectors: %d slots, constant slot %v", width, n, len(got), got[k])
+			}
+			if rows := piActivityRows(nw, vecs); !reflect.DeepEqual(got, rows) {
+				t.Errorf("width %d, %d vectors: %v, row-major oracle %v", width, n, got, rows)
 			}
 			for _, pi := range nw.PIs() {
 				if got[pi] != want[pi] {
 					t.Errorf("width %d, %d vectors, input %d: %v, oracle %v", width, n, pi, got[pi], want[pi])
 				}
+			}
+		}
+	}
+}
+
+// TestEstimateWidthMismatch: the packed and simulated methods return an
+// error, not a panic, when the vectors do not match the network's inputs —
+// through Estimate, and through the [][]bool wrappers, sharded or not,
+// with narrow or ragged rows.
+func TestEstimateWidthMismatch(t *testing.T) {
+	nw, err := circuits.ArrayMultiplier(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(9))
+	narrow := sim.RandomVectors(r, 1000, len(nw.PIs())-1, 0.5)
+	ragged := sim.RandomVectors(r, 1000, len(nw.PIs()), 0.5)
+	ragged[700] = ragged[700][:3]
+	for _, m := range []Method{MethodPacked, MethodSimulated} {
+		spec := Spec{Method: m, Params: DefaultParams(), Vectors: mustPack(t, narrow)}
+		if _, err := Estimate(context.Background(), nw, spec); err == nil {
+			t.Errorf("%s: Estimate accepted %d-bit vectors on a %d-input network", m, spec.Vectors.Width(), len(nw.PIs()))
+		}
+	}
+	for name, vecs := range map[string][][]bool{"narrow": narrow, "ragged": ragged} {
+		if _, _, err := EstimateZeroDelayPacked(nw, DefaultParams(), nil, vecs); err == nil {
+			t.Errorf("%s: EstimateZeroDelayPacked accepted the vectors", name)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			if _, _, err := EstimateSimulatedParallel(nw, DefaultParams(), nil, sim.UnitDelay, vecs, workers); err == nil {
+				t.Errorf("%s: EstimateSimulatedParallel with %d workers accepted the vectors", name, workers)
 			}
 		}
 	}

@@ -35,7 +35,8 @@ type IncrementalEstimator struct {
 	params    Params
 	cm        CapModel
 	inputProb Probabilities
-	vectors   [][]bool
+	vectors   sim.Stimulus
+	packErr   error // a ragged vector stream, reported by every Measure
 
 	// MaxConeFrac bounds how large a dirty cone is still worth splicing:
 	// when the cone exceeds this fraction of the live combinational nodes
@@ -54,9 +55,10 @@ type IncrementalEstimator struct {
 // evaluation environment. The first Measure takes the full baseline; the
 // caller should ClearDirty (or TakeDirty) construction-time noise before
 // mutating, though a stale dirty set only costs cone size, never
-// correctness.
+// correctness. The vectors are packed once, here.
 func NewIncrementalEstimator(nw *logic.Network, p Params, cm CapModel, inputProb Probabilities, vectors [][]bool) *IncrementalEstimator {
-	return &IncrementalEstimator{nw: nw, params: p, cm: cm, inputProb: inputProb, vectors: vectors}
+	st, err := sim.PackVectors(vectors)
+	return &IncrementalEstimator{nw: nw, params: p, cm: cm, inputProb: inputProb, vectors: st, packErr: err}
 }
 
 // IncrementalResult is one measurement: the propagated-probability report,
@@ -85,6 +87,9 @@ func (e *IncrementalEstimator) Invalidate() { e.valid = false }
 // baseline synchronized with the network's current structure (or invalid,
 // on error).
 func (e *IncrementalEstimator) Measure() (IncrementalResult, error) {
+	if e.packErr != nil {
+		return IncrementalResult{}, e.packErr
+	}
 	obs := obsv.Default()
 	obs.Counter("flow.incr.measures").Add(1)
 	dirty := e.nw.TakeDirty()

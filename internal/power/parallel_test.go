@@ -77,7 +77,7 @@ func TestEstimateSimulatedParallelByteIdentical(t *testing.T) {
 
 		// The default entry point (Estimate, workers=GOMAXPROCS) must
 		// agree too — this is what E5/E11/E13 call.
-		rep, err := Estimate(context.Background(), nw, Spec{Method: MethodSimulated, Params: p, Vectors: vecs})
+		rep, err := Estimate(context.Background(), nw, Spec{Method: MethodSimulated, Params: p, Vectors: mustPack(t, vecs)})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -112,7 +112,7 @@ func TestEstimateZeroDelayPackedMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	piAct := piActivity(nw, vecs)
+	piAct := piActivity(nw, mustPack(t, vecs))
 	want := Evaluate(nw, p, nil, func(id logic.NodeID) float64 {
 		if nw.Node(id).Type == logic.Input {
 			return piAct[id]

@@ -197,8 +197,9 @@ func Evaluate(nw *logic.Network, p Params, cm CapModel, activity func(logic.Node
 	if cm == nil {
 		cm = UnitLoadCap
 	}
-	rep := Report{Params: p}
-	for _, id := range nw.Live() {
+	live := nw.Live()
+	rep := Report{Params: p, Nodes: make([]NodePower, 0, len(live))}
+	for _, id := range live {
 		n := nw.Node(id)
 		c := cm(nw, n)
 		a := activity(id)

@@ -238,7 +238,7 @@ func TestEstimateSimulatedCapturesGlitchPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(17))
-	vecs := sim.RandomVectors(r, 600, 12, 0.5)
+	vecs := sim.RandomStimulus(r, 600, 12, 0.5)
 	p := DefaultParams()
 	simRep, err := Estimate(context.Background(), chain, Spec{Method: MethodSimulated, Params: p, Vectors: vecs})
 	if err != nil {

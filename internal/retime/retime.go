@@ -455,7 +455,7 @@ type PowerResult struct {
 // FEAS leaves open are resolved toward registers on glitchy, high-fanout
 // nets, which filter spurious transitions [29]. clockCap is charged per
 // flip-flop per cycle. The evaluation simulates `vectors`.
-func LowPower(nw *logic.Network, targetPeriod float64, vectors [][]bool, p power.Params, clockCap float64) (PowerResult, error) {
+func LowPower(nw *logic.Network, targetPeriod float64, vectors sim.Stimulus, p power.Params, clockCap float64) (PowerResult, error) {
 	g, err := BuildGraph(nw)
 	if err != nil {
 		return PowerResult{}, err

@@ -218,7 +218,7 @@ func TestFFOutputsFilterGlitches(t *testing.T) {
 func TestLowPowerRetiming(t *testing.T) {
 	nw := registeredMult(t, 4)
 	r := rand.New(rand.NewSource(17))
-	vecs := sim.RandomVectors(r, 200, len(nw.PIs()), 0.5)
+	vecs := sim.RandomStimulus(r, 200, len(nw.PIs()), 0.5)
 	p := power.DefaultParams()
 
 	g, err := BuildGraph(nw)
@@ -281,7 +281,7 @@ func TestLowPowerRetiming(t *testing.T) {
 
 func TestLowPowerTargetValidation(t *testing.T) {
 	nw := parityPipe(t, 6)
-	vecs := sim.RandomVectors(rand.New(rand.NewSource(1)), 50, 6, 0.5)
+	vecs := sim.RandomStimulus(rand.New(rand.NewSource(1)), 50, 6, 0.5)
 	if _, err := LowPower(nw, 0.5, vecs, power.DefaultParams(), 1.0); err == nil {
 		t.Error("target below minimum should fail")
 	}

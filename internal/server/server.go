@@ -774,7 +774,7 @@ func (s *Server) computeEstimate(ctx context.Context, ent *netEntry, spec estima
 		est.InputProb = seq
 	}
 	if method == power.MethodSimulated || method == power.MethodPacked {
-		est.Vectors = sim.RandomVectors(rand.New(rand.NewSource(spec.seed)), spec.vectors, len(nw.PIs()), spec.p1)
+		est.Vectors = sim.RandomStimulus(rand.New(rand.NewSource(spec.seed)), spec.vectors, len(nw.PIs()), spec.p1)
 	}
 	rep, err := power.Estimate(ctx, nw, est)
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -24,7 +25,20 @@ const minChunk = 64
 
 // MeasureRunCtx simulates the vector stream under the delay model and
 // returns merged per-node counts, splitting the work across workers
-// goroutines (workers <= 0 means GOMAXPROCS).
+// goroutines (workers <= 0 means GOMAXPROCS). It packs the stream and
+// runs it as MeasureStimulusCtx does.
+func MeasureRunCtx(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {
+	st, err := PackVectors(vectors)
+	if err != nil {
+		return nil, err
+	}
+	return MeasureStimulusCtx(ctx, nw, dm, st, workers)
+}
+
+// MeasureStimulusCtx simulates the packed stream under the delay model
+// and returns merged per-node counts, splitting the work across workers
+// goroutines (workers <= 0 means GOMAXPROCS). Each cycle loads its vector
+// from the stream into one reused buffer.
 //
 // Results are bit-identical to a sequential Simulator run regardless of
 // worker count. The stream is split into contiguous chunks; each worker
@@ -43,14 +57,17 @@ const minChunk = 64
 // a "sim.measure" span annotated with cycle/worker/transition counts. The
 // context influences only whether the run finishes and what gets
 // observed, never what is computed.
-func MeasureRunCtx(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {
+func MeasureStimulusCtx(ctx context.Context, nw *logic.Network, dm DelayModel, st Stimulus, workers int) (*Measure, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if !st.fits(len(nw.PIs())) {
+		return nil, fmt.Errorf("sim: measure got %d-bit vectors, network has %d inputs", st.Width(), len(nw.PIs()))
+	}
 	_, sp := trace.Start(ctx, "sim.measure")
-	m, err := measureRun(ctx, nw, dm, vectors, workers)
+	m, err := measureRun(ctx, nw, dm, st, workers)
 	if sp != nil {
-		sp.SetAttr("cycles", len(vectors))
+		sp.SetAttr("cycles", st.Len())
 		sp.SetAttr("workers", workers)
 		if err == nil {
 			sp.SetAttr("transitions", m.Totals.Transitions)
@@ -61,11 +78,11 @@ func MeasureRunCtx(ctx context.Context, nw *logic.Network, dm DelayModel, vector
 	return m, err
 }
 
-func measureRun(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {
+func measureRun(ctx context.Context, nw *logic.Network, dm DelayModel, st Stimulus, workers int) (*Measure, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if max := len(vectors) / minChunk; workers > max {
+	if max := st.Len() / minChunk; workers > max {
 		workers = max
 	}
 	if workers <= 1 {
@@ -73,15 +90,15 @@ func measureRun(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [
 		if err != nil {
 			return nil, err
 		}
-		tot, err := s.RunCtx(ctx, vectors)
+		tot, err := s.runStimulus(ctx, st, 0, st.Len())
 		if err != nil {
 			return nil, err
 		}
 		return &Measure{Totals: tot, Counts: s.Counts}, nil
 	}
 
-	starts := chunkStarts(len(vectors), workers)
-	states, err := boundaryStates(nw, vectors, starts)
+	starts := chunkStarts(st.Len(), workers)
+	states, err := boundaryStates(nw, st, starts)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +111,7 @@ func measureRun(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			end := len(vectors)
+			end := st.Len()
 			if i+1 < len(starts) {
 				end = starts[i+1]
 			}
@@ -104,7 +121,7 @@ func measureRun(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [
 				return
 			}
 			s.loadState(states[i])
-			tot, err := s.RunCtx(ctx, vectors[starts[i]:end])
+			tot, err := s.runStimulus(ctx, st, starts[i], end)
 			if err != nil {
 				errs[i] = err
 				return
@@ -122,13 +139,7 @@ func measureRun(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [
 	m := &Measure{Counts: newCounts(nw.NumNodes(), false)}
 	for i, s := range sims {
 		m.add(&s.Counts)
-		m.Totals.Cycles += tots[i].Cycles
-		m.Totals.Transitions += tots[i].Transitions
-		m.Totals.Useful += tots[i].Useful
-		m.Totals.Spurious += tots[i].Spurious
-		if tots[i].MaxSettle > m.Totals.MaxSettle {
-			m.Totals.MaxSettle = tots[i].MaxSettle
-		}
+		m.Totals.add(tots[i])
 	}
 	return m, nil
 }
@@ -157,12 +168,13 @@ func chunkStarts(n, chunks int) []int {
 // vector — while sequential networks need a zero-delay replay of the
 // whole prefix to carry the flip-flop state chain (still far cheaper than
 // the event-driven run, which also simulates every glitch).
-func boundaryStates(nw *logic.Network, vectors [][]bool, starts []int) ([][]bool, error) {
+func boundaryStates(nw *logic.Network, st Stimulus, starts []int) ([][]bool, error) {
 	cv, err := nw.Compile()
 	if err != nil {
 		return nil, err
 	}
 	pis := nw.PIs()
+	v := make([]bool, st.Width())
 	resetState := func() []bool {
 		val := make([]bool, nw.NumNodes())
 		cv.Reset(val)
@@ -177,7 +189,7 @@ func boundaryStates(nw *logic.Network, vectors [][]bool, starts []int) ([][]bool
 				continue
 			}
 			val := make([]bool, nw.NumNodes())
-			v := vectors[start-1]
+			st.Load(start-1, v)
 			for j, pi := range pis {
 				val[pi] = v[j]
 			}
@@ -193,7 +205,7 @@ func boundaryStates(nw *logic.Network, vectors [][]bool, starts []int) ([][]bool
 	val := resetState()
 	newFF := make([]bool, len(cv.FFs))
 	next := 0
-	for t, v := range vectors {
+	for t := 0; t < st.Len(); t++ {
 		for next < len(starts) && starts[next] == t {
 			states[next] = append([]bool(nil), val...)
 			next++
@@ -207,6 +219,7 @@ func boundaryStates(nw *logic.Network, vectors [][]bool, starts []int) ([][]bool
 		for i, f := range cv.FFs {
 			val[f] = newFF[i]
 		}
+		st.Load(t, v)
 		for j, pi := range pis {
 			val[pi] = v[j]
 		}

@@ -29,7 +29,6 @@ type PackedSimulator struct {
 	nw    *logic.Network
 	order []*logic.Node // levelized schedule (cached topo order, resolved)
 	pis   []logic.NodeID
-	lanes []uint64 // per-PI lane words of the block being packed
 
 	val   []uint64 // packed lane values per node
 	carry []uint64 // previous cycle's value (bit 0) per node
@@ -56,7 +55,6 @@ func NewPacked(nw *logic.Network) (*PackedSimulator, error) {
 		nw:     nw,
 		order:  make([]*logic.Node, len(cv.Order)),
 		pis:    nw.PIs(),
-		lanes:  make([]uint64, len(nw.PIs())),
 		val:    make([]uint64, nw.NumNodes()),
 		carry:  make([]uint64, nw.NumNodes()),
 		reset:  make([]bool, nw.NumNodes()),
@@ -95,7 +93,8 @@ func (ps *PackedSimulator) Reset() {
 
 // Run simulates the vector stream in blocks of 64 lanes and returns the
 // aggregate zero-delay totals for this call (Spurious is 0 and MaxSettle
-// is meaningless under zero delay).
+// is meaningless under zero delay). It packs the stream and runs it as
+// RunStimulus does; a ragged stream fails before any cycle is counted.
 //
 // Accumulation semantics: per-node counters accumulate across calls until
 // Reset, and the call boundary is seamless — the last vector of one Run
@@ -105,11 +104,21 @@ func (ps *PackedSimulator) Reset() {
 // therefore yields exactly the counts of one concatenated Run; use Reset
 // to start an independent stream instead.
 func (ps *PackedSimulator) Run(vectors [][]bool) (Totals, error) {
-	return ps.run(vectors, nil)
+	st, err := PackVectors(vectors)
+	if err != nil {
+		return Totals{}, err
+	}
+	return ps.RunStimulus(st)
+}
+
+// RunStimulus is Run over a packed stream, with the same accumulation
+// semantics.
+func (ps *PackedSimulator) RunStimulus(st Stimulus) (Totals, error) {
+	return ps.run(st, nil)
 }
 
 // RunCapture resets the simulator, runs the full vector stream, and
-// records the complete packed lane state into st: every node's value
+// records the complete packed lane state into capture: every node's value
 // words for every 64-lane block, the reset baseline, and the per-node
 // transition counts. The recording shares Run's code path, so the
 // captured counts are bit-identical to what Run would report on a fresh
@@ -117,35 +126,37 @@ func (ps *PackedSimulator) Run(vectors [][]bool) (Totals, error) {
 // cone re-evaluation (PackedState.UpdateCone); any previously accumulated
 // counts are discarded by the initial Reset so that the state is
 // self-consistent: its counters describe exactly the captured stream.
-func (ps *PackedSimulator) RunCapture(vectors [][]bool, st *PackedState) (Totals, error) {
+func (ps *PackedSimulator) RunCapture(st Stimulus, capture *PackedState) (Totals, error) {
 	ps.Reset()
-	st.Blocks = st.Blocks[:0]
-	st.Lanes = st.Lanes[:0]
-	tot, err := ps.run(vectors, st)
+	capture.Blocks = capture.Blocks[:0]
+	capture.Lanes = capture.Lanes[:0]
+	tot, err := ps.run(st, capture)
 	if err != nil {
 		return tot, err
 	}
-	st.Reset = append(st.Reset[:0], ps.reset...)
-	st.Trans = append(st.Trans[:0], ps.nodeTransitions...)
-	st.Gate = st.Gate[:0]
+	capture.Reset = append(capture.Reset[:0], ps.reset...)
+	capture.Trans = append(capture.Trans[:0], ps.nodeTransitions...)
+	capture.Gate = capture.Gate[:0]
 	for i := 0; i < ps.nw.NumNodes(); i++ {
 		n := ps.nw.Node(logic.NodeID(i))
-		st.Gate = append(st.Gate, n != nil && n.Type.IsGate())
+		capture.Gate = append(capture.Gate, n != nil && n.Type.IsGate())
 	}
-	st.Cycles = ps.cycles
-	st.GateTransitions = tot.Transitions
+	capture.Cycles = ps.cycles
+	capture.GateTransitions = tot.Transitions
 	return tot, nil
 }
 
-func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error) {
+// run loads each block's input words straight into the primary inputs'
+// lanes, settles the block and counts its transitions.
+func (ps *PackedSimulator) run(st Stimulus, capture *PackedState) (Totals, error) {
 	var tot Totals
-	for base := 0; base < len(vectors); base += 64 {
-		k := len(vectors) - base
-		if k > 64 {
-			k = 64
-		}
-		if err := ps.pack(vectors[base : base+k]); err != nil {
-			return tot, err
+	if !st.fits(len(ps.pis)) {
+		return tot, fmt.Errorf("sim: packed Run got %d-bit vectors, network has %d inputs", st.Width(), len(ps.pis))
+	}
+	for b := 0; b*64 < st.Len(); b++ {
+		k := min(st.Len()-b*64, 64)
+		for i, w := range st.block(b) {
+			ps.val[ps.pis[i]] = w
 		}
 		// One word-level settle pass evaluates all 64 lanes of every gate.
 		for _, n := range ps.order {
@@ -158,10 +169,7 @@ func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error
 		// Count transitions: lane j toggles iff it differs from lane j-1
 		// (lane 0 compares against the carried-over previous value), so
 		// XOR against the left-shifted word and popcount the valid lanes.
-		mask := ^uint64(0)
-		if k < 64 {
-			mask = 1<<uint(k) - 1
-		}
+		mask := laneMask(k)
 		for _, n := range ps.order {
 			w := ps.val[n.ID]
 			diff := (w ^ (w<<1 | ps.carry[n.ID])) & mask
@@ -174,35 +182,13 @@ func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error
 			}
 			ps.carry[n.ID] = w >> uint(k-1) & 1
 		}
-		if st != nil {
-			st.Blocks = append(st.Blocks, append([]uint64(nil), ps.val...))
-			st.Lanes = append(st.Lanes, k)
+		if capture != nil {
+			capture.Blocks = append(capture.Blocks, append([]uint64(nil), ps.val...))
+			capture.Lanes = append(capture.Lanes, k)
 		}
 		ps.cycles += k
 		tot.Cycles += k
 	}
 	tot.Useful = tot.Transitions
 	return tot, nil
-}
-
-// pack loads a block of at most 64 vectors into the primary inputs' lane
-// words: lane j of input i is bit i of vector j. It walks the block one
-// vector at a time and shifts each bit into its lane without a branch.
-func (ps *PackedSimulator) pack(block [][]bool) error {
-	width := len(ps.pis)
-	for _, v := range block {
-		if len(v) != width {
-			return fmt.Errorf("sim: packed Run got %d-bit vector, network has %d inputs", len(v), width)
-		}
-	}
-	clear(ps.lanes)
-	for j, v := range block {
-		for i, b := range v {
-			ps.lanes[i] |= uint64(logic.Bit(b)) << j
-		}
-	}
-	for i, pi := range ps.pis {
-		ps.val[pi] = ps.lanes[i]
-	}
-	return nil
 }

@@ -61,13 +61,13 @@ func TestRunCaptureMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(5))
-	vecs := RandomVectors(r, 130, len(nw.PIs()), 0.5)
+	vecs := RandomStimulus(r, 130, len(nw.PIs()), 0.5)
 
 	plain, err := NewPacked(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptot, err := plain.Run(vecs)
+	ptot, err := plain.RunStimulus(vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestRunCaptureMatchesRun(t *testing.T) {
 	if ptot != ctot {
 		t.Fatalf("capture totals %+v, plain %+v", ctot, ptot)
 	}
-	if st.Cycles != len(vecs) || st.GateTransitions != ptot.Transitions {
+	if st.Cycles != vecs.Len() || st.GateTransitions != ptot.Transitions {
 		t.Fatalf("state cycles=%d gateTransitions=%d, want %d/%d",
-			st.Cycles, st.GateTransitions, len(vecs), ptot.Transitions)
+			st.Cycles, st.GateTransitions, vecs.Len(), ptot.Transitions)
 	}
-	if want := (len(vecs) + 63) / 64; len(st.Blocks) != want || len(st.Lanes) != want {
+	if want := (vecs.Len() + 63) / 64; len(st.Blocks) != want || len(st.Lanes) != want {
 		t.Fatalf("state has %d blocks/%d lanes, want %d", len(st.Blocks), len(st.Lanes), want)
 	}
 	for _, id := range nw.Live() {
@@ -151,7 +151,7 @@ func TestUpdateConeMatchesFullRerun(t *testing.T) {
 	}
 	for name, nw := range corpus {
 		r := rand.New(rand.NewSource(int64(len(name)) * 31))
-		vecs := RandomVectors(r, 130, len(nw.PIs()), 0.5)
+		vecs := RandomStimulus(r, 130, len(nw.PIs()), 0.5)
 
 		ps, err := NewPacked(nw)
 		if err != nil {

@@ -17,6 +17,10 @@
 // evaluated in the order they were scheduled, which fixes every count. The
 // per-node Counts are the package's one transition record: the power
 // estimators and the profiler's glitch shares read them.
+//
+// Monte Carlo streams are packed: a Stimulus holds 64 vectors per word
+// per input, the packed engine reads its words as input lanes, and the
+// event-driven shards load one vector per cycle from it.
 package sim
 
 import (
@@ -329,24 +333,35 @@ const ctxCheckCycles = 64
 // ctxCheckCycles-th cycle and stops with ctx.Err() once the context is
 // done. Uncancelled, the results are those of Run.
 func (s *Simulator) RunCtx(ctx context.Context, vectors [][]bool) (Totals, error) {
+	return s.run(ctx, len(vectors), func(i int) []bool { return vectors[i] })
+}
+
+// runStimulus is RunCtx over vectors lo … hi-1 of a packed stream, each
+// loaded into one reused buffer for its cycle.
+func (s *Simulator) runStimulus(ctx context.Context, st Stimulus, lo, hi int) (Totals, error) {
+	v := make([]bool, st.Width())
+	return s.run(ctx, hi-lo, func(i int) []bool {
+		st.Load(lo+i, v)
+		return v
+	})
+}
+
+// run simulates n cycles, cycle i on vector(i), under RunCtx's context
+// checks.
+func (s *Simulator) run(ctx context.Context, n int, vector func(int) []bool) (Totals, error) {
 	var tot Totals
-	for i, v := range vectors {
+	for i := 0; i < n; i++ {
 		if i%ctxCheckCycles == 0 {
 			if err := ctx.Err(); err != nil {
 				return tot, err
 			}
 		}
-		cs, err := s.Cycle(v)
+		cs, err := s.Cycle(vector(i))
 		if err != nil {
 			return tot, err
 		}
-		tot.Transitions += int64(cs.Transitions)
-		tot.Useful += int64(cs.Useful)
-		tot.Spurious += int64(cs.Spurious)
-		if cs.SettleTime > tot.MaxSettle {
-			tot.MaxSettle = cs.SettleTime
-		}
-		tot.Cycles++
+		tot.add(Totals{Cycles: 1, Transitions: int64(cs.Transitions), Useful: int64(cs.Useful),
+			Spurious: int64(cs.Spurious), MaxSettle: cs.SettleTime})
 	}
 	return tot, nil
 }
@@ -358,6 +373,15 @@ type Totals struct {
 	Useful      int64
 	Spurious    int64
 	MaxSettle   int
+}
+
+// add accumulates o: counts sum, MaxSettle takes the larger.
+func (t *Totals) add(o Totals) {
+	t.Cycles += o.Cycles
+	t.Transitions += o.Transitions
+	t.Useful += o.Useful
+	t.Spurious += o.Spurious
+	t.MaxSettle = max(t.MaxSettle, o.MaxSettle)
 }
 
 // SpuriousFraction is the share of all transitions that were glitches.

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/circuits"
@@ -11,25 +14,35 @@ import (
 )
 
 // packPerInput is the lane packing PackedSimulator.run had before it
-// packed vector by vector, kept as the oracle for pack: one word per
-// primary input, filled by walking the block with a branch per bit, the
-// width check folded into the first input's walk.
-func packPerInput(pis []logic.NodeID, block [][]bool) (map[logic.NodeID]uint64, error) {
-	width := len(pis)
-	words := make(map[logic.NodeID]uint64, width)
+// read packed stimulus words, kept as the oracle for Stimulus's layout:
+// one word per primary input, filled by walking the block with a branch
+// per bit.
+func packPerInput(pis []logic.NodeID, block [][]bool) map[logic.NodeID]uint64 {
+	words := make(map[logic.NodeID]uint64, len(pis))
 	for i, pi := range pis {
 		var w uint64
 		for j, v := range block {
-			if len(v) != width {
-				return nil, fmt.Errorf("sim: packed Run got %d-bit vector, network has %d inputs", len(v), width)
-			}
 			if v[i] {
 				w |= 1 << j
 			}
 		}
 		words[pi] = w
 	}
-	return words, nil
+	return words
+}
+
+// biasedRows is the bool draw loop BiasedVectors had before it unpacked a
+// Stimulus, kept as the draw-order oracle: one r.Float64 per bit, in
+// vector order.
+func biasedRows(r *rand.Rand, n int, probs []float64) [][]bool {
+	out := make([][]bool, n)
+	for i := range out {
+		out[i] = make([]bool, len(probs))
+		for j, p := range probs {
+			out[i][j] = r.Float64() < p
+		}
+	}
+	return out
 }
 
 // parityNetwork has width inputs and, from two inputs on, an XOR chain
@@ -51,7 +64,7 @@ func parityNetwork(width int) *logic.Network {
 	return nw
 }
 
-// TestPackMatchesPerInputOracle checks the branch-free packing against
+// TestPackMatchesPerInputOracle checks the packed stimulus words against
 // the per-input oracle, block by block, at widths and stream lengths on
 // both sides of the 64-bit word, and checks the whole run against the
 // scalar zero-delay reference.
@@ -61,27 +74,23 @@ func TestPackMatchesPerInputOracle(t *testing.T) {
 		for _, n := range sizes {
 			nw := parityNetwork(width)
 			vecs := RandomVectors(rand.New(rand.NewSource(int64(width*100+n))), n, width, 0.5)
-			ps, err := NewPacked(nw)
+			st, err := PackVectors(vecs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for base := 0; base < n; base += 64 {
-				block := vecs[base:min(base+64, n)]
-				want, err := packPerInput(nw.PIs(), block)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ps.pack(block); err != nil {
-					t.Fatal(err)
-				}
-				for _, pi := range nw.PIs() {
-					if ps.val[pi] != want[pi] {
+				want := packPerInput(nw.PIs(), vecs[base:min(base+64, n)])
+				for i, pi := range nw.PIs() {
+					if got := st.block(base / 64)[i]; got != want[pi] {
 						t.Fatalf("width %d, %d vectors, block at %d, input %d: packed %#x, oracle %#x",
-							width, n, base, pi, ps.val[pi], want[pi])
+							width, n, base, pi, got, want[pi])
 					}
 				}
 			}
-			ps.Reset()
+			ps, err := NewPacked(nw)
+			if err != nil {
+				t.Fatal(err)
+			}
 			tot, err := ps.Run(vecs)
 			if err != nil {
 				t.Fatal(err)
@@ -102,24 +111,101 @@ func TestPackMatchesPerInputOracle(t *testing.T) {
 }
 
 // TestPackRaggedStream: a vector of the wrong width in the second block
-// fails the run with the oracle's message, after the first block counted.
+// fails the run before any cycle is counted, with an error naming it.
 func TestPackRaggedStream(t *testing.T) {
 	for _, width := range []int{1, 63, 64, 65} {
 		nw := parityNetwork(width)
 		vecs := RandomVectors(rand.New(rand.NewSource(int64(width))), 100, width, 0.5)
 		vecs[70] = vecs[70][:width-1]
-		_, want := packPerInput(nw.PIs(), vecs[64:])
 		ps, err := NewPacked(nw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tot, err := ps.Run(vecs)
-		if err == nil || want == nil || err.Error() != want.Error() {
-			t.Errorf("width %d: Run error %v, oracle %v", width, err, want)
+		want := fmt.Sprintf("sim: vector 70 has %d bits, vector 0 has %d", width-1, width)
+		if err == nil || err.Error() != want {
+			t.Errorf("width %d: Run error %v, want %q", width, err, want)
 		}
-		if tot.Cycles != 64 {
-			t.Errorf("width %d: %d cycles counted before the ragged block, want 64", width, tot.Cycles)
+		if tot.Cycles != 0 || ps.Cycles() != 0 {
+			t.Errorf("width %d: %d cycles counted (counts hold %d), want 0", width, tot.Cycles, ps.Cycles())
 		}
+	}
+}
+
+// TestStimulusMatchesBiasedVectors: BiasedStimulus packs exactly the bits
+// the bool draw loop draws, word for word; BiasedVectors unpacks the same
+// draw; Unpack, Load and PackVectors round-trip; and Toggles counts each
+// input's changes against the previous vector, the first against 0.
+func TestStimulusMatchesBiasedVectors(t *testing.T) {
+	for _, width := range []int{1, 8, 63, 64, 65} {
+		probs := make([]float64, width)
+		for j := range probs {
+			probs[j] = float64(j%7+1) / 8
+		}
+		for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+			seed := int64(width*1000 + n)
+			rows := biasedRows(rand.New(rand.NewSource(seed)), n, probs)
+			st := BiasedStimulus(rand.New(rand.NewSource(seed)), n, probs)
+			if st.Len() != n || st.Width() != width {
+				t.Fatalf("width %d, n %d: stimulus is %d x %d", width, n, st.Len(), st.Width())
+			}
+			packed, err := PackVectors(BiasedVectors(rand.New(rand.NewSource(seed)), n, probs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := PackVectors(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n > 0 && (!slices.Equal(packed.words, st.words) || !slices.Equal(oracle.words, st.words)) {
+				t.Fatalf("width %d, n %d: BiasedStimulus words differ from the packed bool draw", width, n)
+			}
+			un := st.Unpack()
+			if !reflect.DeepEqual(un, rows) && n > 0 {
+				t.Fatalf("width %d, n %d: Unpack differs from the bool draw", width, n)
+			}
+			if again, _ := PackVectors(un); n > 0 && !reflect.DeepEqual(again, st) {
+				t.Fatalf("width %d, n %d: PackVectors(Unpack()) differs", width, n)
+			}
+			want := make([]int, width)
+			prev := make([]bool, width)
+			for _, v := range rows {
+				for j, b := range v {
+					want[j] += logic.Bit(b != prev[j])
+				}
+				prev = v
+			}
+			if got := st.Toggles(); !slices.Equal(got, want) {
+				t.Fatalf("width %d, n %d: toggles %v, want %v", width, n, got, want)
+			}
+		}
+	}
+}
+
+// TestStimulusWidthMismatch: the packed and event-driven engines reject a
+// stimulus whose width is not the network's input count with an error,
+// sequential and sharded; an empty stimulus drives any network.
+func TestStimulusWidthMismatch(t *testing.T) {
+	nw := parityNetwork(8)
+	narrow := RandomStimulus(rand.New(rand.NewSource(1)), 1000, 7, 0.5)
+	ps, err := NewPacked(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.RunStimulus(narrow); err == nil {
+		t.Error("packed run accepted 7-bit vectors on an 8-input network")
+	}
+	for _, workers := range []int{1, 4} {
+		if _, err := MeasureStimulusCtx(context.Background(), nw, UnitDelay, narrow, workers); err == nil {
+			t.Errorf("measure with %d workers accepted 7-bit vectors on an 8-input network", workers)
+		}
+		m, err := MeasureStimulusCtx(context.Background(), nw, UnitDelay, Stimulus{}, workers)
+		if err != nil || m.Totals.Cycles != 0 {
+			t.Errorf("measure of an empty stimulus with %d workers: %v, %+v", workers, err, m)
+		}
+	}
+	if _, err := ps.RunStimulus(Stimulus{}); err != nil {
+		t.Errorf("packed run of an empty stimulus: %v", err)
 	}
 }
 

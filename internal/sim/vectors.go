@@ -5,29 +5,13 @@ import "math/rand"
 // RandomVectors generates n input vectors of the given width where each bit
 // is independently 1 with probability p.
 func RandomVectors(r *rand.Rand, n, width int, p float64) [][]bool {
-	probs := make([]float64, width)
-	for i := range probs {
-		probs[i] = p
-	}
-	return BiasedVectors(r, n, probs)
+	return RandomStimulus(r, n, width, p).Unpack()
 }
 
 // BiasedVectors generates n input vectors where bit i is 1 with
-// probability probs[i], drawing one r.Float64 per bit in vector order.
-// The vectors share one backing array, each capped at its own width so an
-// append cannot reach the next.
+// probability probs[i]: BiasedStimulus's draw, unpacked.
 func BiasedVectors(r *rand.Rand, n int, probs []float64) [][]bool {
-	width := len(probs)
-	out := make([][]bool, n)
-	bits := make([]bool, n*width)
-	for i := range out {
-		v := bits[i*width : (i+1)*width : (i+1)*width]
-		for j, p := range probs {
-			v[j] = r.Float64() < p
-		}
-		out[i] = v
-	}
-	return out
+	return BiasedStimulus(r, n, probs).Unpack()
 }
 
 // WalkVectors generates n vectors of the given width that encode a bounded
