@@ -211,14 +211,14 @@ func BenchmarkEventDrivenSim(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(1))
-	vecs := sim.RandomVectors(r, 100, len(nw.PIs()), 0.5)
+	st := sim.RandomStimulus(r, 100, len(nw.PIs()), 0.5)
 	s, err := sim.New(nw, sim.UnitDelay)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(vecs); err != nil {
+		if _, err := s.Run(st); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,14 +236,14 @@ func BenchmarkEventDrivenSimInstrumented(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(1))
-	vecs := sim.RandomVectors(r, 100, len(nw.PIs()), 0.5)
+	st := sim.RandomStimulus(r, 100, len(nw.PIs()), 0.5)
 	s, err := sim.New(nw, sim.UnitDelay)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(vecs); err != nil {
+		if _, err := s.Run(st); err != nil {
 			b.Fatal(err)
 		}
 	}

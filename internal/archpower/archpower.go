@@ -45,17 +45,17 @@ type Characterization struct {
 
 // TrueSwitchedCap measures the module's real switched capacitance per
 // cycle by event-driven unit-delay simulation of the netlist over the
-// given vectors, using the UnitLoadCap capacitance model (glitches
+// given stimulus, using the UnitLoadCap capacitance model (glitches
 // included — architecture models must absorb them into their constants).
-func TrueSwitchedCap(nw *logic.Network, vectors [][]bool) (float64, error) {
-	if len(vectors) == 0 {
+func TrueSwitchedCap(nw *logic.Network, st sim.Stimulus) (float64, error) {
+	if st.Len() == 0 {
 		return 0, fmt.Errorf("archpower: empty workload")
 	}
 	s, err := sim.New(nw, sim.UnitDelay)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := s.Run(vectors); err != nil {
+	if _, err := s.Run(st); err != nil {
 		return 0, err
 	}
 	total := 0.0
@@ -64,35 +64,24 @@ func TrueSwitchedCap(nw *logic.Network, vectors [][]bool) (float64, error) {
 		total += c * s.Activity(id)
 	}
 	// Add primary-input wire switching from the vector stream itself.
-	for i, pi := range nw.PIs() {
-		tr := 0
-		for cyc := 1; cyc < len(vectors); cyc++ {
-			if vectors[cyc][i] != vectors[cyc-1][i] {
-				tr++
-			}
-		}
-		c := power.UnitLoadCap(nw, nw.Node(pi))
-		total += c * float64(tr) / float64(len(vectors))
+	for i, tr := range inputToggles(st) {
+		c := power.UnitLoadCap(nw, nw.Node(nw.PIs()[i]))
+		total += c * float64(tr) / float64(st.Len())
 	}
 	return total, nil
 }
 
-// inputToggleRate is the mean per-bit toggle probability of a vector
-// stream.
-func inputToggleRate(vectors [][]bool) float64 {
-	if len(vectors) < 2 {
-		return 0
+// inputToggles counts each input's transitions from cycle 1 on: the
+// stream's toggles less vector 0's ones, which Toggles counts against the
+// all-zero reset. st must not be empty.
+func inputToggles(st sim.Stimulus) []int {
+	t := st.Toggles()
+	v0 := make([]bool, st.Width())
+	st.Load(0, v0)
+	for j, b := range v0 {
+		t[j] -= logic.Bit(b)
 	}
-	w := len(vectors[0])
-	tr := 0
-	for c := 1; c < len(vectors); c++ {
-		for i := 0; i < w; i++ {
-			if vectors[c][i] != vectors[c-1][i] {
-				tr++
-			}
-		}
-	}
-	return float64(tr) / float64((len(vectors)-1)*w)
+	return t
 }
 
 // Characterize calibrates all three models for a module netlist: the
@@ -102,7 +91,7 @@ func inputToggleRate(vectors [][]bool) float64 {
 func Characterize(name string, nw *logic.Network, r *rand.Rand, cycles int) (Characterization, error) {
 	ch := Characterization{Name: name, GateCount: nw.NumGates()}
 	w := len(nw.PIs())
-	mk := func(p float64) [][]bool {
+	mk := func(p float64) sim.Stimulus {
 		// Bit flips with probability p each cycle (controls toggle rate
 		// directly, holding value distribution near uniform).
 		vecs := make([][]bool, cycles)
@@ -120,7 +109,8 @@ func Characterize(name string, nw *logic.Network, r *rand.Rand, cycles int) (Cha
 			}
 			vecs[c] = v
 		}
-		return vecs
+		st, _ := sim.PackVectors(vecs) // every row has w bits
+		return st
 	}
 	uniform := mk(0.5)
 	var err error
@@ -130,18 +120,14 @@ func Characterize(name string, nw *logic.Network, r *rand.Rand, cycles int) (Cha
 	}
 	ch.ActPoints = append(ch.ActPoints, [2]float64{0, 0})
 	for _, p := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		var vecs [][]bool
-		var capAt float64
-		if p == 0.5 {
-			vecs, capAt = uniform, ch.FixedCap
-		} else {
-			vecs = mk(p)
-			capAt, err = TrueSwitchedCap(nw, vecs)
-			if err != nil {
+		st, capAt := uniform, ch.FixedCap
+		if p != 0.5 {
+			st = mk(p)
+			if capAt, err = TrueSwitchedCap(nw, st); err != nil {
 				return ch, err
 			}
 		}
-		ch.ActPoints = append(ch.ActPoints, [2]float64{inputToggleRate(vecs), capAt})
+		ch.ActPoints = append(ch.ActPoints, [2]float64{AnalyzeWorkload(st, 1).ToggleRate, capAt})
 	}
 	sort.Slice(ch.ActPoints, func(i, j int) bool { return ch.ActPoints[i][0] < ch.ActPoints[j][0] })
 	return ch, nil
@@ -205,9 +191,18 @@ type WorkloadStats struct {
 	ActiveFraction float64
 }
 
-// AnalyzeWorkload extracts model inputs from a vector stream.
-func AnalyzeWorkload(vectors [][]bool, activeFraction float64) WorkloadStats {
-	return WorkloadStats{ToggleRate: inputToggleRate(vectors), ActiveFraction: activeFraction}
+// AnalyzeWorkload extracts model inputs from a vector stream: its mean
+// per-bit toggle probability, and the given active fraction.
+func AnalyzeWorkload(st sim.Stimulus, activeFraction float64) WorkloadStats {
+	ws := WorkloadStats{ActiveFraction: activeFraction}
+	if st.Len() >= 2 {
+		tr := 0
+		for _, k := range inputToggles(st) {
+			tr += k
+		}
+		ws.ToggleRate = float64(tr) / float64((st.Len()-1)*st.Width())
+	}
+	return ws
 }
 
 // ModelErrors compares all three predictions against the gate-level truth

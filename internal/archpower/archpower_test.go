@@ -15,8 +15,7 @@ func TestTrueSwitchedCapBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(2))
-	vecs := sim.RandomVectors(r, 500, len(nw.PIs()), 0.5)
-	cap1, err := TrueSwitchedCap(nw, vecs)
+	cap1, err := TrueSwitchedCap(nw, sim.RandomStimulus(r, 500, len(nw.PIs()), 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +27,14 @@ func TestTrueSwitchedCapBasics(t *testing.T) {
 	for i := range frozen {
 		frozen[i] = make([]bool, len(nw.PIs()))
 	}
-	cap0, err := TrueSwitchedCap(nw, frozen)
+	cap0, err := TrueSwitchedCap(nw, pack(t, frozen))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cap0 != 0 {
 		t.Errorf("frozen workload switched %v", cap0)
 	}
-	if _, err := TrueSwitchedCap(nw, nil); err == nil {
+	if _, err := TrueSwitchedCap(nw, sim.Stimulus{}); err == nil {
 		t.Error("empty workload should fail")
 	}
 }
@@ -96,7 +95,7 @@ func TestActivityModelBeatsFixedOnBiasedWorkloads(t *testing.T) {
 	capPerGate := CalibrateGateCount(chAdd)
 
 	// Correlated workload: random walk operands (low toggle rate).
-	walk := sim.WalkVectors(r, 3000, len(mult.PIs()), 2)
+	walk := pack(t, sim.WalkVectors(r, 3000, len(mult.PIs()), 2))
 	truth, err := TrueSwitchedCap(mult, walk)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +132,7 @@ func TestModelsAgreeOnCalibrationWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecs := sim.RandomVectors(r, 3000, len(nw.PIs()), 0.5)
+	vecs := sim.RandomStimulus(r, 3000, len(nw.PIs()), 0.5)
 	truth, err := TrueSwitchedCap(nw, vecs)
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +179,30 @@ func TestActiveFractionScalesPredictions(t *testing.T) {
 	}
 }
 
+// TestInputToggleRate: toggles count from cycle 1, so vector 0's ones are
+// not transitions.
 func TestInputToggleRate(t *testing.T) {
-	alternating := [][]bool{{false, false}, {true, true}, {false, false}}
-	if got := inputToggleRate(alternating); got != 1.0 {
-		t.Errorf("toggle rate = %v, want 1", got)
+	for _, c := range []struct {
+		rows [][]bool
+		want float64
+	}{
+		{[][]bool{{false, false}, {true, true}, {false, false}}, 1},
+		{[][]bool{{true, false}, {true, true}, {false, true}}, 0.5},
+		{[][]bool{{true, true}}, 0},
+		{nil, 0},
+	} {
+		if got := AnalyzeWorkload(pack(t, c.rows), 1).ToggleRate; got != c.want {
+			t.Errorf("%v: toggle rate = %v, want %v", c.rows, got, c.want)
+		}
 	}
-	if inputToggleRate(nil) != 0 {
-		t.Error("empty stream toggle rate should be 0")
+}
+
+// pack packs a test's vector stream.
+func pack(t *testing.T, vecs [][]bool) sim.Stimulus {
+	t.Helper()
+	st, err := sim.PackVectors(vecs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return st
 }

@@ -49,7 +49,7 @@ func TestFullBalanceEliminatesGlitches(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rand.New(rand.NewSource(19))
-		tot, err := s.Run(sim.RandomVectors(r, 300, len(nw.PIs()), 0.5))
+		tot, err := s.Run(sim.RandomStimulus(r, 300, len(nw.PIs()), 0.5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestPartialBalanceReducesGlitches(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rand.New(rand.NewSource(7))
-		tot, err := s.Run(sim.RandomVectors(r, 400, len(nw.PIs()), 0.5))
+		tot, err := s.Run(sim.RandomStimulus(r, 400, len(nw.PIs()), 0.5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestALAPScheduleAblation(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rand.New(rand.NewSource(3))
-		tot, err := s.Run(sim.RandomVectors(r, 200, len(nw.PIs()), 0.5))
+		tot, err := s.Run(sim.RandomStimulus(r, 200, len(nw.PIs()), 0.5))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -152,7 +152,11 @@ func TestCorpusThroughSimulator(t *testing.T) {
 			}
 			vecs[i] = v
 		}
-		if _, err := s.Run(vecs); err != nil {
+		st, err := sim.PackVectors(vecs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := s.Run(st); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

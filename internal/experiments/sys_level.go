@@ -44,17 +44,17 @@ func E14ArchModels() (*Table, error) {
 			return nil, err
 		}
 		for _, wl := range []string{"random", "walk"} {
-			var vecs [][]bool
+			var st sim.Stimulus
 			if wl == "random" {
-				vecs = sim.RandomVectors(r, 2500, len(nw.PIs()), 0.5)
-			} else {
-				vecs = sim.WalkVectors(r, 2500, len(nw.PIs()), 2)
+				st = sim.RandomStimulus(r, 2500, len(nw.PIs()), 0.5)
+			} else if st, err = sim.PackVectors(sim.WalkVectors(r, 2500, len(nw.PIs()), 2)); err != nil {
+				return nil, err
 			}
-			truth, err := archpower.TrueSwitchedCap(nw, vecs)
+			truth, err := archpower.TrueSwitchedCap(nw, st)
 			if err != nil {
 				return nil, err
 			}
-			ws := archpower.AnalyzeWorkload(vecs, 1.0)
+			ws := archpower.AnalyzeWorkload(st, 1.0)
 			errs := archpower.ModelErrors(chs[m.name], capPerGate, truth, ws)
 			t.AddRow(m.name, wl, f3(ws.ToggleRate), f2(truth),
 				pct(math.Abs(errs["gatecount"])), pct(math.Abs(errs["fixed"])), pct(math.Abs(errs["activity"])))

@@ -180,7 +180,7 @@ func MeasureClockPower(nw *logic.Network, enable logic.NodeID, excluded map[logi
 		}
 	}
 	rep := ClockReport{Cycles: cycles, FFs: len(nw.FFs())}
-	s, err := sim.MeasureSequential(nw, sim.BiasedVectors(r, cycles, piProb), func(val []bool) {
+	s, err := sim.MeasureSequential(nw, sim.BiasedStimulus(r, cycles, piProb), func(val []bool) {
 		if enable == logic.InvalidNode || val[enable] {
 			rep.ActiveCycles++
 		}

@@ -1,6 +1,7 @@
 package gating
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -69,13 +70,17 @@ func TestEnableTracksSelfLoops(t *testing.T) {
 			vecs[c][i] = r.Intn(2) == 1
 		}
 	}
+	st, err := sim.PackVectors(vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := sim.NewStream(gated.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The stream shows EN settled before the clock edge.
 	state, c := g.Reset, 0
-	err = s.Run(vecs, func(val []bool) {
+	err = s.Run(context.Background(), st, func(val []bool) {
 		next, _, ok := g.Next(state, vecs[c])
 		if !ok {
 			t.Fatal("missing transition")

@@ -158,7 +158,7 @@ func TestCollectorMatchesSimulatorCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Run(vecs); err != nil {
+		if _, err := s.Run(sim.RandomStimulus(rand.New(rand.NewSource(11)), 300, len(nw.PIs()), 0.5)); err != nil {
 			t.Fatal(err)
 		}
 		var profs []*profile.Profile

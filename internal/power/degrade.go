@@ -104,20 +104,13 @@ func monteCarloEstimate(ctx context.Context, nw *logic.Network, p Params, cm Cap
 		rep, _, err := estimatePacked(nw, p, cm, st)
 		return rep, err
 	}
-	vecs := st.Unpack()
 	s, err := sim.NewStream(nw)
 	if err != nil {
 		return Report{}, err
 	}
-	// Count from the settled reset state, polling the context every 64
-	// cycles.
-	for base := 0; base < len(vecs); base += 64 {
-		if err := ctx.Err(); err != nil {
-			return Report{}, err
-		}
-		if err := s.Run(vecs[base:min(base+64, len(vecs))], nil); err != nil {
-			return Report{}, err
-		}
+	// Count from the settled reset state.
+	if err := s.Run(ctx, st, nil); err != nil {
+		return Report{}, err
 	}
 	return measured(nw, p, cm, st, s.Activity), nil
 }

@@ -3,6 +3,9 @@ package power
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,6 +111,45 @@ func TestEstimateExactCtxDegradedDeterministic(t *testing.T) {
 // TestEstimateExactCtxSequentialDegrades exercises the scalar sequential
 // fallback path: flip-flops rule out the packed engine.
 func TestEstimateExactCtxSequentialDegrades(t *testing.T) {
+	nw := seqDegradeNetwork(t)
+	rep, err := EstimateExactCtx(context.Background(), nw, DefaultParams(), nil, nil,
+		ExactOptions{Budget: bdd.Budget{MaxSteps: 2}, MCVectors: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Degraded {
+		t.Fatal("sequential network did not degrade under a 2-step budget")
+	}
+	if rep.Total() <= 0 {
+		t.Fatalf("degraded sequential report has power %v", rep.Total())
+	}
+}
+
+// TestEstimateExactSequentialFallbackCancel: the exact method over a
+// 1-node budget on a sequential network stops inside the Monte Carlo
+// fallback when the context is cancelled there, with the context's error
+// and no report. The context turns at the last Err call an uncancelled
+// estimate makes, which comes after the BDD build has tripped.
+func TestEstimateExactSequentialFallbackCancel(t *testing.T) {
+	nw := seqDegradeNetwork(t)
+	spec := Spec{Method: MethodExact, Params: DefaultParams(), ExactOptions: ExactOptions{Budget: bdd.Budget{MaxNodes: 1}}}
+	count := &cancelAfter{Context: context.Background(), k: math.MaxInt32}
+	if rep, err := Estimate(count, nw, spec); err != nil || !rep.Degraded {
+		t.Fatalf("uncancelled estimate: degraded %v, err %v; want a degraded report", rep.Degraded, err)
+	}
+	rep, err := Estimate(&cancelAfter{Context: context.Background(), k: count.calls.Load() - 1}, nw, spec)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "Monte Carlo fallback failed") {
+		t.Fatalf("err = %v, want context.Canceled from the Monte Carlo fallback", err)
+	}
+	if !reflect.DeepEqual(rep, Report{}) {
+		t.Errorf("cancelled estimate returned a report: %+v", rep)
+	}
+}
+
+// seqDegradeNetwork is an XOR cone through one flip-flop: flip-flops rule
+// out the packed engine, so a tripped budget falls back to the stream.
+func seqDegradeNetwork(t *testing.T) *logic.Network {
+	t.Helper()
 	nw := logic.New("seqdeg")
 	var ins []logic.NodeID
 	for i := 0; i < 4; i++ {
@@ -123,17 +165,7 @@ func TestEstimateExactCtxSequentialDegrades(t *testing.T) {
 	if err := nw.MarkOutput(x3); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := EstimateExactCtx(context.Background(), nw, DefaultParams(), nil, nil,
-		ExactOptions{Budget: bdd.Budget{MaxSteps: 2}, MCVectors: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Degraded {
-		t.Fatal("sequential network did not degrade under a 2-step budget")
-	}
-	if rep.Total() <= 0 {
-		t.Fatalf("degraded sequential report has power %v", rep.Total())
-	}
+	return nw
 }
 
 func TestEstimateExactCtxHardCancellation(t *testing.T) {

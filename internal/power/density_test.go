@@ -112,7 +112,7 @@ func TestDensityTracksGlitchesOnChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(7))
-	if _, err := s.Run(sim.RandomVectors(r, 4000, 10, 0.5)); err != nil {
+	if _, err := s.Run(sim.RandomStimulus(r, 4000, 10, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	deep := nw.POs()[0]

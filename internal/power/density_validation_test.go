@@ -84,7 +84,7 @@ func TestDensityMatchesSimulatedActivityOnParityTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(vectors); err != nil {
+	if _, err := s.Run(mustPack(t, vectors)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,7 +134,7 @@ func TestDensityUpperBoundsUsefulActivityOnRippleAdder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(vectors); err != nil {
+	if _, err := s.Run(mustPack(t, vectors)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -174,7 +174,7 @@ func TestSimulatorTransitionAccessorsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(vectors); err != nil {
+	if _, err := s.Run(mustPack(t, vectors)); err != nil {
 		t.Fatal(err)
 	}
 	cycles := float64(s.Cycles())

@@ -184,7 +184,7 @@ func TestEstimateTracedEqualsUntraced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Run(spec.Vectors.Unpack()); err != nil {
+		if _, err := s.Run(spec.Vectors); err != nil {
 			t.Fatal(err)
 		}
 		c := sharded.Counts

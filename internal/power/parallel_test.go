@@ -108,7 +108,7 @@ func TestEstimateZeroDelayPackedMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stot, err := s.Run(vecs)
+	stot, err := s.Run(mustPack(t, vecs))
 	if err != nil {
 		t.Fatal(err)
 	}

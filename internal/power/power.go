@@ -179,14 +179,20 @@ func (r Report) String() string {
 	return s
 }
 
-// TopConsumers returns the k highest-power nodes, descending.
+// TopConsumers returns the k highest-power nodes, descending. It sorts
+// indices, not node copies; sort.Slice's swaps depend only on the length
+// and the comparisons, so ties come out in the same order either way.
 func (r Report) TopConsumers(k int) []NodePower {
-	nodes := append([]NodePower(nil), r.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Total() > nodes[j].Total() })
-	if k > len(nodes) {
-		k = len(nodes)
+	idx := make([]int32, len(r.Nodes))
+	for i := range idx {
+		idx[i] = int32(i)
 	}
-	return nodes[:k]
+	sort.Slice(idx, func(i, j int) bool { return r.Nodes[idx[i]].Total() > r.Nodes[idx[j]].Total() })
+	top := make([]NodePower, min(k, len(idx)))
+	for i := range top {
+		top[i] = r.Nodes[idx[i]]
+	}
+	return top
 }
 
 // Evaluate applies Eqn. 1 given a per-node activity function (transitions

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -230,6 +232,45 @@ func TestTopConsumers(t *testing.T) {
 	}
 }
 
+// topByCopySort is the copy-and-sort TopConsumers ran before it sorted
+// indices, kept as the tie-order oracle.
+func topByCopySort(r Report, k int) []NodePower {
+	nodes := append([]NodePower(nil), r.Nodes...)
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Total() > nodes[j].Total() })
+	return nodes[:min(k, len(nodes))]
+}
+
+// TestTopConsumersMatchesCopySort: sorting indices returns the nodes, ties
+// included, in the order sorting copies of them did, on circuits whose
+// symmetric gates tie.
+func TestTopConsumersMatchesCopySort(t *testing.T) {
+	for _, name := range []string{"par16", "mux16", "dec5"} {
+		nw, err := circuits.Named(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Method{MethodExact, MethodPropagated} {
+			rep, err := Estimate(context.Background(), nw, Spec{Method: m, Params: DefaultParams()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ties := 0
+			all := topByCopySort(rep, len(rep.Nodes))
+			for i := 1; i < len(all); i++ {
+				ties += logic.Bit(all[i].Total() == all[i-1].Total())
+			}
+			if ties == 0 {
+				t.Fatalf("%s/%s: no tied nodes to order", name, m)
+			}
+			for _, k := range []int{0, 5, len(rep.Nodes)} {
+				if got, want := rep.TopConsumers(k), topByCopySort(rep, k); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s, k=%d: TopConsumers differs from the copy-and-sort order", name, m, k)
+				}
+			}
+		}
+	}
+}
+
 func TestEstimateSimulatedCapturesGlitchPower(t *testing.T) {
 	// The unbalanced parity chain glitches; zero-delay exact estimation
 	// misses that power, event-driven simulation sees it.
@@ -320,7 +361,7 @@ func TestSimulatedMatchesProbabilistic(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(23))
-	if _, err := s.Run(sim.RandomVectors(r, 20000, 10, 0.5)); err != nil {
+	if _, err := s.Run(sim.RandomStimulus(r, 20000, 10, 0.5)); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range nw.Gates() {

@@ -193,7 +193,7 @@ func SequentialProbabilities(nw *logic.Network, r *rand.Rand, cycles int, piProb
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Run(sim.RandomVectors(r, cycles, len(nw.PIs()), piProb), nil); err != nil {
+	if err := s.Run(context.Background(), sim.RandomStimulus(r, cycles, len(nw.PIs()), piProb), nil); err != nil {
 		return nil, err
 	}
 	out := make(Probabilities)

@@ -232,9 +232,10 @@ func MeasureGuard(orig *logic.Network, gc *GuardedCircuit, origRegion []logic.No
 			vecs[c][i] = r.Intn(2) == 1
 		}
 	}
+	st, _ := sim.PackVectors(vecs) // every row has nIn bits
 	pos, gpos := orig.POs(), gc.Network.POs()
 	var want []bool
-	so, err := sim.MeasureSequential(orig, vecs, func(val []bool) {
+	so, err := sim.MeasureSequential(orig, st, func(val []bool) {
 		for _, po := range pos {
 			want = append(want, val[po])
 		}
@@ -243,7 +244,7 @@ func MeasureGuard(orig *logic.Network, gc *GuardedCircuit, origRegion []logic.No
 		return rep, err
 	}
 	guarded := 0
-	sg, err := sim.MeasureSequential(gc.Network, vecs, func(val []bool) {
+	sg, err := sim.MeasureSequential(gc.Network, st, func(val []bool) {
 		for i := range pos {
 			if val[gpos[i]] != want[i] {
 				rep.Mismatches++

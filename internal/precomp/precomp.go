@@ -216,17 +216,18 @@ func (pc *Comparator) Measure(r *rand.Rand, cycles int, p power.Params, clockCap
 	nw := pc.Network
 	n := pc.Bits
 	rep := Report{Cycles: cycles}
-	vecs := sim.RandomVectors(r, cycles, 2*n, pOne)
+	st := sim.RandomStimulus(r, cycles, 2*n, pOne)
 	po := nw.POs()[0]
 	loads, cyc := 0, 0
+	prev := make([]bool, 2*n)
 	// Golden model: registered comparator — output at cycle t reflects the
 	// inputs of cycle t-1. LE is observed before the clock edge.
-	s, err := sim.MeasureSequential(nw, vecs, func(val []bool) {
+	s, err := sim.MeasureSequential(nw, st, func(val []bool) {
 		if pc.LE == logic.InvalidNode || val[pc.LE] {
 			loads++
 		}
 		if cyc > 0 {
-			prev := vecs[cyc-1]
+			st.Load(cyc-1, prev)
 			if val[po] != (sim.BitsToUint(prev[:n]) > sim.BitsToUint(prev[n:])) {
 				rep.OutputMismatch++
 			}

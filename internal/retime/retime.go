@@ -613,8 +613,7 @@ func MeasureFFActivityRatio(nw *logic.Network, r *rand.Rand, cycles int) (float6
 	if err != nil {
 		return 0, err
 	}
-	vecs := sim.RandomVectors(r, cycles, len(nw.PIs()), 0.5)
-	if _, err := s.Run(vecs); err != nil {
+	if _, err := s.Run(sim.RandomStimulus(r, cycles, len(nw.PIs()), 0.5)); err != nil {
 		return 0, err
 	}
 	totD, totQ := 0.0, 0.0

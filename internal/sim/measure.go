@@ -90,7 +90,7 @@ func measureRun(ctx context.Context, nw *logic.Network, dm DelayModel, st Stimul
 		if err != nil {
 			return nil, err
 		}
-		tot, err := s.runStimulus(ctx, st, 0, st.Len())
+		tot, err := s.run(ctx, st, 0, st.Len())
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +121,7 @@ func measureRun(ctx context.Context, nw *logic.Network, dm DelayModel, st Stimul
 				return
 			}
 			s.loadState(states[i])
-			tot, err := s.runStimulus(ctx, st, starts[i], end)
+			tot, err := s.run(ctx, st, starts[i], end)
 			if err != nil {
 				errs[i] = err
 				return

@@ -61,7 +61,7 @@ func referenceRun(t *testing.T, nw *logic.Network, vectors [][]bool) refCounts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot, err := s.Run(vectors)
+	tot, err := s.Run(mustPack(t, vectors))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,30 +190,48 @@ func (c *flipCtx) Err() error {
 }
 
 // A run whose context is cancelled after it starts stops within
-// ctxCheckCycles cycles with ctx.Err(), sequential or sharded.
+// ctxCheckCycles cycles with ctx.Err(): the event-driven simulator, the
+// zero-delay stream and the sharded measurement.
 func TestRunStopsOnCancel(t *testing.T) {
 	nw, err := circuits.ArrayMultiplier(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecs := RandomVectors(rand.New(rand.NewSource(5)), 1024, len(nw.PIs()), 0.5)
+	st := RandomStimulus(rand.New(rand.NewSource(5)), 1024, len(nw.PIs()), 0.5)
+	want := 3 * ctxCheckCycles
 
 	s, err := New(nw, UnitDelay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot, err := s.RunCtx(&flipCtx{Context: context.Background(), k: 3}, vecs)
+	tot, err := s.run(&flipCtx{Context: context.Background(), k: 3}, st, 0, st.Len())
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx: err = %v, want context.Canceled", err)
+		t.Fatalf("Simulator: err = %v, want context.Canceled", err)
 	}
-	if want := 3 * ctxCheckCycles; tot.Cycles != want || s.Cycles() != want {
-		t.Errorf("RunCtx ran %d cycles (counts hold %d), want %d", tot.Cycles, s.Cycles(), want)
+	if tot.Cycles != want || s.Cycles() != want {
+		t.Errorf("Simulator ran %d cycles (counts hold %d), want %d", tot.Cycles, s.Cycles(), want)
 	}
 
+	zs, err := NewStream(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := zs.Run(&flipCtx{Context: context.Background(), k: 3}, st, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Stream: err = %v, want context.Canceled", err)
+	}
+	if zs.Cycles() != want {
+		t.Errorf("Stream ran %d cycles, want %d", zs.Cycles(), want)
+	}
+
+	vecs := st.Unpack()
 	for _, workers := range []int{1, 2, 4} {
 		ctx := &flipCtx{Context: context.Background(), k: 2}
 		if _, err := MeasureRunCtx(ctx, nw, UnitDelay, vecs, workers); !errors.Is(err, context.Canceled) {
 			t.Errorf("MeasureRunCtx with %d workers: err = %v, want context.Canceled", workers, err)
+		}
+		ctx = &flipCtx{Context: context.Background(), k: 2}
+		if _, err := MeasureStimulusCtx(ctx, nw, UnitDelay, st, workers); !errors.Is(err, context.Canceled) {
+			t.Errorf("MeasureStimulusCtx with %d workers: err = %v, want context.Canceled", workers, err)
 		}
 	}
 }

@@ -133,7 +133,7 @@ func TestPackedMatchesScalarOnGenerators(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		stot, err := s.Run(vecs)
+		stot, err := s.Run(mustPack(t, vecs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -18,9 +18,10 @@
 // per-node Counts are the package's one transition record: the power
 // estimators and the profiler's glitch shares read them.
 //
-// Monte Carlo streams are packed: a Stimulus holds 64 vectors per word
-// per input, the packed engine reads its words as input lanes, and the
-// event-driven shards load one vector per cycle from it.
+// Every engine runs one vector format, the packed Stimulus: 64 vectors
+// per word per input. The packed engine reads its words as input lanes;
+// the event-driven Simulator and the zero-delay sequential Stream share
+// one loop that loads a vector per cycle from it.
 package sim
 
 import (
@@ -319,51 +320,26 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 	return stats, nil
 }
 
-// Run simulates a sequence of input vectors and returns the aggregate
+// Run simulates every vector of the stream and returns the aggregate
 // statistics.
-func (s *Simulator) Run(vectors [][]bool) (Totals, error) {
-	return s.RunCtx(context.Background(), vectors)
+func (s *Simulator) Run(st Stimulus) (Totals, error) {
+	return s.run(context.Background(), st, 0, st.Len())
 }
 
-// ctxCheckCycles is how many cycles a run simulates between checks of
-// its context.
-const ctxCheckCycles = 64
-
-// RunCtx is Run under a context: it checks ctx before every
-// ctxCheckCycles-th cycle and stops with ctx.Err() once the context is
-// done. Uncancelled, the results are those of Run.
-func (s *Simulator) RunCtx(ctx context.Context, vectors [][]bool) (Totals, error) {
-	return s.run(ctx, len(vectors), func(i int) []bool { return vectors[i] })
-}
-
-// runStimulus is RunCtx over vectors lo … hi-1 of a packed stream, each
-// loaded into one reused buffer for its cycle.
-func (s *Simulator) runStimulus(ctx context.Context, st Stimulus, lo, hi int) (Totals, error) {
-	v := make([]bool, st.Width())
-	return s.run(ctx, hi-lo, func(i int) []bool {
-		st.Load(lo+i, v)
-		return v
-	})
-}
-
-// run simulates n cycles, cycle i on vector(i), under RunCtx's context
-// checks.
-func (s *Simulator) run(ctx context.Context, n int, vector func(int) []bool) (Totals, error) {
+// run simulates vectors lo … hi-1 of the stream, one cycle each, under
+// drive's context checks.
+func (s *Simulator) run(ctx context.Context, st Stimulus, lo, hi int) (Totals, error) {
 	var tot Totals
-	for i := 0; i < n; i++ {
-		if i%ctxCheckCycles == 0 {
-			if err := ctx.Err(); err != nil {
-				return tot, err
-			}
-		}
-		cs, err := s.Cycle(vector(i))
+	err := drive(ctx, st, lo, hi, len(s.nw.PIs()), func(in []bool) error {
+		cs, err := s.Cycle(in)
 		if err != nil {
-			return tot, err
+			return err
 		}
 		tot.add(Totals{Cycles: 1, Transitions: int64(cs.Transitions), Useful: int64(cs.Useful),
 			Spurious: int64(cs.Spurious), MaxSettle: cs.SettleTime})
-	}
-	return tot, nil
+		return nil
+	})
+	return tot, err
 }
 
 // Totals aggregates statistics over a simulation run.

@@ -216,7 +216,7 @@ func TestRunTotalsAndSpuriousFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	vecs := [][]bool{{true}, {false}, {true}, {false}}
-	tot, err := s.Run(vecs)
+	tot, err := s.Run(mustPack(t, vecs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestBalancedTreeNoGlitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(5))
-	tot, err := s.Run(RandomVectors(r, 200, 8, 0.5))
+	tot, err := s.Run(RandomStimulus(r, 200, 8, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

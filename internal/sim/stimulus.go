@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -27,8 +28,7 @@ func newStimulus(n, width int) Stimulus {
 }
 
 // BiasedStimulus draws n vectors where bit i is 1 with probability
-// probs[i], one r.Float64 per bit in vector order: the draw BiasedVectors
-// unpacks.
+// probs[i], one r.Float64 per bit in vector order.
 func BiasedStimulus(r *rand.Rand, n int, probs []float64) Stimulus {
 	s := newStimulus(n, len(probs))
 	for i := 0; i < n; i++ {
@@ -122,6 +122,34 @@ func (s Stimulus) block(b int) []uint64 {
 // fits reports whether the stream can drive a network with the given
 // number of inputs: an empty stream drives any.
 func (s Stimulus) fits(inputs int) bool { return s.n == 0 || s.width == inputs }
+
+// ctxCheckCycles is how many cycles a run simulates between checks of
+// its context.
+const ctxCheckCycles = 64
+
+// drive is the one vector loop of the Stream and the Simulator: it loads
+// vectors lo … hi-1 of st, in order, into one reused buffer and hands
+// each to cycle, which must not keep it. It checks ctx before every
+// ctxCheckCycles-th vector and stops with ctx.Err() once the context is
+// done; uncancelled, the context changes nothing.
+func drive(ctx context.Context, st Stimulus, lo, hi, inputs int, cycle func(in []bool) error) error {
+	if !st.fits(inputs) {
+		return fmt.Errorf("sim: run got %d-bit vectors, network has %d inputs", st.Width(), inputs)
+	}
+	in := make([]bool, st.Width())
+	for i := lo; i < hi; i++ {
+		if (i-lo)%ctxCheckCycles == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		st.Load(i, in)
+		if err := cycle(in); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // laneMask selects the first min(k, 64) lanes of a word.
 func laneMask(k int) uint64 {

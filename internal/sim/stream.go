@@ -1,21 +1,22 @@
 package sim
 
 import (
-	"fmt"
+	"context"
 
 	"repro/internal/logic"
 )
 
-// Stream is the zero-delay sequential engine: it runs a vector stream
-// cycle by cycle on the network's compiled kernel (logic.Network.Compile).
-// Each cycle sets the primary inputs, settles the logic with
-// Compiled.Eval in the compiled topological order (Compiled.Settle's
-// loop, counting as it goes), shows the settled pre-edge values to an
-// optional observer and then loads every flip-flop from its FFD input.
-// It is the one activity measurement behind clock gating,
-// precomputation, guarded evaluation, the flip-flop probabilities of
-// Monteiro and Devadas [28] and the Monte Carlo estimate of sequential
-// networks.
+// Stream is the zero-delay sequential engine: it runs a Stimulus cycle by
+// cycle on the network's compiled kernel (logic.Network.Compile). Each
+// cycle loads its vector from the stimulus, sets the primary inputs,
+// settles the logic with Compiled.Eval in the compiled topological order
+// (Compiled.Settle's loop, counting as it goes), shows the settled
+// pre-edge values to an optional observer and then loads every flip-flop
+// from its FFD input. It shares its vector loop, and so its context
+// checks, with the event-driven Simulator. It is the one activity
+// measurement behind clock gating, precomputation, guarded evaluation,
+// the flip-flop probabilities of Monteiro and Devadas [28] and the Monte
+// Carlo estimate of sequential networks.
 //
 // Unlike the combinational engines, a Stream counts transitions on every
 // node, sources included: a primary input transitions when its value
@@ -28,11 +29,11 @@ import (
 // and Clear zeroes the counters while keeping the present values as the
 // reference the next transition is counted against. That gives the two
 // counting conventions:
-//   - from reset: Run(vectors) counts the first cycle against the reset
-//     state, and Cycles() is len(vectors);
-//   - from the first cycle (MeasureSequential): run vectors[:1], Clear,
-//     run the rest, and Cycles() is len(vectors)-1, so Activity is 0 for
-//     fewer than two vectors.
+//   - from reset: Run counts the first cycle against the reset state, and
+//     Cycles() is the stimulus length;
+//   - from the first cycle (MeasureSequential): run vector 0, Clear, run
+//     the rest, and Cycles() is one less, so Activity is 0 for fewer than
+//     two vectors.
 type Stream struct {
 	// Counts holds the per-node transitions since the last Clear.
 	Counts
@@ -62,36 +63,40 @@ func NewStream(nw *logic.Network) (*Stream, error) {
 	return s, nil
 }
 
-// MeasureSequential runs vectors on a new stream of nw and counts from the
-// state the first cycle leaves: Cycles() is len(vectors)-1. observe, if
-// not nil, sees every cycle, the first included (see Run). It is the
+// MeasureSequential runs the stimulus on a new stream of nw and counts
+// from the state the first cycle leaves: Cycles() is st.Len()-1. observe,
+// if not nil, sees every cycle, the first included (see Run). It is the
 // convention of the sequential technique measurements, which charge the
 // toggles between consecutive post-edge snapshots of the run.
-func MeasureSequential(nw *logic.Network, vectors [][]bool, observe func(val []bool)) (*Stream, error) {
+func MeasureSequential(nw *logic.Network, st Stimulus, observe func(val []bool)) (*Stream, error) {
 	s, err := NewStream(nw)
 	if err != nil {
 		return nil, err
 	}
-	k := min(1, len(vectors))
-	if err := s.Run(vectors[:k], observe); err != nil {
+	ctx := context.Background()
+	k := min(1, st.Len())
+	if err := s.run(ctx, st, 0, k, observe); err != nil {
 		return nil, err
 	}
 	s.Clear()
-	return s, s.Run(vectors[k:], observe)
+	return s, s.run(ctx, st, k, st.Len(), observe)
 }
 
-// Run applies the vectors (indexed by PI position) one cycle each,
-// continuing from the present state. observe, if not nil, is called once
-// per cycle after the logic settles and before the flip-flops load, with
-// every node's value indexed by NodeID: the cycle's inputs, the settled
-// gates and the present flip-flop state. It must not modify or keep the
-// slice.
-func (s *Stream) Run(vectors [][]bool, observe func(val []bool)) error {
+// Run applies the stimulus one vector per cycle, continuing from the
+// present state. observe, if not nil, is called once per cycle after the
+// logic settles and before the flip-flops load, with every node's value
+// indexed by NodeID: the cycle's inputs, the settled gates and the
+// present flip-flop state. It must not modify or keep the slice. Run
+// checks ctx every ctxCheckCycles cycles and stops with ctx.Err() once
+// it is done; the cycles already run stay counted.
+func (s *Stream) Run(ctx context.Context, st Stimulus, observe func(val []bool)) error {
+	return s.run(ctx, st, 0, st.Len(), observe)
+}
+
+// run applies vectors lo … hi-1 of the stimulus.
+func (s *Stream) run(ctx context.Context, st Stimulus, lo, hi int, observe func(val []bool)) error {
 	c, val, t := s.c, s.val, s.nodeTransitions
-	for _, in := range vectors {
-		if len(in) != len(s.pis) {
-			return fmt.Errorf("sim: stream got %d-bit vector, network has %d inputs", len(in), len(s.pis))
-		}
+	return drive(ctx, st, lo, hi, len(s.pis), func(in []bool) error {
 		for i, pi := range s.pis {
 			t[pi] += int64(logic.Bit(in[i] != val[pi]))
 			val[pi] = in[i]
@@ -114,8 +119,8 @@ func (s *Stream) Run(vectors [][]bool, observe func(val []bool)) error {
 			val[f] = v
 		}
 		s.cycles++
-	}
-	return nil
+		return nil
+	})
 }
 
 // Clear zeroes the transition and one counters and the cycle count. The

@@ -2,10 +2,12 @@ package sim_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -85,8 +87,10 @@ func runOracle(t testing.TB, nw *logic.Network, vecs [][]bool, fromReset bool) o
 // included), the flip-flop one-counts, the cycle count and the values the
 // observer sees. It also checks that a stream run in two calls equals one
 // run.
-func checkStream(t testing.TB, name string, nw *logic.Network, vecs [][]bool) {
+func checkStream(t testing.TB, name string, nw *logic.Network, st sim.Stimulus) {
 	t.Helper()
+	ctx := context.Background()
+	vecs := st.Unpack()
 	live := nw.Live()
 	for _, fromReset := range []bool{true, false} {
 		want := runOracle(t, nw, vecs, fromReset)
@@ -102,10 +106,10 @@ func checkStream(t testing.TB, name string, nw *logic.Network, vecs [][]bool) {
 		var err error
 		if fromReset {
 			if s, err = sim.NewStream(nw); err == nil {
-				err = s.Run(vecs, observe)
+				err = s.Run(ctx, st, observe)
 			}
 		} else {
-			s, err = sim.MeasureSequential(nw, vecs, observe)
+			s, err = sim.MeasureSequential(nw, st, observe)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -136,13 +140,13 @@ func checkStream(t testing.TB, name string, nw *logic.Network, vecs [][]bool) {
 		t.Fatal(err)
 	}
 	k := len(vecs) / 3
-	if err := whole.Run(vecs, nil); err != nil {
+	if err := whole.Run(ctx, st, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := split.Run(vecs[:k], nil); err != nil {
+	if err := split.Run(ctx, pack(t, vecs[:k]), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := split.Run(vecs[k:], nil); err != nil {
+	if err := split.Run(ctx, pack(t, vecs[k:]), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(whole, split) {
@@ -335,12 +339,12 @@ func TestStreamMatchesStateOracle(t *testing.T) {
 			t.Fatalf("%s has no flip-flops", name)
 		}
 		r := rand.New(rand.NewSource(int64(i)))
-		checkStream(t, name, nw, sim.RandomVectors(r, 200, len(nw.PIs()), 0.5))
+		checkStream(t, name, nw, sim.RandomStimulus(r, 200, len(nw.PIs()), 0.5))
 		probs := make([]float64, len(nw.PIs()))
 		for j := range probs {
 			probs[j] = r.Float64()
 		}
-		checkStream(t, name+"/biased", nw, sim.BiasedVectors(r, 200, probs))
+		checkStream(t, name+"/biased", nw, sim.BiasedStimulus(r, 200, probs))
 	}
 }
 
@@ -355,7 +359,7 @@ func TestStreamShortRuns(t *testing.T) {
 	vecs := sim.RandomVectors(rand.New(rand.NewSource(1)), 3, len(nw.PIs()), 0.5)
 	// n vectors leave max(n-1, 0) counted cycles.
 	for n, want := range []int{0, 0, 1, 2} {
-		s, err := sim.MeasureSequential(nw, vecs[:n], nil)
+		s, err := sim.MeasureSequential(nw, pack(t, vecs[:n]), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,13 +375,81 @@ func TestStreamShortRuns(t *testing.T) {
 	if sim.Fraction(0, 0) != 0 || sim.Fraction(1, 4) != 0.25 {
 		t.Error("Fraction: want 0 for zero cycles and k/n otherwise")
 	}
-	s, err := sim.NewStream(nw)
+}
+
+// TestStreamMatchesRowsLoop: Run and MeasureSequential on a Stimulus leave
+// the stream the [][]bool loop they replaced leaves (every node's
+// transitions, the flip-flop one-counts, the cycle count and the present
+// values) and show the observer the same values, on every sequential
+// network the techniques measure, at lengths on both sides of a 64-vector
+// word. A stimulus whose width is not the input count is an error.
+func TestStreamMatchesRowsLoop(t *testing.T) {
+	ctx := context.Background()
+	names, nets := sequentialCorpus(t)
+	for i, name := range names {
+		nw := nets[name]
+		for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+			st := sim.RandomStimulus(rand.New(rand.NewSource(int64(i*1000+n))), n, len(nw.PIs()), 0.5)
+			vecs := st.Unpack()
+			for _, fromReset := range []bool{true, false} {
+				var got, want []bool
+				s, err := sim.NewStream(nw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fromReset {
+					err = s.Run(ctx, st, func(val []bool) { got = append(got, val...) })
+				} else {
+					s, err = sim.MeasureSequential(nw, st, func(val []bool) { got = append(got, val...) })
+				}
+				if err != nil {
+					t.Fatalf("%s, %d vectors: %v", name, n, err)
+				}
+				o, err := sim.NewStream(nw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := 0
+				if !fromReset {
+					k = min(1, n)
+					if err := o.RunRows(vecs[:k], func(val []bool) { want = append(want, val...) }); err != nil {
+						t.Fatal(err)
+					}
+					o.Clear()
+				}
+				if err := o.RunRows(vecs[k:], func(val []bool) { want = append(want, val...) }); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(s, o) {
+					t.Fatalf("%s, %d vectors (from reset %v): stream differs from the [][]bool loop", name, n, fromReset)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, %d vectors (from reset %v): observed values differ from the [][]bool loop", name, n, fromReset)
+				}
+			}
+		}
+		wide := sim.RandomStimulus(rand.New(rand.NewSource(int64(i))), 65, len(nw.PIs())+1, 0.5)
+		s, err := sim.NewStream(nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(ctx, wide, nil); err == nil || s.Cycles() != 0 {
+			t.Errorf("%s: Run of a %d-bit stimulus: err %v after %d cycles, want an error before any", name, wide.Width(), err, s.Cycles())
+		}
+		if _, err := sim.MeasureSequential(nw, wide, nil); err == nil {
+			t.Errorf("%s: MeasureSequential accepted a %d-bit stimulus", name, wide.Width())
+		}
+	}
+}
+
+// pack packs a test's vector stream.
+func pack(t testing.TB, vecs [][]bool) sim.Stimulus {
+	t.Helper()
+	st, err := sim.PackVectors(vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run([][]bool{{true}}, nil); err == nil {
-		t.Error("a vector of the wrong width should fail")
-	}
+	return st
 }
 
 // FuzzSequentialStream parses fuzzed BLIF the way the server reads
@@ -419,7 +491,6 @@ func FuzzSequentialStream(f *testing.F) {
 		if _, err := nw.Compile(); err != nil {
 			return // e.g. a combinational cycle
 		}
-		vecs := sim.RandomVectors(rand.New(rand.NewSource(seed)), 96, len(nw.PIs()), 0.5)
-		checkStream(t, nw.Name, nw, vecs)
+		checkStream(t, nw.Name, nw, sim.RandomStimulus(rand.New(rand.NewSource(seed)), 96, len(nw.PIs()), 0.5))
 	})
 }

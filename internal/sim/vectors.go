@@ -8,12 +8,6 @@ func RandomVectors(r *rand.Rand, n, width int, p float64) [][]bool {
 	return RandomStimulus(r, n, width, p).Unpack()
 }
 
-// BiasedVectors generates n input vectors where bit i is 1 with
-// probability probs[i]: BiasedStimulus's draw, unpacked.
-func BiasedVectors(r *rand.Rand, n int, probs []float64) [][]bool {
-	return BiasedStimulus(r, n, probs).Unpack()
-}
-
 // WalkVectors generates n vectors of the given width that encode a bounded
 // random walk: successive values differ by a small signed step. This models
 // correlated datapath traffic (DSP samples, loop counters) where

@@ -163,9 +163,8 @@ type uncalledFunc struct {
 // methods that no non-test file references outside their own bodies,
 // sorted by key. A package-level function is referenced by its import
 // path and name; a method by a selector with its name on any value.
-// Directories Go ignores (testdata, and names starting with "." or
-// "_") are skipped; a nested module whose path extends `module` by its
-// directory, like bench, is scanned as part of the tree.
+// The files are those walkModule visits, nested modules like bench
+// included.
 func uncalledFuncs(root, module string) ([]uncalledFunc, error) {
 	type decl struct {
 		uncalledFunc
@@ -176,44 +175,7 @@ func uncalledFuncs(root, module string) ([]uncalledFunc, error) {
 	funcRefs := map[string]bool{}
 	methodRefs := map[string]bool{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		pkg := module
-		if rel != "." {
-			pkg += "/" + filepath.ToSlash(rel)
-		}
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			ip, err := strconv.Unquote(im.Path.Value)
-			if err != nil {
-				return err
-			}
-			local := path.Base(ip)
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = ip
-		}
+	err := walkModule(fset, root, module, true, func(pkg string, imports map[string]string, f *ast.File) error {
 		for _, dl := range f.Decls {
 			// self is the declaration being walked: a function's
 			// references to itself, and a method's selectors of its own
@@ -285,6 +247,62 @@ func uncalledFuncs(root, module string) ([]uncalledFunc, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out, nil
+}
+
+// walkModule parses every non-test Go file under root, where root holds
+// module `module`, and calls fn with each file, its package's import path
+// and its imports by local name. Directories Go ignores (testdata, and
+// names starting with "." or "_") are skipped, and so, unless nested is
+// set, is a directory holding its own go.mod; a nested module whose path
+// extends `module` by its directory, like bench, is otherwise walked as
+// part of the tree.
+func walkModule(fset *token.FileSet, root, module string, nested bool, fn func(pkg string, imports map[string]string, f *ast.File) error) error {
+	return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p == root {
+				return nil
+			}
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil && !nested {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		pkg := module
+		if rel != "." {
+			pkg += "/" + filepath.ToSlash(rel)
+		}
+		imports := map[string]string{}
+		for _, im := range f.Imports {
+			ip, err := strconv.Unquote(im.Path.Value)
+			if err != nil {
+				return err
+			}
+			local := path.Base(ip)
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			imports[local] = ip
+		}
+		return fn(pkg, imports, f)
+	})
 }
 
 // recvTypeName returns the type name of a method receiver, without a
