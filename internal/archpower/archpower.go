@@ -94,23 +94,16 @@ func Characterize(name string, nw *logic.Network, r *rand.Rand, cycles int) (Cha
 	mk := func(p float64) sim.Stimulus {
 		// Bit flips with probability p each cycle (controls toggle rate
 		// directly, holding value distribution near uniform).
-		vecs := make([][]bool, cycles)
 		cur := make([]bool, w)
 		for i := range cur {
 			cur[i] = r.Intn(2) == 1
 		}
-		for c := range vecs {
-			v := make([]bool, w)
-			for i := range v {
-				if r.Float64() < p {
-					cur[i] = !cur[i]
-				}
-				v[i] = cur[i]
+		return sim.DrawStimulus(cycles, w, func(_, j int) bool {
+			if r.Float64() < p {
+				cur[j] = !cur[j]
 			}
-			vecs[c] = v
-		}
-		st, _ := sim.PackVectors(vecs) // every row has w bits
-		return st
+			return cur[j]
+		})
 	}
 	uniform := mk(0.5)
 	var err error

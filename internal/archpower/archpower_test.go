@@ -95,7 +95,8 @@ func TestActivityModelBeatsFixedOnBiasedWorkloads(t *testing.T) {
 	capPerGate := CalibrateGateCount(chAdd)
 
 	// Correlated workload: random walk operands (low toggle rate).
-	walk := pack(t, sim.WalkVectors(r, 3000, len(mult.PIs()), 2))
+	words := sim.WalkWords(r, 3000, len(mult.PIs()), 2)
+	walk := sim.DrawStimulus(len(words), len(mult.PIs()), func(i, j int) bool { return words[i]>>j&1 != 0 })
 	truth, err := TrueSwitchedCap(mult, walk)
 	if err != nil {
 		t.Fatal(err)

@@ -118,7 +118,7 @@ func Balance(nw *logic.Network, opts Options) (Result, error) {
 			return logic.InvalidNode, err
 		}
 		name := fmt.Sprintf("%s_dly%d", nw.Node(src).Name, d)
-		id, err := nw.AddGate(uniqueName(nw, name), logic.Buf, prev)
+		id, err := nw.AddGate(nw.FreshName(name), logic.Buf, prev)
 		if err != nil {
 			return logic.InvalidNode, err
 		}
@@ -165,16 +165,4 @@ func Balance(nw *logic.Network, opts Options) (Result, error) {
 		res.Depth = d
 	}
 	return res, nil
-}
-
-func uniqueName(nw *logic.Network, base string) string {
-	if nw.ByName(base) == logic.InvalidNode {
-		return base
-	}
-	for i := 1; ; i++ {
-		cand := fmt.Sprintf("%s_%d", base, i)
-		if nw.ByName(cand) == logic.InvalidNode {
-			return cand
-		}
-	}
 }

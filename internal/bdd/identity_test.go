@@ -420,7 +420,7 @@ func rebuildInto(t *testing.T, m *Manager, nw *logic.Network) {
 		for i, fi := range n.Fanin {
 			args[i] = fn[fi]
 		}
-		f, err := applyGate(m, n.Type, args)
+		f, err := ApplyGate(m, n.Type, args)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,7 +170,7 @@ func fromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (
 				}
 				args[i] = g
 			}
-			f, err = applyGate(m, n.Type, args)
+			f, err = ApplyGate(m, n.Type, args)
 			if err != nil {
 				return nil, err
 			}
@@ -266,7 +266,11 @@ func (nb *NetworkBDDs) Reorder(opt ReorderOptions) (ReorderStats, error) {
 	return nb.M.Reorder(roots, opt)
 }
 
-func applyGate(m *Manager, t logic.GateType, args []Ref) (Ref, error) {
+// ApplyGate returns the function of a gate of type t over its fanin
+// functions args: the one gate-to-BDD mapping of network builds and of
+// the don't-care rebuilds. A type that is not a combinational gate
+// returns a wrapped *logic.UnsupportedGateError.
+func ApplyGate(m *Manager, t logic.GateType, args []Ref) (Ref, error) {
 	switch t {
 	case logic.Buf:
 		return args[0], nil
@@ -285,5 +289,5 @@ func applyGate(m *Manager, t logic.GateType, args []Ref) (Ref, error) {
 	case logic.Xnor:
 		return m.Xnor(args...), nil
 	}
-	return False, fmt.Errorf("bdd: unsupported gate type %s", t)
+	return False, fmt.Errorf("bdd: %w", &logic.UnsupportedGateError{Type: t})
 }

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -211,6 +212,41 @@ func TestFromNetworkDFSOrder(t *testing.T) {
 		}
 		if got := fmt.Sprint(m.Support(nb.Fn[g2])); got != "[1 5]" {
 			t.Errorf("decl=%v: Support(g2) = %s, want [1 5]", tc.decl, got)
+		}
+	}
+}
+
+// TestApplyGateTable: ApplyGate gives each combinational gate type, over
+// every legal fanin count up to three, the function logic.EvalGate
+// computes on every assignment, and rejects every other type with a
+// *logic.UnsupportedGateError that matches logic.ErrUnsupportedGate.
+func TestApplyGateTable(t *testing.T) {
+	m := New(3)
+	vars := []Ref{m.Var(0), m.Var(1), m.Var(2)}
+	for typ := logic.Input; typ <= logic.DFF; typ++ {
+		if !typ.IsGate() {
+			_, err := ApplyGate(m, typ, vars[:1])
+			var ue *logic.UnsupportedGateError
+			if !errors.As(err, &ue) || ue.Type != typ || !errors.Is(err, logic.ErrUnsupportedGate) {
+				t.Errorf("%s: got %v, want an *UnsupportedGateError for it", typ, err)
+			}
+			continue
+		}
+		hi := typ.MaxFanin()
+		if hi < 0 {
+			hi = len(vars)
+		}
+		for k := typ.MinFanin(); k <= hi; k++ {
+			f, err := ApplyGate(m, typ, vars[:k])
+			if err != nil {
+				t.Fatalf("%s/%d: %v", typ, k, err)
+			}
+			for a := 0; a < 1<<len(vars); a++ {
+				assign := []bool{a&1 != 0, a&2 != 0, a&4 != 0}
+				if got, want := m.Eval(f, assign), logic.EvalGate(typ, assign[:k]); got != want {
+					t.Errorf("%s/%d at %v: %v, want %v", typ, k, assign, got, want)
+				}
+			}
 		}
 	}
 }

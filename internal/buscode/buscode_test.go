@@ -216,11 +216,7 @@ func TestCorrelatedTrafficAblatesBusInvert(t *testing.T) {
 	// in few bits, so bus-invert rarely fires and saves little — the
 	// workload-dependence ablation.
 	r := rand.New(rand.NewSource(11))
-	walk := sim.WalkVectors(r, 10000, 8, 2)
-	words := make([]uint, len(walk))
-	for i, v := range walk {
-		words[i] = sim.BitsToUint(v)
-	}
+	words := sim.WalkWords(r, 10000, 8, 2)
 	bin, _ := CountTransitions(&Binary{W: 8}, words)
 	bi, _ := CountTransitions(NewBusInvert(8), words)
 	randSaving := 0.11 // expected saving on random traffic (approx)

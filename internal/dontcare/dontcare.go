@@ -148,7 +148,7 @@ func (a *analyzer) rebuild(nw *logic.Network, over map[logic.NodeID]bdd.Ref, see
 			for _, fi := range n.Fanin {
 				args = append(args, a.fn(over, fi))
 			}
-			if f, err = applyGate(a.m, n.Type, args); err != nil {
+			if f, err = bdd.ApplyGate(a.m, n.Type, args); err != nil {
 				return err
 			}
 		}
@@ -419,26 +419,4 @@ func localOnSet(n *logic.Node) *sop.Cover {
 		}
 	}
 	return cv
-}
-
-func applyGate(m *bdd.Manager, t logic.GateType, args []bdd.Ref) (bdd.Ref, error) {
-	switch t {
-	case logic.Buf:
-		return args[0], nil
-	case logic.Not:
-		return m.Not(args[0]), nil
-	case logic.And:
-		return m.And(args...), nil
-	case logic.Or:
-		return m.Or(args...), nil
-	case logic.Nand:
-		return m.Not(m.And(args...)), nil
-	case logic.Nor:
-		return m.Not(m.Or(args...)), nil
-	case logic.Xor:
-		return m.Xor(args...), nil
-	case logic.Xnor:
-		return m.Xnor(args...), nil
-	}
-	return bdd.False, fmt.Errorf("dontcare: %w", &logic.UnsupportedGateError{Type: t})
 }

@@ -62,7 +62,7 @@ func (a *refAnalyzer) odc(id logic.NodeID) (bdd.Ref, error) {
 			for i, fi := range n.Fanin {
 				args[i] = fn[fi]
 			}
-			f, err = applyGate(m, n.Type, args)
+			f, err = bdd.ApplyGate(m, n.Type, args)
 			if err != nil {
 				return bdd.False, err
 			}

@@ -61,7 +61,7 @@ func E2Reordering() (*Table, error) {
 		{5, []float64{0.9, 0.8, 0.2, 0.1, 0.5}, []float64{0, 1, 0, 0, 2}},
 	}
 	for _, c := range cases {
-		vecs := xsistor.BiasedVectors(r, 4000, c.probs)
+		vecs := sim.BiasedStimulus(r, 4000, c.probs)
 		s, err := xsistor.NewSeriesStack(c.k)
 		if err != nil {
 			return nil, err

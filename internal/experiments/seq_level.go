@@ -71,16 +71,14 @@ func E9BusInvert() (*Table, error) {
 	}
 	r := rand.New(rand.NewSource(13))
 	mkWords := func(kind string, n, w int) []uint {
+		if kind == "walk" {
+			return sim.WalkWords(r, n, w, 2)
+		}
 		out := make([]uint, n)
 		switch kind {
 		case "random":
 			for i := range out {
 				out[i] = uint(r.Intn(1 << uint(w)))
-			}
-		case "walk":
-			vs := sim.WalkVectors(r, n, w, 2)
-			for i, v := range vs {
-				out[i] = sim.BitsToUint(v)
 			}
 		case "counting":
 			for i := range out {

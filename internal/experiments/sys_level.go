@@ -47,8 +47,9 @@ func E14ArchModels() (*Table, error) {
 			var st sim.Stimulus
 			if wl == "random" {
 				st = sim.RandomStimulus(r, 2500, len(nw.PIs()), 0.5)
-			} else if st, err = sim.PackVectors(sim.WalkVectors(r, 2500, len(nw.PIs()), 2)); err != nil {
-				return nil, err
+			} else {
+				words := sim.WalkWords(r, 2500, len(nw.PIs()), 2)
+				st = sim.DrawStimulus(len(words), len(nw.PIs()), func(i, j int) bool { return words[i]>>j&1 != 0 })
 			}
 			truth, err := archpower.TrueSwitchedCap(nw, st)
 			if err != nil {

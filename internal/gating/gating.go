@@ -117,7 +117,7 @@ func GateSelfLoops(g *stg.STG, e encode.Encoding) (*Gated, error) {
 		if err != nil {
 			return nil, err
 		}
-		nen, err := invOf(nw, en)
+		nen, err := nw.Inverter(en)
 		if err != nil {
 			return nil, err
 		}
@@ -137,16 +137,6 @@ func GateSelfLoops(g *stg.STG, e encode.Encoding) (*Gated, error) {
 		muxes[mux] = true
 	}
 	return &Gated{Network: nw, Enable: en, GatingGates: nw.NumGates() - before, HoldMuxes: muxes}, nil
-}
-
-func invOf(nw *logic.Network, id logic.NodeID) (logic.NodeID, error) {
-	for _, c := range nw.Node(id).Fanout() {
-		cn := nw.Node(c)
-		if cn != nil && cn.Type == logic.Not {
-			return c, nil
-		}
-	}
-	return nw.AddGate(nw.Node(id).Name+"_n", logic.Not, id)
 }
 
 // ClockReport accounts for clock-tree power at the registers, the term

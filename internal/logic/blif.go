@@ -335,18 +335,6 @@ func getInverter(nw *Network, in NodeID, reserved map[string]bool) (NodeID, erro
 	return nw.AddGate(uniqueName2(nw, nw.Node(in).Name+"_n", reserved), Not, in)
 }
 
-func uniqueName(nw *Network, base string) string {
-	if nw.ByName(base) == InvalidNode {
-		return base
-	}
-	for i := 1; ; i++ {
-		cand := fmt.Sprintf("%s_%d", base, i)
-		if nw.ByName(cand) == InvalidNode {
-			return cand
-		}
-	}
-}
-
 // WriteBLIF emits the network in the BLIF subset accepted by ReadBLIF.
 // Each gate becomes one .names cover.
 func WriteBLIF(w io.Writer, nw *Network) error {
@@ -470,8 +458,8 @@ func writeCover(w io.Writer, nw *Network, n *Node) error {
 	return nil
 }
 
-// uniqueName2 is uniqueName that additionally avoids a reserved name set
-// (signals declared later in a BLIF file).
+// uniqueName2 is Network.FreshName that additionally avoids a reserved
+// name set (signals declared later in a BLIF file).
 func uniqueName2(nw *Network, base string, reserved map[string]bool) string {
 	if nw.ByName(base) == InvalidNode && !reserved[base] {
 		return base

@@ -258,6 +258,35 @@ func (nw *Network) AddGate(name string, t GateType, fanin ...NodeID) (NodeID, er
 	return nw.addNode(name, t, fanin)
 }
 
+// FreshName returns base if no live node has that name, else the first
+// of base_1, base_2, … that none has.
+func (nw *Network) FreshName(base string) string {
+	if nw.ByName(base) == InvalidNode {
+		return base
+	}
+	for i := 1; ; i++ {
+		cand := fmt.Sprintf("%s_%d", base, i)
+		if nw.ByName(cand) == InvalidNode {
+			return cand
+		}
+	}
+}
+
+// Inverter returns an inverter of node id: a Not gate already in its
+// fanout, or else a new one named FreshName(<name>_n).
+func (nw *Network) Inverter(id NodeID) (NodeID, error) {
+	n := nw.Node(id)
+	if n == nil {
+		return InvalidNode, fmt.Errorf("logic: inverter of missing node %d", id)
+	}
+	for _, c := range n.Fanout() {
+		if cn := nw.Node(c); cn != nil && cn.Type == Not {
+			return c, nil
+		}
+	}
+	return nw.AddGate(nw.FreshName(n.Name+"_n"), Not, id)
+}
+
 // MustGate is AddGate but panics on error; for use in generators and tests
 // where the construction is known valid.
 func (nw *Network) MustGate(name string, t GateType, fanin ...NodeID) NodeID {

@@ -334,3 +334,45 @@ func TestReplaceFaninDuplicatePins(t *testing.T) {
 		t.Fatalf("phantom cycle after duplicate-pin rewire: %v", err)
 	}
 }
+
+// TestInverterReusesOrFreshlyNames: Inverter returns a Not gate already in
+// the fanout; otherwise it adds one named <name>_n, or under the first
+// free FreshName suffix when that name is taken. A deleted node's name is
+// free again.
+func TestInverterReusesOrFreshlyNames(t *testing.T) {
+	nw := buildMux(t)
+	s, a, b := nw.ByName("s"), nw.ByName("a"), nw.ByName("b")
+	if got, err := nw.Inverter(s); err != nil || got != nw.ByName("ns") {
+		t.Errorf("Inverter(s) = %d, %v; want the existing ns (%d)", got, err, nw.ByName("ns"))
+	}
+	nw.MustGate("a_n", Buf, a)
+	nw.MustGate("a_n_1", Buf, b)
+	inv, err := nw.Inverter(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := nw.Node(inv); n.Name != "a_n_2" || n.Type != Not || len(n.Fanin) != 1 || n.Fanin[0] != a {
+		t.Errorf("Inverter(a) added %s %s%v, want a_n_2 NOT [a]", n.Name, n.Type, n.Fanin)
+	}
+	if again, err := nw.Inverter(a); err != nil || again != inv {
+		t.Errorf("second Inverter(a) = %d, %v; want the reused %d", again, err, inv)
+	}
+	if inv, err := nw.Inverter(b); err != nil || nw.Node(inv).Name != "b_n" {
+		t.Errorf("Inverter(b) = %d, %v; want a new b_n", inv, err)
+	}
+	if err := nw.DeleteNode(nw.ByName("a_n_1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := nw.FreshName("a_n"); got != "a_n_1" {
+		t.Errorf("FreshName(a_n) = %q after deleting a_n_1, want a_n_1", got)
+	}
+	if got := nw.FreshName("free"); got != "free" {
+		t.Errorf("FreshName(free) = %q, want free", got)
+	}
+	if _, err := nw.Inverter(InvalidNode); err == nil {
+		t.Error("Inverter of a missing node must fail")
+	}
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

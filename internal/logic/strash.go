@@ -233,7 +233,7 @@ func foldConstants(nw *Network) (int, error) {
 				one := uniq[0]
 				if neg {
 					build = func() (NodeID, error) {
-						return nw.AddGate(uniqueName(nw, n.Name+"_f"), Not, one)
+						return nw.AddGate(nw.FreshName(n.Name+"_f"), Not, one)
 					}
 				} else {
 					replacement = one
@@ -244,11 +244,11 @@ func foldConstants(nw *Network) (int, error) {
 				build = func() (NodeID, error) {
 					if len(uniq) == 1 {
 						if gt == Nand {
-							return nw.AddGate(uniqueName(nw, n.Name+"_f"), Not, uniq[0])
+							return nw.AddGate(nw.FreshName(n.Name+"_f"), Not, uniq[0])
 						}
 						return uniq[0], nil
 					}
-					return nw.AddGate(uniqueName(nw, n.Name+"_f"), gt, uniq...)
+					return nw.AddGate(nw.FreshName(n.Name+"_f"), gt, uniq...)
 				}
 			}
 		case Or, Nor:
@@ -263,7 +263,7 @@ func foldConstants(nw *Network) (int, error) {
 				one := uniq[0]
 				if neg {
 					build = func() (NodeID, error) {
-						return nw.AddGate(uniqueName(nw, n.Name+"_f"), Not, one)
+						return nw.AddGate(nw.FreshName(n.Name+"_f"), Not, one)
 					}
 				} else {
 					replacement = one
@@ -274,11 +274,11 @@ func foldConstants(nw *Network) (int, error) {
 				build = func() (NodeID, error) {
 					if len(uniq) == 1 {
 						if gt == Nor {
-							return nw.AddGate(uniqueName(nw, n.Name+"_f"), Not, uniq[0])
+							return nw.AddGate(nw.FreshName(n.Name+"_f"), Not, uniq[0])
 						}
 						return uniq[0], nil
 					}
-					return nw.AddGate(uniqueName(nw, n.Name+"_f"), gt, uniq...)
+					return nw.AddGate(nw.FreshName(n.Name+"_f"), gt, uniq...)
 				}
 			}
 		case Xor, Xnor:
@@ -306,7 +306,7 @@ func foldConstants(nw *Network) (int, error) {
 					return getConst(inv)
 				case 1:
 					if inv {
-						return nw.AddGate(uniqueName(nw, n.Name+"_f"), Not, odd[0])
+						return nw.AddGate(nw.FreshName(n.Name+"_f"), Not, odd[0])
 					}
 					return odd[0], nil
 				default:
@@ -314,7 +314,7 @@ func foldConstants(nw *Network) (int, error) {
 					if inv {
 						gt = Xnor
 					}
-					return nw.AddGate(uniqueName(nw, n.Name+"_f"), gt, odd...)
+					return nw.AddGate(nw.FreshName(n.Name+"_f"), gt, odd...)
 				}
 			}
 		}

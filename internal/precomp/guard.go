@@ -225,14 +225,7 @@ func MeasureGuard(orig *logic.Network, gc *GuardedCircuit, origRegion []logic.No
 	if nIn != len(gc.Network.PIs()) {
 		return rep, fmt.Errorf("precomp: input counts differ")
 	}
-	vecs := make([][]bool, cycles)
-	for c := range vecs {
-		vecs[c] = make([]bool, nIn)
-		for i := range vecs[c] {
-			vecs[c][i] = r.Intn(2) == 1
-		}
-	}
-	st, _ := sim.PackVectors(vecs) // every row has nIn bits
+	st := sim.DrawStimulus(cycles, nIn, func(_, _ int) bool { return r.Intn(2) == 1 })
 	pos, gpos := orig.POs(), gc.Network.POs()
 	var want []bool
 	so, err := sim.MeasureSequential(orig, st, func(val []bool) {

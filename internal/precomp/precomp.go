@@ -106,7 +106,7 @@ func BuildComparator(n, j int) (*Comparator, error) {
 			if err != nil {
 				return logic.InvalidNode, err
 			}
-			nle, err := invOf(nw, le)
+			nle, err := nw.Inverter(le)
 			if err != nil {
 				return logic.InvalidNode, err
 			}
@@ -183,16 +183,6 @@ func BuildComparator(n, j int) (*Comparator, error) {
 		return nil, err
 	}
 	return pc, nil
-}
-
-func invOf(nw *logic.Network, id logic.NodeID) (logic.NodeID, error) {
-	for _, c := range nw.Node(id).Fanout() {
-		cn := nw.Node(c)
-		if cn != nil && cn.Type == logic.Not {
-			return c, nil
-		}
-	}
-	return nw.AddGate(nw.Node(id).Name+"_n", logic.Not, id)
 }
 
 // Report is the power accounting of one simulated run.

@@ -335,7 +335,7 @@ func (g *Graph) Apply(r []int) (*logic.Network, error) {
 			return logic.InvalidNode, err
 		}
 		name := fmt.Sprintf("%s_ff%d", nw.Node(src).Name, k)
-		id, err := out.AddDFF(uniqueName(out, name), prev, false)
+		id, err := out.AddDFF(out.FreshName(name), prev, false)
 		if err != nil {
 			return logic.InvalidNode, err
 		}
@@ -393,7 +393,7 @@ func (g *Graph) Apply(r []int) (*logic.Network, error) {
 				}
 				fan[i] = d
 			}
-			nid, err := out.AddGate(uniqueName(out, n.Name), n.Type, fan...)
+			nid, err := out.AddGate(out.FreshName(n.Name), n.Type, fan...)
 			if err != nil {
 				return nil, err
 			}
@@ -426,18 +426,6 @@ func (g *Graph) Apply(r []int) (*logic.Network, error) {
 		}
 	}
 	return out, nil
-}
-
-func uniqueName(nw *logic.Network, base string) string {
-	if nw.ByName(base) == logic.InvalidNode {
-		return base
-	}
-	for i := 1; ; i++ {
-		cand := fmt.Sprintf("%s_%d", base, i)
-		if nw.ByName(cand) == logic.InvalidNode {
-			return cand
-		}
-	}
 }
 
 // PowerResult reports a retiming candidate's measured cost.

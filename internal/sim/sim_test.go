@@ -335,11 +335,11 @@ func TestVectorGenerators(t *testing.T) {
 		t.Errorf("random vector bias = %v, want ~0.3", frac)
 	}
 
-	wv := WalkVectors(r, 500, 8, 3)
-	for i := 1; i < len(wv); i++ {
-		d := int(BitsToUint(wv[i])) - int(BitsToUint(wv[i-1]))
-		if d < -3 || d > 3 {
-			t.Fatalf("walk step %d out of range", d)
+	ww := WalkWords(r, 500, 8, 3)
+	for i := 1; i < len(ww); i++ {
+		d := int(ww[i]) - int(ww[i-1])
+		if d < -3 || d > 3 || ww[i] >= 1<<8 {
+			t.Fatalf("walk step %d to %d out of range", d, ww[i])
 		}
 	}
 

@@ -30,14 +30,7 @@ func newStimulus(n, width int) Stimulus {
 // BiasedStimulus draws n vectors where bit i is 1 with probability
 // probs[i], one r.Float64 per bit in vector order.
 func BiasedStimulus(r *rand.Rand, n int, probs []float64) Stimulus {
-	s := newStimulus(n, len(probs))
-	for i := 0; i < n; i++ {
-		row, k := s.block(i/64), uint(i%64)
-		for j, p := range probs {
-			row[j] |= uint64(logic.Bit(r.Float64() < p)) << k
-		}
-	}
-	return s
+	return DrawStimulus(n, len(probs), func(_, j int) bool { return r.Float64() < probs[j] })
 }
 
 // RandomStimulus draws n vectors of the given width where each bit is
@@ -50,23 +43,36 @@ func RandomStimulus(r *rand.Rand, n, width int, p float64) Stimulus {
 	return BiasedStimulus(r, n, probs)
 }
 
+// DrawStimulus packs n vectors of the given width, bit j of vector i
+// being bit(i, j). It calls bit once per bit in vector-major order, so a
+// caller that draws from a random source inside bit keeps its draw order.
+// It is the one pack loop: BiasedStimulus, PackVectors, toggle
+// processes, walks and r.Intn rows all go through it. Its body stays
+// within the compiler's inlining budget, so a caller's literal bit func
+// inlines into the loop and the biased draw pays no call per bit.
+func DrawStimulus(n, width int, bit func(i, j int) bool) Stimulus {
+	s := newStimulus(n, width)
+	for i := range n {
+		for j := range width {
+			s.words[i/64*width+j] |= uint64(logic.Bit(bit(i, j))) << (i & 63)
+		}
+	}
+	return s
+}
+
 // PackVectors packs a vector stream; every vector must have the first
 // one's width.
 func PackVectors(vectors [][]bool) (Stimulus, error) {
 	if len(vectors) == 0 {
 		return Stimulus{}, nil
 	}
-	s := newStimulus(len(vectors), len(vectors[0]))
+	w := len(vectors[0])
 	for i, v := range vectors {
-		if len(v) != s.width {
-			return Stimulus{}, fmt.Errorf("sim: vector %d has %d bits, vector 0 has %d", i, len(v), s.width)
-		}
-		row, k := s.block(i/64), uint(i%64)
-		for j, b := range v {
-			row[j] |= uint64(logic.Bit(b)) << k
+		if len(v) != w {
+			return Stimulus{}, fmt.Errorf("sim: vector %d has %d bits, vector 0 has %d", i, len(v), w)
 		}
 	}
-	return s, nil
+	return DrawStimulus(len(vectors), w, func(i, j int) bool { return vectors[i][j] }), nil
 }
 
 // Len is the number of vectors.

@@ -142,10 +142,11 @@ func TestPackRaggedStream(t *testing.T) {
 	}
 }
 
-// TestStimulusMatchesBiasedVectors: BiasedStimulus packs exactly the bits
-// the bool draw loop draws, word for word; Unpack, Load and PackVectors
-// round-trip; and Toggles counts each input's changes against the
-// previous vector, the first against 0.
+// TestStimulusMatchesBiasedVectors: BiasedStimulus, and DrawStimulus
+// over the same draw, pack exactly the bits the bool draw loop draws, word
+// for word, DrawStimulus calling back once per bit in vector-major order;
+// Unpack, Load and PackVectors round-trip; and Toggles counts each
+// input's changes against the previous vector, the first against 0.
 func TestStimulusMatchesBiasedVectors(t *testing.T) {
 	for _, width := range []int{1, 8, 63, 64, 65} {
 		probs := make([]float64, width)
@@ -165,6 +166,20 @@ func TestStimulusMatchesBiasedVectors(t *testing.T) {
 			}
 			if n > 0 && !slices.Equal(oracle.words, st.words) {
 				t.Fatalf("width %d, n %d: BiasedStimulus words differ from the packed bool draw", width, n)
+			}
+			dr, calls := rand.New(rand.NewSource(seed)), 0
+			drawn := DrawStimulus(n, width, func(i, j int) bool {
+				if i*width+j != calls {
+					t.Fatalf("width %d, n %d: call %d asked for bit (%d, %d)", width, n, calls, i, j)
+				}
+				calls++
+				return dr.Float64() < probs[j]
+			})
+			if calls != n*width || drawn.Len() != n || drawn.Width() != width {
+				t.Fatalf("width %d, n %d: DrawStimulus made %d calls for a %d x %d stimulus", width, n, calls, drawn.Len(), drawn.Width())
+			}
+			if n > 0 && !slices.Equal(oracle.words, drawn.words) {
+				t.Fatalf("width %d, n %d: DrawStimulus words differ from the packed bool draw", width, n)
 			}
 			un := st.Unpack()
 			if !reflect.DeepEqual(un, rows) && n > 0 {

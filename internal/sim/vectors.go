@@ -8,34 +8,25 @@ func RandomVectors(r *rand.Rand, n, width int, p float64) [][]bool {
 	return RandomStimulus(r, n, width, p).Unpack()
 }
 
-// WalkVectors generates n vectors of the given width that encode a bounded
-// random walk: successive values differ by a small signed step. This models
-// correlated datapath traffic (DSP samples, loop counters) where
-// neighbouring words share most high-order bits — the regime in which
-// bus-invert and Gray coding pay off.
-func WalkVectors(r *rand.Rand, n, width, maxStep int) [][]bool {
-	out := make([][]bool, n)
+// WalkWords draws n words of the given width that follow a bounded
+// random walk: successive values differ by a signed step of at most
+// maxStep, clamped to [0, 2^width). This models correlated datapath
+// traffic (DSP samples, loop counters) where neighbouring words share
+// most high-order bits — the regime in which bus-invert and Gray coding
+// pay off. Bit j of a word is input j of a vector.
+func WalkWords(r *rand.Rand, n, width, maxStep int) []uint {
+	out := make([]uint, n)
 	limit := 1 << width
 	val := r.Intn(limit)
 	for i := range out {
-		step := r.Intn(2*maxStep+1) - maxStep
-		val += step
+		val += r.Intn(2*maxStep+1) - maxStep
 		if val < 0 {
 			val = 0
 		}
 		if val >= limit {
 			val = limit - 1
 		}
-		out[i] = uintToBits(uint(val), width)
-	}
-	return out
-}
-
-// uintToBits converts v to a little-endian bit slice of the given width.
-func uintToBits(v uint, width int) []bool {
-	out := make([]bool, width)
-	for j := 0; j < width; j++ {
-		out[j] = v&(1<<j) != 0
+		out[i] = uint(val)
 	}
 	return out
 }
@@ -51,6 +42,11 @@ func BitsToUint(bits []bool) uint {
 	return v
 }
 
-// UintToBits is the exported form of the little-endian conversion used by
-// the vector generators.
-func UintToBits(v uint, width int) []bool { return uintToBits(v, width) }
+// UintToBits converts v to a little-endian bit slice of the given width.
+func UintToBits(v uint, width int) []bool {
+	out := make([]bool, width)
+	for j := range out {
+		out[j] = v&(1<<j) != 0
+	}
+	return out
+}

@@ -15,7 +15,7 @@ func SynthesizeCover(nw *logic.Network, name string, cv *Cover, vars []logic.Nod
 		return logic.InvalidNode, fmt.Errorf("sop: %d vars supplied for %d-var cover", len(vars), cv.NumVars)
 	}
 	if cv.IsEmpty() {
-		return nw.AddConst(freshName(nw, name), false)
+		return nw.AddConst(nw.FreshName(name), false)
 	}
 	var terms []logic.NodeID
 	for _, c := range cv.Cubes {
@@ -25,7 +25,7 @@ func SynthesizeCover(nw *logic.Network, name string, cv *Cover, vars []logic.Nod
 			case One:
 				lits = append(lits, vars[i])
 			case Zero:
-				inv, err := invOf(nw, vars[i])
+				inv, err := nw.Inverter(vars[i])
 				if err != nil {
 					return logic.InvalidNode, err
 				}
@@ -34,11 +34,11 @@ func SynthesizeCover(nw *logic.Network, name string, cv *Cover, vars []logic.Nod
 		}
 		switch len(lits) {
 		case 0:
-			return nw.AddConst(freshName(nw, name), true)
+			return nw.AddConst(nw.FreshName(name), true)
 		case 1:
 			terms = append(terms, lits[0])
 		default:
-			t, err := nw.AddGate(freshName(nw, name+"_and"), logic.And, lits...)
+			t, err := nw.AddGate(nw.FreshName(name+"_and"), logic.And, lits...)
 			if err != nil {
 				return logic.InvalidNode, err
 			}
@@ -46,30 +46,7 @@ func SynthesizeCover(nw *logic.Network, name string, cv *Cover, vars []logic.Nod
 		}
 	}
 	if len(terms) == 1 {
-		return nw.AddGate(freshName(nw, name), logic.Buf, terms[0])
+		return nw.AddGate(nw.FreshName(name), logic.Buf, terms[0])
 	}
-	return nw.AddGate(freshName(nw, name), logic.Or, terms...)
-}
-
-// invOf returns an inverter of node id, reusing an existing one.
-func invOf(nw *logic.Network, id logic.NodeID) (logic.NodeID, error) {
-	for _, c := range nw.Node(id).Fanout() {
-		cn := nw.Node(c)
-		if cn != nil && cn.Type == logic.Not {
-			return c, nil
-		}
-	}
-	return nw.AddGate(freshName(nw, nw.Node(id).Name+"_n"), logic.Not, id)
-}
-
-func freshName(nw *logic.Network, base string) string {
-	if nw.ByName(base) == logic.InvalidNode {
-		return base
-	}
-	for i := 1; ; i++ {
-		cand := fmt.Sprintf("%s_%d", base, i)
-		if nw.ByName(cand) == logic.InvalidNode {
-			return cand
-		}
-	}
+	return nw.AddGate(nw.FreshName(name), logic.Or, terms...)
 }

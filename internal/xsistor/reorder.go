@@ -14,7 +14,8 @@ package xsistor
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"repro/internal/sim"
 )
 
 // SeriesStack models the N-type series stack of a CMOS NAND-style gate
@@ -105,18 +106,37 @@ func (s *SeriesStack) Step(st *StackState, inputs []bool) float64 {
 	return switched
 }
 
-// SimulatePower runs the stack over the vector stream and returns the
-// average switched capacitance per cycle.
-func (s *SeriesStack) SimulatePower(vectors [][]bool) float64 {
-	st := s.NewState()
-	total := 0.0
-	for _, v := range vectors {
-		total += s.Step(st, v)
+// SimulatePower runs the stack over the stimulus, input j of a vector
+// driving input index j, and returns the average switched capacitance
+// per cycle.
+func (s *SeriesStack) SimulatePower(vectors sim.Stimulus) float64 {
+	return s.simulate(decode(vectors), vectors.Len())
+}
+
+// decode loads the vectors of a stream into one flat buffer, vector i at
+// [i*w, (i+1)*w) for width w, so a search that simulates many orders
+// decodes each vector once.
+func decode(vectors sim.Stimulus) []bool {
+	w := vectors.Width()
+	flat := make([]bool, vectors.Len()*w)
+	for i := 0; i < vectors.Len(); i++ {
+		vectors.Load(i, flat[i*w:(i+1)*w])
 	}
-	if len(vectors) == 0 {
+	return flat
+}
+
+// simulate is SimulatePower over n vectors decoded by decode.
+func (s *SeriesStack) simulate(flat []bool, n int) float64 {
+	if n == 0 {
 		return 0
 	}
-	return total / float64(len(vectors))
+	w := len(flat) / n
+	st := s.NewState()
+	total := 0.0
+	for in := flat; len(in) > 0; in = in[w:] {
+		total += s.Step(st, in[:w])
+	}
+	return total / float64(n)
 }
 
 // Delay returns the gate delay under an Elmore-style model given per-input
@@ -164,7 +184,7 @@ type ReorderResult struct {
 // The workload is simulated only where the objective reads it: every
 // permutation under ReorderPower, delay ties under ReorderPowerDelay, and
 // otherwise just the winning order, once, for its reported Power.
-func (s *SeriesStack) Reorder(obj ReorderObjective, vectors [][]bool, arrival []float64) (ReorderResult, error) {
+func (s *SeriesStack) Reorder(obj ReorderObjective, vectors sim.Stimulus, arrival []float64) (ReorderResult, error) {
 	k := len(s.Order)
 	if k > 7 {
 		return ReorderResult{}, fmt.Errorf("xsistor: exhaustive reorder limited to 7 inputs, got %d", k)
@@ -180,9 +200,10 @@ func (s *SeriesStack) Reorder(obj ReorderObjective, vectors [][]bool, arrival []
 		perm[i] = i
 	}
 	trial := &SeriesStack{CInternal: s.CInternal, COut: s.COut}
+	flat := decode(vectors)
 	power := func(order []int) float64 {
 		trial.Order = order
-		return trial.SimulatePower(vectors)
+		return trial.simulate(flat, vectors.Len())
 	}
 	bestPower := func() float64 {
 		if !bestSimulated {
@@ -251,18 +272,4 @@ func HeuristicOrder(prob []float64, arrival []float64) []int {
 		}
 	}
 	return ord
-}
-
-// BiasedVectors generates n input vectors where bit i is 1 with
-// probability p[i] — the workload model for reordering experiments.
-func BiasedVectors(r *rand.Rand, n int, p []float64) [][]bool {
-	out := make([][]bool, n)
-	for c := range out {
-		v := make([]bool, len(p))
-		for i := range v {
-			v[i] = r.Float64() < p[i]
-		}
-		out[c] = v
-	}
-	return out
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // refStep is the quadratic series-stack step the O(k) Step replaced: it
@@ -140,16 +142,17 @@ func TestStepMatchesQuadraticOracle(t *testing.T) {
 	for k := 2; k <= 7; k++ {
 		for trial := 0; trial < 20; trial++ {
 			s := oracleStack(r, k)
-			vecs := BiasedVectors(r, 300, oracleProbs(r, k))
+			vecs := sim.BiasedStimulus(r, 300, oracleProbs(r, k))
+			rows := vecs.Unpack()
 			st, ref := s.NewState(), s.NewState()
-			for c, v := range vecs {
+			for c, v := range rows {
 				got, want := s.Step(st, v), refStep(s, ref, v)
 				if got != want || !reflect.DeepEqual(st, ref) {
 					t.Fatalf("k=%d order %v cycle %d: Step %v state %+v, oracle %v state %+v",
 						k, s.Order, c, got, st, want, ref)
 				}
 			}
-			if got, want := s.SimulatePower(vecs), refSimulatePower(s, vecs); got != want {
+			if got, want := s.SimulatePower(vecs), refSimulatePower(s, rows); got != want {
 				t.Fatalf("k=%d order %v: SimulatePower %v, oracle %v", k, s.Order, got, want)
 			}
 		}
@@ -166,7 +169,8 @@ func TestReorderMatchesSimulateEverythingOracle(t *testing.T) {
 		}
 		for trial := 0; trial < 3; trial++ {
 			s := oracleStack(r, k)
-			vecs := BiasedVectors(r, n, oracleProbs(r, k))
+			vecs := sim.BiasedStimulus(r, n, oracleProbs(r, k))
+			rows := vecs.Unpack()
 			// nil arrivals tie every permutation on delay; arrivals drawn
 			// from {0, 1, 2} tie some; continuous ones tie only orders
 			// that agree on the critical input. The first two drive
@@ -183,7 +187,7 @@ func TestReorderMatchesSimulateEverythingOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := refReorder(s, obj, vecs, arrival)
+					want := refReorder(s, obj, rows, arrival)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("k=%d arrival#%d objective %d: Reorder %+v, oracle %+v", k, ai, obj, got, want)
 					}
@@ -199,7 +203,7 @@ func TestReorderMatchesSimulateEverythingOracle(t *testing.T) {
 func TestReorderPowerDelayBreaksTiesOnPower(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	s, _ := NewSeriesStack(4)
-	vecs := BiasedVectors(r, 2000, []float64{0.95, 0.05, 0.5, 0.3})
+	vecs := sim.BiasedStimulus(r, 2000, []float64{0.95, 0.05, 0.5, 0.3})
 	pd, err := s.Reorder(ReorderPowerDelay, vecs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +229,7 @@ func TestReorderPowerDelayBreaksTiesOnPower(t *testing.T) {
 func TestReorderEmptyWorkload(t *testing.T) {
 	s, _ := NewSeriesStack(3)
 	for _, obj := range []ReorderObjective{ReorderPower, ReorderDelay, ReorderPowerDelay} {
-		got, err := s.Reorder(obj, nil, []float64{0, 2, 1})
+		got, err := s.Reorder(obj, sim.Stimulus{}, []float64{0, 2, 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/power"
+	"repro/internal/sim"
 )
 
 func TestSeriesStackNANDSemantics(t *testing.T) {
@@ -70,7 +71,7 @@ func TestReorderPowerDependsOnOrder(t *testing.T) {
 	// differently and Reorder finds the better one.
 	r := rand.New(rand.NewSource(5))
 	prob := []float64{0.95, 0.05, 0.5}
-	vecs := BiasedVectors(r, 4000, prob)
+	vecs := sim.BiasedStimulus(r, 4000, prob)
 	s, _ := NewSeriesStack(3)
 	natural := s.SimulatePower(vecs)
 	best, err := s.Reorder(ReorderPower, vecs, nil)
@@ -99,7 +100,7 @@ func TestReorderPowerDependsOnOrder(t *testing.T) {
 func TestReorderDelayPutsLateInputNearOutput(t *testing.T) {
 	s, _ := NewSeriesStack(3)
 	arrival := []float64{5, 0, 0} // input 0 arrives late
-	best, err := s.Reorder(ReorderDelay, nil, arrival)
+	best, err := s.Reorder(ReorderDelay, sim.Stimulus{}, arrival)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestReorderDelayPutsLateInputNearOutput(t *testing.T) {
 func TestReorderPowerDelayKeepsMinDelay(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	prob := []float64{0.9, 0.1, 0.5, 0.3}
-	vecs := BiasedVectors(r, 2000, prob)
+	vecs := sim.BiasedStimulus(r, 2000, prob)
 	arrival := []float64{0, 3, 0, 0}
 	s, _ := NewSeriesStack(4)
 	dBest, err := s.Reorder(ReorderDelay, vecs, arrival)
@@ -137,7 +138,7 @@ func TestReorderPowerDelayKeepsMinDelay(t *testing.T) {
 
 func TestReorderTooManyInputs(t *testing.T) {
 	s, _ := NewSeriesStack(8)
-	if _, err := s.Reorder(ReorderPower, nil, nil); err == nil {
+	if _, err := s.Reorder(ReorderPower, sim.Stimulus{}, nil); err == nil {
 		t.Error("8-input exhaustive reorder should be rejected")
 	}
 }
@@ -147,7 +148,7 @@ func TestHeuristicOrderAgreesWithSearchOnPower(t *testing.T) {
 	// to the exhaustive optimum on strongly biased inputs.
 	r := rand.New(rand.NewSource(13))
 	prob := []float64{0.98, 0.02, 0.5}
-	vecs := BiasedVectors(r, 6000, prob)
+	vecs := sim.BiasedStimulus(r, 6000, prob)
 	s, _ := NewSeriesStack(3)
 	best, err := s.Reorder(ReorderPower, vecs, nil)
 	if err != nil {

@@ -26,9 +26,22 @@ var stimulusConversionAllowlist = map[string]string{
 	"repro/internal/core.NewContext -> sim.RandomVectors":               "core.Context.Vectors is a [][]bool that bench/lpbench reads",
 	"repro/internal/core.MeasureCtx -> sim.PackVectors":                 "measures core.Context.Vectors",
 	"repro/cmd/lpflow.writeProfiles -> sim.PackVectors":                 "lpflow -profile measures core.Context.Vectors",
-	"repro/internal/experiments.E14ArchModels -> sim.PackVectors":       "packs sim.WalkVectors, a correlated [][]bool walk",
-	"repro/internal/precomp.MeasureGuard -> sim.PackVectors":            "packs rows drawn with r.Intn(2), which no Stimulus draw reproduces",
-	"repro/internal/archpower.Characterize -> sim.PackVectors":          "packs toggle-process rows drawn with r.Intn and r.Float64, which no Stimulus draw reproduces",
+}
+
+// stimulusSignatureAllowlist names the exported non-test functions and
+// methods whose parameters or results may hold a [][]bool, each with its
+// reason. Keys are "<import path>.<Func>" or
+// "<import path>.<Type>.<Method>".
+var stimulusSignatureAllowlist = map[string]string{
+	"repro/internal/sim.RandomVectors":   "the [][]bool draw bench/lpbench and core.NewContext call",
+	"repro/internal/sim.PackVectors":     "packs core.Context.Vectors and the [][]bool wrappers' rows",
+	"repro/internal/sim.Stimulus.Unpack": "the [][]bool view RandomVectors returns and test oracles read",
+	// [][]bool entry points bench/lpbench calls; ROADMAP item 8 deletes them.
+	"repro/internal/sim.MeasureRunCtx":               "[][]bool wrapper bench/lpbench calls",
+	"repro/internal/sim.PackedSimulator.Run":         "[][]bool wrapper bench/lpbench calls",
+	"repro/internal/power.EstimateZeroDelayPacked":   "[][]bool wrapper bench/lpbench calls",
+	"repro/internal/power.EstimateSimulatedParallel": "[][]bool wrapper bench/lpbench calls",
+	"repro/internal/power.NewIncrementalEstimator":   "[][]bool wrapper bench/lpbench calls",
 }
 
 // TestStimulusConversionsAllowlisted fails on any non-test call in the
@@ -55,6 +68,97 @@ func TestStimulusConversionsAllowlisted(t *testing.T) {
 		if !seen[key] {
 			t.Errorf("allowlist line %s names no call; remove it", key)
 		}
+	}
+}
+
+// TestStimulusSignaturesAllowlisted fails on any exported non-test
+// function or method in the root module with a [][]bool parameter or
+// result that stimulusSignatureAllowlist does not name, and on allowlist
+// lines that name no such function. A [][]bool in an API is a second
+// vector format even when nothing converts it: the caller draws rows
+// that a sim.Stimulus holds in a sixty-fourth of the space.
+func TestStimulusSignaturesAllowlisted(t *testing.T) {
+	found, err := stimulusSignatures(".", "repro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, f := range found {
+		seen[f.key] = true
+		if _, ok := stimulusSignatureAllowlist[f.key]; !ok {
+			t.Errorf("%s: %s takes or returns a [][]bool; take or return a sim.Stimulus, or add an allowlist line with the reason", f.pos, f.key)
+		}
+	}
+	for key, reason := range stimulusSignatureAllowlist {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("allowlist line %s gives no reason", key)
+		}
+		if !seen[key] {
+			t.Errorf("allowlist line %s names no [][]bool signature; remove it", key)
+		}
+	}
+}
+
+// TestStimulusSignaturesFixture checks that the signature scan flags
+// [][]bool parameters, results, variadic []bool parameters and [][]bool
+// nested in another type, on functions and on methods of exported types,
+// and passes over unexported functions, methods of unexported types,
+// [][]bool inside a body, test files and nested modules.
+func TestStimulusSignaturesFixture(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module fix\n\ngo 1.22\n",
+		"a/a.go": `package a
+
+type T struct{}
+type u struct{}
+
+func Param(rows [][]bool)                    {}
+func Result() (n int, rows [][]bool)         { return }
+func Variadic(rows ...[]bool)                {}
+func Nested(m map[string][][]bool)           {}
+func (*T) Method(f func([][]bool)) error     { return nil }
+func (u) Hidden(rows [][]bool)               {}
+func unexported(rows [][]bool)               {}
+func Row(v []bool) [][2]bool                 { return nil }
+func Body() int                              { var rows [][]bool; return len(rows) }
+`,
+		"a/a_test.go": `package a
+
+func Helper(rows [][]bool) {}
+`,
+		"bench/go.mod": "module fix/bench\n\ngo 1.22\n",
+		"bench/b.go": `package bench
+
+func B(rows [][]bool) {}
+`,
+	}
+	for name, body := range files {
+		p := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	found, err := stimulusSignatures(dir, "fix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range found {
+		got = append(got, f.key)
+	}
+	want := []string{
+		"fix/a.Nested",
+		"fix/a.Param",
+		"fix/a.Result",
+		"fix/a.T.Method",
+		"fix/a.Variadic",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("signatures = %q, want %q", got, want)
 	}
 }
 
@@ -130,9 +234,10 @@ func B() { sim.RandomVectors() }
 	}
 }
 
-type stimulusConversion struct {
-	key string // "<caller> -> <callee>"
-	pos string // file:line of the call
+// stimulusFinding is one hit of a stimulus guard scan.
+type stimulusFinding struct {
+	key string // "<caller> -> <callee>", or the function for a signature
+	pos string // file:line of the call or declaration
 }
 
 // stimulusConversions returns every reference, in the non-test files of
@@ -141,10 +246,10 @@ type stimulusConversion struct {
 // name inside that package — and to a method named Unpack, sorted by
 // key. The caller is the enclosing top-level function or method, or the
 // declared name for a package-level variable.
-func stimulusConversions(root, module string) ([]stimulusConversion, error) {
+func stimulusConversions(root, module string) ([]stimulusFinding, error) {
 	simPkg := module + "/internal/sim"
 	callees := map[string]bool{"RandomVectors": true, "PackVectors": true}
-	var out []stimulusConversion
+	var out []stimulusFinding
 	fset := token.NewFileSet()
 	err := walkModule(fset, root, module, false, func(pkg string, imports map[string]string, f *ast.File) error {
 		for _, dl := range f.Decls {
@@ -177,7 +282,7 @@ func stimulusConversions(root, module string) ([]stimulusConversion, error) {
 				caller = pkg + "." + strings.Join(names, ",")
 			}
 			add := func(n ast.Node, callee string) {
-				out = append(out, stimulusConversion{key: caller + " -> " + callee, pos: fset.Position(n.Pos()).String()})
+				out = append(out, stimulusFinding{key: caller + " -> " + callee, pos: fset.Position(n.Pos()).String()})
 			}
 			visit := func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -206,4 +311,60 @@ func stimulusConversions(root, module string) ([]stimulusConversion, error) {
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out, err
+}
+
+// stimulusSignatures returns every exported top-level function, and every
+// exported method of an exported type, in the non-test files of the
+// module at root (nested modules skipped) whose parameters or results
+// hold a [][]bool, alone, inside another type or as a variadic ...[]bool,
+// sorted by key.
+func stimulusSignatures(root, module string) ([]stimulusFinding, error) {
+	var out []stimulusFinding
+	fset := token.NewFileSet()
+	err := walkModule(fset, root, module, false, func(pkg string, _ map[string]string, f *ast.File) error {
+		for _, dl := range f.Decls {
+			d, ok := dl.(*ast.FuncDecl)
+			if !ok || !d.Name.IsExported() {
+				continue
+			}
+			key := pkg + "." + d.Name.Name
+			if d.Recv != nil {
+				recv := recvTypeName(d.Recv.List[0].Type)
+				if !ast.IsExported(recv) {
+					continue
+				}
+				key = pkg + "." + recv + "." + d.Name.Name
+			}
+			if holdsBoolRows(d.Type) {
+				out = append(out, stimulusFinding{key: key, pos: fset.Position(d.Pos()).String()})
+			}
+		}
+		return nil
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out, err
+}
+
+// holdsBoolRows reports whether a type expression contains [][]bool or a
+// variadic ...[]bool.
+func holdsBoolRows(e ast.Expr) bool {
+	isRow := func(e ast.Expr) bool {
+		a, ok := e.(*ast.ArrayType)
+		if !ok || a.Len != nil {
+			return false
+		}
+		id, ok := a.Elt.(*ast.Ident)
+		return ok && id.Name == "bool"
+	}
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ArrayType:
+			found = found || n.Len == nil && isRow(n.Elt)
+		case *ast.Ellipsis:
+			found = found || isRow(n.Elt)
+		}
+		return !found
+	})
+	return found
 }
