@@ -1,7 +1,7 @@
 // Command experiments regenerates every experiment table E1..E16 plus the
 // E4b estimator ablation — the reproduction of the survey's quantitative
 // claims. Run with -only E5 to regenerate a single table, -json for a
-// machine-readable {tables, metrics, go_version, seed} report, and
+// machine-readable {tables, metrics, go_version} report, and
 // -metrics to collect (and, in text mode, print) the instrumentation
 // counters of the substrates that produced the tables. -profile writes a
 // Chrome trace (one span per experiment, with row counts) plus a metrics
@@ -29,10 +29,9 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs (e.g. E5,E13); empty = all")
 	parallel := flag.Int("parallel", 0, "experiment tables generated concurrently (0 = GOMAXPROCS, 1 = sequential); output is identical for any value")
-	jsonOut := flag.Bool("json", false, "emit a JSON report {tables, metrics, go_version, seed} instead of text tables")
+	jsonOut := flag.Bool("json", false, "emit a JSON report {tables, metrics, go_version} instead of text tables")
 	metrics := flag.Bool("metrics", false, "enable the obsv registry; text mode appends a metrics dump (-json always includes one)")
 	outPath := flag.String("o", "", "write the report to this file instead of stdout")
-	seed := flag.Int64("seed", 1, "workload seed recorded in the report for provenance")
 	profDir := flag.String("profile", "", "write a Chrome trace of the run (one span per experiment) and a metrics snapshot to this directory")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget; experiments not yet started when it expires are skipped and reported as failures (0 = no limit)")
 	perTimeout := flag.Duration("per-timeout", 0, "per-experiment budget; a table that takes longer is reported as failed (0 = no limit)")
@@ -139,7 +138,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		rep := experiments.NewReport(*seed)
+		rep := experiments.NewReport()
 		rep.Tables = tables
 		rep.Failures = failures
 		rep.Metrics = reg.Export()

@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -39,7 +40,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	workers := flag.Int("workers", 0, "max concurrent estimations (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent estimations")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "upper clamp for request-supplied deadlines")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight requests")
@@ -76,6 +77,12 @@ func main() {
 	}
 
 	logger := log.New(os.Stderr, "lpserverd: ", log.LstdFlags)
+	if *workers < 1 {
+		// The startup line reports the flag as the pool size, so it must
+		// be the size the server runs.
+		logger.Printf("-workers %d: want at least 1", *workers)
+		os.Exit(2)
+	}
 	if *selfcheck > 0 {
 		if err := server.SelfCheck(cfg, *selfcheck, logger.Printf); err != nil {
 			logger.Print(err)

@@ -22,10 +22,6 @@ type Options struct {
 	// full balancing (no skew, no glitches); k > 0 leaves up to k units of
 	// skew unbuffered.
 	MaxSkew int
-	// ALAP schedules gate firing times as late as possible instead of as
-	// soon as possible. ALAP clusters gate times toward the outputs, which
-	// changes where buffers land; it is exposed as an ablation.
-	ALAP bool
 }
 
 // Result reports what the pass did.
@@ -47,56 +43,6 @@ func Balance(nw *logic.Network, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sched := make([]int, nw.NumNodes())
-	copy(sched, lv)
-	if opts.ALAP {
-		// Required-time schedule: every node as late as its consumers
-		// allow, endpoints pinned at their ASAP level so depth and PO
-		// timing are unchanged.
-		order, err := nw.TopoOrder()
-		if err != nil {
-			return Result{}, err
-		}
-		const big = 1 << 30
-		req := make([]int, nw.NumNodes())
-		for i := range req {
-			req[i] = big
-		}
-		for _, po := range nw.POs() {
-			if lv[po] < req[po] {
-				req[po] = lv[po]
-			}
-		}
-		for _, ff := range nw.FFs() {
-			d := nw.Node(ff).Fanin[0]
-			if lv[d] < req[d] {
-				req[d] = lv[d]
-			}
-		}
-		for i := len(order) - 1; i >= 0; i-- {
-			id := order[i]
-			if req[id] == big {
-				req[id] = lv[id] // dead-end cones keep ASAP
-			}
-			for _, f := range nw.Node(id).Fanin {
-				if req[id]-1 < req[f] {
-					req[f] = req[id] - 1
-				}
-			}
-		}
-		for _, id := range nw.Live() {
-			n := nw.Node(id)
-			if n.Type.IsGate() {
-				if req[id] < lv[id] {
-					req[id] = lv[id] // never earlier than feasible
-				}
-				sched[id] = req[id]
-			} else {
-				sched[id] = 0
-			}
-		}
-	}
-
 	res := Result{Depth: depth}
 	// Buffer chains are shared: (source, delay) pairs map to the chain
 	// node providing the source delayed by that many units.
@@ -134,15 +80,15 @@ func Balance(nw *logic.Network, opts Options) (Result, error) {
 		if n == nil || !n.Type.IsGate() {
 			continue
 		}
-		tGate := sched[id]
-		// Each fanin should arrive at tGate-1; a fanin scheduled at
-		// sched[f] arrives sched[f] late by gap = tGate-1-sched[f].
+		tGate := lv[id]
+		// Each fanin should arrive at tGate-1; a fanin at level lv[f]
+		// arrives gap = tGate-1-lv[f] units early.
 		for _, f := range append([]logic.NodeID(nil), n.Fanin...) {
 			fn := nw.Node(f)
 			if fn == nil {
 				continue
 			}
-			fTime := sched[f]
+			fTime := lv[f]
 			if !fn.Type.IsGate() {
 				fTime = 0
 			}

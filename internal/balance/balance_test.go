@@ -111,50 +111,6 @@ func TestPartialBalanceReducesGlitches(t *testing.T) {
 	}
 }
 
-func TestALAPScheduleAblation(t *testing.T) {
-	a, err := circuits.RippleAdder(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := a.Clone()
-	resASAP, err := Balance(a, Options{MaxSkew: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resALAP, err := Balance(b, Options{MaxSkew: 0, ALAP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Check(); err != nil {
-		t.Fatal(err)
-	}
-	eq, err := logic.Equivalent(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("ALAP balancing changed the function")
-	}
-	// Both must be glitch-free.
-	for _, nw := range []*logic.Network{a, b} {
-		s, err := sim.New(nw, sim.UnitDelay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rand.New(rand.NewSource(3))
-		tot, err := s.Run(sim.RandomStimulus(r, 200, len(nw.PIs()), 0.5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tot.Spurious != 0 {
-			t.Errorf("%d spurious transitions remain", tot.Spurious)
-		}
-	}
-	if resASAP.BuffersAdded == 0 || resALAP.BuffersAdded == 0 {
-		t.Error("expected buffers to be inserted in both schedules")
-	}
-}
-
 func TestBalanceAlreadyBalanced(t *testing.T) {
 	nw, err := circuits.ParityTree(8)
 	if err != nil {

@@ -132,7 +132,7 @@ func FuzzBDDOps(f *testing.F) {
 				for i, r := range held {
 					roots[i] = r.f
 				}
-				if _, err := m.Reorder(roots, ReorderOptions{}); err != nil {
+				if _, err := m.Reorder(roots); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -336,7 +336,7 @@ func TestKernelIdentity(t *testing.T) {
 		stages := []func(){
 			func() { m.GC(outs) },
 			func() {
-				if _, err := m.Reorder(outs, ReorderOptions{}); err != nil {
+				if _, err := m.Reorder(outs); err != nil {
 					t.Fatal(err)
 				}
 			},

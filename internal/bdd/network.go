@@ -39,9 +39,6 @@ type ReorderPolicy struct {
 	// Threshold is the live node count that triggers the first reorder.
 	// 0 means min(4096, Budget.MaxNodes/2), floored at 64.
 	Threshold int
-	// MaxGrowth and MaxVars are passed through to ReorderOptions.
-	MaxGrowth float64
-	MaxVars   int
 }
 
 // threshold resolves the first trigger point against a budget.
@@ -181,10 +178,7 @@ func fromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (
 		nb.Fn[id] = f
 		nb.roots = append(nb.roots, f)
 		if opt.Reorder.Enable && m.live >= next {
-			if _, err := m.Reorder(nb.roots, ReorderOptions{
-				MaxGrowth: opt.Reorder.MaxGrowth,
-				MaxVars:   opt.Reorder.MaxVars,
-			}); err != nil {
+			if _, err := m.Reorder(nb.roots); err != nil {
 				return nil, err
 			}
 			next = 2 * m.live
@@ -249,7 +243,7 @@ func dfsOrder(nw *logic.Network, srcs []logic.NodeID) []int32 {
 // Reorder sifts the manager's variable order, pinning every node
 // function ever built so all Fn refs stay valid. It returns the sifting
 // statistics.
-func (nb *NetworkBDDs) Reorder(opt ReorderOptions) (ReorderStats, error) {
+func (nb *NetworkBDDs) Reorder() (ReorderStats, error) {
 	roots := nb.roots
 	if roots == nil {
 		// A NetworkBDDs assembled by hand: fall back to the Fn map in
@@ -263,7 +257,7 @@ func (nb *NetworkBDDs) Reorder(opt ReorderOptions) (ReorderStats, error) {
 			roots = append(roots, nb.Fn[id])
 		}
 	}
-	return nb.M.Reorder(roots, opt)
+	return nb.M.Reorder(roots)
 }
 
 // ApplyGate returns the function of a gate of type t over its fanin

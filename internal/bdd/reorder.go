@@ -2,17 +2,10 @@ package bdd
 
 import "sort"
 
-// ReorderOptions tunes Rudell-style sifting. The zero value sifts every
-// variable with a 1.2x growth cap.
-type ReorderOptions struct {
-	// MaxGrowth caps how far the live node count may grow past the best
-	// size seen while a variable is in flight before the sift direction
-	// is abandoned. Values <= 1 mean the default 1.2.
-	MaxGrowth float64
-	// MaxVars limits how many variables are sifted (most-populated
-	// levels first). 0 means all of them.
-	MaxVars int
-}
+// maxGrowth caps how far the live node count may grow past the best size
+// seen while a variable is in flight before the sift direction is
+// abandoned.
+const maxGrowth = 1.2
 
 // ReorderStats reports what a Reorder call did.
 type ReorderStats struct {
@@ -22,9 +15,10 @@ type ReorderStats struct {
 	After  int // live internal nodes after sifting
 }
 
-// Reorder runs sifting-based dynamic variable reordering: each variable
-// is moved through the order by in-place adjacent-level swaps and left at
-// the position minimizing the live node count, subject to the growth cap.
+// Reorder runs Rudell-style sifting: each variable, most-populated level
+// first, is moved through the order by in-place adjacent-level swaps and
+// left at the position minimizing the live node count, subject to the
+// maxGrowth cap.
 //
 // roots must list every Ref the caller still holds; everything not
 // reachable from them is garbage-collected into the manager's free list
@@ -36,15 +30,11 @@ type ReorderStats struct {
 // between swaps. On a trip the manager is poisoned as usual and the
 // sticky error returned; swaps themselves are atomic, so the graph stays
 // structurally consistent even then.
-func (m *Manager) Reorder(roots []Ref, opt ReorderOptions) (ReorderStats, error) {
+func (m *Manager) Reorder(roots []Ref) (ReorderStats, error) {
 	if m.checked && m.err != nil {
 		return ReorderStats{}, m.err
 	}
-	growth := opt.MaxGrowth
-	if growth <= 1 {
-		growth = 1.2
-	}
-	s := &sifter{m: m, maxGrowth: growth}
+	s := &sifter{m: m}
 	s.init(roots)
 	st := ReorderStats{Before: s.size()}
 
@@ -59,17 +49,13 @@ func (m *Manager) Reorder(roots []Ref, opt ReorderOptions) (ReorderStats, error)
 		loads[l] = varLoad{v: int(m.level2var[l]), pop: len(s.bucket(l))}
 	}
 	sort.SliceStable(loads, func(i, j int) bool { return loads[i].pop > loads[j].pop })
-	maxVars := opt.MaxVars
-	if maxVars <= 0 || maxVars > m.nvars {
-		maxVars = m.nvars
-	}
 
 	var err error
-	for i := 0; i < maxVars; i++ {
-		if loads[i].pop == 0 {
+	for _, ld := range loads {
+		if ld.pop == 0 {
 			continue // nothing tests this variable; moving it is a no-op
 		}
-		if err = s.sift(loads[i].v); err != nil {
+		if err = s.sift(ld.v); err != nil {
 			break
 		}
 		st.Vars++
@@ -88,13 +74,12 @@ func (m *Manager) Reorder(roots []Ref, opt ReorderOptions) (ReorderStats, error)
 // sifter holds the per-Reorder bookkeeping: reference counts (parent
 // edges plus root pins) and per-level node lists.
 type sifter struct {
-	m         *Manager
-	rc        []int32 // per-Ref: incoming edges from live nodes + root pins
-	buckets   [][]Ref // per-level live node lists; lazily filtered
-	stamp     []int32 // per-Ref dedup stamp for bucket filtering
-	stampGen  int32
-	swaps     int
-	maxGrowth float64
+	m        *Manager
+	rc       []int32 // per-Ref: incoming edges from live nodes + root pins
+	buckets  [][]Ref // per-level live node lists; lazily filtered
+	stamp    []int32 // per-Ref dedup stamp for bucket filtering
+	stampGen int32
+	swaps    int
 	// deps and indep are swap's scratch lists, reused across swaps.
 	deps  []depNode
 	indep []Ref
@@ -293,7 +278,7 @@ func (s *sifter) sift(v int) error {
 	n := m.nvars
 	best := s.size()
 	bestL := int(m.var2level[v])
-	limit := func() int { return int(float64(best)*s.maxGrowth) + 2 }
+	limit := func() int { return int(float64(best)*maxGrowth) + 2 }
 	note := func() {
 		if s.size() < best {
 			best, bestL = s.size(), int(m.var2level[v])

@@ -121,7 +121,7 @@ func TestReorderPreservesSemantics(t *testing.T) {
 				}
 			}
 
-			st, err := nb.Reorder(ReorderOptions{})
+			st, err := nb.Reorder()
 			if err != nil {
 				t.Fatalf("Reorder: %v", err)
 			}
@@ -203,7 +203,7 @@ func TestReorderShrinksComparator(t *testing.T) {
 		out = nb.Fn[po]
 	}
 	before := nb.M.NodeCount(out)
-	st, err := nb.Reorder(ReorderOptions{})
+	st, err := nb.Reorder()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestReorderDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nb.Reorder(ReorderOptions{}); err != nil {
+		if _, err := nb.Reorder(); err != nil {
 			t.Fatal(err)
 		}
 		return nb.M, nb.M.Order()
@@ -271,7 +271,7 @@ func TestReorderBudgetAware(t *testing.T) {
 	}
 	m := nb.M
 	m.SetBudget(Budget{MaxSteps: m.Steps() + 8})
-	_, rerr := nb.Reorder(ReorderOptions{})
+	_, rerr := nb.Reorder()
 	if rerr == nil || !errors.Is(rerr, ErrBudgetExceeded) {
 		t.Fatalf("budgeted Reorder returned %v, want ErrBudgetExceeded", rerr)
 	}
@@ -430,7 +430,7 @@ func TestPoisonedManagerEarlyOuts(t *testing.T) {
 	if got := m.SatCount(f); got != 0 {
 		t.Fatalf("poisoned SatCount = %v, want 0", got)
 	}
-	if _, err := m.Reorder([]Ref{f}, ReorderOptions{}); err == nil {
+	if _, err := m.Reorder([]Ref{f}); err == nil {
 		t.Fatal("poisoned Reorder did not return the sticky error")
 	}
 	if len(m.nodes) != nodesBefore {
@@ -488,7 +488,7 @@ func TestReorderGaugeSeesSwapPeak(t *testing.T) {
 	}
 	m := nb.M
 	built := len(m.nodes)
-	if _, err := nb.Reorder(ReorderOptions{}); err != nil {
+	if _, err := nb.Reorder(); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.nodes) <= built {

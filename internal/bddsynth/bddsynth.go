@@ -28,8 +28,6 @@ type Options struct {
 	// Budget bounds the BDD build; a trip makes Synthesize a skipped
 	// no-op, never an error. Zero means 1<<20 nodes.
 	Budget bdd.Budget
-	// NoReorder disables the sifting pass (for comparison runs).
-	NoReorder bool
 	// KeepWorse applies the MUX netlist even when its estimated power is
 	// not an improvement (used by experiments to measure the raw cost).
 	KeepWorse bool
@@ -83,7 +81,7 @@ func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, e
 	// so nb's functions and select variables name the same nodes in both.
 	nb, err := bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
 		Budget:           opt.Budget,
-		Reorder:          bdd.ReorderPolicy{Enable: !opt.NoReorder},
+		Reorder:          bdd.ReorderPolicy{Enable: true},
 		DeclarationOrder: true,
 	})
 	if err != nil {

@@ -130,11 +130,9 @@ func TestSynthesizeBudgetSkipIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	gates := nw.NumGates()
-	// NoReorder pins the fixed declaration order, which cannot fit this
-	// budget (the reorder-retry tests pin that premise).
+	// cmp16 needs over 1,000 nodes even with sifting, so this budget trips.
 	res, err := Synthesize(context.Background(), nw, Options{
-		Budget:    bdd.Budget{MaxNodes: 20000},
-		NoReorder: true,
+		Budget: bdd.Budget{MaxNodes: 500},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,17 +142,6 @@ func TestSynthesizeBudgetSkipIsNoOp(t *testing.T) {
 	}
 	if nw.NumGates() != gates {
 		t.Fatalf("skipped synthesis mutated the network: %d -> %d gates", gates, nw.NumGates())
-	}
-	// With sifting enabled the same budget fits and the pass proceeds.
-	res, err = Synthesize(context.Background(), nw, Options{
-		Budget:    bdd.Budget{MaxNodes: 20000},
-		KeepWorse: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Skipped || !res.Applied {
-		t.Fatalf("sifted build under the same budget should apply: %+v", res)
 	}
 }
 

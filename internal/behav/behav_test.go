@@ -266,11 +266,11 @@ func TestCorrelationAwareBinding(t *testing.T) {
 func TestMemoryLoopOrder(t *testing.T) {
 	cfg := DefaultCache()
 	const rows, cols = 64, 64
-	row, err := MatrixTrace(rows, cols, RowMajor, 0)
+	row, err := MatrixTrace(rows, cols, RowMajor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := MatrixTrace(rows, cols, ColMajor, 0)
+	col, err := MatrixTrace(rows, cols, ColMajor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,13 +304,10 @@ func TestMemoryValidation(t *testing.T) {
 	if _, err := SimulateTrace(DefaultCache(), []int{-1}); err == nil {
 		t.Error("negative address should fail")
 	}
-	if _, err := MatrixTrace(0, 4, RowMajor, 0); err == nil {
+	if _, err := MatrixTrace(0, 4, RowMajor); err == nil {
 		t.Error("empty matrix should fail")
 	}
-	if _, err := MatrixTrace(4, 4, TiledRow, 0); err == nil {
-		t.Error("zero tile should fail")
-	}
-	if _, err := MatrixTrace(4, 4, TraversalOrder(9), 0); err == nil {
+	if _, err := MatrixTrace(4, 4, TraversalOrder(9)); err == nil {
 		t.Error("unknown order should fail")
 	}
 }

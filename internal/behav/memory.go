@@ -72,13 +72,11 @@ type TraversalOrder int
 const (
 	RowMajor TraversalOrder = iota // innermost loop walks within a row (unit stride)
 	ColMajor                       // innermost loop walks down a column (stride = cols)
-	TiledRow                       // row-major within square tiles
 )
 
 // MatrixTrace generates the word-address trace of reading every element of
-// a rows×cols row-major matrix under the given loop order. tile is the
-// tile edge for TiledRow (ignored otherwise).
-func MatrixTrace(rows, cols int, order TraversalOrder, tile int) ([]int, error) {
+// a rows×cols row-major matrix under the given loop order.
+func MatrixTrace(rows, cols int, order TraversalOrder) ([]int, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("behav: matrix %dx%d", rows, cols)
 	}
@@ -94,19 +92,6 @@ func MatrixTrace(rows, cols int, order TraversalOrder, tile int) ([]int, error) 
 		for j := 0; j < cols; j++ {
 			for i := 0; i < rows; i++ {
 				out = append(out, i*cols+j)
-			}
-		}
-	case TiledRow:
-		if tile <= 0 {
-			return nil, fmt.Errorf("behav: tile %d", tile)
-		}
-		for bi := 0; bi < rows; bi += tile {
-			for bj := 0; bj < cols; bj += tile {
-				for i := bi; i < bi+tile && i < rows; i++ {
-					for j := bj; j < bj+tile && j < cols; j++ {
-						out = append(out, i*cols+j)
-					}
-				}
 			}
 		}
 	default:

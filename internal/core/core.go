@@ -34,7 +34,6 @@ type Context struct {
 	// Vectors drive the simulated (glitch-aware) power measurement; if
 	// nil, NewContext generates random vectors.
 	Vectors [][]bool
-	Rand    *rand.Rand
 	// Verify enables exhaustive equivalence checking after each pass
 	// (only for networks with <= 16 inputs).
 	Verify bool
@@ -78,12 +77,10 @@ type Context struct {
 // NewContext builds a default context for a network: 1995 parameters,
 // minimum-size balancing buffers, uniform inputs, 400 random vectors.
 func NewContext(nw *logic.Network, seed int64) *Context {
-	r := rand.New(rand.NewSource(seed))
 	return &Context{
 		Params:   power.DefaultParams(),
 		CapModel: power.BufferWeightedCap(0.25),
-		Vectors:  sim.RandomVectors(r, 400, len(nw.PIs()), 0.5),
-		Rand:     r,
+		Vectors:  sim.RandomVectors(rand.New(rand.NewSource(seed)), 400, len(nw.PIs()), 0.5),
 		Verify:   true,
 	}
 }

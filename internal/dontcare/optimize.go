@@ -50,9 +50,11 @@ type Options struct {
 	InputProb power.Probabilities
 	// Params for power evaluation under the NetworkPower objective.
 	Params power.Params
-	// MaxFanin skips gates with more local inputs than this (default 8).
-	MaxFanin int
 }
+
+// maxFanin is the largest local input count of a gate OptimizeNetwork
+// rewrites; wider gates are skipped.
+const maxFanin = 8
 
 // Result reports the pass outcome.
 type Result struct {
@@ -67,9 +69,6 @@ type Result struct {
 // The pass shares one global BDD view across every gate it visits; the
 // package documentation gives its cost model.
 func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
-	if opts.MaxFanin <= 0 {
-		opts.MaxFanin = 8
-	}
 	if opts.Params == (power.Params{}) {
 		opts.Params = power.DefaultParams()
 	}
@@ -89,7 +88,7 @@ func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 		if n == nil || !n.Type.IsGate() || n.Type == logic.Buf || n.Type == logic.Not {
 			continue
 		}
-		if len(n.Fanin) > opts.MaxFanin {
+		if len(n.Fanin) > maxFanin {
 			continue
 		}
 		res.NodesVisited++

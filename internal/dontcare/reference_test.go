@@ -172,9 +172,6 @@ func refGlobalODC(nw *logic.Network, id logic.NodeID) (*bdd.Manager, bdd.Ref, []
 }
 
 func refOptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
-	if opts.MaxFanin <= 0 {
-		opts.MaxFanin = 8
-	}
 	if opts.Params == (power.Params{}) {
 		opts.Params = power.DefaultParams()
 	}
@@ -184,7 +181,7 @@ func refOptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 		if n == nil || !n.Type.IsGate() || n.Type == logic.Buf || n.Type == logic.Not {
 			continue
 		}
-		if len(n.Fanin) > opts.MaxFanin {
+		if len(n.Fanin) > maxFanin {
 			continue
 		}
 		res.NodesVisited++

@@ -146,26 +146,21 @@ func Greedy(g *stg.STG) Encoding {
 
 // AnnealOptions tunes the simulated-annealing encoder.
 type AnnealOptions struct {
-	Iterations int     // default 20000
-	StartTemp  float64 // default 1.0
-	EndTemp    float64 // default 1e-3
-	ExtraBits  int     // code width beyond minimal (more room, default 0)
+	Iterations int // default 20000
 }
 
-// Anneal searches minimal-bit (plus ExtraBits) encodings by simulated
-// annealing over code swaps and relocations, minimizing WeightedActivity.
+// The annealing temperature falls geometrically from startTemp to
+// endTemp over the iterations.
+const startTemp, endTemp = 1.0, 1e-3
+
+// Anneal searches minimal-bit encodings by simulated annealing over code
+// swaps and relocations, minimizing WeightedActivity.
 func Anneal(g *stg.STG, r *rand.Rand, opts AnnealOptions) Encoding {
 	if opts.Iterations <= 0 {
 		opts.Iterations = 20000
 	}
-	if opts.StartTemp <= 0 {
-		opts.StartTemp = 1.0
-	}
-	if opts.EndTemp <= 0 {
-		opts.EndTemp = 1e-3
-	}
 	n := len(g.States)
-	b := minBits(n) + opts.ExtraBits
+	b := minBits(n)
 	space := 1 << b
 
 	w := g.TransitionWeights()
@@ -199,7 +194,7 @@ func Anneal(g *stg.STG, r *rand.Rand, opts AnnealOptions) Encoding {
 	bestCode := append([]uint(nil), code...)
 	for it := 0; it < opts.Iterations; it++ {
 		frac := float64(it) / float64(opts.Iterations)
-		temp := opts.StartTemp * math.Pow(opts.EndTemp/opts.StartTemp, frac)
+		temp := startTemp * math.Pow(endTemp/startTemp, frac)
 		i := r.Intn(n)
 		var revert func()
 		if r.Intn(2) == 0 {

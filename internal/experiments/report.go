@@ -8,13 +8,12 @@ import (
 
 // Report is the machine-readable output of a cmd/experiments run: every
 // regenerated table plus the observability registry's exported metrics and
-// run provenance. The schema is documented in DESIGN.md ("Observability").
+// the Go version that produced them. The schema is documented in DESIGN.md ("Observability").
 type Report struct {
 	Tables    []*Table               `json:"tables"`
 	Failures  []Failure              `json:"failures,omitempty"`
 	Metrics   map[string]interface{} `json:"metrics,omitempty"`
 	GoVersion string                 `json:"go_version"`
-	Seed      int64                  `json:"seed"`
 }
 
 // Failure records an experiment that produced no table — an error, a
@@ -28,8 +27,8 @@ type Failure struct {
 }
 
 // NewReport creates an empty report stamped with the running Go version.
-func NewReport(seed int64) *Report {
-	return &Report{GoVersion: runtime.Version(), Seed: seed}
+func NewReport() *Report {
+	return &Report{GoVersion: runtime.Version()}
 }
 
 // WriteJSON emits the report as indented JSON.

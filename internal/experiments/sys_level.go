@@ -159,11 +159,11 @@ func E15Behavioral() (*Table, error) {
 
 	// Memory loop order [14].
 	cfg := behav.DefaultCache()
-	row, err := behav.MatrixTrace(64, 64, behav.RowMajor, 0)
+	row, err := behav.MatrixTrace(64, 64, behav.RowMajor)
 	if err != nil {
 		return nil, err
 	}
-	col, err := behav.MatrixTrace(64, 64, behav.ColMajor, 0)
+	col, err := behav.MatrixTrace(64, 64, behav.ColMajor)
 	if err != nil {
 		return nil, err
 	}

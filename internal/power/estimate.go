@@ -25,10 +25,11 @@ const (
 	// Carlo fallback: a tripped budget is returned as the error.
 	MethodDensity Method = "density"
 	// MethodPacked measures zero-delay activity with the 64-lane packed
-	// simulator; combinational networks only (see EstimateZeroDelayPacked).
+	// simulator; combinational networks only (see
+	// sim.PackedSimulator.RunStimulus).
 	MethodPacked Method = "packed"
 	// MethodSimulated measures unit-delay activity, glitches included,
-	// with the event-driven simulator (see EstimateSimulatedParallel).
+	// with the event-driven simulator (see sim.MeasureStimulusCtx).
 	MethodSimulated Method = "simulated"
 )
 

@@ -86,9 +86,6 @@ type Config struct {
 	// (default 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxBodyBytes bounds request bodies, BLIF upload included
-	// (default 8 MiB).
-	MaxBodyBytes int64
 	// DefaultBudget is the BDD budget applied to exact estimation when
 	// the request sets neither bdd_max_nodes nor bdd_max_steps. The zero
 	// value means unlimited.
@@ -140,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 32
@@ -422,10 +416,13 @@ func (s *Server) release() {
 	<-s.sem
 }
 
+// maxBodyBytes bounds request bodies, BLIF upload included.
+const maxBodyBytes = 8 << 20
+
 // decodeJSON reads a bounded request body into dst, rejecting unknown
 // fields so typos in option names fail loudly instead of being ignored.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {

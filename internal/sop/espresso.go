@@ -7,17 +7,15 @@ type MinimizeOptions struct {
 	// DontCare is an optional don't-care cover: minterms the function may
 	// take either value on.
 	DontCare *Cover
-	// MaxIterations bounds the expand/irredundant/reduce loop (default 8).
-	MaxIterations int
 }
+
+// maxIterations bounds Minimize's expand/irredundant/reduce loop.
+const maxIterations = 8
 
 // Minimize runs an espresso-style EXPAND → IRREDUNDANT → REDUCE loop on the
 // cover until the literal count stops improving. The result is a prime and
 // irredundant cover of the same function (modulo don't-cares).
 func Minimize(f *Cover, opts MinimizeOptions) (*Cover, error) {
-	if opts.MaxIterations <= 0 {
-		opts.MaxIterations = 8
-	}
 	dc := opts.DontCare
 	if dc == nil {
 		dc = NewCover(f.NumVars)
@@ -31,7 +29,7 @@ func Minimize(f *Cover, opts MinimizeOptions) (*Cover, error) {
 
 	cur := f.Clone().SingleCubeContainment()
 	bestLits := cur.NumLiterals() + 1
-	for it := 0; it < opts.MaxIterations; it++ {
+	for it := 0; it < maxIterations; it++ {
 		cur = Expand(cur, off)
 		cur = Irredundant(cur, dc)
 		l := cur.NumLiterals()

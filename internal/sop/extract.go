@@ -15,9 +15,10 @@ type ExtractOptions struct {
 	// computes. nil means unit weight. The power variant derives the new
 	// node's activity from its input activities.
 	NewLitWeight func(k *Expr) float64
-	// MaxExtractions bounds the greedy loop (default 64).
-	MaxExtractions int
 }
+
+// maxExtractions bounds Extract's greedy loop.
+const maxExtractions = 64
 
 // Extraction describes one extracted kernel.
 type Extraction struct {
@@ -32,9 +33,6 @@ type Extraction struct {
 // expressions plus the list of extractions (in order; later extractions
 // may reference earlier ones). nextLit is the first free literal ID.
 func Extract(fns []*Expr, nextLit int, opts ExtractOptions) ([]*Expr, []Extraction) {
-	if opts.MaxExtractions <= 0 {
-		opts.MaxExtractions = 64
-	}
 	w := opts.LitWeight
 	litW := func(l int) float64 {
 		if w == nil {
@@ -70,7 +68,7 @@ func Extract(fns []*Expr, nextLit int, opts ExtractOptions) ([]*Expr, []Extracti
 	}
 
 	var extractions []Extraction
-	for round := 0; round < opts.MaxExtractions; round++ {
+	for round := 0; round < maxExtractions; round++ {
 		// Collect candidate kernels from all functions.
 		type cand struct {
 			key  string

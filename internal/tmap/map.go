@@ -36,12 +36,6 @@ func (o Objective) String() string {
 // Options configures mapping.
 type Options struct {
 	Objective Objective
-	Library   *Library // nil = DefaultLibrary
-	// InputProb gives source probabilities for the power objective
-	// (nil = uniform 0.5).
-	InputProb power.Probabilities
-	// ExtLoad is the capacitance charged to nets driving primary outputs.
-	ExtLoad float64
 	// Decompose controls the subject-graph decomposition shape (the [48]
 	// lever).
 	Decompose DecomposeOptions
@@ -65,32 +59,22 @@ type Mapping struct {
 	Activity map[logic.NodeID]float64
 }
 
-// Map performs tree-covering technology mapping of the network.
+// extLoad is the capacitance charged to nets driving primary outputs.
+const extLoad = 1.0
+
+// Map performs tree-covering technology mapping of the network onto
+// DefaultLibrary, with exact zero-delay activities under uniform inputs.
 func Map(nw *logic.Network, opts Options) (*Mapping, error) {
-	lib := opts.Library
-	if lib == nil {
-		lib = DefaultLibrary()
-	}
-	if opts.ExtLoad == 0 {
-		opts.ExtLoad = 1.0
-	}
+	lib := DefaultLibrary()
 	subj, err := DecomposeWith(nw, opts.Decompose)
 	if err != nil {
 		return nil, err
 	}
 	sn := subj.Net
 
-	// Exact zero-delay switching activity of every subject net.
-	inProb := power.Probabilities{}
-	if opts.InputProb != nil {
-		// Translate original source IDs to subject IDs.
-		for orig, p := range opts.InputProb {
-			if sid, ok := subj.OfOrig[orig]; ok {
-				inProb[sid] = p
-			}
-		}
-	}
-	probs, err := power.ExactProbabilities(context.TODO(), sn, inProb, bdd.Budget{})
+	// Exact zero-delay switching activity of every subject net, under
+	// uniform 0.5 sources.
+	probs, err := power.ExactProbabilities(context.TODO(), sn, nil, bdd.Budget{})
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +261,7 @@ func Map(nw *logic.Network, opts Options) (*Mapping, error) {
 		}
 	}
 	for _, po := range sn.POs() {
-		m.Power += act[po] * opts.ExtLoad
+		m.Power += act[po] * extLoad
 	}
 	return m, nil
 }

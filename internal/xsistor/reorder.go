@@ -167,7 +167,6 @@ type ReorderObjective int
 const (
 	ReorderPower ReorderObjective = iota
 	ReorderDelay
-	ReorderPowerDelay // minimize power subject to minimal delay
 )
 
 // ReorderResult reports the chosen order and its metrics.
@@ -182,8 +181,8 @@ type ReorderResult struct {
 // times. It returns the best result without mutating s.
 //
 // The workload is simulated only where the objective reads it: every
-// permutation under ReorderPower, delay ties under ReorderPowerDelay, and
-// otherwise just the winning order, once, for its reported Power.
+// permutation under ReorderPower, and under ReorderDelay just the winning
+// order, once, for its reported Power.
 func (s *SeriesStack) Reorder(obj ReorderObjective, vectors sim.Stimulus, arrival []float64) (ReorderResult, error) {
 	k := len(s.Order)
 	if k > 7 {
@@ -193,8 +192,6 @@ func (s *SeriesStack) Reorder(obj ReorderObjective, vectors sim.Stimulus, arriva
 		arrival = make([]float64, k)
 	}
 	best := ReorderResult{Power: math.Inf(1), Delay: math.Inf(1)}
-	// bestSimulated is false while best.Power is still owed for best.Order.
-	bestSimulated := true
 	perm := make([]int, k)
 	for i := range perm {
 		perm[i] = i
@@ -204,13 +201,6 @@ func (s *SeriesStack) Reorder(obj ReorderObjective, vectors sim.Stimulus, arriva
 	power := func(order []int) float64 {
 		trial.Order = order
 		return trial.simulate(flat, vectors.Len())
-	}
-	bestPower := func() float64 {
-		if !bestSimulated {
-			best.Power = power(best.Order)
-			bestSimulated = true
-		}
-		return best.Power
 	}
 	var visit func(int)
 	visit = func(i int) {
@@ -222,14 +212,9 @@ func (s *SeriesStack) Reorder(obj ReorderObjective, vectors sim.Stimulus, arriva
 				if p := power(perm); p < best.Power-1e-15 {
 					best = ReorderResult{Order: append([]int(nil), perm...), Power: p, Delay: d}
 				}
-			case ReorderDelay, ReorderPowerDelay:
+			case ReorderDelay:
 				if d < best.Delay-1e-15 {
 					best = ReorderResult{Order: append([]int(nil), perm...), Delay: d}
-					bestSimulated = false
-				} else if obj == ReorderPowerDelay && math.Abs(d-best.Delay) < 1e-12 {
-					if p := power(perm); p < bestPower()-1e-15 {
-						best = ReorderResult{Order: append([]int(nil), perm...), Power: p, Delay: d}
-					}
 				}
 			}
 			return
@@ -241,7 +226,9 @@ func (s *SeriesStack) Reorder(obj ReorderObjective, vectors sim.Stimulus, arriva
 		}
 	}
 	visit(0)
-	bestPower()
+	if obj == ReorderDelay && best.Order != nil {
+		best.Power = power(best.Order)
+	}
 	return best, nil
 }
 

@@ -1,7 +1,6 @@
 package xsistor
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -98,8 +97,6 @@ func refReorder(s *SeriesStack, obj ReorderObjective, vectors [][]bool, arrival 
 				better = p < best.Power-1e-15
 			case ReorderDelay:
 				better = d < best.Delay-1e-15
-			case ReorderPowerDelay:
-				better = d < best.Delay-1e-15 || (math.Abs(d-best.Delay) < 1e-12 && p < best.Power-1e-15)
 			}
 			if better {
 				best = ReorderResult{Order: append([]int(nil), perm...), Power: p, Delay: d}
@@ -161,7 +158,7 @@ func TestStepMatchesQuadraticOracle(t *testing.T) {
 
 func TestReorderMatchesSimulateEverythingOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	objectives := []ReorderObjective{ReorderPower, ReorderDelay, ReorderPowerDelay}
+	objectives := []ReorderObjective{ReorderPower, ReorderDelay}
 	for k := 2; k <= 7; k++ {
 		n := 400
 		if k == 7 {
@@ -173,8 +170,7 @@ func TestReorderMatchesSimulateEverythingOracle(t *testing.T) {
 			rows := vecs.Unpack()
 			// nil arrivals tie every permutation on delay; arrivals drawn
 			// from {0, 1, 2} tie some; continuous ones tie only orders
-			// that agree on the critical input. The first two drive
-			// ReorderPowerDelay's tie branch.
+			// that agree on the critical input.
 			coarse := make([]float64, k)
 			fine := make([]float64, k)
 			for i := range coarse {
@@ -197,38 +193,11 @@ func TestReorderMatchesSimulateEverythingOracle(t *testing.T) {
 	}
 }
 
-// TestReorderPowerDelayBreaksTiesOnPower pins the tie branch on a case
-// where it decides: with every arrival equal, all orders tie on delay, so
-// the result must be the minimum-power order.
-func TestReorderPowerDelayBreaksTiesOnPower(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	s, _ := NewSeriesStack(4)
-	vecs := sim.BiasedStimulus(r, 2000, []float64{0.95, 0.05, 0.5, 0.3})
-	pd, err := s.Reorder(ReorderPowerDelay, vecs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := s.Reorder(ReorderPower, vecs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pd, p) {
-		t.Errorf("all-tied power-delay search %+v, power search %+v", pd, p)
-	}
-	d, err := s.Reorder(ReorderDelay, vecs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(d.Order) != "[0 1 2 3]" || d.Power != s.SimulatePower(vecs) {
-		t.Errorf("all-tied delay search should keep the first order and report its power, got %+v", d)
-	}
-}
-
 // TestReorderEmptyWorkload covers the degenerate stream: zero power for
 // every order, and the delay objective still reports it.
 func TestReorderEmptyWorkload(t *testing.T) {
 	s, _ := NewSeriesStack(3)
-	for _, obj := range []ReorderObjective{ReorderPower, ReorderDelay, ReorderPowerDelay} {
+	for _, obj := range []ReorderObjective{ReorderPower, ReorderDelay} {
 		got, err := s.Reorder(obj, sim.Stimulus{}, []float64{0, 2, 1})
 		if err != nil {
 			t.Fatal(err)

@@ -15,16 +15,19 @@ type Sizes map[logic.NodeID]float64
 type SizingOptions struct {
 	// MinSize and MaxSize bound gate widths (defaults 1 and 8).
 	MinSize, MaxSize float64
-	// Step is the multiplicative shrink factor per move (default 0.8).
-	Step float64
 	// DelayTarget is the required critical delay. Negative means "the
 	// delay achieved with all gates at MaxSize" (zero-slack start).
 	DelayTarget float64
 	// WireCap is added to every driven net.
 	WireCap float64
-	// MaxPasses bounds the improvement loop (default 20).
-	MaxPasses int
 }
+
+// The downsizing pass shrinks a gate by sizeStep per move and makes at
+// most maxSizingPasses improvement passes.
+const (
+	sizeStep        = 0.8
+	maxSizingPasses = 20
+)
 
 // SizingResult reports the outcome.
 type SizingResult struct {
@@ -100,12 +103,6 @@ func SizeForPower(nw *logic.Network, act func(logic.NodeID) float64, opts Sizing
 	if opts.MaxSize < opts.MinSize {
 		return SizingResult{}, fmt.Errorf("xsistor: MaxSize %v < MinSize %v", opts.MaxSize, opts.MinSize)
 	}
-	if opts.Step <= 0 || opts.Step >= 1 {
-		opts.Step = 0.8
-	}
-	if opts.MaxPasses <= 0 {
-		opts.MaxPasses = 20
-	}
 	sizes := Sizes{}
 	for _, id := range nw.Gates() {
 		sizes[id] = opts.MaxSize
@@ -123,7 +120,7 @@ func SizeForPower(nw *logic.Network, act func(logic.NodeID) float64, opts Sizing
 	}
 
 	res := SizingResult{Sizes: sizes, DelayTarget: target}
-	for pass := 0; pass < opts.MaxPasses; pass++ {
+	for pass := 0; pass < maxSizingPasses; pass++ {
 		improved := false
 		// Visit gates in decreasing slack order.
 		an, err = timing.Analyze(nw, delayFn(nw, sizes, opts.WireCap), target)
@@ -137,7 +134,7 @@ func SizeForPower(nw *logic.Network, act func(logic.NodeID) float64, opts Sizing
 				continue
 			}
 			old := sizes[id]
-			next := old * opts.Step
+			next := old * sizeStep
 			if next < opts.MinSize {
 				next = opts.MinSize
 			}

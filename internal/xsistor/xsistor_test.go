@@ -114,28 +114,6 @@ func TestReorderDelayPutsLateInputNearOutput(t *testing.T) {
 	}
 }
 
-func TestReorderPowerDelayKeepsMinDelay(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	prob := []float64{0.9, 0.1, 0.5, 0.3}
-	vecs := sim.BiasedStimulus(r, 2000, prob)
-	arrival := []float64{0, 3, 0, 0}
-	s, _ := NewSeriesStack(4)
-	dBest, err := s.Reorder(ReorderDelay, vecs, arrival)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pdBest, err := s.Reorder(ReorderPowerDelay, vecs, arrival)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pdBest.Delay-dBest.Delay) > 1e-9 {
-		t.Errorf("power-delay order delay %v != min delay %v", pdBest.Delay, dBest.Delay)
-	}
-	if pdBest.Power > dBest.Power+1e-12 {
-		t.Errorf("power-delay order should not dissipate more than the delay-only order")
-	}
-}
-
 func TestReorderTooManyInputs(t *testing.T) {
 	s, _ := NewSeriesStack(8)
 	if _, err := s.Reorder(ReorderPower, sim.Stimulus{}, nil); err == nil {
