@@ -1,4 +1,4 @@
-// Command experiments regenerates every experiment table E1..E16 plus the
+// Command experiments regenerates every experiment table E1–E18 plus the
 // E4b estimator ablation — the reproduction of the survey's quantitative
 // claims. Run with -only E5 to regenerate a single table, -json for a
 // machine-readable {tables, metrics, go_version} report, and
@@ -24,6 +24,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obsv"
 	"repro/internal/obsv/profile"
+	"repro/internal/obsv/trace"
 )
 
 func main() {
@@ -74,7 +75,6 @@ func main() {
 		out = f
 	}
 
-	trace := &profile.Trace{Process: "experiments", Thread: "tables"}
 	matched := map[string]bool{}
 	var selected []experiments.Experiment
 	for _, ex := range experiments.All() {
@@ -97,19 +97,23 @@ func main() {
 		stopWatchdog := cliutil.Watchdog("experiments", cliutil.GraceAfter(*timeout))
 		defer stopWatchdog()
 	}
+	// With -profile the run is traced: RunAllCtx records one
+	// experiment.<ID> span per table under this root.
+	var root *trace.Span
+	if *profDir != "" {
+		ctx, root = trace.New(ctx, "experiments")
+	}
 
 	// Independent tables run concurrently on a bounded pool; results come
-	// back in E-number order with per-table span timings, so the emitted
-	// report and trace are deterministic for any -parallel value.
+	// back in E-number order, so the emitted report is deterministic for
+	// any -parallel value.
 	var tables []*experiments.Table
 	var failures []experiments.Failure
 	failed := 0
-	for _, res := range experiments.RunAllCtx(ctx, selected, *parallel, *perTimeout) {
-		span := profile.Span{Name: res.ID, Cat: "experiment", StartNs: res.StartNs, DurNs: res.DurNs}
-		span.Args = map[string]interface{}{}
+	results := experiments.RunAllCtx(ctx, selected, *parallel, *perTimeout)
+	root.End()
+	for _, res := range results {
 		if res.Err != nil {
-			span.Args["error"] = res.Err.Error()
-			trace.Add(span)
 			fmt.Fprintf(os.Stderr, "%s: %v\n", res.ID, res.Err)
 			failures = append(failures, experiments.Failure{ID: res.ID, Error: res.Err.Error(), Skipped: res.Skipped})
 			failed++
@@ -119,9 +123,6 @@ func main() {
 				continue
 			}
 		}
-		span.Args["title"] = res.Table.Title
-		span.Args["rows"] = len(res.Table.Rows)
-		trace.Add(span)
 		tables = append(tables, res.Table)
 	}
 
@@ -157,7 +158,7 @@ func main() {
 		}
 	}
 	if *profDir != "" {
-		if err := writeRunProfile(*profDir, trace, reg); err != nil {
+		if err := writeRunProfile(*profDir, profile.FromTracer(root.Tracer(), "experiments", "tables"), reg); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			failed++
 		}
@@ -167,8 +168,8 @@ func main() {
 	}
 }
 
-// writeRunProfile dumps the per-experiment trace spans (Chrome trace_event
-// JSON, loadable in Perfetto) and a sorted text metrics snapshot.
+// writeRunProfile dumps the run's trace (Chrome trace_event JSON, loadable
+// in Perfetto) and a sorted text metrics snapshot.
 func writeRunProfile(dir string, trace *profile.Trace, reg *obsv.Registry) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -32,13 +32,10 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obsv"
 	"repro/internal/obsv/profile"
+	"repro/internal/obsv/trace"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
-
-// generators is the shared named-circuit registry (internal/circuits);
-// lpflow, powerest and lpserverd all resolve -circuit names there.
-var generators = circuits.Generators()
 
 func main() {
 	circuit := flag.String("circuit", "", "built-in circuit generator")
@@ -84,12 +81,7 @@ func main() {
 	}
 
 	if *list {
-		var names []string
-		for n := range generators {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Println("circuits:", strings.Join(names, " "))
+		fmt.Println("circuits:", strings.Join(circuits.GeneratorNames(), " "))
 		var flows []string
 		for n := range core.StandardFlows() {
 			flows = append(flows, n)
@@ -100,7 +92,7 @@ func main() {
 		return
 	}
 
-	nw, err := loadNetwork(*circuit, *blif)
+	nw, err := cliutil.LoadNetwork(*circuit, *blif)
 	if err != nil {
 		fatal(err)
 	}
@@ -118,11 +110,18 @@ func main() {
 		stopWatchdog := cliutil.Watchdog("lpflow", cliutil.GraceAfter(*timeout))
 		defer stopWatchdog()
 	}
+	// With -profile the flow runs under a tracer: its pass spans, and the
+	// engine spans nested under them, become trace.json.
+	var root *trace.Span
+	if *profDir != "" {
+		runCtx, root = trace.New(runCtx, "flow."+flow.Name)
+	}
 	ctx := core.NewContext(nw, *seed)
 	ctx.ExactBudget = bdd.Budget{MaxNodes: *bddBudget}
 	ctx.Incremental = *incremental
 	ctx.FullRecompute = *fullReestimate
 	rep, err := core.RunFlowCtx(runCtx, nw, flow, ctx)
+	root.End()
 	if err != nil {
 		// On cancellation the flow hands back the trajectory it finished;
 		// print it before failing so a timed-out run is still informative.
@@ -137,7 +136,8 @@ func main() {
 		if n <= 0 {
 			n = 10
 		}
-		if err := writeProfiles(nw, ctx, rep, *profDir, n); err != nil {
+		tr := profile.FromTracer(root.Tracer(), "lpflow", "flow:"+flow.Name)
+		if err := writeProfiles(nw, ctx, tr, *profDir, n); err != nil {
 			fatal(err)
 		}
 	}
@@ -161,10 +161,10 @@ func main() {
 // transition densities and glitch-inclusive simulation side by side — and
 // prints the top-n table. With a non-empty dir it also writes power.pb.gz
 // (pprof), power.folded / power_est.folded (flamegraph stacks) and
-// trace.json (Chrome trace of the pass pipeline). The simulated attribution
+// trace.json (Chrome trace of the flow's span tree). The simulated attribution
 // reuses the flow's own vectors and delay model, so module subtotals sum to
 // the reported SimP; its glitch shares come from that run's counts.
-func writeProfiles(nw *logic.Network, ctx *core.Context, rep *core.FlowReport, dir string, topN int) error {
+func writeProfiles(nw *logic.Network, ctx *core.Context, tr *profile.Trace, dir string, topN int) error {
 	vecs, err := sim.PackVectors(ctx.Vectors)
 	if err != nil {
 		return err
@@ -197,7 +197,7 @@ func writeProfiles(nw *logic.Network, ctx *core.Context, rep *core.FlowReport, d
 		{"power.pb.gz", func(f *os.File) error { return prof.WritePprof(f) }},
 		{"power.folded", func(f *os.File) error { return prof.WriteFolded(f) }},
 		{"power_est.folded", func(f *os.File) error { return prof.WriteFoldedEst(f) }},
-		{"trace.json", func(f *os.File) error { return flowTrace(rep).WriteJSON(f) }},
+		{"trace.json", func(f *os.File) error { return tr.WriteJSON(f) }},
 	}
 	for _, w := range writers {
 		f, err := os.Create(filepath.Join(dir, w.name))
@@ -217,27 +217,6 @@ func writeProfiles(nw *logic.Network, ctx *core.Context, rep *core.FlowReport, d
 	return nil
 }
 
-// flowTrace converts a flow's pass spans into a Chrome trace.
-func flowTrace(rep *core.FlowReport) *profile.Trace {
-	tr := &profile.Trace{Process: "lpflow", Thread: "flow:" + rep.Flow}
-	for _, s := range rep.Spans {
-		tr.Add(profile.Span{
-			Name:    s.Name,
-			Cat:     "pass",
-			StartNs: s.StartNs,
-			DurNs:   s.DurNs,
-			Args: map[string]interface{}{
-				"level":   s.Level,
-				"dpower":  s.DPower,
-				"dexactp": s.DExactP,
-				"dgates":  s.DGates,
-				"ddepth":  s.DDepth,
-			},
-		})
-	}
-	return tr
-}
-
 // writeMemProfile dumps a heap profile (after a GC, so live objects are
 // accurate) when path is non-empty.
 func writeMemProfile(path string) {
@@ -253,28 +232,6 @@ func writeMemProfile(path string) {
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		fmt.Fprintln(os.Stderr, "lpflow:", err)
-	}
-}
-
-func loadNetwork(circuit, blif string) (*logic.Network, error) {
-	switch {
-	case circuit != "" && blif != "":
-		return nil, fmt.Errorf("specify -circuit or -blif, not both")
-	case circuit != "":
-		gen, ok := generators[circuit]
-		if !ok {
-			return nil, fmt.Errorf("unknown circuit %q (try -list)", circuit)
-		}
-		return gen()
-	case blif != "":
-		f, err := os.Open(blif)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return logic.ReadBLIF(f)
-	default:
-		return nil, fmt.Errorf("specify -circuit or -blif (try -list)")
 	}
 }
 

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestMain lets the test binary stand in for lpflow: with LPFLOW_RUN_MAIN
@@ -24,7 +28,8 @@ func TestMain(m *testing.M) {
 // flows and requires the hottest-nodes table (with its glitch% column)
 // and both folded-stack files to match testdata byte for byte. The
 // mult4/area and cnt3 (sequential) cases list every node, so every
-// glitch share is pinned.
+// glitch share is pinned. trace.json, which holds wall-clock times, is
+// checked for its shape instead (checkFlowTrace).
 func TestProfileOutputsPinned(t *testing.T) {
 	cases := []struct {
 		name string
@@ -59,7 +64,62 @@ func TestProfileOutputsPinned(t *testing.T) {
 				}
 				compare(t, f, string(got), want)
 			}
+			checkFlowTrace(t, filepath.Join(dir, "trace.json"), c.args[slices.Index(c.args, "-flow")+1])
 		})
+	}
+}
+
+// checkFlowTrace requires one pass.<name> event per pass of the flow, in
+// flow order, each carrying the pass's level and deltas, and at least one
+// engine span (core.measure) whose parent is one of those passes.
+func checkFlowTrace(t *testing.T, path, flowName string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace.json: %v", err)
+	}
+	var passes []string
+	passIDs := map[any]bool{}
+	nested := false
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		if ev.Cat == "pass" {
+			passes = append(passes, ev.Name)
+			passIDs[ev.Args["span_id"]] = true
+			for _, k := range []string{"level", "dpower", "dexactp", "dgates", "ddepth"} {
+				if _, ok := ev.Args[k]; !ok {
+					t.Errorf("%s event lacks %q: %v", ev.Name, k, ev.Args)
+				}
+			}
+		}
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "core.measure" && passIDs[ev.Args["parent_id"]] {
+			nested = true
+		}
+	}
+	var want []string
+	for _, p := range core.StandardFlows()[flowName].Passes {
+		want = append(want, "pass."+p)
+	}
+	if !slices.Equal(passes, want) {
+		t.Errorf("trace.json pass events %v, want %v", passes, want)
+	}
+	if !nested {
+		t.Errorf("trace.json has no core.measure span under a pass")
 	}
 }
 

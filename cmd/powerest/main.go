@@ -16,9 +16,7 @@ import (
 	"os"
 
 	"repro/internal/bdd"
-	"repro/internal/circuits"
 	"repro/internal/cliutil"
-	"repro/internal/logic"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -52,7 +50,7 @@ func main() {
 		defer stopWatchdog()
 	}
 
-	nw, err := load(*circuit, *blif)
+	nw, err := cliutil.LoadNetwork(*circuit, *blif)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,24 +102,6 @@ func main() {
 	fmt.Printf("top %d consumers (simulated):\n", *top)
 	for _, np := range simRep.TopConsumers(*top) {
 		fmt.Printf("  %-16s cap=%5.1f activity=%6.3f P=%8.3f\n", np.Name, np.Cap, np.Activity, np.Total())
-	}
-}
-
-func load(circuit, blif string) (*logic.Network, error) {
-	switch {
-	case circuit != "" && blif != "":
-		return nil, fmt.Errorf("specify -circuit or -blif, not both")
-	case blif != "":
-		f, err := os.Open(blif)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return logic.ReadBLIF(f)
-	case circuit != "":
-		return circuits.Named(circuit)
-	default:
-		return nil, fmt.Errorf("specify -circuit or -blif")
 	}
 }
 

@@ -50,8 +50,8 @@ func randomDAG(seed int64) *logic.Network {
 func propertyNetworks(t *testing.T) map[string]*logic.Network {
 	t.Helper()
 	out := make(map[string]*logic.Network)
-	for name, gen := range circuits.Generators() {
-		nw, err := gen()
+	for _, name := range circuits.GeneratorNames() {
+		nw, err := circuits.Named(name)
 		if err != nil {
 			t.Fatalf("building %s: %v", name, err)
 		}

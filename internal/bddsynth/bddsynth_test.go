@@ -16,8 +16,8 @@ import (
 func smallNetworks(t *testing.T) map[string]*logic.Network {
 	t.Helper()
 	out := make(map[string]*logic.Network)
-	for name, gen := range circuits.Generators() {
-		nw, err := gen()
+	for _, name := range circuits.GeneratorNames() {
+		nw, err := circuits.Named(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

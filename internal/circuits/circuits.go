@@ -380,16 +380,6 @@ var generators = map[string]Generator{
 	"mux16":  func() (*logic.Network, error) { return MuxTree(4) },
 }
 
-// Generators returns a copy of the named-circuit registry, so callers can
-// iterate or extend their view without mutating the shared table.
-func Generators() map[string]Generator {
-	out := make(map[string]Generator, len(generators))
-	for n, g := range generators {
-		out[n] = g
-	}
-	return out
-}
-
 // GeneratorNames lists the registry names, sorted.
 func GeneratorNames() []string {
 	names := make([]string, 0, len(generators))

@@ -1,5 +1,6 @@
 // Package cliutil holds small helpers shared by the command-line tools:
-// the wall-clock watchdog and lpserverd's typed JSON access-log line.
+// the -circuit/-blif loader, the wall-clock watchdog and lpserverd's
+// typed JSON access-log line.
 package cliutil
 
 import (

@@ -306,28 +306,10 @@ func StandardFlows() map[string]Flow {
 	}
 }
 
-// PassSpan is the timing + outcome record of one pass execution inside a
-// flow — the raw material of the Chrome trace export (profile.Trace). The
-// deltas are after-minus-before, so a power-reducing pass has negative
-// DPower.
-type PassSpan struct {
-	Name    string
-	Level   string // survey abstraction level of the pass
-	StartNs int64  // offset from the start of the flow run
-	DurNs   int64
-	DPower  float64 // simulated (glitch-inclusive) power delta
-	DExactP float64 // zero-delay probabilistic power delta
-	DGates  int
-	DDepth  int
-}
-
 // FlowReport records the trajectory of one flow run.
 type FlowReport struct {
 	Flow  string
 	Steps []Snapshot
-	// Spans has one entry per executed pass (pass run time only; the
-	// before/after power measurements are excluded from DurNs).
-	Spans []PassSpan
 }
 
 // Initial and Final expose the first and last snapshots.
@@ -383,7 +365,7 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 	if fctx.Incremental && len(nw.FFs()) == 0 {
 		est = newFlowEstimator(nw, fctx)
 	}
-	measure := func(label string) (Snapshot, error) {
+	measure := func(ctx context.Context, label string) (Snapshot, error) {
 		if est != nil {
 			return measureIncremental(ctx, nw, fctx, label, est)
 		}
@@ -397,7 +379,7 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 		nw.ClearDirty()
 	}
 	rep := &FlowReport{Flow: flow.Name}
-	snap, err := measure("initial")
+	snap, err := measure(ctx, "initial")
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +393,6 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 	}
 	obs := obsv.Default()
 	reused := obs.Counter("lpflow.measure.reused")
-	flowStart := time.Now()
 	for _, name := range flow.Passes {
 		if cerr := ctx.Err(); cerr != nil {
 			return rep, fmt.Errorf("core: flow %q stopped before pass %q: %w", flow.Name, name, cerr)
@@ -420,19 +401,20 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 		if !ok {
 			return nil, fmt.Errorf("core: unknown pass %q in flow %q", name, flow.Name)
 		}
-		span := PassSpan{Name: name, Level: p.Level, StartNs: time.Since(flowStart).Nanoseconds()}
 		var audit *logic.DirtyAudit
 		if fctx.DirtyAudit {
 			audit = logic.NewDirtyAudit(nw)
 		}
-		stop := obs.Timer("lpflow.pass." + name + ".ns").Start()
-		_, tsp := trace.Start(ctx, "pass."+name)
+		// The pass span covers the pass, its checks and the measurement
+		// after it, so the measurement's engine spans nest under it. It
+		// ends explicitly below; the deferred End (a no-op once it has
+		// ended) closes it on an error return.
+		pctx, tsp := trace.Start(ctx, "pass."+name)
+		defer tsp.End()
 		tsp.SetAttr("level", p.Level)
 		passStart := time.Now()
 		err := p.Run(nw, fctx)
-		span.DurNs = time.Since(passStart).Nanoseconds()
-		tsp.End()
-		stop()
+		obs.Histogram("lpflow.pass." + name + ".us").Observe(time.Since(passStart).Microseconds())
 		if err != nil {
 			return nil, fmt.Errorf("core: pass %q: %w", name, err)
 		}
@@ -463,7 +445,7 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 		snap.Label = name
 		if h := logic.StructuralHash(nw); h != measured {
 			measured = h
-			snap, err = measure(name)
+			snap, err = measure(pctx, name)
 		} else if err = ctx.Err(); err == nil {
 			// Byte-identical to the network last measured, and a
 			// measurement is a pure function of the network and fctx:
@@ -478,21 +460,15 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 			return nil, err
 		}
 		rep.Steps = append(rep.Steps, snap)
-		// Before/after deltas per pass: negative dpower means the pass
-		// reduced simulated (glitch-inclusive) power.
-		span.DPower = snap.SimP - prev.SimP
-		span.DExactP = snap.ExactP - prev.ExactP
-		span.DGates = snap.Gates - prev.Gates
-		span.DDepth = snap.Depth - prev.Depth
 		if tsp != nil {
-			// Annotating after End is fine: attrs are independent of the
-			// duration, and the trace is only exported later.
-			tsp.SetAttr("dpower", span.DPower)
-			tsp.SetAttr("dgates", span.DGates)
+			// Before/after deltas: negative dpower means the pass reduced
+			// simulated (glitch-inclusive) power.
+			tsp.SetAttr("dpower", snap.SimP-prev.SimP)
+			tsp.SetAttr("dexactp", snap.ExactP-prev.ExactP)
+			tsp.SetAttr("dgates", snap.Gates-prev.Gates)
+			tsp.SetAttr("ddepth", snap.Depth-prev.Depth)
 		}
-		rep.Spans = append(rep.Spans, span)
-		obs.Gauge("lpflow.pass." + name + ".dpower").Set(span.DPower)
-		obs.Gauge("lpflow.pass." + name + ".dgates").Set(float64(span.DGates))
+		tsp.End()
 	}
 	return rep, nil
 }

@@ -67,16 +67,12 @@ func E2Reordering() (*Table, error) {
 			return nil, err
 		}
 		natural := s.SimulatePower(vecs)
-		best, err := s.Reorder(xsistor.ReorderPower, vecs, c.arr)
+		best, dBest, err := s.Reorder(vecs, c.arr)
 		if err != nil {
 			return nil, err
 		}
 		h := &xsistor.SeriesStack{Order: xsistor.HeuristicOrder(c.probs, c.arr), CInternal: s.CInternal, COut: s.COut}
 		hp := h.SimulatePower(vecs)
-		dBest, err := s.Reorder(xsistor.ReorderDelay, vecs, c.arr)
-		if err != nil {
-			return nil, err
-		}
 		t.AddRow(fmt.Sprintf("nand%d", c.k), fmt.Sprint(c.probs), f3(natural), f3(best.Power),
 			f3(hp), pct(1-best.Power/natural), fmt.Sprint(dBest.Order))
 	}

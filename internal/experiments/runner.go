@@ -7,19 +7,19 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"repro/internal/obsv/trace"
 )
 
-// Result is one experiment's outcome from a RunAllCtx pass: the table (or
-// error) plus wall-clock span timings relative to the run start, ready
-// for the Chrome trace export.
+// Result is one experiment's outcome from a RunAllCtx pass: the table or
+// the error. Its timing is the experiment.<ID> span RunAllCtx starts
+// under ctx's tracer, if any.
 type Result struct {
 	Index   int
 	ID      string
 	Table   *Table
 	Err     error
 	Skipped bool // run was cancelled before this experiment started
-	StartNs int64
-	DurNs   int64
 }
 
 // PanicError wraps a panic recovered from an experiment goroutine so one
@@ -37,7 +37,9 @@ func (e *PanicError) Error() string {
 
 // RunAllCtx executes the experiments on a bounded worker pool and
 // returns one Result per experiment, in input order. parallel <= 0 uses
-// GOMAXPROCS; parallel == 1 is fully sequential.
+// GOMAXPROCS; parallel == 1 is fully sequential. Each experiment runs in
+// an experiment.<ID> span of ctx's trace, carrying its title, row count
+// or error.
 //
 // Tables are identical for every worker count: each experiment generator
 // seeds its own rand sources and shares no mutable state with the others,
@@ -63,7 +65,6 @@ func RunAllCtx(ctx context.Context, list []Experiment, parallel int, perTimeout 
 		parallel = 1
 	}
 	results := make([]Result, len(list))
-	start := time.Now()
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, parallel)
 	for i, ex := range list {
@@ -72,19 +73,26 @@ func RunAllCtx(ctx context.Context, list []Experiment, parallel int, perTimeout 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res := Result{Index: i, ID: ex.ID, StartNs: time.Since(start).Nanoseconds()}
+			_, sp := trace.Start(ctx, "experiment."+ex.ID)
+			defer sp.End()
+			res := Result{Index: i, ID: ex.ID}
 			if err := ctx.Err(); err != nil {
 				res.Skipped = true
 				res.Err = err
-				results[i] = res
-				return
+			} else {
+				start := time.Now()
+				res.Table, res.Err = runOne(ex)
+				if took := time.Since(start); res.Err == nil && perTimeout > 0 && took > perTimeout {
+					res.Err = fmt.Errorf("experiment %s: exceeded per-experiment budget %v (took %v): %w",
+						ex.ID, perTimeout, took, context.DeadlineExceeded)
+				}
 			}
-			exStart := time.Now()
-			res.Table, res.Err = runOne(ex)
-			res.DurNs = time.Since(exStart).Nanoseconds()
-			if res.Err == nil && perTimeout > 0 && res.DurNs > perTimeout.Nanoseconds() {
-				res.Err = fmt.Errorf("experiment %s: exceeded per-experiment budget %v (took %v): %w",
-					ex.ID, perTimeout, time.Duration(res.DurNs), context.DeadlineExceeded)
+			if res.Table != nil {
+				sp.SetAttr("title", res.Table.Title)
+				sp.SetAttr("rows", len(res.Table.Rows))
+			}
+			if res.Err != nil {
+				sp.SetAttr("error", res.Err.Error())
 			}
 			results[i] = res
 		}(i, ex)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"testing"
+
+	"repro/internal/obsv/trace"
 )
 
 // TestRunAllParallelIdenticalTables: the tables coming out of a parallel
@@ -36,19 +38,32 @@ func TestRunAllParallelIdenticalTables(t *testing.T) {
 }
 
 // TestRunAllClampsWorkers: degenerate worker counts neither panic nor
-// drop results.
+// drop results, and each run records its experiment.<ID> span, ended and
+// annotated, under the caller's trace.
 func TestRunAllClampsWorkers(t *testing.T) {
 	list := All()[:1]
 	for _, par := range []int{-1, 0, 1, 100} {
-		res := RunAllCtx(context.Background(), list, par, 0)
+		ctx, root := trace.New(context.Background(), "run")
+		res := RunAllCtx(ctx, list, par, 0)
 		if len(res) != 1 || res[0].ID != list[0].ID {
 			t.Fatalf("parallel=%d: unexpected results %+v", par, res)
 		}
 		if res[0].Err != nil {
 			t.Fatalf("parallel=%d: %v", par, res[0].Err)
 		}
-		if res[0].DurNs <= 0 {
-			t.Errorf("parallel=%d: missing span duration", par)
+		spans := root.Tracer().Snapshot()
+		if len(spans) != 2 {
+			t.Fatalf("parallel=%d: %d spans, want the root and one experiment", par, len(spans))
+		}
+		sp := spans[1]
+		if sp.Name != "experiment."+list[0].ID || sp.ParentID != spans[0].SpanID {
+			t.Errorf("parallel=%d: span %q parent %d, want experiment.%s under the root", par, sp.Name, sp.ParentID, list[0].ID)
+		}
+		if sp.DurNs <= 0 {
+			t.Errorf("parallel=%d: span not ended: dur %d", par, sp.DurNs)
+		}
+		if sp.Attrs["title"] != res[0].Table.Title || sp.Attrs["rows"] != len(res[0].Table.Rows) || sp.Attrs["error"] != nil {
+			t.Errorf("parallel=%d: span attrs %v", par, sp.Attrs)
 		}
 	}
 }

@@ -18,8 +18,7 @@ import (
 // neither emits.
 type MetricInfo struct {
 	// Type is the Prometheus family type: "counter", "gauge" or
-	// "histogram". Timers expose as two counters (<name>_count,
-	// <name>_ns_total) and are declared "timer" here.
+	// "histogram".
 	Type string
 	Help string
 }
@@ -27,7 +26,7 @@ type MetricInfo struct {
 // catalog maps metric names to their metadata. A name segment of "*"
 // matches exactly one dotted segment, so per-endpoint and per-pass
 // families need a single row (`server.http.*.latency_us`,
-// `lpflow.pass.*.ns`).
+// `lpflow.pass.*.us`).
 var catalog = map[string]MetricInfo{
 	"sim.events":    {Type: "counter", Help: "Gate-output transitions processed by the event-driven simulator."},
 	"sim.spurious":  {Type: "counter", Help: "Glitch transitions (events minus useful transitions)."},
@@ -59,9 +58,7 @@ var catalog = map[string]MetricInfo{
 	"flow.incr.clean_nodes":     {Type: "counter", Help: "Live combinational nodes reused from the carried baseline."},
 	"flow.incr.reuse_frac":      {Type: "gauge", Help: "Reused fraction of the last incremental measurement: clean / (cone + clean)."},
 
-	"lpflow.pass.*.ns":      {Type: "timer", Help: "Wall time of one optimization flow pass."},
-	"lpflow.pass.*.dpower":  {Type: "gauge", Help: "Simulated-power delta of the pass (negative = saved)."},
-	"lpflow.pass.*.dgates":  {Type: "gauge", Help: "Gate-count delta of the pass."},
+	"lpflow.pass.*.us":      {Type: "histogram", Help: "Wall time of one optimization flow pass in microseconds, log2 buckets."},
 	"lpflow.measure.reused": {Type: "counter", Help: "Flow steps that reused the previous snapshot because the pass left the network byte-identical."},
 
 	"server.requests":            {Type: "counter", Help: "HTTP requests served, every endpoint."},

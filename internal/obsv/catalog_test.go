@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestLookupMetricInfoExactAndPattern(t *testing.T) {
@@ -18,9 +17,9 @@ func TestLookupMetricInfoExactAndPattern(t *testing.T) {
 	if !ok || mi.Type != "histogram" {
 		t.Fatalf("wildcard lookup failed: %+v %v", mi, ok)
 	}
-	mi, ok = LookupMetricInfo("lpflow.pass.remap.ns")
-	if !ok || mi.Type != "timer" {
-		t.Fatalf("wildcard timer lookup failed: %+v %v", mi, ok)
+	mi, ok = LookupMetricInfo("lpflow.pass.remap.us")
+	if !ok || mi.Type != "histogram" {
+		t.Fatalf("wildcard pass lookup failed: %+v %v", mi, ok)
 	}
 	// "*" matches exactly one segment — not zero, not two.
 	if _, ok := LookupMetricInfo("server.http.latency_us"); ok {
@@ -37,7 +36,7 @@ func TestLookupMetricInfoExactAndPattern(t *testing.T) {
 // TestCatalogTypesValid pins every catalog row to a legal family type
 // and a non-empty, single-line help text.
 func TestCatalogTypesValid(t *testing.T) {
-	valid := map[string]bool{"counter": true, "gauge": true, "timer": true, "histogram": true}
+	valid := map[string]bool{"counter": true, "gauge": true, "histogram": true}
 	names := CatalogNames()
 	if len(names) < 20 {
 		t.Fatalf("catalog suspiciously small: %d entries", len(names))
@@ -68,7 +67,7 @@ func TestCatalogTypesMatchRegisteredKinds(t *testing.T) {
 		"server.inflight":                 "gauge",
 		"sim.settle":                      "histogram",
 		"server.http.estimate.latency_us": "histogram",
-		"lpflow.pass.remap.ns":            "timer",
+		"lpflow.pass.remap.us":            "histogram",
 	}
 	for name, typ := range samples {
 		mi, ok := LookupMetricInfo(name)
@@ -83,8 +82,6 @@ func TestCatalogTypesMatchRegisteredKinds(t *testing.T) {
 			r.Counter(name).Add(1)
 		case "gauge":
 			r.Gauge(name).Set(1)
-		case "timer":
-			r.Timer(name).Observe(time.Nanosecond)
 		case "histogram":
 			r.Histogram(name).Observe(1)
 		}
@@ -97,21 +94,9 @@ func TestCatalogTypesMatchRegisteredKinds(t *testing.T) {
 	for name, typ := range samples {
 		san := SanitizeProm(name)
 		mi, _ := LookupMetricInfo(name)
-		switch typ {
-		case "timer":
-			for _, fam := range []string{san + "_count", san + "_ns_total"} {
-				if !strings.Contains(out, "# HELP "+fam+" ") {
-					t.Errorf("missing HELP for timer family %s", fam)
-				}
-				if !strings.Contains(out, "# TYPE "+fam+" counter\n") {
-					t.Errorf("missing TYPE for timer family %s", fam)
-				}
-			}
-		default:
-			want := "# HELP " + san + " " + mi.Help + "\n# TYPE " + san + " " + typ + "\n"
-			if !strings.Contains(out, want) {
-				t.Errorf("exposition missing adjacent HELP+TYPE for %s:\nwant %q\nin:\n%s", name, want, out)
-			}
+		want := "# HELP " + san + " " + mi.Help + "\n# TYPE " + san + " " + typ + "\n"
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing adjacent HELP+TYPE for %s:\nwant %q\nin:\n%s", name, want, out)
 		}
 	}
 }

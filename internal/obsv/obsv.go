@@ -1,8 +1,9 @@
 // Package obsv is the toolkit's zero-dependency observability layer: a
-// metrics registry of cheap atomic counters, gauges, monotonic timers and
-// log-scale histograms with hierarchical dotted names (`sim.events`,
-// `bdd.unique.hits`, `lpflow.pass.balance.ns`). Per-net transition records
-// are not telemetry: they live in sim.Counts.
+// metrics registry of cheap atomic counters, gauges and log-scale
+// histograms with hierarchical dotted names (`sim.events`,
+// `bdd.unique.hits`, `lpflow.pass.balance.us`). Per-net transition records
+// are not telemetry: they live in sim.Counts, and per-run timings live in
+// the spans of internal/obsv/trace.
 //
 // Instrumentation is opt-in and near-free when off. The process-wide
 // registry is nil until Enable is called; every handle obtained from a nil
@@ -20,7 +21,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // global is the process-wide registry; nil means observability is off.
@@ -54,7 +54,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timers   map[string]*Timer
 	hists    map[string]*Histogram
 }
 
@@ -64,7 +63,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		timers:   make(map[string]*Timer),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -97,21 +95,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Timer returns the named timer, creating it if needed.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram returns the named histogram, creating it if needed.
@@ -182,49 +165,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// Timer accumulates wall-clock durations of an operation.
-type Timer struct {
-	count atomic.Int64
-	ns    atomic.Int64
-}
-
-// Observe records one operation of duration d. No-op on a nil timer.
-func (t *Timer) Observe(d time.Duration) {
-	if t != nil {
-		t.count.Add(1)
-		t.ns.Add(int64(d))
-	}
-}
-
-var noopStop = func() {}
-
-// Start begins timing an operation; the returned func records the elapsed
-// time when called. On a nil timer both ends are no-ops (and no clock is
-// read).
-func (t *Timer) Start() func() {
-	if t == nil {
-		return noopStop
-	}
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
-// Count returns the number of recorded operations.
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
-
-// TotalNs returns the accumulated duration in nanoseconds.
-func (t *Timer) TotalNs() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.ns.Load()
 }
 
 // histBuckets is the number of log2 buckets: bucket i counts observations
@@ -307,11 +247,11 @@ func (h *Histogram) Buckets() map[int64]int64 {
 }
 
 // Export flattens the registry into a JSON-friendly map: counters become
-// int64, gauges float64, timers {count, total_ns, mean_ns} objects, and
-// histograms {count, mean, max, buckets} objects. Nil registries export an
-// empty map. The map is built from the deterministically ordered snapshot
-// (name, then kind), so when one name is registered as several kinds the
-// same kind wins on every export — never a map-iteration coin flip.
+// int64, gauges float64, and histograms {count, mean, max, buckets}
+// objects. Nil registries export an empty map. The map is built from the
+// deterministically ordered snapshot (name, then kind), so when one name
+// is registered as several kinds the same kind wins on every export —
+// never a map-iteration coin flip.
 func (r *Registry) Export() map[string]interface{} {
 	out := make(map[string]interface{})
 	for _, pt := range r.snapshot() {
@@ -320,16 +260,6 @@ func (r *Registry) Export() map[string]interface{} {
 			out[pt.name] = pt.c.Value()
 		case kindGauge:
 			out[pt.name] = pt.g.Value()
-		case kindTimer:
-			mean := 0.0
-			if n := pt.t.Count(); n > 0 {
-				mean = float64(pt.t.TotalNs()) / float64(n)
-			}
-			out[pt.name] = map[string]interface{}{
-				"count":    pt.t.Count(),
-				"total_ns": pt.t.TotalNs(),
-				"mean_ns":  mean,
-			}
 		case kindHistogram:
 			bk := make(map[string]int64)
 			for lo, n := range pt.h.Buckets() {
@@ -367,11 +297,7 @@ func (r *Registry) FormatText() string {
 		case float64:
 			fmt.Fprintf(&b, "%-*s %g\n", width, n, v)
 		case map[string]interface{}:
-			if tn, ok := v["total_ns"]; ok {
-				fmt.Fprintf(&b, "%-*s count=%v total_ns=%v\n", width, n, v["count"], tn)
-			} else {
-				fmt.Fprintf(&b, "%-*s count=%v mean=%.1f max=%v\n", width, n, v["count"], v["mean"], v["max"])
-			}
+			fmt.Fprintf(&b, "%-*s count=%v mean=%.1f max=%v\n", width, n, v["count"], v["mean"], v["max"])
 		default:
 			fmt.Fprintf(&b, "%-*s %v\n", width, n, v)
 		}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // A nil registry and every handle it yields must be usable no-ops — the
@@ -22,12 +21,6 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	g.Max(9)
 	if g.Value() != 0 {
 		t.Errorf("nil gauge value = %g, want 0", g.Value())
-	}
-	tm := r.Timer("z")
-	tm.Start()()
-	tm.Observe(time.Second)
-	if tm.Count() != 0 || tm.TotalNs() != 0 {
-		t.Error("nil timer recorded something")
 	}
 	h := r.Histogram("w")
 	h.Observe(7)
@@ -101,23 +94,10 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestTimerObserve(t *testing.T) {
-	tm := NewRegistry().Timer("pass.ns")
-	tm.Observe(3 * time.Millisecond)
-	tm.Observe(5 * time.Millisecond)
-	if tm.Count() != 2 {
-		t.Errorf("count = %d, want 2", tm.Count())
-	}
-	if tm.TotalNs() != int64(8*time.Millisecond) {
-		t.Errorf("total = %d, want %d", tm.TotalNs(), int64(8*time.Millisecond))
-	}
-}
-
 func TestExport(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.count").Add(4)
 	r.Gauge("b.gauge").Set(2.5)
-	r.Timer("c.ns").Observe(time.Microsecond)
 	r.Histogram("d.hist").Observe(6)
 	exp := r.Export()
 	if exp["a.count"] != int64(4) {
@@ -125,10 +105,6 @@ func TestExport(t *testing.T) {
 	}
 	if exp["b.gauge"] != 2.5 {
 		t.Errorf("b.gauge = %v", exp["b.gauge"])
-	}
-	tm, ok := exp["c.ns"].(map[string]interface{})
-	if !ok || tm["count"] != int64(1) || tm["total_ns"] != int64(1000) {
-		t.Errorf("c.ns = %v", exp["c.ns"])
 	}
 	hs, ok := exp["d.hist"].(map[string]interface{})
 	if !ok || hs["count"] != int64(1) || hs["max"] != int64(6) {
@@ -167,7 +143,6 @@ func TestFormatTextDeterministic(t *testing.T) {
 			v := int64(len(n))
 			r.Counter("c." + n).Add(v)
 			r.Gauge("g." + n).Set(float64(v) * 1.5)
-			r.Timer("t." + n).Observe(time.Duration(v) * time.Millisecond)
 			r.Histogram("h." + n).Observe(v * 10)
 		}
 		return r

@@ -15,9 +15,11 @@
 //     it ranks functions by CPU time.
 //   - folded stacks (folded.go): one `circuit;module;node value` line per
 //     node, the input format of flamegraph.pl / speedscope / inferno.
-//   - Chrome trace_event JSON (trace.go): spans for the core.Flow pass
-//     pipeline, annotated with power/area deltas, viewable in
-//     chrome://tracing or Perfetto.
+//   - Chrome trace_event JSON (trace.go): FromTracer turns the span tree
+//     of a run (an internal/obsv/trace Tracer: flow passes with their
+//     power/area deltas and the engine spans under them, experiment
+//     tables, server requests) into events viewable in chrome://tracing
+//     or Perfetto.
 package profile
 
 import (

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strings"
+
+	"repro/internal/obsv/trace"
 )
 
 // Span is one timed operation in a trace: a pass of a core.Flow run, an
@@ -11,7 +14,7 @@ import (
 // (power/area deltas, row counts) shown in the Perfetto span details pane.
 type Span struct {
 	Name    string
-	Cat     string // category: "pass", "measure", "experiment", ...
+	Cat     string // category: "pass", "core", "experiment", ...
 	StartNs int64  // start offset from the trace origin
 	DurNs   int64
 	Args    map[string]interface{}
@@ -29,6 +32,28 @@ type Trace struct {
 
 // Add appends a span.
 func (t *Trace) Add(s Span) { t.Spans = append(t.Spans, s) }
+
+// FromTracer converts a tracer's span tree into a Chrome trace on one
+// process/thread track. Each span's category is its name up to the first
+// '.' ("pass.balance" → "pass"); its span, parent and trace IDs ride along
+// as args with its attributes, so the hierarchy survives into the Perfetto
+// details pane. A span still open at capture time exports with duration 0.
+func FromTracer(t *trace.Tracer, process, thread string) *Trace {
+	pt := &Trace{Process: process, Thread: thread}
+	for _, sd := range t.Snapshot() {
+		args := map[string]interface{}{
+			"span_id":   sd.SpanID,
+			"parent_id": sd.ParentID,
+			"trace_id":  t.ID(),
+		}
+		for k, v := range sd.Attrs {
+			args[k] = v
+		}
+		cat, _, _ := strings.Cut(sd.Name, ".")
+		pt.Add(Span{Name: sd.Name, Cat: cat, StartNs: sd.StartNs, DurNs: max(sd.DurNs, 0), Args: args})
+	}
+	return pt
+}
 
 // traceEvent is one Chrome trace_event entry. Complete events (ph "X")
 // carry their duration inline; ts/dur are microseconds (fractions allowed).

@@ -7,16 +7,15 @@ import (
 	"strings"
 )
 
-// metricKind orders the four metric families when a single name is (by
+// metricKind orders the three metric families when a single name is (by
 // mistake or design) registered as more than one kind: counter < gauge <
-// timer < histogram, matching the historical Export overwrite order so
-// the last kind deterministically wins in the flattened map.
+// histogram, matching the historical Export overwrite order so the last
+// kind deterministically wins in the flattened map.
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindTimer
 	kindHistogram
 )
 
@@ -26,7 +25,6 @@ type metricPoint struct {
 	kind metricKind
 	c    *Counter
 	g    *Gauge
-	t    *Timer
 	h    *Histogram
 }
 
@@ -40,15 +38,12 @@ func (r *Registry) snapshot() []metricPoint {
 		return nil
 	}
 	r.mu.Lock()
-	pts := make([]metricPoint, 0, len(r.counters)+len(r.gauges)+len(r.timers)+len(r.hists))
+	pts := make([]metricPoint, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for name, c := range r.counters {
 		pts = append(pts, metricPoint{name: name, kind: kindCounter, c: c})
 	}
 	for name, g := range r.gauges {
 		pts = append(pts, metricPoint{name: name, kind: kindGauge, g: g})
-	}
-	for name, t := range r.timers {
-		pts = append(pts, metricPoint{name: name, kind: kindTimer, t: t})
 	}
 	for name, h := range r.hists {
 		pts = append(pts, metricPoint{name: name, kind: kindHistogram, h: h})
@@ -93,9 +88,8 @@ func SanitizeProm(name string) string {
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4). Dotted names are sanitized to underscore form;
-// timers expand to <name>_count / <name>_ns_total counters; histograms
-// expand to cumulative <name>_bucket{le="..."} series over the log2
-// bucket upper bounds plus _sum and _count. Output order is fully
+// histograms expand to cumulative <name>_bucket{le="..."} series over the
+// log2 bucket upper bounds plus _sum and _count. Output order is fully
 // deterministic: sorted by sanitized name, then raw name, then kind.
 // Distinct raw names that sanitize to the same series name keep
 // deterministic output by suffixing the later ones _2, _3, ...
@@ -122,21 +116,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		var err error
 		switch pt.kind {
 		case kindCounter:
-			if err = writeFamilyHeader(w, name, pt.name, "counter", ""); err == nil {
+			if err = writeFamilyHeader(w, name, pt.name, "counter"); err == nil {
 				_, err = fmt.Fprintf(w, "%s %d\n", name, pt.c.Value())
 			}
 		case kindGauge:
-			if err = writeFamilyHeader(w, name, pt.name, "gauge", ""); err == nil {
+			if err = writeFamilyHeader(w, name, pt.name, "gauge"); err == nil {
 				_, err = fmt.Fprintf(w, "%s %g\n", name, pt.g.Value())
-			}
-		case kindTimer:
-			if err = writeFamilyHeader(w, name+"_count", pt.name, "counter", " (event count)"); err == nil {
-				_, err = fmt.Fprintf(w, "%s_count %d\n", name, pt.t.Count())
-			}
-			if err == nil {
-				if err = writeFamilyHeader(w, name+"_ns_total", pt.name, "counter", " (total nanoseconds)"); err == nil {
-					_, err = fmt.Fprintf(w, "%s_ns_total %d\n", name, pt.t.TotalNs())
-				}
 			}
 		case kindHistogram:
 			err = writePromHistogram(w, name, pt.name, pt.h)
@@ -150,11 +135,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // writeFamilyHeader writes the metadata lines of one exposition
 // family: a `# HELP` line when the raw (dotted) name has a catalog
-// entry, then the `# TYPE` line. suffix qualifies derived families
-// (a timer's _count / _ns_total) that share one catalog row.
-func writeFamilyHeader(w io.Writer, family, rawName, promType, suffix string) error {
+// entry, then the `# TYPE` line.
+func writeFamilyHeader(w io.Writer, family, rawName, promType string) error {
 	if mi, ok := LookupMetricInfo(rawName); ok && mi.Help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", family, promHelpEscape(mi.Help+suffix)); err != nil {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", family, promHelpEscape(mi.Help)); err != nil {
 			return err
 		}
 	}
@@ -167,7 +151,7 @@ func writeFamilyHeader(w io.Writer, family, rawName, promType, suffix string) er
 // value range [2^(i-1), 2^i - 1] (bucket 0 holds exactly v == 0), so the
 // cumulative le bound of bucket i is 2^i - 1.
 func writePromHistogram(w io.Writer, name, rawName string, h *Histogram) error {
-	if err := writeFamilyHeader(w, name, rawName, "histogram", ""); err != nil {
+	if err := writeFamilyHeader(w, name, rawName, "histogram"); err != nil {
 		return err
 	}
 	var cum int64

@@ -8,8 +8,9 @@
 // methods are all no-ops, so instrumented code pays one context lookup
 // and a nil check. The package is pure stdlib and imports nothing from
 // the rest of the toolkit, so the innermost engines (bdd, sim) can
-// instrument themselves without import cycles; exporters (the server's
-// slow-request Chrome dump) convert Tracer snapshots to their own format.
+// instrument themselves without import cycles; profile.FromTracer turns a
+// Tracer's snapshot into the Chrome trace that lpflow, cmd/experiments and
+// the server's slow-request dumps write.
 //
 // Typical server-side shape:
 //

@@ -155,7 +155,7 @@ func TestServedMetricsAreCatalogued(t *testing.T) {
 	if len(missing) > 0 {
 		t.Fatalf("/metrics serves %d names with no catalog row: %v", len(missing), missing)
 	}
-	for _, name := range []string{"server.requests", "server.http.flow.latency_us", "lpflow.measure.reused", "flow.incr.measures",
+	for _, name := range []string{"server.requests", "server.http.flow.latency_us", "lpflow.measure.reused", "lpflow.pass.strash.us", "flow.incr.measures",
 		"power.exact.reordered", "server.batch.item_errors", "server.trace.slow_dumps", "server.trace.dump.errors"} {
 		if _, ok := exported[name]; !ok {
 			t.Errorf("/metrics lacks %s: the endpoints were not all driven", name)

@@ -147,7 +147,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 }
 
 // dumpSlowTrace writes a request's span tree as Chrome trace_event JSON
-// (the PR 2 exporter format — loadable in Perfetto) to
+// (profile.FromTracer, loadable in Perfetto) to
 // <SlowTraceDir>/trace_<traceID>.json. Failures are counted, not fatal:
 // a full disk must never break serving.
 func (s *Server) dumpSlowTrace(t *trace.Tracer, ep string, status int) {
@@ -162,41 +162,10 @@ func (s *Server) dumpSlowTrace(t *trace.Tracer, ep string, status int) {
 		return
 	}
 	defer f.Close()
-	pt := ToProfileTrace(t, "lpserverd", fmt.Sprintf("%s %d", ep, status))
+	pt := profile.FromTracer(t, "lpserverd", fmt.Sprintf("%s %d", ep, status))
 	if err := pt.WriteJSON(f); err != nil {
 		s.reg.Counter("server.trace.dump.errors").Inc()
 		return
 	}
 	s.reg.Counter("server.trace.slow_dumps").Inc()
-}
-
-// ToProfileTrace converts a request tracer's span tree into the Chrome
-// trace_event exporter introduced for the power profiler
-// (internal/obsv/profile.Trace). Span and parent IDs ride along as args
-// so the hierarchy survives into the Perfetto details pane; spans still
-// open at capture time export with their duration so far.
-func ToProfileTrace(t *trace.Tracer, process, thread string) *profile.Trace {
-	pt := &profile.Trace{Process: process, Thread: thread}
-	for _, sd := range t.Snapshot() {
-		args := map[string]interface{}{
-			"span_id":   sd.SpanID,
-			"parent_id": sd.ParentID,
-			"trace_id":  t.ID(),
-		}
-		for k, v := range sd.Attrs {
-			args[k] = v
-		}
-		dur := sd.DurNs
-		if dur < 0 {
-			dur = 0
-		}
-		pt.Add(profile.Span{
-			Name:    sd.Name,
-			Cat:     "request",
-			StartNs: sd.StartNs,
-			DurNs:   dur,
-			Args:    args,
-		})
-	}
-	return pt
 }

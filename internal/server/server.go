@@ -19,7 +19,7 @@
 // no matter how many other requests are in flight — that is what makes
 // the response cache sound and what `lpserverd -selfcheck` verifies. So
 // response bodies carry only run-independent data: no wall-clock timings
-// (FlowReport.Spans are dropped), no cache status (that goes in the
+// (those live only in trace spans), no cache status (that goes in the
 // X-Cache header), and every stochastic estimator is seeded from the
 // request. Budget-degraded exact estimates stay deterministic (the Monte
 // Carlo fallback is seeded) and are therefore cacheable; context
@@ -828,9 +828,9 @@ type FlowRequest struct {
 	Incremental bool `json:"incremental,omitempty"`
 }
 
-// SnapshotJSON is one core.Snapshot row. PassSpan timings are
-// intentionally absent: they vary run to run and would break the
-// byte-identity contract.
+// SnapshotJSON is one core.Snapshot row. Pass timings are intentionally
+// absent (they live only in the request's trace spans): they vary run to
+// run and would break the byte-identity contract.
 type SnapshotJSON struct {
 	Label     string  `json:"label"`
 	Gates     int     `json:"gates"`

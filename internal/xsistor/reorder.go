@@ -160,15 +160,6 @@ func (s *SeriesStack) Delay(arrival []float64) float64 {
 	return worst
 }
 
-// ReorderObjective selects what the permutation search minimizes.
-type ReorderObjective int
-
-// Objectives for reordering.
-const (
-	ReorderPower ReorderObjective = iota
-	ReorderDelay
-)
-
 // ReorderResult reports the chosen order and its metrics.
 type ReorderResult struct {
 	Order []int
@@ -177,45 +168,38 @@ type ReorderResult struct {
 }
 
 // Reorder searches input permutations of the stack exhaustively (k <= 7)
-// for the best objective value under the given workload and arrival
-// times. It returns the best result without mutating s.
-//
-// The workload is simulated only where the objective reads it: every
-// permutation under ReorderPower, and under ReorderDelay just the winning
-// order, once, for its reported Power.
-func (s *SeriesStack) Reorder(obj ReorderObjective, vectors sim.Stimulus, arrival []float64) (ReorderResult, error) {
+// under the given workload and arrival times and returns two winners:
+// the order of least power and the order of least delay, each with both
+// of its metrics. One search serves both: every permutation is simulated
+// once, and among equal values (within 1e-15) the first permutation in
+// search order wins. It does not mutate s.
+func (s *SeriesStack) Reorder(vectors sim.Stimulus, arrival []float64) (power, delay ReorderResult, err error) {
 	k := len(s.Order)
 	if k > 7 {
-		return ReorderResult{}, fmt.Errorf("xsistor: exhaustive reorder limited to 7 inputs, got %d", k)
+		return power, delay, fmt.Errorf("xsistor: exhaustive reorder limited to 7 inputs, got %d", k)
 	}
 	if arrival == nil {
 		arrival = make([]float64, k)
 	}
-	best := ReorderResult{Power: math.Inf(1), Delay: math.Inf(1)}
+	power = ReorderResult{Power: math.Inf(1), Delay: math.Inf(1)}
+	delay = power
 	perm := make([]int, k)
 	for i := range perm {
 		perm[i] = i
 	}
 	trial := &SeriesStack{CInternal: s.CInternal, COut: s.COut}
 	flat := decode(vectors)
-	power := func(order []int) float64 {
-		trial.Order = order
-		return trial.simulate(flat, vectors.Len())
-	}
 	var visit func(int)
 	visit = func(i int) {
 		if i == k {
 			trial.Order = perm
 			d := trial.Delay(arrival)
-			switch obj {
-			case ReorderPower:
-				if p := power(perm); p < best.Power-1e-15 {
-					best = ReorderResult{Order: append([]int(nil), perm...), Power: p, Delay: d}
-				}
-			case ReorderDelay:
-				if d < best.Delay-1e-15 {
-					best = ReorderResult{Order: append([]int(nil), perm...), Delay: d}
-				}
+			p := trial.simulate(flat, vectors.Len())
+			if p < power.Power-1e-15 {
+				power = ReorderResult{Order: append([]int(nil), perm...), Power: p, Delay: d}
+			}
+			if d < delay.Delay-1e-15 {
+				delay = ReorderResult{Order: append([]int(nil), perm...), Power: p, Delay: d}
 			}
 			return
 		}
@@ -226,10 +210,7 @@ func (s *SeriesStack) Reorder(obj ReorderObjective, vectors sim.Stimulus, arriva
 		}
 	}
 	visit(0)
-	if obj == ReorderDelay && best.Order != nil {
-		best.Power = power(best.Order)
-	}
-	return best, nil
+	return power, delay, nil
 }
 
 // HeuristicOrder applies the survey's rule of thumb without search: sort

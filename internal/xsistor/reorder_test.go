@@ -72,9 +72,9 @@ func refSimulatePower(s *SeriesStack, vectors [][]bool) float64 {
 	return total / float64(len(vectors))
 }
 
-// refReorder is the search Reorder replaced: it simulates every
-// permutation whatever the objective reads.
-func refReorder(s *SeriesStack, obj ReorderObjective, vectors [][]bool, arrival []float64) ReorderResult {
+// refReorder is the per-objective search Reorder replaced: one search
+// per objective, simulating every permutation from the unpacked rows.
+func refReorder(s *SeriesStack, delayObjective bool, vectors [][]bool, arrival []float64) ReorderResult {
 	k := len(s.Order)
 	if arrival == nil {
 		arrival = make([]float64, k)
@@ -91,11 +91,8 @@ func refReorder(s *SeriesStack, obj ReorderObjective, vectors [][]bool, arrival 
 			trial.Order = perm
 			p := refSimulatePower(trial, vectors)
 			d := trial.Delay(arrival)
-			better := false
-			switch obj {
-			case ReorderPower:
-				better = p < best.Power-1e-15
-			case ReorderDelay:
+			better := p < best.Power-1e-15
+			if delayObjective {
 				better = d < best.Delay-1e-15
 			}
 			if better {
@@ -158,7 +155,6 @@ func TestStepMatchesQuadraticOracle(t *testing.T) {
 
 func TestReorderMatchesSimulateEverythingOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	objectives := []ReorderObjective{ReorderPower, ReorderDelay}
 	for k := 2; k <= 7; k++ {
 		n := 400
 		if k == 7 {
@@ -178,15 +174,15 @@ func TestReorderMatchesSimulateEverythingOracle(t *testing.T) {
 				fine[i] = 4 * r.Float64()
 			}
 			for ai, arrival := range [][]float64{nil, coarse, fine} {
-				for _, obj := range objectives {
-					got, err := s.Reorder(obj, vecs, arrival)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := refReorder(s, obj, rows, arrival)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("k=%d arrival#%d objective %d: Reorder %+v, oracle %+v", k, ai, obj, got, want)
-					}
+				gotP, gotD, err := s.Reorder(vecs, arrival)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := refReorder(s, false, rows, arrival); !reflect.DeepEqual(gotP, want) {
+					t.Fatalf("k=%d arrival#%d: power winner %+v, oracle %+v", k, ai, gotP, want)
+				}
+				if want := refReorder(s, true, rows, arrival); !reflect.DeepEqual(gotD, want) {
+					t.Fatalf("k=%d arrival#%d: delay winner %+v, oracle %+v", k, ai, gotD, want)
 				}
 			}
 		}
@@ -194,16 +190,16 @@ func TestReorderMatchesSimulateEverythingOracle(t *testing.T) {
 }
 
 // TestReorderEmptyWorkload covers the degenerate stream: zero power for
-// every order, and the delay objective still reports it.
+// every order, and the delay winner still reports it.
 func TestReorderEmptyWorkload(t *testing.T) {
 	s, _ := NewSeriesStack(3)
-	for _, obj := range []ReorderObjective{ReorderPower, ReorderDelay} {
-		got, err := s.Reorder(obj, sim.Stimulus{}, []float64{0, 2, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := refReorder(s, obj, nil, []float64{0, 2, 1}); !reflect.DeepEqual(got, want) {
-			t.Errorf("objective %d: %+v, oracle %+v", obj, got, want)
+	gotP, gotD, err := s.Reorder(sim.Stimulus{}, []float64{0, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range []ReorderResult{gotP, gotD} {
+		if want := refReorder(s, i == 1, nil, []float64{0, 2, 1}); !reflect.DeepEqual(got, want) {
+			t.Errorf("winner %d (0 power, 1 delay): %+v, oracle %+v", i, got, want)
 		}
 	}
 }

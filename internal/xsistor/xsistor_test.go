@@ -74,7 +74,7 @@ func TestReorderPowerDependsOnOrder(t *testing.T) {
 	vecs := sim.BiasedStimulus(r, 4000, prob)
 	s, _ := NewSeriesStack(3)
 	natural := s.SimulatePower(vecs)
-	best, err := s.Reorder(ReorderPower, vecs, nil)
+	best, _, err := s.Reorder(vecs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestReorderPowerDependsOnOrder(t *testing.T) {
 func TestReorderDelayPutsLateInputNearOutput(t *testing.T) {
 	s, _ := NewSeriesStack(3)
 	arrival := []float64{5, 0, 0} // input 0 arrives late
-	best, err := s.Reorder(ReorderDelay, sim.Stimulus{}, arrival)
+	_, best, err := s.Reorder(sim.Stimulus{}, arrival)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestReorderDelayPutsLateInputNearOutput(t *testing.T) {
 
 func TestReorderTooManyInputs(t *testing.T) {
 	s, _ := NewSeriesStack(8)
-	if _, err := s.Reorder(ReorderPower, sim.Stimulus{}, nil); err == nil {
+	if _, _, err := s.Reorder(sim.Stimulus{}, nil); err == nil {
 		t.Error("8-input exhaustive reorder should be rejected")
 	}
 }
@@ -128,7 +128,7 @@ func TestHeuristicOrderAgreesWithSearchOnPower(t *testing.T) {
 	prob := []float64{0.98, 0.02, 0.5}
 	vecs := sim.BiasedStimulus(r, 6000, prob)
 	s, _ := NewSeriesStack(3)
-	best, err := s.Reorder(ReorderPower, vecs, nil)
+	best, _, err := s.Reorder(vecs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
