@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obsv/slo"
 	"repro/internal/server"
 )
 
@@ -16,12 +15,12 @@ func sampleStatus() server.StatusResponse {
 		Window: "5m",
 		NowNS:  int64(90 * time.Second),
 		SLO:    "warn",
-		Objectives: []slo.Verdict{
-			{Objective: "availability", Budget: 0.001, State: "warn", Burn: []slo.BurnPoint{
+		Objectives: []server.Verdict{
+			{Objective: "availability", Budget: 0.001, State: "warn", Burn: []server.BurnPoint{
 				{Horizon: "5m", Events: 100, Bad: 1, BadFraction: 0.01, Burn: 10},
 				{Horizon: "1h", Events: 400, Bad: 1, BadFraction: 0.0025, Burn: 2.5},
 			}},
-			{Objective: "latency", Budget: 0.05, State: "ok", Burn: []slo.BurnPoint{
+			{Objective: "latency", Budget: 0.05, State: "ok", Burn: []server.BurnPoint{
 				{Horizon: "5m", Events: 100}, {Horizon: "1h", Events: 400},
 			}},
 		},

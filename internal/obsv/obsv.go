@@ -143,6 +143,19 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
+// Add adds d to the gauge.
+func (g *Gauge) Add(d float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
+		}
+	}
+}
+
 // Max raises the gauge to v if v exceeds the current value.
 func (g *Gauge) Max(v float64) {
 	if g == nil {

@@ -71,6 +71,30 @@ func TestGaugeMax(t *testing.T) {
 	}
 }
 
+// TestGaugeAddConcurrent: balanced concurrent Adds leave the gauge
+// where it started, and Add on a nil gauge is a no-op.
+func TestGaugeAddConcurrent(t *testing.T) {
+	g := NewRegistry().Gauge("inflight")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				g.Add(1)
+				g.Add(-1)
+			}
+		}()
+	}
+	wg.Wait()
+	g.Add(2.5)
+	if g.Value() != 2.5 {
+		t.Errorf("gauge = %g, want 2.5", g.Value())
+	}
+	var nilGauge *Gauge
+	nilGauge.Add(1)
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	h := NewRegistry().Histogram("settle")
 	for _, v := range []int64{0, 1, 2, 3, 4, 9, 100} {

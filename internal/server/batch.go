@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/obsv/trace"
 )
 
 // POST /v1/estimate:batch — many estimates, one round trip.
@@ -132,6 +134,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
+	_, esp := trace.Start(r.Context(), "encode")
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(BatchResponse{Items: out})
+	esp.End()
 }

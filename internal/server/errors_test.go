@@ -127,12 +127,11 @@ func TestClientDisconnectMidCompute(t *testing.T) {
 	}
 	// Windowed telemetry recorded the request but no error, and the
 	// availability objective is untouched (bad events are status >= 500).
-	fw := s.tel.eps["flow"]
-	if fw.requests.Total() != 1 || fw.errors.Total() != 0 {
-		t.Errorf("flow window: %d requests / %d errors, want 1 / 0",
-			fw.requests.Total(), fw.errors.Total())
+	st := s.statusSnapshot()
+	if fw := st.Endpoints[2]; fw.Endpoint != "flow" || fw.Requests != 1 || fw.Errors != 0 {
+		t.Errorf("flow window: %+v, want 1 request / 0 errors", fw)
 	}
-	if v := s.tel.availability.Evaluate(); v.State != "ok" {
+	if v := st.Objectives[0]; v.State != "ok" {
 		t.Errorf("availability SLO %q after a lone 499, want ok (aborts excluded from budget)", v.State)
 	}
 }

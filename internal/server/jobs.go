@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/obsv"
 	"repro/internal/obsv/trace"
-	"repro/internal/obsv/window"
 )
 
 // Async job API.
@@ -67,7 +66,7 @@ func (j *job) terminal() bool {
 type jobStore struct {
 	max   int
 	ttl   time.Duration
-	clock window.Clock
+	clock Clock
 
 	mu sync.Mutex
 	m  map[string]*job

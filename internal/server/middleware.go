@@ -77,8 +77,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 //   - every request gets a process-unique trace ID, echoed in the
 //     X-Trace-Id response header and the access-log line;
 //   - when Config.TraceRequests is on, a trace.Tracer is installed in the
-//     request context, so handler/engine spans (queue.wait, resolve,
-//     power.exact, bdd.build, sim.measure, pass.*) build a span tree;
+//     request context, so handler/engine spans (decode, queue.wait,
+//     resolve, power.exact, bdd.build, sim.measure, pass.*, encode) build
+//     a span tree;
 //   - the per-endpoint in-flight gauge tracks the request, and
 //     telemetry.record writes every series of the finished request;
 //   - when Config.AccessLog is set, one key-sorted JSON line per request
@@ -93,8 +94,8 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		start := s.cfg.Clock()
 		ep := endpointOf(r.URL.Path)
 		et := s.tel.eps[ep]
-		et.inflight.Set(float64(et.n.Add(1)))
-		defer func() { et.inflight.Set(float64(et.n.Add(-1))) }()
+		et.inflight.Add(1)
+		defer et.inflight.Add(-1)
 
 		var root *trace.Span
 		traceID := ""

@@ -190,6 +190,49 @@ func TestSlowTraceDump(t *testing.T) {
 	}
 }
 
+// TestDecodeEncodeSpans checks that a traced /v1/estimate miss times
+// its body decode and its response encode as children of the request's
+// root span: decode before resolve, encode after compute.estimate.
+func TestDecodeEncodeSpans(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{TraceRequests: true, SlowTraceThreshold: time.Nanosecond, SlowTraceDir: dir})
+	rec := doJSON(t, s.Handler(), http.MethodPost, "/v1/estimate",
+		EstimateRequest{circuitRef: circuitRef{Circuit: "cla8"}, Estimator: "propagated", Seed: 991})
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("estimate: %d %s %s", rec.Code, rec.Header().Get("X-Cache"), rec.Body.Bytes())
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "trace_"+rec.Header().Get("X-Trace-Id")+".json"))
+	if err != nil {
+		t.Fatalf("slow-trace dump not written: %v", err)
+	}
+	var dump struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Args struct {
+				SpanID   uint64 `json:"span_id"`
+				ParentID uint64 `json:"parent_id"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	// Span IDs are handed out in start order.
+	ids, parents := map[string]uint64{}, map[string]uint64{}
+	for _, ev := range dump.TraceEvents {
+		ids[ev.Name], parents[ev.Name] = ev.Args.SpanID, ev.Args.ParentID
+	}
+	root := ids["http estimate"]
+	for _, name := range []string{"decode", "resolve", "compute.estimate", "encode"} {
+		if ids[name] == 0 || parents[name] != root {
+			t.Fatalf("span %q missing or not a child of the root (ids %v, parents %v)", name, ids, parents)
+		}
+	}
+	if ids["decode"] > ids["resolve"] || ids["encode"] < ids["compute.estimate"] {
+		t.Fatalf("span order wrong: %v", ids)
+	}
+}
+
 // BenchmarkEstimateHandler is the before/after pair for the
 // observability layer: with tracing off the instrumented path must cost
 // the same as the PR 5 handler (nil checks only). Compare:

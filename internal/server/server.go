@@ -56,7 +56,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bdd"
@@ -66,7 +65,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obsv"
 	"repro/internal/obsv/trace"
-	"repro/internal/obsv/window"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -101,9 +99,10 @@ type Config struct {
 
 	// TraceRequests installs a per-request span tree (internal/obsv/trace)
 	// in every request context: handler phases and engine internals
-	// (queue.wait, resolve, bdd.build, sim.measure, power.exact, pass.*)
-	// become spans. Off by default; X-Trace-Id is set either way, the
-	// disabled path paying only an ID generation and nil span checks.
+	// (decode, queue.wait, resolve, bdd.build, sim.measure, power.exact,
+	// pass.*, encode) become spans. Off by default; X-Trace-Id is set
+	// either way, the disabled path paying only an ID generation and nil
+	// span checks.
 	TraceRequests bool
 	// AccessLog, when non-nil, receives one key-sorted JSON line per
 	// request (cliutil.LogAccess: method, endpoint, path, status, latency,
@@ -115,11 +114,11 @@ type Config struct {
 	SlowTraceThreshold time.Duration
 	SlowTraceDir       string
 
-	// Clock is the monotonic clock behind all rolling-window telemetry,
-	// request timing and job expiry (default window.Monotonic). Tests
-	// inject a stepped fake clock to make GET /v1/status
-	// byte-deterministic.
-	Clock window.Clock
+	// Clock is the monotonic clock behind the rolling status and SLO
+	// rings, request timing and job expiry (default: nanoseconds since
+	// process start on the runtime's monotonic timer). Tests inject a
+	// stepped fake clock to make GET /v1/status byte-deterministic.
+	Clock Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -148,7 +147,7 @@ func (c Config) withDefaults() Config {
 		c.JobTTL = 10 * time.Minute
 	}
 	if c.Clock == nil {
-		c.Clock = window.Monotonic
+		c.Clock = monotonic
 	}
 	return c
 }
@@ -163,10 +162,9 @@ type Server struct {
 	flights *flightGroup  // in-flight computation per result key
 	jobs    *jobStore     // async flow jobs
 
-	reg       *obsv.Registry
-	tel       *telemetry
-	inflight  *obsv.Gauge
-	inflightN atomic.Int64 // backs the inflight gauge (Gauge has Set, not Add)
+	reg      *obsv.Registry
+	tel      *telemetry
+	inflight *obsv.Gauge
 
 	coalLeaders  *obsv.Counter // computations led on behalf of a herd
 	coalHits     *obsv.Counter // requests served by attaching to a leader
@@ -407,12 +405,12 @@ func (s *Server) acquireSlot(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-	s.inflight.Set(float64(s.inflightN.Add(1)))
+	s.inflight.Add(1)
 	return nil
 }
 
 func (s *Server) release() {
-	s.inflight.Set(float64(s.inflightN.Add(-1)))
+	s.inflight.Add(-1)
 	<-s.sem
 }
 
@@ -421,7 +419,10 @@ const maxBodyBytes = 8 << 20
 
 // decodeJSON reads a bounded request body into dst, rejecting unknown
 // fields so typos in option names fail loudly instead of being ignored.
+// When the request is traced, the read and decode are a "decode" span.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
+	_, sp := trace.Start(r.Context(), "decode")
+	defer sp.End()
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
@@ -712,7 +713,9 @@ func (s *Server) estimateResult(ctx context.Context, deadline time.Time, ep stri
 		if err != nil {
 			return cachedResult{}, err
 		}
+		_, esp := trace.Start(ctx, "encode")
 		body, err := json.Marshal(resp)
+		esp.End()
 		if err != nil {
 			return cachedResult{}, err
 		}
@@ -947,11 +950,14 @@ func (s *Server) flowResult(ctx context.Context, deadline time.Time, ent *netEnt
 		if err != nil {
 			return cachedResult{}, err
 		}
+		finalHash := logic.StructuralHash(nw)
+		_, esp := trace.Start(ctx, "encode")
+		defer esp.End()
 		resp := &FlowResponse{
 			Circuit:   nw.Name,
 			Flow:      spec.flow.Name,
 			Hash:      ent.hash,
-			FinalHash: logic.StructuralHash(nw),
+			FinalHash: finalHash,
 			Passes:    spec.flow.Passes,
 			Steps:     []SnapshotJSON{},
 		}
@@ -1041,7 +1047,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		if res[0].Skipped || res[0].Err != nil {
 			return cachedResult{}, res[0].Err
 		}
+		_, esp := trace.Start(ctx, "encode")
 		body, err := json.Marshal(map[string]any{"id": id, "table": res[0].Table})
+		esp.End()
 		if err != nil {
 			return cachedResult{}, err
 		}

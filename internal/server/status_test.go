@@ -68,6 +68,9 @@ func TestStatusByteDeterministicUnderFakeClock(t *testing.T) {
 		}
 		return rec.Body.Bytes()
 	}
+	// The "inflight" fields read the process-wide registry gauges, so the
+	// two bodies match only while no other test has a request in flight;
+	// a difference confined to "inflight" points there, not at the rings.
 	b1, b2 := body(), body()
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("status bodies differ:\n%s\n%s", b1, b2)
@@ -232,6 +235,74 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("record allocates %.1f objects per request, want 0", got)
 	}
+}
+
+// TestSLOEventsMatchComputeRequests checks, within one /v1/status body,
+// that the 5m SLO point counts exactly the computation endpoints'
+// windowed requests, and that polling endpoints stay out of it.
+func TestSLOEventsMatchComputeRequests(t *testing.T) {
+	h := New(Config{}).Handler()
+	est := map[string]any{"circuit": "cla8", "estimator": "propagated"}
+	doJSON(t, h, http.MethodPost, "/v1/estimate", est)
+	doJSON(t, h, http.MethodPost, "/v1/estimate", est)
+	doJSON(t, h, http.MethodPost, "/v1/estimate", map[string]any{"circuit": "nope"})
+	doJSON(t, h, http.MethodPost, "/v1/estimate:batch", map[string]any{"items": []any{est, est}})
+	doJSON(t, h, http.MethodGet, "/healthz", nil)
+	doJSON(t, h, http.MethodGet, "/v1/circuits", nil)
+	rec := doJSON(t, h, http.MethodGet, "/v1/status", nil)
+	var st StatusResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	var compute int64
+	for _, e := range st.Endpoints {
+		if sloEndpoint(e.Endpoint) {
+			compute += e.Requests
+		}
+	}
+	if compute != 4 {
+		t.Fatalf("computation endpoints saw %d windowed requests, want 4: %s", compute, rec.Body.Bytes())
+	}
+	for _, v := range st.Objectives {
+		if v.Burn[0].Events != compute || v.Burn[1].Events != compute {
+			t.Errorf("%s: 5m/1h events %d/%d, want %d", v.Objective, v.Burn[0].Events, v.Burn[1].Events, compute)
+		}
+	}
+}
+
+// TestInflightGaugesDrain drives concurrent requests, some of them
+// computations holding a worker slot, and checks that the server and
+// per-endpoint in-flight gauges read 0 once every request has finished.
+func TestInflightGaugesDrain(t *testing.T) {
+	s := New(Config{Workers: 2})
+	h := s.Handler()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				switch (w + i) % 3 {
+				case 0:
+					doJSON(t, h, http.MethodPost, "/v1/estimate", map[string]any{"circuit": "cla8", "estimator": "propagated", "seed": i})
+				case 1:
+					doJSON(t, h, http.MethodGet, "/healthz", nil)
+				default:
+					doJSON(t, h, http.MethodGet, "/v1/status", nil)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// The gauges are process-wide; give work another test left running a
+	// moment to finish.
+	waitUntil(t, 10*time.Second, func() bool {
+		drained := s.inflight.Value() == 0
+		for _, ep := range endpoints {
+			drained = drained && s.tel.eps[ep].inflight.Value() == 0
+		}
+		return drained
+	})
 }
 
 // TestConcurrentFirstRequests hammers a freshly built server from many
