@@ -942,6 +942,51 @@ func BenchmarkFlowStandard(b *testing.B) {
 	}
 }
 
+// BenchmarkBddSynthPass times the bddsynth pass as the flow benchmark
+// runs it, through the pass registry: on each of its 12 named circuits,
+// strashed, under the pass's default 1M-node BDD budget for the eight
+// narrow ones and 20,000 nodes for the four wide ones, NewContext(nw, 1).
+// One iteration runs the pass once on every circuit, each on a fresh
+// clone; the clones are not timed.
+func BenchmarkBddSynthPass(b *testing.B) {
+	pass := core.Registry()["bddsynth"]
+	var bases []*logic.Network
+	var fctxs []*core.Context
+	for _, c := range []struct {
+		name   string
+		budget int
+	}{
+		{"alu4", 0}, {"cla8", 0}, {"cmp8", 0}, {"dec5", 0},
+		{"mult4", 0}, {"mult5", 0}, {"par16", 0}, {"radd8", 0},
+		{"cmp16", 20000}, {"radd16", 20000}, {"mult6", 20000}, {"mux16", 20000},
+	} {
+		nw, err := circuits.Named(c.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := logic.Strash(nw); err != nil {
+			b.Fatal(err)
+		}
+		fctx := core.NewContext(nw, 1)
+		fctx.ExactBudget = bdd.Budget{MaxNodes: c.budget}
+		bases, fctxs = append(bases, nw), append(fctxs, fctx)
+	}
+	nws := make([]*logic.Network, len(bases))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, base := range bases {
+			nws[j] = base.Clone()
+		}
+		b.StartTimer()
+		for j, nw := range nws {
+			if err := pass.Run(nw, fctxs[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkBDDBuildCmp16Declaration times E18's largest build: the 16-bit
 // comparator's global BDDs under the declaration order, about 459k
 // nodes. Its bytes per op follow the node arena's growth policy.

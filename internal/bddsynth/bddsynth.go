@@ -6,27 +6,35 @@
 // switching activity improves. The variable order found by sifting is
 // what makes the mapping competitive: it simultaneously minimizes node
 // count and, through it, the amount of multiplexer hardware that can
-// toggle. Each call does one build, emitted twice: into a clone for
-// scoring and, when the rewrite is accepted, into the live network.
+// toggle.
+//
+// Synthesize builds from the depth-first order (Malik et al.), which
+// leaves sifting little to do, and hands the build to Apply. Apply takes
+// any prebuilt BDDs of the network: it emits them into a clone to score
+// the candidate and, when the rewrite is accepted, into the live network.
+// Experiment E18 builds from the declaration order instead and calls
+// Apply on that build.
 package bddsynth
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/power"
 )
 
-// Options configures Synthesize. The zero value uses a 1M-node BDD
-// budget, sifting reordering, 1995 default power parameters, uniform
-// input probabilities, and applies the rewrite only when the estimated
-// power improves.
+// Options configures Synthesize and Apply. The zero value uses a
+// 1M-node BDD budget, sifting reordering, 1995 default power parameters,
+// uniform input probabilities, and applies the rewrite only when the
+// estimated power improves.
 type Options struct {
-	// Budget bounds the BDD build; a trip makes Synthesize a skipped
-	// no-op, never an error. Zero means 1<<20 nodes.
+	// Budget bounds Synthesize's BDD build; a trip makes Synthesize a
+	// skipped no-op, never an error. Zero means 1<<20 nodes. Apply, which
+	// builds nothing, ignores it.
 	Budget bdd.Budget
 	// KeepWorse applies the MUX netlist even when its estimated power is
 	// not an improvement (used by experiments to measure the raw cost).
@@ -39,12 +47,12 @@ type Options struct {
 	CapModel  power.CapModel
 }
 
-// Result reports what Synthesize did.
+// Result reports what Synthesize or Apply did.
 type Result struct {
 	Skipped  bool    // nothing was attempted (sequential, budget trip, ...)
 	Reason   string  // why, when Skipped
 	Applied  bool    // the MUX netlist was spliced into the network
-	BDDNodes int     // live internal BDD nodes after the (re)build
+	BDDNodes int     // live internal BDD nodes of the emitted build
 	MuxGates int     // gates emitted for the MUX netlist
 	Before   float64 // estimated switching power before
 	After    float64 // estimated switching power of the MUX candidate
@@ -54,41 +62,46 @@ type Result struct {
 // Synthesize rewrites the combinational network as a BDD-derived MUX
 // netlist when that lowers the propagated-probability power estimate.
 // Sequential networks and budget-tripping builds are skipped, not
-// failed, so the transform is safe inside any flow. One build, emitted
-// twice: the BDDs are built once from nw, emitted into a clone to score
-// the candidate, and emitted again into nw only when the rewrite is
-// accepted.
+// failed, so the transform is safe inside any flow. The BDDs are built
+// once, from the depth-first order with sifting, and passed to Apply.
 func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, error) {
-	if opt.Budget == (bdd.Budget{}) {
-		opt.Budget = bdd.Budget{MaxNodes: 1 << 20}
-	}
-	if opt.Params == (power.Params{}) {
-		opt.Params = power.DefaultParams()
-	}
 	if len(nw.FFs()) > 0 {
 		return &Result{Skipped: true, Reason: "sequential network"}, nil
 	}
 	if len(nw.POs()) == 0 || nw.NumGates() == 0 {
 		return &Result{Skipped: true, Reason: "nothing to synthesize"}, nil
 	}
+	if opt.Budget == (bdd.Budget{}) {
+		opt.Budget = bdd.Budget{MaxNodes: 1 << 20}
+	}
+	nb, err := bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
+		Budget:  opt.Budget,
+		Reorder: bdd.ReorderPolicy{Enable: true},
+	})
+	if err != nil {
+		if errors.Is(err, bdd.ErrBudgetExceeded) {
+			return &Result{Skipped: true, Reason: "BDD budget exceeded: " + err.Error()}, nil
+		}
+		return nil, err
+	}
+	return Apply(ctx, nw, nb, opt)
+}
+
+// Apply emits nb's MUX mapping into a clone of nw, scores it against nw
+// and, when the candidate's estimated power is lower (or opt.KeepWorse is
+// set), emits it again into nw. nb must hold the BDDs of nw's outputs,
+// built from nw or from a network nw was cloned from: the clone keeps
+// nw's NodeIDs, so nb's functions and select variables name the same
+// nodes in both. Emission only reads nb's structure, so an applied nw
+// ends up identical to the scored clone.
+func Apply(ctx context.Context, nw *logic.Network, nb *bdd.NetworkBDDs, opt Options) (*Result, error) {
+	if opt.Params == (power.Params{}) {
+		opt.Params = power.DefaultParams()
+	}
 	score := power.Spec{Method: power.MethodPropagated, Params: opt.Params, CapModel: opt.CapModel, InputProb: opt.InputProb}
 	before, err := power.Estimate(ctx, nw, score)
 	if err != nil {
 		return nil, fmt.Errorf("bddsynth: scoring input network: %w", err)
-	}
-
-	// One build serves both emissions below: the clone keeps nw's NodeIDs,
-	// so nb's functions and select variables name the same nodes in both.
-	nb, err := bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
-		Budget:           opt.Budget,
-		Reorder:          bdd.ReorderPolicy{Enable: true},
-		DeclarationOrder: true,
-	})
-	if err != nil {
-		if errors.Is(err, bdd.ErrBudgetExceeded) {
-			return &Result{Skipped: true, Reason: "BDD budget exceeded: " + err.Error(), Before: before.Total()}, nil
-		}
-		return nil, err
 	}
 	clone := nw.Clone()
 	muxGates, err := emitMux(clone, nb)
@@ -109,9 +122,8 @@ func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, e
 	if !opt.KeepWorse && res.After >= res.Before {
 		return res, nil
 	}
-	// Accepted: emit the same BDD into the live network through the
-	// mutation APIs, keeping dirty tracking honest. Emission reads only
-	// the BDD's structure, so nw ends up identical to the scored clone.
+	// Accepted: emit into the live network through the mutation APIs,
+	// keeping dirty tracking honest.
 	if _, err := emitMux(nw, nb); err != nil {
 		return nil, fmt.Errorf("bddsynth: applying accepted rewrite: %w", err)
 	}
@@ -123,9 +135,9 @@ func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, e
 // number of gates it added: fresh gates are emitted bottom-up, each
 // primary-output driver is redirected to its MUX root, and the displaced
 // logic is swept. nb must be built from nw, or from a network nw was
-// cloned from, starting at the declaration order, which fixes the MUX
-// netlist (and E18's sifted and MUX columns) whatever the default order.
-// Emission only reads nb, so one build can be emitted more than once.
+// cloned from; its sifted variable order, wherever the build started,
+// fixes the MUX netlist. Emission only reads nb, so one build can be
+// emitted more than once.
 func emitMux(nw *logic.Network, nb *bdd.NetworkBDDs) (int, error) {
 	e := &emitter{
 		nw: nw, nb: nb,
@@ -137,8 +149,7 @@ func emitMux(nw *logic.Network, nb *bdd.NetworkBDDs) (int, error) {
 
 	// Map each distinct PO driver once, then redirect.
 	newDriver := make(map[logic.NodeID]logic.NodeID)
-	for _, po := range nw.POs() {
-		old := po
+	for _, old := range nw.POs() {
 		if _, done := newDriver[old]; done {
 			continue
 		}
@@ -152,15 +163,15 @@ func emitMux(nw *logic.Network, nb *bdd.NetworkBDDs) (int, error) {
 		}
 		newDriver[old] = nd
 	}
-	// Deterministic redirect order: follow the PO list.
-	redirected := make(map[logic.NodeID]bool)
-	for _, po := range nw.POs() {
-		old := po
-		nd := newDriver[old]
-		if redirected[old] || nd == old {
+	// Deterministic redirect order: follow the PO list. ReplaceNode
+	// rewrites nw's own output list, so walk a copy: a driver shared by
+	// two outputs must still read as the old driver at its second entry.
+	for _, old := range slices.Clone(nw.POs()) {
+		nd, ok := newDriver[old]
+		if !ok || nd == old {
 			continue
 		}
-		redirected[old] = true
+		delete(newDriver, old)
 		if err := nw.ReplaceNode(old, nd); err != nil {
 			return 0, fmt.Errorf("bddsynth: redirecting PO driver %d: %w", old, err)
 		}

@@ -125,12 +125,13 @@ func TestSynthesizeSkipsSequential(t *testing.T) {
 // TestSynthesizeBudgetSkipIsNoOp checks a budget trip leaves the
 // network untouched and reports Skipped instead of erroring.
 func TestSynthesizeBudgetSkipIsNoOp(t *testing.T) {
-	nw, err := circuits.Comparator(16)
+	nw, err := circuits.ArrayMultiplier(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gates := nw.NumGates()
-	// cmp16 needs over 1,000 nodes even with sifting, so this budget trips.
+	// mult6 needs thousands of nodes even from the depth-first order with
+	// sifting, so this budget trips.
 	res, err := Synthesize(context.Background(), nw, Options{
 		Budget: bdd.Budget{MaxNodes: 500},
 	})
@@ -181,49 +182,44 @@ func TestSynthesizeDeterministic(t *testing.T) {
 }
 
 // TestSynthesizeBuildsOnce pins one build per call: an applied rewrite
-// runs exactly the sifting of one lone declaration-order build, and the
-// applied network is that build emitted into a fresh clone.
+// runs exactly the sifting of one lone depth-first build, and the applied
+// network is that build emitted into a fresh clone. mult6 sifts several
+// times from the depth-first order, so the count comparison has teeth.
 func TestSynthesizeBuildsOnce(t *testing.T) {
 	runs := obsv.Enable().Counter("bdd.reorder.runs")
-	for name, gen := range map[string]func() (*logic.Network, error){
-		"cla8":  func() (*logic.Network, error) { return circuits.CLAAdder(8) },
-		"cmp12": func() (*logic.Network, error) { return circuits.Comparator(12) },
-	} {
-		nw, err := gen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := runs.Value()
-		nb, err := bdd.FromNetworkOpts(context.Background(), nw, bdd.BuildOptions{
-			Budget:           bdd.Budget{MaxNodes: 1 << 20},
-			Reorder:          bdd.ReorderPolicy{Enable: true},
-			DeclarationOrder: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		lone := runs.Value() - start
-		if lone == 0 {
-			t.Fatalf("%s: the lone build never sifted", name)
-		}
-		want := nw.Clone()
-		if _, err := emitMux(want, nb); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	nw, err := circuits.ArrayMultiplier(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := runs.Value()
+	nb, err := bdd.FromNetworkOpts(context.Background(), nw, bdd.BuildOptions{
+		Budget:  bdd.Budget{MaxNodes: 1 << 20},
+		Reorder: bdd.ReorderPolicy{Enable: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone := runs.Value() - start
+	if lone == 0 {
+		t.Fatal("the lone build never sifted")
+	}
+	want := nw.Clone()
+	if _, err := emitMux(want, nb); err != nil {
+		t.Fatal(err)
+	}
 
-		start = runs.Value()
-		res, err := Synthesize(context.Background(), nw, Options{KeepWorse: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !res.Applied {
-			t.Fatalf("%s: KeepWorse rewrite not applied: %+v", name, res)
-		}
-		if got := runs.Value() - start; got != lone {
-			t.Fatalf("%s: Synthesize ran %d reorders, one build runs %d", name, got, lone)
-		}
-		if got, w := logic.StructuralHash(nw), logic.StructuralHash(want); got != w {
-			t.Fatalf("%s: applied network differs from one build emitted into a clone", name)
-		}
+	start = runs.Value()
+	res, err := Synthesize(context.Background(), nw, Options{KeepWorse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Applied {
+		t.Fatalf("KeepWorse rewrite not applied: %+v", res)
+	}
+	if got := runs.Value() - start; got != lone {
+		t.Fatalf("Synthesize ran %d reorders, one build runs %d", got, lone)
+	}
+	if got, w := logic.StructuralHash(nw), logic.StructuralHash(want); got != w {
+		t.Fatal("applied network differs from one build emitted into a clone")
 	}
 }

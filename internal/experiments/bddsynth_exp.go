@@ -16,7 +16,10 @@ import (
 // node-count gap is the entire story for wide comparators), the MUX
 // netlist the sifted BDD maps to, and the propagated-probability power
 // of the original network vs the MUX candidate — with the accept
-// decision the bddsynth pass would take. Everything is deterministic.
+// decision the bddsynth pass would take. Both builds start from the
+// declaration order on purpose, unlike the pass, which starts from the
+// depth-first order: sifting away from that start is what the sifted
+// column measures. Everything is deterministic.
 func E18BDDSynth() (*Table, error) {
 	t := &Table{
 		ID:     "E18",
@@ -33,17 +36,23 @@ func E18BDDSynth() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// KeepWorse measures the candidate even when it would be
-		// rejected; the accept column reports the pass's real decision.
-		res, err := bddsynth.Synthesize(context.Background(), nw.Clone(), bddsynth.Options{
-			Budget: budget, KeepWorse: true,
+		// The sifted build also starts from the declaration order, then
+		// Apply emits and scores it as the pass would. KeepWorse measures
+		// the candidate even when it would be rejected; the accept column
+		// reports the pass's real decision.
+		nb, err := bdd.FromNetworkOpts(context.Background(), nw, bdd.BuildOptions{
+			Budget: budget, Reorder: bdd.ReorderPolicy{Enable: true}, DeclarationOrder: true,
 		})
+		if errors.Is(err, bdd.ErrBudgetExceeded) {
+			t.AddRow(name, fixed, "trip", "-", "-", "-", "-")
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
-		if res.Skipped {
-			t.AddRow(name, fixed, "trip", "-", "-", "-", "-")
-			continue
+		res, err := bddsynth.Apply(context.Background(), nw, nb, bddsynth.Options{KeepWorse: true})
+		if err != nil {
+			return nil, err
 		}
 		accepted := "no"
 		if res.After < res.Before {

@@ -185,7 +185,11 @@ func (nw *Network) ByName(name string) NodeID {
 // PIs returns the primary input node IDs in declaration order.
 func (nw *Network) PIs() []NodeID { return nw.pis }
 
-// POs returns the IDs of the nodes driving primary outputs.
+// POs returns the IDs of the nodes driving primary outputs. The slice is
+// the network's own, not a copy: ReplaceNode rewrites its entries in
+// place, so a caller that replaces output drivers while walking it must
+// walk a copy, or an output whose driver was already replaced reads as
+// the new driver.
 func (nw *Network) POs() []NodeID { return nw.pos }
 
 // FFs returns the DFF node IDs.

@@ -18,7 +18,7 @@ import (
 	"repro/internal/bdd"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/access.golden from the current code")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
 
 var accessTS = regexp.MustCompile(`^\{"ts":"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z",`)
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -201,7 +202,24 @@ func TestDecodeEncodeSpans(t *testing.T) {
 	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
 		t.Fatalf("estimate: %d %s %s", rec.Code, rec.Header().Get("X-Cache"), rec.Body.Bytes())
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "trace_"+rec.Header().Get("X-Trace-Id")+".json"))
+	ids, parents := dumpedSpans(t, dir, rec.Header().Get("X-Trace-Id"))
+	root := ids["http estimate"]
+	for _, name := range []string{"decode", "resolve", "compute.estimate", "encode"} {
+		if ids[name] == 0 || parents[name] != root {
+			t.Fatalf("span %q missing or not a child of the root (ids %v, parents %v)", name, ids, parents)
+		}
+	}
+	if ids["decode"] > ids["resolve"] || ids["encode"] < ids["compute.estimate"] {
+		t.Fatalf("span order wrong: %v", ids)
+	}
+}
+
+// dumpedSpans reads the slow-trace dump of one request from dir and
+// returns each span's ID and parent ID by name. Span IDs are handed out
+// in start order.
+func dumpedSpans(t *testing.T, dir, traceID string) (ids, parents map[string]uint64) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "trace_"+traceID+".json"))
 	if err != nil {
 		t.Fatalf("slow-trace dump not written: %v", err)
 	}
@@ -217,19 +235,68 @@ func TestDecodeEncodeSpans(t *testing.T) {
 	if err := json.Unmarshal(raw, &dump); err != nil {
 		t.Fatal(err)
 	}
-	// Span IDs are handed out in start order.
-	ids, parents := map[string]uint64{}, map[string]uint64{}
+	ids, parents = map[string]uint64{}, map[string]uint64{}
 	for _, ev := range dump.TraceEvents {
 		ids[ev.Name], parents[ev.Name] = ev.Args.SpanID, ev.Args.ParentID
 	}
+	return ids, parents
+}
+
+// TestCoalescedFollowerSpans traces a leader and one coalesced follower.
+// The follower's time waiting for the leader is a coalesce.wait span
+// under its root, and it computes nothing; the leader stores its result
+// under a cache.put span after encoding it.
+func TestCoalescedFollowerSpans(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{TraceRequests: true, SlowTraceThreshold: time.Nanosecond, SlowTraceDir: dir, Workers: 1})
+	h := s.Handler()
+	s.sem <- struct{}{} // hold the only worker slot until the follower attaches
+	leaders, hits := s.coalLeaders.Value(), s.coalHits.Value()
+	traces := map[string]string{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	send := func() {
+		defer wg.Done()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate",
+			strings.NewReader(`{"circuit":"cla8","estimator":"propagated","seed":992}`)))
+		if rec.Code != http.StatusOK {
+			t.Errorf("estimate: %d %s", rec.Code, rec.Body.Bytes())
+		}
+		mu.Lock()
+		traces[rec.Header().Get("X-Cache")] = rec.Header().Get("X-Trace-Id")
+		mu.Unlock()
+	}
+	wg.Add(1)
+	go send()
+	waitUntil(t, 5*time.Second, func() bool { return s.coalLeaders.Value()-leaders == 1 })
+	wg.Add(1)
+	go send()
+	waitUntil(t, 5*time.Second, func() bool { return s.coalHits.Value()-hits == 1 })
+	<-s.sem
+	wg.Wait()
+	if traces["miss"] == "" || traces["coalesced"] == "" {
+		t.Fatalf("want one miss and one coalesced response, got %v", traces)
+	}
+
+	ids, parents := dumpedSpans(t, dir, traces["coalesced"])
 	root := ids["http estimate"]
-	for _, name := range []string{"decode", "resolve", "compute.estimate", "encode"} {
-		if ids[name] == 0 || parents[name] != root {
-			t.Fatalf("span %q missing or not a child of the root (ids %v, parents %v)", name, ids, parents)
+	if ids["coalesce.wait"] == 0 || parents["coalesce.wait"] != root {
+		t.Fatalf("follower: coalesce.wait missing or not a child of the root (ids %v, parents %v)", ids, parents)
+	}
+	for _, name := range []string{"queue.wait", "compute.estimate", "cache.put"} {
+		if ids[name] != 0 {
+			t.Fatalf("follower has a %s span: %v", name, ids)
 		}
 	}
-	if ids["decode"] > ids["resolve"] || ids["encode"] < ids["compute.estimate"] {
-		t.Fatalf("span order wrong: %v", ids)
+
+	ids, parents = dumpedSpans(t, dir, traces["miss"])
+	root = ids["http estimate"]
+	if ids["cache.put"] == 0 || parents["cache.put"] != root || ids["cache.put"] < ids["encode"] {
+		t.Fatalf("leader: cache.put missing, not a child of the root or before encode (ids %v, parents %v)", ids, parents)
+	}
+	if ids["coalesce.wait"] != 0 {
+		t.Fatalf("leader has a coalesce.wait span: %v", ids)
 	}
 }
 

@@ -99,10 +99,10 @@ type Config struct {
 
 	// TraceRequests installs a per-request span tree (internal/obsv/trace)
 	// in every request context: handler phases and engine internals
-	// (decode, queue.wait, resolve, bdd.build, sim.measure, power.exact,
-	// pass.*, encode) become spans. Off by default; X-Trace-Id is set
-	// either way, the disabled path paying only an ID generation and nil
-	// span checks.
+	// (decode, queue.wait, coalesce.wait, resolve, bdd.build,
+	// sim.measure, power.exact, pass.*, cache.put, encode) become spans.
+	// Off by default; X-Trace-Id is set either way, the disabled path
+	// paying only an ID generation and nil span checks.
 	TraceRequests bool
 	// AccessLog, when non-nil, receives one key-sorted JSON line per
 	// request (cliutil.LogAccess: method, endpoint, path, status, latency,
@@ -317,6 +317,10 @@ var (
 // running; a follower whose leader fails retries the pipeline under its
 // own still-live ctx (becoming the next leader if nobody beat it in).
 //
+// When tracing is on, a follower's wait for its leader is a
+// coalesce.wait span and the leader's store into the result cache a
+// cache.put span.
+//
 // A non-zero deadline is the request's: it bounds the leader's compute
 // and a follower's wait. It is applied only after the cache misses, so a
 // hit never builds the context and its timer; a zero deadline adds none
@@ -334,8 +338,10 @@ func (s *Server) resultFor(ctx context.Context, key string, deadline time.Time, 
 		f, leader := s.flights.join(key)
 		if !leader {
 			s.coalHits.Inc()
+			_, wsp := trace.Start(ctx, "coalesce.wait")
 			select {
 			case <-f.done:
+				wsp.End()
 				if f.err == nil {
 					return f.res, "coalesced", nil
 				}
@@ -352,6 +358,7 @@ func (s *Server) resultFor(ctx context.Context, key string, deadline time.Time, 
 			case <-ctx.Done():
 				// Detach. The leader is NOT cancelled: other followers
 				// (and the cache) still want its result.
+				wsp.End()
 				s.coalDetached.Inc()
 				return cachedResult{}, "", ctx.Err()
 			}
@@ -366,7 +373,9 @@ func (s *Server) resultFor(ctx context.Context, key string, deadline time.Time, 
 		s.coalLeaders.Inc()
 		res, err := compute(ctx)
 		if err == nil {
+			_, psp := trace.Start(ctx, "cache.put")
 			s.results.Put(key, res)
+			psp.End()
 		}
 		s.flights.finish(key, f, res, err)
 		return res, "miss", err
