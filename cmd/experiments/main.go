@@ -16,8 +16,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/cliutil"
@@ -40,18 +38,11 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := cliutil.StartProfiles("experiments", *cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
 	}
-	defer writeMemProfile(*memProfile)
+	defer stopProfiles()
 
 	want := map[string]bool{}
 	if *only != "" {
@@ -194,22 +185,6 @@ func writeRunProfile(dir string, trace *profile.Trace, reg *obsv.Registry) error
 }
 
 // writeMemProfile dumps a heap profile (after a GC) when path is non-empty.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-	}
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)

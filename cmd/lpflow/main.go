@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -62,18 +60,11 @@ func main() {
 		fatal(fmt.Errorf("-timeout %v is negative (0 = no limit)", *timeout))
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := cliutil.StartProfiles("lpflow", *cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
 	}
-	defer writeMemProfile(*memProfile)
+	defer stopProfiles()
 
 	var reg *obsv.Registry
 	if *metrics {
@@ -219,22 +210,6 @@ func writeProfiles(nw *logic.Network, ctx *core.Context, tr *profile.Trace, dir 
 
 // writeMemProfile dumps a heap profile (after a GC, so live objects are
 // accurate) when path is non-empty.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lpflow:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "lpflow:", err)
-	}
-}
-
 func indent(s, prefix string) string {
 	lines := strings.SplitAfter(s, "\n")
 	var b strings.Builder

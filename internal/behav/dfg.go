@@ -125,8 +125,23 @@ func (d *DFG) Check() error {
 // and returns output values keyed by output name. Used to verify that
 // transformations preserve behaviour.
 func (d *DFG) Eval(inputs map[string]int) (map[string]int, error) {
-	vals := make([]int, len(d.Ops))
+	vals, err := d.values(inputs)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]int)
+	for _, op := range d.Ops {
+		if op.Kind == OpOutput {
+			out[op.Name] = vals[op.ID]
+		}
+	}
+	return out, nil
+}
+
+// values executes the graph on concrete input values and returns every
+// op's value, indexed by op ID.
+func (d *DFG) values(inputs map[string]int) ([]int, error) {
+	vals := make([]int, len(d.Ops))
 	for _, op := range d.Ops {
 		switch op.Kind {
 		case OpInput:
@@ -145,10 +160,25 @@ func (d *DFG) Eval(inputs map[string]int) (map[string]int, error) {
 			vals[op.ID] = vals[op.Args[0]] * vals[op.Args[1]]
 		case OpOutput:
 			vals[op.ID] = vals[op.Args[0]]
-			out[op.Name] = vals[op.ID]
 		}
 	}
-	return out, nil
+	return vals, nil
+}
+
+// sample executes the graph on each input trace and returns every op's
+// values across the traces: samples[opID][t] is its value on trace t.
+func (d *DFG) sample(traces []map[string]int) ([][]int, error) {
+	samples := make([][]int, len(d.Ops))
+	for _, tr := range traces {
+		vals, err := d.values(tr)
+		if err != nil {
+			return nil, err
+		}
+		for id, v := range vals {
+			samples[id] = append(samples[id], v)
+		}
+	}
+	return samples, nil
 }
 
 // Schedule assigns a control step to every op.

@@ -114,28 +114,8 @@ func SelectModules(d *DFG, lib *ModuleLibrary, targetDelay float64) (map[int]Mod
 		}
 		choice[op.ID] = best
 	}
-	critical := func() float64 {
-		longest := make([]float64, len(d.Ops))
-		worst := 0.0
-		for _, op := range d.Ops {
-			v := 0.0
-			for _, a := range op.Args {
-				if longest[a] > v {
-					v = longest[a]
-				}
-			}
-			if m, ok := choice[op.ID]; ok {
-				v += m.Delay
-			}
-			longest[op.ID] = v
-			if v > worst {
-				worst = v
-			}
-		}
-		return worst
-	}
-	if critical() > targetDelay {
-		return nil, 0, fmt.Errorf("behav: target delay %.1f infeasible (fastest %.1f)", targetDelay, critical())
+	if fastest := criticalDelay(d, choice); fastest > targetDelay {
+		return nil, 0, fmt.Errorf("behav: target delay %.1f infeasible (fastest %.1f)", targetDelay, fastest)
 	}
 	// Greedy: repeatedly take the downgrade with the best energy saving
 	// that keeps the deadline.
@@ -157,7 +137,7 @@ func SelectModules(d *DFG, lib *ModuleLibrary, targetDelay float64) (map[int]Mod
 				}
 				old := choice[op.ID]
 				choice[op.ID] = m
-				ok := critical() <= targetDelay
+				ok := criticalDelay(d, choice) <= targetDelay
 				choice[op.ID] = old
 				if !ok {
 					continue
@@ -180,6 +160,25 @@ func SelectModules(d *DFG, lib *ModuleLibrary, targetDelay float64) (map[int]Mod
 	return choice, total, nil
 }
 
+// criticalDelay is the longest dependence chain of d under the chosen
+// modules: the sum of module delays along it.
+func criticalDelay(d *DFG, choice map[int]Module) float64 {
+	longest := make([]float64, len(d.Ops))
+	worst := 0.0
+	for _, op := range d.Ops {
+		v := 0.0
+		for _, a := range op.Args {
+			v = max(v, longest[a])
+		}
+		if m, ok := choice[op.ID]; ok {
+			v += m.Delay
+		}
+		longest[op.ID] = v
+		worst = max(worst, v)
+	}
+	return worst
+}
+
 // Binding maps each arithmetic op to a functional-unit instance.
 type Binding struct {
 	// Unit[opID] = instance index within its kind.
@@ -194,33 +193,9 @@ type Binding struct {
 // Hamming switching on the unit's input buses ([33],[34]). Operand streams
 // are sampled by evaluating the DFG on the provided input traces.
 func BindGreedyCorrelation(d *DFG, s *Schedule, traces []map[string]int, correlationAware bool) (*Binding, error) {
-	// Sample operand values per op across traces.
-	samples := make([][]int, len(d.Ops)) // op -> values across traces
-	for _, tr := range traces {
-		vals := make([]int, len(d.Ops))
-		for _, op := range d.Ops {
-			switch op.Kind {
-			case OpInput:
-				v, ok := tr[op.Name]
-				if !ok {
-					return nil, fmt.Errorf("behav: trace missing input %q", op.Name)
-				}
-				vals[op.ID] = v
-			case OpConst:
-				vals[op.ID] = op.Value
-			case OpAdd:
-				vals[op.ID] = vals[op.Args[0]] + vals[op.Args[1]]
-			case OpSub:
-				vals[op.ID] = vals[op.Args[0]] - vals[op.Args[1]]
-			case OpMul:
-				vals[op.ID] = vals[op.Args[0]] * vals[op.Args[1]]
-			case OpOutput:
-				vals[op.ID] = vals[op.Args[0]]
-			}
-		}
-		for id, v := range vals {
-			samples[id] = append(samples[id], v)
-		}
+	samples, err := d.sample(traces)
+	if err != nil {
+		return nil, err
 	}
 
 	b := &Binding{Unit: make(map[int]int), NumUnits: make(map[OpKind]int)}
@@ -321,32 +296,9 @@ func operandHamming(d *DFG, samples [][]int, a, b int) float64 {
 // toggles per iteration, summing over each unit the Hamming distances
 // between consecutive operations bound to it.
 func SwitchedCapacitance(d *DFG, s *Schedule, b *Binding, traces []map[string]int) (float64, error) {
-	samples := make([][]int, len(d.Ops))
-	for _, tr := range traces {
-		vals := make([]int, len(d.Ops))
-		for _, op := range d.Ops {
-			switch op.Kind {
-			case OpInput:
-				v, ok := tr[op.Name]
-				if !ok {
-					return 0, fmt.Errorf("behav: trace missing input %q", op.Name)
-				}
-				vals[op.ID] = v
-			case OpConst:
-				vals[op.ID] = op.Value
-			case OpAdd:
-				vals[op.ID] = vals[op.Args[0]] + vals[op.Args[1]]
-			case OpSub:
-				vals[op.ID] = vals[op.Args[0]] - vals[op.Args[1]]
-			case OpMul:
-				vals[op.ID] = vals[op.Args[0]] * vals[op.Args[1]]
-			case OpOutput:
-				vals[op.ID] = vals[op.Args[0]]
-			}
-		}
-		for id, v := range vals {
-			samples[id] = append(samples[id], v)
-		}
+	samples, err := d.sample(traces)
+	if err != nil {
+		return 0, err
 	}
 	// Sequence of ops per (kind, unit) in step order.
 	type unitKey struct {
@@ -482,23 +434,7 @@ func PowerAtThroughput(d *DFG, lib *ModuleLibrary, throughput float64, parallel 
 		return res, err
 	}
 	res.EnergyPJ = energy
-	// Critical delay under the chosen modules.
-	longest := make([]float64, len(d.Ops))
-	for _, op := range d.Ops {
-		v := 0.0
-		for _, a := range op.Args {
-			if longest[a] > v {
-				v = longest[a]
-			}
-		}
-		if m, ok := choice[op.ID]; ok {
-			v += m.Delay
-		}
-		longest[op.ID] = v
-		if v > res.DelayNS {
-			res.DelayNS = v
-		}
-	}
+	res.DelayNS = criticalDelay(d, choice)
 	res.Slack = budget / res.DelayNS
 	v, err := lib.VoltageForSlack(res.Slack)
 	if err != nil {

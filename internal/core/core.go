@@ -119,13 +119,8 @@ func MeasureCtx(ctx context.Context, nw *logic.Network, fctx *Context, label str
 		// same snapshot semantics as flow-internal measurements).
 		return measureIncremental(ctx, nw, fctx, label, newFlowEstimator(nw, fctx))
 	}
-	ctx, sp := trace.Start(ctx, "core.measure")
-	if sp != nil {
-		sp.SetAttr("label", label)
-		defer sp.End()
-	}
-	st := nw.Stats()
-	snap := Snapshot{Label: label, Gates: st.Gates, Depth: st.Levels, FlipFlops: st.FFs}
+	ctx, sp, snap := startMeasure(ctx, nw, "core.measure", label)
+	defer sp.End()
 	inProb := fctx.InputProb
 	if len(nw.FFs()) > 0 {
 		seq, err := power.SequentialProbabilities(nw, rand.New(rand.NewSource(1)), 1000, 0.5)
@@ -155,6 +150,15 @@ func MeasureCtx(ctx context.Context, nw *logic.Network, fctx *Context, label str
 	return snap, nil
 }
 
+// startMeasure opens the measurement span name, with its label, and
+// returns the snapshot of nw's structure that the measurement completes.
+func startMeasure(ctx context.Context, nw *logic.Network, name, label string) (context.Context, *trace.Span, Snapshot) {
+	ctx, sp := trace.Start(ctx, name)
+	sp.SetAttr("label", label)
+	st := nw.Stats()
+	return ctx, sp, Snapshot{Label: label, Gates: st.Gates, Depth: st.Levels, FlipFlops: st.FFs}
+}
+
 // newFlowEstimator builds the incremental estimator for a combinational
 // network under a context's evaluation environment.
 func newFlowEstimator(nw *logic.Network, fctx *Context) *power.IncrementalEstimator {
@@ -169,13 +173,8 @@ func newFlowEstimator(nw *logic.Network, fctx *Context) *power.IncrementalEstima
 // same call sites serve both the incremental path and its from-scratch
 // reference.
 func measureIncremental(ctx context.Context, nw *logic.Network, fctx *Context, label string, est *power.IncrementalEstimator) (Snapshot, error) {
-	_, sp := trace.Start(ctx, "core.measure.incr")
-	if sp != nil {
-		sp.SetAttr("label", label)
-		defer sp.End()
-	}
-	st := nw.Stats()
-	snap := Snapshot{Label: label, Gates: st.Gates, Depth: st.Levels, FlipFlops: st.FFs}
+	_, sp, snap := startMeasure(ctx, nw, "core.measure.incr", label)
+	defer sp.End()
 	if err := ctx.Err(); err != nil {
 		return snap, err
 	}

@@ -16,33 +16,35 @@
 // rebuilds only the gate's transitive fanout (with the gate cut to 0 and
 // to 1); the NetworkPower objective scores each candidate cover by
 // building only the rewritten clone's changed nodes in the shared manager
-// and summing Eqn. 1 exactly as the exact power.Estimate would; an accepted
-// rewrite refreshes only the new and rewired nodes and whatever fanout
-// their changed functions reach. Between gates the manager is
-// garbage-collected, pinning the view, whenever its live node count has
-// doubled since the last collection. Every decision, and so every
-// rewritten network, is bit-identical to rebuilding the global BDDs from
-// scratch for each gate.
+// and summing Eqn. 1 exactly as the exact power.Estimate would, against
+// the current network scored the same way (swept of the gates earlier
+// rewrites left dangling, so their power cannot flatter a worse
+// candidate); an accepted rewrite refreshes only the new and rewired nodes
+// and whatever fanout their changed functions reach. Between gates the
+// manager is garbage-collected, pinning the view, whenever its live node
+// count has doubled since the last collection. Every decision, and so
+// every rewritten network, is bit-identical to rebuilding the global BDDs
+// from scratch for each gate.
 //
 // In front of the exact analysis sits a simulation witness filter. The
-// pass simulates every live node, 64 rows per word with logic.EvalPacked,
-// over R rows of the sources: all 2^n when n <= 11, otherwise 2048 from a
-// fixed-seed generator. A row that puts gate g's fanins at pattern p and
-// under which flipping g changes some PO or FF D input (g's transitive
-// fanout re-simulated with g inverted; without UseODC every row counts)
-// lies in cons_p ∧ ¬ODC, so p is neither a controllability nor an
-// observability don't-care. When all 2^k patterns have such a witness the
-// don't-care set is provably empty and the gate is skipped without
-// touching the BDDs. Otherwise the exact analysis runs, told which
-// patterns are witnessed: it needs g's ODC only for a producible pattern
-// without a witness, and when there is none (the don't-care set is then
-// exactly the unproducible patterns) the two fanout rebuilds are skipped.
-// An accepted rewrite re-simulates the whole network. Skipping changes
-// only which Refs the manager holds and when it collects, and every
-// decision depends on canonical functions (Ref equality within one
-// manager, Leq, probabilities over a fixed order), so the rewritten
-// networks stay bit-identical. The dontcare.gates.visited and
-// dontcare.gates.witnessed counters record each pass's totals.
+// pass simulates every live node, 64 rows per word with
+// logic.Compiled.EvalWord, over R rows of the sources: all 2^n when
+// n <= 11, otherwise 2048 from a fixed-seed generator. A row that puts
+// gate g's fanins at pattern p and under which flipping g changes some PO
+// or FF D input (g's transitive fanout re-simulated with g inverted;
+// without UseODC every row counts) lies in cons_p ∧ ¬ODC, so p is neither
+// a controllability nor an observability don't-care. When all 2^k patterns
+// have such a witness the don't-care set is provably empty and the gate is
+// skipped without touching the BDDs. Otherwise the exact analysis runs,
+// told which patterns are witnessed: it needs g's ODC only for a
+// producible pattern without a witness, and when there is none (the
+// don't-care set is then exactly the unproducible patterns) the two fanout
+// rebuilds are skipped. An accepted rewrite re-simulates the whole
+// network. Skipping changes only which Refs the manager holds and when it
+// collects, and every decision depends on canonical functions (Ref
+// equality within one manager, Leq, probabilities over a fixed order), so
+// the rewritten networks stay bit-identical. The dontcare.gates.visited
+// and dontcare.gates.witnessed counters record each pass's totals.
 package dontcare
 
 import (
@@ -84,6 +86,9 @@ type analyzer struct {
 	prob map[bdd.Ref]float64
 	// gcLive is the live node count after the last collection.
 	gcLive int
+	// applied is set once apply has rewritten the network, which may
+	// leave gates without fanout until the pass sweeps at its end.
+	applied bool
 }
 
 // newAnalyzer builds the network's global BDDs.
@@ -254,6 +259,7 @@ func (a *analyzer) apply(id logic.NodeID, cv *sop.Cover, fanins []logic.NodeID) 
 	for nid, f := range over {
 		a.nb.Fn[nid] = f
 	}
+	a.applied = true
 	return true, nil
 }
 

@@ -2,7 +2,10 @@ package dontcare
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bdd"
@@ -191,32 +194,7 @@ func TestOptimizeNetworkPowerOnBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig := nw.Clone()
-		baseline, err := power.Estimate(context.Background(), nw, power.Spec{Method: power.MethodExact, Params: power.DefaultParams()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = OptimizeNetwork(nw, Options{Objective: NetworkPower, UseODC: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.Check(); err != nil {
-			t.Fatal(err)
-		}
-		eq, err := logic.Equivalent(orig, nw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eq {
-			t.Fatalf("%s: optimization changed the function", nw.Name)
-		}
-		after, err := power.Estimate(context.Background(), nw, power.Spec{Method: power.MethodExact, Params: power.DefaultParams()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after.Total() > baseline.Total()+1e-9 {
-			t.Errorf("%s: power rose %v -> %v", nw.Name, baseline.Total(), after.Total())
-		}
+		checkPowerNeverRaised(t, nw)
 	}
 }
 
@@ -259,4 +237,119 @@ func mustParse(t *testing.T, n int, rows ...string) *sop.Cover {
 		t.Fatal(err)
 	}
 	return cv
+}
+
+// exactPower is a network's exact total power under uniform inputs and
+// the default parameters.
+func exactPower(t testing.TB, nw *logic.Network) float64 {
+	t.Helper()
+	rep, err := power.Estimate(context.Background(), nw, power.Spec{Method: power.MethodExact, Params: power.DefaultParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Total()
+}
+
+// checkPowerNeverRaised runs the NetworkPower pass with ODCs, as the
+// dontcare-power flow pass does, and fails if it breaks the network's
+// structure, raises its exact power or, with at most 20 inputs, changes
+// its function.
+func checkPowerNeverRaised(t testing.TB, nw *logic.Network) {
+	t.Helper()
+	orig := nw.Clone()
+	before := exactPower(t, nw)
+	if _, err := OptimizeNetwork(nw, Options{Objective: NetworkPower, UseODC: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if len(nw.PIs()) <= 20 {
+		if eq, err := logic.Equivalent(orig, nw); err != nil || !eq {
+			t.Fatalf("%s: the pass changed the function (%v)", nw.Name, err)
+		}
+	}
+	if after := exactPower(t, nw); after > before+1e-9 {
+		t.Errorf("%s: exact power rose %.6g -> %.6g", nw.Name, before, after)
+	}
+}
+
+// TestNetworkPowerNeverRaisesPower: on every generator and on seeded
+// random netlists, strashed as the flows run them, the NetworkPower pass
+// never returns a network with higher exact power than it was given.
+func TestNetworkPowerNeverRaisesPower(t *testing.T) {
+	nets := map[string]*logic.Network{}
+	for _, name := range circuits.GeneratorNames() {
+		nw, err := circuits.Named(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[name] = nw
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		nets[fmt.Sprintf("rnd%d", seed)] = randomLevelized(t, seed, false)
+	}
+	for seed := int64(1); seed <= 24; seed++ {
+		nets[fmt.Sprintf("upload%d", seed)] = randomUpload(t, seed)
+	}
+	for name, nw := range nets {
+		t.Run(name, func(t *testing.T) {
+			if _, err := logic.Strash(nw); err != nil {
+				t.Fatal(err)
+			}
+			checkPowerNeverRaised(t, nw)
+		})
+	}
+}
+
+// randomUpload reads a seeded random BLIF netlist shaped like the
+// benchmark's uploads, widened to 8-24 inputs: 20-160 two-input covers
+// (AND, OR, NAND, NOR, XOR and XNOR as sums of products) on 6-12 levels,
+// fanins mostly from the level below, and every signal without fanout an
+// output.
+func randomUpload(t testing.TB, seed int64) *logic.Network {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	gates, pis, levels := 20+r.Intn(141), 8+r.Intn(17), 6+r.Intn(7)
+	covers := []string{"11 1\n", "1- 1\n-1 1\n", "0- 1\n-0 1\n", "00 1\n", "01 1\n10 1\n", "00 1\n11 1\n"}
+	var sig []string
+	for i := 0; i < pis; i++ {
+		sig = append(sig, fmt.Sprintf("i%d", i))
+	}
+	fanout := make([]int, pis+gates)
+	lo := []int{0, pis}
+	pick := func() int {
+		l := len(lo) - 2
+		if l > 0 && r.Intn(4) == 0 {
+			l = r.Intn(l)
+		}
+		return lo[l] + r.Intn(lo[l+1]-lo[l])
+	}
+	var body strings.Builder
+	for g := 0; g < gates; g++ {
+		if g > 0 && g%((gates+levels-1)/levels) == 0 {
+			lo = append(lo, len(sig))
+		}
+		a, b := pick(), pick()
+		for b == a {
+			b = r.Intn(len(sig))
+		}
+		fanout[a]++
+		fanout[b]++
+		fmt.Fprintf(&body, ".names %s %s g%d\n%s", sig[a], sig[b], g, covers[r.Intn(len(covers))])
+		sig = append(sig, fmt.Sprintf("g%d", g))
+	}
+	var src strings.Builder
+	fmt.Fprintf(&src, ".model upload%d\n.inputs %s\n.outputs", seed, strings.Join(sig[:pis], " "))
+	for i := pis; i < len(sig); i++ {
+		if fanout[i] == 0 {
+			src.WriteString(" " + sig[i])
+		}
+	}
+	src.WriteString("\n" + body.String() + ".end\n")
+	nw, err := logic.ReadBLIF(strings.NewReader(src.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw
 }

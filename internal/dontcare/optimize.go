@@ -103,10 +103,7 @@ func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 		}
 		// A gate whose don't-care set simulation proves empty would come
 		// back unchanged from the exact analysis.
-		observed, all, err := wit.witnessed(id, opts.UseODC)
-		if err != nil {
-			return res, err
-		}
+		observed, all := wit.witnessed(id, opts.UseODC)
 		if all {
 			witnessed++
 			continue
@@ -195,7 +192,15 @@ func (a *analyzer) optimizeNode(id logic.NodeID, opts Options, observed []bool) 
 	case NetworkPower:
 		// Evaluate each candidate by full-network exact power, building
 		// only the rewritten clone's changed nodes in the shared manager.
-		bestPower := a.power(nw, nil, opts.Params)
+		// The bar is scored as the candidates are, without the gates
+		// earlier applies left dangling: their power would let a worse
+		// candidate win.
+		cur := nw
+		if a.applied {
+			cur = nw.Clone()
+			cur.SweepDead()
+		}
+		bestPower := a.power(cur, nil, opts.Params)
 		var bestCover *sop.Cover
 		seed := consumers(nw, id)
 		for _, c := range cands {

@@ -244,7 +244,9 @@ func refOptimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, er
 		}
 		return applyCover(nw, id, cands[best], dc.Fanins)
 	case NetworkPower:
-		base, err := power.Estimate(context.Background(), nw, power.Spec{Method: power.MethodExact, Params: opts.Params, InputProb: opts.InputProb})
+		cur := nw.Clone()
+		cur.SweepDead()
+		base, err := power.Estimate(context.Background(), cur, power.Spec{Method: power.MethodExact, Params: opts.Params, InputProb: opts.InputProb})
 		if err != nil {
 			return false, err
 		}

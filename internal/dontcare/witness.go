@@ -31,14 +31,14 @@ type witness struct {
 	// sig[w*stride+id] is word w of node id.
 	sig    []uint64
 	stride int
-	order  []logic.NodeID
-	pos    []int // pos[id]: index of id in order, -1 outside it
+	cv     *logic.Compiled
+	pos    []int // pos[id]: index of id in cv.Order, -1 outside it
 	ends   []logic.NodeID
 	// Per-gate scratch: the flipped word, the transitive fanout in
 	// topological order and its membership stamps, and the witnessed
 	// patterns.
 	alt   []uint64
-	tfo   []logic.NodeID
+	tfo   []int32
 	stamp []int
 	epoch int
 	seen  []bool
@@ -54,26 +54,18 @@ func newWitness(nw *logic.Network, vars []logic.NodeID) (*witness, error) {
 	rng := uint64(witnessSeed)
 	for w := 0; w < s.words; w++ {
 		for i := 0; i < n; i++ {
-			var v uint64
-			switch {
-			case n > witnessBits:
-				// splitmix64.
-				rng += 0x9E3779B97F4A7C15
-				z := rng
-				z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-				z = (z ^ z>>27) * 0x94D049BB133111EB
-				v = z ^ z>>31
-			case i < 6:
-				// Lane b is row 64w+b, so source i takes bit i of b. Below
-				// 64 rows the lanes repeat the enumeration: every lane is
-				// still a real row.
-				for b := 0; b < 64; b++ {
-					v |= uint64(b>>i&1) << b
-				}
-			case w>>(i-6)&1 != 0:
-				v = ^uint64(0)
+			if n <= witnessBits {
+				// Below 64 rows the lanes repeat the enumeration: every
+				// lane is still a real row.
+				s.src[w*n+i] = logic.RowWord(i, w)
+				continue
 			}
-			s.src[w*n+i] = v
+			// splitmix64.
+			rng += 0x9E3779B97F4A7C15
+			z := rng
+			z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+			z = (z ^ z>>27) * 0x94D049BB133111EB
+			s.src[w*n+i] = z ^ z>>31
 		}
 	}
 	return s, s.refresh()
@@ -83,11 +75,11 @@ func newWitness(nw *logic.Network, vars []logic.NodeID) (*witness, error) {
 // the pass calls it after each accepted rewrite.
 func (s *witness) refresh() error {
 	nw := s.nw
-	order, err := nw.TopoOrder()
+	cv, err := nw.Compile()
 	if err != nil {
 		return err
 	}
-	s.order = order
+	s.cv = cv
 	s.stride = nw.NumNodes()
 	s.sig = grow(s.sig, s.words*s.stride)
 	s.alt = grow(s.alt, s.stride)
@@ -96,7 +88,7 @@ func (s *witness) refresh() error {
 	for i := range s.pos {
 		s.pos[i] = -1
 	}
-	for i, id := range order {
+	for i, id := range cv.Order {
 		s.pos[id] = i
 	}
 	s.ends = append(s.ends[:0], nw.POs()...)
@@ -109,10 +101,8 @@ func (s *witness) refresh() error {
 		for i, v := range s.vars {
 			val[v] = s.src[w*n+i]
 		}
-		for _, id := range order {
-			if val[id], err = logic.EvalPacked(nw.Node(id), val); err != nil {
-				return err
-			}
+		for _, id := range cv.Order {
+			val[id] = cv.EvalWord(id, val)
 		}
 	}
 	return nil
@@ -129,11 +119,11 @@ func (s *witness) word(w int) []uint64 {
 // one, in which case the gate's don't-care set is empty. The marks are
 // valid until the next call; they are nil for a gate with more fanins
 // than the rows can tell apart.
-func (s *witness) witnessed(id logic.NodeID, useODC bool) (marks []bool, all bool, err error) {
+func (s *witness) witnessed(id logic.NodeID, useODC bool) (marks []bool, all bool) {
 	fanins := s.nw.Node(id).Fanin
 	k := len(fanins)
 	if k > s.bits {
-		return nil, false, nil
+		return nil, false
 	}
 	s.seen = grow(s.seen, 1<<k)
 	seen := s.seen
@@ -145,9 +135,7 @@ func (s *witness) witnessed(id logic.NodeID, useODC bool) (marks []bool, all boo
 	for w := 0; w < s.words && left > 0; w++ {
 		rows := ^uint64(0)
 		if useODC {
-			if rows, err = s.observable(w, id); err != nil {
-				return nil, false, err
-			}
+			rows = s.observable(w, id)
 		}
 		val := s.word(w)
 		for p := range seen {
@@ -168,7 +156,7 @@ func (s *witness) witnessed(id logic.NodeID, useODC bool) (marks []bool, all boo
 			}
 		}
 	}
-	return seen, left == 0, nil
+	return seen, left == 0
 }
 
 // fanout collects id's transitive fanout, in topological order, into
@@ -177,8 +165,9 @@ func (s *witness) fanout(id logic.NodeID) {
 	s.epoch++
 	s.stamp[id] = s.epoch
 	s.tfo = s.tfo[:0]
-	for _, c := range s.order[s.pos[id]+1:] {
-		for _, f := range s.nw.Node(c).Fanin {
+	cv := s.cv
+	for _, c := range cv.Order[s.pos[id]+1:] {
+		for _, f := range cv.Fanin[cv.FaninStart[c]:cv.FaninStart[c+1]] {
 			if s.stamp[f] == s.epoch {
 				s.stamp[c] = s.epoch
 				s.tfo = append(s.tfo, c)
@@ -191,23 +180,19 @@ func (s *witness) fanout(id logic.NodeID) {
 // observable returns the rows of word w under which inverting gate id
 // changes some endpoint: s.tfo (from fanout) is re-evaluated on a copy of
 // the word with id's lanes flipped.
-func (s *witness) observable(w int, id logic.NodeID) (uint64, error) {
+func (s *witness) observable(w int, id logic.NodeID) uint64 {
 	val := s.word(w)
 	alt := s.alt
 	copy(alt, val)
 	alt[id] = ^val[id]
 	for _, c := range s.tfo {
-		v, err := logic.EvalPacked(s.nw.Node(c), alt)
-		if err != nil {
-			return 0, err
-		}
-		alt[c] = v
+		alt[c] = s.cv.EvalWord(c, alt)
 	}
 	var obs uint64
 	for _, e := range s.ends {
 		obs |= alt[e] ^ val[e]
 	}
-	return obs, nil
+	return obs
 }
 
 // grow returns s resliced to n elements, reallocating only when its

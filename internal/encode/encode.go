@@ -84,21 +84,28 @@ func WeightedActivity(g *stg.STG, e Encoding) float64 {
 	return total
 }
 
+// symWeights returns the transition weights summed over both directions:
+// sym[i][j] = w[i][j] + w[j][i], the weight of the code distance between
+// states i and j.
+func symWeights(g *stg.STG) [][]float64 {
+	w := g.TransitionWeights()
+	sym := make([][]float64, len(w))
+	for i := range sym {
+		sym[i] = make([]float64, len(w))
+		for j := range sym[i] {
+			sym[i][j] = w[i][j] + w[j][i]
+		}
+	}
+	return sym
+}
+
 // Greedy builds a minimal-bit encoding constructively: states are placed
 // in order of their total transition weight; each takes the free code with
 // the smallest weighted Hamming distance to already-placed neighbours.
 func Greedy(g *stg.STG) Encoding {
 	n := len(g.States)
 	b := minBits(n)
-	w := g.TransitionWeights()
-	// Symmetric weights.
-	sym := make([][]float64, n)
-	for i := range sym {
-		sym[i] = make([]float64, n)
-		for j := range sym[i] {
-			sym[i][j] = w[i][j] + w[j][i]
-		}
-	}
+	sym := symWeights(g)
 	// Order states by total weight, heaviest first.
 	order := make([]int, n)
 	for i := range order {
@@ -163,14 +170,7 @@ func Anneal(g *stg.STG, r *rand.Rand, opts AnnealOptions) Encoding {
 	b := minBits(n)
 	space := 1 << b
 
-	w := g.TransitionWeights()
-	sym := make([][]float64, n)
-	for i := range sym {
-		sym[i] = make([]float64, n)
-		for j := range sym[i] {
-			sym[i][j] = w[i][j] + w[j][i]
-		}
-	}
+	sym := symWeights(g)
 	code := make([]uint, n)
 	used := make(map[uint]int) // code -> state or -1
 	start := Greedy(g)
@@ -189,6 +189,12 @@ func Anneal(g *stg.STG, r *rand.Rand, opts AnnealOptions) Encoding {
 		}
 		return t
 	}
+	// swap exchanges two states' codes; it is its own inverse.
+	swap := func(i, j int) {
+		code[i], code[j] = code[j], code[i]
+		used[code[i]] = i
+		used[code[j]] = j
+	}
 	cur := cost()
 	best := cur
 	bestCode := append([]uint(nil), code...)
@@ -202,14 +208,8 @@ func Anneal(g *stg.STG, r *rand.Rand, opts AnnealOptions) Encoding {
 			// swap.
 			c := uint(r.Intn(space))
 			if j, ok := used[c]; ok && j != i {
-				code[i], code[j] = code[j], code[i]
-				used[code[i]] = i
-				used[code[j]] = j
-				revert = func() {
-					code[i], code[j] = code[j], code[i]
-					used[code[i]] = i
-					used[code[j]] = j
-				}
+				swap(i, j)
+				revert = func() { swap(i, j) }
 			} else if !ok {
 				old := code[i]
 				delete(used, old)
@@ -228,14 +228,8 @@ func Anneal(g *stg.STG, r *rand.Rand, opts AnnealOptions) Encoding {
 			if i == j {
 				continue
 			}
-			code[i], code[j] = code[j], code[i]
-			used[code[i]] = i
-			used[code[j]] = j
-			revert = func() {
-				code[i], code[j] = code[j], code[i]
-				used[code[i]] = i
-				used[code[j]] = j
-			}
+			swap(i, j)
+			revert = func() { swap(i, j) }
 		}
 		next := cost()
 		accept := next <= cur || r.Float64() < math.Exp((cur-next)/math.Max(temp, 1e-12))

@@ -60,29 +60,12 @@ func Synthesize(g *stg.STG, e Encoding) (*logic.Network, error) {
 		dc.Cubes = append(dc.Cubes, cube)
 	}
 
-	// Edge cube over (inputs, state bits).
-	edgeCube := func(ed stg.Edge) sop.Cube {
-		cube := sop.NewCube(nVars)
-		for i, ch := range ed.In {
-			switch ch {
-			case '0':
-				cube[i] = sop.Zero
-			case '1':
-				cube[i] = sop.One
-			}
-		}
-		from := e.Code[ed.From]
-		sc := codeCube(from, e.Bits)
-		copy(cube[g.NumInputs:], sc)
-		return cube
-	}
-
 	// Next-state bit covers.
 	for b := 0; b < e.Bits; b++ {
 		on := sop.NewCover(nVars)
 		for _, ed := range g.Edges {
 			if e.Code[ed.To]&(1<<uint(b)) != 0 {
-				on.Cubes = append(on.Cubes, edgeCube(ed))
+				on.Cubes = append(on.Cubes, EdgeCube(g, e, ed))
 			}
 		}
 		min, err := sop.Minimize(on, sop.MinimizeOptions{DontCare: dc})
@@ -106,7 +89,7 @@ func Synthesize(g *stg.STG, e Encoding) (*logic.Network, error) {
 		on := sop.NewCover(nVars)
 		for _, ed := range g.Edges {
 			if ed.Out[m] == '1' {
-				on.Cubes = append(on.Cubes, edgeCube(ed))
+				on.Cubes = append(on.Cubes, EdgeCube(g, e, ed))
 			}
 		}
 		min, err := sop.Minimize(on, sop.MinimizeOptions{DontCare: dc})
@@ -123,6 +106,23 @@ func Synthesize(g *stg.STG, e Encoding) (*logic.Network, error) {
 	}
 	nw.SweepDead()
 	return nw, nil
+}
+
+// EdgeCube is edge ed's cube over the synthesized machine's variables:
+// its input pattern over the inputs x0.., then its source state's code
+// over the state bits q0...
+func EdgeCube(g *stg.STG, e Encoding, ed stg.Edge) sop.Cube {
+	cube := sop.NewCube(g.NumInputs + e.Bits)
+	for i, ch := range ed.In {
+		switch ch {
+		case '0':
+			cube[i] = sop.Zero
+		case '1':
+			cube[i] = sop.One
+		}
+	}
+	copy(cube[g.NumInputs:], codeCube(e.Code[ed.From], e.Bits))
+	return cube
 }
 
 func codeCube(code uint, bitsN int) sop.Cube {

@@ -1,40 +1,24 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/balance"
 	"repro/internal/circuits"
 	"repro/internal/logic"
 )
 
-// buildNamed constructs a benchmark circuit by short name.
+// buildNamed constructs a benchmark circuit by short name: a name in the
+// circuits registry (circuits.Named), or one of the sizes only the
+// experiments use.
 func buildNamed(name string) (*logic.Network, error) {
 	switch name {
 	case "radd4":
 		return circuits.RippleAdder(4)
 	case "radd6":
 		return circuits.RippleAdder(6)
-	case "radd8":
-		return circuits.RippleAdder(8)
-	case "cla8":
-		return circuits.CLAAdder(8)
-	case "mult4":
-		return circuits.ArrayMultiplier(4)
-	case "mult5":
-		return circuits.ArrayMultiplier(5)
-	case "mult6":
-		return circuits.ArrayMultiplier(6)
 	case "cmp4":
 		return circuits.Comparator(4)
-	case "cmp8":
-		return circuits.Comparator(8)
 	case "alu3":
 		return circuits.ALU(3)
-	case "alu4":
-		return circuits.ALU(4)
-	case "par16":
-		return circuits.ParityTree(16)
 	case "parch12":
 		return circuits.ParityChain(12)
 	case "dec4":
@@ -42,7 +26,7 @@ func buildNamed(name string) (*logic.Network, error) {
 	case "mux8":
 		return circuits.MuxTree(3)
 	}
-	return nil, fmt.Errorf("experiments: unknown circuit %q", name)
+	return circuits.Named(name)
 }
 
 // balanceFull applies full path balancing and returns the buffer count.

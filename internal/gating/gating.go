@@ -56,27 +56,9 @@ func GateSelfLoops(g *stg.STG, e encode.Encoding) (*Gated, error) {
 	nVars := g.NumInputs + e.Bits
 	selfLoop := sop.NewCover(nVars)
 	for _, ed := range g.Edges {
-		if ed.From != ed.To {
-			continue
+		if ed.From == ed.To {
+			selfLoop.Cubes = append(selfLoop.Cubes, encode.EdgeCube(g, e, ed))
 		}
-		cube := sop.NewCube(nVars)
-		for i, ch := range ed.In {
-			switch ch {
-			case '0':
-				cube[i] = sop.Zero
-			case '1':
-				cube[i] = sop.One
-			}
-		}
-		code := e.Code[ed.From]
-		for b := 0; b < e.Bits; b++ {
-			if code&(1<<uint(b)) != 0 {
-				cube[g.NumInputs+b] = sop.One
-			} else {
-				cube[g.NumInputs+b] = sop.Zero
-			}
-		}
-		selfLoop.Cubes = append(selfLoop.Cubes, cube)
 	}
 	minLoop, err := sop.Minimize(selfLoop, sop.MinimizeOptions{})
 	if err != nil {

@@ -1,6 +1,6 @@
 package logic
 
-// Compiled is a flat, read-only view of a network for the scalar
+// Compiled is a flat, read-only view of a network for the scalar and word
 // evaluation kernels: per-node opcodes, fanin and consumer lists in CSR
 // form (one flat array plus per-node offsets) and the topological order,
 // all indexed by NodeID. It costs 9 bytes per node slot (an opcode and two
@@ -80,6 +80,40 @@ func (c *Compiled) OnesEval(id, k int32) bool {
 	return c.Op[id]>>(uint(k-1)>>63|uint(Bit(k == n))<<1|uint(k&1)<<2)&1 != 0
 }
 
+// EvalWord is Eval over 64 lanes at once: bit j of the result is node
+// id's output in lane j, given its fanins' lane words in val (indexed by
+// NodeID). It derives Eval's three facts per lane from the OR, AND and
+// XOR of the fanin words and reads the output from the same opcode (see
+// wordOps), so every scalar and word evaluator computes one gate table.
+// The packed simulator, incremental cone re-evaluation, TruthTable and the
+// don't-care witness all run it. Like Eval it stays within the compiler's
+// inlining budget, so their loops inline it.
+func (c *Compiled) EvalWord(id int32, val []uint64) uint64 {
+	var some, par uint64
+	all := ^some
+	for _, f := range c.Fanin[c.FaninStart[id]:c.FaninStart[id+1]] {
+		w := val[f]
+		some |= w
+		all &= w
+		par ^= w
+	}
+	m := wordOps[c.Op[id]]
+	return m[0] ^ m[1]&^some ^ m[2]&all ^ m[3]&par
+}
+
+// wordOps[op] spreads an opcode over whole words for EvalWord. Every
+// opcode is a constant or one fact, possibly inverted, so its table is
+// op(0) ^ z·(op(z)^op(0)) ^ a·(op(a)^op(0)) ^ p·(op(p)^op(0)): entry 0 is
+// the all-zero-facts output and entries 1-3 select z, a and p, each as an
+// all-zero or all-one word.
+var wordOps = func() (t [256][4]uint64) {
+	for op := range t {
+		o := uint64(op)
+		t[op] = [4]uint64{-(o & 1), -((o>>1 ^ o) & 1), -((o>>2 ^ o) & 1), -((o>>4 ^ o) & 1)}
+	}
+	return t
+}()
+
 // Settle evaluates every gate and constant in topological order from the
 // present source values in val (inputs and flip-flop outputs). It is the
 // one scalar zero-delay settle kernel: simulator resets, prescans and
@@ -130,6 +164,7 @@ func (nw *Network) compile(order []NodeID) (*Compiled, error) {
 		FFD:        make([]int32, len(nw.ffs)),
 		FFInit:     make([]bool, len(nw.ffs)),
 	}
+	edges := 0
 	for i, id := range order {
 		nd := nw.nodes[id]
 		switch {
@@ -138,10 +173,15 @@ func (nw *Network) compile(order []NodeID) (*Compiled, error) {
 			return nil, &UnsupportedGateError{Type: nd.Type}
 		case len(nd.Fanin) == 0:
 			return nil, &NoFaninError{Type: nd.Type}
+		default:
+			edges += len(nd.Fanin)
 		}
 		c.Op[id] = opcodes[nd.Type]
 		c.Order[i] = int32(id)
 	}
+	// Every gate fanin pin is one Fanin entry and one Cons entry.
+	c.Fanin = make([]int32, 0, edges)
+	c.Cons = make([]int32, 0, edges)
 	for id, nd := range nw.nodes {
 		c.FaninStart[id] = int32(len(c.Fanin))
 		c.ConsStart[id] = int32(len(c.Cons))

@@ -2,6 +2,8 @@ package logic_test
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/circuits"
@@ -49,6 +51,69 @@ func TestCompiledEvalMatchesEvalGate(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEvalWordMatchesEvalGate checks the word kernel lane by lane against
+// the switch evaluator for every gate type at fanin 1-8 (where legal),
+// with distinct pins and with the first net read on two pins, and the
+// constants' all-zero and all-one words.
+func TestEvalWordMatchesEvalGate(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	nw := logic.New("w")
+	var pis []logic.NodeID
+	for i := 0; i < 8; i++ {
+		pis = append(pis, nw.MustInput(fmt.Sprint("x", i)))
+	}
+	type gate struct {
+		id    logic.NodeID
+		typ   logic.GateType
+		fanin []logic.NodeID
+	}
+	var gates []gate
+	types := []logic.GateType{logic.Buf, logic.Not, logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor}
+	for _, typ := range types {
+		for k := typ.MinFanin(); k <= 8 && (typ.MaxFanin() < 0 || k <= typ.MaxFanin()); k++ {
+			fanins := [][]logic.NodeID{pis[:k]}
+			if k >= 2 {
+				fanins = append(fanins, append(append([]logic.NodeID(nil), pis[:k-1]...), pis[0]))
+			}
+			for _, fanin := range fanins {
+				id := nw.MustGate(fmt.Sprint("g", len(gates)), typ, fanin...)
+				gates = append(gates, gate{id, typ, fanin})
+			}
+		}
+	}
+	c0, err := nw.AddConst("c0", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, err := nw.AddConst("c1", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv, err := nw.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]uint64, nw.NumNodes())
+	for _, pi := range pis {
+		val[pi] = r.Uint64()
+	}
+	for _, g := range gates {
+		w := cv.EvalWord(int32(g.id), val)
+		in := make([]bool, len(g.fanin))
+		for lane := 0; lane < 64; lane++ {
+			for j, f := range g.fanin {
+				in[j] = val[f]>>lane&1 == 1
+			}
+			if got, want := w>>lane&1 == 1, logic.EvalGate(g.typ, in); got != want {
+				t.Fatalf("%s over %v, lane %d: EvalWord %v, EvalGate %v", g.typ, g.fanin, lane, got, want)
+			}
+		}
+	}
+	if w0, w1 := cv.EvalWord(int32(c0), val), cv.EvalWord(int32(c1), val); w0 != 0 || w1 != ^uint64(0) {
+		t.Errorf("constants: %#x, %#x", w0, w1)
 	}
 }
 
@@ -187,15 +252,18 @@ func TestCompileErrors(t *testing.T) {
 		t.Errorf("unsupported type: Step gave %v", err)
 	}
 
-	nw, g = build()
-	nw.Node(g).Fanin = nil // hand edit: a gate without fanins
-	_, err = nw.Compile()
-	var ne *logic.NoFaninError
-	if !errors.As(err, &ne) || ne.Type != logic.And {
-		t.Errorf("no fanins: Compile gave %v", err)
-	}
-	if err := logic.NewState(nw).Settle(); !errors.As(err, &ne) {
-		t.Errorf("no fanins: Settle gave %v", err)
+	for _, typ := range []logic.GateType{logic.Buf, logic.Not, logic.And, logic.Xnor} {
+		nw, g = build()
+		nw.Node(g).Type = typ
+		nw.Node(g).Fanin = nil // hand edit: a gate without fanins
+		_, err = nw.Compile()
+		var ne *logic.NoFaninError
+		if !errors.As(err, &ne) || ne.Type != typ {
+			t.Errorf("%s with no fanins: Compile gave %v", typ, err)
+		}
+		if err := logic.NewState(nw).Settle(); !errors.As(err, &ne) {
+			t.Errorf("%s with no fanins: Settle gave %v", typ, err)
+		}
 	}
 
 	nw, g = build()

@@ -89,65 +89,6 @@ func EvalGate(t GateType, in []bool) bool {
 	panic((&UnsupportedGateError{Type: t}).Error())
 }
 
-// EvalPacked computes 64 evaluations of a combinational node at once: bit
-// j of the result is the node's value in lane j, given the lane words of
-// its fanins in val (indexed by NodeID). Constants yield all-zero or
-// all-one words. It is the single word-level gate kernel shared by the
-// packed simulator, incremental cone re-evaluation and TruthTable, which is
-// what makes those paths agree bit for bit. Inputs, flip-flops, unknown
-// types and constants with fanins return an *UnsupportedGateError, and a
-// gate with no fanins a *NoFaninError; neither panics.
-func EvalPacked(n *Node, val []uint64) (uint64, error) {
-	f := n.Fanin
-	if len(f) == 0 {
-		switch {
-		case n.Type == Const0:
-			return 0, nil
-		case n.Type == Const1:
-			return ^uint64(0), nil
-		case n.Type.IsGate():
-			return 0, &NoFaninError{Type: n.Type}
-		}
-		return 0, &UnsupportedGateError{Type: n.Type}
-	}
-	w := val[f[0]]
-	switch n.Type {
-	case Buf:
-	case Not:
-		w = ^w
-	case And:
-		for _, x := range f[1:] {
-			w &= val[x]
-		}
-	case Nand:
-		for _, x := range f[1:] {
-			w &= val[x]
-		}
-		w = ^w
-	case Or:
-		for _, x := range f[1:] {
-			w |= val[x]
-		}
-	case Nor:
-		for _, x := range f[1:] {
-			w |= val[x]
-		}
-		w = ^w
-	case Xor:
-		for _, x := range f[1:] {
-			w ^= val[x]
-		}
-	case Xnor:
-		for _, x := range f[1:] {
-			w ^= val[x]
-		}
-		w = ^w
-	default:
-		return 0, &UnsupportedGateError{Type: n.Type}
-	}
-	return w, nil
-}
-
 // State holds the present values of every node in a network during
 // cycle-by-cycle zero-delay evaluation. It settles through the network's
 // compiled view (see Network.Compile), so a Step allocates only the
@@ -238,8 +179,8 @@ func (nw *Network) EvalComb(in []bool) ([]bool, error) {
 	return s.Step(in)
 }
 
-// laneMasks[j] holds, in lane b, bit j of b: the value of PI j < 6 across
-// the 64 minterms one truth-table word covers.
+// laneMasks[j] holds, in lane b, bit j of b: the value of source j < 6
+// across the 64 rows one enumeration word covers.
 var laneMasks = [6]uint64{
 	0xAAAAAAAAAAAAAAAA,
 	0xCCCCCCCCCCCCCCCC,
@@ -249,16 +190,25 @@ var laneMasks = [6]uint64{
 	0xFFFFFFFF00000000,
 }
 
+// RowWord returns word w of source j when every row of the sources is
+// enumerated 64 per word: lane b of word w is row 64w+b, and source j
+// takes bit j of the row. Sources j < 6 take a constant lane mask, and
+// source j >= 6 is all ones or all zeros by bit j-6 of w.
+func RowWord(j, w int) uint64 {
+	if j < 6 {
+		return laneMasks[j]
+	}
+	return -uint64(w >> uint(j-6) & 1)
+}
+
 // TruthTable enumerates all 2^n input vectors of a combinational network
 // with n <= 20 primary inputs and returns, for each primary output, a
 // bitset of minterms where the output is 1 (bit i corresponds to the input
 // vector whose bit j is PI j's value, PI 0 least significant).
 //
-// It evaluates 64 rows per machine word over the cached topological order
-// with the EvalPacked kernel: word w covers minterms 64w..64w+63, so PI
-// j < 6 takes the constant lane mask of bit j, PI j >= 6 is all-ones or
-// all-zeros by bit j-6 of w, and when n < 6 the lanes at or past 2^n are
-// masked off.
+// It evaluates 64 rows per machine word with Compiled.EvalWord: word w
+// covers minterms 64w..64w+63 (see RowWord), and when n < 6 the lanes at
+// or past 2^n are masked off.
 func (nw *Network) TruthTable() ([][]uint64, error) {
 	n := len(nw.pis)
 	if n > 20 {
@@ -267,7 +217,7 @@ func (nw *Network) TruthTable() ([][]uint64, error) {
 	if len(nw.ffs) != 0 {
 		return nil, fmt.Errorf("logic: TruthTable on sequential network %q", nw.Name)
 	}
-	order, err := nw.TopoOrder()
+	c, err := nw.Compile()
 	if err != nil {
 		return nil, err
 	}
@@ -284,21 +234,10 @@ func (nw *Network) TruthTable() ([][]uint64, error) {
 	val := make([]uint64, len(nw.nodes))
 	for w := 0; w < words; w++ {
 		for j, pi := range nw.pis {
-			switch {
-			case j < 6:
-				val[pi] = laneMasks[j]
-			case w>>uint(j-6)&1 != 0:
-				val[pi] = ^uint64(0)
-			default:
-				val[pi] = 0
-			}
+			val[pi] = RowWord(j, w)
 		}
-		for _, id := range order {
-			v, err := EvalPacked(nw.nodes[id], val)
-			if err != nil {
-				return nil, err
-			}
-			val[id] = v
+		for _, id := range c.Order {
+			val[id] = c.EvalWord(id, val)
 		}
 		for i, po := range nw.pos {
 			tt[i][w] = val[po] & mask

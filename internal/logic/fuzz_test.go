@@ -13,9 +13,9 @@ import (
 // an error or yields a network that cycle-steps (and, when small and
 // combinational, truth-tables) without panicking. Malformed structure
 // discovered after parse time — e.g. combinational cycles — must surface
-// as returned errors from evaluation, never as crashes. For small
-// combinational networks the word-parallel truth table must also agree
-// row by row with the stepped outputs. Seeds come from
+// as returned errors from evaluation, never as crashes. For combinational
+// networks with at most 10 inputs every row of the word-parallel truth
+// table must also agree with EvalComb. Seeds come from
 // the circuit generators serialized through WriteBLIF, so the fuzzer
 // starts from realistic well-formed netlists and mutates from there.
 func FuzzEvalNetwork(f *testing.F) {
@@ -64,23 +64,23 @@ func FuzzEvalNetwork(f *testing.F) {
 				return // e.g. a combinational cycle: a typed error, not a panic
 			}
 		}
-		if npi <= 8 && len(nw.FFs()) == 0 {
+		if npi <= 10 && len(nw.FFs()) == 0 {
 			tt, err := nw.TruthTable()
 			if err != nil {
 				return
 			}
-			// Every word-parallel row must equal the stepped outputs.
+			// Every word-parallel row must equal the scalar oracle's.
 			for m := 0; m < 1<<npi; m++ {
 				for i := range in {
 					in[i] = m>>i&1 == 1
 				}
-				out, err := st.Step(in)
+				out, err := nw.EvalComb(in)
 				if err != nil {
-					t.Fatalf("row %d: Step failed after TruthTable succeeded: %v", m, err)
+					t.Fatalf("row %d: EvalComb failed after TruthTable succeeded: %v", m, err)
 				}
 				for i, v := range out {
 					if got := tt[i][m/64]>>(m%64)&1 == 1; got != v {
-						t.Fatalf("output %d row %d: truth table %v, stepped %v", i, m, got, v)
+						t.Fatalf("output %d row %d: truth table %v, EvalComb %v", i, m, got, v)
 					}
 				}
 			}

@@ -221,45 +221,22 @@ func foldConstants(nw *Network) (int, error) {
 			if isC, v := constOf(nw, n.Fanin[0]); isC {
 				build = func() (NodeID, error) { return getConst(!v) }
 			}
-		case And, Nand:
-			neg := n.Type == Nand
-			uniq := dedupVars(vars)
-			switch {
-			case constFalse > 0:
-				build = func() (NodeID, error) { return getConst(neg) }
-			case len(uniq) == 0: // all-true constants
-				build = func() (NodeID, error) { return getConst(!neg) }
-			case len(uniq) == 1 && constTrue > 0 || len(uniq) == 1 && len(n.Fanin) > 1:
-				one := uniq[0]
-				if neg {
-					build = func() (NodeID, error) {
-						return nw.AddGate(nw.FreshName(n.Name+"_f"), Not, one)
-					}
-				} else {
-					replacement = one
-				}
-			case constTrue > 0 || len(uniq) < len(vars) || len(uniq) < len(n.Fanin):
-				uniq := uniq
-				gt := n.Type
-				build = func() (NodeID, error) {
-					if len(uniq) == 1 {
-						if gt == Nand {
-							return nw.AddGate(nw.FreshName(n.Name+"_f"), Not, uniq[0])
-						}
-						return uniq[0], nil
-					}
-					return nw.AddGate(nw.FreshName(n.Name+"_f"), gt, uniq...)
-				}
+		case And, Nand, Or, Nor:
+			// A controlling constant (0 into And, 1 into Or) fixes the
+			// output; the other constant is the identity and drops out.
+			neg := n.Type == Nand || n.Type == Nor
+			ctrl := n.Type == Or || n.Type == Nor
+			nCtrl, nIdent := constFalse, constTrue
+			if ctrl {
+				nCtrl, nIdent = constTrue, constFalse
 			}
-		case Or, Nor:
-			neg := n.Type == Nor
 			uniq := dedupVars(vars)
 			switch {
-			case constTrue > 0:
-				build = func() (NodeID, error) { return getConst(!neg) }
-			case len(uniq) == 0:
-				build = func() (NodeID, error) { return getConst(neg) }
-			case len(uniq) == 1 && (constFalse > 0 || len(n.Fanin) > 1):
+			case nCtrl > 0:
+				build = func() (NodeID, error) { return getConst(ctrl != neg) }
+			case len(uniq) == 0: // all identity constants
+				build = func() (NodeID, error) { return getConst(ctrl == neg) }
+			case len(uniq) == 1 && (nIdent > 0 || len(n.Fanin) > 1):
 				one := uniq[0]
 				if neg {
 					build = func() (NodeID, error) {
@@ -268,16 +245,10 @@ func foldConstants(nw *Network) (int, error) {
 				} else {
 					replacement = one
 				}
-			case constFalse > 0 || len(uniq) < len(vars) || len(uniq) < len(n.Fanin):
-				uniq := uniq
+			case nIdent > 0 || len(uniq) < len(vars) || len(uniq) < len(n.Fanin):
+				// Two or more distinct variables remain.
 				gt := n.Type
 				build = func() (NodeID, error) {
-					if len(uniq) == 1 {
-						if gt == Nor {
-							return nw.AddGate(nw.FreshName(n.Name+"_f"), Not, uniq[0])
-						}
-						return uniq[0], nil
-					}
 					return nw.AddGate(nw.FreshName(n.Name+"_f"), gt, uniq...)
 				}
 			}

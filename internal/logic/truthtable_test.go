@@ -1,7 +1,6 @@
 package logic_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -128,58 +127,6 @@ func TestTruthTableMatchesStepRandom(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			nw := randomComb(int64(npi)*100+seed, npi)
 			t.Run(nw.Name, func(t *testing.T) { checkTruthTable(t, nw, r) })
-		}
-	}
-}
-
-// TestEvalPackedErrors checks the word kernel's typed errors: non-gate
-// types and fanin-less gates are rejected, never panic.
-func TestEvalPackedErrors(t *testing.T) {
-	val := make([]uint64, 4)
-	for _, typ := range []logic.GateType{logic.Input, logic.DFF, logic.GateType(99)} {
-		n := &logic.Node{Type: typ, Fanin: []logic.NodeID{0}}
-		_, err := logic.EvalPacked(n, val)
-		var ue *logic.UnsupportedGateError
-		if !errors.As(err, &ue) || !errors.Is(err, logic.ErrUnsupportedGate) {
-			t.Errorf("%s: got %v, want *UnsupportedGateError", typ, err)
-		}
-	}
-	for _, typ := range []logic.GateType{logic.Buf, logic.Not, logic.And, logic.Xnor} {
-		_, err := logic.EvalPacked(&logic.Node{Type: typ}, val)
-		var ne *logic.NoFaninError
-		if !errors.As(err, &ne) || ne.Type != typ {
-			t.Errorf("%s with no fanins: got %v, want *NoFaninError", typ, err)
-		}
-	}
-	for typ, want := range map[logic.GateType]uint64{logic.Const0: 0, logic.Const1: ^uint64(0)} {
-		if w, err := logic.EvalPacked(&logic.Node{Type: typ}, val); err != nil || w != want {
-			t.Errorf("%s: %#x, %v", typ, w, err)
-		}
-	}
-}
-
-// TestEvalPackedMatchesEvalGate checks every gate type lane by lane
-// against the scalar evaluator.
-func TestEvalPackedMatchesEvalGate(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	val := []uint64{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()}
-	for _, typ := range []logic.GateType{logic.Buf, logic.Not, logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor} {
-		fanin := []logic.NodeID{0, 1, 2, 3}
-		if typ == logic.Buf || typ == logic.Not {
-			fanin = fanin[:1]
-		}
-		w, err := logic.EvalPacked(&logic.Node{Type: typ, Fanin: fanin}, val)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := make([]bool, len(fanin))
-		for lane := 0; lane < 64; lane++ {
-			for j, f := range fanin {
-				in[j] = val[f]>>lane&1 == 1
-			}
-			if got := w>>lane&1 == 1; got != logic.EvalGate(typ, in) {
-				t.Fatalf("%s lane %d: %v", typ, lane, got)
-			}
 		}
 	}
 }

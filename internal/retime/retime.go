@@ -111,8 +111,22 @@ func (g *Graph) Period(r []int) (float64, error) {
 	if r == nil {
 		r = make([]int, len(g.Verts))
 	}
-	// Arrival computed by relaxation over zero-weight edges; the graph of
-	// zero-weight edges must be acyclic in a well-formed circuit.
+	arr, err := g.arrivals(r)
+	if err != nil {
+		return 0, err
+	}
+	worst := 0.0
+	for _, a := range arr {
+		worst = max(worst, a)
+	}
+	return worst, nil
+}
+
+// arrivals returns each vertex's arrival time under retiming r: its delay
+// plus the longest vertex-delay path into it along zero-weight edges,
+// found by relaxation in topological order. The zero-weight edges of a
+// well-formed circuit are acyclic; a cycle among them is an error.
+func (g *Graph) arrivals(r []int) ([]float64, error) {
 	adj := make([][]Edge, len(g.Verts))
 	indeg := make([]int, len(g.Verts))
 	for _, e := range g.Edges {
@@ -121,29 +135,20 @@ func (g *Graph) Period(r []int) (float64, error) {
 			indeg[e.To]++
 		}
 	}
-	arr := make([]float64, len(g.Verts))
-	for i := range arr {
-		arr[i] = g.Delay[i]
-	}
-	queue := []int{}
+	arr := append([]float64(nil), g.Delay...)
+	var queue []int
 	for v := range indeg {
 		if indeg[v] == 0 {
 			queue = append(queue, v)
 		}
 	}
 	processed := 0
-	worst := 0.0
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
 		processed++
-		if arr[v] > worst {
-			worst = arr[v]
-		}
 		for _, e := range adj[v] {
-			if arr[v]+g.Delay[e.To] > arr[e.To] {
-				arr[e.To] = arr[v] + g.Delay[e.To]
-			}
+			arr[e.To] = max(arr[e.To], arr[v]+g.Delay[e.To])
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
 				queue = append(queue, e.To)
@@ -151,9 +156,9 @@ func (g *Graph) Period(r []int) (float64, error) {
 		}
 	}
 	if processed != len(g.Verts) {
-		return 0, fmt.Errorf("retime: zero-weight cycle (period undefined)")
+		return nil, fmt.Errorf("retime: zero-weight cycle (period undefined)")
 	}
-	return worst, nil
+	return arr, nil
 }
 
 func (g *Graph) weightR(e Edge, r []int) int {
@@ -213,41 +218,9 @@ func (g *Graph) Feasible(c float64) ([]int, error) {
 
 // violators returns vertices whose arrival exceeds c under retiming r.
 func (g *Graph) violators(r []int, c float64) ([]int, error) {
-	adj := make([][]Edge, len(g.Verts))
-	indeg := make([]int, len(g.Verts))
-	for _, e := range g.Edges {
-		if g.weightR(e, r) == 0 {
-			adj[e.From] = append(adj[e.From], e)
-			indeg[e.To]++
-		}
-	}
-	arr := make([]float64, len(g.Verts))
-	for i := range arr {
-		arr[i] = g.Delay[i]
-	}
-	var queue []int
-	for v := range indeg {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	processed := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		processed++
-		for _, e := range adj[v] {
-			if arr[v]+g.Delay[e.To] > arr[e.To] {
-				arr[e.To] = arr[v] + g.Delay[e.To]
-			}
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	if processed != len(g.Verts) {
-		return nil, fmt.Errorf("retime: zero-weight cycle during FEAS")
+	arr, err := g.arrivals(r)
+	if err != nil {
+		return nil, err
 	}
 	var out []int
 	for v := range arr {

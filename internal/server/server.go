@@ -637,12 +637,8 @@ func (s *Server) validateEstimate(req EstimateRequest) (estimateSpec, error) {
 	if spec.p1 < 0 || spec.p1 > 1 {
 		return spec, badRequest("p1 %g outside [0,1]", spec.p1)
 	}
-	if err := checkLimits(req.BDDMaxNodes, req.BDDMaxSteps, req.TimeoutMS); err != nil {
-		return spec, err
-	}
-	spec.budget = s.budgetFor(req.BDDMaxNodes, req.BDDMaxSteps)
-	spec.timeout = s.timeoutFor(req.TimeoutMS)
-	return spec, nil
+	spec.budget, spec.timeout, err = s.limitsFor(req.BDDMaxNodes, req.BDDMaxSteps, req.TimeoutMS)
+	return spec, err
 }
 
 // checkLimits rejects a negative bdd_max_nodes, bdd_max_steps or
@@ -658,6 +654,15 @@ func checkLimits(maxNodes int, maxSteps int64, timeoutMS int) error {
 		return badRequest("timeout_ms %d is negative (want a positive timeout, or 0 for the server default)", timeoutMS)
 	}
 	return nil
+}
+
+// limitsFor checks a request's bdd_max_nodes, bdd_max_steps and
+// timeout_ms and returns the BDD budget and the timeout they ask for.
+func (s *Server) limitsFor(maxNodes int, maxSteps int64, timeoutMS int) (bdd.Budget, time.Duration, error) {
+	if err := checkLimits(maxNodes, maxSteps, timeoutMS); err != nil {
+		return bdd.Budget{}, 0, err
+	}
+	return s.budgetFor(maxNodes, maxSteps), s.timeoutFor(timeoutMS), nil
 }
 
 // seedFor applies the default seed 1 to a request's seed and rejects a
@@ -743,15 +748,24 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// The deadline runs from here, but its context is built only on a
-	// result-cache miss (resultFor); resolving never blocks on it.
-	deadline := time.Now().Add(spec.timeout)
-	ent, err := s.resolveNetwork(r.Context(), spec.ref)
+	s.serveResult(w, r, spec.ref, spec.timeout, func(deadline time.Time, ent *netEntry) (cachedResult, string, error) {
+		return s.estimateResult(r.Context(), deadline, "estimate", ent, spec)
+	})
+}
+
+// serveResult resolves a request's network and writes the result that
+// result computes or reads from the cache for it, or the error. The
+// deadline runs from here, but its context is built only on a
+// result-cache miss (resultFor); resolving never blocks on it.
+func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, ref circuitRef, timeout time.Duration,
+	result func(deadline time.Time, ent *netEntry) (cachedResult, string, error)) {
+	deadline := time.Now().Add(timeout)
+	ent, err := s.resolveNetwork(r.Context(), ref)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	res, disp, err := s.estimateResult(r.Context(), deadline, "estimate", ent, spec)
+	res, disp, err := result(deadline, ent)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -905,13 +919,9 @@ func (s *Server) validateFlow(req FlowRequest) (flowSpec, error) {
 	if req.Verify != nil {
 		spec.verify = *req.Verify
 	}
-	if err := checkLimits(req.BDDMaxNodes, req.BDDMaxSteps, req.TimeoutMS); err != nil {
-		return spec, err
-	}
-	spec.budget = s.budgetFor(req.BDDMaxNodes, req.BDDMaxSteps)
-	spec.timeout = s.timeoutFor(req.TimeoutMS)
 	spec.hasTimeout = req.TimeoutMS > 0
-	return spec, nil
+	spec.budget, spec.timeout, err = s.limitsFor(req.BDDMaxNodes, req.BDDMaxSteps, req.TimeoutMS)
+	return spec, err
 }
 
 // flowKey is the result-cache (and coalescing) key for a flow run.
@@ -1010,18 +1020,9 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		s.submitFlowJob(w, r, spec)
 		return
 	}
-	deadline := time.Now().Add(spec.timeout)
-	ent, err := s.resolveNetwork(r.Context(), spec.ref)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, disp, err := s.flowResult(r.Context(), deadline, ent, spec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeCached(w, res, disp)
+	s.serveResult(w, r, spec.ref, spec.timeout, func(deadline time.Time, ent *netEntry) (cachedResult, string, error) {
+		return s.flowResult(r.Context(), deadline, ent, spec)
+	})
 }
 
 // ---------------------------------------------------------------------------

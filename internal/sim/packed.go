@@ -8,8 +8,8 @@ import (
 )
 
 // PackedSimulator is the bit-parallel zero-delay engine: it evaluates 64
-// input vectors per machine word, one lane per vector, using word-level
-// AND/OR/XOR/NOT over the network's levelized schedule. Per-node
+// input vectors per machine word, one lane per vector, with
+// logic.Compiled.EvalWord over the network's levelized schedule. Per-node
 // transition counts are accumulated with popcounts of prev^next lane
 // differences, so a whole 64-cycle block costs one settle pass plus one
 // OnesCount64 per node.
@@ -26,9 +26,9 @@ import (
 // dependency between lanes. It assumes the network is not structurally
 // modified while the simulator is in use.
 type PackedSimulator struct {
-	nw    *logic.Network
-	order []*logic.Node // levelized schedule (cached topo order, resolved)
-	pis   []logic.NodeID
+	nw  *logic.Network
+	cv  *logic.Compiled // the network's compiled view and levelized schedule
+	pis []logic.NodeID
 
 	val   []uint64 // packed lane values per node
 	carry []uint64 // previous cycle's value (bit 0) per node
@@ -53,15 +53,12 @@ func NewPacked(nw *logic.Network) (*PackedSimulator, error) {
 	}
 	ps := &PackedSimulator{
 		nw:     nw,
-		order:  make([]*logic.Node, len(cv.Order)),
+		cv:     cv,
 		pis:    nw.PIs(),
 		val:    make([]uint64, nw.NumNodes()),
 		carry:  make([]uint64, nw.NumNodes()),
 		reset:  make([]bool, nw.NumNodes()),
 		Counts: newCounts(nw.NumNodes(), true),
-	}
-	for i, id := range cv.Order {
-		ps.order[i] = nw.Node(logic.NodeID(id))
 	}
 	// Settle the all-zero input vector once: this is the baseline every
 	// node transitions away from on the first cycle, matching
@@ -159,28 +156,22 @@ func (ps *PackedSimulator) run(st Stimulus, capture *PackedState) (Totals, error
 			ps.val[ps.pis[i]] = w
 		}
 		// One word-level settle pass evaluates all 64 lanes of every gate.
-		for _, n := range ps.order {
-			w, err := logic.EvalPacked(n, ps.val)
-			if err != nil {
-				return tot, err
-			}
-			ps.val[n.ID] = w
+		for _, id := range ps.cv.Order {
+			ps.val[id] = ps.cv.EvalWord(id, ps.val)
 		}
 		// Count transitions: lane j toggles iff it differs from lane j-1
 		// (lane 0 compares against the carried-over previous value), so
 		// XOR against the left-shifted word and popcount the valid lanes.
+		// Constants, the only non-gates in the order, never toggle.
 		mask := laneMask(k)
-		for _, n := range ps.order {
-			w := ps.val[n.ID]
-			diff := (w ^ (w<<1 | ps.carry[n.ID])) & mask
-			if diff != 0 {
+		for _, id := range ps.cv.Order {
+			w := ps.val[id]
+			if diff := (w ^ (w<<1 | ps.carry[id])) & mask; diff != 0 {
 				c := int64(bits.OnesCount64(diff))
-				ps.nodeTransitions[n.ID] += c
-				if n.Type.IsGate() {
-					tot.Transitions += c
-				}
+				ps.nodeTransitions[id] += c
+				tot.Transitions += c
 			}
-			ps.carry[n.ID] = w >> uint(k-1) & 1
+			ps.carry[id] = w >> uint(k-1) & 1
 		}
 		if capture != nil {
 			capture.Blocks = append(capture.Blocks, append([]uint64(nil), ps.val...))

@@ -50,8 +50,9 @@ type PackedState struct {
 // Correctness relies on the cone invariant that every live node outside
 // the cone has only live, non-dirty fanins: its stored words are what a
 // full re-run would recompute, so reusing them and re-deriving only the
-// cone reproduces the full run bit for bit (the shared logic.EvalPacked kernel
-// and the same carry-chain popcount make this structural, not numeric).
+// cone reproduces the full run bit for bit (the shared logic.Compiled
+// kernels and the same carry-chain popcount make this structural, not
+// numeric).
 // The caller is responsible for the cone being current (derived from the
 // network's dirty set since the last capture or update) and for
 // Cone.Sources being empty — a dirtied input or flip-flop changes the
@@ -75,30 +76,15 @@ func (st *PackedState) UpdateCone(nw *logic.Network, cone *logic.Cone) error {
 		st.Trans[id] = 0
 		st.Gate[id] = false
 	}
-	members := make([]*logic.Node, len(cone.Members))
-	var buf []bool
-	for i, id := range cone.Members {
-		n := nw.Node(id)
-		members[i] = n
-		switch n.Type {
-		case logic.Const0:
-			st.Reset[id] = false
-		case logic.Const1:
-			st.Reset[id] = true
-		default:
-			buf = buf[:0]
-			for _, f := range n.Fanin {
-				buf = append(buf, st.Reset[f])
-			}
-			st.Reset[id] = logic.EvalGate(n.Type, buf)
-		}
+	cv, err := nw.Compile()
+	if err != nil {
+		return err
 	}
-	carry := make([]uint64, len(members))
-	fresh := make([]int64, len(members))
-	for i, n := range members {
-		if st.Reset[n.ID] {
-			carry[i] = 1
-		}
+	carry := make([]uint64, len(cone.Members))
+	fresh := make([]int64, len(cone.Members))
+	for i, id := range cone.Members {
+		st.Reset[id] = cv.Eval(int32(id), st.Reset)
+		carry[i] = uint64(logic.Bit(st.Reset[id]))
 	}
 	for b, vals := range st.Blocks {
 		k := st.Lanes[b]
@@ -106,12 +92,9 @@ func (st *PackedState) UpdateCone(nw *logic.Network, cone *logic.Cone) error {
 		if k < 64 {
 			mask = 1<<uint(k) - 1
 		}
-		for i, n := range members {
-			w, err := logic.EvalPacked(n, vals)
-			if err != nil {
-				return err
-			}
-			vals[n.ID] = w
+		for i, id := range cone.Members {
+			w := cv.EvalWord(int32(id), vals)
+			vals[id] = w
 			diff := (w ^ (w<<1 | carry[i])) & mask
 			if diff != 0 {
 				fresh[i] += int64(bits.OnesCount64(diff))
@@ -119,12 +102,11 @@ func (st *PackedState) UpdateCone(nw *logic.Network, cone *logic.Cone) error {
 			carry[i] = w >> uint(k-1) & 1
 		}
 	}
-	for i, n := range members {
-		id := n.ID
+	for i, id := range cone.Members {
 		if st.Gate[id] {
 			st.GateTransitions -= st.Trans[id]
 		}
-		isGate := n.Type.IsGate()
+		isGate := nw.Node(id).Type.IsGate()
 		if isGate {
 			st.GateTransitions += fresh[i]
 		}
