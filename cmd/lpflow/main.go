@@ -208,8 +208,7 @@ func writeProfiles(nw *logic.Network, ctx *core.Context, tr *profile.Trace, dir 
 	return nil
 }
 
-// writeMemProfile dumps a heap profile (after a GC, so live objects are
-// accurate) when path is non-empty.
+// indent prefixes every non-empty line of s with prefix.
 func indent(s, prefix string) string {
 	lines := strings.SplitAfter(s, "\n")
 	var b strings.Builder

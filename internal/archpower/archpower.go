@@ -51,7 +51,7 @@ func TrueSwitchedCap(nw *logic.Network, st sim.Stimulus) (float64, error) {
 	if st.Len() == 0 {
 		return 0, fmt.Errorf("archpower: empty workload")
 	}
-	s, err := sim.New(nw, sim.UnitDelay)
+	s, err := sim.New(nw)
 	if err != nil {
 		return 0, err
 	}

@@ -44,7 +44,7 @@ func TestFullBalanceEliminatesGlitches(t *testing.T) {
 			t.Errorf("%s: depth changed %d -> %d", nw.Name, d0, d1)
 		}
 		// No glitches under unit delay.
-		s, err := sim.New(nw, sim.UnitDelay)
+		s, err := sim.New(nw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestFullBalanceEliminatesGlitches(t *testing.T) {
 
 func TestPartialBalanceReducesGlitches(t *testing.T) {
 	mkSim := func(nw *logic.Network) sim.Totals {
-		s, err := sim.New(nw, sim.UnitDelay)
+		s, err := sim.New(nw)
 		if err != nil {
 			t.Fatal(err)
 		}

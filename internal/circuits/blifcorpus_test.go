@@ -140,7 +140,7 @@ func TestCorpusThroughSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, nw := range corpus {
-		s, err := sim.New(nw, sim.UnitDelay)
+		s, err := sim.New(nw)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -128,8 +128,8 @@ type Network struct {
 	// asks for it; repeated simulations of an unchanged network (the
 	// Monte Carlo hot path) would otherwise re-derive it per call. The
 	// cache is invalidated by every structural mutation and filled
-	// lazily under topoMu, so concurrent read-only users (the sharded
-	// simulator workers) can all call TopoOrder safely.
+	// lazily under topoMu, so concurrent read-only users (requests that
+	// share a cached network) can all call TopoOrder safely.
 	topoMu    sync.Mutex
 	topoCache []NodeID
 	topoErr   error

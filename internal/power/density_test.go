@@ -107,7 +107,7 @@ func TestDensityTracksGlitchesOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(nw, sim.UnitDelay)
+	s, err := sim.New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestDensityMatchesSimulatedActivityOnParityTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(nw, sim.UnitDelay)
+	s, err := sim.New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestDensityUpperBoundsUsefulActivityOnRippleAdder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(nw, sim.UnitDelay)
+	s, err := sim.New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSimulatorTransitionAccessorsConsistent(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(3))
 	vectors := sim.RandomVectors(r, 500, len(nw.PIs()), 0.5)
-	s, err := sim.New(nw, sim.UnitDelay)
+	s, err := sim.New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func Estimate(ctx context.Context, nw *logic.Network, spec Spec) (Report, error)
 		rep, tot, err = estimatePacked(nw, spec.Params, spec.CapModel, spec.Vectors)
 		samples = spec.Vectors.Len()
 	case MethodSimulated:
-		rep, tot, err = simulate(ctx, nw, spec.Params, spec.CapModel, sim.UnitDelay, spec.Vectors, 0)
+		rep, tot, err = simulate(ctx, nw, spec.Params, spec.CapModel, spec.Vectors)
 		samples = spec.Vectors.Len()
 	default:
 		return Report{}, fmt.Errorf("power: unknown estimation method %q", spec.Method)
@@ -95,27 +95,37 @@ func Estimate(ctx context.Context, nw *logic.Network, spec Spec) (Report, error)
 // EstimateSimulatedParallel produces an Eqn. 1 report from measured
 // event-driven activity over the supplied vectors, capturing glitch power
 // that the zero-delay estimators miss, and returns the simulation totals.
-// The run is sharded across workers (0 = GOMAXPROCS, 1 = sequential); any
-// worker count produces the same report bit for bit, because the vector
-// stream is chunked deterministically and each shard warm-starts from the
-// exact settled state at its boundary (see sim.MeasureStimulusCtx). It
-// packs the vectors and runs the simulated method's body.
+// It measures through sim.MeasureRunCtx, which rejects a delay model other
+// than unit delay, and evaluates the report as the simulated method's
+// body does. The workers argument changes nothing (it never changed a bit
+// of the report): every run is one Simulator pass. The workers and
+// delay-model parameters stay only because bench/lpbench calls this
+// [][]bool wrapper with them.
 func EstimateSimulatedParallel(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
+	m, err := sim.MeasureRunCtx(context.Background(), nw, dm, vectors, workers)
+	if err != nil {
+		return Report{}, sim.Totals{}, err
+	}
 	st, err := sim.PackVectors(vectors)
 	if err != nil {
 		return Report{}, sim.Totals{}, err
 	}
-	return simulate(context.Background(), nw, p, cm, dm, st, workers)
+	return simulated(nw, p, cm, st, m)
 }
 
-// simulate is the event-driven method body: one sharded
-// sim.MeasureStimulusCtx, which records a "sim.measure" span on a traced
-// ctx. The report carries the run's per-node counts.
-func simulate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, st sim.Stimulus, workers int) (Report, sim.Totals, error) {
-	m, err := sim.MeasureStimulusCtx(ctx, nw, dm, st, workers)
+// simulate is the event-driven method body: one sim.MeasureStimulusCtx
+// run, which records a "sim.measure" span on a traced ctx.
+func simulate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, st sim.Stimulus) (Report, sim.Totals, error) {
+	m, err := sim.MeasureStimulusCtx(ctx, nw, st)
 	if err != nil {
 		return Report{}, sim.Totals{}, err
 	}
+	return simulated(nw, p, cm, st, m)
+}
+
+// simulated evaluates the report of an event-driven run over st; the
+// report carries the run's per-node counts.
+func simulated(nw *logic.Network, p Params, cm CapModel, st sim.Stimulus, m *sim.Measure) (Report, sim.Totals, error) {
 	rep := measured(nw, p, cm, st, m.Activity)
 	rep.Counts = &m.Counts
 	return rep, m.Totals, nil

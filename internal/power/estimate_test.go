@@ -158,9 +158,9 @@ func TestEstimateDispatchEquivalence(t *testing.T) {
 // TestEstimateTracedEqualsUntraced: a simulated report carries the
 // per-node transition record it was evaluated from, and that record is a
 // sequential event-driven run's — cycles, transitions and useful
-// transitions on every node, gate transitions summing to Totals — whether
-// Estimate sharded the run or one worker simulated it; the two reports are
-// equal bit for bit. An analytic report carries no record.
+// transitions on every node, gate transitions summing to Totals — and
+// equals the [][]bool wrapper's report bit for bit. An analytic report
+// carries no record.
 func TestEstimateTracedEqualsUntraced(t *testing.T) {
 	comb, err := circuits.ArrayMultiplier(4)
 	if err != nil {
@@ -169,25 +169,25 @@ func TestEstimateTracedEqualsUntraced(t *testing.T) {
 	for name, nw := range map[string]*logic.Network{"mult4": comb, "fsm": fsmNetwork(t)} {
 		r := rand.New(rand.NewSource(3))
 		spec := Spec{Method: MethodSimulated, Params: DefaultParams(), Vectors: sim.RandomStimulus(r, 300, len(nw.PIs()), 0.5)}
-		sharded, err := Estimate(context.Background(), nw, spec)
+		got, err := Estimate(context.Background(), nw, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, tot, err := EstimateSimulatedParallel(nw, spec.Params, nil, sim.UnitDelay, spec.Vectors.Unpack(), 1)
+		want, tot, err := EstimateSimulatedParallel(nw, spec.Params, nil, sim.UnitDelay, spec.Vectors.Unpack(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(methodBody(sharded), one) || sharded.Totals != tot {
-			t.Errorf("%s: sharded report differs from the one-worker report", name)
+		if !reflect.DeepEqual(methodBody(got), want) || got.Totals != tot {
+			t.Errorf("%s: Estimate's report differs from the wrapper's", name)
 		}
-		s, err := sim.New(nw, sim.UnitDelay)
+		s, err := sim.New(nw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Run(spec.Vectors); err != nil {
 			t.Fatal(err)
 		}
-		c := sharded.Counts
+		c := got.Counts
 		if c == nil {
 			t.Fatalf("%s: simulated report carries no transition record", name)
 		}
@@ -204,8 +204,8 @@ func TestEstimateTracedEqualsUntraced(t *testing.T) {
 				gateTransitions += c.Transitions(id)
 			}
 		}
-		if gateTransitions != sharded.Totals.Transitions || gateTransitions == 0 {
-			t.Errorf("%s: record has %d gate transitions, totals %d", name, gateTransitions, sharded.Totals.Transitions)
+		if gateTransitions != got.Totals.Transitions || gateTransitions == 0 {
+			t.Errorf("%s: record has %d gate transitions, totals %d", name, gateTransitions, got.Totals.Transitions)
 		}
 		spec.Method = MethodDensity
 		analytic, err := Estimate(context.Background(), nw, spec)
@@ -268,7 +268,7 @@ func TestDensityBudget(t *testing.T) {
 }
 
 // cancelAfter is a context whose Err turns to context.Canceled after its
-// first k calls, safe to poll from every shard of a sharded run.
+// first k calls.
 type cancelAfter struct {
 	context.Context
 	k     int32
@@ -409,8 +409,8 @@ func TestPIActivityMatchesPerInputOracle(t *testing.T) {
 
 // TestEstimateWidthMismatch: the packed and simulated methods return an
 // error, not a panic, when the vectors do not match the network's inputs —
-// through Estimate, and through the [][]bool wrappers, sharded or not,
-// with narrow or ragged rows.
+// through Estimate, and through the [][]bool wrappers with narrow or
+// ragged rows.
 func TestEstimateWidthMismatch(t *testing.T) {
 	nw, err := circuits.ArrayMultiplier(4)
 	if err != nil {
@@ -430,10 +430,8 @@ func TestEstimateWidthMismatch(t *testing.T) {
 		if _, _, err := EstimateZeroDelayPacked(nw, DefaultParams(), nil, vecs); err == nil {
 			t.Errorf("%s: EstimateZeroDelayPacked accepted the vectors", name)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			if _, _, err := EstimateSimulatedParallel(nw, DefaultParams(), nil, sim.UnitDelay, vecs, workers); err == nil {
-				t.Errorf("%s: EstimateSimulatedParallel with %d workers accepted the vectors", name, workers)
-			}
+		if _, _, err := EstimateSimulatedParallel(nw, DefaultParams(), nil, sim.UnitDelay, vecs, 0); err == nil {
+			t.Errorf("%s: EstimateSimulatedParallel accepted the vectors", name)
 		}
 	}
 }

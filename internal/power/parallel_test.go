@@ -44,9 +44,10 @@ func fsmNetwork(t *testing.T) *logic.Network {
 	return nw
 }
 
-// TestEstimateSimulatedParallelByteIdentical: the report produced with 1,
-// 2, and 8 workers is byte-for-byte the same — same floats, same node
-// order — on both combinational and sequential networks.
+// TestEstimateSimulatedParallelByteIdentical: the [][]bool wrapper and
+// Estimate's simulated method produce byte-for-byte the same report —
+// same floats, same node order — on both combinational and sequential
+// networks.
 func TestEstimateSimulatedParallelByteIdentical(t *testing.T) {
 	comb, err := circuits.ArrayMultiplier(4)
 	if err != nil {
@@ -57,32 +58,17 @@ func TestEstimateSimulatedParallelByteIdentical(t *testing.T) {
 		vecs := sim.RandomVectors(r, 300, len(nw.PIs()), 0.5)
 		p := DefaultParams()
 
-		refRep, refTot, err := EstimateSimulatedParallel(nw, p, nil, sim.UnitDelay, vecs, 1)
+		refRep, refTot, err := EstimateSimulatedParallel(nw, p, nil, sim.UnitDelay, vecs, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		refBytes := fmt.Sprintf("%+v %+v", refRep, refTot)
-		for _, workers := range []int{2, 8} {
-			rep, tot, err := EstimateSimulatedParallel(nw, p, nil, sim.UnitDelay, vecs, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if got := fmt.Sprintf("%+v %+v", rep, tot); got != refBytes {
-				t.Errorf("%s: workers=%d report differs from workers=1", name, workers)
-			}
-			if !reflect.DeepEqual(rep, refRep) || tot != refTot {
-				t.Errorf("%s: workers=%d structures differ from workers=1", name, workers)
-			}
-		}
-
-		// The default entry point (Estimate, workers=GOMAXPROCS) must
-		// agree too — this is what E5/E11/E13 call.
+		// Estimate is the entry point E5/E11/E13 call.
 		rep, err := Estimate(context.Background(), nw, Spec{Method: MethodSimulated, Params: p, Vectors: mustPack(t, vecs)})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := fmt.Sprintf("%+v %+v", methodBody(rep), rep.Totals); got != refBytes {
-			t.Errorf("%s: Estimate differs from sequential EstimateSimulatedParallel", name)
+		if got, want := fmt.Sprintf("%+v %+v", methodBody(rep), rep.Totals), fmt.Sprintf("%+v %+v", refRep, refTot); got != want {
+			t.Errorf("%s: Estimate differs from EstimateSimulatedParallel", name)
 		}
 	}
 }
@@ -104,7 +90,7 @@ func TestEstimateZeroDelayPackedMatchesScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := sim.New(nw, sim.UnitDelay)
+	s, err := sim.New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,7 +356,7 @@ func TestSimulatedMatchesProbabilistic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(nw, sim.UnitDelay)
+	s, err := sim.New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}

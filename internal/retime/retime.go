@@ -570,7 +570,7 @@ func LowPower(nw *logic.Network, targetPeriod float64, vectors sim.Stimulus, p p
 // survey's §III.C.2 observation quantified. Ratios above 1 mean registers
 // are filtering spurious transitions.
 func MeasureFFActivityRatio(nw *logic.Network, r *rand.Rand, cycles int) (float64, error) {
-	s, err := sim.New(nw, sim.UnitDelay)
+	s, err := sim.New(nw)
 	if err != nil {
 		return 0, err
 	}

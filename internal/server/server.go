@@ -775,9 +775,9 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, ref circuit
 
 // computeEstimate runs one estimator over a shared (never mutated)
 // network. Everything here is deterministic given the arguments: random
-// streams are seeded, the parallel simulator is bit-identical for any
-// worker count, and the budget-degraded path uses a seeded Monte Carlo
-// fallback.
+// streams are seeded, a simulated estimate is one sequential simulator
+// run on the worker slot the request holds, and the budget-degraded path
+// uses a seeded Monte Carlo fallback.
 func (s *Server) computeEstimate(ctx context.Context, ent *netEntry, spec estimateSpec) (*EstimateResponse, error) {
 	nw := ent.nw
 	method := power.Method(spec.estimator)

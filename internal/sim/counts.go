@@ -3,9 +3,9 @@ package sim
 import "repro/internal/logic"
 
 // Counts is the per-node transition record shared by every engine in this
-// package: Simulator, PackedSimulator, the merged Measure and Stream all
-// embed it, so its accessors are the one activity surface power
-// estimators read. Simulator, PackedSimulator and Measure record no
+// package: Simulator, PackedSimulator, Measure and Stream all embed it, so
+// its accessors are the one activity surface power estimators read.
+// Simulator, PackedSimulator and Measure record no
 // transitions on primary inputs — their activity is a property of the
 // vector stream, not the circuit — while Stream counts every node, inputs
 // and flip-flops included.
@@ -33,16 +33,6 @@ func (c *Counts) clear() {
 	clear(c.nodeTransitions)
 	clear(c.nodeUseful)
 	c.cycles = 0
-}
-
-// add accumulates another event-driven run's counters into c (both must
-// keep separate useful counts).
-func (c *Counts) add(o *Counts) {
-	for id := range c.nodeTransitions {
-		c.nodeTransitions[id] += o.nodeTransitions[id]
-		c.nodeUseful[id] += o.nodeUseful[id]
-	}
-	c.cycles += o.cycles
 }
 
 // Cycles returns the number of cycles counted.

@@ -17,8 +17,8 @@ import (
 // two-queue simulator against the heap-and-map reference queue: per-cycle
 // stats, queue high-water marks, settled node values and per-node counts.
 // After every cycle each gate's ones count must equal a recount of its
-// fanin values. It also checks that sharded MeasureRunCtx equals the
-// sequential run.
+// fanin values. It also checks that MeasureRunCtx equals the
+// cycle-by-cycle run.
 func FuzzEventSim(f *testing.F) {
 	for i, gen := range []func() (*logic.Network, error){
 		func() (*logic.Network, error) { return circuits.RippleAdder(3) },
@@ -42,11 +42,11 @@ func FuzzEventSim(f *testing.F) {
 		if err != nil || nw.NumNodes() > 2000 {
 			return
 		}
-		s, err := New(nw, UnitDelay)
+		s, err := New(nw)
 		if err != nil {
 			return // e.g. a combinational cycle
 		}
-		ref, err := New(nw, UnitDelay)
+		ref, err := New(nw)
 		if err != nil {
 			t.Fatalf("second New failed: %v", err)
 		}
@@ -68,21 +68,12 @@ func FuzzEventSim(f *testing.F) {
 		if !reflect.DeepEqual(s.Counts, ref.Counts) {
 			t.Fatal("per-node counts differ from the reference")
 		}
-		seq, err := MeasureRunCtx(context.Background(), nw, UnitDelay, vecs, 1)
+		m, err := MeasureRunCtx(context.Background(), nw, UnitDelay, vecs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seq.Counts, s.Counts) {
-			t.Fatal("sequential MeasureRunCtx counts differ from cycle-by-cycle simulation")
-		}
-		for _, workers := range []int{2, 3} {
-			m, err := MeasureRunCtx(context.Background(), nw, UnitDelay, vecs, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.Totals != seq.Totals || !reflect.DeepEqual(m.Counts, seq.Counts) {
-				t.Fatalf("MeasureRunCtx with %d workers differs from the sequential run: %+v vs %+v", workers, m.Totals, seq.Totals)
-			}
+		if !reflect.DeepEqual(m.Counts, s.Counts) {
+			t.Fatal("MeasureRunCtx counts differ from cycle-by-cycle simulation")
 		}
 	})
 }

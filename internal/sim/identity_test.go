@@ -78,8 +78,7 @@ func identityNetworks(t *testing.T) ([]string, map[string]*logic.Network) {
 	return names, nets
 }
 
-// identityVectors is the stimulus of every identity run: 256 vectors, so
-// MeasureRunCtx can split it into four 64-cycle shards.
+// identityVectors is the stimulus of every identity run: 256 vectors.
 func identityVectors(nw *logic.Network) [][]bool {
 	return RandomVectors(rand.New(rand.NewSource(15)), 256, len(nw.PIs()), 0.5)
 }
@@ -109,8 +108,8 @@ var wantSimIDs = map[string]simID{
 	"fsm/unit":       {0x4f603932670c3142, 0xa568c1a0f7f38719, 704, 3},
 }
 
-// wantMeasureIDs pins MeasureRunCtx, keyed network/unit; every worker count
-// must reproduce the same entry. Stats is a hash of the merged Totals.
+// wantMeasureIDs pins MeasureStimulusCtx, keyed network/unit. Stats is a
+// hash of the run's Totals.
 var wantMeasureIDs = map[string]simID{
 	"alu4/unit":      {0xc2274de7f740858a, 0xe709106cc85787ea, 5728, 32},
 	"cla8/unit":      {0x58db80e5625bf815, 0x1cac46f57e04fd6e, 5452, 51},
@@ -135,8 +134,7 @@ var wantMeasureIDs = map[string]simID{
 // TestEventSimIdentity checks that the event-driven simulator produces the
 // same per-cycle statistics, per-node counts and queue high-water mark as
 // the queue it replaced, on every generator, the BLIF corpus and a
-// sequential FSM at unit delay, and that MeasureRunCtx does at 1, 2 and 4
-// workers.
+// sequential FSM at unit delay, and that MeasureStimulusCtx does.
 func TestEventSimIdentity(t *testing.T) {
 	reg := obsv.Enable()
 	t.Cleanup(obsv.Disable)
@@ -156,7 +154,7 @@ func TestEventSimIdentity(t *testing.T) {
 		vecs := identityVectors(nw)
 		key := name + "/unit"
 		hwm.Set(0)
-		s, err := New(nw, UnitDelay)
+		s, err := New(nw)
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
@@ -174,19 +172,17 @@ func TestEventSimIdentity(t *testing.T) {
 		want, ok := wantSimIDs[key]
 		check(key, got, want, ok)
 
-		for _, workers := range []int{1, 2, 4} {
-			mkey := fmt.Sprintf("%s/%d", key, workers)
-			hwm.Set(0)
-			m, err := MeasureRunCtx(context.Background(), nw, UnitDelay, vecs, workers)
-			if err != nil {
-				t.Fatalf("%s: %v", mkey, err)
-			}
-			tot := fnv.New64a()
-			hashInts(tot, int64(m.Totals.Cycles), m.Totals.Transitions, m.Totals.Useful, m.Totals.Spurious, int64(m.Totals.MaxSettle))
-			got := simID{tot.Sum64(), countsHash(nw, &m.Counts), m.Totals.Transitions, int(hwm.Value())}
-			want, ok := wantMeasureIDs[key]
-			check(mkey, got, want, ok)
+		mkey := key + "/measure"
+		hwm.Set(0)
+		m, err := MeasureStimulusCtx(context.Background(), nw, mustPack(t, vecs))
+		if err != nil {
+			t.Fatalf("%s: %v", mkey, err)
 		}
+		tot := fnv.New64a()
+		hashInts(tot, int64(m.Totals.Cycles), m.Totals.Transitions, m.Totals.Useful, m.Totals.Spurious, int64(m.Totals.MaxSettle))
+		got = simID{tot.Sum64(), countsHash(nw, &m.Counts), m.Totals.Transitions, int(hwm.Value())}
+		want, ok = wantMeasureIDs[key]
+		check(mkey, got, want, ok)
 	}
 	if report.Len() > 0 {
 		t.Logf("observed values:\n%s", report.String())

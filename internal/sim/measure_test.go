@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -13,8 +12,8 @@ import (
 )
 
 // seqFeedbackNetwork builds a small FSM whose next-state logic has a
-// glitchy reconvergent carry structure and true feedback, so the shard
-// boundary states depend on the entire input history.
+// glitchy reconvergent carry structure and true feedback, so the settled
+// state entering each cycle depends on the entire input history.
 func seqFeedbackNetwork(t *testing.T) *logic.Network {
 	t.Helper()
 	nw := logic.New("fsm")
@@ -57,7 +56,7 @@ type refCounts struct {
 
 func referenceRun(t *testing.T, nw *logic.Network, vectors [][]bool) refCounts {
 	t.Helper()
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,31 +72,30 @@ func referenceRun(t *testing.T, nw *logic.Network, vectors [][]bool) refCounts {
 	return rc
 }
 
-func checkMeasureMatches(t *testing.T, name string, nw *logic.Network, vectors [][]bool, workers int, ref refCounts) {
+func checkMeasureMatches(t *testing.T, name string, nw *logic.Network, vectors [][]bool, ref refCounts) {
 	t.Helper()
-	m, err := MeasureRunCtx(context.Background(), nw, UnitDelay, vectors, workers)
+	m, err := MeasureRunCtx(context.Background(), nw, UnitDelay, vectors, 0)
 	if err != nil {
-		t.Fatalf("%s workers=%d: %v", name, workers, err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	if m.Totals != ref.totals {
-		t.Errorf("%s workers=%d: totals %+v, sequential %+v", name, workers, m.Totals, ref.totals)
+		t.Errorf("%s: totals %+v, sequential %+v", name, m.Totals, ref.totals)
 	}
 	if m.Cycles() != len(vectors) {
-		t.Errorf("%s workers=%d: cycles %d, want %d", name, workers, m.Cycles(), len(vectors))
+		t.Errorf("%s: cycles %d, want %d", name, m.Cycles(), len(vectors))
 	}
 	for _, id := range nw.Live() {
 		if got, want := m.Transitions(id), ref.trans[id]; got != want {
-			t.Errorf("%s workers=%d node %d: transitions %d, sequential %d", name, workers, id, got, want)
+			t.Errorf("%s node %d: transitions %d, sequential %d", name, id, got, want)
 		}
 		if got, want := m.UsefulTransitions(id), ref.useful[id]; got != want {
-			t.Errorf("%s workers=%d node %d: useful %d, sequential %d", name, workers, id, got, want)
+			t.Errorf("%s node %d: useful %d, sequential %d", name, id, got, want)
 		}
 	}
 }
 
-// TestMeasureRunCombinationalDeterminism: sharded runs over a glitchy
-// combinational circuit reproduce the sequential event-driven counts
-// exactly for every worker count.
+// TestMeasureRunCombinationalDeterminism: a measurement over a glitchy
+// combinational circuit reproduces the counts of a Simulator run exactly.
 func TestMeasureRunCombinationalDeterminism(t *testing.T) {
 	nw, err := circuits.ArrayMultiplier(5)
 	if err != nil {
@@ -109,26 +107,21 @@ func TestMeasureRunCombinationalDeterminism(t *testing.T) {
 	if ref.totals.Spurious == 0 {
 		t.Fatal("test circuit should glitch; spurious count is 0")
 	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		checkMeasureMatches(t, "mult5", nw, vecs, workers, ref)
-	}
+	checkMeasureMatches(t, "mult5", nw, vecs, ref)
 }
 
 // TestMeasureRunSequentialDeterminism: same contract on a feedback FSM,
-// where each shard's warm-start state comes from the zero-delay prescan.
+// whose flip-flop state carries from cycle to cycle.
 func TestMeasureRunSequentialDeterminism(t *testing.T) {
 	nw := seqFeedbackNetwork(t)
 	r := rand.New(rand.NewSource(19))
 	vecs := RandomVectors(r, 257, len(nw.PIs()), 0.5)
 	ref := referenceRun(t, nw, vecs)
-	for _, workers := range []int{1, 2, 3, 8} {
-		checkMeasureMatches(t, "fsm", nw, vecs, workers, ref)
-	}
+	checkMeasureMatches(t, "fsm", nw, vecs, ref)
 }
 
-// TestMeasureRunSmallStreams: worker counts far above len(vectors)/minChunk
-// clamp down instead of producing empty shards, and tiny streams still
-// match the sequential run.
+// TestMeasureRunSmallStreams: streams of up to two words, the empty one
+// included, match the Simulator run.
 func TestMeasureRunSmallStreams(t *testing.T) {
 	nw, err := circuits.CLAAdder(4)
 	if err != nil {
@@ -138,39 +131,7 @@ func TestMeasureRunSmallStreams(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
 		vecs := RandomVectors(r, n, len(nw.PIs()), 0.5)
 		ref := referenceRun(t, nw, vecs)
-		checkMeasureMatches(t, "cla4-small", nw, vecs, 16, ref)
-	}
-}
-
-func TestChunkStarts(t *testing.T) {
-	cases := []struct {
-		n, workers int
-		want       []int
-	}{
-		{10, 2, []int{0, 5}},
-		{10, 3, []int{0, 4, 7}},
-		{7, 7, []int{0, 1, 2, 3, 4, 5, 6}},
-	}
-	for _, c := range cases {
-		got := chunkStarts(c.n, c.workers)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("chunkStarts(%d,%d) = %v, want %v", c.n, c.workers, got, c.want)
-		}
-	}
-	// Chunks must cover [0,n) contiguously for arbitrary shapes
-	// (MeasureRunCtx never asks for more chunks than items).
-	for n := 1; n < 40; n++ {
-		for w := 1; w <= n && w <= 8; w++ {
-			starts := chunkStarts(n, w)
-			if starts[0] != 0 {
-				t.Fatalf("chunkStarts(%d,%d) starts at %d", n, w, starts[0])
-			}
-			for i := 1; i < len(starts); i++ {
-				if starts[i] <= starts[i-1] || starts[i] >= n {
-					t.Fatalf("chunkStarts(%d,%d) = %v not contiguous", n, w, starts)
-				}
-			}
-		}
+		checkMeasureMatches(t, "cla4-small", nw, vecs, ref)
 	}
 }
 
@@ -191,7 +152,7 @@ func (c *flipCtx) Err() error {
 
 // A run whose context is cancelled after it starts stops within
 // ctxCheckCycles cycles with ctx.Err(): the event-driven simulator, the
-// zero-delay stream and the sharded measurement.
+// zero-delay stream and the measurement.
 func TestRunStopsOnCancel(t *testing.T) {
 	nw, err := circuits.ArrayMultiplier(4)
 	if err != nil {
@@ -200,11 +161,11 @@ func TestRunStopsOnCancel(t *testing.T) {
 	st := RandomStimulus(rand.New(rand.NewSource(5)), 1024, len(nw.PIs()), 0.5)
 	want := 3 * ctxCheckCycles
 
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot, err := s.run(&flipCtx{Context: context.Background(), k: 3}, st, 0, st.Len())
+	tot, err := s.run(&flipCtx{Context: context.Background(), k: 3}, st)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Simulator: err = %v, want context.Canceled", err)
 	}
@@ -223,15 +184,26 @@ func TestRunStopsOnCancel(t *testing.T) {
 		t.Errorf("Stream ran %d cycles, want %d", zs.Cycles(), want)
 	}
 
-	vecs := st.Unpack()
-	for _, workers := range []int{1, 2, 4} {
-		ctx := &flipCtx{Context: context.Background(), k: 2}
-		if _, err := MeasureRunCtx(ctx, nw, UnitDelay, vecs, workers); !errors.Is(err, context.Canceled) {
-			t.Errorf("MeasureRunCtx with %d workers: err = %v, want context.Canceled", workers, err)
+	if _, err := MeasureRunCtx(&flipCtx{Context: context.Background(), k: 2}, nw, UnitDelay, st.Unpack(), 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("MeasureRunCtx: err = %v, want context.Canceled", err)
+	}
+	if _, err := MeasureStimulusCtx(&flipCtx{Context: context.Background(), k: 2}, nw, st); !errors.Is(err, context.Canceled) {
+		t.Errorf("MeasureStimulusCtx: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestDelayModelValidation: MeasureRunCtx rejects a delay model that gives
+// a gate any delay but 1, since the simulator is unit-delay, and takes nil
+// as unit delay.
+func TestDelayModelValidation(t *testing.T) {
+	nw := chainXOR(t)
+	vecs := [][]bool{{true}, {false}}
+	for _, d := range []int{0, 2} {
+		if _, err := MeasureRunCtx(context.Background(), nw, func(*logic.Node) int { return d }, vecs, 0); err == nil {
+			t.Errorf("gate delay %d must be rejected: the simulator is unit-delay", d)
 		}
-		ctx = &flipCtx{Context: context.Background(), k: 2}
-		if _, err := MeasureStimulusCtx(ctx, nw, UnitDelay, st, workers); !errors.Is(err, context.Canceled) {
-			t.Errorf("MeasureStimulusCtx with %d workers: err = %v, want context.Canceled", workers, err)
-		}
+	}
+	if _, err := MeasureRunCtx(context.Background(), nw, nil, vecs, 0); err != nil {
+		t.Errorf("nil delay model should default to unit delay: %v", err)
 	}
 }

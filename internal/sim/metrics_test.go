@@ -18,7 +18,7 @@ func TestMetricsCounterAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMetricsDisabledSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}

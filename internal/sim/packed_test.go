@@ -129,7 +129,7 @@ func TestPackedMatchesScalarOnGenerators(t *testing.T) {
 
 		ref := scalarZeroDelayCounts(t, nw, vecs)
 
-		s, err := New(nw, UnitDelay)
+		s, err := New(nw)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -32,15 +32,6 @@ import (
 	"repro/internal/obsv"
 )
 
-// DelayModel assigns an integer propagation delay to each node. The
-// Simulator accepts only models that give every gate a delay of 1;
-// sources (inputs, constants, flip-flop outputs) are ignored.
-type DelayModel func(n *logic.Node) int
-
-// UnitDelay gives every gate a delay of 1 — the classic unit-delay model
-// used for glitch analysis.
-func UnitDelay(*logic.Node) int { return 1 }
-
 // CycleStats reports what happened during one simulated clock cycle.
 type CycleStats struct {
 	// Transitions is the total number of signal transitions on gate
@@ -137,23 +128,13 @@ type firstChange struct {
 	initial bool
 }
 
-// New creates a simulator for the network under the given delay model,
-// which must give every gate a delay of 1 (nil means UnitDelay).
-// Flip-flops start at their initial values; all other nets start at the
-// value they settle to under the all-zero input vector.
-func New(nw *logic.Network, dm DelayModel) (*Simulator, error) {
-	if dm == nil {
-		dm = UnitDelay
-	}
+// New creates a unit-delay simulator for the network. Flip-flops start at
+// their initial values; all other nets start at the value they settle to
+// under the all-zero input vector.
+func New(nw *logic.Network) (*Simulator, error) {
 	cv, err := nw.Compile()
 	if err != nil {
 		return nil, err
-	}
-	for _, id := range nw.Gates() {
-		nd := nw.Node(id)
-		if d := dm(nd); d != 1 {
-			return nil, fmt.Errorf("sim: delay model gave %d for gate %q (the simulator is unit-delay: must be 1)", d, nd.Name)
-		}
 	}
 	n := nw.NumNodes()
 	s := &Simulator{
@@ -183,18 +164,6 @@ func (s *Simulator) Reset() error {
 	s.recount()
 	s.Counts.clear()
 	return nil
-}
-
-// loadState seeds the simulator's node values from a full per-node value
-// snapshot (e.g. the settled state at a vector-stream split point) without
-// recording any activity, and zeroes the counters. It lets a shard of a
-// partitioned Monte Carlo run start exactly where the previous shard's
-// last vector left the network, so chunked simulation is bit-identical to
-// one sequential pass.
-func (s *Simulator) loadState(vals []bool) {
-	copy(s.val, vals)
-	s.recount()
-	s.Counts.clear()
 }
 
 // recount sets every gate's ones count from the present values, in time
@@ -323,20 +292,23 @@ func (s *Simulator) Cycle(in []bool) (CycleStats, error) {
 // Run simulates every vector of the stream and returns the aggregate
 // statistics.
 func (s *Simulator) Run(st Stimulus) (Totals, error) {
-	return s.run(context.Background(), st, 0, st.Len())
+	return s.run(context.Background(), st)
 }
 
-// run simulates vectors lo … hi-1 of the stream, one cycle each, under
-// drive's context checks.
-func (s *Simulator) run(ctx context.Context, st Stimulus, lo, hi int) (Totals, error) {
+// run simulates every vector of the stream, one cycle each, under drive's
+// context checks.
+func (s *Simulator) run(ctx context.Context, st Stimulus) (Totals, error) {
 	var tot Totals
-	err := drive(ctx, st, lo, hi, len(s.nw.PIs()), func(in []bool) error {
+	err := drive(ctx, st, 0, st.Len(), len(s.nw.PIs()), func(in []bool) error {
 		cs, err := s.Cycle(in)
 		if err != nil {
 			return err
 		}
-		tot.add(Totals{Cycles: 1, Transitions: int64(cs.Transitions), Useful: int64(cs.Useful),
-			Spurious: int64(cs.Spurious), MaxSettle: cs.SettleTime})
+		tot.Cycles++
+		tot.Transitions += int64(cs.Transitions)
+		tot.Useful += int64(cs.Useful)
+		tot.Spurious += int64(cs.Spurious)
+		tot.MaxSettle = max(tot.MaxSettle, cs.SettleTime)
 		return nil
 	})
 	return tot, err
@@ -349,15 +321,6 @@ type Totals struct {
 	Useful      int64
 	Spurious    int64
 	MaxSettle   int
-}
-
-// add accumulates o: counts sum, MaxSettle takes the larger.
-func (t *Totals) add(o Totals) {
-	t.Cycles += o.Cycles
-	t.Transitions += o.Transitions
-	t.Useful += o.Useful
-	t.Spurious += o.Spurious
-	t.MaxSettle = max(t.MaxSettle, o.MaxSettle)
 }
 
 // SpuriousFraction is the share of all transitions that were glitches.

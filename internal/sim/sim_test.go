@@ -30,7 +30,7 @@ func chainXOR(t *testing.T) *logic.Network {
 
 func TestGlitchDetection(t *testing.T) {
 	nw := chainXOR(t)
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestZeroDelayFunctionalMatch(t *testing.T) {
 	// random circuits and vectors.
 	r := rand.New(rand.NewSource(11))
 	nw := randomDAG(r, 8, 40)
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSequentialCycleSemantics(t *testing.T) {
 	if err := nw.MarkOutput(q2); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestActivityAveraging(t *testing.T) {
 	if err := nw.MarkOutput(b); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestActivityAveraging(t *testing.T) {
 
 func TestRunTotalsAndSpuriousFraction(t *testing.T) {
 	nw := chainXOR(t)
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,18 +235,6 @@ func TestRunTotalsAndSpuriousFraction(t *testing.T) {
 	}
 }
 
-func TestDelayModelValidation(t *testing.T) {
-	nw := chainXOR(t)
-	for _, d := range []int{0, 2} {
-		if _, err := New(nw, func(*logic.Node) int { return d }); err == nil {
-			t.Errorf("gate delay %d must be rejected: the simulator is unit-delay", d)
-		}
-	}
-	if _, err := New(nw, nil); err != nil {
-		t.Errorf("nil delay model should default to unit delay: %v", err)
-	}
-}
-
 // TestDuplicatePinCountsTwice: a gate that reads one net on two pins
 // (BLIF ".names a a y") sees that net's changes twice in its ones count,
 // so AND(a, a) follows a, and the kernel matches the reference queue.
@@ -264,11 +252,11 @@ func TestDuplicatePinCountsTwice(t *testing.T) {
 	if !dup {
 		t.Fatal("no gate reads one net on two pins")
 	}
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(nw, UnitDelay)
+	ref, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +282,7 @@ func TestDuplicatePinCountsTwice(t *testing.T) {
 
 func TestInputWidthValidation(t *testing.T) {
 	nw := chainXOR(t)
-	s, _ := New(nw, UnitDelay)
+	s, _ := New(nw)
 	if _, err := s.Cycle([]bool{true, false}); err == nil {
 		t.Error("wrong input width must be rejected")
 	}
@@ -302,7 +290,7 @@ func TestInputWidthValidation(t *testing.T) {
 
 func TestResetClearsActivity(t *testing.T) {
 	nw := chainXOR(t)
-	s, _ := New(nw, UnitDelay)
+	s, _ := New(nw)
 	if _, err := s.Cycle([]bool{true}); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +356,7 @@ func TestBalancedTreeNoGlitches(t *testing.T) {
 	if err := nw.MarkOutput(layer[0]); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,8 +204,8 @@ func TestStimulusMatchesBiasedVectors(t *testing.T) {
 }
 
 // TestStimulusWidthMismatch: the packed and event-driven engines reject a
-// stimulus whose width is not the network's input count with an error,
-// sequential and sharded; an empty stimulus drives any network.
+// stimulus whose width is not the network's input count with an error;
+// an empty stimulus drives any network.
 func TestStimulusWidthMismatch(t *testing.T) {
 	nw := parityNetwork(8)
 	narrow := RandomStimulus(rand.New(rand.NewSource(1)), 1000, 7, 0.5)
@@ -216,19 +216,17 @@ func TestStimulusWidthMismatch(t *testing.T) {
 	if _, err := ps.RunStimulus(narrow); err == nil {
 		t.Error("packed run accepted 7-bit vectors on an 8-input network")
 	}
-	for _, workers := range []int{1, 4} {
-		if _, err := MeasureStimulusCtx(context.Background(), nw, UnitDelay, narrow, workers); err == nil {
-			t.Errorf("measure with %d workers accepted 7-bit vectors on an 8-input network", workers)
-		}
-		m, err := MeasureStimulusCtx(context.Background(), nw, UnitDelay, Stimulus{}, workers)
-		if err != nil || m.Totals.Cycles != 0 {
-			t.Errorf("measure of an empty stimulus with %d workers: %v, %+v", workers, err, m)
-		}
+	if _, err := MeasureStimulusCtx(context.Background(), nw, narrow); err == nil {
+		t.Error("measure accepted 7-bit vectors on an 8-input network")
+	}
+	m, err := MeasureStimulusCtx(context.Background(), nw, Stimulus{})
+	if err != nil || m.Totals.Cycles != 0 {
+		t.Errorf("measure of an empty stimulus: %v, %+v", err, m)
 	}
 	if _, err := ps.RunStimulus(Stimulus{}); err != nil {
 		t.Errorf("packed run of an empty stimulus: %v", err)
 	}
-	s, err := New(nw, UnitDelay)
+	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +280,7 @@ func TestCycleSteadyStateAllocs(t *testing.T) {
 			t.Cleanup(obsv.Disable)
 		}
 		for name, nw := range map[string]*logic.Network{"mult6": mult, "cnt2": corpus["cnt2"]} {
-			s, err := New(nw, UnitDelay)
+			s, err := New(nw)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,10 +18,10 @@ import (
 var stimulusConversionAllowlist = map[string]string{
 	"repro/internal/sim.RandomVectors -> Stimulus.Unpack": "the [][]bool draw bench/lpbench and core.NewContext call, unpacked from the one draw loop",
 	// [][]bool entry points bench/lpbench calls; ROADMAP item 8 deletes them.
-	"repro/internal/sim.MeasureRunCtx -> sim.PackVectors":               "[][]bool wrapper bench/lpbench calls",
+	"repro/internal/sim.MeasureRunCtx -> sim.PackVectors":               "[][]bool wrapper bench/lpbench calls; its workers argument no longer changes anything",
 	"repro/internal/sim.PackedSimulator.Run -> sim.PackVectors":         "[][]bool wrapper bench/lpbench calls",
 	"repro/internal/power.EstimateZeroDelayPacked -> sim.PackVectors":   "[][]bool wrapper bench/lpbench calls",
-	"repro/internal/power.EstimateSimulatedParallel -> sim.PackVectors": "[][]bool wrapper bench/lpbench calls",
+	"repro/internal/power.EstimateSimulatedParallel -> sim.PackVectors": "[][]bool wrapper bench/lpbench calls; its workers argument no longer changes anything",
 	"repro/internal/power.NewIncrementalEstimator -> sim.PackVectors":   "[][]bool wrapper bench/lpbench calls",
 	"repro/internal/core.NewContext -> sim.RandomVectors":               "core.Context.Vectors is a [][]bool that bench/lpbench reads",
 	"repro/internal/core.MeasureCtx -> sim.PackVectors":                 "measures core.Context.Vectors",
@@ -37,10 +37,10 @@ var stimulusSignatureAllowlist = map[string]string{
 	"repro/internal/sim.PackVectors":     "packs core.Context.Vectors and the [][]bool wrappers' rows",
 	"repro/internal/sim.Stimulus.Unpack": "the [][]bool view RandomVectors returns and test oracles read",
 	// [][]bool entry points bench/lpbench calls; ROADMAP item 8 deletes them.
-	"repro/internal/sim.MeasureRunCtx":               "[][]bool wrapper bench/lpbench calls",
+	"repro/internal/sim.MeasureRunCtx":               "[][]bool wrapper bench/lpbench calls; its workers argument no longer changes anything",
 	"repro/internal/sim.PackedSimulator.Run":         "[][]bool wrapper bench/lpbench calls",
 	"repro/internal/power.EstimateZeroDelayPacked":   "[][]bool wrapper bench/lpbench calls",
-	"repro/internal/power.EstimateSimulatedParallel": "[][]bool wrapper bench/lpbench calls",
+	"repro/internal/power.EstimateSimulatedParallel": "[][]bool wrapper bench/lpbench calls; its workers argument no longer changes anything",
 	"repro/internal/power.NewIncrementalEstimator":   "[][]bool wrapper bench/lpbench calls",
 }
 
