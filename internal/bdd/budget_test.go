@@ -198,3 +198,37 @@ func TestSetContextClassifiesByCancellability(t *testing.T) {
 		t.Fatalf("wrapped-context build diverged: %d nodes vs %d", wrapped.M.Size(), plain.M.Size())
 	}
 }
+
+// TestFromNetworkRetry pins the build ladder: a build that fits is the
+// plain depth-first build, one that trips retries once with dynamic
+// reordering, a retry that trips too returns its error, and a cancelled
+// context is never retried.
+func TestFromNetworkRetry(t *testing.T) {
+	nw, err := circuits.ArrayMultiplier(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		maxNodes int
+		retried  bool
+		trips    bool
+	}{
+		{1 << 20, false, false}, // the plain build's 13,795 nodes fit
+		{10000, true, false},    // the plain build trips, dynamic sifting fits
+		{500, false, true},      // both trip
+	} {
+		nb, retried, err := FromNetworkRetry(ctx, nw, Budget{MaxNodes: c.maxNodes})
+		if retried != c.retried || errors.Is(err, ErrBudgetExceeded) != c.trips || (err == nil) == c.trips {
+			t.Fatalf("MaxNodes %d: retried=%v err=%v; want retried=%v trips=%v", c.maxNodes, retried, err, c.retried, c.trips)
+		}
+		if err == nil && nb.M.Size() > c.maxNodes {
+			t.Fatalf("MaxNodes %d: build holds %d nodes", c.maxNodes, nb.M.Size())
+		}
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, retried, err := FromNetworkRetry(cctx, nw, Budget{MaxNodes: 10000}); retried || !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("cancelled context: retried=%v err=%v; want no retry and a budget error", retried, err)
+	}
+}

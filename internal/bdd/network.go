@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -238,6 +239,52 @@ func dfsOrder(nw *logic.Network, srcs []logic.NodeID) []int32 {
 		}
 	}
 	return order
+}
+
+// FromNetworkRetry builds nw's global BDDs from the depth-first order
+// under b, without reordering. When that build trips the budget and ctx
+// is still live, it builds once more with dynamic sifting reordering
+// (ReorderPolicy{Enable: true}): the exact -> reorder -> retry rung of
+// the degradation ladder. retried reports that the second build ran and
+// succeeded. A cancelled context is never retried: the caller asked to
+// stop.
+func FromNetworkRetry(ctx context.Context, nw *logic.Network, b Budget) (nb *NetworkBDDs, retried bool, err error) {
+	nb, err = FromNetworkCtx(ctx, nw, b)
+	if err == nil || !errors.Is(err, ErrBudgetExceeded) || ctx.Err() != nil {
+		return nb, false, err
+	}
+	nb, err = FromNetworkOpts(ctx, nw, BuildOptions{Budget: b, Reorder: ReorderPolicy{Enable: true}})
+	return nb, err == nil, err
+}
+
+// SiftOutputs sifts the variable order of a build that reached the
+// dynamic-reordering trigger (ReorderPolicy's default threshold under
+// the manager's budget), pinning only the functions of outs, and reports
+// whether it sifted. Below the trigger it does nothing. A sift frees
+// every function it did not pin and may reuse the freed nodes, so it
+// leaves Fn holding the entries of outs alone, whether or not the sift
+// succeeded. Every id in outs must have an Fn entry.
+func (nb *NetworkBDDs) SiftOutputs(outs []logic.NodeID) (bool, error) {
+	fn := make(map[logic.NodeID]Ref, len(outs))
+	roots := make([]Ref, 0, len(outs))
+	for _, id := range outs {
+		if _, dup := fn[id]; dup {
+			continue
+		}
+		f, ok := nb.Fn[id]
+		if !ok {
+			return false, fmt.Errorf("bdd: no function for output node %d", id)
+		}
+		fn[id] = f
+		roots = append(roots, f)
+	}
+	m := nb.M
+	if m.live < (ReorderPolicy{}).threshold(m.budget) {
+		return false, nil
+	}
+	nb.Fn, nb.roots = fn, roots
+	_, err := m.Reorder(roots)
+	return true, err
 }
 
 // Reorder sifts the manager's variable order, pinning every node

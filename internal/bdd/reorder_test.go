@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -496,5 +497,79 @@ func TestReorderGaugeSeesSwapPeak(t *testing.T) {
 	}
 	if g := reg.Gauge("bdd.nodes").Value(); g < float64(len(m.nodes)) {
 		t.Fatalf("bdd.nodes = %v, below the %d slots live at the swap peak (final size %d)", g, len(m.nodes), m.Size())
+	}
+}
+
+// TestSiftOutputs pins the output-only sift: mult6's depth-first build
+// (13,795 nodes) reaches the 4,096-node trigger of a 1M-node budget, so
+// the sift runs once, keeps every output's truth table, frees every
+// other function and leaves Fn holding the outputs alone. A second call
+// on the sifted build is below the trigger and does nothing; so is the
+// first call on mult4's 693-node build.
+func TestSiftOutputs(t *testing.T) {
+	runs := obsv.Enable().Counter("bdd.reorder.runs")
+	nw, err := circuits.ArrayMultiplier(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := FromNetworkCtx(context.Background(), nw, Budget{MaxNodes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nv := nb.M.NumVars()
+	want := make(map[logic.NodeID][]bool)
+	for _, po := range nw.POs() {
+		want[po] = truthTable(nb.M, nb.Fn[po], nv)
+	}
+	built := nb.M.Size()
+	start := runs.Value()
+	sifted, err := nb.SiftOutputs(nw.POs())
+	if err != nil || !sifted {
+		t.Fatalf("SiftOutputs = %v, %v; want a sift above the trigger", sifted, err)
+	}
+	if got := runs.Value() - start; got != 1 {
+		t.Fatalf("SiftOutputs ran %d reorders, want 1", got)
+	}
+	if nb.M.Size() >= built/2 {
+		t.Fatalf("output sift kept %d of %d nodes", nb.M.Size(), built)
+	}
+	if len(nb.Fn) != len(want) {
+		t.Fatalf("Fn holds %d entries after the sift, want the %d outputs", len(nb.Fn), len(want))
+	}
+	for po, tt := range want {
+		f, ok := nb.Fn[po]
+		if !ok {
+			t.Fatalf("output %d lost its Fn entry", po)
+		}
+		if !equalBools(truthTable(nb.M, f, nv), tt) {
+			t.Fatalf("output %d: truth table changed by the sift", po)
+		}
+	}
+	if sifted, err := nb.SiftOutputs(nw.POs()); sifted || err != nil {
+		t.Fatalf("second SiftOutputs = %v, %v; want a no-op below the trigger", sifted, err)
+	}
+
+	small, err := circuits.ArrayMultiplier(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := FromNetworkCtx(context.Background(), small, Budget{MaxNodes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, order := len(sb.Fn), sb.M.Order()
+	if sifted, err := sb.SiftOutputs(small.POs()); sifted || err != nil {
+		t.Fatalf("mult4 SiftOutputs = %v, %v; want a no-op below the trigger", sifted, err)
+	}
+	if len(sb.Fn) != entries || !slices.Equal(sb.M.Order(), order) {
+		t.Fatal("SiftOutputs below the trigger changed the build")
+	}
+	for _, g := range nw.Gates() {
+		if _, ok := want[g]; !ok {
+			if _, err := nb.SiftOutputs([]logic.NodeID{g}); err == nil {
+				t.Fatal("SiftOutputs accepted a node without an Fn entry")
+			}
+			break
+		}
 	}
 }

@@ -1,19 +1,24 @@
 // Package bddsynth implements BDD-derived low-power synthesis in the
-// direction of Popel: build the global BDDs of a combinational network
-// under dynamic sifting reordering, then map the (small, well-ordered)
-// BDD directly to a 2:1-MUX netlist — each internal node becomes one MUX
-// selected by its variable — and keep the rewrite only if the estimated
-// switching activity improves. The variable order found by sifting is
-// what makes the mapping competitive: it simultaneously minimizes node
-// count and, through it, the amount of multiplexer hardware that can
-// toggle.
+// direction of Popel: build the global BDDs of a combinational network,
+// sift the variable order of the output functions, then map the (small,
+// well-ordered) BDD directly to a 2:1-MUX netlist — each internal node
+// becomes one MUX selected by its variable — and keep the rewrite only
+// if the estimated switching activity improves. The variable order found
+// by sifting is what makes the mapping competitive: it simultaneously
+// minimizes node count and, through it, the amount of multiplexer
+// hardware that can toggle.
 //
-// Synthesize builds from the depth-first order (Malik et al.), which
-// leaves sifting little to do, and hands the build to Apply. Apply takes
-// any prebuilt BDDs of the network: it emits them into a clone to score
-// the candidate and, when the rewrite is accepted, into the live network.
-// Experiment E18 builds from the declaration order instead and calls
-// Apply on that build.
+// Synthesize builds once from the depth-first order (Malik et al.),
+// which leaves sifting little to do, without reordering. A build that
+// stays below the dynamic-reordering trigger is emitted as built. A build
+// that reaches the trigger is sifted once with only the primary-output
+// drivers pinned, since the emission reads nothing else. A build that
+// trips the budget falls back to a build under dynamic sifting
+// reordering, which pins every gate's function. Apply takes any prebuilt
+// BDDs of the network: it emits them into a clone to score the candidate
+// and, when the rewrite is accepted, into the live network. Experiment
+// E18 builds from the declaration order under dynamic reordering instead
+// and calls Apply on that build.
 package bddsynth
 
 import (
@@ -52,7 +57,7 @@ type Result struct {
 	Skipped  bool    // nothing was attempted (sequential, budget trip, ...)
 	Reason   string  // why, when Skipped
 	Applied  bool    // the MUX netlist was spliced into the network
-	BDDNodes int     // live internal BDD nodes of the emitted build
+	BDDNodes int     // live internal nodes of the build: the outputs' alone after an output sift, every gate's otherwise
 	MuxGates int     // gates emitted for the MUX netlist
 	Before   float64 // estimated switching power before
 	After    float64 // estimated switching power of the MUX candidate
@@ -63,7 +68,11 @@ type Result struct {
 // netlist when that lowers the propagated-probability power estimate.
 // Sequential networks and budget-tripping builds are skipped, not
 // failed, so the transform is safe inside any flow. The BDDs are built
-// once, from the depth-first order with sifting, and passed to Apply.
+// once from the depth-first order without reordering; a build that trips
+// the budget is retried once under dynamic sifting (bdd.FromNetworkRetry).
+// A build that did not trip but reached the dynamic-reordering trigger is
+// sifted once with only the primary-output drivers pinned
+// (NetworkBDDs.SiftOutputs). The build is then passed to Apply.
 func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, error) {
 	if len(nw.FFs()) > 0 {
 		return &Result{Skipped: true, Reason: "sequential network"}, nil
@@ -74,10 +83,10 @@ func Synthesize(ctx context.Context, nw *logic.Network, opt Options) (*Result, e
 	if opt.Budget == (bdd.Budget{}) {
 		opt.Budget = bdd.Budget{MaxNodes: 1 << 20}
 	}
-	nb, err := bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
-		Budget:  opt.Budget,
-		Reorder: bdd.ReorderPolicy{Enable: true},
-	})
+	nb, retried, err := bdd.FromNetworkRetry(ctx, nw, opt.Budget)
+	if err == nil && !retried {
+		_, err = nb.SiftOutputs(nw.POs())
+	}
 	if err != nil {
 		if errors.Is(err, bdd.ErrBudgetExceeded) {
 			return &Result{Skipped: true, Reason: "BDD budget exceeded: " + err.Error()}, nil

@@ -2,6 +2,8 @@ package bddsynth
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/logic"
 	"repro/internal/obsv"
+	"repro/internal/obsv/trace"
 )
 
 // smallNetworks returns every combinational generator circuit small
@@ -130,8 +133,8 @@ func TestSynthesizeBudgetSkipIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	gates := nw.NumGates()
-	// mult6 needs thousands of nodes even from the depth-first order with
-	// sifting, so this budget trips.
+	// mult6 needs thousands of nodes from the depth-first order, plain
+	// or with dynamic sifting, so both builds trip this budget.
 	res, err := Synthesize(context.Background(), nw, Options{
 		Budget: bdd.Budget{MaxNodes: 500},
 	})
@@ -181,34 +184,158 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	}
 }
 
-// TestSynthesizeBuildsOnce pins one build per call: an applied rewrite
-// runs exactly the sifting of one lone depth-first build, and the applied
-// network is that build emitted into a fresh clone. mult6 sifts several
-// times from the depth-first order, so the count comparison has teeth.
+// TestSynthesizeBuildsOnce pins the build shape of a call whose build
+// reaches the dynamic-reordering trigger: one plain depth-first build
+// (one bdd.build span, not a reordering one) and one output-only sift
+// (one bdd.reorder.runs increment) on mult6, whose 13,795-node build
+// crosses the 4,096-node trigger. The applied network is that build,
+// output-sifted, emitted into a fresh clone.
 func TestSynthesizeBuildsOnce(t *testing.T) {
 	runs := obsv.Enable().Counter("bdd.reorder.runs")
 	nw, err := circuits.ArrayMultiplier(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := runs.Value()
-	nb, err := bdd.FromNetworkOpts(context.Background(), nw, bdd.BuildOptions{
-		Budget:  bdd.Budget{MaxNodes: 1 << 20},
-		Reorder: bdd.ReorderPolicy{Enable: true},
-	})
+	nb, err := bdd.FromNetworkCtx(context.Background(), nw, bdd.Budget{MaxNodes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lone := runs.Value() - start
-	if lone == 0 {
-		t.Fatal("the lone build never sifted")
+	if sifted, err := nb.SiftOutputs(nw.POs()); err != nil || !sifted {
+		t.Fatalf("SiftOutputs = %v, %v; mult6 must reach the trigger", sifted, err)
 	}
 	want := nw.Clone()
 	if _, err := emitMux(want, nb); err != nil {
 		t.Fatal(err)
 	}
 
-	start = runs.Value()
+	ctx, root := trace.New(context.Background(), "synthesize")
+	start := runs.Value()
+	res, err := Synthesize(ctx, nw, Options{KeepWorse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if !res.Applied {
+		t.Fatalf("KeepWorse rewrite not applied: %+v", res)
+	}
+	if got := runs.Value() - start; got != 1 {
+		t.Fatalf("Synthesize ran %d reorders, want the one output sift", got)
+	}
+	builds := 0
+	for _, sd := range root.Tracer().Snapshot() {
+		if sd.Name != "bdd.build" {
+			continue
+		}
+		builds++
+		if _, dyn := sd.Attrs["reorder"]; dyn {
+			t.Fatal("Synthesize ran a dynamic-reordering build")
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("Synthesize ran %d builds, want 1", builds)
+	}
+	if got, w := logic.StructuralHash(nw), logic.StructuralHash(want); got != w {
+		t.Fatal("applied network differs from the output-sifted build emitted into a clone")
+	}
+}
+
+// dynamicResult is the reference the pass is held to where its plain
+// build trips the budget or stays below the trigger: Apply on a dynamic
+// sifting build, which pins every gate's function, emitted into a clone
+// of nw. It returns the result, the rewritten clone and the reorders the
+// build ran.
+func dynamicResult(t *testing.T, nw *logic.Network, opt Options) (*Result, *logic.Network, int64) {
+	t.Helper()
+	runs := obsv.Enable().Counter("bdd.reorder.runs")
+	ref := nw.Clone()
+	start := runs.Value()
+	nb, err := bdd.FromNetworkOpts(context.Background(), ref, bdd.BuildOptions{
+		Budget:  opt.Budget,
+		Reorder: bdd.ReorderPolicy{Enable: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sifts := runs.Value() - start
+	res, err := Apply(context.Background(), ref, nb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, ref, sifts
+}
+
+// sameRewrite fails unless Synthesize on a clone of nw returns want and
+// leaves the clone structurally equal to ref.
+func sameRewrite(t *testing.T, name string, nw *logic.Network, opt Options, want *Result, ref *logic.Network) {
+	t.Helper()
+	got := nw.Clone()
+	res, err := Synthesize(context.Background(), got, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("%s: Synthesize %+v, dynamic build %+v", name, res, want)
+	}
+	if logic.StructuralHash(got) != logic.StructuralHash(ref) {
+		t.Fatalf("%s: applied netlist differs from the dynamic build's", name)
+	}
+}
+
+// TestSynthesizeBelowTriggerMatchesDynamicBuild: on every generator whose
+// build stays below the reordering trigger, which the dynamic build shows
+// by never sifting, the pass keeps the order, the stats and the netlist
+// of the dynamic-reordering build it replaced.
+func TestSynthesizeBelowTriggerMatchesDynamicBuild(t *testing.T) {
+	opt := Options{Budget: bdd.Budget{MaxNodes: 1 << 20}, KeepWorse: true}
+	compared := 0
+	for _, name := range circuits.GeneratorNames() {
+		nw, err := circuits.Named(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nw.FFs()) > 0 {
+			continue
+		}
+		want, ref, sifts := dynamicResult(t, nw, opt)
+		if sifts > 0 {
+			continue // above the trigger: the output sift differs on purpose
+		}
+		sameRewrite(t, name, nw, opt, want, ref)
+		compared++
+	}
+	if compared < len(circuits.GeneratorNames())-1 {
+		t.Fatalf("compared %d generators; only mult6 should reach the trigger", compared)
+	}
+}
+
+// TestSynthesizeFallbackMatchesDynamicBuild: a 10,000-node budget trips
+// mult6's plain 13,795-node build but admits the dynamic-reordering
+// build, so the pass falls back to that build and returns what it
+// returned before the plain build was tried.
+func TestSynthesizeFallbackMatchesDynamicBuild(t *testing.T) {
+	nw, err := circuits.ArrayMultiplier(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Budget: bdd.Budget{MaxNodes: 10000}, KeepWorse: true}
+	if _, err := bdd.FromNetworkCtx(context.Background(), nw, opt.Budget); !errors.Is(err, bdd.ErrBudgetExceeded) {
+		t.Fatalf("plain build under %d nodes: err = %v, want a trip", opt.Budget.MaxNodes, err)
+	}
+	want, ref, _ := dynamicResult(t, nw, opt)
+	sameRewrite(t, "mult6", nw, opt, want, ref)
+}
+
+// TestSynthesizeOutputSiftEquivalent: the MUX netlist of mult6's
+// output-sifted build computes mult6.
+func TestSynthesizeOutputSiftEquivalent(t *testing.T) {
+	nw, err := circuits.ArrayMultiplier(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := logic.NewReference(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Synthesize(context.Background(), nw, Options{KeepWorse: true})
 	if err != nil {
 		t.Fatal(err)
@@ -216,10 +343,7 @@ func TestSynthesizeBuildsOnce(t *testing.T) {
 	if !res.Applied {
 		t.Fatalf("KeepWorse rewrite not applied: %+v", res)
 	}
-	if got := runs.Value() - start; got != lone {
-		t.Fatalf("Synthesize ran %d reorders, one build runs %d", got, lone)
-	}
-	if got, w := logic.StructuralHash(nw), logic.StructuralHash(want); got != w {
-		t.Fatal("applied network differs from one build emitted into a clone")
+	if ok, err := ref.Equivalent(nw); err != nil || !ok {
+		t.Fatalf("output-sifted MUX netlist not equivalent to mult6: %v, %v", ok, err)
 	}
 }

@@ -95,37 +95,31 @@ func Estimate(ctx context.Context, nw *logic.Network, spec Spec) (Report, error)
 // EstimateSimulatedParallel produces an Eqn. 1 report from measured
 // event-driven activity over the supplied vectors, capturing glitch power
 // that the zero-delay estimators miss, and returns the simulation totals.
-// It measures through sim.MeasureRunCtx, which rejects a delay model other
-// than unit delay, and evaluates the report as the simulated method's
-// body does. The workers argument changes nothing (it never changed a bit
-// of the report): every run is one Simulator pass. The workers and
-// delay-model parameters stay only because bench/lpbench calls this
-// [][]bool wrapper with them.
+// It rejects a delay model other than unit delay (sim.DelayModel.Validate,
+// the check sim.MeasureRunCtx makes), packs the vectors once and runs the
+// simulated method's body on them. The workers argument changes nothing
+// (it never changed a bit of the report): every run is one Simulator
+// pass. The workers and delay-model parameters stay only because
+// bench/lpbench calls this [][]bool wrapper with them.
 func EstimateSimulatedParallel(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
-	m, err := sim.MeasureRunCtx(context.Background(), nw, dm, vectors, workers)
-	if err != nil {
+	if err := dm.Validate(nw); err != nil {
 		return Report{}, sim.Totals{}, err
 	}
 	st, err := sim.PackVectors(vectors)
 	if err != nil {
 		return Report{}, sim.Totals{}, err
 	}
-	return simulated(nw, p, cm, st, m)
+	return simulate(context.Background(), nw, p, cm, st)
 }
 
 // simulate is the event-driven method body: one sim.MeasureStimulusCtx
-// run, which records a "sim.measure" span on a traced ctx.
+// run, which records a "sim.measure" span on a traced ctx, and the report
+// of that run over st, which carries the run's per-node counts.
 func simulate(ctx context.Context, nw *logic.Network, p Params, cm CapModel, st sim.Stimulus) (Report, sim.Totals, error) {
 	m, err := sim.MeasureStimulusCtx(ctx, nw, st)
 	if err != nil {
 		return Report{}, sim.Totals{}, err
 	}
-	return simulated(nw, p, cm, st, m)
-}
-
-// simulated evaluates the report of an event-driven run over st; the
-// report carries the run's per-node counts.
-func simulated(nw *logic.Network, p Params, cm CapModel, st sim.Stimulus, m *sim.Measure) (Report, sim.Totals, error) {
 	rep := measured(nw, p, cm, st, m.Activity)
 	rep.Counts = &m.Counts
 	return rep, m.Totals, nil

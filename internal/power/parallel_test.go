@@ -73,6 +73,26 @@ func TestEstimateSimulatedParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// TestEstimateSimulatedParallelRejectsNonUnitDelay: the wrapper refuses a
+// delay model that gives a gate any delay but 1, with the error
+// sim.MeasureRunCtx returns, and takes nil as unit delay.
+func TestEstimateSimulatedParallelRejectsNonUnitDelay(t *testing.T) {
+	nw, err := circuits.ArrayMultiplier(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := sim.RandomVectors(rand.New(rand.NewSource(3)), 8, len(nw.PIs()), 0.5)
+	slow := func(*logic.Node) int { return 2 }
+	_, _, err = EstimateSimulatedParallel(nw, DefaultParams(), nil, slow, vecs, 0)
+	_, want := sim.MeasureRunCtx(context.Background(), nw, slow, vecs, 0)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("delay 2: err = %v, want %v", err, want)
+	}
+	if _, _, err := EstimateSimulatedParallel(nw, DefaultParams(), nil, nil, vecs, 0); err != nil {
+		t.Fatalf("nil delay model should default to unit delay: %v", err)
+	}
+}
+
 // TestEstimateZeroDelayPackedMatchesScalar: the packed fast path produces
 // exactly the report of a scalar zero-delay estimate (useful activity of
 // the event-driven simulator, PI activity from the vector stream).

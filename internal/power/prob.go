@@ -2,7 +2,6 @@ package power
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -33,26 +32,18 @@ func (ps Probabilities) Activity(id logic.NodeID) float64 {
 // or cancellation it returns a *bdd.BudgetError (matching
 // bdd.ErrBudgetExceeded).
 //
-// The first build uses the default depth-first variable order (see
-// bdd.FromNetworkOpts). When that order blows the budget, it retries
-// once with dynamic sifting reordering (the exact -> reorder -> retry
-// rung of the degradation ladder) before the caller falls back to Monte
-// Carlo; successful retries increment the power.exact.reordered
-// counter. A cancelled context is never retried — the caller asked to
-// stop.
+// The build is bdd.FromNetworkRetry: the default depth-first variable
+// order, then, when that order blows the budget, one retry with dynamic
+// sifting reordering (the exact -> reorder -> retry rung of the
+// degradation ladder) before the caller falls back to Monte Carlo;
+// successful retries increment the power.exact.reordered counter. A
+// cancelled context is never retried — the caller asked to stop.
 func ExactProbabilities(ctx context.Context, nw *logic.Network, inputProb Probabilities, b bdd.Budget) (Probabilities, error) {
-	nb, err := bdd.FromNetworkCtx(ctx, nw, b)
+	nb, retried, err := bdd.FromNetworkRetry(ctx, nw, b)
 	if err != nil {
-		if !errors.Is(err, bdd.ErrBudgetExceeded) || ctx.Err() != nil {
-			return nil, err
-		}
-		nb, err = bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
-			Budget:  b,
-			Reorder: bdd.ReorderPolicy{Enable: true},
-		})
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
+	}
+	if retried {
 		obsv.Default().Counter("power.exact.reordered").Inc()
 	}
 	pv := make([]float64, nb.M.NumVars())

@@ -18,7 +18,7 @@ type Measure struct {
 }
 
 // DelayModel assigns an integer propagation delay to each node. The
-// simulator is unit-delay only, so MeasureRunCtx accepts only models that
+// simulator is unit-delay only, so Validate accepts only models that
 // give every gate a delay of 1; sources (inputs, constants, flip-flop
 // outputs) are ignored.
 type DelayModel func(n *logic.Node) int
@@ -27,24 +27,36 @@ type DelayModel func(n *logic.Node) int
 // used for glitch analysis.
 func UnitDelay(*logic.Node) int { return 1 }
 
-// MeasureRunCtx checks that the delay model is unit delay (nil means
-// UnitDelay), packs the vector stream and runs it as MeasureStimulusCtx
-// does. The workers argument changes nothing: every run is one Simulator
-// pass, and parallelism belongs to the callers that schedule requests and
-// tables. The workers and delay-model parameters stay only because
-// bench/lpbench calls this [][]bool wrapper with them.
+// Validate reports an error unless dm gives every gate of nw a delay of
+// 1, the only delay the simulator runs; a nil model is unit delay. It is
+// the one check of the two [][]bool wrappers that take a DelayModel,
+// MeasureRunCtx and power.EstimateSimulatedParallel.
+func (dm DelayModel) Validate(nw *logic.Network) error {
+	if dm == nil {
+		return nil
+	}
+	for _, id := range nw.Gates() {
+		nd := nw.Node(id)
+		if d := dm(nd); d != 1 {
+			return fmt.Errorf("sim: delay model gave %d for gate %q (the simulator is unit-delay: must be 1)", d, nd.Name)
+		}
+	}
+	return nil
+}
+
+// MeasureRunCtx checks that the delay model is unit delay (Validate),
+// packs the vector stream and runs it as MeasureStimulusCtx does. The
+// workers argument changes nothing: every run is one Simulator pass, and
+// parallelism belongs to the callers that schedule requests and tables.
+// The workers and delay-model parameters stay only because bench/lpbench
+// calls this [][]bool wrapper with them.
 func MeasureRunCtx(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {
 	st, err := PackVectors(vectors)
 	if err != nil {
 		return nil, err
 	}
-	if dm != nil {
-		for _, id := range nw.Gates() {
-			nd := nw.Node(id)
-			if d := dm(nd); d != 1 {
-				return nil, fmt.Errorf("sim: delay model gave %d for gate %q (the simulator is unit-delay: must be 1)", d, nd.Name)
-			}
-		}
+	if err := dm.Validate(nw); err != nil {
+		return nil, err
 	}
 	return MeasureStimulusCtx(ctx, nw, st)
 }
