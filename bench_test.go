@@ -334,10 +334,16 @@ func BenchmarkZeroDelayStep(b *testing.B) {
 	}
 }
 
+// BenchmarkEspressoMinimize times sop.Minimize on two shapes: random6 is
+// 16 random 8-cube covers over 6 variables without don't-cares; dontcare8
+// is the don't-care pass's shape, 16 local functions of 8 fanins given as
+// one minterm cube per pattern, about three eighths of the patterns in the
+// ON-set and a quarter in the don't-care set.
 func BenchmarkEspressoMinimize(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
-	covers := make([]*sop.Cover, 16)
-	for i := range covers {
+	type problem struct{ on, dc *sop.Cover }
+	random6 := make([]problem, 16)
+	for i := range random6 {
 		cv := sop.NewCover(6)
 		for k := 0; k < 8; k++ {
 			c := make(sop.Cube, 6)
@@ -346,13 +352,37 @@ func BenchmarkEspressoMinimize(b *testing.B) {
 			}
 			cv.Cubes = append(cv.Cubes, c)
 		}
-		covers[i] = cv
+		random6[i] = problem{cv, sop.NewCover(6)}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sop.Minimize(covers[i%len(covers)], sop.MinimizeOptions{}); err != nil {
-			b.Fatal(err)
+	dontcare8 := make([]problem, 16)
+	for i := range dontcare8 {
+		p := problem{sop.NewCover(8), sop.NewCover(8)}
+		for pat := 0; pat < 1<<8; pat++ {
+			c := make(sop.Cube, 8)
+			for j := range c {
+				c[j] = sop.Lit(pat >> j & 1)
+			}
+			switch x := r.Intn(8); {
+			case x < 3:
+				p.on.Cubes = append(p.on.Cubes, c)
+			case x < 5:
+				p.dc.Cubes = append(p.dc.Cubes, c)
+			}
 		}
+		dontcare8[i] = p
+	}
+	for _, shape := range []struct {
+		name     string
+		problems []problem
+	}{{"random6", random6}, {"dontcare8", dontcare8}} {
+		b.Run(shape.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p := shape.problems[i%len(shape.problems)]
+				if _, err := sop.Minimize(p.on, sop.MinimizeOptions{DontCare: p.dc}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

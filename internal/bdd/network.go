@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/logic"
 	"repro/internal/obsv/trace"
@@ -285,26 +284,6 @@ func (nb *NetworkBDDs) SiftOutputs(outs []logic.NodeID) (bool, error) {
 	nb.Fn, nb.roots = fn, roots
 	_, err := m.Reorder(roots)
 	return true, err
-}
-
-// Reorder sifts the manager's variable order, pinning every node
-// function ever built so all Fn refs stay valid. It returns the sifting
-// statistics.
-func (nb *NetworkBDDs) Reorder() (ReorderStats, error) {
-	roots := nb.roots
-	if roots == nil {
-		// A NetworkBDDs assembled by hand: fall back to the Fn map in
-		// deterministic NodeID order.
-		ids := make([]logic.NodeID, 0, len(nb.Fn))
-		for id := range nb.Fn {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			roots = append(roots, nb.Fn[id])
-		}
-	}
-	return nb.M.Reorder(roots)
 }
 
 // ApplyGate returns the function of a gate of type t over its fanin

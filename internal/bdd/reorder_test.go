@@ -122,7 +122,7 @@ func TestReorderPreservesSemantics(t *testing.T) {
 				}
 			}
 
-			st, err := nb.Reorder()
+			st, err := nb.M.Reorder(nb.roots)
 			if err != nil {
 				t.Fatalf("Reorder: %v", err)
 			}
@@ -204,7 +204,7 @@ func TestReorderShrinksComparator(t *testing.T) {
 		out = nb.Fn[po]
 	}
 	before := nb.M.NodeCount(out)
-	st, err := nb.Reorder()
+	st, err := nb.M.Reorder(nb.roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestReorderDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nb.Reorder(); err != nil {
+		if _, err := nb.M.Reorder(nb.roots); err != nil {
 			t.Fatal(err)
 		}
 		return nb.M, nb.M.Order()
@@ -272,7 +272,7 @@ func TestReorderBudgetAware(t *testing.T) {
 	}
 	m := nb.M
 	m.SetBudget(Budget{MaxSteps: m.Steps() + 8})
-	_, rerr := nb.Reorder()
+	_, rerr := nb.M.Reorder(nb.roots)
 	if rerr == nil || !errors.Is(rerr, ErrBudgetExceeded) {
 		t.Fatalf("budgeted Reorder returned %v, want ErrBudgetExceeded", rerr)
 	}
@@ -489,7 +489,7 @@ func TestReorderGaugeSeesSwapPeak(t *testing.T) {
 	}
 	m := nb.M
 	built := len(m.nodes)
-	if _, err := nb.Reorder(); err != nil {
+	if _, err := nb.M.Reorder(nb.roots); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.nodes) <= built {

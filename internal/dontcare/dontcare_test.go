@@ -220,13 +220,59 @@ func TestDcPolarized(t *testing.T) {
 		On: mustParse(t, 2, "11", "10"),
 		DC: mustParse(t, 2, "10"),
 	}
-	lo, hi := dcPolarized(dc, k)
+	lo, hi, err := dcPolarized(dc, k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// lo: onset minus DC = {11}. hi: onset plus DC = {11,10}.
 	if !lo.Eval([]bool{true, true}) || lo.Eval([]bool{true, false}) {
 		t.Errorf("lo cover wrong: %s", lo)
 	}
 	if !hi.Eval([]bool{true, true}) || !hi.Eval([]bool{true, false}) {
 		t.Errorf("hi cover wrong: %s", hi)
+	}
+}
+
+// TestPolarizedAndProbMatchReference holds dcPolarized and coverProb,
+// which read truth tables, to the cube-by-cube evaluation of every
+// pattern: the same cube lists in the same order, and bit-identical
+// probabilities, on random local functions of up to 8 fanins.
+func TestPolarizedAndProbMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	randomCover := func(k, cubes int) *sop.Cover {
+		cv := sop.NewCover(k)
+		for i := 0; i < cubes; i++ {
+			c := make(sop.Cube, k)
+			for j := range c {
+				c[j] = sop.Lit(r.Intn(3))
+			}
+			cv.Cubes = append(cv.Cubes, c)
+		}
+		return cv
+	}
+	for trial := 0; trial < 300; trial++ {
+		k := trial % (maxFanin + 1)
+		dc := &NodeDC{On: randomCover(k, r.Intn(6)), DC: randomCover(k, r.Intn(4)), PatternProb: make([]float64, 1<<k)}
+		for pat := range dc.PatternProb {
+			dc.PatternProb[pat] = r.Float64() / float64(len(dc.PatternProb))
+		}
+		lo, hi, err := dcPolarized(dc, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLo, wantHi := refDCPolarized(dc, k)
+		if lo.String() != wantLo.String() || hi.String() != wantHi.String() {
+			t.Fatalf("trial %d: dcPolarized = %q / %q, want %q / %q", trial, lo, hi, wantLo, wantHi)
+		}
+		for _, cv := range []*sop.Cover{dc.On, lo, hi} {
+			got, err := coverProb(cv, dc.PatternProb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refCoverProb(cv, dc.PatternProb, k); got != want {
+				t.Fatalf("trial %d: coverProb = %v, want %v", trial, got, want)
+			}
+		}
 	}
 }
 

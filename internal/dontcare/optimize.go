@@ -152,7 +152,10 @@ func (a *analyzer) optimizeNode(id logic.NodeID, opts Options, observed []bool) 
 	cands = append(cands, candidate{areaCover, "area"})
 
 	if opts.Objective != Area {
-		lo, hi := dcPolarized(dc, k)
+		lo, hi, err := dcPolarized(dc, k)
+		if err != nil {
+			return false, err
+		}
 		loMin, err := sop.Minimize(lo, sop.MinimizeOptions{})
 		if err != nil {
 			return false, err
@@ -177,14 +180,19 @@ func (a *analyzer) optimizeNode(id logic.NodeID, opts Options, observed []bool) 
 		// Pick the candidate whose node probability is farthest from 1/2.
 		best, bestDist := -1, -1.0
 		for i, c := range cands {
-			p := coverProb(c.cover, dc.PatternProb, k)
-			d := math.Abs(p - 0.5)
-			if d > bestDist {
+			p, err := coverProb(c.cover, dc.PatternProb)
+			if err != nil {
+				return false, err
+			}
+			if d := math.Abs(p - 0.5); d > bestDist {
 				best, bestDist = i, d
 			}
 		}
-		curDist := math.Abs(coverProb(dc.On, dc.PatternProb, k) - 0.5)
-		if bestDist <= curDist+1e-12 {
+		p, err := coverProb(dc.On, dc.PatternProb)
+		if err != nil {
+			return false, err
+		}
+		if bestDist <= math.Abs(p-0.5)+1e-12 {
 			return false, nil
 		}
 		return a.apply(id, cands[best].cover, dc.Fanins)
@@ -228,42 +236,45 @@ func (a *analyzer) optimizeNode(id logic.NodeID, opts Options, observed []bool) 
 
 // dcPolarized returns the two bulk assignments of the DC set: all
 // don't-care patterns to 0 (onset = On − DC) and all to 1 (onset = On ∪
-// DC).
-func dcPolarized(dc *NodeDC, k int) (lo, hi *sop.Cover) {
+// DC). The minterm cubes go in in pattern order, since Minimize's result
+// depends on the order of its cubes.
+func dcPolarized(dc *NodeDC, k int) (lo, hi *sop.Cover, err error) {
+	on, err := dc.On.TruthTable()
+	if err != nil {
+		return nil, nil, err
+	}
+	dcs, err := dc.DC.TruthTable()
+	if err != nil {
+		return nil, nil, err
+	}
 	lo = sop.NewCover(k)
 	hi = dc.On.Clone()
 	for pat := 0; pat < 1<<k; pat++ {
-		m := patternBits(pat, k)
-		inDC := dc.DC.Eval(m)
-		on := dc.On.Eval(m)
-		if on && !inDC {
+		inDC, isOn := dcs.Has(pat), on.Has(pat)
+		if isOn && !inDC {
 			lo.Cubes = append(lo.Cubes, mintermCube(pat, k))
 		}
-		if inDC && !on {
+		if inDC && !isOn {
 			hi.Cubes = append(hi.Cubes, mintermCube(pat, k))
 		}
 	}
-	return lo, hi
+	return lo, hi, nil
 }
 
 // coverProb computes the node probability of a cover under the exact local
-// pattern distribution.
-func coverProb(cv *sop.Cover, patternProb []float64, k int) float64 {
+// pattern distribution, summing in pattern order.
+func coverProb(cv *sop.Cover, patternProb []float64) (float64, error) {
+	t, err := cv.TruthTable()
+	if err != nil {
+		return 0, err
+	}
 	p := 0.0
-	for pat := 0; pat < 1<<k; pat++ {
-		if cv.Eval(patternBits(pat, k)) {
-			p += patternProb[pat]
+	for pat, q := range patternProb {
+		if t.Has(pat) {
+			p += q
 		}
 	}
-	return p
-}
-
-func patternBits(pat, k int) []bool {
-	m := make([]bool, k)
-	for j := 0; j < k; j++ {
-		m[j] = pat&(1<<j) != 0
-	}
-	return m
+	return p, nil
 }
 
 func mintermCube(pat, k int) sop.Cube {

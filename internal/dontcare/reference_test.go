@@ -213,7 +213,7 @@ func refOptimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, er
 	}
 	cands = append(cands, areaCover)
 	if opts.Objective != Area {
-		lo, hi := dcPolarized(dc, k)
+		lo, hi := refDCPolarized(dc, k)
 		loMin, err := sop.Minimize(lo, sop.MinimizeOptions{})
 		if err != nil {
 			return false, err
@@ -233,12 +233,12 @@ func refOptimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, er
 	case NodeActivity:
 		best, bestDist := -1, -1.0
 		for i, c := range cands {
-			d := math.Abs(coverProb(c, dc.PatternProb, k) - 0.5)
+			d := math.Abs(refCoverProb(c, dc.PatternProb, k) - 0.5)
 			if d > bestDist {
 				best, bestDist = i, d
 			}
 		}
-		curDist := math.Abs(coverProb(dc.On, dc.PatternProb, k) - 0.5)
+		curDist := math.Abs(refCoverProb(dc.On, dc.PatternProb, k) - 0.5)
 		if bestDist <= curDist+1e-12 {
 			return false, nil
 		}
@@ -273,4 +273,43 @@ func refOptimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, er
 		return applyCover(nw, id, bestCover, dc.Fanins)
 	}
 	return false, fmt.Errorf("dontcare: unknown objective %v", opts.Objective)
+}
+
+// refDCPolarized is dcPolarized evaluating both covers cube by cube on
+// every pattern.
+func refDCPolarized(dc *NodeDC, k int) (lo, hi *sop.Cover) {
+	lo = sop.NewCover(k)
+	hi = dc.On.Clone()
+	for pat := 0; pat < 1<<k; pat++ {
+		m := patternBits(pat, k)
+		inDC := dc.DC.Eval(m)
+		on := dc.On.Eval(m)
+		if on && !inDC {
+			lo.Cubes = append(lo.Cubes, mintermCube(pat, k))
+		}
+		if inDC && !on {
+			hi.Cubes = append(hi.Cubes, mintermCube(pat, k))
+		}
+	}
+	return lo, hi
+}
+
+// refCoverProb is coverProb evaluating the cover cube by cube on every
+// pattern.
+func refCoverProb(cv *sop.Cover, patternProb []float64, k int) float64 {
+	p := 0.0
+	for pat := 0; pat < 1<<k; pat++ {
+		if cv.Eval(patternBits(pat, k)) {
+			p += patternProb[pat]
+		}
+	}
+	return p
+}
+
+func patternBits(pat, k int) []bool {
+	m := make([]bool, k)
+	for j := 0; j < k; j++ {
+		m[j] = pat&(1<<j) != 0
+	}
+	return m
 }

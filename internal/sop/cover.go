@@ -2,7 +2,6 @@ package sop
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -140,7 +139,7 @@ func (cv *Cover) Tautology() bool {
 		return true
 	}
 	if len(cv.Cubes) == 0 {
-		return cv.NumVars == 0
+		return false // constant false, over any number of variables
 	}
 	v := cv.mostBinate()
 	if v < 0 {
@@ -240,14 +239,31 @@ func (cv *Cover) Complement() *Cover {
 }
 
 // SingleCubeContainment removes cubes contained in another single cube and
-// returns the (new) cover.
+// returns the (new) cover. Cubes are kept largest first (fewest literals),
+// in cover order among equal sizes.
 func (cv *Cover) SingleCubeContainment() *Cover {
-	out := NewCover(cv.NumVars)
-	// Sort by decreasing size (fewer literals first = bigger cube).
-	sorted := append([]Cube(nil), cv.Cubes...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].NumLiterals() < sorted[j].NumLiterals()
-	})
+	// A stable counting sort by literal count: linear, where a comparison
+	// sort was a tenth of the don't-care pass.
+	lits := make([]int, len(cv.Cubes))
+	most := 0
+	for i, c := range cv.Cubes {
+		lits[i] = c.NumLiterals()
+		most = max(most, lits[i])
+	}
+	start := make([]int, most+2)
+	for _, l := range lits {
+		start[l+1]++
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	sorted := make([]Cube, len(cv.Cubes))
+	for i, c := range cv.Cubes {
+		sorted[start[lits[i]]] = c
+		start[lits[i]]++
+	}
+	// Filter in place: a kept cube is written at or before its own index.
+	out := &Cover{NumVars: cv.NumVars, Cubes: sorted[:0]}
 	for _, c := range sorted {
 		contained := false
 		for _, k := range out.Cubes {

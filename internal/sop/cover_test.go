@@ -93,6 +93,9 @@ func TestTautology(t *testing.T) {
 		{3, []string{"1--", "01-", "001", "000"}, true},
 		{3, []string{"11-", "1-1", "-11", "00-", "0-0", "-00"}, true}, // majority + minority
 		{2, []string{}, false},
+		// Over zero variables the empty cover is still constant false.
+		{0, []string{}, false},
+		{0, []string{""}, true},
 	}
 	for i, c := range cases {
 		cv := mustCover(t, c.n, c.rows...)
@@ -157,6 +160,12 @@ func TestSingleCubeContainment(t *testing.T) {
 	out := cv.SingleCubeContainment()
 	if len(out.Cubes) != 1 || out.Cubes[0].String() != "1--" {
 		t.Errorf("SCC left %v", out.Cubes)
+	}
+	// Largest first, cover order among equal sizes: Minimize's output
+	// depends on this order.
+	cv = mustCover(t, 3, "11-", "0-0", "--1", "111", "-0-")
+	if got := cv.SingleCubeContainment().String(); got != "--1\n-0-\n11-\n0-0" {
+		t.Errorf("SCC order = %q", got)
 	}
 }
 

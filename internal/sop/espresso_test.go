@@ -72,36 +72,56 @@ func TestMinimizeRandomPreservesFunction(t *testing.T) {
 	}
 }
 
+// oracles returns both set oracles of f with don't-care set dc (empty
+// when nil), by name.
+func oracles(f, dc *Cover) map[string]oracle {
+	if dc == nil {
+		dc = NewCover(f.NumVars)
+	}
+	return map[string]oracle{
+		"table": newTableOracle(support(f.NumVars, f, dc), f, dc),
+		"cube":  newCubeOracle(f, dc),
+	}
+}
+
 func TestExpandMakesPrimes(t *testing.T) {
 	f := mustCover(t, 3, "110", "111")
-	off := f.Complement()
-	e := Expand(f, off)
-	// The two cubes merge to 11-.
-	if len(e.Cubes) != 1 || e.Cubes[0].String() != "11-" {
-		t.Errorf("expand result = %v", e.Cubes)
+	for name, o := range oracles(f, nil) {
+		e := expand(f, o)
+		// The two cubes merge to 11-.
+		if len(e.Cubes) != 1 || e.Cubes[0].String() != "11-" {
+			t.Errorf("%s: expand result = %v", name, e.Cubes)
+		}
 	}
 }
 
 func TestIrredundantDropsRedundant(t *testing.T) {
 	f := mustCover(t, 2, "1-", "-1", "11") // 11 is redundant
-	out := Irredundant(f, nil)
-	if len(out.Cubes) != 2 {
-		t.Errorf("irredundant left %d cubes: %v", len(out.Cubes), out.Cubes)
-	}
-	if !out.Equivalent(f) {
-		t.Error("function changed")
+	for name, o := range oracles(f, nil) {
+		out := irredundant(f, o)
+		if len(out.Cubes) != 2 {
+			t.Errorf("%s: irredundant left %d cubes: %v", name, len(out.Cubes), out.Cubes)
+		}
+		if !out.Equivalent(f) {
+			t.Errorf("%s: function changed", name)
+		}
 	}
 }
 
 func TestReduceShrinksOverlap(t *testing.T) {
-	// f = 1- + -1: reduce of -1 against 1- should shrink it to 01 (its
-	// unique part), keeping the function covered jointly.
+	// f = 1- + -1: reduce of 1- against -1 shrinks it to 10 (its unique
+	// part); -1 is then reduced against 10 and stays -1.
 	f := mustCover(t, 2, "1-", "-1")
-	out := Reduce(f, nil)
-	if !out.Equivalent(f) {
-		// Reduce alone may shrink covers only if still covering; in this
-		// overlapping case the union must be preserved.
-		t.Errorf("reduce changed function: %v", out.Cubes)
+	for name, o := range oracles(f, nil) {
+		out := reduce(f, o)
+		if !out.Equivalent(f) {
+			// Reduce alone may shrink covers only if still covering; in this
+			// overlapping case the union must be preserved.
+			t.Errorf("%s: reduce changed function: %v", name, out.Cubes)
+		}
+		if got := out.String(); got != "10\n-1" {
+			t.Errorf("%s: reduce = %q, want 10 and -1", name, got)
+		}
 	}
 }
 

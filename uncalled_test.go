@@ -61,6 +61,9 @@ var implicitMethods = map[string]string{
 // the root module or the bench module that no non-test Go file
 // references, unless uncalledAllowlist names it with a reason. It also
 // fails on allowlist lines that no longer name an uncalled function.
+// Methods are matched by selector name only: a method counts as called
+// when any non-test file calls a method of that name on any type, so one
+// whose name another type's called method shares is never flagged.
 func TestNoUncalledFunctions(t *testing.T) {
 	found, err := uncalledFuncs(".", "repro")
 	if err != nil {
