@@ -131,8 +131,8 @@ func Apply(ctx context.Context, nw *logic.Network, nb *bdd.NetworkBDDs, opt Opti
 	if !opt.KeepWorse && res.After >= res.Before {
 		return res, nil
 	}
-	// Accepted: emit into the live network through the mutation APIs,
-	// keeping dirty tracking honest.
+	// Accepted: the pass rewrites nw in place, so replay the emission
+	// into it through the mutation APIs.
 	if _, err := emitMux(nw, nb); err != nil {
 		return nil, fmt.Errorf("bddsynth: applying accepted rewrite: %w", err)
 	}

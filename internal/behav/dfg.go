@@ -89,9 +89,6 @@ func (d *DFG) Const(name string, val int) (*Op, error) {
 // Add declares a two-operand addition.
 func (d *DFG) Add(name string, a, b *Op) (*Op, error) { return d.add(OpAdd, name, a.ID, b.ID) }
 
-// Sub declares a subtraction.
-func (d *DFG) Sub(name string, a, b *Op) (*Op, error) { return d.add(OpSub, name, a.ID, b.ID) }
-
 // Mul declares a multiplication.
 func (d *DFG) Mul(name string, a, b *Op) (*Op, error) { return d.add(OpMul, name, a.ID, b.ID) }
 

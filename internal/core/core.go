@@ -53,9 +53,8 @@ type Context struct {
 	// exactly that.
 	Incremental bool
 	// FullRecompute keeps the incremental measurement engines but
-	// discards the baseline before every measurement — the escape hatch
-	// when a rewrite is suspected of bypassing dirty tracking, and the
-	// honest baseline incremental runs are benchmarked against. Only
+	// discards the baseline before every measurement — the reference
+	// incremental runs are checked and benchmarked against. Only
 	// meaningful with Incremental set.
 	FullRecompute bool
 	// IncrMaxConeFrac forwards power.IncrementalEstimator.MaxConeFrac:
@@ -63,11 +62,6 @@ type Context struct {
 	// combinational nodes take the full-recompute path instead (0 = no
 	// bound).
 	IncrMaxConeFrac float64
-	// DirtyAudit re-fingerprints the network around every pass and fails
-	// the flow if a pass changed nodes it did not record in the dirty set
-	// (logic.DirtyAudit) — the debug check that catches mutation-API
-	// bypasses before they can poison incremental re-estimation.
-	DirtyAudit bool
 	// ExtraPasses supplements Registry() for flows run under this
 	// context; a name collision resolves to the extra pass. Benchmarks
 	// and tests use this to inject custom rewrites into a flow.
@@ -351,7 +345,7 @@ func RunFlow(nw *logic.Network, flow Flow, fctx *Context) (*FlowReport, error) {
 // byte-identical to the one last measured (same logic.StructuralHash)
 // carries the previous snapshot forward under its own label instead of
 // measuring again (counted by lpflow.measure.reused); in incremental
-// mode the dirty set then waits for the next measurement.
+// mode the next measurement's cone then covers this pass's changes too.
 func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context) (*FlowReport, error) {
 	reg := Registry()
 	for name, p := range fctx.ExtraPasses {
@@ -359,7 +353,7 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 	}
 	// One estimator serves every measurement of the flow: the initial
 	// call takes the full baseline, and each pass's measurement then
-	// re-derives only the dirty cone the pass touched.
+	// re-derives only the cone of the nodes the pass changed.
 	var est *power.IncrementalEstimator
 	if fctx.Incremental && len(nw.FFs()) == 0 {
 		est = newFlowEstimator(nw, fctx)
@@ -369,13 +363,6 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 			return measureIncremental(ctx, nw, fctx, label, est)
 		}
 		return MeasureCtx(ctx, nw, fctx, label)
-	}
-	if fctx.DirtyAudit && est == nil {
-		// Without an estimator nothing consumes the dirty set, so the
-		// audit owns the per-pass window: drop construction-time dirt now
-		// and after each verified pass, or a bypassed write to an
-		// already-dirty node would slip through.
-		nw.ClearDirty()
 	}
 	rep := &FlowReport{Flow: flow.Name}
 	snap, err := measure(ctx, "initial")
@@ -400,10 +387,6 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 		if !ok {
 			return nil, fmt.Errorf("core: unknown pass %q in flow %q", name, flow.Name)
 		}
-		var audit *logic.DirtyAudit
-		if fctx.DirtyAudit {
-			audit = logic.NewDirtyAudit(nw)
-		}
 		// The pass span covers the pass, its checks and the measurement
 		// after it, so the measurement's engine spans nest under it. It
 		// ends explicitly below; the deferred End (a no-op once it has
@@ -419,16 +402,6 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 		}
 		if err := nw.Check(); err != nil {
 			return nil, fmt.Errorf("core: pass %q corrupted network: %w", name, err)
-		}
-		if audit != nil {
-			// Dirty() (not TakeDirty) keeps the set intact for the
-			// measurement below to consume.
-			if err := audit.Verify(nw, nw.Dirty()); err != nil {
-				return nil, fmt.Errorf("core: pass %q: %w", name, err)
-			}
-			if est == nil {
-				nw.ClearDirty()
-			}
 		}
 		if golden != nil {
 			eq, err := golden.Equivalent(nw)
@@ -448,8 +421,7 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 		} else if err = ctx.Err(); err == nil {
 			// Byte-identical to the network last measured, and a
 			// measurement is a pure function of the network and fctx:
-			// measuring again would return prev. In incremental mode the
-			// dirty set stays for the next measurement to consume.
+			// measuring again would return prev.
 			reused.Inc()
 		}
 		if err != nil {

@@ -63,11 +63,39 @@ func rewriteFlow(nw *logic.Network, seed int64, n int) (*Context, Flow) {
 	return fctx, flow
 }
 
+// randomNetlist builds a seeded random combinational netlist of 8-24
+// inputs: 20-160 two-input gates of every binary type, fanins drawn from
+// every earlier signal, and every signal without fanout an output.
+func randomNetlist(seed int64) *logic.Network {
+	r := rand.New(rand.NewSource(seed))
+	nw := logic.New(fmt.Sprintf("rand%d", seed))
+	var sig []logic.NodeID
+	for i, n := 0, 8+r.Intn(17); i < n; i++ {
+		sig = append(sig, nw.MustInput(fmt.Sprintf("i%d", i)))
+	}
+	types := []logic.GateType{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor}
+	used := map[logic.NodeID]bool{}
+	for g, n := 0, 20+r.Intn(141); g < n; g++ {
+		a, b := sig[r.Intn(len(sig))], sig[r.Intn(len(sig))]
+		used[a], used[b] = true, true
+		sig = append(sig, nw.MustGate(fmt.Sprintf("g%d", g), types[r.Intn(len(types))], a, b))
+	}
+	for _, id := range sig {
+		if !used[id] && nw.Node(id).Type != logic.Input {
+			if err := nw.MarkOutput(id); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return nw
+}
+
 // TestFlowIncrementalBitIdentical is the flow-level half of the
-// incremental-vs-full contract: on every circuit generator, both the
-// standard flows and a randomized rewrite sequence produce byte-identical
-// trajectories whether measurements splice into the baseline or recompute
-// from scratch (FullRecompute) at every step.
+// incremental-vs-full contract: on every circuit generator and 20 seeded
+// random netlists, the standard flows, every registered pass run alone
+// and a randomized rewrite sequence produce byte-identical trajectories
+// whether measurements splice into the baseline or recompute from
+// scratch (FullRecompute) at every step.
 func TestFlowIncrementalBitIdentical(t *testing.T) {
 	gens := map[string]func() (*logic.Network, error){
 		"radd4": func() (*logic.Network, error) { return circuits.RippleAdder(4) },
@@ -79,56 +107,68 @@ func TestFlowIncrementalBitIdentical(t *testing.T) {
 		"alu3":  func() (*logic.Network, error) { return circuits.ALU(3) },
 		"mux8":  func() (*logic.Network, error) { return circuits.MuxTree(3) },
 	}
+	for seed := int64(1); seed <= 20; seed++ {
+		gens[fmt.Sprintf("rand%d", seed)] = func() (*logic.Network, error) { return randomNetlist(seed), nil }
+	}
 	flows := StandardFlows()
+	for _, name := range PassNames() {
+		flows["pass-"+name] = Flow{Name: name, Passes: []string{name}}
+	}
 	for gname, gen := range gens {
 		for fname, flow := range flows {
-			nwA, err := gen()
-			if err != nil {
-				t.Fatal(err)
-			}
-			nwB := nwA.Clone()
-
-			ctxA := NewContext(nwA, 42)
-			ctxA.Incremental = true
-			ctxA.DirtyAudit = true
-			repA, err := RunFlow(nwA, flow, ctxA)
-			if err != nil {
-				t.Fatalf("%s/%s incremental: %v", gname, fname, err)
-			}
-
-			ctxB := NewContext(nwB, 42)
-			ctxB.Incremental = true
-			ctxB.FullRecompute = true
-			repB, err := RunFlow(nwB, flow, ctxB)
-			if err != nil {
-				t.Fatalf("%s/%s full: %v", gname, fname, err)
-			}
-
-			compareTrajectories(t, gname+"/"+fname, repA, repB)
+			compareIncrementalFull(t, gname+"/"+fname, gen, func(nw *logic.Network) (*Context, Flow) {
+				return NewContext(nw, 42), flow
+			})
 		}
-
 		// Randomized rewrite sequence via ExtraPasses.
-		nwA, err := gen()
+		compareIncrementalFull(t, gname+"/rewrite", gen, func(nw *logic.Network) (*Context, Flow) {
+			return rewriteFlow(nw, int64(len(gname)), 8)
+		})
+	}
+}
+
+// TestFlowIncrementalSeesDirectWrites: a pass that writes a Node field
+// directly, bypassing the mutation APIs, still gets an incremental
+// trajectory identical to recomputing from scratch, because the estimator
+// compares node fields rather than trusting the APIs to report changes.
+func TestFlowIncrementalSeesDirectWrites(t *testing.T) {
+	bypass := Pass{
+		Name: "bypass", Level: "logic",
+		Description: "direct field write (test)",
+		Run: func(nw *logic.Network, ctx *Context) error {
+			g := nw.Gates()[0]
+			nw.Node(g).Type = logic.And // bypasses the mutation API
+			return nil
+		},
+	}
+	compareIncrementalFull(t, "par4/bypass", func() (*logic.Network, error) { return circuits.ParityTree(4) },
+		func(nw *logic.Network) (*Context, Flow) {
+			fctx := NewContext(nw, 1)
+			fctx.Verify = false // the bypass changes function; that is not the point here
+			fctx.ExtraPasses = map[string]Pass{"bypass": bypass}
+			return fctx, Flow{Name: "bypass", Passes: []string{"bypass"}}
+		})
+}
+
+// compareIncrementalFull runs the flow that setup returns twice on fresh
+// networks from gen, incrementally and with FullRecompute, and demands
+// identical trajectories.
+func compareIncrementalFull(t *testing.T, label string, gen func() (*logic.Network, error), setup func(*logic.Network) (*Context, Flow)) {
+	t.Helper()
+	var reps [2]*FlowReport
+	for i := range reps {
+		nw, err := gen()
 		if err != nil {
 			t.Fatal(err)
 		}
-		nwB := nwA.Clone()
-		ctxA, flow := rewriteFlow(nwA, int64(len(gname)), 8)
-		ctxA.Incremental = true
-		ctxA.DirtyAudit = true
-		repA, err := RunFlow(nwA, flow, ctxA)
-		if err != nil {
-			t.Fatalf("%s/rewrite incremental: %v", gname, err)
+		fctx, flow := setup(nw)
+		fctx.Incremental = true
+		fctx.FullRecompute = i == 1
+		if reps[i], err = RunFlow(nw, flow, fctx); err != nil {
+			t.Fatalf("%s (full recompute %t): %v", label, fctx.FullRecompute, err)
 		}
-		ctxB, flowB := rewriteFlow(nwB, int64(len(gname)), 8)
-		ctxB.Incremental = true
-		ctxB.FullRecompute = true
-		repB, err := RunFlow(nwB, flowB, ctxB)
-		if err != nil {
-			t.Fatalf("%s/rewrite full: %v", gname, err)
-		}
-		compareTrajectories(t, gname+"/rewrite", repA, repB)
 	}
+	compareTrajectories(t, label, reps[0], reps[1])
 }
 
 // compareTrajectories demands exact snapshot equality step by step, plus
@@ -146,50 +186,6 @@ func compareTrajectories(t *testing.T, label string, a, b *FlowReport) {
 	sa, sb := a.String(), b.String()
 	if sa != sb {
 		t.Fatalf("%s: rendered trajectories differ:\n%s\nvs\n%s", label, sa, sb)
-	}
-}
-
-// TestRegistryPassesPassDirtyAudit runs every registered pass under the
-// dirty audit: any pass mutating the network outside the mutation API
-// (and so invisibly to incremental re-estimation) fails the flow. This is
-// the executable form of the pass audit.
-func TestRegistryPassesPassDirtyAudit(t *testing.T) {
-	for name := range Registry() {
-		nw, err := circuits.ArrayMultiplier(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fctx := NewContext(nw, 7)
-		fctx.DirtyAudit = true
-		if _, err := RunFlow(nw, Flow{Name: "audit-" + name, Passes: []string{name}}, fctx); err != nil {
-			t.Errorf("pass %q failed under dirty audit: %v", name, err)
-		}
-	}
-}
-
-// TestDirtyAuditCatchesBypass proves the audit actually bites: a pass
-// writing Node fields directly fails the flow with a bypass error.
-func TestDirtyAuditCatchesBypass(t *testing.T) {
-	nw, err := circuits.ParityTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fctx := NewContext(nw, 1)
-	fctx.DirtyAudit = true
-	fctx.Verify = false // the bypass changes function; that's not the point here
-	fctx.ExtraPasses = map[string]Pass{
-		"bypass": {
-			Name: "bypass", Level: "logic",
-			Description: "illegal direct field write (test)",
-			Run: func(nw *logic.Network, ctx *Context) error {
-				g := nw.Gates()[0]
-				nw.Node(g).Type = logic.Xnor // bypasses the mutation API
-				return nil
-			},
-		},
-	}
-	if _, err := RunFlow(nw, Flow{Name: "bypass", Passes: []string{"bypass"}}, fctx); err == nil {
-		t.Fatal("dirty audit missed a direct Node field write")
 	}
 }
 

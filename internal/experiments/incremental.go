@@ -7,11 +7,12 @@ import (
 
 // E17Incremental quantifies the dirty-cone reuse that makes estimate-in-
 // the-loop flows tractable (ROADMAP item 3; cf. Simopt-Power's carried
-// simulation metadata): each lowpower-flow pass re-derives only its dirty
-// cone, and the table reports how much of the network was reused — with
-// every incremental measurement cross-checked for exact equality against
-// a from-scratch recompute of the same engines. All columns are
-// structural, so the table is byte-deterministic (servable and cacheable).
+// simulation metadata): each lowpower-flow measurement re-derives only the
+// cone of the nodes the pass changed, and the table reports how much of
+// the network was reused — with every incremental measurement
+// cross-checked for exact equality against a from-scratch recompute of
+// the same engines. All columns are structural, so the table is
+// byte-deterministic (servable and cacheable).
 func E17Incremental() (*Table, error) {
 	t := &Table{
 		ID:     "E17",
@@ -42,7 +43,6 @@ func E17Incremental() (*Table, error) {
 			}
 			// From-scratch reference on the now-mutated network: a fresh
 			// estimator's first measurement is always a full recompute.
-			// (It runs after est.Measure so it cannot steal the dirty set.)
 			refEst := power.NewIncrementalEstimator(nw, fctx.Params, fctx.CapModel, fctx.InputProb, fctx.Vectors)
 			ref, err := refEst.Measure()
 			if err != nil {

@@ -2,15 +2,17 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// Cone is the re-evaluation frontier derived from a dirty set: exactly
-// the nodes whose computed values may differ from a stored baseline, in
-// an order they can be recomputed in. It is the contract between the
-// Network's mutation tracking and the incremental estimation engines
-// (power.IncrementalEstimator): everything outside Members and Removed is
-// guaranteed unchanged and its stored per-node state may be reused.
+// Cone is the re-evaluation frontier derived from a dirty set (the nodes
+// a Shape saw change): exactly the nodes whose computed values may differ
+// from a stored baseline, in an order they can be recomputed in. It is
+// the contract between change detection and the incremental estimation
+// engines (power.IncrementalEstimator): everything outside Members and
+// Removed is guaranteed unchanged and its stored per-node state may be
+// reused.
 type Cone struct {
 	// Members holds the live combinational nodes (gates and constants)
 	// in the transitive fanout of the dirty set, dirty roots included, in
@@ -31,7 +33,7 @@ type Cone struct {
 }
 
 // DirtyCone computes the cone for an explicit dirty set, usually one
-// returned by TakeDirty. It returns an error only when the network's
+// returned by Shape.Update. It returns an error only when the network's
 // combinational part is cyclic (the topological order is unavailable, so
 // no recomputation order exists either).
 func (nw *Network) DirtyCone(dirty []NodeID) (*Cone, error) {
@@ -94,96 +96,56 @@ func (nw *Network) DirtyCone(dirty []NodeID) (*Cone, error) {
 	return c, nil
 }
 
-// DirtyAudit detects rewrites that bypass the Network mutation APIs (and
-// therefore dirty tracking) by fingerprinting every node's structure at
-// snapshot time. Verify then re-fingerprints and demands that every
-// changed node is accounted for in the given dirty set — a cheap, total
-// check a flow can run after every pass in debug configurations
-// (core.Context.DirtyAudit). A bypass that slips through would silently
-// poison incremental re-estimation; this turns it into a loud error.
-type DirtyAudit struct {
-	sums []uint64
-	pos  uint64
+// Shape is a record of a network's structure, node slot by node slot:
+// each slot's type, liveness, reset value, fanin list and the number of
+// primary outputs it drives — every field that determines a node's
+// computed value and role (names and fanout lists, the mirror of other
+// nodes' fanins, are left out). Update compares the network against the
+// record, so a consumer that keeps a Shape finds what changed since it
+// last looked without the network tracking anything on its behalf. Its
+// buffers are reused across calls. The zero Shape is an empty record.
+type Shape struct {
+	slots, prev      []shapeSlot
+	fanin, prevFanin []NodeID // slot fanin lists, concatenated
+	changed          []NodeID
 }
 
-// NewDirtyAudit snapshots the network's per-node structural fingerprints.
-func NewDirtyAudit(nw *Network) *DirtyAudit {
-	a := &DirtyAudit{sums: make([]uint64, len(nw.nodes))}
+type shapeSlot struct {
+	lo, hi     int32 // the node's fanin list is fanin[lo:hi]
+	outputs    int32 // primary outputs the node drives
+	typ        uint8
+	dead, init bool
+}
+
+// Update returns, in ID order, the node slots of nw that differ from the
+// record (slots the record does not have included), then records nw.
+// The comparison is exact, so a change is never missed; the returned
+// slice is the Shape's own and is valid until the next Update.
+func (s *Shape) Update(nw *Network) []NodeID {
+	edges := 0
+	for _, n := range nw.nodes {
+		edges += len(n.Fanin)
+	}
+	s.slots, s.prev = slices.Grow(s.prev[:0], len(nw.nodes))[:len(nw.nodes)], s.slots
+	s.fanin, s.prevFanin = slices.Grow(s.prevFanin[:0], edges), s.fanin
+	s.changed = slices.Grow(s.changed[:0], len(nw.nodes))
+	clear(s.slots)
+	for _, p := range nw.pos {
+		s.slots[p].outputs++
+	}
 	for i, n := range nw.nodes {
-		a.sums[i] = nodeSum(n)
-	}
-	a.pos = idListSum(nw.pos)
-	return a
-}
-
-// Verify compares the network against the snapshot: every node whose
-// fingerprint changed (including added and deleted nodes) must appear in
-// dirty, and a changed primary-output list requires at least one dirty
-// node. It reports the first offender; nil means the dirty set fully
-// accounts for all structural change.
-func (a *DirtyAudit) Verify(nw *Network, dirty []NodeID) error {
-	in := make(map[NodeID]bool, len(dirty))
-	for _, id := range dirty {
-		in[id] = true
-	}
-	for i, n := range nw.nodes {
-		var snap uint64 // zero = node did not exist at snapshot time
-		if i < len(a.sums) {
-			snap = a.sums[i]
+		c := &s.slots[i]
+		c.lo = int32(len(s.fanin))
+		s.fanin = append(s.fanin, n.Fanin...)
+		c.hi, c.typ, c.dead, c.init = int32(len(s.fanin)), uint8(n.Type), n.dead, n.InitVal
+		if i < len(s.prev) {
+			p := s.prev[i]
+			if c.typ == p.typ && c.dead == p.dead && c.init == p.init && c.outputs == p.outputs &&
+				slices.Equal(s.fanin[c.lo:c.hi], s.prevFanin[p.lo:p.hi]) {
+				continue
+			}
 		}
-		if nodeSum(n) == snap {
-			continue
-		}
-		if !in[n.ID] {
-			return fmt.Errorf("logic: node %d (%q) changed without being marked dirty — a rewrite bypassed the Network mutation API", n.ID, n.Name)
-		}
+		s.changed = append(s.changed, NodeID(i))
 	}
-	if idListSum(nw.pos) != a.pos && len(dirty) == 0 {
-		return fmt.Errorf("logic: primary-output list changed without any dirty node — a rewrite bypassed the Network mutation API")
-	}
-	return nil
-}
-
-// nodeSum is an FNV-1a fingerprint of the fields that determine a node's
-// computed value and role: type, liveness, fanin list and DFF reset
-// value. Names and fanout lists are deliberately excluded — fanout is the
-// mirror of other nodes' fanins, and renames don't change values.
-func nodeSum(n *Node) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime
-		}
-	}
-	mix(uint64(n.Type))
-	if n.dead {
-		mix(1)
-	} else {
-		mix(2)
-	}
-	if n.InitVal {
-		mix(3)
-	}
-	mix(uint64(len(n.Fanin)))
-	for _, f := range n.Fanin {
-		mix(uint64(f))
-	}
-	if h == 0 { // reserve 0 for "did not exist"
-		h = 1
-	}
-	return h
-}
-
-func idListSum(ids []NodeID) uint64 {
-	h := uint64(14695981039346656037)
-	for _, id := range ids {
-		h ^= uint64(id) + 0x9e3779b97f4a7c15
-		h *= 1099511628211
-	}
-	return h
+	return s.changed
 }

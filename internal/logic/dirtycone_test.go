@@ -1,20 +1,15 @@
 package logic
 
 import (
+	"slices"
 	"testing"
 )
 
-func idSet(ids []NodeID) map[NodeID]bool {
-	m := make(map[NodeID]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
-// TestDirtyTracking: every mutation API records the touched nodes, and
-// TakeDirty drains the set.
-func TestDirtyTracking(t *testing.T) {
+// TestShapeUpdate: Update reports, in ID order, exactly the slots each
+// mutation API changed since the last Update — new slots, rewired
+// consumers, deleted nodes and primary-output roles — and nothing when
+// the network is unchanged.
+func TestShapeUpdate(t *testing.T) {
 	nw := New("d")
 	a := nw.MustInput("a")
 	b := nw.MustInput("b")
@@ -23,42 +18,96 @@ func TestDirtyTracking(t *testing.T) {
 	if err := nw.MarkOutput(g2); err != nil {
 		t.Fatal(err)
 	}
-	d := idSet(nw.TakeDirty())
-	for _, id := range []NodeID{a, b, g1, g2} {
-		if !d[id] {
-			t.Errorf("node %d not dirty after construction", id)
+	var sh Shape
+	check := func(step string, want ...NodeID) {
+		t.Helper()
+		if got := sh.Update(nw); !slices.Equal(got, want) {
+			t.Errorf("%s: changed = %v, want %v", step, got, want)
 		}
 	}
-	if d := nw.Dirty(); len(d) != 0 {
-		t.Fatalf("TakeDirty left %d entries", len(d))
-	}
+	check("first update", a, b, g1, g2)
+	check("no change")
 
-	// ReplaceFanin dirties the rewired consumer.
 	if err := nw.ReplaceFanin(g1, b, a); err != nil {
 		t.Fatal(err)
 	}
-	if d := nw.Dirty(); len(d) != 1 || d[0] != g1 {
-		t.Errorf("ReplaceFanin dirty = %v, want [%d]", d, g1)
-	}
-	// Dirty (without Take) must not consume.
-	if len(nw.Dirty()) != 1 {
-		t.Error("Dirty() consumed the set")
-	}
-	nw.ClearDirty()
+	check("ReplaceFanin", g1)
 
-	// ReplaceNode dirties consumers of the old node (rewired fanins) and
-	// deletes the old node (also dirty).
 	g3 := nw.MustGate("g3", And, a, a)
-	nw.ClearDirty()
+	check("AddGate", g3)
+
+	// ReplaceNode rewires g1's consumer g2 and deletes g1.
 	if err := nw.ReplaceNode(g1, g3); err != nil {
 		t.Fatal(err)
 	}
-	d = idSet(nw.TakeDirty())
-	if !d[g2] {
-		t.Error("ReplaceNode did not dirty the rewired consumer g2")
+	check("ReplaceNode", g1, g2)
+
+	// Redirecting an output moves the role from the old driver (deleted)
+	// to the new one.
+	g4 := nw.MustGate("g4", Buf, g3)
+	check("AddGate of a second consumer", g4)
+	if err := nw.ReplaceNode(g2, g4); err != nil {
+		t.Fatal(err)
 	}
-	if !d[g1] {
-		t.Error("ReplaceNode did not dirty the deleted node g1")
+	check("ReplaceNode of an output driver", g2, g4)
+
+	if err := nw.MarkOutput(g3); err != nil {
+		t.Fatal(err)
+	}
+	check("MarkOutput", g3)
+
+	ff, err := nw.AddDFF("ff", g3, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("AddDFF", ff)
+
+	g5 := nw.MustGate("g5", Not, a)
+	if err := nw.DeleteNode(g5); err != nil {
+		t.Fatal(err)
+	}
+	check("AddGate then DeleteNode", g5)
+
+	// Two shapes on one network keep separate records.
+	var other Shape
+	if got := other.Update(nw); len(got) != nw.NumNodes() {
+		t.Errorf("a second shape's first update reported %d of %d slots", len(got), nw.NumNodes())
+	}
+	check("after another shape's update")
+}
+
+// TestShapeSeesDirectWrites: the comparison reads the node fields
+// themselves, so writes that bypass the mutation APIs are reported too.
+func TestShapeSeesDirectWrites(t *testing.T) {
+	nw := New("a")
+	x := nw.MustInput("x")
+	y := nw.MustInput("y")
+	g1 := nw.MustGate("g1", And, x, y)
+	g2 := nw.MustGate("g2", Not, g1)
+	if err := nw.MarkOutput(g2); err != nil {
+		t.Fatal(err)
+	}
+	ff, err := nw.AddDFF("ff", g2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sh Shape
+	sh.Update(nw)
+	for _, tc := range []struct {
+		name  string
+		write func()
+		want  []NodeID
+	}{
+		{"Node.Type", func() { nw.Node(g1).Type = Nand }, []NodeID{g1}},
+		{"Fanin splice", func() { nw.Node(g2).Fanin[0] = x }, []NodeID{g2}},
+		{"InitVal", func() { nw.Node(ff).InitVal = true }, []NodeID{ff}},
+		{"output list", func() { nw.POs()[0] = g1 }, []NodeID{g1, g2}},
+		{"name only", func() { nw.Node(g1).Name = "renamed" }, nil},
+	} {
+		tc.write()
+		if got := sh.Update(nw); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: changed = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -76,7 +125,6 @@ func TestDirtyCone(t *testing.T) {
 	if err := nw.MarkOutput(g4); err != nil {
 		t.Fatal(err)
 	}
-	nw.ClearDirty()
 
 	cone, err := nw.DirtyCone([]NodeID{g1})
 	if err != nil {
@@ -122,11 +170,12 @@ func TestDirtyCone(t *testing.T) {
 
 	// A deleted dirty node lands in Removed, not Members.
 	g5 := nw.MustGate("g5", Not, a)
-	nw.ClearDirty()
+	var sh Shape
+	sh.Update(nw)
 	if err := nw.DeleteNode(g5); err != nil {
 		t.Fatal(err)
 	}
-	cone, err = nw.DirtyCone(nw.TakeDirty())
+	cone, err = nw.DirtyCone(sh.Update(nw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +201,6 @@ func TestDirtyConeStopsAtDFF(t *testing.T) {
 	if err := nw.MarkOutput(g2); err != nil {
 		t.Fatal(err)
 	}
-	nw.ClearDirty()
 
 	cone, err := nw.DirtyCone([]NodeID{g1})
 	if err != nil {
@@ -166,54 +214,5 @@ func TestDirtyConeStopsAtDFF(t *testing.T) {
 	}
 	if len(cone.Members) != 1 || cone.Members[0] != g1 {
 		t.Errorf("Members = %v, want [%d]", cone.Members, g1)
-	}
-}
-
-// TestDirtyAudit: the fingerprint audit passes for API-driven rewrites
-// and flags a direct Node field write that bypassed dirty tracking.
-func TestDirtyAudit(t *testing.T) {
-	nw := New("a")
-	x := nw.MustInput("x")
-	y := nw.MustInput("y")
-	g1 := nw.MustGate("g1", And, x, y)
-	g2 := nw.MustGate("g2", Not, g1)
-	if err := nw.MarkOutput(g2); err != nil {
-		t.Fatal(err)
-	}
-	nw.ClearDirty()
-
-	// Clean pass: API mutations + their dirty set verify.
-	audit := NewDirtyAudit(nw)
-	if err := nw.ReplaceFanin(g1, y, x); err != nil {
-		t.Fatal(err)
-	}
-	g3 := nw.MustGate("g3", Or, g1, g2)
-	if err := nw.MarkOutput(g3); err != nil {
-		t.Fatal(err)
-	}
-	if err := audit.Verify(nw, nw.TakeDirty()); err != nil {
-		t.Fatalf("audit flagged API-driven rewrites: %v", err)
-	}
-
-	// No-op pass verifies against an empty dirty set.
-	audit = NewDirtyAudit(nw)
-	if err := audit.Verify(nw, nil); err != nil {
-		t.Fatalf("audit flagged an untouched network: %v", err)
-	}
-
-	// Bypass: writing Node fields directly changes the fingerprint
-	// without entering the dirty set.
-	audit = NewDirtyAudit(nw)
-	nw.Node(g1).Type = Nand
-	if err := audit.Verify(nw, nw.TakeDirty()); err == nil {
-		t.Fatal("audit missed a direct Node.Type write")
-	}
-	nw.Node(g1).Type = And // restore
-
-	// Bypass via fanin splice.
-	audit = NewDirtyAudit(nw)
-	nw.Node(g2).Fanin[0] = x
-	if err := audit.Verify(nw, nil); err == nil {
-		t.Fatal("audit missed a direct Fanin splice")
 	}
 }

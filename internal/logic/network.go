@@ -138,15 +138,6 @@ type Network struct {
 	// the same lock and invalidation as the topological order.
 	compiled   *Compiled
 	compileErr error
-
-	// Dirty set: every mutation records the NodeIDs whose computed value
-	// may have changed — the seed of the incremental re-estimation cone
-	// (see DirtyCone). Recording follows the same concurrency contract
-	// as the mutations themselves: writes must not race with anything.
-	// The set accumulates until a consumer calls TakeDirty (or
-	// ClearDirty); networks nobody re-estimates just carry a set bounded
-	// by their node count.
-	dirty map[NodeID]struct{}
 }
 
 // New returns an empty network with the given name.
@@ -225,7 +216,6 @@ func (nw *Network) addNode(name string, t GateType, fanin []NodeID) (NodeID, err
 	n := &Node{ID: id, Name: name, Type: t, Fanin: append([]NodeID(nil), fanin...)}
 	nw.nodes = append(nw.nodes, n)
 	nw.invalidateTopo()
-	nw.markDirty(id)
 	nw.byName[name] = id
 	for _, f := range fanin {
 		fn := nw.nodes[f]
@@ -328,9 +318,6 @@ func (nw *Network) MarkOutput(id NodeID) error {
 		return fmt.Errorf("logic: MarkOutput of missing node %d", id)
 	}
 	nw.pos = append(nw.pos, id)
-	// The node's value is unchanged, but its role (and so its load in
-	// capacitance models) is — conservatively dirty.
-	nw.markDirty(id)
 	return nil
 }
 
@@ -375,7 +362,6 @@ func (nw *Network) ReplaceFanin(id, old, new NodeID) error {
 		nn.fanout = append(nn.fanout, id)
 	}
 	nw.invalidateTopo()
-	nw.markDirty(id)
 	return nil
 }
 
@@ -407,7 +393,6 @@ func (nw *Network) ReplaceNode(old, new NodeID) error {
 	for i, p := range nw.pos {
 		if p == old {
 			nw.pos[i] = new
-			nw.markDirty(new)
 		}
 	}
 	return nw.DeleteNode(old)
@@ -434,7 +419,6 @@ func (nw *Network) DeleteNode(id NodeID) error {
 	n.Fanin = nil
 	delete(nw.byName, n.Name)
 	nw.invalidateTopo()
-	nw.markDirty(id)
 	switch n.Type {
 	case Input:
 		nw.pis = removeID(nw.pis, id)
@@ -478,45 +462,6 @@ func (nw *Network) Live() []NodeID {
 
 // NumGates returns the number of live combinational gates.
 func (nw *Network) NumGates() int { return len(nw.Gates()) }
-
-// markDirty records that a node's computed value (or liveness) may have
-// changed since the dirty set was last consumed. Every mutation API calls
-// it; rewrites that bypass the mutation APIs and write Node fields
-// directly leave the set stale — DirtyAudit exists to flag exactly that.
-func (nw *Network) markDirty(id NodeID) {
-	if nw.dirty == nil {
-		nw.dirty = make(map[NodeID]struct{})
-	}
-	nw.dirty[id] = struct{}{}
-}
-
-// Dirty returns the accumulated dirty set in sorted order without
-// consuming it. The dirty set contains every node a mutation API touched
-// since the last TakeDirty/ClearDirty: nodes added, nodes whose fanin was
-// rewired, nodes deleted (their IDs remain in the set even though the
-// slots are dead), and nodes newly marked as primary outputs.
-func (nw *Network) Dirty() []NodeID {
-	out := make([]NodeID, 0, len(nw.dirty))
-	for id := range nw.dirty {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TakeDirty returns the dirty set in sorted order and clears it: the
-// caller assumes responsibility for re-estimating (or discarding state
-// for) every returned node. Like the mutations that feed it, TakeDirty
-// must not race with writers.
-func (nw *Network) TakeDirty() []NodeID {
-	out := nw.Dirty()
-	nw.dirty = nil
-	return out
-}
-
-// ClearDirty drops the dirty set without reading it — for consumers that
-// just rebuilt everything from scratch.
-func (nw *Network) ClearDirty() { nw.dirty = nil }
 
 // invalidateTopo drops the cached topological order. Called by every
 // structural mutation; mutations must not race with readers (the Network
@@ -738,10 +683,7 @@ func countID(s []NodeID, id NodeID) int {
 }
 
 // Clone returns a deep copy of the network. Dead node slots are preserved
-// so that NodeIDs remain valid across the copy. The clone starts with an
-// empty dirty set: incremental estimators bind to a specific Network
-// instance and always take a full baseline on first sight, so carrying
-// the original's unconsumed dirt would only confuse a second consumer.
+// so that NodeIDs remain valid across the copy.
 func (nw *Network) Clone() *Network {
 	c := &Network{
 		Name:   nw.Name,

@@ -177,25 +177,6 @@ func (s *Span) Tracer() *Tracer {
 	return s.tr
 }
 
-// DurNs returns the recorded duration in nanoseconds, or -1 while the
-// span is still open (0 for nil).
-func (s *Span) DurNs() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.durNs.Load()
-}
-
-// Len returns the number of spans started so far (0 for nil).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // Snapshot returns a copy of every span started so far, in start order.
 // Attribute maps are copied, so the snapshot is safe to hold while other
 // goroutines keep annotating. Nil tracers return nil.

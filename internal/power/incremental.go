@@ -9,10 +9,11 @@ import (
 // IncrementalEstimator owns the baseline state that makes repeated
 // estimation of a mutating combinational network cheap: the propagated
 // probability table and the packed zero-delay lane state (sim.PackedState)
-// of the last measurement. Each Measure consumes the network's dirty set,
-// derives the dirty cone, and re-derives only cone members from stored
-// boundary values — probabilities through the shared propagateNode kernel,
-// packed lanes and transition counts through PackedState.UpdateCone. The
+// of the last measurement. Each Measure compares the network with the
+// structure it last measured (logic.Shape), derives the cone of the nodes
+// that changed, and re-derives only cone members from stored boundary
+// values — probabilities through the shared propagateNode kernel, packed
+// lanes and transition counts through PackedState.UpdateCone. The
 // results are bit-identical to recomputing from scratch with
 // PropagatedProbabilities and EstimateZeroDelayPacked: clean nodes' stored
 // values are exactly what a full pass would recompute (a live node outside
@@ -21,15 +22,14 @@ import (
 //
 // The estimator falls back to a transparent full recompute whenever reuse
 // is unsound or unavailable: the first measurement, after Invalidate, when
-// a source (primary input or flip-flop) was dirtied, when the set of
+// a source (primary input or flip-flop) changed, when the set of
 // primary inputs changed, or when the cone exceeds MaxConeFrac. Power
 // evaluation (Evaluate) always runs over the full live network — only the
 // per-node activity derivation is incremental.
 //
-// An estimator is bound to one Network instance and one vector stream; it
-// is not safe for concurrent use, and the network must only be mutated
-// through its mutation API between measurements (see logic.DirtyAudit for
-// the check that catches bypasses).
+// An estimator is bound to one Network instance and one vector stream and
+// is not safe for concurrent use. It finds what changed itself, so any
+// number of estimators may measure one network.
 type IncrementalEstimator struct {
 	nw        *logic.Network
 	params    Params
@@ -46,16 +46,15 @@ type IncrementalEstimator struct {
 	MaxConeFrac float64
 
 	valid bool
+	shape logic.Shape // the structure of the last measurement
 	probs Probabilities
 	st    sim.PackedState
 	pis   []logic.NodeID
 }
 
 // NewIncrementalEstimator binds an estimator to a network and a fixed
-// evaluation environment. The first Measure takes the full baseline; the
-// caller should ClearDirty (or TakeDirty) construction-time noise before
-// mutating, though a stale dirty set only costs cone size, never
-// correctness. The vectors are packed once, here.
+// evaluation environment. The first Measure takes the full baseline. The
+// vectors are packed once, here.
 func NewIncrementalEstimator(nw *logic.Network, p Params, cm CapModel, inputProb Probabilities, vectors [][]bool) *IncrementalEstimator {
 	st, err := sim.PackVectors(vectors)
 	return &IncrementalEstimator{nw: nw, params: p, cm: cm, inputProb: inputProb, vectors: st, packErr: err}
@@ -82,22 +81,23 @@ type IncrementalResult struct {
 // from scratch — the full-recompute escape hatch.
 func (e *IncrementalEstimator) Invalidate() { e.valid = false }
 
-// Measure consumes the network's dirty set and returns the current power
-// estimates, reusing the baseline where sound. Every call leaves the
-// baseline synchronized with the network's current structure (or invalid,
-// on error).
+// Measure returns the current power estimates, re-deriving only the cone
+// of the nodes that changed since the last measurement and reusing the
+// baseline for the rest where sound. Every call leaves the baseline
+// synchronized with the network's current structure (or invalid, on
+// error).
 func (e *IncrementalEstimator) Measure() (IncrementalResult, error) {
 	if e.packErr != nil {
 		return IncrementalResult{}, e.packErr
 	}
 	obs := obsv.Default()
 	obs.Counter("flow.incr.measures").Add(1)
-	dirty := e.nw.TakeDirty()
+	changed := e.shape.Update(e.nw)
 	var cone *logic.Cone
 	full := !e.valid || len(e.nw.FFs()) > 0
 	if !full {
 		var err error
-		cone, err = e.nw.DirtyCone(dirty)
+		cone, err = e.nw.DirtyCone(changed)
 		if err != nil {
 			e.valid = false
 			return IncrementalResult{}, err

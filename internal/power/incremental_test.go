@@ -74,7 +74,7 @@ func randomDAG(seed int64) *logic.Network {
 }
 
 // mutate applies one random structural rewrite through the mutation API.
-// The moves are chosen to exercise every dirty-tracking path — gate
+// The moves are chosen to exercise every kind of structural change — gate
 // insertion (double negation), rewiring, output re-marking, deletion —
 // without ever creating a combinational cycle (new fanins are primary
 // inputs or fanins of the rewritten gate itself).

@@ -78,10 +78,3 @@ func (c *lruCache) Put(key string, val any) {
 		delete(c.items, oldest.Value.(*lruEntry).key)
 	}
 }
-
-// Len returns the current entry count.
-func (c *lruCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -20,8 +20,8 @@ func TestLRUEvictsOldest(t *testing.T) {
 	if v, ok := c.Get("c"); !ok || v.(int) != 3 {
 		t.Errorf("c = %v, %v; want 3, true", v, ok)
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
+	if c.ll.Len() != 2 {
+		t.Errorf("Len = %d, want 2", c.ll.Len())
 	}
 }
 
@@ -49,12 +49,12 @@ func TestLRURePutKeepsLenAndRefreshesEvictionOrder(t *testing.T) {
 	c.Put("b", 2)
 	c.Put("c", 3)
 	c.Put("a", 10) // re-Put: in-place update, a becomes most recent
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d after re-Put of a live key, want 3", c.Len())
+	if c.ll.Len() != 3 {
+		t.Fatalf("Len = %d after re-Put of a live key, want 3", c.ll.Len())
 	}
 	c.Put("d", 4) // evicts b — the oldest now that a was refreshed
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d after eviction, want 3", c.Len())
+	if c.ll.Len() != 3 {
+		t.Fatalf("Len = %d after eviction, want 3", c.ll.Len())
 	}
 	if _, ok := c.Get("b"); ok {
 		t.Error("b survived: re-Put of a must have made b the eviction victim")
@@ -73,8 +73,8 @@ func TestLRUPutUpdatesInPlace(t *testing.T) {
 	c := newLRU(2, nil, nil)
 	c.Put("a", 1)
 	c.Put("a", 10)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.ll.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.ll.Len())
 	}
 	if v, _ := c.Get("a"); v.(int) != 10 {
 		t.Errorf("a = %v, want 10", v)

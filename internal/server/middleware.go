@@ -79,7 +79,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 //   - when Config.TraceRequests is on, a trace.Tracer is installed in the
 //     request context, so handler/engine spans (decode, queue.wait,
 //     coalesce.wait, resolve, power.exact, bdd.build, sim.measure,
-//     pass.*, cache.put, encode) build a span tree;
+//     pass.*, cache.put, encode, write) build a span tree;
 //   - the per-endpoint in-flight gauge tracks the request, and
 //     telemetry.record writes every series of the finished request;
 //   - when Config.AccessLog is set, one key-sorted JSON line per request

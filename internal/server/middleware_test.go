@@ -192,25 +192,36 @@ func TestSlowTraceDump(t *testing.T) {
 }
 
 // TestDecodeEncodeSpans checks that a traced /v1/estimate miss times
-// its body decode and its response encode as children of the request's
-// root span: decode before resolve, encode after compute.estimate.
+// its body decode, its response encode and its body write as children of
+// the request's root span: decode before resolve, encode after
+// compute.estimate, write last. A repeat is a cache hit that still times
+// its body write.
 func TestDecodeEncodeSpans(t *testing.T) {
 	dir := t.TempDir()
 	s := New(Config{TraceRequests: true, SlowTraceThreshold: time.Nanosecond, SlowTraceDir: dir})
-	rec := doJSON(t, s.Handler(), http.MethodPost, "/v1/estimate",
-		EstimateRequest{circuitRef: circuitRef{Circuit: "cla8"}, Estimator: "propagated", Seed: 991})
+	req := EstimateRequest{circuitRef: circuitRef{Circuit: "cla8"}, Estimator: "propagated", Seed: 991}
+	rec := doJSON(t, s.Handler(), http.MethodPost, "/v1/estimate", req)
 	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
 		t.Fatalf("estimate: %d %s %s", rec.Code, rec.Header().Get("X-Cache"), rec.Body.Bytes())
 	}
 	ids, parents := dumpedSpans(t, dir, rec.Header().Get("X-Trace-Id"))
 	root := ids["http estimate"]
-	for _, name := range []string{"decode", "resolve", "compute.estimate", "encode"} {
+	for _, name := range []string{"decode", "resolve", "compute.estimate", "encode", "write"} {
 		if ids[name] == 0 || parents[name] != root {
 			t.Fatalf("span %q missing or not a child of the root (ids %v, parents %v)", name, ids, parents)
 		}
 	}
-	if ids["decode"] > ids["resolve"] || ids["encode"] < ids["compute.estimate"] {
+	if ids["decode"] > ids["resolve"] || ids["encode"] < ids["compute.estimate"] || ids["write"] < ids["encode"] {
 		t.Fatalf("span order wrong: %v", ids)
+	}
+
+	hit := doJSON(t, s.Handler(), http.MethodPost, "/v1/estimate", req)
+	if hit.Code != http.StatusOK || hit.Header().Get("X-Cache") != "hit" || hit.Body.String() != rec.Body.String() {
+		t.Fatalf("repeat: %d %s %s", hit.Code, hit.Header().Get("X-Cache"), hit.Body.Bytes())
+	}
+	ids, parents = dumpedSpans(t, dir, hit.Header().Get("X-Trace-Id"))
+	if ids["write"] == 0 || parents["write"] != ids["http estimate"] || ids["encode"] != 0 {
+		t.Fatalf("hit: write span missing or not a child of the root, or an encode span (ids %v, parents %v)", ids, parents)
 	}
 }
 

@@ -100,7 +100,8 @@ type Config struct {
 	// TraceRequests installs a per-request span tree (internal/obsv/trace)
 	// in every request context: handler phases and engine internals
 	// (decode, queue.wait, coalesce.wait, resolve, bdd.build,
-	// sim.measure, power.exact, pass.*, cache.put, encode) become spans.
+	// sim.measure, power.exact, pass.*, cache.put, encode, write) become
+	// spans.
 	// Off by default; X-Trace-Id is set either way, the disabled path
 	// paying only an ID generation and nil span checks.
 	TraceRequests bool
@@ -285,8 +286,10 @@ type cachedResult struct {
 // The headers are assigned by canonical key from shared, never-mutated
 // value slices, skipping Header.Set's canonicalization and allocation.
 // Behind the middleware the dispositions also go to the statusWriter,
-// which the access log and telemetry read instead of the headers.
-func writeCached(w http.ResponseWriter, res cachedResult, disposition string) {
+// which the access log and telemetry read instead of the headers. The
+// body write is a write span of the request in ctx, so a traced cache
+// hit accounts for its time.
+func writeCached(ctx context.Context, w http.ResponseWriter, res cachedResult, disposition string) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
 	h["X-Cache"] = cacheHeader[disposition]
@@ -296,8 +299,10 @@ func writeCached(w http.ResponseWriter, res cachedResult, disposition string) {
 	if sw, ok := w.(*statusWriter); ok {
 		sw.cache, sw.degraded = disposition, res.degraded
 	}
+	_, sp := trace.Start(ctx, "write")
 	w.Write(res.body)
 	w.Write(newline)
+	sp.End()
 }
 
 // Shared header values and the body's framing newline; never written to.
@@ -770,7 +775,7 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, ref circuit
 		writeError(w, err)
 		return
 	}
-	writeCached(w, res, disp)
+	writeCached(r.Context(), w, res, disp)
 }
 
 // computeEstimate runs one estimator over a shared (never mutated)
@@ -1069,7 +1074,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeCached(w, cr, disp)
+	writeCached(r.Context(), w, cr, disp)
 }
 
 // ---------------------------------------------------------------------------

@@ -54,9 +54,9 @@ type PackedState struct {
 // kernels and the same carry-chain popcount make this structural, not
 // numeric).
 // The caller is responsible for the cone being current (derived from the
-// network's dirty set since the last capture or update) and for
-// Cone.Sources being empty — a dirtied input or flip-flop changes the
-// stream itself, which no cone update can repair.
+// nodes that changed since the last capture or update, see logic.Shape)
+// and for Cone.Sources being empty — a changed input or flip-flop changes
+// the stream itself, which no cone update can repair.
 func (st *PackedState) UpdateCone(nw *logic.Network, cone *logic.Cone) error {
 	if n := nw.NumNodes(); n > len(st.Reset) {
 		st.Reset = append(st.Reset, make([]bool, n-len(st.Reset))...)

@@ -105,7 +105,7 @@ func TestRunCaptureMatchesRun(t *testing.T) {
 // rewriteOneGate applies a function-preserving local rewrite: a randomly
 // chosen multi-input And/Or gate g is replaced by Not(Nand(fanins)) /
 // Not(Nor-dual) built from fresh nodes, exercising addNode, ReplaceNode
-// and DeleteNode dirty tracking. Returns false if no candidate exists.
+// and DeleteNode. Returns false if no candidate exists.
 func rewriteOneGate(nw *logic.Network, r *rand.Rand, tag int) (bool, error) {
 	var cands []logic.NodeID
 	for _, id := range nw.Gates() {
@@ -136,9 +136,10 @@ func rewriteOneGate(nw *logic.Network, r *rand.Rand, tag int) (bool, error) {
 
 // TestUpdateConeMatchesFullRerun drives random function-preserving
 // rewrites over generator circuits and random DAGs, after each one
-// updating the captured state through the dirty cone and comparing every
-// per-node count, the reset baseline, every value word, and the aggregate
-// against a from-scratch capture on the mutated network. This is the
+// updating the captured state through the cone of the changed nodes and
+// comparing every per-node count, the reset baseline, every value word,
+// and the aggregate against a from-scratch capture on the mutated
+// network. This is the
 // packed half of the incremental-vs-full bit-identity contract.
 func TestUpdateConeMatchesFullRerun(t *testing.T) {
 	corpus := generatorCorpus(t)
@@ -161,7 +162,8 @@ func TestUpdateConeMatchesFullRerun(t *testing.T) {
 		if _, err := ps.RunCapture(vecs, &st); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		nw.ClearDirty()
+		var sh logic.Shape
+		sh.Update(nw)
 
 		for step := 0; step < 6; step++ {
 			ok, err := rewriteOneGate(nw, r, step)
@@ -171,7 +173,7 @@ func TestUpdateConeMatchesFullRerun(t *testing.T) {
 			if !ok {
 				break
 			}
-			cone, err := nw.DirtyCone(nw.TakeDirty())
+			cone, err := nw.DirtyCone(sh.Update(nw))
 			if err != nil {
 				t.Fatalf("%s step %d: %v", name, step, err)
 			}

@@ -27,15 +27,10 @@ type DecomposeOptions struct {
 	Balanced bool
 }
 
-// Decompose converts a network into its NAND2/INV subject graph with
-// default (left-deep) decomposition. Xor and Xnor gates are emitted in the
-// duplicated 4-NAND shape that the XOR2 pattern expects. Buf gates
-// collapse to wires.
-func Decompose(nw *logic.Network) (*Subject, error) {
-	return DecomposeWith(nw, DecomposeOptions{})
-}
-
-// DecomposeWith is Decompose with explicit options.
+// DecomposeWith converts a network into its NAND2/INV subject graph, left
+// deep unless opts asks for balanced trees. Xor and Xnor gates are
+// emitted in the duplicated 4-NAND shape that the XOR2 pattern expects.
+// Buf gates collapse to wires.
 func DecomposeWith(nw *logic.Network, opts DecomposeOptions) (*Subject, error) {
 	s := &Subject{Net: logic.New(nw.Name + "_subject"), OfOrig: make(map[logic.NodeID]logic.NodeID)}
 	sn := s.Net

@@ -7,8 +7,6 @@
 // mapper prefers to hide high-activity nets inside complex cells.
 package tmap
 
-import "fmt"
-
 // patKind is a node of a cell's pattern tree over the subject graph.
 type patKind int
 
@@ -97,14 +95,4 @@ func xorPattern() *pattern {
 		nand(leafv(0), nand(leafv(0), leafv(1))),
 		nand(leafv(1), nand(leafv(0), leafv(1))),
 	)
-}
-
-// ByName returns the cell with the given name.
-func (l *Library) ByName(name string) (*Cell, error) {
-	for i := range l.Cells {
-		if l.Cells[i].Name == name {
-			return &l.Cells[i], nil
-		}
-	}
-	return nil, fmt.Errorf("tmap: no cell %q", name)
 }

@@ -26,7 +26,7 @@ func TestDecomposePreservesFunction(t *testing.T) {
 	}
 	for _, gen := range gens {
 		nw := buildTestNetwork(t, gen)
-		subj, err := Decompose(nw)
+		subj, err := DecomposeWith(nw, DecomposeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestDecomposeSequential(t *testing.T) {
 	if err := nw.MarkOutput(q); err != nil {
 		t.Fatal(err)
 	}
-	subj, err := Decompose(nw)
+	subj, err := DecomposeWith(nw, DecomposeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +180,18 @@ func TestXORCellMatches(t *testing.T) {
 	}
 }
 
+// TestLibraryByName: the default library names each cell once, and
+// AOI21 is a three-input cell.
 func TestLibraryByName(t *testing.T) {
-	lib := DefaultLibrary()
-	c, err := lib.ByName("AOI21")
-	if err != nil || c.Inputs != 3 {
-		t.Errorf("AOI21 lookup failed: %v %+v", err, c)
+	byName := map[string]Cell{}
+	for _, c := range DefaultLibrary().Cells {
+		if _, dup := byName[c.Name]; dup {
+			t.Errorf("cell %q is defined twice", c.Name)
+		}
+		byName[c.Name] = c
 	}
-	if _, err := lib.ByName("NOPE"); err == nil {
-		t.Error("missing cell should error")
+	if c, ok := byName["AOI21"]; !ok || c.Inputs != 3 {
+		t.Errorf("AOI21 = %+v, %t; want a three-input cell", c, ok)
 	}
 }
 

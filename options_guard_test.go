@@ -17,8 +17,7 @@ var unsetOptionsAllowlist = map[string]string{
 	"repro/internal/bdd.ReorderPolicy.Threshold":  "the identity test's sift64 case is the only test that sifts while small circuits are being built",
 	"repro/internal/server.Config.Clock":          "tests inject a fake clock through it",
 	"repro/internal/core.Context.ExtraPasses":     "tests and root benchmarks inject passes through it",
-	"repro/internal/core.Context.DirtyAudit":      "ROADMAP item 12 deletes it along with dirty tracking",
-	"repro/internal/core.Context.IncrMaxConeFrac": "ROADMAP item 12 deletes it along with dirty tracking; bench/lpbench reads it",
+	"repro/internal/core.Context.IncrMaxConeFrac": "ROADMAP item 12 deletes it with incremental re-estimation; bench/lpbench reads it",
 	"repro/internal/core.Context.InputProb":       "never set, and bench/lpbench reads it; ROADMAP items 6 and 8",
 }
 
