@@ -11,6 +11,7 @@ package balance
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -83,10 +84,11 @@ func Balance(nw *logic.Network, opts Options) (Result, error) {
 		tGate := lv[id]
 		// Each fanin should arrive at tGate-1; a fanin at level lv[f]
 		// arrives gap = tGate-1-lv[f] units early.
-		for _, f := range append([]logic.NodeID(nil), n.Fanin...) {
+		fanin := append([]logic.NodeID(nil), n.Fanin...)
+		for i, f := range fanin {
 			fn := nw.Node(f)
-			if fn == nil {
-				continue
+			if fn == nil || slices.Contains(fanin[:i], f) {
+				continue // a repeated pin was rewired with its first
 			}
 			fTime := lv[f]
 			if !fn.Type.IsGate() {

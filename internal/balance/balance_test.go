@@ -125,6 +125,27 @@ func TestBalanceAlreadyBalanced(t *testing.T) {
 	}
 }
 
+// TestBalanceRepeatedPin: a gate that reads an early signal on two pins
+// gets one delay chain for both, and keeps its function.
+func TestBalanceRepeatedPin(t *testing.T) {
+	nw := logic.New("pins")
+	a := nw.MustInput("a")
+	y := nw.MustGate("y", logic.Not, nw.MustGate("x", logic.Not, a))
+	if err := nw.MarkOutput(nw.MustGate("z", logic.And, a, y, a)); err != nil {
+		t.Fatal(err)
+	}
+	want := nw.Clone()
+	if res, err := Balance(nw, Options{}); err != nil || res.BuffersAdded != 2 {
+		t.Fatalf("Balance = %+v, %v; want one chain of 2 buffers", res, err)
+	}
+	if err := nw.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if eq, err := logic.Equivalent(want, nw); err != nil || !eq {
+		t.Fatalf("balancing changed the function (%v)", err)
+	}
+}
+
 func TestBalanceValidation(t *testing.T) {
 	nw, _ := circuits.ParityTree(4)
 	if _, err := Balance(nw, Options{MaxSkew: -1}); err == nil {

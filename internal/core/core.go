@@ -255,14 +255,6 @@ func Registry() map[string]Pass {
 				return err
 			},
 		},
-		{
-			Name: "balance-partial", Level: "logic",
-			Description: "partial path balancing (skew budget 1)",
-			Run: func(nw *logic.Network, ctx *Context) error {
-				_, err := balance.Balance(nw, balance.Options{MaxSkew: 1})
-				return err
-			},
-		},
 	}
 	out := make(map[string]Pass, len(passes))
 	for _, p := range passes {

@@ -63,33 +63,6 @@ func rewriteFlow(nw *logic.Network, seed int64, n int) (*Context, Flow) {
 	return fctx, flow
 }
 
-// randomNetlist builds a seeded random combinational netlist of 8-24
-// inputs: 20-160 two-input gates of every binary type, fanins drawn from
-// every earlier signal, and every signal without fanout an output.
-func randomNetlist(seed int64) *logic.Network {
-	r := rand.New(rand.NewSource(seed))
-	nw := logic.New(fmt.Sprintf("rand%d", seed))
-	var sig []logic.NodeID
-	for i, n := 0, 8+r.Intn(17); i < n; i++ {
-		sig = append(sig, nw.MustInput(fmt.Sprintf("i%d", i)))
-	}
-	types := []logic.GateType{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor}
-	used := map[logic.NodeID]bool{}
-	for g, n := 0, 20+r.Intn(141); g < n; g++ {
-		a, b := sig[r.Intn(len(sig))], sig[r.Intn(len(sig))]
-		used[a], used[b] = true, true
-		sig = append(sig, nw.MustGate(fmt.Sprintf("g%d", g), types[r.Intn(len(types))], a, b))
-	}
-	for _, id := range sig {
-		if !used[id] && nw.Node(id).Type != logic.Input {
-			if err := nw.MarkOutput(id); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return nw
-}
-
 // TestFlowIncrementalBitIdentical is the flow-level half of the
 // incremental-vs-full contract: on every circuit generator and 20 seeded
 // random netlists, the standard flows, every registered pass run alone
@@ -108,7 +81,10 @@ func TestFlowIncrementalBitIdentical(t *testing.T) {
 		"mux8":  func() (*logic.Network, error) { return circuits.MuxTree(3) },
 	}
 	for seed := int64(1); seed <= 20; seed++ {
-		gens[fmt.Sprintf("rand%d", seed)] = func() (*logic.Network, error) { return randomNetlist(seed), nil }
+		gens[fmt.Sprintf("rand%d", seed)] = func() (*logic.Network, error) {
+			r := rand.New(rand.NewSource(seed))
+			return circuits.RandomDAG(r, 8+r.Intn(17), 0, 20+r.Intn(141))
+		}
 	}
 	flows := StandardFlows()
 	for _, name := range PassNames() {
@@ -131,6 +107,9 @@ func TestFlowIncrementalBitIdentical(t *testing.T) {
 // directly, bypassing the mutation APIs, still gets an incremental
 // trajectory identical to recomputing from scratch, because the estimator
 // compares node fields rather than trusting the APIs to report changes.
+// In every measurement mode the final snapshot is what a fresh clone of
+// the result measures: the flow's Check drops the view compiled before
+// the write.
 func TestFlowIncrementalSeesDirectWrites(t *testing.T) {
 	bypass := Pass{
 		Name: "bypass", Level: "logic",
@@ -141,13 +120,30 @@ func TestFlowIncrementalSeesDirectWrites(t *testing.T) {
 			return nil
 		},
 	}
-	compareIncrementalFull(t, "par4/bypass", func() (*logic.Network, error) { return circuits.ParityTree(4) },
-		func(nw *logic.Network) (*Context, Flow) {
-			fctx := NewContext(nw, 1)
-			fctx.Verify = false // the bypass changes function; that is not the point here
-			fctx.ExtraPasses = map[string]Pass{"bypass": bypass}
-			return fctx, Flow{Name: "bypass", Passes: []string{"bypass"}}
-		})
+	gen := func() (*logic.Network, error) { return circuits.ParityTree(4) }
+	setup := func(nw *logic.Network) (*Context, Flow) {
+		fctx := NewContext(nw, 1)
+		fctx.Verify = false // the bypass changes function; that is not the point here
+		fctx.ExtraPasses = map[string]Pass{"bypass": bypass}
+		return fctx, Flow{Name: "bypass", Passes: []string{"bypass"}}
+	}
+	compareIncrementalFull(t, "par4/bypass", gen, setup)
+	for _, mode := range []struct{ incremental, full bool }{{false, false}, {true, false}, {true, true}} {
+		nw, _ := circuits.ParityTree(4)
+		fctx, flow := setup(nw)
+		fctx.Incremental, fctx.FullRecompute = mode.incremental, mode.full
+		rep, err := RunFlow(nw, flow, fctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MeasureCtx(context.Background(), nw.Clone(), fctx, "bypass")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Final(); got != want {
+			t.Errorf("%+v: final snapshot %+v, a fresh clone measures %+v", mode, got, want)
+		}
+	}
 }
 
 // compareIncrementalFull runs the flow that setup returns twice on fresh

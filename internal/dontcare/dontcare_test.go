@@ -333,10 +333,10 @@ func TestNetworkPowerNeverRaisesPower(t *testing.T) {
 		nets[name] = nw
 	}
 	for seed := int64(1); seed <= 8; seed++ {
-		nets[fmt.Sprintf("rnd%d", seed)] = randomLevelized(t, seed, false)
+		nets[fmt.Sprintf("rnd%d", seed)] = readUpload(t, "rnd", seed, 16, false)
 	}
 	for seed := int64(1); seed <= 24; seed++ {
-		nets[fmt.Sprintf("upload%d", seed)] = randomUpload(t, seed)
+		nets[fmt.Sprintf("upload%d", seed)] = readUpload(t, "upload", seed, 24, false)
 	}
 	for name, nw := range nets {
 		t.Run(name, func(t *testing.T) {
@@ -348,52 +348,11 @@ func TestNetworkPowerNeverRaisesPower(t *testing.T) {
 	}
 }
 
-// randomUpload reads a seeded random BLIF netlist shaped like the
-// benchmark's uploads, widened to 8-24 inputs: 20-160 two-input covers
-// (AND, OR, NAND, NOR, XOR and XNOR as sums of products) on 6-12 levels,
-// fanins mostly from the level below, and every signal without fanout an
-// output.
-func randomUpload(t testing.TB, seed int64) *logic.Network {
+// readUpload parses circuits.RandomUpload's netlist prefix<seed>.
+func readUpload(t testing.TB, prefix string, seed int64, maxPIs int, sequential bool) *logic.Network {
 	t.Helper()
-	r := rand.New(rand.NewSource(seed))
-	gates, pis, levels := 20+r.Intn(141), 8+r.Intn(17), 6+r.Intn(7)
-	covers := []string{"11 1\n", "1- 1\n-1 1\n", "0- 1\n-0 1\n", "00 1\n", "01 1\n10 1\n", "00 1\n11 1\n"}
-	var sig []string
-	for i := 0; i < pis; i++ {
-		sig = append(sig, fmt.Sprintf("i%d", i))
-	}
-	fanout := make([]int, pis+gates)
-	lo := []int{0, pis}
-	pick := func() int {
-		l := len(lo) - 2
-		if l > 0 && r.Intn(4) == 0 {
-			l = r.Intn(l)
-		}
-		return lo[l] + r.Intn(lo[l+1]-lo[l])
-	}
-	var body strings.Builder
-	for g := 0; g < gates; g++ {
-		if g > 0 && g%((gates+levels-1)/levels) == 0 {
-			lo = append(lo, len(sig))
-		}
-		a, b := pick(), pick()
-		for b == a {
-			b = r.Intn(len(sig))
-		}
-		fanout[a]++
-		fanout[b]++
-		fmt.Fprintf(&body, ".names %s %s g%d\n%s", sig[a], sig[b], g, covers[r.Intn(len(covers))])
-		sig = append(sig, fmt.Sprintf("g%d", g))
-	}
-	var src strings.Builder
-	fmt.Fprintf(&src, ".model upload%d\n.inputs %s\n.outputs", seed, strings.Join(sig[:pis], " "))
-	for i := pis; i < len(sig); i++ {
-		if fanout[i] == 0 {
-			src.WriteString(" " + sig[i])
-		}
-	}
-	src.WriteString("\n" + body.String() + ".end\n")
-	nw, err := logic.ReadBLIF(strings.NewReader(src.String()))
+	src := circuits.RandomUpload(rand.New(rand.NewSource(seed)), fmt.Sprintf("%s%d", prefix, seed), maxPIs, sequential)
+	nw, err := logic.ReadBLIF(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func FuzzDontCarePowerNeverRaises(f *testing.F) {
 	var nets []*logic.Network
 	for _, seed := range []int64{10, 11, 3} {
-		nets = append(nets, randomUpload(f, seed))
+		nets = append(nets, readUpload(f, "upload", seed, 24, false))
 	}
 	for _, name := range []string{"cmp8", "alu4"} {
 		nw, err := circuits.Named(name)

@@ -2,7 +2,6 @@ package dontcare
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -10,67 +9,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/obsv"
 )
-
-// randomLevelized builds a seeded random netlist shaped like the
-// benchmark's uploaded circuits: 20-160 two-input gates over 8-16 inputs
-// on 6-12 levels, fanins mostly from the level below, every gate without
-// fanout an output, and with sequential 4-8 flip-flops fed from the
-// upper half of the gates.
-func randomLevelized(t *testing.T, seed int64, sequential bool) *logic.Network {
-	t.Helper()
-	r := rand.New(rand.NewSource(seed))
-	gates, pis, latches, levels := 20+r.Intn(141), 8+r.Intn(9), 0, 6+r.Intn(7)
-	if sequential {
-		latches = 4 + r.Intn(5)
-	}
-	nw := logic.New(fmt.Sprintf("rnd%d", seed))
-	var sig []logic.NodeID
-	for i := 0; i < pis; i++ {
-		sig = append(sig, nw.MustInput(fmt.Sprintf("i%d", i)))
-	}
-	// Flip-flops start on input 0 and take their real D input below.
-	for i := 0; i < latches; i++ {
-		q, err := nw.AddDFF(fmt.Sprintf("q%d", i), sig[0], false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sig = append(sig, q)
-	}
-	types := []logic.GateType{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor}
-	lo := []int{0, len(sig)}
-	pick := func() int {
-		l := len(lo) - 2
-		if l > 0 && r.Intn(4) == 0 {
-			l = r.Intn(l)
-		}
-		return lo[l] + r.Intn(lo[l+1]-lo[l])
-	}
-	first := len(sig)
-	for g := 0; g < gates; g++ {
-		if g > 0 && g%((gates+levels-1)/levels) == 0 {
-			lo = append(lo, len(sig))
-		}
-		a, b := pick(), pick()
-		for b == a {
-			b = r.Intn(len(sig))
-		}
-		sig = append(sig, nw.MustGate(fmt.Sprintf("g%d", g), types[r.Intn(len(types))], sig[a], sig[b]))
-	}
-	for i := 0; i < latches; i++ {
-		d := sig[first+gates/2+r.Intn(gates-gates/2)]
-		if err := nw.ReplaceFanin(sig[pis+i], sig[0], d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range sig[first:] {
-		if len(nw.Node(id).Fanout()) == 0 {
-			if err := nw.MarkOutput(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return nw
-}
 
 // witnessNets returns every circuit generator, seeded random levelized
 // netlists, and sequential ones with flip-flops.
@@ -85,10 +23,10 @@ func witnessNets(t *testing.T) map[string]*logic.Network {
 		nets[name] = nw
 	}
 	for seed := int64(1); seed <= 8; seed++ {
-		nets[fmt.Sprintf("rnd%d", seed)] = randomLevelized(t, seed, false)
+		nets[fmt.Sprintf("rnd%d", seed)] = readUpload(t, "rnd", seed, 16, false)
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		nets[fmt.Sprintf("seq%d", seed)] = randomLevelized(t, seed, true)
+		nets[fmt.Sprintf("seq%d", seed)] = readUpload(t, "seq", seed, 16, true)
 	}
 	return nets
 }

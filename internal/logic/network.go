@@ -629,8 +629,11 @@ func (nw *Network) SweepDead() int {
 
 // Check validates structural invariants: fanin/fanout consistency, fanin
 // arities, name table integrity and acyclicity. Intended for tests and
-// after complex rewrites.
+// after complex rewrites. It first drops the cached topological order and
+// compiled view, so a direct Node write before it cannot leave a stale
+// view behind, and acyclicity is derived from the nodes it checks.
 func (nw *Network) Check() error {
+	nw.invalidateTopo()
 	for _, n := range nw.nodes {
 		if n.dead {
 			continue

@@ -66,43 +66,6 @@ func checkTruthTable(t *testing.T, nw *logic.Network, r *rand.Rand) {
 	}
 }
 
-// randomComb builds a seeded random combinational DAG over npi inputs and
-// both constants, covering every gate type.
-func randomComb(seed int64, npi int) *logic.Network {
-	r := rand.New(rand.NewSource(seed))
-	nw := logic.New(fmt.Sprintf("rand%d_%d", seed, npi))
-	var pool []logic.NodeID
-	for i := 0; i < npi; i++ {
-		pool = append(pool, nw.MustInput(fmt.Sprintf("i%d", i)))
-	}
-	for i, v := range []bool{false, true} {
-		c, err := nw.AddConst(fmt.Sprintf("k%d", i), v)
-		if err != nil {
-			panic(err)
-		}
-		pool = append(pool, c)
-	}
-	types := []logic.GateType{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor, logic.Not, logic.Buf}
-	for i := 0; i < 20+r.Intn(30); i++ {
-		gt := types[r.Intn(len(types))]
-		k := 2 + r.Intn(3)
-		if gt == logic.Not || gt == logic.Buf {
-			k = 1
-		}
-		fanin := make([]logic.NodeID, k)
-		for j := range fanin {
-			fanin[j] = pool[r.Intn(len(pool))]
-		}
-		pool = append(pool, nw.MustGate(fmt.Sprintf("g%d", i), gt, fanin...))
-	}
-	for i := 0; i < 4; i++ {
-		if err := nw.MarkOutput(pool[len(pool)-1-r.Intn(10)]); err != nil {
-			panic(err)
-		}
-	}
-	return nw
-}
-
 // TestTruthTableMatchesStepGenerators checks every named generator with at
 // most 16 inputs.
 func TestTruthTableMatchesStepGenerators(t *testing.T) {
@@ -125,8 +88,13 @@ func TestTruthTableMatchesStepRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for npi := 0; npi <= 20; npi++ {
 		for seed := int64(0); seed < 3; seed++ {
-			nw := randomComb(int64(npi)*100+seed, npi)
-			t.Run(nw.Name, func(t *testing.T) { checkTruthTable(t, nw, r) })
+			gseed := int64(npi)*100 + seed
+			gr := rand.New(rand.NewSource(gseed))
+			nw, err := circuits.RandomDAG(gr, npi, 0, 20+gr.Intn(30))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("rand%d_%d", gseed, npi), func(t *testing.T) { checkTruthTable(t, nw, r) })
 		}
 	}
 }

@@ -38,39 +38,11 @@ func incrCorpus(t *testing.T) map[string]*logic.Network {
 	nw, err = circuits.MuxTree(3)
 	add("mux8", nw, err)
 	for seed := int64(1); seed <= 4; seed++ {
-		add(fmt.Sprintf("dag%d", seed), randomDAG(seed), nil)
+		r := rand.New(rand.NewSource(seed))
+		nw, err = circuits.RandomDAG(r, 3+r.Intn(4), 0, 25+r.Intn(25))
+		add(fmt.Sprintf("dag%d", seed), nw, err)
 	}
 	return out
-}
-
-// randomDAG builds a seeded random combinational network covering every
-// gate type.
-func randomDAG(seed int64) *logic.Network {
-	r := rand.New(rand.NewSource(seed))
-	nw := logic.New(fmt.Sprintf("dag%d", seed))
-	var pool []logic.NodeID
-	for i := 0; i < 3+r.Intn(4); i++ {
-		pool = append(pool, nw.MustInput(fmt.Sprintf("i%d", i)))
-	}
-	types := []logic.GateType{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor, logic.Not, logic.Buf}
-	for i := 0; i < 25+r.Intn(25); i++ {
-		t := types[r.Intn(len(types))]
-		k := 2 + r.Intn(3)
-		if t == logic.Not || t == logic.Buf {
-			k = 1
-		}
-		fanin := make([]logic.NodeID, k)
-		for j := range fanin {
-			fanin[j] = pool[r.Intn(len(pool))]
-		}
-		pool = append(pool, nw.MustGate(fmt.Sprintf("g%d", i), t, fanin...))
-	}
-	for i := 0; i < 3; i++ {
-		if err := nw.MarkOutput(pool[len(pool)-1-i]); err != nil {
-			panic(err)
-		}
-	}
-	return nw
 }
 
 // mutate applies one random structural rewrite through the mutation API.

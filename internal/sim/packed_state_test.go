@@ -144,7 +144,8 @@ func rewriteOneGate(nw *logic.Network, r *rand.Rand, tag int) (bool, error) {
 func TestUpdateConeMatchesFullRerun(t *testing.T) {
 	corpus := generatorCorpus(t)
 	for seed := int64(0); seed < 3; seed++ {
-		nw, err := randomNetwork(seed)
+		r := rand.New(rand.NewSource(seed))
+		nw, err := circuits.RandomDAG(r, 2+r.Intn(5), 0, 5+r.Intn(40))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -162,65 +162,18 @@ func TestPackedMatchesScalarOnGenerators(t *testing.T) {
 	}
 }
 
-// randomNetwork builds a seeded random combinational DAG exercising every
-// gate type and fanin shape the packed evaluator supports.
-func randomNetwork(seed int64) (*logic.Network, error) {
-	r := rand.New(rand.NewSource(seed))
-	nw := logic.New(fmt.Sprintf("rand%d", seed))
-	var pool []logic.NodeID
-	nIn := 2 + r.Intn(5)
-	for i := 0; i < nIn; i++ {
-		pool = append(pool, nw.MustInput(fmt.Sprintf("i%d", i)))
-	}
-	if r.Intn(2) == 0 {
-		c, err := nw.AddConst("c0", r.Intn(2) == 1)
-		if err != nil {
-			return nil, err
-		}
-		pool = append(pool, c)
-	}
-	types := []logic.GateType{
-		logic.Buf, logic.Not, logic.And, logic.Or,
-		logic.Nand, logic.Nor, logic.Xor, logic.Xnor,
-	}
-	nGates := 5 + r.Intn(40)
-	for g := 0; g < nGates; g++ {
-		ty := types[r.Intn(len(types))]
-		k := 1
-		if ty.MinFanin() >= 2 {
-			k = 2 + r.Intn(3)
-		}
-		fanin := make([]logic.NodeID, k)
-		for i := range fanin {
-			fanin[i] = pool[r.Intn(len(pool))]
-		}
-		id, err := nw.AddGate(fmt.Sprintf("g%d", g), ty, fanin...)
-		if err != nil {
-			return nil, err
-		}
-		pool = append(pool, id)
-	}
-	// Mark a few sinks so the network has outputs (the simulators do not
-	// care, but Check does).
-	for i := 0; i < 2; i++ {
-		if err := nw.MarkOutput(pool[len(pool)-1-i]); err != nil {
-			return nil, err
-		}
-	}
-	return nw, nil
-}
-
 // TestPackedQuickRandomNetworks is the randomized-network property test:
 // for arbitrary seeds, the packed engine and the scalar zero-delay
 // reference agree on every node's transition count.
 func TestPackedQuickRandomNetworks(t *testing.T) {
 	prop := func(seed int64, nVec uint8) bool {
-		nw, err := randomNetwork(seed)
+		r := rand.New(rand.NewSource(seed))
+		nw, err := circuits.RandomDAG(r, 2+r.Intn(5), 0, 5+r.Intn(40))
 		if err != nil {
 			t.Logf("seed %d: build: %v", seed, err)
 			return false
 		}
-		r := rand.New(rand.NewSource(seed ^ 0x5eed))
+		r = rand.New(rand.NewSource(seed ^ 0x5eed))
 		vecs := RandomVectors(r, 1+int(nVec), len(nw.PIs()), 0.5)
 		ps, err := NewPacked(nw)
 		if err != nil {

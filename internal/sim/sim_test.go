@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/circuits"
 	"repro/internal/logic"
 )
 
@@ -58,7 +59,10 @@ func TestZeroDelayFunctionalMatch(t *testing.T) {
 	// Event-driven final values must agree with zero-delay settling for
 	// random circuits and vectors.
 	r := rand.New(rand.NewSource(11))
-	nw := randomDAG(r, 8, 40)
+	nw, err := circuits.RandomDAG(r, 8, 0, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := New(nw)
 	if err != nil {
 		t.Fatal(err)
@@ -82,61 +86,6 @@ func TestZeroDelayFunctionalMatch(t *testing.T) {
 			}
 		}
 	}
-}
-
-// randomDAG builds a random combinational network.
-func randomDAG(r *rand.Rand, nin, ngates int) *logic.Network {
-	nw := logic.New("rand")
-	var pool []logic.NodeID
-	for i := 0; i < nin; i++ {
-		pool = append(pool, nw.MustInput(name("i", i)))
-	}
-	types := []logic.GateType{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor, logic.Not}
-	for g := 0; g < ngates; g++ {
-		gt := types[r.Intn(len(types))]
-		var fanin []logic.NodeID
-		k := 1
-		if gt != logic.Not {
-			k = 2 + r.Intn(2)
-		}
-		for j := 0; j < k; j++ {
-			fanin = append(fanin, pool[r.Intn(len(pool))])
-		}
-		// Gate fanins must be distinct for realistic circuits; dedupe.
-		fanin = dedupe(fanin)
-		if gt != logic.Not && len(fanin) < 2 {
-			fanin = append(fanin, pool[r.Intn(len(pool))])
-			fanin = dedupe(fanin)
-			if len(fanin) < 2 {
-				continue
-			}
-		}
-		id := nw.MustGate(name("g", g), gt, fanin...)
-		pool = append(pool, id)
-	}
-	// Mark the last few nodes as outputs.
-	marked := 0
-	for i := len(pool) - 1; i >= 0 && marked < 4; i-- {
-		if nw.Node(pool[i]).Type.IsGate() {
-			if err := nw.MarkOutput(pool[i]); err == nil {
-				marked++
-			}
-		}
-	}
-	nw.SweepDead()
-	return nw
-}
-
-func dedupe(ids []logic.NodeID) []logic.NodeID {
-	seen := map[logic.NodeID]bool{}
-	out := ids[:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 func name(p string, i int) string {

@@ -154,60 +154,6 @@ func checkStream(t testing.TB, name string, nw *logic.Network, st sim.Stimulus) 
 	}
 }
 
-// randomSequential builds a random sequential DAG: inputs, flip-flops with
-// random reset values, and gates over earlier nodes; each flip-flop loads
-// a random input, flip-flop or gate, so direct flip-flop chains occur.
-func randomSequential(r *rand.Rand, pis, ffs, gates int) (*logic.Network, error) {
-	nw := logic.New(fmt.Sprintf("rseq%d_%d_%d", pis, ffs, gates))
-	var srcs, regs []logic.NodeID
-	for i := 0; i < pis; i++ {
-		srcs = append(srcs, nw.MustInput(fmt.Sprintf("i%d", i)))
-	}
-	ph, err := nw.AddConst("ph", false)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < ffs; i++ {
-		q, err := nw.AddDFF(fmt.Sprintf("q%d", i), ph, r.Intn(2) == 1)
-		if err != nil {
-			return nil, err
-		}
-		srcs = append(srcs, q)
-		regs = append(regs, q)
-	}
-	types := []logic.GateType{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor, logic.Not, logic.Buf}
-	for i := 0; i < gates; i++ {
-		typ := types[r.Intn(len(types))]
-		k := 1
-		if typ.MaxFanin() != 1 {
-			k = 2 + r.Intn(2)
-		}
-		fan := make([]logic.NodeID, k)
-		for j := range fan {
-			fan[j] = srcs[r.Intn(len(srcs))]
-		}
-		g, err := nw.AddGate(fmt.Sprintf("g%d", i), typ, fan...)
-		if err != nil {
-			return nil, err
-		}
-		srcs = append(srcs, g)
-	}
-	for _, q := range regs {
-		if err := nw.ReplaceFanin(q, ph, srcs[r.Intn(len(srcs))]); err != nil {
-			return nil, err
-		}
-	}
-	if err := nw.DeleteNode(ph); err != nil {
-		return nil, err
-	}
-	for _, id := range srcs[len(srcs)-3:] {
-		if err := nw.MarkOutput(id); err != nil {
-			return nil, err
-		}
-	}
-	return nw, nil
-}
-
 // registered returns the n-bit array multiplier with a flip-flop on every
 // output, the E11 circuit.
 func registered(n int) (*logic.Network, error) {
@@ -317,7 +263,7 @@ func sequentialCorpus(t *testing.T) ([]string, map[string]*logic.Network) {
 	}
 	r := rand.New(rand.NewSource(21))
 	for i := 0; i < 24; i++ {
-		nw, err := randomSequential(r, 1+r.Intn(5), 1+r.Intn(6), 4+r.Intn(40))
+		nw, err := circuits.RandomDAG(r, 1+r.Intn(5), 1+r.Intn(6), 4+r.Intn(40))
 		add(fmt.Sprintf("random%d", i), nw, err)
 	}
 	names := make([]string, 0, len(nets))

@@ -40,6 +40,8 @@ var uncalledAllowlist = map[string]string{
 	"repro/internal/timing.Unit":             "the unit-delay model the timing tests drive Analyze with; the only production DelayFn is xsistor's sized model",
 	"repro/internal/behav.RandomTraces":      "the correlated stream TestCorrelationAwareBinding feeds binding; the production stream (experiments.delayLineTraces) cannot be imported by behav's tests",
 	"repro/internal/circuits.BLIFCorpus":     "shared fixture: the BLIF corpus the sim, logic, circuits and core tests run over",
+	"repro/internal/circuits.RandomUpload":   "shared fixture: the seeded uploads TestUploadSoak, FuzzFlowUpload and the dontcare power and witness tests draw (ROADMAP item 19)",
+	"repro/internal/circuits.RandomDAG":      "shared fixture: the random networks the sim, power, logic, bdd and core property tests draw",
 	"repro/internal/obsv.Disable":            "shared fixture: tests that enable metrics turn them off again",
 	"repro/internal/obsv.CatalogNames":       "shared fixture: the obsv and server catalog tests check emitted metrics against it",
 	"repro/internal/sim.UintToBits":          "shared fixture: the sim and circuits tests build word-valued vectors with it",
